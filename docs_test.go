@@ -58,6 +58,51 @@ func TestDocsLinks(t *testing.T) {
 	}
 }
 
+// TestBaselineCommandsMatchCI pins every documented venice-bench command
+// that reads or writes BENCH_BASELINE.json to the -run list of CI's
+// bench-regression step: a regeneration that named fewer specs than CI
+// gates would silently drop their metrics from the baseline.
+func TestBaselineCommandsMatchCI(t *testing.T) {
+	runList := regexp.MustCompile(`-run (\S+)`)
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gated string
+	for _, line := range strings.Split(string(ci), "\n") {
+		if strings.Contains(line, "venice-bench") && strings.Contains(line, "-baseline BENCH_BASELINE.json") {
+			m := runList.FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("ci.yml: bench-regression command has no -run list: %s", line)
+			}
+			gated = m[1]
+		}
+	}
+	if gated == "" {
+		t.Fatal("ci.yml: no venice-bench command gates against BENCH_BASELINE.json")
+	}
+	documented := 0
+	for _, md := range []string{"EXPERIMENTS.md", "README.md"} {
+		data, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Join shell line continuations so a wrapped command reads as one line.
+		for _, line := range strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "\n") {
+			if !strings.Contains(line, "venice-bench") || !strings.Contains(line, "BENCH_BASELINE.json") {
+				continue
+			}
+			documented++
+			if m := runList.FindStringSubmatch(line); m == nil || m[1] != gated {
+				t.Errorf("%s: baseline command %q does not run CI's gated list %s", md, strings.TrimSpace(line), gated)
+			}
+		}
+	}
+	if documented == 0 {
+		t.Fatal("no documented baseline command found in EXPERIMENTS.md or README.md")
+	}
+}
+
 // TestAPIFreeze is the deprecated-surface gate CI's docs job runs: the
 // legacy Borrow*/Attach* wrappers were deleted outright (their
 // equivalence history lives in CHANGES.md), so the unified core.Plane

@@ -119,7 +119,9 @@ func NewCluster(cfg Config) *Cluster {
 		a.Telemetry = cfg.Telemetry
 		c.Agents = append(c.Agents, a)
 	}
-	c.MN = monitor.New(c.Nodes[cfg.MonitorNode].EP, topo)
+	// The network's copy of the topology carries its routing tables even
+	// when cfg.Topology was assembled field by field.
+	c.MN = monitor.New(c.Nodes[cfg.MonitorNode].EP, net.Topo)
 	// Surface the MN's recovery transitions (revocations, donor
 	// failovers) on the plane's event stream.
 	c.MN.Observe(c.hub.forwardRecovery)

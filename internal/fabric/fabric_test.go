@@ -104,10 +104,9 @@ func TestMeshTopologyShape(t *testing.T) {
 	if len(topo.Edges) != 12 {
 		t.Fatalf("edges = %d, want 12", len(topo.Edges))
 	}
-	adj := topo.adjacency()
-	for i, a := range adj {
-		if len(a) != 3 {
-			t.Fatalf("node %d degree = %d, want 3", i, len(a))
+	for i := 0; i < topo.N; i++ {
+		if d := len(topo.NeighborsOf(NodeID(i))); d != 3 {
+			t.Fatalf("node %d degree = %d, want 3", i, d)
 		}
 	}
 	// Opposite corners are 3 hops apart.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -241,5 +242,93 @@ func TestHopCountMetricProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLossyLineGolden pins one lossy run exactly: a three-node line
+// with CRC errors on the links into the middle node, a flap of 1<->2
+// that catches packets both in flight and at transmit, and a flap of
+// 0<->1 long enough for senders to give up on replaying packets. Every
+// a-packet also gets a shadow send on its first link, aimed by an event
+// scheduled during the packet's flight at the instant its replay timer
+// fires: when the packet is corrupted, its timer ties with a send that
+// has a credit waiting, so a timer armed later than transmit would lose
+// the tie and reorder the line. The delivery log, timestamps and link
+// counters were captured from the hop path that kept per-hop closures
+// and pendingAck/replays maps, and must not move.
+func TestLossyLineGolden(t *testing.T) {
+	eng := sim.New()
+	defer eng.Close()
+	p := sim.Default()
+	p.LinkCredits = 4
+	net := NewNetwork(eng, &p, Line(3), sim.NewRNG(11))
+	net.Link(0, 1).SetErrorRate(0.3)
+	net.Link(2, 1).SetErrorRate(0.3)
+	var got []string
+	for i := 0; i < 3; i++ {
+		id := NodeID(i)
+		net.SetDelivery(id, func(pkt *Packet) {
+			got = append(got, fmt.Sprintf("%v<-%v %s%d@%d", id, pkt.Src, pkt.Kind, pkt.Payload, int64(eng.Now())))
+		})
+	}
+	send := func(src, dst NodeID, kind string, k int) {
+		net.Send(&Packet{Src: src, Dst: dst, Kind: kind, Size: 512, Payload: k})
+	}
+	// On an idle link a packet sent at t has its replay timer at
+	// t + serialization + fixed flight out and back + empty ack + timeout.
+	fixed := 2*p.PhyLatency + p.Propagation
+	timerAfterSend := p.Serialize(512) + 2*fixed + p.Serialize(0) + p.ReplayTO
+	for k := 0; k < 10; k++ {
+		k := k
+		at := sim.Dur(k) * 5 * sim.Microsecond
+		eng.Schedule(at, func() {
+			send(0, 2, "a", k)
+			send(2, 0, "b", k)
+		})
+		eng.Schedule(at+sim.Microsecond, func() {
+			eng.Schedule(timerAfterSend-sim.Microsecond, func() { send(0, 1, "s", k) })
+		})
+	}
+	for k := 0; k < 4; k++ {
+		k := k
+		eng.Schedule(250*sim.Microsecond+sim.Dur(k)*3*sim.Microsecond, func() {
+			send(0, 2, "c", k)
+			send(2, 0, "d", k)
+		})
+	}
+	eng.Schedule(9*sim.Microsecond, func() { net.SetLinkDown(1, 2, true) })
+	eng.Schedule(30*sim.Microsecond, func() { net.SetLinkDown(1, 2, false) })
+	eng.Schedule(40*sim.Microsecond, func() { net.SetLinkDown(0, 1, true) })
+	eng.Schedule(230*sim.Microsecond, func() { net.SetLinkDown(0, 1, false) })
+	eng.Run()
+
+	want := []string{
+		"n0<-n2 b0@4490", "n1<-n0 s0@16361", "n1<-n0 s1@21361", "n1<-n0 s2@26361",
+		"n1<-n0 s3@30516", "n2<-n0 a0@31032", "n0<-n2 b3@32761", "n2<-n0 a5@34503",
+		"n2<-n0 a1@36032", "n0<-n2 b5@36877", "n0<-n2 b4@37761", "n2<-n0 a6@37974",
+		"n2<-n0 a4@39503", "n2<-n0 a2@41032", "n2<-n0 a8@234400", "n1<-n0 s8@235626",
+		"n2<-n0 a9@238716", "n0<-n2 b7@239413", "n1<-n0 s7@239942", "n0<-n2 b9@240258",
+		"n1<-n0 s6@247852", "n0<-n2 d0@254490", "n2<-n0 c1@257490", "n2<-n0 c2@260490",
+		"n0<-n2 d3@263490", "n1<-n0 s9@266361", "n2<-n0 c0@267761", "n0<-n2 d1@270761",
+		"n2<-n0 c3@276761", "n0<-n2 d2@300303",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d deliveries, want %d:\n%v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d = %q, want %q\ngot: %v", i, got[i], want[i], got)
+		}
+	}
+	wantStats := map[[2]NodeID]LinkStats{
+		{0, 1}: {Packets: 89, Bytes: 45568, Corrupted: 12, Replays: 65, CreditStall: 9, BusyTime: 75205},
+		{1, 0}: {Packets: 58, Bytes: 29696, Corrupted: 0, Replays: 44, CreditStall: 2, BusyTime: 49010},
+		{1, 2}: {Packets: 16, Bytes: 8192, Corrupted: 0, Replays: 4, CreditStall: 2, BusyTime: 13520},
+		{2, 1}: {Packets: 29, Bytes: 14848, Corrupted: 10, Replays: 15, CreditStall: 3, BusyTime: 24505},
+	}
+	for e, want := range wantStats {
+		if got := net.Link(e[0], e[1]).Stats(); got != want {
+			t.Errorf("link %v->%v stats %+v, want %+v", e[0], e[1], got, want)
+		}
 	}
 }

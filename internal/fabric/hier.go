@@ -71,6 +71,7 @@ func RackSpine(racks, x, y, z, spines, uplinks int) Hier {
 			h.Edges = append(h.Edges, [2]NodeID{h.SpineID(a), h.SpineID(b)})
 		}
 	}
+	h.Topology = h.Topology.routed()
 	return h
 }
 
@@ -128,9 +129,9 @@ func (h Hier) SpineEdges() [][2]NodeID {
 // silicon).
 func (t Topology) MaxDegree() int {
 	max := 0
-	for _, adj := range t.adjacency() {
-		if len(adj) > max {
-			max = len(adj)
+	for _, nbrs := range t.tables().nbrs {
+		if len(nbrs) > max {
+			max = len(nbrs)
 		}
 	}
 	return max

@@ -1,21 +1,29 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// refDistances is an independently-written BFS over a topology's edge
-// list, used as ground truth for the hop-count property: it shares no
-// code with Topology.HopCount / shortestNextHops.
-func refDistances(t Topology) [][]int {
+// refAdjacency lists each node's neighbors in edge-construction order,
+// written independently of the topology's own tables.
+func refAdjacency(t Topology) [][]int {
 	adj := make([][]int, t.N)
 	for _, e := range t.Edges {
 		a, b := int(e[0]), int(e[1])
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
+	return adj
+}
+
+// refDistances is an independently-written BFS over a topology's edge
+// list, used as ground truth for the routing property: it shares no
+// code with the topology's routing tables.
+func refDistances(t Topology) [][]int {
+	adj := refAdjacency(t)
 	all := make([][]int, t.N)
 	for src := 0; src < t.N; src++ {
 		dist := make([]int, t.N)
@@ -63,18 +71,7 @@ func TestRackSpineProperty(t *testing.T) {
 			t.Fatalf("%s: %d edges, want %d", h.Name, len(h.Edges), wantEdges)
 		}
 
-		dist := refDistances(h.Topology)
-		for a := 0; a < h.N; a++ {
-			for b := 0; b < h.N; b++ {
-				if dist[a][b] < 0 {
-					t.Fatalf("%s: disconnected, no path %d->%d", h.Name, a, b)
-				}
-				if got := h.HopCount(NodeID(a), NodeID(b)); got != dist[a][b] {
-					t.Fatalf("%s: HopCount(%d,%d)=%d, reference BFS says %d",
-						h.Name, a, b, got, dist[a][b])
-				}
-			}
-		}
+		checkRoutes(t, h.Topology)
 
 		// Rack bookkeeping: every node is in exactly one rack or is a
 		// spine, and RackNodes inverts RackOf.
@@ -140,6 +137,90 @@ func TestRackSpineProperty(t *testing.T) {
 		if got := h.MaxDegree(); got != want {
 			t.Fatalf("%s: MaxDegree=%d, manual count says %d", h.Name, got, want)
 		}
+	}
+}
+
+// checkRoutes compares every pair's HopCount and NextHop with the
+// reference BFS. The next hop must be a's first neighbor, in
+// edge-construction order, that lies on a shortest path to b — the
+// deterministic tie-break every switch routes by.
+func checkRoutes(t *testing.T, topo Topology) {
+	t.Helper()
+	adj, dist := refAdjacency(topo), refDistances(topo)
+	for a := 0; a < topo.N; a++ {
+		for b := 0; b < topo.N; b++ {
+			if dist[a][b] < 0 {
+				t.Fatalf("%s: disconnected, no path %d->%d", topo.Name, a, b)
+			}
+			if got := topo.HopCount(NodeID(a), NodeID(b)); got != dist[a][b] {
+				t.Fatalf("%s: HopCount(%d,%d)=%d, reference BFS says %d",
+					topo.Name, a, b, got, dist[a][b])
+			}
+			want := a
+			for _, nb := range adj[a] {
+				if a != b && dist[nb][b] == dist[a][b]-1 {
+					want = nb
+					break
+				}
+			}
+			if got := topo.NextHop(NodeID(a), NodeID(b)); got != NodeID(want) {
+				t.Fatalf("%s: NextHop(%d,%d)=%v, reference BFS says n%d",
+					topo.Name, a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestRandomTopologyRoutes: on random connected topologies (a random
+// spanning tree plus chords, assembled field by field), on the same
+// edge lists after the tables are built once, and after one more chord
+// is appended to a built topology, hop counts and next hops match the
+// reference BFS.
+func TestRandomTopologyRoutes(t *testing.T) {
+	rng := sim.NewRNG(4402)
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(14)
+		topo := Topology{Name: "rand", N: n}
+		for v := 1; v < n; v++ {
+			topo.Edges = append(topo.Edges, [2]NodeID{NodeID(rng.Intn(v)), NodeID(v)})
+		}
+		for k := 0; k < n; k++ {
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				topo.Edges = append(topo.Edges, [2]NodeID{NodeID(a), NodeID(b)})
+			}
+		}
+		checkRoutes(t, topo)
+		routed := topo.routed()
+		checkRoutes(t, routed)
+		if a, b := rng.Intn(n), rng.Intn(n); a != b {
+			routed.Edges = append(routed.Edges[:len(routed.Edges):len(routed.Edges)], [2]NodeID{NodeID(a), NodeID(b)})
+			checkRoutes(t, routed)
+		}
+	}
+}
+
+// TestRouteQueriesRejectOutOfRangeIDs: a node id outside [0, N) panics
+// with a clear message rather than aliasing into a neighboring row of
+// the flat a*N+b tables (HopCount(0, N) would read the (1, 0) entry).
+func TestRouteQueriesRejectOutOfRangeIDs(t *testing.T) {
+	topo := Mesh3D(2, 2, 2)
+	bad := map[string]func(){
+		"HopCount(0,N)":  func() { topo.HopCount(0, NodeID(topo.N)) },
+		"HopCount(-1,0)": func() { topo.HopCount(-1, 0) },
+		"HopCount(N,N)":  func() { topo.HopCount(NodeID(topo.N), NodeID(topo.N)) },
+		"NextHop(N,0)":   func() { topo.NextHop(NodeID(topo.N), 0) },
+		"NextHop(0,-1)":  func() { topo.NextHop(0, -1) },
+	}
+	for name, fn := range bad {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "out of range") {
+					t.Errorf("%s: panic %q, want an out-of-range message", name, msg)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 

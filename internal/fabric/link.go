@@ -42,19 +42,54 @@ type Link struct {
 	// oversubscribed spine uplinks.
 	gbps float64
 
-	nextFree sim.Time // serializer occupancy (bandwidth model)
-	credits  int      // datalink credits available at the sender
-	waitQ    []*Packet
+	nextFree sim.Time      // serializer occupancy (bandwidth model)
+	credits  int           // datalink credits available at the sender
+	waitQ    fifo[*Packet] // sends waiting for a credit, in send order
 
 	errRate float64 // probability a packet arrives corrupted
 	rng     *sim.RNG
 	down    bool
 
-	pendingAck map[uint64]*Packet // awaiting receiver ack, for replay
-	replays    map[uint64]int
-	linkSeq    uint64
+	// inflight holds every transmission whose arrival is scheduled, in
+	// transmission order. Arrivals fire in that same order: the
+	// serializer is FIFO, so departures are increasing, and every packet
+	// then pays the same fixed latency — so each arrival event pops the
+	// head.
+	inflight fifo[flight]
+
+	// Cached event handlers: scheduling a method value allocates a
+	// closure, scheduling these does not.
+	onArrive, onCredit func()
 
 	stats LinkStats
+}
+
+// flight is one transmission on the wire.
+type flight struct {
+	pkt      *Packet
+	replays  int          // retransmissions of pkt before this one
+	replayAt sim.Time     // when the sender's replay timer fires, if armed
+	timer    *replayTimer // the timer, when transmit armed it
+}
+
+// replayTimer is an armed sender replay timer: it resends its packet
+// unless the packet's ack landed first.
+type replayTimer struct {
+	l       *Link
+	pkt     *Packet
+	replays int
+	acked   bool     // the packet arrived intact
+	ackAt   sim.Time // when its ack reaches the sender
+}
+
+// fire resends the packet unless its ack landed first. An ack landing
+// at the timer's own instant loses the race, as it did when acks were
+// events scheduled after the timer.
+func (r *replayTimer) fire() {
+	if r.acked && r.ackAt < r.l.eng.Now() {
+		return
+	}
+	r.l.resend(r.pkt, r.replays+1)
 }
 
 // maxReplays bounds retransmission attempts before a packet is declared
@@ -64,17 +99,17 @@ const maxReplays = 8
 
 // newLink wires a unidirectional link delivering to dst.
 func newLink(eng *sim.Engine, p *sim.Params, name string, dst receiver, rng *sim.RNG) *Link {
-	return &Link{
-		eng:        eng,
-		p:          p,
-		name:       name,
-		to:         dst,
-		fixed:      2*p.PhyLatency + p.Propagation,
-		credits:    p.LinkCredits,
-		rng:        rng,
-		pendingAck: make(map[uint64]*Packet),
-		replays:    make(map[uint64]int),
+	l := &Link{
+		eng:     eng,
+		p:       p,
+		name:    name,
+		to:      dst,
+		fixed:   2*p.PhyLatency + p.Propagation,
+		credits: p.LinkCredits,
+		rng:     rng,
 	}
+	l.onArrive, l.onCredit = l.arrive, l.returnCredit
+	return l
 }
 
 // Name reports the link's diagnostic name, e.g. "n0->n1".
@@ -175,16 +210,16 @@ func (l *Link) UtilizationSince(s LinkSample) float64 {
 func (l *Link) send(pkt *Packet) {
 	if l.credits == 0 {
 		l.stats.CreditStall++
-		l.waitQ = append(l.waitQ, pkt)
+		l.waitQ.push(pkt)
 		return
 	}
 	l.credits--
-	l.transmit(pkt, false)
+	l.transmit(pkt, 0)
 }
 
 // transmit pushes one packet through the serializer and schedules its
-// arrival. A replay keeps its already-assigned sequence number.
-func (l *Link) transmit(pkt *Packet, isReplay bool) {
+// arrival; replays counts the earlier transmissions of the same packet.
+func (l *Link) transmit(pkt *Packet, replays int) {
 	now := l.eng.Now()
 	ser := l.serialize(pkt.Size)
 	depart := now
@@ -195,75 +230,80 @@ func (l *Link) transmit(pkt *Packet, isReplay bool) {
 	l.stats.BusyTime += ser
 	l.stats.Packets++
 	l.stats.Bytes += int64(pkt.Size)
-
-	seq := l.linkSeq
-	l.linkSeq++
-	l.pendingAck[seq] = pkt
-	if isReplay {
+	if replays > 0 {
 		l.stats.Replays++
 	}
 
 	arrive := l.nextFree.Add(l.fixed)
-	l.eng.At(arrive, func() { l.arrive(pkt, seq) })
+	l.eng.At(arrive, l.onArrive)
 	// Sender-side replay timer: anchored past the latest instant a
-	// successful ack could clear the entry (arrival + reverse flight),
-	// plus the configured timeout margin.
-	ackBy := arrive.Add(l.fixed + l.serialize(0))
-	l.eng.At(ackBy.Add(l.p.ReplayTO), func() { l.checkReplay(seq) })
+	// successful ack could land (arrival + reverse flight), plus the
+	// configured timeout margin. A link that may lose the packet — down,
+	// corrupting, or leaving the ack no margin to beat the timer — arms
+	// it here, right after the arrival as it always was, so the timer
+	// keeps its (time, seq) order against every other event. A healthy
+	// link arms none, and a delivered packet costs three events
+	// (arrival, credit return, switch traversal); an arrival that does
+	// lose the packet, because the link failed in flight, arms the timer
+	// then for the same instant.
+	f := flight{pkt: pkt, replays: replays, replayAt: arrive.Add(l.fixed + l.serialize(0) + l.p.ReplayTO)}
+	if l.down || l.errRate > 0 || l.p.ReplayTO <= 0 {
+		f.timer = l.armReplay(f)
+	}
+	l.inflight.push(f)
 }
 
-// arrive runs at the receiver: CRC check, ack, delivery, credit return.
-func (l *Link) arrive(pkt *Packet, seq uint64) {
-	if l.down {
-		return // lost in flight; replay until the bound, then give up
-	}
-	if l.errRate > 0 && l.rng != nil && l.rng.Bool(l.errRate) {
+// armReplay schedules f's replay timer.
+func (l *Link) armReplay(f flight) *replayTimer {
+	r := &replayTimer{l: l, pkt: f.pkt, replays: f.replays}
+	l.eng.At(f.replayAt, r.fire)
+	return r
+}
+
+// arrive runs at the receiver for the oldest transmission in flight:
+// CRC check, ack, delivery, credit return.
+func (l *Link) arrive() {
+	f := l.inflight.pop()
+	lost := l.down // lost in flight; replay until the bound, then give up
+	if !lost && l.errRate > 0 && l.rng != nil && l.rng.Bool(l.errRate) {
 		l.stats.Corrupted++
-		return // no ack; the sender's replay timer will fire
+		lost = true // no ack; the sender's replay timer will fire
 	}
 	// Ack flows back over the paired reverse channel; model it as a fixed
 	// small-packet delay without charging the serializer.
 	ackDelay := l.fixed + l.serialize(0)
-	l.eng.Schedule(ackDelay, func() { delete(l.pendingAck, seq) })
+	ackAt := l.eng.Now().Add(ackDelay)
+	switch {
+	case f.timer != nil:
+		f.timer.acked, f.timer.ackAt = !lost, ackAt
+	case lost || ackAt >= f.replayAt: // or the link slowed in flight
+		l.armReplay(f)
+	}
+	if lost {
+		return
+	}
 	// The receiver buffer frees once the switch has taken the packet;
 	// return the credit after that plus the reverse flight.
-	l.eng.Schedule(l.p.SwitchLat+ackDelay, l.returnCredit)
-	l.to.receive(pkt, l)
+	l.eng.Schedule(l.p.SwitchLat+ackDelay, l.onCredit)
+	l.to.receive(f.pkt, l)
 }
 
 // returnCredit hands a buffer credit back to the sender and drains the
 // wait queue.
 func (l *Link) returnCredit() {
 	l.credits++
-	if len(l.waitQ) > 0 && l.credits > 0 {
-		pkt := l.waitQ[0]
-		l.waitQ = l.waitQ[1:]
+	if l.waitQ.len() > 0 && l.credits > 0 {
 		l.credits--
-		l.transmit(pkt, false)
+		l.transmit(l.waitQ.pop(), 0)
 	}
 }
 
-// checkReplay retransmits a packet whose ack never arrived, up to the
-// replay bound.
-func (l *Link) checkReplay(seq uint64) {
-	pkt, ok := l.pendingAck[seq]
-	if !ok {
-		delete(l.replays, seq)
-		return // acked
-	}
-	delete(l.pendingAck, seq)
-	n := l.replays[seq] + 1
-	delete(l.replays, seq)
-	if n > maxReplays {
+// resend retransmits a packet whose ack never arrived, keeping the
+// credit it holds, or past the replay bound gives up and frees it.
+func (l *Link) resend(pkt *Packet, replays int) {
+	if replays > maxReplays {
 		l.returnCredit() // free the buffer the lost packet held
 		return
 	}
-	l.transmitReplayed(pkt, n)
-}
-
-// transmitReplayed resends a packet carrying its replay count forward.
-func (l *Link) transmitReplayed(pkt *Packet, count int) {
-	l.transmit(pkt, true)
-	// transmit assigned a fresh link sequence number; propagate the count.
-	l.replays[l.linkSeq-1] = count
+	l.transmit(pkt, replays)
 }

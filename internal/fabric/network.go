@@ -15,9 +15,9 @@ type Network struct {
 	Topo Topology
 
 	switches []*Switch
-	links    map[[2]NodeID]*Link // (from,to) -> link
 	routers  []*Router
 	rng      *sim.RNG
+	kinds    map[string]trafficKeys
 
 	// Lat histograms end-to-end packet latency (inject -> local delivery).
 	Lat sim.Hist
@@ -25,26 +25,33 @@ type Network struct {
 	Traffic sim.Scoreboard
 }
 
+// trafficKeys are the Traffic counter names of one packet kind.
+type trafficKeys struct{ pkts, bytes string }
+
 // NewNetwork builds the fabric for a topology. Per-node delivery handlers
 // must be registered with SetDelivery before traffic flows to that node.
 func NewNetwork(eng *sim.Engine, p *sim.Params, topo Topology, rng *sim.RNG) *Network {
+	topo.rt = topo.tables()
 	n := &Network{
-		Eng:   eng,
-		P:     p,
-		Topo:  topo,
-		links: make(map[[2]NodeID]*Link),
-		rng:   rng,
+		Eng:  eng,
+		P:    p,
+		Topo: topo,
+		rng:  rng,
 	}
-	for i := 0; i < topo.N; i++ {
-		n.switches = append(n.switches, newSwitch(eng, p, NodeID(i)))
+	size := topo.N
+	for i := 0; i < size; i++ {
+		n.switches = append(n.switches, newSwitch(eng, p, NodeID(i), topo.rt.next[i*size:(i+1)*size]))
 	}
 	for _, e := range topo.Edges {
 		n.connect(e[0], e[1])
 		n.connect(e[1], e[0])
 	}
-	tables := topo.shortestNextHops()
-	for i, s := range n.switches {
-		s.routes = tables[i]
+	for i, hop := range topo.rt.hops {
+		if hop < 0 {
+			panic(fmt.Sprintf("fabric: topology %s is disconnected (no path %d->%d)", topo.Name, i/size, i%size))
+		}
+	}
+	for _, s := range n.switches {
 		if s.Degree() > p.LinkPorts {
 			panic(fmt.Sprintf("fabric: node %v needs %d ports, switch has %d",
 				s.id, s.Degree(), p.LinkPorts))
@@ -60,9 +67,8 @@ func (n *Network) connect(a, b NodeID) {
 	if n.rng != nil {
 		lrng = n.rng.Fork()
 	}
-	l := newLink(n.Eng, n.P, name, n.switches[b], lrng)
-	n.links[[2]NodeID{a, b}] = l
-	n.switches[a].ports[b] = l
+	n.switches[a].port[b] = newLink(n.Eng, n.P, name, n.switches[b], lrng)
+	n.switches[a].deg++
 }
 
 // Switch returns the embedded switch of node id.
@@ -70,7 +76,22 @@ func (n *Network) Switch(id NodeID) *Switch { return n.switches[id] }
 
 // Link returns the unidirectional link from a to b, or nil if the nodes
 // are not directly connected.
-func (n *Network) Link(a, b NodeID) *Link { return n.links[[2]NodeID{a, b}] }
+func (n *Network) Link(a, b NodeID) *Link {
+	if uint(a) >= uint(len(n.switches)) || uint(b) >= uint(len(n.switches)) {
+		return nil
+	}
+	return n.switches[a].port[b]
+}
+
+// links calls fn on every link between two nodes' switches, in node and
+// neighbor order.
+func (n *Network) links(fn func(*Link)) {
+	for _, s := range n.switches {
+		for _, nb := range n.Topo.NeighborsOf(s.id) {
+			fn(s.port[nb])
+		}
+	}
+}
 
 // Nodes reports the number of nodes.
 func (n *Network) Nodes() int { return n.Topo.N }
@@ -80,10 +101,25 @@ func (n *Network) Nodes() int { return n.Topo.N }
 func (n *Network) SetDelivery(id NodeID, fn DeliverFunc) {
 	n.switches[id].local = func(pkt *Packet) {
 		n.Lat.AddDur(n.Eng.Now().Sub(pkt.Injected))
-		n.Traffic.Add(pkt.Kind+".pkts", 1)
-		n.Traffic.Add(pkt.Kind+".bytes", int64(pkt.Size))
+		k := n.trafficKeys(pkt.Kind)
+		n.Traffic.Add(k.pkts, 1)
+		n.Traffic.Add(k.bytes, int64(pkt.Size))
 		fn(pkt)
 	}
+}
+
+// trafficKeys returns the Traffic counter names for a packet kind,
+// building them the first time the kind is delivered.
+func (n *Network) trafficKeys(kind string) trafficKeys {
+	k, ok := n.kinds[kind]
+	if !ok {
+		k = trafficKeys{pkts: kind + ".pkts", bytes: kind + ".bytes"}
+		if n.kinds == nil {
+			n.kinds = make(map[string]trafficKeys)
+		}
+		n.kinds[kind] = k
+	}
+	return k
 }
 
 // Send injects a packet into the fabric at its source node.
@@ -139,15 +175,14 @@ func (n *Network) NodeDown(id NodeID) bool { return n.switches[id].IsDown() }
 
 // SetErrorRate applies CRC fault injection to every link.
 func (n *Network) SetErrorRate(r float64) {
-	for _, l := range n.links {
-		l.SetErrorRate(r)
-	}
+	n.links(func(l *Link) { l.SetErrorRate(r) })
 }
 
 // InsertRouter replaces the direct links between a and b with a
 // one-level external router, reproducing the indirect-network
 // configuration of §4.2.2 (Fig. 6). The nodes' routing tables are
-// unchanged: the router is a bump in the wire.
+// unchanged: the router is a bump in the wire, so only the two switches'
+// ports toward each other move onto it.
 func (n *Network) InsertRouter(a, b NodeID) *Router {
 	if n.Link(a, b) == nil || n.Link(b, a) == nil {
 		panic(fmt.Sprintf("fabric: no direct link %v<->%v to route through", a, b))
@@ -172,10 +207,8 @@ func (n *Network) InsertRouter(a, b NodeID) *Router {
 	}
 	r.out[aToR] = rToB
 	r.out[bToR] = rToA
-	n.switches[a].ports[b] = aToR
-	n.switches[b].ports[a] = bToR
-	n.links[[2]NodeID{a, b}] = aToR
-	n.links[[2]NodeID{b, a}] = bToR
+	n.switches[a].port[b] = aToR
+	n.switches[b].port[a] = bToR
 	n.routers = append(n.routers, r)
 	return r
 }
@@ -183,7 +216,7 @@ func (n *Network) InsertRouter(a, b NodeID) *Router {
 // TotalLinkStats sums the counters over all links.
 func (n *Network) TotalLinkStats() LinkStats {
 	var total LinkStats
-	for _, l := range n.links {
+	n.links(func(l *Link) {
 		s := l.Stats()
 		total.Packets += s.Packets
 		total.Bytes += s.Bytes
@@ -191,6 +224,6 @@ func (n *Network) TotalLinkStats() LinkStats {
 		total.Replays += s.Replays
 		total.CreditStall += s.CreditStall
 		total.BusyTime += s.BusyTime
-	}
+	})
 	return total
 }

@@ -18,11 +18,18 @@ type Switch struct {
 	eng *sim.Engine
 	p   *sim.Params
 
-	id     NodeID
-	lat    sim.Dur
-	ports  map[NodeID]*Link // neighbor -> outgoing link
-	routes map[NodeID]NodeID
-	local  DeliverFunc
+	id    NodeID
+	lat   sim.Dur
+	next  []int32 // this node's row of the topology's next-hop table, shared
+	port  []*Link // port[nb] is the outgoing link toward neighbor nb
+	deg   int     // external ports in use
+	local DeliverFunc
+
+	// transit holds the packets traversing the switch, in receive
+	// order. Every traversal takes the same lat, so traversals finish in
+	// the order they started and each traversal event pops the head.
+	transit    fifo[*Packet]
+	onTraverse func() // cached handler; see Link.onArrive
 
 	// Extra per-direction latency modeling interface placement: zero for
 	// on-chip interface logic, Params.OffChipCrossing when the Venice
@@ -41,22 +48,24 @@ type Switch struct {
 	dropped   int64
 }
 
-func newSwitch(eng *sim.Engine, p *sim.Params, id NodeID) *Switch {
-	return &Switch{
-		eng:    eng,
-		p:      p,
-		id:     id,
-		lat:    p.SwitchLat,
-		ports:  make(map[NodeID]*Link),
-		routes: make(map[NodeID]NodeID),
+func newSwitch(eng *sim.Engine, p *sim.Params, id NodeID, next []int32) *Switch {
+	s := &Switch{
+		eng:  eng,
+		p:    p,
+		id:   id,
+		lat:  p.SwitchLat,
+		next: next,
+		port: make([]*Link, len(next)),
 	}
+	s.onTraverse = s.traverse
+	return s
 }
 
 // ID reports the switch's node id.
 func (s *Switch) ID() NodeID { return s.id }
 
 // Degree reports the number of external ports in use.
-func (s *Switch) Degree() int { return len(s.ports) }
+func (s *Switch) Degree() int { return s.deg }
 
 // SetOffChip moves this node's fabric interface across the I/O bus: every
 // injection and local delivery pays one extra Params.OffChipCrossing.
@@ -101,8 +110,12 @@ func (s *Switch) Inject(pkt *Packet) {
 // receive implements the link receiver: one switch traversal, then route.
 func (s *Switch) receive(pkt *Packet, _ *Link) {
 	pkt.Hops++
-	s.eng.Schedule(s.lat, func() { s.route(pkt) })
+	s.transit.push(pkt)
+	s.eng.Schedule(s.lat, s.onTraverse)
 }
+
+// traverse routes the packet whose switch traversal just finished.
+func (s *Switch) traverse() { s.route(s.transit.pop()) }
 
 // route forwards a packet toward its destination or delivers it locally.
 func (s *Switch) route(pkt *Packet) {
@@ -111,36 +124,33 @@ func (s *Switch) route(pkt *Packet) {
 		return
 	}
 	if pkt.Dst == s.id {
-		deliver := func() {
-			// The node can crash between route() and a deliverExtra-delayed
-			// delivery; power-cut semantics mean the packet dies with it.
-			if s.down {
-				s.dropped++
-				return
-			}
-			if s.local == nil {
-				panic(fmt.Sprintf("fabric: node %v has no delivery handler for %v", s.id, pkt))
-			}
-			s.delivered++
-			s.local(pkt)
-		}
 		if s.deliverExtra > 0 {
-			s.eng.Schedule(s.deliverExtra, deliver)
+			s.eng.Schedule(s.deliverExtra, func() { s.deliver(pkt) })
 			return
 		}
-		deliver()
+		s.deliver(pkt)
 		return
 	}
-	next, ok := s.routes[pkt.Dst]
-	if !ok {
+	if uint(pkt.Dst) >= uint(len(s.next)) {
 		panic(fmt.Sprintf("fabric: node %v has no route to %v", s.id, pkt.Dst))
 	}
-	link, ok := s.ports[next]
-	if !ok {
-		panic(fmt.Sprintf("fabric: node %v has no port toward %v", s.id, next))
-	}
 	s.forwarded++
-	link.send(pkt)
+	s.port[s.next[pkt.Dst]].send(pkt)
+}
+
+// deliver hands a packet to the node's local port.
+func (s *Switch) deliver(pkt *Packet) {
+	// The node can crash between route() and a deliverExtra-delayed
+	// delivery; power-cut semantics mean the packet dies with it.
+	if s.down {
+		s.dropped++
+		return
+	}
+	if s.local == nil {
+		panic(fmt.Sprintf("fabric: node %v has no delivery handler for %v", s.id, pkt))
+	}
+	s.delivered++
+	s.local(pkt)
 }
 
 // Router is an external one-level switch module inserted between two

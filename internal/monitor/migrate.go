@@ -182,7 +182,7 @@ func (m *Monitor) migrateLease(p *sim.Proc, v *View, a *Allocation, curUtil floa
 		if la.Kind != "memory" || !la.Latency {
 			continue
 		}
-		for _, l := range v.PathLinks(la.Recipient, la.Donor) {
+		for l := range v.path(la.Recipient, la.Donor) {
 			latLinks[l] = true
 		}
 	}
@@ -283,7 +283,7 @@ func crossesAny(v *View, a, b fabric.NodeID, links map[[2]fabric.NodeID]bool) bo
 	if len(links) == 0 {
 		return false
 	}
-	for _, l := range v.PathLinks(a, b) {
+	for l := range v.path(a, b) {
 		if links[l] {
 			return true
 		}

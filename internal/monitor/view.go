@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"iter"
+
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
@@ -28,7 +30,6 @@ type View struct {
 
 	linkUtil map[[2]fabric.NodeID]float64
 	commits  map[[2]fabric.NodeID]int
-	routes   []map[fabric.NodeID]fabric.NodeID // lazily built next-hop tables
 }
 
 // view assembles the current telemetry snapshot from the RRT/RAT/TST.
@@ -45,7 +46,7 @@ func (m *Monitor) view() *View {
 		if a.Kind != "memory" {
 			continue
 		}
-		for _, l := range v.PathLinks(a.Recipient, a.Donor) {
+		for l := range v.path(a.Recipient, a.Donor) {
 			if v.commits == nil {
 				v.commits = make(map[[2]fabric.NodeID]int)
 			}
@@ -79,30 +80,37 @@ func (v *View) LinkUtil(a, b fabric.NodeID) (float64, bool) {
 	return u, ok
 }
 
+// path yields the links (as unordered pairs) on the deterministic
+// shortest path from a to b, in hop order, walking the topology's
+// next-hop table; it yields nothing when a == b or no route exists.
+func (v *View) path(a, b fabric.NodeID) iter.Seq[[2]fabric.NodeID] {
+	return func(yield func([2]fabric.NodeID) bool) {
+		for cur := a; cur != b; {
+			nxt := v.Topo.NextHop(cur, b)
+			if nxt < 0 || !yield(linkKey(cur, nxt)) {
+				return
+			}
+			cur = nxt
+		}
+	}
+}
+
 // PathUtil reports the hottest link on the deterministic shortest path
 // from a to b — the bottleneck a window placed on donor b would share.
 // ok is false when telemetry is off or no link on the path has been
 // sampled; links without samples are treated as idle otherwise.
 func (v *View) PathUtil(a, b fabric.NodeID) (float64, bool) {
-	if !v.HasTelemetry || a == b {
+	if !v.HasTelemetry {
 		return 0, false
 	}
-	if v.routes == nil {
-		v.routes = v.Topo.NextHops()
-	}
 	max, known := 0.0, false
-	for cur := a; cur != b; {
-		nxt, ok := v.routes[cur][b]
-		if !ok {
-			return 0, false
-		}
-		if u, ok := v.linkUtil[linkKey(cur, nxt)]; ok {
+	for l := range v.path(a, b) {
+		if u, ok := v.linkUtil[l]; ok {
 			known = true
 			if u > max {
 				max = u
 			}
 		}
-		cur = nxt
 	}
 	return max, known
 }
@@ -110,20 +118,9 @@ func (v *View) PathUtil(a, b fabric.NodeID) (float64, bool) {
 // PathLinks lists the links (as unordered pairs) on the deterministic
 // shortest path from a to b, in hop order; nil when no route exists.
 func (v *View) PathLinks(a, b fabric.NodeID) [][2]fabric.NodeID {
-	if a == b {
-		return nil
-	}
-	if v.routes == nil {
-		v.routes = v.Topo.NextHops()
-	}
 	var links [][2]fabric.NodeID
-	for cur := a; cur != b; {
-		nxt, ok := v.routes[cur][b]
-		if !ok {
-			return nil
-		}
-		links = append(links, linkKey(cur, nxt))
-		cur = nxt
+	for l := range v.path(a, b) {
+		links = append(links, l)
 	}
 	return links
 }
@@ -135,7 +132,7 @@ func (v *View) PathBottleneck(a, b fabric.NodeID) (link [2]fabric.NodeID, util f
 	if !v.HasTelemetry {
 		return link, 0, false
 	}
-	for _, l := range v.PathLinks(a, b) {
+	for l := range v.path(a, b) {
 		if u, sampled := v.linkUtil[l]; sampled && (!ok || u > util) {
 			link, util, ok = l, u, true
 		}
@@ -150,7 +147,7 @@ func (v *View) PathBottleneck(a, b fabric.NodeID) (link [2]fabric.NodeID, util f
 // but the MN already knows which links its fills will ride.
 func (v *View) PathCommits(a, b fabric.NodeID) int {
 	max := 0
-	for _, l := range v.PathLinks(a, b) {
+	for l := range v.path(a, b) {
 		if c := v.commits[l]; c > max {
 			max = c
 		}
@@ -160,7 +157,7 @@ func (v *View) PathCommits(a, b fabric.NodeID) int {
 
 // PathCrosses reports whether the a→b path traverses the given link.
 func (v *View) PathCrosses(a, b fabric.NodeID, link [2]fabric.NodeID) bool {
-	for _, l := range v.PathLinks(a, b) {
+	for l := range v.path(a, b) {
 		if l == link {
 			return true
 		}

@@ -61,6 +61,7 @@ type Endpoint struct {
 	calls    map[string]CallHandler
 	pending  map[uint64]*pendingCall
 	nextID   uint64
+	rpcKinds map[string]string // call kind -> "rpc."+kind, built once per kind
 
 	// Stats tallies per-channel operation counts and latencies.
 	Stats sim.Scoreboard
@@ -98,6 +99,7 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		handlers: make(map[string]Handler),
 		calls:    make(map[string]CallHandler),
 		pending:  make(map[uint64]*pendingCall),
+		rpcKinds: make(map[string]string),
 	}
 	ep.CRMA = newCRMA(ep)
 	ep.RDMA = newRDMA(ep)
@@ -136,7 +138,7 @@ func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, req
 	ep.nextID++
 	pc := &pendingCall{done: sim.NewCompletion(ep.Eng)}
 	ep.pending[id] = pc
-	ep.SendRaw(dst, "rpc."+kind, reqSize, &rpcReq{id: id, kind: kind, body: body})
+	ep.SendRaw(dst, ep.rpcKind(kind), reqSize, &rpcReq{id: id, kind: kind, body: body})
 	var watchdog sim.Handle
 	if timeout > 0 {
 		watchdog = ep.Eng.ScheduleCancelable(timeout, func() {
@@ -158,6 +160,18 @@ func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, req
 		return nil, false
 	}
 	return pc.resp, true
+}
+
+// rpcKind returns the packet kind, and service proc name, of a call
+// kind: "rpc."+kind, built the first time the kind is seen rather than
+// on every call.
+func (ep *Endpoint) rpcKind(kind string) string {
+	k, ok := ep.rpcKinds[kind]
+	if !ok {
+		k = "rpc." + kind
+		ep.rpcKinds[kind] = k
+	}
+	return k
 }
 
 // deliver demultiplexes an arriving packet to its channel or handler.
@@ -202,7 +216,7 @@ func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 		panic(fmt.Sprintf("transport: node %v: no call handler %q", ep.ID, req.kind))
 	}
 	from := pkt.Src
-	ep.Eng.Go("rpc."+req.kind, func(p *sim.Proc) {
+	ep.Eng.Go(ep.rpcKind(req.kind), func(p *sim.Proc) {
 		resp, size := h(p, from, req.body)
 		ep.SendRaw(from, "rpc.resp", size, &rpcResp{id: req.id, body: resp})
 	})
