@@ -106,15 +106,18 @@ func TestBaselineCommandsMatchCI(t *testing.T) {
 // TestAPIFreeze is the deprecated-surface gate CI's docs job runs: the
 // legacy Borrow*/Attach* wrappers were deleted outright (their
 // equivalence history lives in CHANGES.md), so the unified core.Plane
-// API (Acquire / AcquireAll) is the only entry point. The gate rejects
-// both a surviving call site and a reintroduced definition — deleting
-// dead code only sticks if nothing can quietly grow it back.
+// API (Acquire / AcquireAll) is the only entry point. Below it, the
+// Monitor Node's client surface is one call per verb (monitor.Alloc,
+// monitor.Free) for every resource; the per-resource Request*/Free*
+// calls and their option structs are gone too. The gate rejects both a
+// surviving use and a reintroduced definition — deleting dead code only
+// sticks if nothing can quietly grow it back.
 func TestAPIFreeze(t *testing.T) {
-	deprecated := regexp.MustCompile(
-		`\.(BorrowMemory|BorrowMemoryScoped|BorrowSwap|AttachAccelerator|AttachNIC|AttachMemoryDirect|AttachSwapDirect)\(`)
-	redefined := regexp.MustCompile(
-		`^func (\([^)]*\) )?(BorrowMemory|BorrowMemoryScoped|BorrowSwap|AttachAccelerator|AttachNIC|AttachMemoryDirect|AttachSwapDirect)\(`)
-	for _, dir := range []string{"examples", "internal/core", "internal/serving", "internal/experiments"} {
+	const names = `BorrowMemory|BorrowMemoryScoped|BorrowSwap|AttachAccelerator|AttachNIC|AttachMemoryDirect|AttachSwapDirect|` +
+		`RequestMemory|RequestMemoryScoped|RequestMemoryOpts|RequestDevice|RequestDeviceOpts|MemReqOpts|DevReqOpts|FreeMemory|FreeDevice`
+	deprecated := regexp.MustCompile(`\.(` + names + `)[({]`)
+	redefined := regexp.MustCompile(`^(func (\([^)]*\) )?|type )(` + names + `)\b`)
+	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -128,10 +131,10 @@ func TestAPIFreeze(t *testing.T) {
 			}
 			for i, line := range strings.Split(string(data), "\n") {
 				if m := deprecated.FindString(line); m != "" {
-					t.Errorf("%s:%d: calls deleted entry point %q — use core.Plane's Acquire instead", path, i+1, strings.TrimSuffix(strings.TrimPrefix(m, "."), "("))
+					t.Errorf("%s:%d: uses deleted entry point %q — use core.Plane's Acquire or monitor.Alloc/Free instead", path, i+1, strings.TrimRight(strings.TrimPrefix(m, "."), "({"))
 				}
 				if redefined.MatchString(line) {
-					t.Errorf("%s:%d: reintroduces a deleted Borrow*/Attach* wrapper: %s", path, i+1, strings.TrimSpace(line))
+					t.Errorf("%s:%d: reintroduces a deleted entry point: %s", path, i+1, strings.TrimSpace(line))
 				}
 			}
 			return nil

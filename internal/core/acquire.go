@@ -41,13 +41,13 @@ func (c *Cluster) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
 	}
 	switch r.Kind {
 	case Memory:
-		return acquireMemory(p, r, c.MN.Node(), monitor.ScopeAny, false, &c.hub)
+		return acquireMemory(p, r, c.MN.Node(), &c.hub)
 	case Swap:
-		return acquireSwap(p, r, c.MN.Node(), monitor.ScopeAny, &c.hub)
+		return acquireSwap(p, r, c.MN.Node(), &c.hub)
 	case Accel:
-		return acquireAccel(p, r, c.MN.Node(), monitor.ScopeAny, c.Nodes, &c.hub)
+		return acquireAccel(p, r, c.MN.Node(), c.Nodes, &c.hub)
 	case NIC:
-		return acquireNIC(p, r, c.MN.Node(), monitor.ScopeAny, c.Eng, c.P, c.Nodes, &c.hub)
+		return acquireNIC(p, r, c.MN.Node(), c.Eng, c.P, c.Nodes, &c.hub)
 	default: // DirectMemory, DirectSwap (validate rejected the rest)
 		return acquireDirect(p, r, &c.hub)
 	}
@@ -85,49 +85,60 @@ func (c *HierCluster) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
 	sub := c.SubNode(rack)
 	switch r.Kind {
 	case Memory:
-		return acquireMemory(p, r, sub, r.scope, r.hasScope, &c.hub)
+		return acquireMemory(p, r, sub, &c.hub)
 	case Swap:
-		return acquireSwap(p, r, sub, r.scope, &c.hub)
+		return acquireSwap(p, r, sub, &c.hub)
 	case Accel:
-		return acquireAccel(p, r, sub, r.scope, c.Nodes, &c.hub)
+		return acquireAccel(p, r, sub, c.Nodes, &c.hub)
 	default: // NIC
-		return acquireNIC(p, r, sub, r.scope, c.Eng, c.P, c.Nodes, &c.hub)
+		return acquireNIC(p, r, sub, c.Eng, c.P, c.Nodes, &c.hub)
 	}
 }
 
+// grantVia sends r's grant request for res to mn (a flat MN or the
+// recipient's rack sub-MN; on a flat plane validate pins r.scope to
+// ScopeAny) and maps the outcome onto the plane's errors: a timeout is
+// ErrTimeout, an admission rejection ErrAdmissionRejected, and any other
+// decline ErrUnavailable. window is a memory grant's recipient-unique
+// key. On success resp.Granted holds the size the grant backs: r.Size,
+// or less when admission degraded a memory grant.
+func grantVia(p *sim.Proc, r Request, mn fabric.NodeID, res monitor.Resource, window uint64) (*monitor.AllocResp, error) {
+	resp, ok := monitor.Alloc(p, r.On.EP, mn, monitor.AllocReq{
+		Res: res, Size: r.Size, WindowBase: window, Scope: r.scope, Policy: r.policy,
+		Latency: r.latency, Trace: r.trace, Tenant: r.tenant, Class: r.class,
+	}, r.timeout)
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("core: acquire %s: %w", r.Kind, ErrTimeout)
+	case resp.Rejected:
+		return nil, fmt.Errorf("core: acquire %s: %s: %w", r.Kind, resp.Err, ErrAdmissionRejected)
+	case !resp.OK:
+		return nil, fmt.Errorf("core: acquire %s: %s: %w", r.Kind, resp.Err, ErrUnavailable)
+	}
+	if resp.Granted == 0 {
+		resp.Granted = r.Size
+	}
+	return resp, nil
+}
+
 // acquireMemory runs the MN-brokered remote-memory grant — the complete
-// Fig. 2 flow: pick the hot-plug window, ask mn (a flat MN or the
-// recipient's rack sub-MN), and mount the granted region over CRMA.
-func acquireMemory(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocScope, scoped bool, hub *eventHub) (Lease, error) {
+// Fig. 2 flow: pick the hot-plug window, ask mn, and mount the granted
+// region over CRMA.
+func acquireMemory(p *sim.Proc, r Request, mn fabric.NodeID, hub *eventHub) (Lease, error) {
 	win := r.On.NextHotplugWindow(r.Size)
-	resp, ok := monitor.RequestMemoryOpts(p, r.On.EP, mn, r.Size, win,
-		monitor.MemReqOpts{Scope: scope, Policy: r.policy, Latency: r.latency, Timeout: r.timeout,
-			Trace: r.trace, Tenant: r.tenant, Class: r.class})
-	if !ok {
-		return nil, fmt.Errorf("core: borrow %d bytes: %w", r.Size, ErrTimeout)
+	resp, err := grantVia(p, r, mn, monitor.Memory, win)
+	if err != nil {
+		return nil, err
 	}
-	if !resp.OK {
-		if resp.Rejected {
-			return nil, fmt.Errorf("core: borrow %d bytes: %s: %w", r.Size, resp.Err, ErrAdmissionRejected)
-		}
-		if scoped {
-			return nil, fmt.Errorf("core: borrow %d bytes (scope %d): %s: %w", r.Size, scope, resp.Err, ErrUnavailable)
-		}
-		return nil, fmt.Errorf("core: borrow %d bytes: %s: %w", r.Size, resp.Err, ErrUnavailable)
-	}
-	// Admission may have degraded the grant to a smaller window; the
-	// hot-plug window was sized for the full request, so the smaller
-	// region mounts at the same base with room to spare.
-	size := r.Size
-	if resp.Granted > 0 && resp.Granted < r.Size {
-		size = resp.Granted
-	}
+	// A degraded grant mounts at the same base: the hot-plug window was
+	// sized for the full request, so the smaller region has room to spare.
+	size := resp.Granted
 	lease, err := mountCRMA(p, r.On, resp.Donor, win, resp.DonorBase, size)
 	if err != nil {
 		// The grant committed MN-side (RAT row live, donor region
 		// hot-removed); a recipient-side mount failure must hand it back
 		// or the donor's memory leaks untracked.
-		monitor.FreeMemory(p, r.On.EP, mn, resp.AllocID)
+		monitor.Free(p, r.On.EP, mn, resp.AllocID)
 		return nil, err
 	}
 	lease.kind, lease.allocID, lease.mn, lease.hub, lease.trace = Memory, resp.AllocID, mn, hub, r.trace
@@ -136,28 +147,19 @@ func acquireMemory(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.Alloc
 }
 
 // acquireSwap obtains donor memory through mn and wraps it in the
-// remote-swap block device.
-func acquireSwap(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocScope, hub *eventHub) (Lease, error) {
-	resp, ok := monitor.RequestMemoryOpts(p, r.On.EP, mn, r.Size, 0,
-		monitor.MemReqOpts{Scope: scope, Policy: r.policy, Latency: r.latency, Timeout: r.timeout,
-			Trace: r.trace, Tenant: r.tenant, Class: r.class})
-	if !ok {
-		return nil, fmt.Errorf("core: borrow swap %d bytes: %w", r.Size, ErrTimeout)
-	}
-	if !resp.OK {
-		if resp.Rejected {
-			return nil, fmt.Errorf("core: borrow swap %d bytes: %s: %w", r.Size, resp.Err, ErrAdmissionRejected)
-		}
-		return nil, fmt.Errorf("core: borrow swap %d bytes: %s: %w", r.Size, resp.Err, ErrUnavailable)
-	}
-	size := r.Size
-	if resp.Granted > 0 && resp.Granted < r.Size {
-		size = resp.Granted
+// remote-swap block device. Nothing is mapped at the lease's hot-plug
+// window, but reserving one gives the grant its recipient-unique key:
+// the donor's agent files exports by (recipient, window), so two swap
+// leases from one donor must not share one.
+func acquireSwap(p *sim.Proc, r Request, mn fabric.NodeID, hub *eventHub) (Lease, error) {
+	resp, err := grantVia(p, r, mn, monitor.Memory, r.On.NextHotplugWindow(r.Size))
+	if err != nil {
+		return nil, err
 	}
 	lease := &SwapLease{
 		Recipient: r.On,
 		DonorBase: resp.DonorBase,
-		Size:      size,
+		Size:      resp.Granted,
 		Dev: &memsys.RemoteSwap{P: r.On.P, RDMA: r.On.EP.RDMA,
 			Donor: resp.Donor, Base: resp.DonorBase},
 		donor:   resp.Donor,
@@ -167,25 +169,17 @@ func acquireSwap(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocSc
 		hub:     hub,
 		trace:   r.trace,
 	}
-	emitGranted(hub, p, Swap, r.On.ID, resp.Donor, size, 0, r.trace, r.tenant, r.class)
+	emitGranted(hub, p, Swap, r.On.ID, resp.Donor, resp.Granted, 0, r.trace, r.tenant, r.class)
 	return lease, nil
 }
 
 // acquireAccel asks mn for a remote accelerator and opens a handle to
 // the requested mailbox on the chosen donor. The donor must be running
 // an accel.Service (its agent advertises the device count).
-func acquireAccel(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocScope, nodes []*node.Node, hub *eventHub) (Lease, error) {
-	resp, ok := monitor.RequestDeviceOpts(p, r.On.EP, mn, monitor.DevAccelerator,
-		monitor.DevReqOpts{Scope: scope, Policy: r.policy, Timeout: r.timeout,
-			Trace: r.trace, Tenant: r.tenant, Class: r.class})
-	if !ok {
-		return nil, fmt.Errorf("core: attach accelerator: %w", ErrTimeout)
-	}
-	if !resp.OK {
-		if resp.Rejected {
-			return nil, fmt.Errorf("core: attach accelerator: %s: %w", resp.Err, ErrAdmissionRejected)
-		}
-		return nil, fmt.Errorf("core: attach accelerator: %s: %w", resp.Err, ErrUnavailable)
+func acquireAccel(p *sim.Proc, r Request, mn fabric.NodeID, nodes []*node.Node, hub *eventHub) (Lease, error) {
+	resp, err := grantVia(p, r, mn, monitor.DevAccelerator, 0)
+	if err != nil {
+		return nil, err
 	}
 	h := r.client.Attach(resp.Donor, r.device, r.exclusive)
 	lease := &AccelLease{
@@ -207,18 +201,10 @@ func acquireAccel(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocS
 
 // acquireNIC asks mn for a remote NIC and builds the VNIC path to the
 // chosen donor's physical NIC (created here on its behalf).
-func acquireNIC(p *sim.Proc, r Request, mn fabric.NodeID, scope monitor.AllocScope, eng *sim.Engine, params *sim.Params, nodes []*node.Node, hub *eventHub) (Lease, error) {
-	resp, ok := monitor.RequestDeviceOpts(p, r.On.EP, mn, monitor.DevNIC,
-		monitor.DevReqOpts{Scope: scope, Policy: r.policy, Timeout: r.timeout,
-			Trace: r.trace, Tenant: r.tenant, Class: r.class})
-	if !ok {
-		return nil, fmt.Errorf("core: attach NIC: %w", ErrTimeout)
-	}
-	if !resp.OK {
-		if resp.Rejected {
-			return nil, fmt.Errorf("core: attach NIC: %s: %w", resp.Err, ErrAdmissionRejected)
-		}
-		return nil, fmt.Errorf("core: attach NIC: %s: %w", resp.Err, ErrUnavailable)
+func acquireNIC(p *sim.Proc, r Request, mn fabric.NodeID, eng *sim.Engine, params *sim.Params, nodes []*node.Node, hub *eventHub) (Lease, error) {
+	resp, err := grantVia(p, r, mn, monitor.DevNIC, 0)
+	if err != nil {
+		return nil, err
 	}
 	donor := nodes[resp.Donor]
 	dn := vnic.NewNIC(eng, params, fmt.Sprintf("eth0@%v", donor.ID))

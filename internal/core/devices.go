@@ -80,7 +80,7 @@ func (l *AccelLease) Release(p *sim.Proc) {
 	if l.cancelWatch != nil {
 		l.cancelWatch()
 	}
-	monitor.FreeDevice(p, l.Recipient.EP, l.mn, l.allocID)
+	monitor.Free(p, l.Recipient.EP, l.mn, l.allocID)
 	if l.hub != nil {
 		l.hub.emit(Event{
 			Type: LeaseReleased, Kind: Accel, At: p.Now(), Trace: l.trace,
@@ -171,7 +171,7 @@ func (l *NICLease) Release(p *sim.Proc) {
 		l.cancelWatch()
 	}
 	l.VNIC.Close(p)
-	monitor.FreeDevice(p, l.Recipient.EP, l.mn, l.allocID)
+	monitor.Free(p, l.Recipient.EP, l.mn, l.allocID)
 	if l.hub != nil {
 		l.hub.emit(Event{
 			Type: LeaseReleased, Kind: NIC, At: p.Now(), Trace: l.trace,

@@ -101,7 +101,7 @@ func (l *MemoryLease) Release(p *sim.Proc) {
 	l.Recipient.Mem.Cache.InvalidateAll()
 	l.Recipient.EP.CRMA.Unmap(l.entry)
 	if l.allocID >= 0 {
-		monitor.FreeMemory(p, l.Recipient.EP, l.mn, l.allocID)
+		monitor.Free(p, l.Recipient.EP, l.mn, l.allocID)
 	}
 	p.Sleep(l.Recipient.P.HotplugOp)
 	if l.hub != nil {

@@ -581,10 +581,10 @@ func (h *eventHub) forwardRecovery(ev monitor.LeaseEvent) {
 
 // kindOfAlloc maps a monitor allocation row onto the plane's kinds.
 func kindOfAlloc(a monitor.Allocation) Kind {
-	switch {
-	case a.Kind == "memory":
+	switch a.Kind {
+	case monitor.Memory:
 		return Memory
-	case a.Dev == monitor.DevNIC:
+	case monitor.DevNIC:
 		return NIC
 	default:
 		return Accel

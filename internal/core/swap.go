@@ -78,7 +78,7 @@ func (l *SwapLease) Mount(base, regionSize uint64, residentPages int) (*memsys.P
 // Release returns the donor memory (for MN-brokered leases).
 func (l *SwapLease) Release(p *sim.Proc) {
 	if l.allocID >= 0 {
-		monitor.FreeMemory(p, l.Recipient.EP, l.mn, l.allocID)
+		monitor.Free(p, l.Recipient.EP, l.mn, l.allocID)
 	}
 	if l.hub != nil {
 		l.hub.emit(Event{

@@ -9,10 +9,11 @@ import (
 )
 
 // This file is the monitor plane's half of the tenancy subsystem: the
-// admission gate that onAllocMem/onAllocDev run for class-tagged
-// requests, and the preemption engine that revokes Preemptible-class
-// leases when a higher class would otherwise be rejected. Policy itself
-// (the per-class thresholds, the Decide function) lives in
+// admission gate that onAlloc runs for class-tagged requests, and the
+// preemption engine that revokes Preemptible-class leases when a higher
+// class would otherwise be rejected. Both run once for every resource,
+// in its own unit (bytes of memory, units of one device class). Policy
+// itself (the per-class thresholds, the Decide function) lives in
 // internal/tenancy; this file owns pressure measurement, the bounded
 // queue wait, and the victim scan — the parts that need the MN's
 // tables and its blocking RPC machinery.
@@ -24,68 +25,47 @@ import (
 // admits against its own pool, mirroring how the sharded plane splits
 // every other table.
 
-// memPressure reports the pool's current idle and capacity in bytes:
-// idle sums the live RRT rows, capacity adds back the bytes leased out
-// in live memory RAT rows (so capacity stays stable as grants move
-// bytes from idle to leased). Spare-pool carves are deliberately not
+// pressure reports the pool's current free amount and capacity of res:
+// free sums the live RRT rows, capacity adds back the amount leased out
+// in live RAT rows of res (so capacity stays stable as grants move
+// amounts from free to leased). Spare-pool carves are deliberately not
 // added back — a region parked for failover is not admittable capacity.
-func (m *Monitor) memPressure() (idle, capacity uint64) {
+func (m *Monitor) pressure(res Resource) (free, capacity uint64) {
 	for _, r := range m.rrt {
 		if r.Dead || !m.NodeAlive(r.Node) {
 			continue
 		}
-		idle += r.IdleBytes
+		free += r.free(res)
 	}
-	capacity = idle
+	capacity = free
 	for _, a := range m.rat {
-		if a.Kind != "memory" || !m.NodeAlive(a.Donor) {
+		if a.Kind != res || !m.NodeAlive(a.Donor) {
 			continue
 		}
 		capacity += a.Size
 	}
-	return idle, capacity
-}
-
-// devPressure is memPressure in device units of one kind: free counts
-// the live RRT rows' available units, capacity adds back the leased
-// ones.
-func (m *Monitor) devPressure(kind DeviceKind) (free, capacity uint64) {
-	for _, r := range m.rrt {
-		if r.Dead || !m.NodeAlive(r.Node) {
-			continue
-		}
-		if n := r.Devices[kind]; n > 0 {
-			free += uint64(n)
-		}
-	}
-	capacity = free
-	for _, a := range m.rat {
-		if a.Kind == "memory" || a.Dev != kind || !m.NodeAlive(a.Donor) {
-			continue
-		}
-		capacity += a.Size // device rows have Size 1
-	}
 	return free, capacity
 }
 
-// admitMem runs the admission controller for one class-tagged memory
-// request. It returns the granted size — r.Size when admitted in full,
-// smaller when degraded — or rejected=true. A Queue verdict parks the
-// request right here, re-running the decision every poll tick until it
-// admits or the class's MaxWait expires; expiry falls through to the
-// preemption attempt (classes above Preemptible only) and then to
-// rejection.
-func (m *Monitor) admitMem(p *sim.Proc, from fabric.NodeID, r *AllocMemReq) (granted uint64, rejected bool) {
+// admit runs the admission controller for one class-tagged request for
+// amount of res. It returns the granted amount — amount when admitted
+// in full, smaller when degraded — or rejected=true. A Queue verdict
+// parks the request right here, re-running the decision every poll tick
+// until it admits or the class's MaxWait expires; expiry falls through
+// to the preemption attempt (classes above Preemptible only) and then
+// to rejection. A one-unit device request is never degraded: a degraded
+// grant must be at least 1 and below the request.
+func (m *Monitor) admit(p *sim.Proc, from fabric.NodeID, res Resource, amount uint64, class tenancy.Class) (granted uint64, rejected bool) {
 	cfg := m.Admission
-	dec, g := m.decideMem(r)
+	dec, g := m.decide(res, amount, class)
 	if dec == tenancy.Queue {
 		m.Stats.Add("admit.queued", 1)
 		var waited sim.Dur
-		maxWait := cfg.PerClass[r.Class].MaxWait
+		maxWait := cfg.PerClass[class].MaxWait
 		for dec == tenancy.Queue && waited < maxWait {
 			p.Sleep(cfg.Poll())
 			waited += cfg.Poll()
-			dec, g = m.decideMem(r)
+			dec, g = m.decide(res, amount, class)
 		}
 		if dec == tenancy.Admit || dec == tenancy.Degrade {
 			m.Stats.Add("admit.queue_admits", 1)
@@ -95,14 +75,14 @@ func (m *Monitor) admitMem(p *sim.Proc, from fabric.NodeID, r *AllocMemReq) (gra
 			dec = tenancy.Reject
 		}
 	}
-	if dec == tenancy.Reject && r.Class > tenancy.Preemptible && cfg.Preempt {
-		if m.preemptMem(p, from, r) {
-			dec, g = m.decideMem(r)
+	if dec == tenancy.Reject && class > tenancy.Preemptible && cfg.Preempt {
+		if m.preempt(p, from, res, amount, class) {
+			dec, g = m.decide(res, amount, class)
 		}
 	}
 	switch dec {
 	case tenancy.Admit:
-		return r.Size, false
+		return amount, false
 	case tenancy.Degrade:
 		m.Stats.Add("admit.degraded", 1)
 		return g, false
@@ -110,63 +90,27 @@ func (m *Monitor) admitMem(p *sim.Proc, from fabric.NodeID, r *AllocMemReq) (gra
 	return 0, true
 }
 
-// decideMem evaluates one memory request against current pressure.
-func (m *Monitor) decideMem(r *AllocMemReq) (tenancy.Decision, uint64) {
-	idle, capacity := m.memPressure()
-	return m.Admission.Decide(r.Class, r.Size, idle, capacity)
+// decide evaluates one request against current pressure.
+func (m *Monitor) decide(res Resource, amount uint64, class tenancy.Class) (tenancy.Decision, uint64) {
+	free, capacity := m.pressure(res)
+	return m.Admission.Decide(class, amount, free, capacity)
 }
 
-// admitDev is admitMem in device units. Degradation cannot apply to a
-// single-unit grant, so the verdict is admit, queue-then-admit, or
-// reject (after the preemption attempt).
-func (m *Monitor) admitDev(p *sim.Proc, from fabric.NodeID, r *AllocDevReq) (rejected bool) {
-	cfg := m.Admission
-	dec := m.decideDev(r)
-	if dec == tenancy.Queue {
-		m.Stats.Add("admit.queued", 1)
-		var waited sim.Dur
-		maxWait := cfg.PerClass[r.Class].MaxWait
-		for dec == tenancy.Queue && waited < maxWait {
-			p.Sleep(cfg.Poll())
-			waited += cfg.Poll()
-			dec = m.decideDev(r)
-		}
-		if dec == tenancy.Admit {
-			m.Stats.Add("admit.queue_admits", 1)
-		} else {
-			dec = tenancy.Reject
-		}
-	}
-	if dec == tenancy.Reject && r.Class > tenancy.Preemptible && cfg.Preempt {
-		if m.preemptDev(p, from, r.Kind) {
-			dec = m.decideDev(r)
-		}
-	}
-	return dec != tenancy.Admit
-}
-
-// decideDev evaluates one device request against current pressure.
-func (m *Monitor) decideDev(r *AllocDevReq) tenancy.Decision {
-	free, capacity := m.devPressure(r.Kind)
-	dec, _ := m.Admission.Decide(r.Class, 1, free, capacity)
-	return dec
-}
-
-// preemptMem revokes Preemptible-class memory leases until the pending
-// request both clears its class budget and has a live donor with
-// enough contiguous idle bytes — or the pool runs out of victims.
+// preempt revokes Preemptible-class leases of res until the pending
+// request both clears its class budget and has a live donor other than
+// the requester with amount free — or the pool runs out of victims.
 // Victim order is deterministic: donors in node-id order (preferring
-// one that can reach a contiguous fit), rows in RAT-id order within a
-// donor. Reports whether the caller should re-run the decision.
-func (m *Monitor) preemptMem(p *sim.Proc, from fabric.NodeID, r *AllocMemReq) bool {
+// one that can reach a fit), rows in RAT-id order within a donor.
+// Reports whether the caller should re-run the decision.
+func (m *Monitor) preempt(p *sim.Proc, from fabric.NodeID, res Resource, amount uint64, class tenancy.Class) bool {
 	preempted := false
 	for {
-		if dec, _ := m.decideMem(r); dec == tenancy.Admit || dec == tenancy.Degrade {
-			if m.donorFits(from, r.Size) {
+		if dec, _ := m.decide(res, amount, class); dec == tenancy.Admit || dec == tenancy.Degrade {
+			if m.donorFits(from, res, amount) {
 				return true
 			}
 		}
-		victim := m.pickVictimMem(from, r.Size)
+		victim := m.pickVictim(from, res, amount)
 		if victim == nil {
 			if !preempted {
 				m.Stats.Add("preempt.exhausted", 1)
@@ -179,27 +123,27 @@ func (m *Monitor) preemptMem(p *sim.Proc, from fabric.NodeID, r *AllocMemReq) bo
 }
 
 // donorFits reports whether some live donor other than the requester
-// has size idle bytes — the contiguity condition a budget-level Decide
-// cannot see.
-func (m *Monitor) donorFits(requester fabric.NodeID, size uint64) bool {
+// has amount of res free — for memory, the contiguity condition a
+// budget-level Decide cannot see.
+func (m *Monitor) donorFits(requester fabric.NodeID, res Resource, amount uint64) bool {
 	for _, r := range m.rrt {
 		if r.Node == requester || r.Dead || !m.NodeAlive(r.Node) {
 			continue
 		}
-		if r.IdleBytes >= size {
+		if r.free(res) >= amount {
 			return true
 		}
 	}
 	return false
 }
 
-// pickVictimMem selects the next Preemptible memory lease to revoke:
-// the lowest-RAT-id row on the first donor (node-id order) whose
-// idle-plus-preemptible bytes could reach a contiguous fit for the
-// pending request. When no donor can ever fit it, the first victim in
-// the same order still goes — its bytes lower the class's budget usage
-// even if the contiguity goal is out of reach.
-func (m *Monitor) pickVictimMem(requester fabric.NodeID, size uint64) *Allocation {
+// pickVictim selects the next Preemptible lease of res to revoke: the
+// lowest-RAT-id row on the first donor (node-id order) whose
+// free-plus-preemptible amount could reach a fit for the pending
+// request. When no donor can ever fit it, the first victim in the same
+// order still goes — its amount lowers the class's budget usage even if
+// the fit is out of reach.
+func (m *Monitor) pickVictim(requester fabric.NodeID, res Resource, amount uint64) *Allocation {
 	fallback := -1
 	for _, id := range m.sortedDonorIDs() {
 		r := m.rrt[id]
@@ -210,7 +154,7 @@ func (m *Monitor) pickVictimMem(requester fabric.NodeID, size uint64) *Allocatio
 		preemptible := uint64(0)
 		for _, aid := range sortedKeys(m.rat) {
 			a := m.rat[aid]
-			if a.Donor != id || a.Kind != "memory" || a.Class != tenancy.Preemptible {
+			if a.Donor != id || a.Kind != res || a.Class != tenancy.Preemptible {
 				continue
 			}
 			preemptible += a.Size
@@ -221,7 +165,7 @@ func (m *Monitor) pickVictimMem(requester fabric.NodeID, size uint64) *Allocatio
 		if low < 0 {
 			continue
 		}
-		if id != requester && r.IdleBytes+preemptible >= size {
+		if id != requester && r.free(res)+preemptible >= amount {
 			return m.rat[low]
 		}
 		if fallback < 0 {
@@ -246,50 +190,28 @@ func (m *Monitor) sortedDonorIDs() []fabric.NodeID {
 	return ids
 }
 
-// preemptLease revokes one Preemptible memory lease through the same
-// machinery recovery uses for a donor that died with no candidate
-// (failoverLease's revoke branch) — except the donor here is alive, so
-// the region hot-returns to it immediately instead of queueing as an
-// orphan. The victim's agent gets the standard revoke notice (window
-// goes dead, parked accesses unwedge), parked for sweep retry if the
-// delivery is lost, and the row's lifecycle stream announces
-// LeasePreempted so the victim can re-acquire with backoff.
+// preemptLease revokes one Preemptible lease through the same machinery
+// recovery uses for a donor that died with no candidate — except the
+// donor here is alive, so the backing goes straight back to it. A memory
+// victim's agent gets the standard revoke notice (window goes dead,
+// parked accesses unwedge), parked for sweep retry if the delivery is
+// lost; device clients follow the event stream. The row's lifecycle
+// stream announces LeasePreempted so the victim can re-acquire with
+// backoff.
 func (m *Monitor) preemptLease(p *sim.Proc, a *Allocation) {
 	delete(m.rat, a.ID)
-	m.returnRegion(p, a)
-	rv := &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size}
-	recipientInc := m.incarnationOf(a.Recipient)
-	if _, ok := m.EP.CallTimeout(p, a.Recipient, kindRevoke, 32, rv, m.GrantTimeout); !ok {
-		m.pendingRevokes[a.ID] = &pendingNotice[revokeReq]{
-			req: rv, recipient: a.Recipient, recipientInc: recipientInc,
+	m.releaseBacking(p, a)
+	if a.Kind == Memory {
+		rv := &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size}
+		recipientInc := m.incarnationOf(a.Recipient)
+		if _, ok := m.EP.CallTimeout(p, a.Recipient, kindRevoke, 32, rv, m.GrantTimeout); !ok {
+			m.pendingRevokes[a.ID] = &pendingNotice[revokeReq]{
+				req: rv, recipient: a.Recipient, recipientInc: recipientInc,
+			}
+			m.Stats.Add("preempt.revoke_lost", 1)
 		}
-		m.Stats.Add("preempt.revoke_lost", 1)
 	}
-	m.Stats.Add("preempt.memory", 1)
+	m.Stats.Add(pick(a.Kind, "preempt.memory", "preempt.device"), 1)
 	m.emitLease(LeasePreempted, a, a.Donor)
 	m.notifyDelegateMoved(p, a.Deleg, a.Donor, true)
-}
-
-// preemptDev revokes one Preemptible device lease of the given kind —
-// a pure table operation plus the lifecycle event, mirroring
-// failoverDevice's no-candidate branch (device clients follow the
-// event stream; there is no agent-managed window to kill).
-func (m *Monitor) preemptDev(p *sim.Proc, requester fabric.NodeID, kind DeviceKind) bool {
-	_ = requester // devices have no contiguity constraint; any victim serves
-	for _, aid := range sortedKeys(m.rat) {
-		a := m.rat[aid]
-		if a.Kind == "memory" || a.Dev != kind || a.Class != tenancy.Preemptible {
-			continue
-		}
-		delete(m.rat, aid)
-		if r, ok := m.rrt[a.Donor]; ok && r.Devices != nil {
-			r.Devices[a.Dev]++
-		}
-		m.Stats.Add("preempt.device", 1)
-		m.emitLease(LeasePreempted, a, a.Donor)
-		m.notifyDelegateMoved(p, a.Deleg, a.Donor, true)
-		return true
-	}
-	m.Stats.Add("preempt.exhausted", 1)
-	return false
 }

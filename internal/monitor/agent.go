@@ -19,7 +19,7 @@ type Agent struct {
 	Net    *fabric.Network
 
 	// Devices advertises shareable device units (accelerators, NICs).
-	Devices map[DeviceKind]int
+	Devices map[Resource]int
 
 	// Interval is the heartbeat period.
 	Interval sim.Dur
@@ -46,7 +46,7 @@ type Agent struct {
 	// detect a crash-and-return faster than the heartbeat timeout.
 	incarnation int64
 
-	exports map[string]*transport.RAMTEntry // donor-side export bookkeeping
+	exports map[windowKey]*transport.RAMTEntry // donor-side export bookkeeping
 
 	// marks holds each adjacent link direction's last telemetry sample,
 	// keyed by neighbor, so probes report per-window utilization.
@@ -72,9 +72,9 @@ func NewAgent(ep *transport.Endpoint, mm *memsys.MemManager, net *fabric.Network
 		EP:       ep,
 		MemMgr:   mm,
 		Net:      net,
-		Devices:  make(map[DeviceKind]int),
+		Devices:  make(map[Resource]int),
 		Interval: 500 * sim.Millisecond,
-		exports:  make(map[string]*transport.RAMTEntry),
+		exports:  make(map[windowKey]*transport.RAMTEntry),
 		marks:    make(map[fabric.NodeID]*linkMarks),
 		spares:   make(map[uint64]uint64),
 	}
@@ -117,7 +117,7 @@ func (a *Agent) Crash() { a.crashed = true }
 // beating resumes.
 func (a *Agent) Restart() {
 	a.incarnation++
-	a.exports = make(map[string]*transport.RAMTEntry)
+	a.exports = make(map[windowKey]*transport.RAMTEntry)
 	a.spares = make(map[uint64]uint64) // parked spares die with the power cycle
 	a.EP.CRMA.Reset()
 	a.MemMgr.Reboot()
@@ -139,7 +139,7 @@ func (a *Agent) Mute(muted bool) { a.muted = muted }
 
 // beat sends one heartbeat: idle memory, device counts, link probes.
 func (a *Agent) beat(p *sim.Proc) {
-	devs := make(map[DeviceKind]int, len(a.Devices))
+	devs := make(map[Resource]int, len(a.Devices))
 	for k, v := range a.Devices {
 		devs[k] = v
 	}
@@ -193,11 +193,6 @@ func (a *Agent) probeLinks() []LinkProbe {
 	return probes
 }
 
-// exportKey identifies a donor-side export for later teardown.
-func exportKey(recipient fabric.NodeID, recipientBase uint64) string {
-	return fmt.Sprintf("%v:%#x", recipient, recipientBase)
-}
-
 // onHotRemove services the MN's donation request: hot-remove the region
 // from the local OS and export it over CRMA for the recipient.
 func (a *Agent) onHotRemove(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
@@ -212,7 +207,7 @@ func (a *Agent) onHotRemove(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 		return &hotRemoveResp{OK: false, Err: err.Error()}, 32
 	}
 	e := a.EP.CRMA.Export(r.Recipient, r.RecipientBase, r.Size, base)
-	a.exports[exportKey(r.Recipient, r.RecipientBase)] = e
+	a.exports[windowKey{recipient: r.Recipient, base: r.RecipientBase}] = e
 	a.Stats.Add("hotremove.ok", 1)
 	return &hotRemoveResp{OK: true, Base: base}, 32
 }
@@ -282,7 +277,7 @@ func (a *Agent) onSpareAttach(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) 
 	}
 	delete(a.spares, r.Base)
 	e := a.EP.CRMA.Export(r.Recipient, r.RecipientBase, r.Size, r.Base)
-	a.exports[exportKey(r.Recipient, r.RecipientBase)] = e
+	a.exports[windowKey{recipient: r.Recipient, base: r.RecipientBase}] = e
 	a.Stats.Add("spare.attached", 1)
 	return &spareAttachResp{OK: true}, 16
 }
@@ -291,7 +286,7 @@ func (a *Agent) onSpareAttach(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) 
 // the region back into the local OS.
 func (a *Agent) onHotReturn(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*hotReturnReq)
-	key := exportKey(r.Recipient, r.RecipientBase)
+	key := windowKey{recipient: r.Recipient, base: r.RecipientBase}
 	e, ok := a.exports[key]
 	if !ok {
 		// Stale or duplicate return (e.g. an orphan replayed after a

@@ -145,15 +145,11 @@ func (rt *Root) emitDelegation(t LeaseEventType, d *Delegation, oldDonor fabric.
 	if rt.observers.empty() {
 		return
 	}
-	kind := d.Kind
-	if kind == "" {
-		kind = "memory"
-	}
 	rt.observers.emit(LeaseEvent{
 		Type: t,
 		At:   rt.EP.Eng.Now(),
 		Alloc: Allocation{
-			ID: d.ID, Kind: kind, Dev: d.Dev, Donor: d.Donor, Recipient: d.Recipient,
+			ID: d.ID, Kind: d.Kind, Donor: d.Donor, Recipient: d.Recipient,
 			RecipientBase: d.RecipientBase, Size: d.Size, At: d.At, Deleg: d.ID,
 			Trace: d.Trace, Tenant: d.Tenant, Class: d.Class,
 		},

@@ -16,7 +16,7 @@ import (
 // re-initializable state (caches, scratch, cold tiers), and the
 // recipient-side CRMA replay guarantees no in-flight access is lost.
 
-// Leases carry a traffic class (AllocMemReq.Latency): bulk by default,
+// Leases carry a traffic class (AllocReq.Latency): bulk by default,
 // latency-sensitive on request. The scan serves the classes
 // asymmetrically. A hot bulk lease is itself moved somewhere cooler — a
 // max-utilization objective. A hot latency lease is never moved (the
@@ -92,7 +92,7 @@ func (m *Monitor) migrateScan(p *sim.Proc) {
 	latUtil, bulkUtil := 0.0, 0.0
 	for _, id := range ids {
 		a := m.rat[id]
-		if a.Kind != "memory" {
+		if a.Kind != Memory {
 			continue
 		}
 		u, known := v.PathUtil(a.Recipient, a.Donor)
@@ -131,7 +131,7 @@ func (m *Monitor) relieveLatencyPath(p *sim.Proc, v *View, hot *Allocation, hotU
 	sharers := 0
 	for _, id := range ids {
 		a := m.rat[id]
-		if a.Kind != "memory" || !v.PathCrosses(a.Recipient, a.Donor, link) {
+		if a.Kind != Memory || !v.PathCrosses(a.Recipient, a.Donor, link) {
 			continue
 		}
 		sharers++
@@ -179,7 +179,7 @@ func (m *Monitor) migrateLease(p *sim.Proc, v *View, a *Allocation, curUtil floa
 	// land bulk traffic there, whichever mode chose the victim.
 	latLinks := make(map[[2]fabric.NodeID]bool)
 	for _, la := range m.rat {
-		if la.Kind != "memory" || !la.Latency {
+		if la.Kind != Memory || !la.Latency {
 			continue
 		}
 		for l := range v.path(la.Recipient, la.Donor) {
@@ -243,7 +243,7 @@ func (m *Monitor) migrateLease(p *sim.Proc, v *View, a *Allocation, curUtil floa
 			// live donor — exactly what the queued free would have done.
 			delete(m.rat, a.ID)
 			m.undoReplacement(p, cand, a, base)
-			m.returnRegion(p, &Allocation{
+			m.releaseBacking(p, &Allocation{
 				ID: a.ID, Kind: a.Kind, Donor: oldDonor, Recipient: a.Recipient,
 				DonorBase: oldBase, RecipientBase: a.RecipientBase, Size: a.Size,
 			})

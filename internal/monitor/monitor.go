@@ -14,7 +14,7 @@ import (
 type Registration struct {
 	Node      fabric.NodeID
 	IdleBytes uint64
-	Devices   map[DeviceKind]int
+	Devices   map[Resource]int
 	LastBeat  sim.Time
 	Beats     int64
 
@@ -29,11 +29,42 @@ type Registration struct {
 	needsRecovery bool
 }
 
+// free reports how much of res the row can still grant: its idle bytes,
+// or its free units of one device class.
+func (r *Registration) free(res Resource) uint64 { return freeOf(res, r.IdleBytes, r.Devices) }
+
+// debit takes amount of res off the row's free account; credit gives it
+// back.
+func (r *Registration) debit(res Resource, amount uint64) {
+	moveFree(res, &r.IdleBytes, r.Devices, -int64(amount))
+}
+func (r *Registration) credit(res Resource, amount uint64) {
+	moveFree(res, &r.IdleBytes, r.Devices, int64(amount))
+}
+
+// freeOf and moveFree read and move one resource in an (idle bytes,
+// device units) account, the shape RRT rows and rack registry rows
+// share. Negative device counts read as none free.
+func freeOf(res Resource, idle uint64, devs map[Resource]int) uint64 {
+	if res == Memory {
+		return idle
+	}
+	return uint64(max(devs[res], 0))
+}
+
+func moveFree(res Resource, idle *uint64, devs map[Resource]int, delta int64) {
+	switch {
+	case res == Memory:
+		*idle += uint64(delta)
+	case devs != nil:
+		devs[res] += int(delta)
+	}
+}
+
 // Allocation is one row of the Resource Allocation Table.
 type Allocation struct {
 	ID            int
-	Kind          string     // "memory" or a DeviceKind name
-	Dev           DeviceKind // valid when Kind is a device
+	Kind          Resource // memory, or the class of a one-unit device lease
 	Donor         fabric.NodeID
 	Recipient     fabric.NodeID
 	DonorBase     uint64
@@ -96,7 +127,7 @@ type Monitor struct {
 
 	// Admission is the tenancy admission controller's policy
 	// (admission.go): per-class thresholds plus the preemption switch,
-	// consulted before every tagged AllocMem/AllocDev grant. nil (the
+	// consulted before every tagged grant. nil (the
 	// default) disables admission entirely — every pre-tenancy workload
 	// runs byte-identically. On a sub-MN the controller gates against
 	// the rack's own pressure.
@@ -133,7 +164,7 @@ type Monitor struct {
 	// cancellations (keyed by recipient + window, the cancellation's own
 	// resolution key).
 	pendingRackFrees map[int]*rackFreeReq
-	pendingCancels   map[cancelKey]*borrowCancelReq
+	pendingCancels   map[windowKey]*borrowCancelReq
 	// rackBeatOn gates the rack-level report loop.
 	rackBeatOn bool
 
@@ -199,15 +230,13 @@ func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 		pendingRevokes:   make(map[int]*pendingNotice[revokeReq]),
 		delegated:        make(map[int]delegatedLease),
 		pendingRackFrees: make(map[int]*rackFreeReq),
-		pendingCancels:   make(map[cancelKey]*borrowCancelReq),
+		pendingCancels:   make(map[windowKey]*borrowCancelReq),
 		spares:           make(map[fabric.NodeID][]spareRegion),
 		sparePending:     make(map[fabric.NodeID]int),
 	}
 	ep.HandleCall(kindHeartbeat, m.onHeartbeat)
-	ep.HandleCall(kindAllocMem, m.onAllocMem)
-	ep.HandleCall(kindFreeMem, m.onFreeMem)
-	ep.HandleCall(kindAllocDev, m.onAllocDev)
-	ep.HandleCall(kindFreeDev, m.onFreeDev)
+	ep.HandleCall(kindAlloc, m.onAlloc)
+	ep.HandleCall(kindFree, m.onFree)
 	ep.HandleCall(kindDelegate, m.onDelegate)
 	ep.HandleCall(kindDelegateFree, m.onDelegateFree)
 	ep.HandleCall(kindDelegateCancel, m.onDelegateCancel)
@@ -239,7 +268,7 @@ func (m *Monitor) Registrations() []Registration {
 	for _, id := range ids {
 		r := *m.rrt[id]
 		if r.Devices != nil {
-			devs := make(map[DeviceKind]int, len(r.Devices))
+			devs := make(map[Resource]int, len(r.Devices))
 			for k, v := range r.Devices {
 				devs[k] = v
 			}
@@ -358,8 +387,8 @@ func (m *Monitor) onHeartbeat(p *sim.Proc, from fabric.NodeID, req any) (any, in
 		// grants so a heartbeat cannot resurrect a unit that is on loan —
 		// the device analogue of IdleBytes, which agents do track.
 		for _, a := range m.rat {
-			if a.Kind != "memory" && a.Donor == hb.Node {
-				r.Devices[a.Dev]--
+			if a.Kind != Memory && a.Donor == hb.Node {
+				r.Devices[a.Kind]--
 			}
 		}
 	}
@@ -409,49 +438,58 @@ func (m *Monitor) donorCandidates(requester fabric.NodeID, pol Policy) []*Regist
 	return cands
 }
 
-// onAllocMem services a memory request: the local donor walk first
-// (unless the scope hint forbids it), then — on a sub-MN — escalation to
-// the root MN when the rack is starved or the request asked for a
-// remote rack outright.
-func (m *Monitor) onAllocMem(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	r := req.(*AllocMemReq)
+// onAlloc services a request for an amount of one resource: admission
+// for class-tagged requests, the local donor walk first (unless the
+// scope hint forbids it), then — on a sub-MN — escalation to the root
+// MN when the rack is starved or the request asked for a remote rack
+// outright. The reply's wire size is the resource's.
+func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+	r := req.(*AllocReq)
+	wire := pick(r.Res, 64, 32)
 	pol, ok := m.resolvePolicy(r.Policy)
 	if !ok {
-		return &AllocMemResp{OK: false, Err: fmt.Sprintf("unknown policy %q", r.Policy)}, 64
+		return &AllocResp{OK: false, Err: fmt.Sprintf("unknown policy %q", r.Policy)}, wire
 	}
 	// Tagged requests pass the admission controller first: it may admit
-	// the full size, shrink it (degraded grant), hold the request for a
+	// the full amount, shrink it (degraded grant), hold the request for a
 	// bounded wait, preempt Preemptible leases for a higher class, or
 	// reject outright. Untagged requests (Class zero) bypass it.
-	size := r.Size
+	size := r.amount()
 	if m.Admission != nil && r.Class != tenancy.ClassNone {
-		g, rejected := m.admitMem(p, from, r)
+		g, rejected := m.admit(p, from, r.Res, size, r.Class)
 		if rejected {
 			m.Stats.Add("admit.rejected", 1)
-			return &AllocMemResp{OK: false, Rejected: true,
-				Err: fmt.Sprintf("admission: %s class over budget for %d bytes", r.Class, r.Size)}, 64
+			return &AllocResp{OK: false, Rejected: true, Err: fmt.Sprintf(pick(r.Res,
+				"admission: %[1]s class over budget for %[2]d bytes",
+				"admission: %[1]s class over budget for a %[3]s"), r.Class, size, r.Res)}, wire
 		}
 		size = g
 	}
 	if r.Scope != ScopeRemoteRack {
-		if a, ok := m.grantFrom(p, from, size, r.WindowBase, 0, pol, grantMeta{
+		if a, ok := m.grant(p, from, r.Res, size, r.WindowBase, 0, pol, grantMeta{
 			latency: r.Latency, trace: r.Trace, tenant: r.Tenant, class: r.Class,
 		}); ok {
-			m.Stats.Add("alloc.memory", 1)
-			resp := &AllocMemResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}
-			if size != r.Size {
-				resp.Granted = size
-			}
-			return resp, 64
+			m.Stats.Add(r.Res.allocKey(), 1)
+			return r.granted(a.ID, a.Donor, a.DonorBase, size), wire
 		}
 	}
 	if m.HasUpstream && r.Scope != ScopeLocalRack {
 		if resp := m.escalate(p, from, r, size); resp != nil {
-			return resp, 64
+			return resp, wire
 		}
 	}
 	m.Stats.Add("alloc.failures", 1)
-	return &AllocMemResp{OK: false, Err: fmt.Sprintf("no donor with %d idle bytes", size)}, 64
+	return &AllocResp{OK: false, Err: fmt.Sprintf(pick(r.Res,
+		"no donor with %[1]d idle bytes", "no %[2]s available"), size, r.Res)}, wire
+}
+
+// granted is the success answer to r, flagging a degraded size.
+func (r *AllocReq) granted(id int, donor fabric.NodeID, donorBase, size uint64) *AllocResp {
+	resp := &AllocResp{OK: true, AllocID: id, Donor: donor, DonorBase: donorBase}
+	if size != r.amount() {
+		resp.Granted = size
+	}
+	return resp
 }
 
 // resolvePolicy maps a request's policy-override name onto a Policy:
@@ -475,17 +513,18 @@ type grantMeta struct {
 	class   tenancy.Class
 }
 
-// grantFrom runs the donor walk for recipient: find a candidate, ask its
-// agent to hot-remove and export the region, and record the RAT row. RRT
-// records can be stale: a donor may decline, in which case the MN
-// retries the next candidate (handshake-and-retry, §5.3). deleg tags the
-// row with a root delegation id when the grant backs a cross-rack lease;
-// pol, when non-nil, overrides the MN's placement policy for this walk;
-// meta carries the row's passive annotations (latency class, trace id,
-// tenant identity).
-func (m *Monitor) grantFrom(p *sim.Proc, recipient fabric.NodeID, size, windowBase uint64, deleg int, pol Policy, meta grantMeta) (*Allocation, bool) {
+// grant runs the donor walk for amount of res on recipient's behalf:
+// find a live candidate with that much free, run the resource's donor
+// handshake, and record the RAT row. Only the handshake differs by
+// resource: memory asks the donor's agent to hot-remove and export the
+// region at windowBase (hotRemove), a device unit is a table debit and
+// its row carries no window. deleg tags the row with a root delegation
+// id when the grant backs a cross-rack lease; pol, when non-nil,
+// overrides the MN's placement policy for this walk; meta carries the
+// row's passive annotations (latency class, trace id, tenant identity).
+func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, res Resource, amount, windowBase uint64, deleg int, pol Policy, meta grantMeta) (*Allocation, bool) {
 	for _, cand := range m.donorCandidates(recipient, pol) {
-		if cand.IdleBytes < size {
+		if cand.free(res) < amount {
 			continue
 		}
 		// Cross-check liveness at grant time: the candidate list was
@@ -495,49 +534,68 @@ func (m *Monitor) grantFrom(p *sim.Proc, recipient fabric.NodeID, size, windowBa
 			m.Stats.Add("alloc.dead_skips", 1)
 			continue
 		}
-		hr := &hotRemoveReq{Size: size, Recipient: recipient, RecipientBase: windowBase}
-		inc := m.incarnationOf(cand.Node)
-		raw, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, hr, m.GrantTimeout)
-		if !ok {
-			// The donor died mid-handshake (its agent never answered);
-			// without the timeout this request would wedge the MN forever.
-			// We cannot know whether the hot-remove happened and its ACK
-			// was lost, so park a cancellation (key-resolved hot-return)
-			// for when the donor is reachable again.
-			m.Stats.Add("alloc.grant_timeouts", 1)
-			m.queueOrphan(cand.Node, inc, &hotReturnReq{Recipient: recipient, RecipientBase: windowBase})
-			cand.IdleBytes = 0
-			continue
-		}
-		resp := raw.(*hotRemoveResp)
-		if !resp.OK {
-			// Stale RRT record; mark what we learned and retry.
-			m.Stats.Add("alloc.retries", 1)
-			cand.IdleBytes = 0
-			continue
+		var donorBase, window uint64
+		if res == Memory {
+			base, ok := m.hotRemove(p, cand, recipient, amount, windowBase)
+			if !ok {
+				continue
+			}
+			donorBase, window = base, windowBase
 		}
 		id := m.nextAllocID
 		m.nextAllocID++
 		a := &Allocation{
-			ID: id, Kind: "memory", Donor: cand.Node, Recipient: recipient,
-			DonorBase: resp.Base, RecipientBase: windowBase,
-			Size: size, At: m.EP.Eng.Now(), Deleg: deleg, Latency: meta.latency,
+			ID: id, Kind: res, Donor: cand.Node, Recipient: recipient,
+			DonorBase: donorBase, RecipientBase: window,
+			Size: amount, At: m.EP.Eng.Now(), Deleg: deleg, Latency: meta.latency,
 			Trace: meta.trace, Tenant: meta.tenant, Class: meta.class,
 		}
 		m.rat[id] = a
-		cand.IdleBytes -= size
+		cand.debit(res, amount)
 		m.emitLease(LeaseGranted, a, a.Donor)
-		m.topUpSpares()
+		if res == Memory {
+			m.topUpSpares()
+		}
 		return a, true
 	}
 	return nil, false
 }
 
-// onFreeMem tears an allocation down, returning the region to its donor
-// — or, for a lease delegated from another rack, forwarding the release
-// up to the root MN, which owns the donor-rack indirection.
-func (m *Monitor) onFreeMem(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	f := req.(*FreeMemReq)
+// hotRemove is memory's donor handshake: ask cand's agent to hot-remove
+// size bytes and export them to recipient's window. RRT records can be
+// stale, so a donor that declines is marked drained and the walk
+// retries the next candidate (handshake-and-retry, §5.3).
+func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.NodeID, size, windowBase uint64) (uint64, bool) {
+	hr := &hotRemoveReq{Size: size, Recipient: recipient, RecipientBase: windowBase}
+	inc := m.incarnationOf(cand.Node)
+	raw, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, hr, m.GrantTimeout)
+	if !ok {
+		// The donor died mid-handshake (its agent never answered);
+		// without the timeout this request would wedge the MN forever.
+		// We cannot know whether the hot-remove happened and its ACK
+		// was lost, so park a cancellation (key-resolved hot-return)
+		// for when the donor is reachable again.
+		m.Stats.Add("alloc.grant_timeouts", 1)
+		m.queueOrphan(cand.Node, inc, &hotReturnReq{Recipient: recipient, RecipientBase: windowBase})
+		cand.IdleBytes = 0
+		return 0, false
+	}
+	resp := raw.(*hotRemoveResp)
+	if !resp.OK {
+		// Stale RRT record; mark what we learned and retry.
+		m.Stats.Add("alloc.retries", 1)
+		cand.IdleBytes = 0
+		return 0, false
+	}
+	return resp.Base, true
+}
+
+// onFree tears an allocation down by its row's resource, handing the
+// backing back to its donor — or, for a lease delegated from another
+// rack, forwarding the release up to the root MN, which owns the
+// donor-rack indirection.
+func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+	f := req.(*FreeReq)
 	if ref, ok := m.delegated[f.AllocID]; ok {
 		if ref.recipient != from {
 			return &ack{}, 8
@@ -558,128 +616,31 @@ func (m *Monitor) onFreeMem(p *sim.Proc, from fabric.NodeID, req any) (any, int)
 		return &ack{}, 8
 	}
 	delete(m.rat, f.AllocID)
-	m.returnRegion(p, a)
-	m.Stats.Add("free.memory", 1)
+	m.releaseBacking(p, a)
+	m.Stats.Add(pick(a.Kind, "free.memory", "free.device"), 1)
 	m.emitLease(LeaseReleased, a, a.Donor)
 	return &ack{}, 8
 }
 
-// returnRegion hands an allocation's region back to its donor (parking
-// an orphan return when the donor is unreachable) and restores the RRT
-// idle-byte account.
-func (m *Monitor) returnRegion(p *sim.Proc, a *Allocation) {
-	ret := &hotReturnReq{
-		Recipient: a.Recipient, RecipientBase: a.RecipientBase,
-		Base: a.DonorBase, Size: a.Size,
-	}
-	inc := m.incarnationOf(a.Donor)
-	if _, ok := m.EP.CallTimeout(p, a.Donor, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
-		// Donor unreachable: park the return with the orphan queue so it
-		// settles if the donor reappears un-rebooted.
-		m.queueOrphan(a.Donor, inc, ret)
-		m.Stats.Add("free.donor_unreachable", 1)
+// releaseBacking hands a torn-down row's backing back to its donor by
+// the row's resource and restores the RRT account: memory hot-returns
+// the region through the donor's agent (parking an orphan return when
+// the donor is unreachable), a device unit is a table credit.
+func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
+	if a.Kind == Memory {
+		ret := &hotReturnReq{
+			Recipient: a.Recipient, RecipientBase: a.RecipientBase,
+			Base: a.DonorBase, Size: a.Size,
+		}
+		inc := m.incarnationOf(a.Donor)
+		if _, ok := m.EP.CallTimeout(p, a.Donor, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
+			// Donor unreachable: park the return with the orphan queue so it
+			// settles if the donor reappears un-rebooted.
+			m.queueOrphan(a.Donor, inc, ret)
+			m.Stats.Add("free.donor_unreachable", 1)
+		}
 	}
 	if r, ok := m.rrt[a.Donor]; ok {
-		r.IdleBytes += a.Size
+		r.credit(a.Kind, a.Size)
 	}
-}
-
-// onAllocDev services a device request: the local donor walk first
-// (unless the scope hint forbids it), then — on a sub-MN — escalation to
-// the root MN, mirroring onAllocMem's gating so device leases ride the
-// same cross-rack delegation machinery as memory.
-func (m *Monitor) onAllocDev(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	r := req.(*AllocDevReq)
-	pol, ok := m.resolvePolicy(r.Policy)
-	if !ok {
-		return &AllocDevResp{OK: false, Err: fmt.Sprintf("unknown policy %q", r.Policy)}, 32
-	}
-	// Same admission gate as memory, in device units (free vs leased
-	// counts of the requested kind). Degradation does not apply to
-	// single-unit grants.
-	if m.Admission != nil && r.Class != tenancy.ClassNone {
-		if rejected := m.admitDev(p, from, r); rejected {
-			m.Stats.Add("admit.rejected", 1)
-			return &AllocDevResp{OK: false, Rejected: true,
-				Err: fmt.Sprintf("admission: %s class over budget for a %s", r.Class, r.Kind)}, 32
-		}
-	}
-	if r.Scope != ScopeRemoteRack {
-		if a, ok := m.allocDevLocal(from, r.Kind, pol, 0, grantMeta{
-			trace: r.Trace, tenant: r.Tenant, class: r.Class,
-		}); ok {
-			m.Stats.Add("alloc."+r.Kind.String(), 1)
-			return &AllocDevResp{OK: true, AllocID: a.ID, Donor: a.Donor}, 32
-		}
-	}
-	if m.HasUpstream && r.Scope != ScopeLocalRack {
-		if resp := m.escalateDev(p, from, r); resp != nil {
-			return resp, 32
-		}
-	}
-	m.Stats.Add("alloc.failures", 1)
-	return &AllocDevResp{OK: false, Err: "no " + r.Kind.String() + " available"}, 32
-}
-
-// allocDevLocal runs the donor walk for one device unit in this MN's own
-// scope. Device grants need no agent handshake (there is no hot-plug),
-// so the walk is a pure table operation. deleg tags the row when the
-// grant backs a cross-rack lease delegated by the root MN; meta carries
-// the row's passive annotations (trace id, tenant identity).
-func (m *Monitor) allocDevLocal(recipient fabric.NodeID, kind DeviceKind, pol Policy, deleg int, meta grantMeta) (*Allocation, bool) {
-	for _, cand := range m.donorCandidates(recipient, pol) {
-		if cand.Devices[kind] <= 0 {
-			continue
-		}
-		// Same grant-time liveness cross-check as memory: never hand out
-		// a device on a donor whose heartbeats have stopped.
-		if !m.NodeAlive(cand.Node) {
-			m.Stats.Add("alloc.dead_skips", 1)
-			continue
-		}
-		cand.Devices[kind]--
-		id := m.nextAllocID
-		m.nextAllocID++
-		a := &Allocation{
-			ID: id, Kind: kind.String(), Dev: kind, Donor: cand.Node,
-			Recipient: recipient, Size: 1, At: m.EP.Eng.Now(), Deleg: deleg,
-			Trace: meta.trace, Tenant: meta.tenant, Class: meta.class,
-		}
-		m.rat[id] = a
-		m.emitLease(LeaseGranted, a, a.Donor)
-		return a, true
-	}
-	return nil, false
-}
-
-// onFreeDev returns a device unit to its donor's RRT row — or, for a
-// device lease delegated from another rack, forwards the release up to
-// the root MN exactly like onFreeMem does for delegated memory (the
-// rollback path AcquireAll's reverse unwind depends on).
-func (m *Monitor) onFreeDev(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	f := req.(*FreeDevReq)
-	if ref, ok := m.delegated[f.AllocID]; ok {
-		if ref.recipient != from {
-			return &ack{}, 8
-		}
-		delete(m.delegated, f.AllocID)
-		fr := &rackFreeReq{DelegID: ref.deleg}
-		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindRackFree, 32, fr, 3*m.GrantTimeout); !ok {
-			m.pendingRackFrees[ref.deleg] = fr
-			m.Stats.Add("free.upstream_lost", 1)
-		}
-		m.Stats.Add("free.delegated", 1)
-		return &ack{}, 8
-	}
-	a, ok := m.rat[f.AllocID]
-	if !ok || a.Recipient != from || a.Kind == "memory" {
-		return &ack{}, 8
-	}
-	delete(m.rat, f.AllocID)
-	if r, ok := m.rrt[a.Donor]; ok && r.Devices != nil {
-		r.Devices[a.Dev]++
-	}
-	m.Stats.Add("free.device", 1)
-	m.emitLease(LeaseReleased, a, a.Donor)
-	return &ack{}, 8
 }

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -87,11 +89,11 @@ func TestMemoryAllocationFlow(t *testing.T) {
 
 	recipient := c.nodes[7]
 	const size = 256 << 20
-	var resp *AllocMemResp
+	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp = recipient.EP.Call(p, 0, kindAllocMem, 64,
-			&AllocMemReq{Size: size, WindowBase: win}).(*AllocMemResp)
+		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
+			&AllocReq{Size: size, WindowBase: win}).(*AllocResp)
 	})
 	c.eng.RunFor(5 * sim.Second)
 
@@ -128,11 +130,11 @@ func TestAllocationRetryOnStaleRRT(t *testing.T) {
 	}
 	recipient := c.nodes[7]
 	const size = 256 << 20
-	var resp *AllocMemResp
+	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp = recipient.EP.Call(p, 0, kindAllocMem, 64,
-			&AllocMemReq{Size: size, WindowBase: win}).(*AllocMemResp)
+		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
+			&AllocReq{Size: size, WindowBase: win}).(*AllocResp)
 	})
 	c.eng.RunFor(10 * sim.Second)
 
@@ -151,10 +153,10 @@ func TestAllocationFailsWhenNothingFits(t *testing.T) {
 	c := newCluster(t, 1<<26) // 64 MiB nodes
 	c.eng.RunFor(1 * sim.Second)
 	recipient := c.nodes[1]
-	var resp *AllocMemResp
+	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
-		resp = recipient.EP.Call(p, 0, kindAllocMem, 64,
-			&AllocMemReq{Size: 1 << 30, WindowBase: 1 << 30}).(*AllocMemResp)
+		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
+			&AllocReq{Size: 1 << 30, WindowBase: 1 << 30}).(*AllocResp)
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || resp.OK {
@@ -172,8 +174,8 @@ func TestFreeMemoryReturnsToDonor(t *testing.T) {
 	const size = 128 << 20
 	recipient.Run("alloc-free", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp := recipient.EP.Call(p, 0, kindAllocMem, 64,
-			&AllocMemReq{Size: size, WindowBase: win}).(*AllocMemResp)
+		resp := recipient.EP.Call(p, 0, kindAlloc, 64,
+			&AllocReq{Size: size, WindowBase: win}).(*AllocResp)
 		if !resp.OK {
 			t.Errorf("alloc failed: %s", resp.Err)
 			return
@@ -182,7 +184,7 @@ func TestFreeMemoryReturnsToDonor(t *testing.T) {
 		if donor.MemMgr.Removed() != size {
 			t.Errorf("donation not recorded")
 		}
-		recipient.EP.Call(p, 0, kindFreeMem, 16, &FreeMemReq{AllocID: resp.AllocID})
+		recipient.EP.Call(p, 0, kindFree, 16, &FreeReq{AllocID: resp.AllocID})
 		if donor.MemMgr.Removed() != 0 {
 			t.Errorf("donor still shows %d removed after free", donor.MemMgr.Removed())
 		}
@@ -201,13 +203,13 @@ func TestDeviceAllocation(t *testing.T) {
 	c.eng.RunFor(1 * sim.Second)
 
 	requester := c.nodes[0]
-	var acc1, acc2, acc3 *AllocDevResp
-	var nic *AllocDevResp
+	var acc1, acc2, acc3 *AllocResp
+	var nic *AllocResp
 	requester.Run("devs", func(p *sim.Proc) {
-		acc1 = requester.EP.Call(p, 0, kindAllocDev, 16, &AllocDevReq{Kind: DevAccelerator}).(*AllocDevResp)
-		acc2 = requester.EP.Call(p, 0, kindAllocDev, 16, &AllocDevReq{Kind: DevAccelerator}).(*AllocDevResp)
-		acc3 = requester.EP.Call(p, 0, kindAllocDev, 16, &AllocDevReq{Kind: DevAccelerator}).(*AllocDevResp)
-		nic = requester.EP.Call(p, 0, kindAllocDev, 16, &AllocDevReq{Kind: DevNIC}).(*AllocDevResp)
+		acc1 = requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
+		acc2 = requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
+		acc3 = requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
+		nic = requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevNIC}).(*AllocResp)
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if !acc1.OK || acc1.Donor != 2 || !acc2.OK || acc2.Donor != 2 {
@@ -221,8 +223,8 @@ func TestDeviceAllocation(t *testing.T) {
 	}
 	// Free one accelerator; it becomes grantable again.
 	requester.Run("refree", func(p *sim.Proc) {
-		requester.EP.Call(p, 0, kindFreeDev, 16, &FreeDevReq{AllocID: acc1.AllocID})
-		again := requester.EP.Call(p, 0, kindAllocDev, 16, &AllocDevReq{Kind: DevAccelerator}).(*AllocDevResp)
+		requester.EP.Call(p, 0, kindFree, 16, &FreeReq{AllocID: acc1.AllocID})
+		again := requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
 		if !again.OK {
 			t.Error("freed accelerator not re-grantable")
 		}
@@ -243,11 +245,11 @@ func TestNodeDeathDetectedByMissedHeartbeats(t *testing.T) {
 	}
 	// Dead nodes are not donor candidates.
 	recipient := c.nodes[4] // node 5 is its neighbor
-	var resp *AllocMemResp
+	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(1 << 20)
-		resp = recipient.EP.Call(p, 0, kindAllocMem, 64,
-			&AllocMemReq{Size: 1 << 20, WindowBase: win}).(*AllocMemResp)
+		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
+			&AllocReq{Size: 1 << 20, WindowBase: win}).(*AllocResp)
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || !resp.OK {
@@ -262,7 +264,21 @@ func TestDeviceKindString(t *testing.T) {
 	if DevAccelerator.String() != "accelerator" || DevNIC.String() != "nic" {
 		t.Fatal("device kind names wrong")
 	}
-	if DeviceKind(9).String() != "unknown" {
+	if Resource(9).String() != "unknown" {
 		t.Fatal("unknown kind name wrong")
+	}
+}
+
+// TestResourceMarshalsByName: RAT rows, and the /state snapshots built
+// from them, spell each row's resource by name.
+func TestResourceMarshalsByName(t *testing.T) {
+	for res, want := range map[Resource]string{Memory: "memory", DevAccelerator: "accelerator", DevNIC: "nic"} {
+		b, err := json.Marshal(Allocation{Kind: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), `"Kind":"`+want+`"`) {
+			t.Errorf("%v row marshals as %s, want Kind %q", res, b, want)
+		}
 	}
 }

@@ -22,11 +22,11 @@ func TestMostIdlePolicyPicksLargestDonor(t *testing.T) {
 	}
 	c.eng.RunFor(1 * sim.Second) // refresh RRT
 	recipient := c.nodes[7]
-	var resp *AllocMemResp
+	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(1 << 20)
-		resp = recipient.EP.Call(p, 0, kindAllocMem, 64,
-			&AllocMemReq{Size: 1 << 20, WindowBase: win}).(*AllocMemResp)
+		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
+			&AllocReq{Size: 1 << 20, WindowBase: win}).(*AllocResp)
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || !resp.OK {
@@ -48,8 +48,8 @@ func TestTrafficAwarePolicySpreadsDonors(t *testing.T) {
 	recipient.Run("allocs", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			win := recipient.NextHotplugWindow(64 << 20)
-			resp := recipient.EP.Call(p, 0, kindAllocMem, 64,
-				&AllocMemReq{Size: 64 << 20, WindowBase: win}).(*AllocMemResp)
+			resp := recipient.EP.Call(p, 0, kindAlloc, 64,
+				&AllocReq{Size: 64 << 20, WindowBase: win}).(*AllocResp)
 			if !resp.OK {
 				t.Errorf("alloc %d failed: %s", i, resp.Err)
 				return
@@ -71,8 +71,8 @@ func TestDistanceFirstReusesNearestDonor(t *testing.T) {
 	recipient.Run("allocs", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			win := recipient.NextHotplugWindow(64 << 20)
-			resp := recipient.EP.Call(p, 0, kindAllocMem, 64,
-				&AllocMemReq{Size: 64 << 20, WindowBase: win}).(*AllocMemResp)
+			resp := recipient.EP.Call(p, 0, kindAlloc, 64,
+				&AllocReq{Size: 64 << 20, WindowBase: win}).(*AllocResp)
 			if !resp.OK {
 				t.Errorf("alloc %d failed: %s", i, resp.Err)
 				return

@@ -27,10 +27,8 @@ import (
 // RPC kinds exchanged between agents and the Monitor Node.
 const (
 	kindHeartbeat = "mn.heartbeat"
-	kindAllocMem  = "mn.allocmem"
-	kindFreeMem   = "mn.freemem"
-	kindAllocDev  = "mn.allocdev"
-	kindFreeDev   = "mn.freedev"
+	kindAlloc     = "mn.alloc"
+	kindFree      = "mn.free"
 
 	kindHotRemove   = "agent.hotremove"
 	kindHotReturn   = "agent.hotreturn"
@@ -52,24 +50,58 @@ const (
 	kindDelegateCancel = "sub.delegatecancel"
 )
 
-// DeviceKind distinguishes shareable device classes in the RRT.
-type DeviceKind int
+// Resource is one dimension of the MN's allocation vector: memory,
+// granted in bytes, or one shareable device class (§5.2), granted in
+// whole units. Every request asks for an amount of exactly one.
+type Resource int
 
-// Shareable device classes (§5.2).
+// The resources the MN brokers.
 const (
-	DevAccelerator DeviceKind = iota
+	Memory Resource = iota
+	DevAccelerator
 	DevNIC
 )
 
-// String names the device kind.
-func (k DeviceKind) String() string {
-	switch k {
+// String names the resource.
+func (r Resource) String() string {
+	switch r {
+	case Memory:
+		return "memory"
 	case DevAccelerator:
 		return "accelerator"
 	case DevNIC:
 		return "nic"
 	default:
 		return "unknown"
+	}
+}
+
+// MarshalText renders the resource by name, so JSON rows (and maps
+// keyed by resource) read "memory", "accelerator" or "nic".
+func (r Resource) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// pick returns mem for memory and dev for every device class — the
+// per-resource scoreboard keys, wire sizes and decline texts, spelled
+// once. A decline text picks between two formats over the same
+// arguments, each naming the ones it uses by index.
+func pick[T any](r Resource, mem, dev T) T {
+	if r == Memory {
+		return mem
+	}
+	return dev
+}
+
+// allocKey is the scoreboard key counting r's local grants.
+func (r Resource) allocKey() string {
+	switch r {
+	case Memory:
+		return "alloc.memory"
+	case DevAccelerator:
+		return "alloc.accelerator"
+	case DevNIC:
+		return "alloc.nic"
+	default:
+		return "alloc.unknown"
 	}
 }
 
@@ -88,7 +120,7 @@ type LinkProbe struct {
 type Heartbeat struct {
 	Node      fabric.NodeID
 	IdleBytes uint64
-	Devices   map[DeviceKind]int
+	Devices   map[Resource]int
 	Links     []LinkProbe
 	// Incarnation counts the node's reboots. The MN compares it against
 	// the RRT's recorded value to tell a crash-and-reboot apart from a
@@ -117,10 +149,13 @@ const (
 	ScopeRemoteRack
 )
 
-// AllocMemReq asks the MN for remote memory. The requester pre-selects
-// the local address window the borrowed region will be hot-plugged at,
-// so the donor can install the matching translation.
-type AllocMemReq struct {
+// AllocReq asks the MN for an amount of one resource: Size bytes of
+// memory, or one unit of a device class (Size is ignored). A memory
+// requester pre-selects the local address window the borrowed region
+// will be hot-plugged at, so the donor can install the matching
+// translation; the window is also the grant's recipient-unique key.
+type AllocReq struct {
+	Res        Resource
 	Size       uint64
 	WindowBase uint64
 	// Scope is the hierarchical placement hint; flat clusters ignore it
@@ -129,7 +164,7 @@ type AllocMemReq struct {
 	// Policy names a registered placement policy to use for this request
 	// instead of the MN's configured one; "" keeps the MN default.
 	Policy string
-	// Latency marks the lease latency-sensitive: the migration loop
+	// Latency marks a memory lease latency-sensitive: the migration loop
 	// relieves its path by moving bulk leases away, and never retargets
 	// the lease itself.
 	Latency bool
@@ -146,8 +181,11 @@ type AllocMemReq struct {
 	Class  tenancy.Class
 }
 
-// AllocMemResp answers an AllocMemReq.
-type AllocMemResp struct {
+// amount is the request's size in its resource's unit.
+func (r *AllocReq) amount() uint64 { return pick(r.Res, r.Size, 1) }
+
+// AllocResp answers an AllocReq.
+type AllocResp struct {
 	OK        bool
 	Err       string
 	AllocID   int
@@ -163,136 +201,33 @@ type AllocMemResp struct {
 	Rejected bool
 }
 
-// FreeMemReq releases a previous allocation.
-type FreeMemReq struct {
+// FreeReq releases a previous allocation of any resource.
+type FreeReq struct {
 	AllocID int
 }
 
-// AllocDevReq asks the MN for a remote device of a kind.
-type AllocDevReq struct {
-	Kind DeviceKind
-	// Scope is the hierarchical placement hint, with the same semantics
-	// as AllocMemReq.Scope: device leases can be kept rack-local or
-	// delegated to a donor in another rack through the root MN.
-	Scope AllocScope
-	// Policy names a registered placement policy override for the donor
-	// walk; "" keeps the MN default.
-	Policy string
-	// Trace is the requester's lease trace id (see AllocMemReq.Trace).
-	Trace uint64
-	// Tenant/Class identify the requesting tenant for the admission
-	// controller (see AllocMemReq.Tenant).
-	Tenant uint64
-	Class  tenancy.Class
-}
-
-// AllocDevResp answers an AllocDevReq.
-type AllocDevResp struct {
-	OK      bool
-	Err     string
-	AllocID int
-	Donor   fabric.NodeID
-	// Rejected marks an admission-controller rejection (see
-	// AllocMemResp.Rejected).
-	Rejected bool
-}
-
-// FreeDevReq releases a device allocation.
-type FreeDevReq struct {
-	AllocID int
-}
-
-// RequestMemory is the client-side call a node's kernel memory manager
-// makes when it needs more memory than is locally available (step 2 of
-// Fig. 2).
-func RequestMemory(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, size, windowBase uint64) *AllocMemResp {
-	return RequestMemoryScoped(p, ep, mn, size, windowBase, ScopeAny)
-}
-
-// RequestMemoryScoped is RequestMemory with an explicit placement scope
-// (rack-local, remote-rack, or anywhere) for hierarchical planes.
-func RequestMemoryScoped(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, size, windowBase uint64, scope AllocScope) *AllocMemResp {
-	resp, _ := RequestMemoryOpts(p, ep, mn, size, windowBase, MemReqOpts{Scope: scope})
-	return resp
-}
-
-// MemReqOpts carries the optional refinements of one memory request:
-// a placement scope, a per-request policy override ("" keeps the MN
-// default), the latency-sensitive traffic class, and a bounded wait
-// (Timeout <= 0 waits indefinitely).
-type MemReqOpts struct {
-	Scope   AllocScope
-	Policy  string
-	Latency bool
-	Timeout sim.Dur
-	// Trace is the lease trace id stamped onto the allocation row (see
-	// AllocMemReq.Trace).
-	Trace uint64
-	// Tenant/Class identify the requesting tenant for admission control
-	// (see AllocMemReq.Tenant).
-	Tenant uint64
-	Class  tenancy.Class
-}
-
-// RequestMemoryOpts is RequestMemoryScoped with the full option set:
-// when o.Timeout > 0 the request aborts after that much virtual time
-// and reports ok=false (an unreachable or wedged MN must not park the
-// requester forever).
-func RequestMemoryOpts(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, size, windowBase uint64, o MemReqOpts) (*AllocMemResp, bool) {
-	req := &AllocMemReq{Size: size, WindowBase: windowBase, Scope: o.Scope, Policy: o.Policy, Latency: o.Latency, Trace: o.Trace, Tenant: o.Tenant, Class: o.Class}
-	if o.Timeout > 0 {
-		raw, ok := ep.CallTimeout(p, mn, kindAllocMem, 64, req, o.Timeout)
+// Alloc is the client-side grant call (step 2 of Fig. 2 for memory).
+// The wire sizes are per resource: a memory request and its answer
+// carry a window and a donor base (64 B each way), a device request
+// names only its class (16 B) and its answer only the donor (32 B).
+// With timeout > 0 the request aborts after that much virtual time and
+// reports ok=false (an unreachable or wedged MN must not park the
+// requester forever); otherwise it waits indefinitely.
+func Alloc(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, req AllocReq, timeout sim.Dur) (*AllocResp, bool) {
+	size := pick(req.Res, 64, 16)
+	if timeout > 0 {
+		raw, ok := ep.CallTimeout(p, mn, kindAlloc, size, &req, timeout)
 		if !ok {
 			return nil, false
 		}
-		return raw.(*AllocMemResp), true
+		return raw.(*AllocResp), true
 	}
-	return ep.Call(p, mn, kindAllocMem, 64, req).(*AllocMemResp), true
+	return ep.Call(p, mn, kindAlloc, size, &req).(*AllocResp), true
 }
 
-// FreeMemory releases a memory allocation by id.
-func FreeMemory(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
-	ep.Call(p, mn, kindFreeMem, 16, &FreeMemReq{AllocID: allocID})
-}
-
-// RequestDevice asks the MN for a remote device unit.
-func RequestDevice(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, kind DeviceKind) *AllocDevResp {
-	resp, _ := RequestDeviceOpts(p, ep, mn, kind, DevReqOpts{})
-	return resp
-}
-
-// DevReqOpts carries the optional refinements of one device request: a
-// placement scope and policy override (hierarchical planes only), a
-// bounded wait (Timeout <= 0 waits indefinitely), and the lease trace
-// id (see AllocMemReq.Trace).
-type DevReqOpts struct {
-	Scope   AllocScope
-	Policy  string
-	Timeout sim.Dur
-	Trace   uint64
-	// Tenant/Class identify the requesting tenant for admission control
-	// (see AllocMemReq.Tenant).
-	Tenant uint64
-	Class  tenancy.Class
-}
-
-// RequestDeviceOpts is RequestDevice with the full option set (same
-// timeout contract as RequestMemoryOpts).
-func RequestDeviceOpts(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, kind DeviceKind, o DevReqOpts) (*AllocDevResp, bool) {
-	req := &AllocDevReq{Kind: kind, Scope: o.Scope, Policy: o.Policy, Trace: o.Trace, Tenant: o.Tenant, Class: o.Class}
-	if o.Timeout > 0 {
-		raw, ok := ep.CallTimeout(p, mn, kindAllocDev, 16, req, o.Timeout)
-		if !ok {
-			return nil, false
-		}
-		return raw.(*AllocDevResp), true
-	}
-	return ep.Call(p, mn, kindAllocDev, 16, req).(*AllocDevResp), true
-}
-
-// FreeDevice releases a device allocation by id.
-func FreeDevice(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
-	ep.Call(p, mn, kindFreeDev, 16, &FreeDevReq{AllocID: allocID})
+// Free releases an allocation of any resource by id.
+func Free(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
+	ep.Call(p, mn, kindFree, 16, &FreeReq{AllocID: allocID})
 }
 
 // hotRemoveReq is the MN->donor-agent request to donate memory.
@@ -319,6 +254,14 @@ type hotReturnReq struct {
 	RecipientBase uint64
 	Base          uint64
 	Size          uint64
+}
+
+// windowKey identifies one grant by its recipient-unique window (or, for
+// a delegated device, its pre-minted alloc id): the key donor agents
+// file exports under, and escalation cancellations resolve by.
+type windowKey struct {
+	recipient fabric.NodeID
+	base      uint64
 }
 
 // spareCarveReq is the MN->donor-agent request to pre-plug a spare
@@ -399,7 +342,7 @@ type rackBeat struct {
 	// rows only), so the root can elect donor racks for device borrows
 	// the same way IdleBytes steers memory borrows. nil when the rack
 	// advertises no devices, keeping device-free planes byte-identical.
-	Devices map[DeviceKind]int
+	Devices map[Resource]int
 	// MaxUtil aggregates the rack's telemetry one level up: the hottest
 	// windowed link utilization any rack agent reported. HasUtil is false
 	// until telemetry-enabled agents report, so the zero value keeps the
@@ -409,11 +352,16 @@ type rackBeat struct {
 }
 
 // rackBorrowReq is a sub-MN's escalation to the root MN: its rack
-// cannot (or, under ScopeRemoteRack, must not) back a request, so the
-// root elects a donor rack and delegates the grant.
+// cannot (or, under ScopeRemoteRack, must not) back Size of Res (1 unit
+// for a device), so the root elects a donor rack by its free amount of
+// Res and delegates the grant. WindowBase is the borrow's
+// recipient-unique key: the window for memory and, for a device (which
+// has no window), the sub's pre-minted recipient-facing alloc id, so
+// cancellations stay key-resolvable.
 type rackBorrowReq struct {
 	Rack       int // requester's rack, excluded from donor election
 	Recipient  fabric.NodeID
+	Res        Resource
 	Size       uint64
 	WindowBase uint64
 	Policy     string        // per-request policy override, forwarded to the donor rack
@@ -421,13 +369,6 @@ type rackBorrowReq struct {
 	Trace      uint64        // lease trace id, forwarded to the donor rack's RAT row
 	Tenant     uint64        // requesting tenant, forwarded to the donor rack's RAT row
 	Class      tenancy.Class // tenant priority class, forwarded for donor-rack admission
-	// Device marks a device borrow: the root elects the donor rack by
-	// free units of Dev instead of idle bytes, Size is 1 unit, and
-	// WindowBase carries the sub's pre-minted recipient-facing alloc id
-	// (devices have no address window) so cancellations stay
-	// key-resolvable.
-	Device bool
-	Dev    DeviceKind
 }
 
 // rackBorrowResp answers a rackBorrowReq.
@@ -452,9 +393,9 @@ type rackFreeReq struct {
 type borrowCancelReq struct {
 	Recipient     fabric.NodeID
 	RecipientBase uint64
-	// Device narrows the key match to device delegations (whose
-	// RecipientBase carries the pre-minted alloc id, not a window).
-	Device bool
+	// Res narrows the key match to delegations of the same resource: a
+	// device key is a pre-minted alloc id, not a window.
+	Res Resource
 }
 
 // nodeDownReq is a sub-MN's notice to the root that its sweep declared
@@ -481,6 +422,7 @@ type delegateMovedReq struct {
 type delegateReq struct {
 	DelegID    int
 	Recipient  fabric.NodeID
+	Res        Resource
 	Size       uint64
 	WindowBase uint64
 	Policy     string        // per-request policy override for the donor walk
@@ -488,11 +430,6 @@ type delegateReq struct {
 	Trace      uint64        // lease trace id for the granted row
 	Tenant     uint64        // requesting tenant for the granted row
 	Class      tenancy.Class // tenant priority class (donor-rack admission: admit/reject only)
-	// Device asks the donor rack for one unit of Dev instead of memory;
-	// the sub's device walk needs no agent handshake (no hot-plug), so
-	// the grant is a pure table operation.
-	Device bool
-	Dev    DeviceKind
 }
 
 // delegateResp answers a delegateReq.

@@ -212,7 +212,7 @@ func (m *Monitor) recoverNode(p *sim.Proc, id fabric.NodeID, rebooted bool) {
 		switch {
 		case a.Recipient == id:
 			m.reclaimLease(p, a, rebooted)
-		case a.Donor == id && a.Kind == "memory":
+		case a.Donor == id && a.Kind == Memory:
 			m.failoverLease(p, a, rebooted)
 		case a.Donor == id:
 			m.failoverDevice(p, a)
@@ -242,29 +242,12 @@ func (m *Monitor) queueOrphan(donor fabric.NodeID, inc int64, ret *hotReturnReq)
 }
 
 // reclaimLease handles an allocation whose recipient died: the donor is
-// healthy, so its region returns to service.
+// healthy, so its backing returns to service.
 func (m *Monitor) reclaimLease(p *sim.Proc, a *Allocation, _ bool) {
 	delete(m.rat, a.ID)
 	m.emitLease(LeaseRevoked, a, a.Donor)
-	if a.Kind != "memory" {
-		if r, ok := m.rrt[a.Donor]; ok && r.Devices != nil {
-			r.Devices[a.Dev]++
-		}
-		m.Stats.Add("recover.devices_reclaimed", 1)
-		return
-	}
-	inc := m.incarnationOf(a.Donor)
-	ret := &hotReturnReq{
-		Recipient: a.Recipient, RecipientBase: a.RecipientBase,
-		Base: a.DonorBase, Size: a.Size,
-	}
-	if _, ok := m.EP.CallTimeout(p, a.Donor, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
-		m.queueOrphan(a.Donor, inc, ret)
-	}
-	if r, ok := m.rrt[a.Donor]; ok {
-		r.IdleBytes += a.Size
-	}
-	m.Stats.Add("recover.reclaimed", 1)
+	m.releaseBacking(p, a)
+	m.Stats.Add(pick(a.Kind, "recover.reclaimed", "recover.devices_reclaimed"), 1)
 }
 
 // failoverLease re-places a lease whose donor died: elect a new donor
@@ -352,8 +335,8 @@ func (m *Monitor) failoverLease(p *sim.Proc, a *Allocation, rebooted bool) {
 		return
 	}
 	// The candidate walk blocked; if the lease was freed meanwhile there
-	// is nothing left to revoke (and onFreeMem owns the old donor's
-	// orphan return).
+	// is nothing left to revoke (and onFree owns the old donor's orphan
+	// return).
 	if _, live := m.rat[a.ID]; !live {
 		m.Stats.Add("recover.raced_free", 1)
 		return
@@ -392,10 +375,10 @@ func (m *Monitor) failoverLease(p *sim.Proc, a *Allocation, rebooted bool) {
 func (m *Monitor) failoverDevice(p *sim.Proc, a *Allocation) {
 	oldDonor := a.Donor
 	for _, cand := range m.donorCandidates(a.Recipient, nil) {
-		if cand.Node == oldDonor || cand.Devices[a.Dev] <= 0 || !m.NodeAlive(cand.Node) {
+		if cand.Node == oldDonor || cand.free(a.Kind) < 1 || !m.NodeAlive(cand.Node) {
 			continue
 		}
-		cand.Devices[a.Dev]--
+		cand.debit(a.Kind, 1)
 		a.Donor = cand.Node
 		a.At = m.EP.Eng.Now()
 		m.Stats.Add("recover.devices_replaced", 1)

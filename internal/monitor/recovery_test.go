@@ -9,14 +9,14 @@ import (
 // allocFrom issues one raw AllocMem RPC from a node, installs the
 // recipient-side CRMA window (the transport half the core layer's
 // mountCRMA would do), and runs the engine until it settles.
-func allocFrom(t *testing.T, c *cluster, node int, size uint64) *AllocMemResp {
+func allocFrom(t *testing.T, c *cluster, node int, size uint64) *AllocResp {
 	t.Helper()
-	var resp *AllocMemResp
+	var resp *AllocResp
 	recipient := c.nodes[node]
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp = recipient.EP.Call(p, 0, kindAllocMem, 64,
-			&AllocMemReq{Size: size, WindowBase: win}).(*AllocMemResp)
+		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
+			&AllocReq{Size: size, WindowBase: win}).(*AllocResp)
 		if resp.OK {
 			if _, err := recipient.EP.CRMA.Map(win, size, resp.Donor, resp.DonorBase); err != nil {
 				t.Errorf("mapping window: %v", err)

@@ -51,7 +51,14 @@ type RackStatus struct {
 	HasUtil bool
 	// Devices is the rack's aggregate free device units per kind, as of
 	// the last rackbeat (nil when the rack advertises none).
-	Devices map[DeviceKind]int
+	Devices map[Resource]int
+}
+
+// free reports the rack's free amount of res as of its last rackbeat,
+// less what the root has delegated since; debit takes amount off it.
+func (rs *RackStatus) free(res Resource) uint64 { return freeOf(res, rs.IdleBytes, rs.Devices) }
+func (rs *RackStatus) debit(res Resource, amount uint64) {
+	moveFree(res, &rs.IdleBytes, rs.Devices, -int64(amount))
 }
 
 // Delegation is one row of the root MN's delegation table: a lease
@@ -72,11 +79,10 @@ type Delegation struct {
 	Trace         uint64        // lease trace id, preserved across re-delegation
 	Tenant        uint64        // owning tenant, preserved across re-delegation
 	Class         tenancy.Class // tenant priority class, preserved across re-delegation
-	// Kind is "memory" or a DeviceKind name; Dev is valid for device
-	// delegations. Device delegations have Size 1 (one unit) and carry
-	// the recipient sub-MN's pre-minted alloc id in RecipientBase.
-	Kind string
-	Dev  DeviceKind
+	// Kind is the delegated resource. Device delegations have Size 1
+	// (one unit) and carry the recipient sub-MN's pre-minted alloc id in
+	// RecipientBase.
+	Kind Resource
 }
 
 // Root is the root Monitor Node of a sharded plane. It brokers nothing
@@ -119,7 +125,7 @@ type Root struct {
 	// configured under the root's worst case): the election's success
 	// path consults it and unwinds instead of recording a delegation the
 	// canceller will never free.
-	cancelled map[borrowKey]bool
+	cancelled map[windowKey]bool
 
 	// pendingRel / pendingRev park undelivered relocate/revoke notices
 	// from re-delegations, retried each sweep — the same
@@ -150,7 +156,7 @@ func NewRoot(ep *transport.Endpoint) *Root {
 		pendingRev:      make(map[int]*parkedRevoke),
 		tombs:           make(map[int][]int),
 		cancels:         make(map[int][]int),
-		cancelled:       make(map[borrowKey]bool),
+		cancelled:       make(map[windowKey]bool),
 	}
 	ep.HandleCall(kindRackBeat, rt.onRackBeat)
 	ep.HandleCall(kindRackBorrow, rt.onRackBorrow)
@@ -226,16 +232,16 @@ func (rt *Root) onRackBeat(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	return &ack{}, 8
 }
 
-// donorRacks orders candidate donor racks for a request from exclude:
-// live racks with enough aggregate idle memory. With rack telemetry the
+// donorRacks orders candidate donor racks for amount of res, requested
+// from exclude: live racks with that much free. With rack telemetry the
 // coolest rack wins first (a saturated rack fabric makes a poor donor
-// no matter how much memory idles behind it); without it — including
-// every telemetry-off configuration, byte-identically — most-idle
-// first. Rack id breaks ties, keeping elections deterministic.
-func (rt *Root) donorRacks(exclude int, size uint64) []*RackStatus {
+// no matter how much idles behind it); without it — including every
+// telemetry-off configuration, byte-identically — the rack with the
+// most free wins. Rack id breaks ties, keeping elections deterministic.
+func (rt *Root) donorRacks(exclude int, res Resource, amount uint64) []*RackStatus {
 	var cands []*RackStatus
 	for _, rs := range rt.racks {
-		if rs.Rack == exclude || !rt.RackAlive(rs.Rack) || rs.IdleBytes < size {
+		if rs.Rack == exclude || !rt.RackAlive(rs.Rack) || rs.free(res) < amount {
 			continue
 		}
 		cands = append(cands, rs)
@@ -250,36 +256,8 @@ func (rt *Root) donorRacks(exclude int, size uint64) []*RackStatus {
 		if ui, uj := util(cands[i]), util(cands[j]); ui != uj {
 			return ui < uj
 		}
-		if cands[i].IdleBytes != cands[j].IdleBytes {
-			return cands[i].IdleBytes > cands[j].IdleBytes
-		}
-		return cands[i].Rack < cands[j].Rack
-	})
-	return cands
-}
-
-// donorRacksDev is donorRacks for device borrows: live racks advertising
-// free units of kind, coolest first, then most-units, then rack id.
-func (rt *Root) donorRacksDev(exclude int, kind DeviceKind) []*RackStatus {
-	var cands []*RackStatus
-	for _, rs := range rt.racks {
-		if rs.Rack == exclude || !rt.RackAlive(rs.Rack) || rs.Devices[kind] <= 0 {
-			continue
-		}
-		cands = append(cands, rs)
-	}
-	util := func(rs *RackStatus) float64 {
-		if rs.HasUtil {
-			return rs.MaxUtil
-		}
-		return 0
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if ui, uj := util(cands[i]), util(cands[j]); ui != uj {
-			return ui < uj
-		}
-		if cands[i].Devices[kind] != cands[j].Devices[kind] {
-			return cands[i].Devices[kind] > cands[j].Devices[kind]
+		if fi, fj := cands[i].free(res), cands[j].free(res); fi != fj {
+			return fi > fj
 		}
 		return cands[i].Rack < cands[j].Rack
 	})
@@ -298,20 +276,12 @@ func (rt *Root) delegateTimeout() sim.Dur { return 3 * rt.GrantTimeout }
 const rootBorrowCandidates = 2
 
 // delegateTo asks one rack's sub-MN to back a delegation, keeping the
-// registry's idle-byte account. Shared by the borrow election and
+// registry's free account of the resource: a declining or unreachable
+// rack is marked drained of it. Shared by the borrow election and
 // rack-death re-delegation so decline/timeout handling cannot drift
 // between them.
 func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*delegateResp, bool) {
 	raw, ok := rt.EP.CallTimeout(p, rs.Sub, kindDelegate, 64, req, rt.delegateTimeout())
-	drain := func() {
-		if req.Device {
-			if rs.Devices != nil {
-				rs.Devices[req.Dev] = 0
-			}
-		} else {
-			rs.IdleBytes = 0
-		}
-	}
 	if !ok {
 		// The sub may have granted and lost the response; park a
 		// key-resolved cancellation so the orphaned row (and region)
@@ -319,20 +289,16 @@ func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*dele
 		// delegation id never coexists with this one.
 		rt.Stats.Add("root.delegate_timeouts", 1)
 		rt.cancels[rs.Rack] = append(rt.cancels[rs.Rack], req.DelegID)
-		drain()
+		rs.debit(req.Res, rs.free(req.Res))
 		return nil, false
 	}
 	resp := raw.(*delegateResp)
 	if !resp.OK {
 		rt.Stats.Add("root.delegate_declines", 1)
-		drain()
+		rs.debit(req.Res, rs.free(req.Res))
 		return nil, false
 	}
-	if req.Device {
-		rs.Devices[req.Dev]--
-	} else {
-		rs.IdleBytes -= req.Size
-	}
+	rs.debit(req.Res, req.Size)
 	return resp, true
 }
 
@@ -343,23 +309,17 @@ func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*dele
 func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*rackBorrowReq)
 	rt.Stats.Add("root.borrows", 1)
-	key := borrowKey{recipient: r.Recipient, base: r.WindowBase}
+	key := windowKey{recipient: r.Recipient, base: r.WindowBase}
 	id := rt.nextDelegID
 	rt.nextDelegID++
-	kind := "memory"
-	cands := rt.donorRacks(r.Rack, r.Size)
-	if r.Device {
-		kind = r.Dev.String()
-		cands = rt.donorRacksDev(r.Rack, r.Dev)
-	}
-	for tried, rs := range cands {
+	for tried, rs := range rt.donorRacks(r.Rack, r.Res, r.Size) {
 		if tried >= rootBorrowCandidates {
 			break
 		}
 		resp, ok := rt.delegateTo(p, rs, &delegateReq{
-			DelegID: id, Recipient: r.Recipient, Size: r.Size, WindowBase: r.WindowBase,
+			DelegID: id, Recipient: r.Recipient, Res: r.Res, Size: r.Size, WindowBase: r.WindowBase,
 			Policy: r.Policy, Latency: r.Latency, Trace: r.Trace,
-			Tenant: r.Tenant, Class: r.Class, Device: r.Device, Dev: r.Dev,
+			Tenant: r.Tenant, Class: r.Class,
 		})
 		if !ok {
 			continue
@@ -369,8 +329,7 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			SubAllocID: resp.AllocID, Donor: resp.Donor,
 			Recipient: r.Recipient, RecipientBase: r.WindowBase,
 			Size: r.Size, At: rt.EP.Eng.Now(), Latency: r.Latency, Trace: r.Trace,
-			Tenant: r.Tenant, Class: r.Class,
-			Kind: kind, Dev: r.Dev,
+			Tenant: r.Tenant, Class: r.Class, Kind: r.Res,
 		}
 		if rt.cancelled[key] {
 			// The requesting sub gave up and cancelled while this
@@ -388,10 +347,8 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	}
 	delete(rt.cancelled, key) // a failed election has nothing to cancel
 	rt.Stats.Add("root.borrow_failures", 1)
-	if r.Device {
-		return &rackBorrowResp{OK: false, Err: "no rack with a free " + r.Dev.String()}, 64
-	}
-	return &rackBorrowResp{OK: false, Err: fmt.Sprintf("no rack with %d idle bytes", r.Size)}, 64
+	return &rackBorrowResp{OK: false, Err: fmt.Sprintf(pick(r.Res,
+		"no rack with %[1]d idle bytes", "no rack with a free %[2]s"), r.Size, r.Res)}, 64
 }
 
 // onBorrowCancel services a sub-MN whose escalation timed out: if the
@@ -403,13 +360,10 @@ func (rt *Root) onBorrowCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, int)
 	c := req.(*borrowCancelReq)
 	matched := false
 	for _, id := range sortedKeys(rt.dels) {
-		d, ok := rt.dels[id]
-		if !ok || d.Recipient != c.Recipient || d.RecipientBase != c.RecipientBase {
-			continue
-		}
 		// Device delegations key on a pre-minted alloc id, memory ones on
-		// a window base; never let one kind's cancel tear the other down.
-		if (d.Kind != "" && d.Kind != "memory") != c.Device {
+		// a window base; never let one resource's cancel tear another down.
+		d, ok := rt.dels[id]
+		if !ok || d.Recipient != c.Recipient || d.RecipientBase != c.RecipientBase || d.Kind != c.Res {
 			continue
 		}
 		delete(rt.dels, id)
@@ -423,15 +377,9 @@ func (rt *Root) onBorrowCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, int)
 		// The election may still be in flight (a sub whose patience was
 		// configured under the root's worst case): leave a mark so its
 		// success path unwinds instead of recording an unfreeable grant.
-		rt.cancelled[borrowKey{recipient: c.Recipient, base: c.RecipientBase}] = true
+		rt.cancelled[windowKey{recipient: c.Recipient, base: c.RecipientBase}] = true
 	}
 	return &ack{}, 8
-}
-
-// borrowKey identifies one borrow by its recipient-unique window.
-type borrowKey struct {
-	recipient fabric.NodeID
-	base      uint64
 }
 
 // onRackFree releases a delegated lease: tear down the donor-rack
@@ -637,24 +585,18 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 		// region instead of diverging from the re-delegated truth.
 		rt.tombs[dead] = append(rt.tombs[dead], d.SubAllocID)
 		oldDonor := d.Donor
-		device := d.Kind != "" && d.Kind != "memory"
 		moved := false
-		cands := rt.donorRacks(dead, d.Size)
-		if device {
-			cands = rt.donorRacksDev(dead, d.Dev)
-		}
-		for _, rs := range cands {
+		for _, rs := range rt.donorRacks(dead, d.Kind, d.Size) {
 			resp, ok := rt.delegateTo(p, rs, &delegateReq{
-				DelegID: d.ID, Recipient: d.Recipient, Size: d.Size, WindowBase: d.RecipientBase,
+				DelegID: d.ID, Recipient: d.Recipient, Res: d.Kind, Size: d.Size, WindowBase: d.RecipientBase,
 				Latency: d.Latency, Trace: d.Trace, Tenant: d.Tenant, Class: d.Class,
-				Device: device, Dev: d.Dev,
 			})
 			if !ok {
 				continue
 			}
 			d.DonorRack, d.Donor, d.SubAllocID = rs.Rack, resp.Donor, resp.AllocID
 			d.At = rt.EP.Eng.Now()
-			if !device {
+			if d.Kind == Memory {
 				// Device leases carry no hot-plugged window: recipients
 				// learn the new donor from the lease-lifecycle event and
 				// replay in flight work themselves, so only memory leases
@@ -675,7 +617,7 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 			// recipient's parked accesses fail fast instead of waiting on
 			// a region that no longer exists.
 			delete(rt.dels, d.ID)
-			if !device {
+			if d.Kind == Memory {
 				rv := &revokeReq{AllocID: d.SubAllocID, RecipientBase: d.RecipientBase, Size: d.Size}
 				if _, ok := rt.EP.CallTimeout(p, d.Recipient, kindRevoke, 32, rv, rt.GrantTimeout); !ok {
 					rt.pendingRev[d.ID] = &parkedRevoke{req: rv, to: d.Recipient}
@@ -778,7 +720,7 @@ func (m *Monitor) StopRackBeat() { m.rackBeatOn = false }
 func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 	var idle uint64
 	live := 0
-	var devs map[DeviceKind]int
+	var devs map[Resource]int
 	for _, r := range m.rrt {
 		if !r.Dead && m.NodeAlive(r.Node) {
 			idle += r.IdleBytes
@@ -788,7 +730,7 @@ func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 					continue
 				}
 				if devs == nil {
-					devs = make(map[DeviceKind]int)
+					devs = make(map[Resource]int)
 				}
 				devs[k] += v
 			}
@@ -817,11 +759,24 @@ func (m *Monitor) borrowTimeout() sim.Dur { return 8 * m.GrantTimeout }
 
 // escalate forwards a request the rack cannot serve to the root MN and,
 // on success, records the recipient-facing alloc-id → delegation-id
-// mapping so the lease frees through the same FreeMemory call path.
-// size is the admitted size — r.Size unless the local admission gate
-// degraded the grant before the rack turned out to be starved.
-func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocMemReq, size uint64) *AllocMemResp {
-	req := &rackBorrowReq{Rack: m.Rack, Recipient: from, Size: size, WindowBase: r.WindowBase, Policy: r.Policy, Latency: r.Latency, Trace: r.Trace, Tenant: r.Tenant, Class: r.Class}
+// mapping so the lease frees through the same Free call path. size is
+// the admitted amount — r's unless the local admission gate degraded
+// the grant before the rack turned out to be starved.
+//
+// The borrow's cancellation key is memory's window. A device has no
+// window, so the sub mints the recipient-facing alloc id up front and
+// rides it in WindowBase as the key; memory mints its id on success.
+func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size uint64) *AllocResp {
+	id, key := -1, r.WindowBase
+	if r.Res != Memory {
+		id = m.nextAllocID
+		m.nextAllocID++
+		key = uint64(id)
+	}
+	req := &rackBorrowReq{
+		Rack: m.Rack, Recipient: from, Res: r.Res, Size: size, WindowBase: key,
+		Policy: r.Policy, Latency: r.Latency, Trace: r.Trace, Tenant: r.Tenant, Class: r.Class,
+	}
 	raw, ok := m.EP.CallTimeout(p, m.Upstream, kindRackBorrow, 64, req, m.borrowTimeout())
 	if !ok {
 		// The response is lost (or the root outran our patience, which
@@ -831,9 +786,9 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocMemReq, size
 		// delegation. An undeliverable cancel parks for sweep retry — a
 		// flap must not leak a delegation forever.
 		m.Stats.Add("alloc.upstream_timeouts", 1)
-		cancel := &borrowCancelReq{Recipient: from, RecipientBase: r.WindowBase}
+		cancel := &borrowCancelReq{Recipient: from, RecipientBase: key, Res: r.Res}
 		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindBorrowCancel, 32, cancel, m.GrantTimeout); !ok {
-			m.pendingCancels[cancelKey{recipient: from, base: r.WindowBase}] = cancel
+			m.pendingCancels[windowKey{recipient: from, base: key}] = cancel
 			m.Stats.Add("alloc.cancel_lost", 1)
 		}
 		return nil
@@ -843,50 +798,13 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocMemReq, size
 		m.Stats.Add("alloc.upstream_declines", 1)
 		return nil
 	}
-	id := m.nextAllocID
-	m.nextAllocID++
-	m.delegated[id] = delegatedLease{deleg: resp.DelegID, recipient: from}
-	m.Stats.Add("alloc.delegated", 1)
-	out := &AllocMemResp{OK: true, AllocID: id, Donor: resp.Donor, DonorBase: resp.DonorBase}
-	if size != r.Size {
-		out.Granted = size
-	}
-	return out
-}
-
-// escalateDev forwards a device request the rack cannot serve to the
-// root MN — the device mirror of escalate. Devices carry no hot-plug
-// window, so the sub pre-mints the recipient-facing alloc id and rides
-// it in WindowBase as the borrow's cancellation key.
-func (m *Monitor) escalateDev(p *sim.Proc, from fabric.NodeID, r *AllocDevReq) *AllocDevResp {
-	id := m.nextAllocID
-	m.nextAllocID++
-	req := &rackBorrowReq{
-		Rack: m.Rack, Recipient: from, Size: 1, WindowBase: uint64(id),
-		Policy: r.Policy, Trace: r.Trace, Tenant: r.Tenant, Class: r.Class,
-		Device: true, Dev: r.Kind,
-	}
-	raw, ok := m.EP.CallTimeout(p, m.Upstream, kindRackBorrow, 64, req, m.borrowTimeout())
-	if !ok {
-		// Same lost-response contract as memory escalation: the borrow
-		// may have completed at the root, so cancel by key (parking the
-		// cancel itself when the spine eats it too).
-		m.Stats.Add("alloc.upstream_timeouts", 1)
-		cancel := &borrowCancelReq{Recipient: from, RecipientBase: uint64(id), Device: true}
-		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindBorrowCancel, 32, cancel, m.GrantTimeout); !ok {
-			m.pendingCancels[cancelKey{recipient: from, base: uint64(id)}] = cancel
-			m.Stats.Add("alloc.cancel_lost", 1)
-		}
-		return nil
-	}
-	resp := raw.(*rackBorrowResp)
-	if !resp.OK {
-		m.Stats.Add("alloc.upstream_declines", 1)
-		return nil
+	if id < 0 {
+		id = m.nextAllocID
+		m.nextAllocID++
 	}
 	m.delegated[id] = delegatedLease{deleg: resp.DelegID, recipient: from}
 	m.Stats.Add("alloc.delegated", 1)
-	return &AllocDevResp{OK: true, AllocID: id, Donor: resp.Donor}
+	return r.granted(id, resp.Donor, resp.DonorBase, size)
 }
 
 // delegatedLease is a sub-MN's record of one lease another rack backs
@@ -894,12 +812,6 @@ func (m *Monitor) escalateDev(p *sim.Proc, from fabric.NodeID, r *AllocDevReq) *
 type delegatedLease struct {
 	deleg     int
 	recipient fabric.NodeID
-}
-
-// cancelKey identifies a parked escalation cancellation.
-type cancelKey struct {
-	recipient fabric.NodeID
-	base      uint64
 }
 
 // retryRackFrees redelivers upstream releases and escalation
@@ -914,7 +826,7 @@ func (m *Monitor) retryRackFrees(p *sim.Proc) {
 		delete(m.pendingRackFrees, id)
 		m.Stats.Add("free.upstream_retried", 1)
 	}
-	keys := make([]cancelKey, 0, len(m.pendingCancels))
+	keys := make([]windowKey, 0, len(m.pendingCancels))
 	for k := range m.pendingCancels {
 		keys = append(keys, k)
 	}
@@ -957,18 +869,7 @@ func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			return &delegateResp{OK: false, Err: "admission: donor rack over budget"}, 64
 		}
 	}
-	if r.Device {
-		a, ok := m.allocDevLocal(r.Recipient, r.Dev, pol, r.DelegID, grantMeta{
-			trace: r.Trace, tenant: r.Tenant, class: r.Class,
-		})
-		if !ok {
-			m.Stats.Add("delegate.declined", 1)
-			return &delegateResp{OK: false, Err: "no rack donor"}, 64
-		}
-		m.Stats.Add("delegate.granted", 1)
-		return &delegateResp{OK: true, AllocID: a.ID, Donor: a.Donor}, 64
-	}
-	a, ok := m.grantFrom(p, r.Recipient, r.Size, r.WindowBase, r.DelegID, pol, grantMeta{
+	a, ok := m.grant(p, r.Recipient, r.Res, r.Size, r.WindowBase, r.DelegID, pol, grantMeta{
 		latency: r.Latency, trace: r.Trace, tenant: r.Tenant, class: r.Class,
 	})
 	if !ok {
@@ -984,29 +885,12 @@ func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 // verdicts collapsed to a single preemption attempt (classes above
 // Preemptible) and otherwise a decline.
 func (m *Monitor) admitDelegate(p *sim.Proc, r *delegateReq) bool {
-	decide := func() tenancy.Decision {
-		if r.Device {
-			free, capacity := m.devPressure(r.Dev)
-			dec, _ := m.Admission.Decide(r.Class, 1, free, capacity)
-			return dec
-		}
-		idle, capacity := m.memPressure()
-		dec, _ := m.Admission.Decide(r.Class, r.Size, idle, capacity)
-		return dec
-	}
-	if decide() == tenancy.Admit {
+	if dec, _ := m.decide(r.Res, r.Size, r.Class); dec == tenancy.Admit {
 		return true
 	}
-	if r.Class > tenancy.Preemptible && m.Admission.Preempt {
-		ok := false
-		if r.Device {
-			ok = m.preemptDev(p, r.Recipient, r.Dev)
-		} else {
-			ok = m.preemptMem(p, r.Recipient, &AllocMemReq{Size: r.Size, Class: r.Class})
-		}
-		if ok {
-			return decide() == tenancy.Admit
-		}
+	if r.Class > tenancy.Preemptible && m.Admission.Preempt && m.preempt(p, r.Recipient, r.Res, r.Size, r.Class) {
+		dec, _ := m.decide(r.Res, r.Size, r.Class)
+		return dec == tenancy.Admit
 	}
 	return false
 }
@@ -1024,19 +908,6 @@ func (m *Monitor) onDelegateFree(p *sim.Proc, _ fabric.NodeID, req any) (any, in
 	m.Stats.Add("free.delegate_backed", 1)
 	m.emitLease(LeaseReleased, a, a.Donor)
 	return &ack{}, 8
-}
-
-// releaseBacking hands a delegated row's backing to its donor: memory
-// rows hot-return the region, device rows credit the donor's free-unit
-// account (no agent round trip — devices have no hot-plugged state).
-func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
-	if a.Kind != "memory" {
-		if r, ok := m.rrt[a.Donor]; ok && r.Devices != nil {
-			r.Devices[a.Dev]++
-		}
-		return
-	}
-	m.returnRegion(p, a)
 }
 
 // onDelegateCancel services the root MN's key-resolved cancellation of

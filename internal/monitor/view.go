@@ -43,7 +43,7 @@ func (m *Monitor) view() *View {
 		v.Load[a.Donor]++
 	}
 	for _, a := range m.rat {
-		if a.Kind != "memory" {
+		if a.Kind != Memory {
 			continue
 		}
 		for l := range v.path(a.Recipient, a.Donor) {

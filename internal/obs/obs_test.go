@@ -396,6 +396,13 @@ func TestSnapshotFlat(t *testing.T) {
 	if _, err := json.Marshal(st); err != nil {
 		t.Fatalf("state not JSON-marshallable: %v", err)
 	}
+	// Lease rows spell their resource by name.
+	var rows struct {
+		Leases []struct{ Kind string } `json:"leases"`
+	}
+	if raw, _ := json.Marshal(st); json.Unmarshal(raw, &rows) != nil || len(rows.Leases) != 1 || rows.Leases[0].Kind != "memory" {
+		t.Errorf("state lease rows %+v, want one with Kind \"memory\"", rows.Leases)
+	}
 
 	var cell StateCell
 	if cell.Get() != nil {

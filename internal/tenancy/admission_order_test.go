@@ -13,11 +13,12 @@ import (
 )
 
 // Admission-ordering contract, exercised end to end on both monitor
-// planes: under a saturated pool the MN must treat the classes in
-// strict lattice order — Preemptible is rejected outright, Standard
-// queues and then preempts its way in, Latency preempts immediately
-// without ever queueing — and a queued request whose caller set a
-// shorter WithTimeout surfaces ErrTimeout instead of hanging.
+// planes and for both memory and device leases: under a saturated pool
+// the MN must treat the classes in strict lattice order — Preemptible
+// is rejected outright, Standard queues and then preempts its way in,
+// Latency preempts immediately without ever queueing — and a queued
+// request whose caller set a shorter WithTimeout surfaces ErrTimeout
+// instead of hanging.
 
 // orderRig abstracts the plane under test: a flat cluster's MN or a
 // hier cluster's rack-0 sub-MN.
@@ -33,7 +34,15 @@ type orderRig struct {
 	// units is the pool size in leases; preemptibleUnits how many the
 	// Preemptible budget admits.
 	units, preemptibleUnits int
-	close                   func()
+	// kind and size shape every lease; preemptKey is the scoreboard key
+	// counting its evictions.
+	kind       core.Kind
+	size       uint64
+	preemptKey string
+	// stdPreempts/latPreempts, when non-zero, are the exact evictions
+	// the Standard and the Latency grant each need.
+	stdPreempts, latPreempts int64
+	close                    func()
 }
 
 // orderPolicy is the pinned admission policy the ordering table runs
@@ -57,6 +66,25 @@ const (
 
 func flatRig(t *testing.T) *orderRig {
 	t.Helper()
+	return newFlatRig(t, 0)
+}
+
+// flatNICRig is the flat rig leasing NICs: six donors advertise two
+// each. Standard's budget (0.75 of 12 units) needs four evictions from
+// the full pool, Latency's one.
+func flatNICRig(t *testing.T) *orderRig {
+	t.Helper()
+	rig := newFlatRig(t, 2)
+	rig.name, rig.kind, rig.size, rig.preemptKey = "flat-nic", core.NIC, 0, "preempt.device"
+	rig.units, rig.preemptibleUnits = 12, 6
+	rig.stdPreempts, rig.latPreempts = 4, 1
+	return rig
+}
+
+// newFlatRig builds the flat rig with nics NICs advertised on each
+// donor (none for the memory case).
+func newFlatRig(t *testing.T, nics int) *orderRig {
+	t.Helper()
 	topo := fabric.Mesh3D(2, 2, 2)
 	cl := core.NewCluster(core.Config{
 		Topology:     &topo,
@@ -69,14 +97,39 @@ func flatRig(t *testing.T) *orderRig {
 			t.Fatalf("reserving node %d: %v", i, err)
 		}
 	}
+	if nics > 0 {
+		for i := 2; i < len(cl.Agents); i++ {
+			cl.Agents[i].Devices[monitor.DevNIC] = nics
+		}
+	}
 	cl.RunFor(10 * sim.Millisecond)
 	return &orderRig{
 		name: "flat", plane: cl, app: cl.Node(1), stats: &cl.MN.Stats,
 		eng: cl.Eng, units: 24, preemptibleUnits: 12, close: cl.Close,
+		kind: core.Memory, size: orderLease, preemptKey: "preempt.memory",
 	}
 }
 
 func hierRig(t *testing.T) *orderRig {
+	t.Helper()
+	return newHierRig(t, 0)
+}
+
+// hierNICRig is the hier rig leasing NICs: rack 0's two donors
+// advertise four each, the memory case's eight-lease pool. Standard's
+// budget (0.75 of 8 units) needs three evictions from the full pool,
+// Latency's one.
+func hierNICRig(t *testing.T) *orderRig {
+	t.Helper()
+	rig := newHierRig(t, 4)
+	rig.name, rig.kind, rig.size, rig.preemptKey = "hier-nic", core.NIC, 0, "preempt.device"
+	rig.stdPreempts, rig.latPreempts = 3, 1
+	return rig
+}
+
+// newHierRig builds the hier rig with nics NICs advertised on each of
+// rack 0's donors (none for the memory case).
+func newHierRig(t *testing.T, nics int) *orderRig {
 	t.Helper()
 	cl := core.NewHierCluster(core.HierConfig{
 		Racks: 2, RackX: 2, RackY: 2, RackZ: 1,
@@ -91,23 +144,29 @@ func hierRig(t *testing.T) *orderRig {
 			t.Fatalf("reserving node %v: %v", id, err)
 		}
 	}
+	if nics > 0 {
+		for _, id := range cl.Hier.RackNodes(0)[2:] {
+			cl.Agents[id].Devices[monitor.DevNIC] = nics
+		}
+	}
 	cl.RunFor(10 * sim.Millisecond)
 	return &orderRig{
 		name: "hier", plane: cl, app: app, stats: &cl.Subs[0].Stats,
 		eng:   cl.Eng,
 		opts:  []core.Option{core.WithScope(monitor.ScopeLocalRack)},
 		units: 8, preemptibleUnits: 4, close: cl.Close,
+		kind: core.Memory, size: orderLease, preemptKey: "preempt.memory",
 	}
 }
 
 func TestAdmissionClassOrdering(t *testing.T) {
-	rigs := []func(*testing.T) *orderRig{flatRig, hierRig}
+	rigs := []func(*testing.T) *orderRig{flatRig, hierRig, flatNICRig, hierNICRig}
 	for _, mk := range rigs {
 		rig := mk(t)
 		t.Run(rig.name, func(t *testing.T) {
 			defer rig.close()
 			acquire := func(p *sim.Proc, opts ...core.Option) (core.Lease, error) {
-				req := core.NewRequest(core.Memory, rig.app, orderLease, rig.opts...)
+				req := core.NewRequest(rig.kind, rig.app, rig.size, rig.opts...)
 				return rig.plane.Acquire(p, req.With(opts...))
 			}
 			done := rig.app.Run("admission-order", func(p *sim.Proc) {
@@ -147,7 +206,7 @@ func TestAdmissionClassOrdering(t *testing.T) {
 
 				// Lowest class first: rejected outright, and never allowed to
 				// preempt its own class.
-				preempts := func() int64 { return rig.stats.Get("preempt.memory") }
+				preempts := func() int64 { return rig.stats.Get(rig.preemptKey) }
 				queued := func() int64 { return rig.stats.Get("admit.queued") }
 				if _, err := acquire(p, core.WithTenant(1, tenancy.Preemptible)); !errors.Is(err, core.ErrAdmissionRejected) {
 					t.Errorf("Preemptible under pressure: got %v, want ErrAdmissionRejected", err)
@@ -169,6 +228,9 @@ func TestAdmissionClassOrdering(t *testing.T) {
 				if queued() != q0+1 {
 					t.Errorf("Standard grant queued %d times, want exactly 1", queued()-q0)
 				}
+				if rig.stdPreempts > 0 && stdPreempts != rig.stdPreempts {
+					t.Errorf("Standard grant evicted %d leases, want exactly %d", stdPreempts, rig.stdPreempts)
+				}
 
 				// Latency: the full pool is re-filled, then the top class goes
 				// straight to preemption — no queue wait at all.
@@ -180,6 +242,9 @@ func TestAdmissionClassOrdering(t *testing.T) {
 				}
 				if preempts() <= stdPreempts {
 					t.Error("Latency grant preempted nothing; it should have evicted a Preemptible lease")
+				}
+				if rig.latPreempts > 0 && preempts()-stdPreempts != rig.latPreempts {
+					t.Errorf("Latency grant evicted %d leases, want exactly %d", preempts()-stdPreempts, rig.latPreempts)
 				}
 				if queued() != q1 {
 					t.Errorf("Latency grant queued (%d -> %d); the top class must never wait", q1, queued())
