@@ -145,6 +145,52 @@ func TestAPIFreeze(t *testing.T) {
 	}
 }
 
+// TestCitedTestsExist keeps test citations honest: every Test…/Benchmark…
+// name that CI runs or the docs cite must be defined in some _test.go.
+// `go test -run` with a name that matches nothing prints "[no tests to
+// run]" and passes, so a renamed test would silently drop out of CI's
+// race steps. ROADMAP.md is skipped: it names planned benchmarks.
+func TestCitedTestsExist(t *testing.T) {
+	defined := map[string]bool{}
+	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcRe.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	citeRe := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*`)
+	for _, doc := range []string{filepath.Join(".github", "workflows", "ci.yml"), "README.md", "ARCHITECTURE.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range citeRe.FindAllString(line, -1) {
+				if !defined[name] {
+					t.Errorf("%s:%d: cites %s, which no _test.go defines", doc, i+1, name)
+				}
+			}
+		}
+	}
+}
+
 // findMarkdown walks the tree for *.md files, skipping VCS internals.
 func findMarkdown(t *testing.T, root string) []string {
 	t.Helper()

@@ -19,21 +19,13 @@ import (
 // the cell's (chaos draws from a fixed internal seed), so shard
 // histograms merge exactly and any -parallel renders identical bytes.
 
-// churnCell is one cell of the sweep.
-type churnCell struct {
-	ID     string
-	Cfg    serving.ChurnConfig
-	Shards int
-}
-
 const (
-	churnShardSeed     = 9100
 	churnRequests      = 1500
 	churnSmokeRequests = 800
 )
 
-func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, requests, shards int) churnCell {
-	return churnCell{
+func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, requests, shards int) cell[serving.ChurnConfig] {
+	return cell[serving.ChurnConfig]{
 		ID: fmt.Sprintf("churn/%s/n%d/%s", label, nodes, fault),
 		Cfg: serving.ChurnConfig{Nodes: nodes, Util: 0.7, Requests: requests,
 			Policy: policy, Fault: fault},
@@ -44,8 +36,8 @@ func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, reque
 // churnCellsFull is the registered sweep: mesh size × fault rate under
 // the prototype's distance policy, plus the policy axis at the hardest
 // point.
-func churnCellsFull() []churnCell {
-	var cells []churnCell
+func churnCellsFull() []cell[serving.ChurnConfig] {
+	var cells []cell[serving.ChurnConfig]
 	for _, nodes := range []int{4, 8} {
 		for _, fault := range []serving.FaultRate{serving.FaultNone, serving.FaultSlow, serving.FaultFast} {
 			cells = append(cells, churnCellOf("distance", "distance", nodes, fault, churnRequests, 2))
@@ -64,8 +56,8 @@ func churnCellsFull() []churnCell {
 
 // churnCellsShort is the reduced matrix the tests use: the control, the
 // cliff, and the scale-out comparison, with one multi-shard cell.
-func churnCellsShort() []churnCell {
-	return []churnCell{
+func churnCellsShort() []cell[serving.ChurnConfig] {
+	return []cell[serving.ChurnConfig]{
 		churnCellOf("distance", "distance", 4, serving.FaultNone, churnRequests, 1),
 		churnCellOf("distance", "distance", 4, serving.FaultFast, churnRequests, 2),
 		churnCellOf("distance", "distance", 8, serving.FaultFast, churnRequests, 1),
@@ -75,63 +67,44 @@ func churnCellsShort() []churnCell {
 // churnSmokeCells is the pinned single-cell subset the bench-regression
 // CI gate regenerates on every push — deliberately a faulted cell, so
 // the gate exercises detection, failover, and replay, not just serving.
-func churnSmokeCells() []churnCell {
+func churnSmokeCells() []cell[serving.ChurnConfig] {
 	c := churnCellOf("distance", "distance", 4, serving.FaultFast, churnSmokeRequests, 1)
 	c.ID = "churn-smoke/n4/fast"
-	return []churnCell{c}
+	return []cell[serving.ChurnConfig]{c}
 }
 
-// churnTrial adapts one shard of one cell into a harness trial body.
-func churnTrial(cfg serving.ChurnConfig) func(uint64) (harness.Values, error) {
-	return func(seed uint64) (harness.Values, error) {
-		c := cfg
-		c.Seed = seed
-		r, err := serving.RunChurn(c)
-		if err != nil {
-			return nil, err
-		}
-		v := harness.Values{
-			"offered_rps":     r.OfferedRPS,
-			"achieved_rps":    r.AchievedRPS,
-			"goodput_rps":     r.GoodputRPS,
-			"svc_ns":          r.ServiceNS,
-			"failed":          float64(r.Failed),
-			"requests":        float64(cfg.Requests),
-			"unavail_ns":      float64(r.UnavailNS),
-			"crashes":         float64(r.Crashes),
-			"recoveries":      float64(r.Recoveries),
-			"recover_mean_ns": r.RecoverMeanNS,
-			"dead_accesses":   float64(r.DeadAccesses),
-			"lat_sum":         float64(r.Lat.Sum()),
-			"lat_min":         float64(r.Lat.Min()),
-			"lat_max":         float64(r.Lat.Max()),
-		}
-		for _, b := range r.Lat.Buckets() {
-			v[fmt.Sprintf("lat_b%03d", b.Index)] = float64(b.Count)
-		}
-		return v, nil
-	}
+// churnSweep renders the availability-under-churn table.
+var churnSweep = sweep[serving.ChurnConfig, ChurnCellResult]{
+	title: "Serving churn — availability under donor crash/restart (open-loop, SLO deadline 50x service)",
+	columns: []string{"cell", "offered rps", "goodput rps", "failed", "unavail",
+		"crashes", "recov", "recov mean", "p50", "p99", "p999"},
+	seed: 9100,
+	run:  churnTrial,
+	fold: foldChurn,
 }
 
-// churnSpec decomposes a cell list into shard trials.
-func churnSpec(title string, cells []churnCell) harness.Spec {
-	var trials []harness.Trial
-	for _, cell := range cells {
-		for s := 0; s < cell.Shards; s++ {
-			trials = append(trials, harness.Trial{
-				ID:   fmt.Sprintf("%s/s%d", cell.ID, s),
-				Seed: churnShardSeed + uint64(s),
-				Run:  churnTrial(cell.Cfg),
-			})
-		}
+// churnTrial runs one shard.
+func churnTrial(cfg serving.ChurnConfig, seed uint64) (harness.Values, error) {
+	cfg.Seed = seed
+	r, err := serving.RunChurn(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return harness.Spec{
-		Title:  title,
-		Trials: trials,
-		Assemble: func(r *harness.Result) (harness.Artifact, error) {
-			return assembleChurn(r, cells)
-		},
+	v := harness.Values{
+		"offered_rps":     r.OfferedRPS,
+		"achieved_rps":    r.AchievedRPS,
+		"goodput_rps":     r.GoodputRPS,
+		"svc_ns":          r.ServiceNS,
+		"failed":          float64(r.Failed),
+		"requests":        float64(cfg.Requests),
+		"unavail_ns":      float64(r.UnavailNS),
+		"crashes":         float64(r.Crashes),
+		"recoveries":      float64(r.Recoveries),
+		"recover_mean_ns": r.RecoverMeanNS,
+		"dead_accesses":   float64(r.DeadAccesses),
 	}
+	putHist(v, "", r.Lat)
+	return v, nil
 }
 
 // ChurnCellResult is one assembled sweep cell.
@@ -142,7 +115,7 @@ type ChurnCellResult struct {
 	GoodputRPS    float64
 	FailedFrac    float64
 	UnavailMS     float64 // mean per-shard unavailability, ms
-	Crashes       int64   // per shard (identical across shards by design)
+	Crashes       int64   // fullest shard view
 	Recoveries    int64   // summed over shards
 	RecoverMeanNS float64
 	P50           sim.Dur
@@ -152,107 +125,46 @@ type ChurnCellResult struct {
 }
 
 // ChurnResult is the assembled sweep.
-type ChurnResult struct {
-	Cells []ChurnCellResult
-	Table Table
-}
+type ChurnResult = SweepResult[ChurnCellResult]
 
-// Cell returns a cell by id, or nil.
-func (r *ChurnResult) Cell(id string) *ChurnCellResult {
-	for i := range r.Cells {
-		if r.Cells[i].ID == id {
-			return &r.Cells[i]
-		}
+func foldChurn(c cell[serving.ChurnConfig], shards []harness.Values, t *Table) (ChurnCellResult, error) {
+	merged, err := mergeHist(shards, "")
+	if err != nil {
+		return ChurnCellResult{}, err
 	}
-	return nil
-}
-
-// String renders the sweep table.
-func (r *ChurnResult) String() string { return r.Table.String() }
-
-// assembleChurn merges each cell's shard histograms exactly and folds
-// the scalar metrics.
-func assembleChurn(r *harness.Result, cells []churnCell) (harness.Artifact, error) {
-	res := &ChurnResult{
-		Table: Table{
-			Title: "Serving churn — availability under donor crash/restart (open-loop, SLO deadline 50x service)",
-			Columns: []string{"cell", "offered rps", "goodput rps", "failed", "unavail",
-				"crashes", "recov", "recov mean", "p50", "p99", "p999"},
-		},
+	n := float64(c.Shards)
+	r := ChurnCellResult{
+		ID:         c.ID,
+		Fault:      c.Cfg.Fault,
+		OfferedRPS: get(shards[0], "offered_rps"),
+		GoodputRPS: sum(shards, "goodput_rps") / n,
+		FailedFrac: sum(shards, "failed") / sum(shards, "requests"),
+		UnavailMS:  sum(shards, "unavail_ns") / n / 1e6,
+		Crashes:    maxOf(shards, "crashes"),
+		Recoveries: int64(sum(shards, "recoveries")),
+		P50:        sim.Dur(merged.Quantile(50)),
+		P99:        sim.Dur(merged.Quantile(99)),
+		P999:       sim.Dur(merged.Quantile(99.9)),
+		Hist:       merged,
 	}
-	for _, cell := range cells {
-		merged := &sim.LatencyHist{}
-		var goodput, failed, requests, unavail, recovWeighted float64
-		var crashes, recoveries int64
-		for s := 0; s < cell.Shards; s++ {
-			trial := fmt.Sprintf("%s/s%d", cell.ID, s)
-			h, err := servingHist(r, trial)
-			if err != nil {
-				return nil, err
-			}
-			merged.Merge(h)
-			goodput += r.Val(trial, "goodput_rps")
-			failed += r.Val(trial, "failed")
-			requests += r.Val(trial, "requests")
-			unavail += r.Val(trial, "unavail_ns")
-			// Shards share the installed fault schedule, but each engine
-			// stops at its own completion instant, so a faster shard can
-			// apply fewer trailing crashes; report the fullest view.
-			if v := int64(r.Val(trial, "crashes")); v > crashes {
-				crashes = v
-			}
-			recoveries += int64(r.Val(trial, "recoveries"))
-			recovWeighted += r.Val(trial, "recover_mean_ns") * r.Val(trial, "recoveries")
+	if r.Recoveries > 0 {
+		var weighted float64
+		for _, v := range shards {
+			weighted += get(v, "recover_mean_ns") * get(v, "recoveries")
 		}
-		n := float64(cell.Shards)
-		c := ChurnCellResult{
-			ID:         cell.ID,
-			Fault:      cell.Cfg.Fault,
-			OfferedRPS: r.Val(fmt.Sprintf("%s/s0", cell.ID), "offered_rps"),
-			GoodputRPS: goodput / n,
-			FailedFrac: failed / requests,
-			UnavailMS:  unavail / n / 1e6,
-			Crashes:    crashes,
-			Recoveries: recoveries,
-			P50:        sim.Dur(merged.Quantile(50)),
-			P99:        sim.Dur(merged.Quantile(99)),
-			P999:       sim.Dur(merged.Quantile(99.9)),
-			Hist:       merged,
-		}
-		if recoveries > 0 {
-			c.RecoverMeanNS = recovWeighted / float64(recoveries)
-		}
-		res.Cells = append(res.Cells, c)
-		res.Table.AddRow(c.ID,
-			fmt.Sprintf("%.0f", c.OfferedRPS),
-			fmt.Sprintf("%.0f", c.GoodputRPS),
-			fmt.Sprintf("%.1f%%", 100*c.FailedFrac),
-			fmt.Sprintf("%.2fms", c.UnavailMS),
-			fmt.Sprintf("%d", c.Crashes),
-			fmt.Sprintf("%d", c.Recoveries),
-			fmt.Sprintf("%.2fms", c.RecoverMeanNS/1e6),
-			c.P50.String(), c.P99.String(), c.P999.String())
+		r.RecoverMeanNS = weighted / float64(r.Recoveries)
 	}
-	return res, nil
+	t.AddRow(r.ID,
+		fmt.Sprintf("%.0f", r.OfferedRPS),
+		fmt.Sprintf("%.0f", r.GoodputRPS),
+		fmt.Sprintf("%.1f%%", 100*r.FailedFrac),
+		fmt.Sprintf("%.2fms", r.UnavailMS),
+		fmt.Sprintf("%d", r.Crashes),
+		fmt.Sprintf("%d", r.Recoveries),
+		fmt.Sprintf("%.2fms", r.RecoverMeanNS/1e6),
+		r.P50.String(), r.P99.String(), r.P999.String())
+	return r, nil
 }
-
-// churnSweepSpec builds the registered full sweep.
-func churnSweepSpec() harness.Spec {
-	return churnSpec("Serving churn — mesh size × fault rate × sharing policy", churnCellsFull())
-}
-
-// churnSmokeSpec builds the registered CI-gate subset.
-func churnSmokeSpec() harness.Spec {
-	return churnSpec("Serving churn — smoke cell (bench-regression CI gate)", churnSmokeCells())
-}
-
-// ServingChurn runs the full availability-under-churn sweep.
-func ServingChurn() *ChurnResult { return runSpec("serving-churn", churnSweepSpec()).(*ChurnResult) }
 
 // ChurnSmoke runs the single-cell CI subset.
-func ChurnSmoke() *ChurnResult { return runSpec("churn-smoke", churnSmokeSpec()).(*ChurnResult) }
-
-// churnOf runs an ad-hoc cell list (the tests' reduced matrices).
-func churnOf(cells []churnCell) *ChurnResult {
-	return runSpec("churn-subset", churnSpec("Serving churn — subset", cells)).(*ChurnResult)
-}
+func ChurnSmoke() *ChurnResult { return runRegistered("churn-smoke").(*ChurnResult) }

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/harness"
+	"repro/internal/serving"
 )
 
 // churnTestCells picks the matrix by -short, like the other experiment
 // tests.
-func churnTestCells(t *testing.T) []churnCell {
+func churnTestCells(t *testing.T) []cell[serving.ChurnConfig] {
 	if testing.Short() {
 		return churnCellsShort()
 	}
@@ -21,7 +20,7 @@ func churnTestCells(t *testing.T) []churnCell {
 // 8-node mesh absorbs churn the 4-node mesh cannot, and recovery is
 // hot-plug dominated.
 func TestChurnFindings(t *testing.T) {
-	r := churnOf(churnTestCells(t))
+	r := runCells(t, churnSweep, churnTestCells(t))
 	for _, c := range r.Cells {
 		if c.Hist.N() == 0 {
 			t.Fatalf("cell %s recorded no latencies", c.ID)
@@ -64,27 +63,4 @@ func TestChurnFindings(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", r.Table.String())
-}
-
-// TestChurnParallelismByteIdentical is the harness contract applied to
-// the churn sweep: seeded chaos schedules and arrival streams survive
-// the worker pool, so any -parallel value renders the same bytes. The
-// CI race job runs this test under the detector.
-func TestChurnParallelismByteIdentical(t *testing.T) {
-	cells := append(churnSmokeCells(), churnCellsShort()[1])
-	spec := churnSpec("Serving churn — byte-identity subset", cells)
-	sequential, _, err := harness.Run("churn-ident", spec, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, _, err := harness.Run("churn-ident", spec, harness.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sequential.String() != parallel.String() {
-		t.Fatalf("churn renders differently under -parallel 4:\n%s\nvs\n%s", sequential, parallel)
-	}
-	if !strings.Contains(sequential.String(), "recov mean") {
-		t.Fatalf("churn table lost its recovery columns:\n%s", sequential)
-	}
 }

@@ -127,3 +127,12 @@ func runSpec(id string, spec harness.Spec) harness.Artifact {
 	}
 	return art
 }
+
+// runRegistered is runSpec on the spec registered under id.
+func runRegistered(id string) harness.Artifact {
+	art, _, err := harness.RunID(id, harness.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return art
+}

@@ -20,24 +20,16 @@ import (
 // cell's, so shard histograms merge exactly and any -parallel renders
 // identical bytes.
 
-// inferCell is one cell of the sweep.
-type inferCell struct {
-	ID     string
-	Cfg    serving.Config
-	Shards int
-}
-
 const (
-	inferShardSeed     = 9200
 	inferRequests      = 600
 	inferHierRequests  = 400
 	inferSmokeRequests = 300
 )
 
 // inferFlatCell builds a flat-mesh cell.
-func inferFlatCell(nodes int, util float64, fault serving.FaultRate, requests, shards int) inferCell {
+func inferFlatCell(nodes int, util float64, fault serving.FaultRate, requests, shards int) cell[serving.Config] {
 	id := fmt.Sprintf("infer/flat/n%d/%s/u%02.0f", nodes, fault, util*100)
-	return inferCell{
+	return cell[serving.Config]{
 		ID: id,
 		Cfg: serving.Config{Workload: serving.Inference, Nodes: nodes, Util: util,
 			Requests: requests, Fault: fault},
@@ -46,8 +38,8 @@ func inferFlatCell(nodes int, util float64, fault serving.FaultRate, requests, s
 }
 
 // inferHierCell builds a rack/spine cell.
-func inferHierCell(racks int, crossFrac float64, requests, shards int) inferCell {
-	return inferCell{
+func inferHierCell(racks int, crossFrac float64, requests, shards int) cell[serving.Config] {
+	return cell[serving.Config]{
 		ID: fmt.Sprintf("infer/hier/r%d/cf%02.0f", racks, crossFrac*100),
 		Cfg: serving.Config{Workload: serving.Inference, Util: 0.7, Requests: requests,
 			Racks: racks, RackNodes: 8, CrossFrac: crossFrac},
@@ -58,8 +50,8 @@ func inferHierCell(racks int, crossFrac float64, requests, shards int) inferCell
 // inferCellsFull is the registered sweep: the load axis on the healthy
 // flat mesh, the fault axis at the operating point, and rack count ×
 // cross-rack fraction on the hierarchy.
-func inferCellsFull() []inferCell {
-	var cells []inferCell
+func inferCellsFull() []cell[serving.Config] {
+	var cells []cell[serving.Config]
 	for _, util := range []float64{0.5, 0.7, 0.9} {
 		cells = append(cells, inferFlatCell(8, util, serving.FaultNone, inferRequests, 1))
 	}
@@ -78,59 +70,40 @@ func inferCellsFull() []inferCell {
 // inferSmokeCells is the pinned single-cell subset the bench-regression
 // CI gate regenerates on every push — a faulted cell, so the gate
 // exercises device-lease failover and chunk replay, not just serving.
-func inferSmokeCells() []inferCell {
+func inferSmokeCells() []cell[serving.Config] {
 	c := inferFlatCell(8, 0.7, serving.FaultFast, inferSmokeRequests, 1)
 	c.ID = "inference-smoke/n8/fast"
-	return []inferCell{c}
+	return []cell[serving.Config]{c}
 }
 
-// inferTrial adapts one shard of one cell into a harness trial body.
-func inferTrial(cfg serving.Config) func(uint64) (harness.Values, error) {
-	return func(seed uint64) (harness.Values, error) {
-		c := cfg
-		c.Seed = seed
-		r, err := serving.Run(c)
-		if err != nil {
-			return nil, err
-		}
-		v := harness.Values{
-			"offered_rps":   r.OfferedRPS,
-			"achieved_rps":  r.AchievedRPS,
-			"svc_ns":        r.ServiceNS,
-			"requests":      float64(cfg.Requests),
-			"max_queue":     float64(r.MaxQueue),
-			"crashes":       float64(r.Crashes),
-			"dev_failovers": float64(r.DevFailovers),
-			"lat_sum":       float64(r.Lat.Sum()),
-			"lat_min":       float64(r.Lat.Min()),
-			"lat_max":       float64(r.Lat.Max()),
-		}
-		for _, b := range r.Lat.Buckets() {
-			v[fmt.Sprintf("lat_b%03d", b.Index)] = float64(b.Count)
-		}
-		return v, nil
-	}
+// inferSweep renders the device-plane serving table.
+var inferSweep = sweep[serving.Config, InferenceCellResult]{
+	title: "Serving inference — leased accelerators + bonded NIC egress (open-loop)",
+	columns: []string{"cell", "offered rps", "achieved rps", "svc",
+		"crashes", "failovers", "p50", "p99", "p999"},
+	seed: 9200,
+	run:  inferTrial,
+	fold: foldInference,
 }
 
-// inferSpec decomposes a cell list into shard trials.
-func inferSpec(title string, cells []inferCell) harness.Spec {
-	var trials []harness.Trial
-	for _, cell := range cells {
-		for s := 0; s < cell.Shards; s++ {
-			trials = append(trials, harness.Trial{
-				ID:   fmt.Sprintf("%s/s%d", cell.ID, s),
-				Seed: inferShardSeed + uint64(s),
-				Run:  inferTrial(cell.Cfg),
-			})
-		}
+// inferTrial runs one shard.
+func inferTrial(cfg serving.Config, seed uint64) (harness.Values, error) {
+	cfg.Seed = seed
+	r, err := serving.Run(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return harness.Spec{
-		Title:  title,
-		Trials: trials,
-		Assemble: func(r *harness.Result) (harness.Artifact, error) {
-			return assembleInference(r, cells)
-		},
+	v := harness.Values{
+		"offered_rps":   r.OfferedRPS,
+		"achieved_rps":  r.AchievedRPS,
+		"svc_ns":        r.ServiceNS,
+		"requests":      float64(cfg.Requests),
+		"max_queue":     float64(r.MaxQueue),
+		"crashes":       float64(r.Crashes),
+		"dev_failovers": float64(r.DevFailovers),
 	}
+	putHist(v, "", r.Lat)
+	return v, nil
 }
 
 // InferenceCellResult is one assembled sweep cell.
@@ -139,7 +112,7 @@ type InferenceCellResult struct {
 	OfferedRPS   float64
 	AchievedRPS  float64
 	ServiceNS    float64
-	Crashes      int64 // fullest shard view (shards share the fault history)
+	Crashes      int64 // fullest shard view
 	DevFailovers int64 // fullest shard view
 	P50          sim.Dur
 	P99          sim.Dur
@@ -148,96 +121,31 @@ type InferenceCellResult struct {
 }
 
 // InferenceResult is the assembled sweep.
-type InferenceResult struct {
-	Cells []InferenceCellResult
-	Table Table
-}
+type InferenceResult = SweepResult[InferenceCellResult]
 
-// Cell returns a cell by id, or nil.
-func (r *InferenceResult) Cell(id string) *InferenceCellResult {
-	for i := range r.Cells {
-		if r.Cells[i].ID == id {
-			return &r.Cells[i]
-		}
+func foldInference(c cell[serving.Config], shards []harness.Values, t *Table) (InferenceCellResult, error) {
+	merged, err := mergeHist(shards, "")
+	if err != nil {
+		return InferenceCellResult{}, err
 	}
-	return nil
-}
-
-// String renders the sweep table.
-func (r *InferenceResult) String() string { return r.Table.String() }
-
-// assembleInference merges each cell's shard histograms exactly and
-// folds the scalar metrics.
-func assembleInference(r *harness.Result, cells []inferCell) (harness.Artifact, error) {
-	res := &InferenceResult{
-		Table: Table{
-			Title: "Serving inference — leased accelerators + bonded NIC egress (open-loop)",
-			Columns: []string{"cell", "offered rps", "achieved rps", "svc",
-				"crashes", "failovers", "p50", "p99", "p999"},
-		},
+	r := InferenceCellResult{
+		ID:           c.ID,
+		OfferedRPS:   get(shards[0], "offered_rps"),
+		AchievedRPS:  sum(shards, "achieved_rps") / float64(c.Shards),
+		ServiceNS:    get(shards[0], "svc_ns"),
+		Crashes:      maxOf(shards, "crashes"),
+		DevFailovers: maxOf(shards, "dev_failovers"),
+		P50:          sim.Dur(merged.Quantile(50)),
+		P99:          sim.Dur(merged.Quantile(99)),
+		P999:         sim.Dur(merged.Quantile(99.9)),
+		Hist:         merged,
 	}
-	for _, cell := range cells {
-		merged := &sim.LatencyHist{}
-		var achieved float64
-		var crashes, failovers int64
-		for s := 0; s < cell.Shards; s++ {
-			trial := fmt.Sprintf("%s/s%d", cell.ID, s)
-			h, err := servingHist(r, trial)
-			if err != nil {
-				return nil, err
-			}
-			merged.Merge(h)
-			achieved += r.Val(trial, "achieved_rps")
-			// Shards share the installed fault schedule, but each engine
-			// stops at its own completion instant; report the fullest view.
-			if v := int64(r.Val(trial, "crashes")); v > crashes {
-				crashes = v
-			}
-			if v := int64(r.Val(trial, "dev_failovers")); v > failovers {
-				failovers = v
-			}
-		}
-		s0 := fmt.Sprintf("%s/s0", cell.ID)
-		c := InferenceCellResult{
-			ID:           cell.ID,
-			OfferedRPS:   r.Val(s0, "offered_rps"),
-			AchievedRPS:  achieved / float64(cell.Shards),
-			ServiceNS:    r.Val(s0, "svc_ns"),
-			Crashes:      crashes,
-			DevFailovers: failovers,
-			P50:          sim.Dur(merged.Quantile(50)),
-			P99:          sim.Dur(merged.Quantile(99)),
-			P999:         sim.Dur(merged.Quantile(99.9)),
-			Hist:         merged,
-		}
-		res.Cells = append(res.Cells, c)
-		res.Table.AddRow(c.ID,
-			fmt.Sprintf("%.0f", c.OfferedRPS),
-			fmt.Sprintf("%.0f", c.AchievedRPS),
-			fmt.Sprintf("%.2fms", c.ServiceNS/1e6),
-			fmt.Sprintf("%d", c.Crashes),
-			fmt.Sprintf("%d", c.DevFailovers),
-			c.P50.String(), c.P99.String(), c.P999.String())
-	}
-	return res, nil
-}
-
-// inferSweepSpec builds the registered full sweep.
-func inferSweepSpec() harness.Spec {
-	return inferSpec("Serving inference — load × fault rate × rack count × cross-rack fraction", inferCellsFull())
-}
-
-// inferSmokeSpec builds the registered CI-gate subset.
-func inferSmokeSpec() harness.Spec {
-	return inferSpec("Serving inference — smoke cell (bench-regression CI gate)", inferSmokeCells())
-}
-
-// ServingInference runs the full device-plane serving sweep.
-func ServingInference() *InferenceResult {
-	return runSpec("serving-inference", inferSweepSpec()).(*InferenceResult)
-}
-
-// InferenceSmoke runs the single-cell CI subset.
-func InferenceSmoke() *InferenceResult {
-	return runSpec("inference-smoke", inferSmokeSpec()).(*InferenceResult)
+	t.AddRow(r.ID,
+		fmt.Sprintf("%.0f", r.OfferedRPS),
+		fmt.Sprintf("%.0f", r.AchievedRPS),
+		fmt.Sprintf("%.2fms", r.ServiceNS/1e6),
+		fmt.Sprintf("%d", r.Crashes),
+		fmt.Sprintf("%d", r.DevFailovers),
+		r.P50.String(), r.P99.String(), r.P999.String())
+	return r, nil
 }

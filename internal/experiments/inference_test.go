@@ -1,23 +1,10 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/harness"
 	"repro/internal/serving"
 )
-
-// inferOf assembles a custom cell list through the harness, like the
-// registered specs do.
-func inferOf(t *testing.T, cells []inferCell) *InferenceResult {
-	t.Helper()
-	res, _, err := harness.Run("infer-test", inferSpec("inference test subset", cells), harness.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.(*InferenceResult)
-}
 
 // TestInferenceFindings asserts the sweep's qualitative findings on a
 // small subset: the control cell is clean, the faulted cell shows both
@@ -25,13 +12,13 @@ func inferOf(t *testing.T, cells []inferCell) *InferenceResult {
 // cross-rack accelerator leases cost service time on the oversubscribed
 // spine.
 func TestInferenceFindings(t *testing.T) {
-	cells := []inferCell{
+	cells := []cell[serving.Config]{
 		inferFlatCell(8, 0.7, serving.FaultNone, 200, 1),
 		inferFlatCell(8, 0.7, serving.FaultFast, 200, 2),
 		inferHierCell(2, 0, 120, 1),
 		inferHierCell(2, 1, 120, 1),
 	}
-	r := inferOf(t, cells)
+	r := runCells(t, inferSweep, cells)
 	for _, c := range r.Cells {
 		if c.Hist.N() == 0 {
 			t.Fatalf("cell %s recorded no latencies", c.ID)
@@ -63,27 +50,4 @@ func TestInferenceFindings(t *testing.T) {
 			cross.ServiceNS, local.ServiceNS)
 	}
 	t.Logf("\n%s", r.Table.String())
-}
-
-// TestInferenceParallelismByteIdentical is the harness contract applied
-// to the device-plane sweep: the chaos schedule, every device placement,
-// and the arrival streams are seeded, so any -parallel value renders the
-// same bytes. The CI race job runs this test under the detector.
-func TestInferenceParallelismByteIdentical(t *testing.T) {
-	cells := append(inferSmokeCells(), inferHierCell(2, 0.5, 120, 1))
-	spec := inferSpec("Serving inference — byte-identity subset", cells)
-	sequential, _, err := harness.Run("infer-ident", spec, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, _, err := harness.Run("infer-ident", spec, harness.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sequential.String() != parallel.String() {
-		t.Fatalf("inference renders differently under -parallel 4:\n%s\nvs\n%s", sequential, parallel)
-	}
-	if !strings.Contains(sequential.String(), "failovers") {
-		t.Fatalf("inference table lost its failover column:\n%s", sequential)
-	}
 }

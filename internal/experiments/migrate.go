@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/harness"
 	"repro/internal/serving"
 )
@@ -29,21 +27,21 @@ import (
 
 // migrateServingCells pairs the frozen-placement baseline with the
 // telemetry+migration treatment on the same pressured tier cell.
-func migrateServingCells() []servingCell {
+func migrateServingCells() []cell[serving.Config] {
 	base := tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{})
 	hot := tierCell("telemetry", "traffic-aware", 8, 3, 0.9, serving.ArrivalSpec{})
 	hot.Cfg.Telemetry = true
 	hot.Cfg.Migrate = true
-	return []servingCell{base, hot}
+	return []cell[serving.Config]{base, hot}
 }
 
 // migrateChurnCells pairs cold failover with the spare-pool treatment
 // on the churn smoke cell's conditions.
-func migrateChurnCells() []churnCell {
+func migrateChurnCells() []cell[serving.ChurnConfig] {
 	cold := churnCellOf("cold", "distance", 4, serving.FaultFast, churnSmokeRequests, 1)
 	warm := churnCellOf("spares", "distance", 4, serving.FaultFast, churnSmokeRequests, 1)
 	warm.Cfg.SparePool = true
-	return []churnCell{cold, warm}
+	return []cell[serving.ChurnConfig]{cold, warm}
 }
 
 // MigrateResult is the assembled pairing: the serving comparison and
@@ -64,43 +62,22 @@ func (r *MigrateResult) String() string {
 func migrateSmokeSpec() harness.Spec {
 	sCells := migrateServingCells()
 	cCells := migrateChurnCells()
-	var trials []harness.Trial
-	for _, cell := range sCells {
-		for s := 0; s < cell.Shards; s++ {
-			trials = append(trials, harness.Trial{
-				ID:   fmt.Sprintf("%s/s%d", cell.ID, s),
-				Seed: servingShardSeed + uint64(s),
-				Run:  servingTrial(cell.Cfg),
-			})
-		}
-	}
-	for _, cell := range cCells {
-		for s := 0; s < cell.Shards; s++ {
-			trials = append(trials, harness.Trial{
-				ID:   fmt.Sprintf("%s/s%d", cell.ID, s),
-				Seed: churnShardSeed + uint64(s),
-				Run:  churnTrial(cell.Cfg),
-			})
-		}
-	}
 	return harness.Spec{
 		Title:  "Migration & spares — telemetry-driven mechanisms vs their frozen baselines",
-		Trials: trials,
+		Trials: append(servingSweep.trials(sCells), churnSweep.trials(cCells)...),
 		Assemble: func(r *harness.Result) (harness.Artifact, error) {
-			sv, err := assembleServing(r, sCells)
+			sv, err := servingSweep.assemble(r, sCells)
 			if err != nil {
 				return nil, err
 			}
-			ch, err := assembleChurn(r, cCells)
+			ch, err := churnSweep.assemble(r, cCells)
 			if err != nil {
 				return nil, err
 			}
-			return &MigrateResult{Serving: sv.(*ServingResult), Churn: ch.(*ChurnResult)}, nil
+			return &MigrateResult{Serving: sv, Churn: ch}, nil
 		},
 	}
 }
 
 // MigrateSmoke runs the paired acceptance cells.
-func MigrateSmoke() *MigrateResult {
-	return runSpec("migrate-smoke", migrateSmokeSpec()).(*MigrateResult)
-}
+func MigrateSmoke() *MigrateResult { return runRegistered("migrate-smoke").(*MigrateResult) }

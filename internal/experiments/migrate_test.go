@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/harness"
-)
+import "testing"
 
 // TestMigrateFindings asserts the experiment's two acceptance claims at
 // the qualitative level: telemetry + migration beats frozen distance
@@ -35,28 +30,4 @@ func TestMigrateFindings(t *testing.T) {
 		t.Fatalf("spare pools did not recover goodput: %v vs %v", warm.GoodputRPS, cold.GoodputRPS)
 	}
 	t.Logf("\n%s", r.String())
-}
-
-// TestMigrateParallelismByteIdentical is the harness contract applied to
-// the migrate-smoke pairing: the telemetry plane, the migration loop,
-// and the spare pools all run inside the per-trial engines, so any
-// -parallel value renders the same bytes. The CI race job runs this test
-// under the detector.
-func TestMigrateParallelismByteIdentical(t *testing.T) {
-	spec := migrateSmokeSpec()
-	sequential, _, err := harness.Run("migrate-ident", spec, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, _, err := harness.Run("migrate-ident", spec, harness.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sequential.String() != parallel.String() {
-		t.Fatalf("migrate-smoke renders differently under -parallel 4:\n%s\nvs\n%s",
-			sequential, parallel)
-	}
-	if !strings.Contains(sequential.String(), "recov mean") || !strings.Contains(sequential.String(), "p999") {
-		t.Fatalf("migrate tables lost their columns:\n%s", sequential)
-	}
 }

@@ -18,18 +18,18 @@ func init() {
 	harness.Register("fig18", fig18Spec())
 	harness.Register("cost", costSpec())
 	harness.Register("validation", validationSpec())
-	harness.Register("serving", servingSweepSpec())
-	harness.Register("serving-smoke", servingSmokeSpec())
-	harness.Register("serving-scale", servingScaleSpec())
-	harness.Register("scale-smoke", scaleSmokeSpec())
-	harness.Register("serving-churn", churnSweepSpec())
-	harness.Register("churn-smoke", churnSmokeSpec())
-	harness.Register("serving-inference", inferSweepSpec())
-	harness.Register("inference-smoke", inferSmokeSpec())
+	harness.Register("serving", servingSweep.spec("Serving — open-loop load × node count × sharing policy sweep", servingCellsFull()))
+	harness.Register("serving-smoke", servingSweep.spec("Serving — smoke cell (bench-regression CI gate)", servingSmokeCells()))
+	harness.Register("serving-scale", servingSweep.spec("Serving at rack scale — node count × rack size × cross-rack fraction", servingScaleCells()))
+	harness.Register("scale-smoke", servingSweep.spec("Serving at rack scale — smoke cell (bench-regression CI gate)", scaleSmokeCells()))
+	harness.Register("serving-churn", churnSweep.spec("Serving churn — mesh size × fault rate × sharing policy", churnCellsFull()))
+	harness.Register("churn-smoke", churnSweep.spec("Serving churn — smoke cell (bench-regression CI gate)", churnSmokeCells()))
+	harness.Register("serving-inference", inferSweep.spec("Serving inference — load × fault rate × rack count × cross-rack fraction", inferCellsFull()))
+	harness.Register("inference-smoke", inferSweep.spec("Serving inference — smoke cell (bench-regression CI gate)", inferSmokeCells()))
 	harness.Register("migrate-smoke", migrateSmokeSpec())
 	harness.Register("engine-smoke", engineSmokeSpec())
-	harness.Register("serving-tenancy", tenancySweepSpec())
-	harness.Register("tenancy-smoke", tenancySmokeSpec())
+	harness.Register("serving-tenancy", tenancySweep.spec("Serving tenancy — SLO classes × offered load", tenancyCellsFull()))
+	harness.Register("tenancy-smoke", tenancySweep.spec("Serving tenancy — smoke cell (bench-regression CI gate)", tenancySmokeCells()))
 	harness.Register("ablation-mshr", ablationMSHRSpec(ablationMSHRs))
 	harness.Register("ablation-readahead", ablationReadaheadSpec())
 	harness.Register("ablation-window", ablationWindowSpec())

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/monitor"
@@ -15,22 +13,7 @@ import (
 // figures: an open-loop load generator (seeded Poisson/MMPP arrivals)
 // drives the key-value and cache-tier workloads across the mesh and
 // reports the end-to-end latency distribution — p50/p90/p99/p999 —
-// per offered load × node count × sharing policy cell. Each cell runs
-// as independent shard trials (distinct arrival-stream seeds); the
-// assembly rebuilds and merges the shards' latency histograms exactly
-// (sim.LatencyHist's merge is integral), so any harness worker count
-// renders byte-identical tables.
-
-// servingCell is one cell of the sweep.
-type servingCell struct {
-	ID     string
-	Cfg    serving.Config
-	Shards int
-}
-
-// Shard seeds are the one stochastic input that differs between a
-// cell's trials; everything else in a scenario is internally seeded.
-const servingShardSeed = 9000
+// per offered load × node count × sharing policy cell.
 
 // Requests per shard, by workload. Tier cells are dearer per request
 // (cluster + warm phase), so they run a shorter measured window.
@@ -40,16 +23,16 @@ const (
 	servingSmokeRequests = 200
 )
 
-func kvCell(nodes int, util float64) servingCell {
-	return servingCell{
+func kvCell(nodes int, util float64) cell[serving.Config] {
+	return cell[serving.Config]{
 		ID:     fmt.Sprintf("kv/n%d/u%.2f", nodes, util),
 		Cfg:    serving.Config{Workload: serving.KV, Nodes: nodes, Util: util, Requests: servingKVRequests},
 		Shards: 2,
 	}
 }
 
-func tierCell(label, policy string, nodes, tenants int, util float64, arr serving.ArrivalSpec) servingCell {
-	return servingCell{
+func tierCell(label, policy string, nodes, tenants int, util float64, arr serving.ArrivalSpec) cell[serving.Config] {
+	return cell[serving.Config]{
 		ID: fmt.Sprintf("tier/%s/n%d/u%.2f", label, nodes, util),
 		Cfg: serving.Config{Workload: serving.Tier, Nodes: nodes, Util: util,
 			Requests: servingTierRequests, Tenants: tenants, Policy: policy, Arrivals: arr},
@@ -61,8 +44,8 @@ func tierCell(label, policy string, nodes, tenants int, util float64, arr servin
 // for the kv tier, offered load × sharing policy (plus a node-count
 // point, a no-pressure baseline, and an MMPP burst point) for the
 // cache tier.
-func servingCellsFull() []servingCell {
-	var cells []servingCell
+func servingCellsFull() []cell[serving.Config] {
+	var cells []cell[serving.Config]
 	for _, nodes := range []int{2, 4, 8} {
 		for _, util := range []float64{0.6, 0.9} {
 			cells = append(cells, kvCell(nodes, util))
@@ -86,8 +69,8 @@ func servingCellsFull() []servingCell {
 // servingCellsShort is the reduced matrix the tests use: the extremes
 // the qualitative findings need (scale-out, load, pressure), with one
 // multi-shard cell so the exact-merge path stays exercised.
-func servingCellsShort() []servingCell {
-	return []servingCell{
+func servingCellsShort() []cell[serving.Config] {
+	return []cell[serving.Config]{
 		kvCell(2, 0.9),
 		kvCell(8, 0.9),
 		tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{}),
@@ -97,85 +80,38 @@ func servingCellsShort() []servingCell {
 
 // servingSmokeCells is the single cheapest cell — the pinned subset the
 // bench-regression CI gate regenerates on every push.
-func servingSmokeCells() []servingCell {
+func servingSmokeCells() []cell[serving.Config] {
 	c := kvCell(2, 0.6)
 	c.Cfg.Requests = servingSmokeRequests
 	c.Shards = 1
-	return []servingCell{c}
+	return []cell[serving.Config]{c}
 }
 
-// servingTrial adapts one shard of one cell into a harness trial body,
-// exporting the scenario's scalars plus the latency histogram in its
-// serialized (exact-merge) form.
-func servingTrial(cfg serving.Config) func(uint64) (harness.Values, error) {
-	return func(seed uint64) (harness.Values, error) {
-		c := cfg
-		c.Seed = seed
-		r, err := serving.Run(c)
-		if err != nil {
-			return nil, err
-		}
-		v := harness.Values{
-			"offered_rps":  r.OfferedRPS,
-			"achieved_rps": r.AchievedRPS,
-			"svc_ns":       r.ServiceNS,
-			"lat_sum":      float64(r.Lat.Sum()),
-			"lat_min":      float64(r.Lat.Min()),
-			"lat_max":      float64(r.Lat.Max()),
-		}
-		for _, b := range r.Lat.Buckets() {
-			v[fmt.Sprintf("lat_b%03d", b.Index)] = float64(b.Count)
-		}
-		return v, nil
-	}
+// servingSweep renders the latency-vs-throughput table; the flat
+// serving sweep and the rack-scale sweep share it.
+var servingSweep = sweep[serving.Config, ServingCellResult]{
+	title:   "Serving — open-loop latency vs offered load (end-to-end, queueing included)",
+	columns: []string{"cell", "arrivals", "offered rps", "achieved rps", "p50", "p90", "p99", "p999"},
+	seed:    9000,
+	run:     servingTrial,
+	fold:    foldServing,
 }
 
-// servingSpec decomposes a cell list into shard trials.
-func servingSpec(title string, cells []servingCell) harness.Spec {
-	var trials []harness.Trial
-	for _, cell := range cells {
-		for s := 0; s < cell.Shards; s++ {
-			trials = append(trials, harness.Trial{
-				ID:   fmt.Sprintf("%s/s%d", cell.ID, s),
-				Seed: servingShardSeed + uint64(s),
-				Run:  servingTrial(cell.Cfg),
-			})
-		}
+// servingTrial runs one shard, exporting the scenario's scalars plus
+// the latency histogram.
+func servingTrial(cfg serving.Config, seed uint64) (harness.Values, error) {
+	cfg.Seed = seed
+	r, err := serving.Run(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return harness.Spec{
-		Title:  title,
-		Trials: trials,
-		Assemble: func(r *harness.Result) (harness.Artifact, error) {
-			return assembleServing(r, cells)
-		},
+	v := harness.Values{
+		"offered_rps":  r.OfferedRPS,
+		"achieved_rps": r.AchievedRPS,
+		"svc_ns":       r.ServiceNS,
 	}
-}
-
-// servingHist rebuilds one shard trial's latency histogram from its
-// exported values.
-func servingHist(r *harness.Result, trial string) (*sim.LatencyHist, error) {
-	var vals harness.Values
-	for i := range r.Trials {
-		if r.Trials[i].Trial == trial {
-			vals = r.Trials[i].Values
-		}
-	}
-	if vals == nil {
-		return nil, fmt.Errorf("experiments: serving trial %q missing from results", trial)
-	}
-	var buckets []sim.LatencyBucket
-	for k, v := range vals {
-		if !strings.HasPrefix(k, "lat_b") {
-			continue
-		}
-		idx, err := strconv.Atoi(k[len("lat_b"):])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bad bucket key %q: %w", k, err)
-		}
-		buckets = append(buckets, sim.LatencyBucket{Index: idx, Count: int64(v)})
-	}
-	return sim.RestoreLatencyHist(int64(vals["lat_sum"]), int64(vals["lat_min"]),
-		int64(vals["lat_max"]), buckets), nil
+	putHist(v, "", r.Lat)
+	return v, nil
 }
 
 // ServingCellResult is one assembled sweep cell.
@@ -191,94 +127,38 @@ type ServingCellResult struct {
 	Hist        *sim.LatencyHist
 }
 
-// ServingResult is the assembled sweep.
-type ServingResult struct {
-	Cells []ServingCellResult
-	Table Table
-}
+// ServingResult is the assembled serving (or rack-scale) sweep.
+type ServingResult = SweepResult[ServingCellResult]
 
-// Cell returns a cell by id, or nil.
-func (r *ServingResult) Cell(id string) *ServingCellResult {
-	for i := range r.Cells {
-		if r.Cells[i].ID == id {
-			return &r.Cells[i]
-		}
+func foldServing(c cell[serving.Config], shards []harness.Values, t *Table) (ServingCellResult, error) {
+	merged, err := mergeHist(shards, "")
+	if err != nil {
+		return ServingCellResult{}, err
 	}
-	return nil
-}
-
-// String renders the sweep table.
-func (r *ServingResult) String() string { return r.Table.String() }
-
-// assembleServing merges each cell's shard histograms (exactly — the
-// merge is integral, so assembly order and worker count cannot change
-// a digit) and renders the latency-vs-throughput table.
-func assembleServing(r *harness.Result, cells []servingCell) (harness.Artifact, error) {
-	res := &ServingResult{
-		Table: Table{
-			Title:   "Serving — open-loop latency vs offered load (end-to-end, queueing included)",
-			Columns: []string{"cell", "arrivals", "offered rps", "achieved rps", "p50", "p90", "p99", "p999"},
-		},
+	r := ServingCellResult{
+		ID:          c.ID,
+		Arrivals:    c.Cfg.Arrivals.String(),
+		OfferedRPS:  get(shards[0], "offered_rps"),
+		AchievedRPS: sum(shards, "achieved_rps") / float64(c.Shards),
+		P50:         sim.Dur(merged.Quantile(50)),
+		P90:         sim.Dur(merged.Quantile(90)),
+		P99:         sim.Dur(merged.Quantile(99)),
+		P999:        sim.Dur(merged.Quantile(99.9)),
+		Hist:        merged,
 	}
-	for _, cell := range cells {
-		merged := &sim.LatencyHist{}
-		var achieved float64
-		for s := 0; s < cell.Shards; s++ {
-			trial := fmt.Sprintf("%s/s%d", cell.ID, s)
-			h, err := servingHist(r, trial)
-			if err != nil {
-				return nil, err
-			}
-			merged.Merge(h)
-			achieved += r.Val(trial, "achieved_rps")
-		}
-		achieved /= float64(cell.Shards)
-		offered := r.Val(fmt.Sprintf("%s/s0", cell.ID), "offered_rps")
-		c := ServingCellResult{
-			ID:          cell.ID,
-			Arrivals:    cell.Cfg.Arrivals.String(),
-			OfferedRPS:  offered,
-			AchievedRPS: achieved,
-			P50:         sim.Dur(merged.Quantile(50)),
-			P90:         sim.Dur(merged.Quantile(90)),
-			P99:         sim.Dur(merged.Quantile(99)),
-			P999:        sim.Dur(merged.Quantile(99.9)),
-			Hist:        merged,
-		}
-		res.Cells = append(res.Cells, c)
-		res.Table.AddRow(c.ID, c.Arrivals, fmt.Sprintf("%.0f", c.OfferedRPS),
-			fmt.Sprintf("%.0f", c.AchievedRPS),
-			c.P50.String(), c.P90.String(), c.P99.String(), c.P999.String())
-	}
-	return res, nil
+	t.AddRow(r.ID, r.Arrivals, fmt.Sprintf("%.0f", r.OfferedRPS),
+		fmt.Sprintf("%.0f", r.AchievedRPS),
+		r.P50.String(), r.P90.String(), r.P99.String(), r.P999.String())
+	return r, nil
 }
-
-// servingSweepSpec builds the registered full sweep.
-func servingSweepSpec() harness.Spec {
-	return servingSpec("Serving — open-loop load × node count × sharing policy sweep", servingCellsFull())
-}
-
-// servingSmokeSpec builds the registered CI-gate subset.
-func servingSmokeSpec() harness.Spec {
-	return servingSpec("Serving — smoke cell (bench-regression CI gate)", servingSmokeCells())
-}
-
-// Serving runs the full sweep.
-func Serving() *ServingResult { return runSpec("serving", servingSweepSpec()).(*ServingResult) }
 
 // ServingSmoke runs the single-cell CI subset.
-func ServingSmoke() *ServingResult {
-	return runSpec("serving-smoke", servingSmokeSpec()).(*ServingResult)
-}
-
-// servingOf runs an ad-hoc cell list (the tests' reduced matrices).
-func servingOf(cells []servingCell) *ServingResult {
-	return runSpec("serving-subset", servingSpec("Serving — subset", cells)).(*ServingResult)
-}
+func ServingSmoke() *ServingResult { return runRegistered("serving-smoke").(*ServingResult) }
 
 // ServingPressure runs the single pressured cache-tier cell — three
 // co-located tenants leasing and hammering remote memory while the
 // tier serves at 0.9 utilization (the benchmark entry point).
 func ServingPressure() *ServingResult {
-	return servingOf([]servingCell{tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{})})
+	cells := []cell[serving.Config]{tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{})}
+	return runSpec("serving-pressure", servingSweep.spec("Serving — pressured tier cell", cells)).(*ServingResult)
 }

@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/harness"
+	"repro/internal/serving"
 )
 
 // servingTestCells picks the matrix by -short, like the other
 // experiment tests.
-func servingTestCells(t *testing.T) []servingCell {
+func servingTestCells(t *testing.T) []cell[serving.Config] {
 	if testing.Short() {
 		return servingCellsShort()
 	}
@@ -21,7 +20,7 @@ func servingTestCells(t *testing.T) []servingCell {
 // scale-out across the mesh, and the co-located-tenant pressure that
 // fattens the cache tier's tail.
 func TestServingFindings(t *testing.T) {
-	r := servingOf(servingTestCells(t))
+	r := runCells(t, servingSweep, servingTestCells(t))
 	for _, c := range r.Cells {
 		if c.Hist.N() == 0 {
 			t.Fatalf("cell %s recorded no latencies", c.ID)
@@ -64,28 +63,4 @@ func TestServingFindings(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", r.Table.String())
-}
-
-// TestServingParallelismByteIdentical is the harness contract applied
-// to the serving sweep: seeded open-loop arrivals survive the worker
-// pool, so any -parallel value renders the same bytes. The CI race job
-// runs this test under the detector.
-func TestServingParallelismByteIdentical(t *testing.T) {
-	cells := append(servingSmokeCells(), servingCellsShort()[:1]...)
-	spec := servingSpec("Serving — byte-identity subset", cells)
-	sequential, _, err := harness.Run("serving-ident", spec, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, _, err := harness.Run("serving-ident", spec, harness.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sequential.String() != parallel.String() {
-		t.Fatalf("serving renders differently under -parallel 4:\n%s\nvs\n%s",
-			sequential, parallel)
-	}
-	if !strings.Contains(sequential.String(), "p999") {
-		t.Fatalf("serving table lost its percentile columns:\n%s", sequential)
-	}
 }

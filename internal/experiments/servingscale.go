@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/harness"
 	"repro/internal/serving"
 )
 
@@ -23,8 +22,8 @@ const (
 	servingScaleUtil     = 0.7
 )
 
-func scaleCell(racks, rackNodes int, cross float64) servingCell {
-	return servingCell{
+func scaleCell(racks, rackNodes int, cross float64) cell[serving.Config] {
+	return cell[serving.Config]{
 		ID: fmt.Sprintf("scale/n%d/r%d/x%.2f", racks*rackNodes, rackNodes, cross),
 		Cfg: serving.Config{Workload: serving.Scale, Racks: racks, RackNodes: rackNodes,
 			CrossFrac: cross, Util: servingScaleUtil, Requests: servingScaleRequests},
@@ -36,8 +35,8 @@ func scaleCell(racks, rackNodes int, cross float64) servingCell {
 // twice — as 8 racks of 8 and as 4 racks of 16 — so the rack-size axis
 // is measured at a fixed node count; the 256-node row is the
 // acceptance-scale configuration (8 racks of 32).
-func servingScaleCells() []servingCell {
-	var cells []servingCell
+func servingScaleCells() []cell[serving.Config] {
+	var cells []cell[serving.Config]
 	for _, cross := range []float64{0, 0.25, 0.5} {
 		cells = append(cells, scaleCell(8, 8, cross))
 	}
@@ -55,27 +54,12 @@ func servingScaleCells() []servingCell {
 // working set cross-rack — pinned in BENCH_BASELINE.json so the CI gate
 // regenerates the whole plane (topology, delegation, spine bandwidth
 // override, open-loop serving) on every push.
-func scaleSmokeCells() []servingCell {
+func scaleSmokeCells() []cell[serving.Config] {
 	c := scaleCell(2, 8, 0.5)
 	c.Cfg.Requests = scaleSmokeRequests
 	c.Shards = 1
-	return []servingCell{c}
-}
-
-// servingScaleSpec builds the registered full sweep.
-func servingScaleSpec() harness.Spec {
-	return servingSpec("Serving at rack scale — node count × rack size × cross-rack fraction", servingScaleCells())
-}
-
-// scaleSmokeSpec builds the registered CI-gate subset.
-func scaleSmokeSpec() harness.Spec {
-	return servingSpec("Serving at rack scale — smoke cell (bench-regression CI gate)", scaleSmokeCells())
-}
-
-// ServingScale runs the full rack-scale sweep.
-func ServingScale() *ServingResult {
-	return runSpec("serving-scale", servingScaleSpec()).(*ServingResult)
+	return []cell[serving.Config]{c}
 }
 
 // ScaleSmoke runs the single-cell CI subset.
-func ScaleSmoke() *ServingResult { return runSpec("scale-smoke", scaleSmokeSpec()).(*ServingResult) }
+func ScaleSmoke() *ServingResult { return runRegistered("scale-smoke").(*ServingResult) }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/serving"
@@ -20,22 +18,14 @@ import (
 // arrival/class-mix seed, so shard histograms merge exactly and any
 // -parallel renders identical bytes.
 
-// tenancyCell is one cell of the sweep.
-type tenancyCell struct {
-	ID     string
-	Cfg    serving.TenancyConfig
-	Shards int
-}
-
 const (
-	tenancyShardSeed     = 9300
 	tenancyRequests      = 400
 	tenancySmokeRequests = 240
 )
 
 // tenancySweepCell builds one load cell.
-func tenancySweepCell(util float64, requests, shards int) tenancyCell {
-	return tenancyCell{
+func tenancySweepCell(util float64, requests, shards int) cell[serving.TenancyConfig] {
+	return cell[serving.TenancyConfig]{
 		ID:     fmt.Sprintf("tenancy/u%03.0f", util*100),
 		Cfg:    serving.TenancyConfig{Util: util, Requests: requests},
 		Shards: shards,
@@ -45,8 +35,8 @@ func tenancySweepCell(util float64, requests, shards int) tenancyCell {
 // tenancyCellsFull is the registered sweep: below saturation the plane
 // barely intervenes; at and past saturation the preemption and queue
 // paths carry the Latency class through.
-func tenancyCellsFull() []tenancyCell {
-	return []tenancyCell{
+func tenancyCellsFull() []cell[serving.TenancyConfig] {
+	return []cell[serving.TenancyConfig]{
 		tenancySweepCell(0.5, tenancyRequests, 1),
 		tenancySweepCell(0.8, tenancyRequests, 2),
 		tenancySweepCell(1.1, tenancyRequests, 2),
@@ -57,99 +47,50 @@ func tenancyCellsFull() []tenancyCell {
 // bench-regression CI gate regenerates on every push — the saturated
 // operating point, so the gate exercises queueing and preemption, not
 // just admission bookkeeping.
-func tenancySmokeCells() []tenancyCell {
+func tenancySmokeCells() []cell[serving.TenancyConfig] {
 	c := tenancySweepCell(0.9, tenancySmokeRequests, 1)
 	c.ID = "tenancy-smoke/u90"
-	return []tenancyCell{c}
+	return []cell[serving.TenancyConfig]{c}
 }
 
-// tenancyTrial adapts one shard of one cell into a harness trial body.
-// Per-class metrics are exported under a class-name prefix
-// ("latency_offered", "standard_lat_b042", ...).
-func tenancyTrial(cfg serving.TenancyConfig) func(uint64) (harness.Values, error) {
-	return func(seed uint64) (harness.Values, error) {
-		c := cfg
-		c.Seed = seed
-		r, err := serving.RunTenancy(c)
-		if err != nil {
-			return nil, err
-		}
-		v := harness.Values{
-			"svc_ns":          r.ServiceNS,
-			"offered_rps":     r.OfferedRPS,
-			"requests":        float64(cfg.Requests),
-			"preemptions":     float64(r.Preemptions),
-			"degrades":        float64(r.Degrades),
-			"queue_admits":    float64(r.QueueAdmits),
-			"holder_acquires": float64(r.HolderAcquires),
-			"holder_preempts": float64(r.HolderPreemptions),
-		}
-		for _, cl := range tenancy.Classes() {
-			cs, pfx := r.PerClass[cl], cl.String()
-			v[pfx+"_offered"] = float64(cs.Offered)
-			v[pfx+"_completed"] = float64(cs.Completed)
-			v[pfx+"_rejected"] = float64(cs.Rejected)
-			v[pfx+"_slo_miss"] = float64(cs.SLOMiss)
-			v[pfx+"_deadline_ns"] = float64(cs.Deadline)
-			v[pfx+"_lat_sum"] = float64(cs.Lat.Sum())
-			v[pfx+"_lat_min"] = float64(cs.Lat.Min())
-			v[pfx+"_lat_max"] = float64(cs.Lat.Max())
-			for _, b := range cs.Lat.Buckets() {
-				v[fmt.Sprintf("%s_lat_b%03d", pfx, b.Index)] = float64(b.Count)
-			}
-		}
-		return v, nil
-	}
+// tenancySweep renders one row per SLO class per cell.
+var tenancySweep = sweep[serving.TenancyConfig, TenancyCellResult]{
+	title: "Serving tenancy — SLO classes under flash-crowd admission (open-loop)",
+	columns: []string{"cell", "class", "offered", "goodput",
+		"slo-miss", "p50", "p99", "preempts", "fairness"},
+	seed: 9300,
+	run:  tenancyTrial,
+	fold: foldTenancy,
 }
 
-// tenancyHist rebuilds one class's latency histogram from a shard
-// trial's exported values (servingHist's class-prefixed sibling: the
-// serving helper only knows the bare "lat_b" key family).
-func tenancyHist(r *harness.Result, trial, class string) (*sim.LatencyHist, error) {
-	var vals harness.Values
-	for i := range r.Trials {
-		if r.Trials[i].Trial == trial {
-			vals = r.Trials[i].Values
-		}
+// tenancyTrial runs one shard. Per-class metrics are exported under a
+// class-name prefix ("latency_offered", "standard_lat_b042", ...).
+func tenancyTrial(cfg serving.TenancyConfig, seed uint64) (harness.Values, error) {
+	cfg.Seed = seed
+	r, err := serving.RunTenancy(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if vals == nil {
-		return nil, fmt.Errorf("experiments: tenancy trial %q missing from results", trial)
+	v := harness.Values{
+		"svc_ns":          r.ServiceNS,
+		"offered_rps":     r.OfferedRPS,
+		"requests":        float64(cfg.Requests),
+		"preemptions":     float64(r.Preemptions),
+		"degrades":        float64(r.Degrades),
+		"queue_admits":    float64(r.QueueAdmits),
+		"holder_acquires": float64(r.HolderAcquires),
+		"holder_preempts": float64(r.HolderPreemptions),
 	}
-	prefix := class + "_lat_b"
-	var buckets []sim.LatencyBucket
-	for k, v := range vals {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		idx, err := strconv.Atoi(k[len(prefix):])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bad bucket key %q: %w", k, err)
-		}
-		buckets = append(buckets, sim.LatencyBucket{Index: idx, Count: int64(v)})
+	for _, cl := range tenancy.Classes() {
+		cs, pfx := r.PerClass[cl], cl.String()+"_"
+		v[pfx+"offered"] = float64(cs.Offered)
+		v[pfx+"completed"] = float64(cs.Completed)
+		v[pfx+"rejected"] = float64(cs.Rejected)
+		v[pfx+"slo_miss"] = float64(cs.SLOMiss)
+		v[pfx+"deadline_ns"] = float64(cs.Deadline)
+		putHist(v, pfx, cs.Lat)
 	}
-	return sim.RestoreLatencyHist(int64(vals[class+"_lat_sum"]), int64(vals[class+"_lat_min"]),
-		int64(vals[class+"_lat_max"]), buckets), nil
-}
-
-// tenancySpec decomposes a cell list into shard trials.
-func tenancySpec(title string, cells []tenancyCell) harness.Spec {
-	var trials []harness.Trial
-	for _, cell := range cells {
-		for s := 0; s < cell.Shards; s++ {
-			trials = append(trials, harness.Trial{
-				ID:   fmt.Sprintf("%s/s%d", cell.ID, s),
-				Seed: tenancyShardSeed + uint64(s),
-				Run:  tenancyTrial(cell.Cfg),
-			})
-		}
-	}
-	return harness.Spec{
-		Title:  title,
-		Trials: trials,
-		Assemble: func(r *harness.Result) (harness.Artifact, error) {
-			return assembleTenancy(r, cells)
-		},
-	}
+	return v, nil
 }
 
 // TenancyClassResult is one class's merged ledger within a cell.
@@ -195,107 +136,55 @@ type TenancyCellResult struct {
 }
 
 // TenancyResult is the assembled sweep.
-type TenancyResult struct {
-	Cells []TenancyCellResult
-	Table Table
-}
+type TenancyResult = SweepResult[TenancyCellResult]
 
-// Cell returns a cell by id, or nil.
-func (r *TenancyResult) Cell(id string) *TenancyCellResult {
-	for i := range r.Cells {
-		if r.Cells[i].ID == id {
-			return &r.Cells[i]
+// foldTenancy merges each class's shard ledgers and folds the
+// admission-plane counters.
+func foldTenancy(c cell[serving.TenancyConfig], shards []harness.Values, t *Table) (TenancyCellResult, error) {
+	r := TenancyCellResult{
+		ID:          c.ID,
+		OfferedRPS:  get(shards[0], "offered_rps"),
+		ServiceNS:   get(shards[0], "svc_ns"),
+		Preemptions: int64(sum(shards, "preemptions")),
+		Degrades:    int64(sum(shards, "degrades")),
+		QueueAdmits: int64(sum(shards, "queue_admits")),
+	}
+	var ratios []float64
+	for _, cl := range tenancy.Classes() {
+		pfx := cl.String() + "_"
+		h, err := mergeHist(shards, pfx)
+		if err != nil {
+			return TenancyCellResult{}, err
+		}
+		pc := &r.PerClass[cl]
+		*pc = TenancyClassResult{
+			Class:     cl,
+			Offered:   int64(sum(shards, pfx+"offered")),
+			Completed: int64(sum(shards, pfx+"completed")),
+			Rejected:  int64(sum(shards, pfx+"rejected")),
+			SLOMiss:   int64(sum(shards, pfx+"slo_miss")),
+			P50:       sim.Dur(h.Quantile(50)),
+			P99:       sim.Dur(h.Quantile(99)),
+			Hist:      h,
+		}
+		if pc.Offered > 0 {
+			ratios = append(ratios, pc.Goodput())
 		}
 	}
-	return nil
-}
-
-// String renders the sweep table.
-func (r *TenancyResult) String() string { return r.Table.String() }
-
-// assembleTenancy merges each cell's shard ledgers per class and folds
-// the admission-plane counters.
-func assembleTenancy(r *harness.Result, cells []tenancyCell) (harness.Artifact, error) {
-	res := &TenancyResult{
-		Table: Table{
-			Title: "Serving tenancy — SLO classes under flash-crowd admission (open-loop)",
-			Columns: []string{"cell", "class", "offered", "goodput",
-				"slo-miss", "p50", "p99", "preempts", "fairness"},
-		},
+	r.Fairness = tenancy.Jain(ratios)
+	for i, cl := range tenancy.Classes() {
+		pc := r.PerClass[cl]
+		id, preempts, fair := "", "", ""
+		if i == 0 { // cell-level columns only on the first class row
+			id = r.ID
+			preempts = fmt.Sprintf("%d", r.Preemptions)
+			fair = fmt.Sprintf("%.3f", r.Fairness)
+		}
+		t.AddRow(id, cl.String(),
+			fmt.Sprintf("%d", pc.Offered),
+			fmt.Sprintf("%.3f", pc.Goodput()),
+			fmt.Sprintf("%.3f", pc.SLOMissRate()),
+			pc.P50.String(), pc.P99.String(), preempts, fair)
 	}
-	for _, cell := range cells {
-		c := TenancyCellResult{ID: cell.ID}
-		for s := 0; s < cell.Shards; s++ {
-			trial := fmt.Sprintf("%s/s%d", cell.ID, s)
-			c.Preemptions += int64(r.Val(trial, "preemptions"))
-			c.Degrades += int64(r.Val(trial, "degrades"))
-			c.QueueAdmits += int64(r.Val(trial, "queue_admits"))
-			for _, cl := range tenancy.Classes() {
-				h, err := tenancyHist(r, trial, cl.String())
-				if err != nil {
-					return nil, err
-				}
-				pc := &c.PerClass[cl]
-				pc.Class = cl
-				if pc.Hist == nil {
-					pc.Hist = &sim.LatencyHist{}
-				}
-				pc.Hist.Merge(h)
-				pfx := cl.String()
-				pc.Offered += int64(r.Val(trial, pfx+"_offered"))
-				pc.Completed += int64(r.Val(trial, pfx+"_completed"))
-				pc.Rejected += int64(r.Val(trial, pfx+"_rejected"))
-				pc.SLOMiss += int64(r.Val(trial, pfx+"_slo_miss"))
-			}
-		}
-		s0 := fmt.Sprintf("%s/s0", cell.ID)
-		c.OfferedRPS = r.Val(s0, "offered_rps")
-		c.ServiceNS = r.Val(s0, "svc_ns")
-		var ratios []float64
-		for _, cl := range tenancy.Classes() {
-			pc := &c.PerClass[cl]
-			pc.P50 = sim.Dur(pc.Hist.Quantile(50))
-			pc.P99 = sim.Dur(pc.Hist.Quantile(99))
-			if pc.Offered > 0 {
-				ratios = append(ratios, pc.Goodput())
-			}
-		}
-		c.Fairness = tenancy.Jain(ratios)
-		res.Cells = append(res.Cells, c)
-		for i, cl := range tenancy.Classes() {
-			pc := c.PerClass[cl]
-			id, preempts, fair := "", "", ""
-			if i == 0 { // cell-level columns only on the first class row
-				id = c.ID
-				preempts = fmt.Sprintf("%d", c.Preemptions)
-				fair = fmt.Sprintf("%.3f", c.Fairness)
-			}
-			res.Table.AddRow(id, cl.String(),
-				fmt.Sprintf("%d", pc.Offered),
-				fmt.Sprintf("%.3f", pc.Goodput()),
-				fmt.Sprintf("%.3f", pc.SLOMissRate()),
-				pc.P50.String(), pc.P99.String(), preempts, fair)
-		}
-	}
-	return res, nil
-}
-
-// tenancySweepSpec builds the registered full sweep.
-func tenancySweepSpec() harness.Spec {
-	return tenancySpec("Serving tenancy — SLO classes × offered load", tenancyCellsFull())
-}
-
-// tenancySmokeSpec builds the registered CI-gate subset.
-func tenancySmokeSpec() harness.Spec {
-	return tenancySpec("Serving tenancy — smoke cell (bench-regression CI gate)", tenancySmokeCells())
-}
-
-// ServingTenancy runs the full admission-plane serving sweep.
-func ServingTenancy() *TenancyResult {
-	return runSpec("serving-tenancy", tenancySweepSpec()).(*TenancyResult)
-}
-
-// TenancySmoke runs the single-cell CI subset.
-func TenancySmoke() *TenancyResult {
-	return runSpec("tenancy-smoke", tenancySmokeSpec()).(*TenancyResult)
+	return r, nil
 }

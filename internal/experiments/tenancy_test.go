@@ -1,24 +1,11 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/harness"
 	"repro/internal/serving"
 	"repro/internal/tenancy"
 )
-
-// tenancyOf assembles a custom cell list through the harness, like the
-// registered specs do.
-func tenancyOf(t *testing.T, cells []tenancyCell) *TenancyResult {
-	t.Helper()
-	res, _, err := harness.Run("tenancy-test", tenancySpec("tenancy test subset", cells), harness.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.(*TenancyResult)
-}
 
 // TestTenancyFindings asserts the sweep's qualitative findings — the
 // acceptance criteria of the tenancy plane — on a saturated cell: the
@@ -26,8 +13,7 @@ func tenancyOf(t *testing.T, cells []tenancyCell) *TenancyResult {
 // while the Preemptible class absorbs the pressure as preemptions and
 // rejections.
 func TestTenancyFindings(t *testing.T) {
-	cells := []tenancyCell{tenancySweepCell(0.9, 240, 2)}
-	r := tenancyOf(t, cells)
+	r := runCells(t, tenancySweep, []cell[serving.TenancyConfig]{tenancySweepCell(0.9, 240, 2)})
 	c := r.Cell("tenancy/u090")
 	if c == nil {
 		t.Fatalf("cell missing from %v", r.Cells)
@@ -63,44 +49,4 @@ func TestTenancyFindings(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", r.Table.String())
-}
-
-// TestTenancyParallelismByteIdentical is the harness contract applied
-// to the admission-plane sweep: the cluster build, arrival stream,
-// class mix, and every preemption decision are seeded, so any
-// -parallel value renders the same bytes. The CI byte-identity step
-// runs this test.
-func TestTenancyParallelismByteIdentical(t *testing.T) {
-	cells := append(tenancySmokeCells(), tenancySweepCell(0.6, 120, 2))
-	spec := tenancySpec("Serving tenancy — byte-identity subset", cells)
-	sequential, _, err := harness.Run("tenancy-ident", spec, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, _, err := harness.Run("tenancy-ident", spec, harness.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sequential.String() != parallel.String() {
-		t.Fatalf("tenancy renders differently under -parallel 4:\n%s\nvs\n%s", sequential, parallel)
-	}
-	if !strings.Contains(sequential.String(), "fairness") {
-		t.Fatalf("tenancy table lost its fairness column:\n%s", sequential)
-	}
-}
-
-// TestTenancySmokeShape pins the smoke cell's shape: the CI gate
-// regenerates exactly this spec, so its trial list must stay stable.
-func TestTenancySmokeShape(t *testing.T) {
-	spec := tenancySmokeSpec()
-	if len(spec.Trials) != 1 {
-		t.Fatalf("smoke spec has %d trials, want 1", len(spec.Trials))
-	}
-	if got := spec.Trials[0].ID; got != "tenancy-smoke/u90/s0" {
-		t.Fatalf("smoke trial id %q drifted", got)
-	}
-	if spec.Trials[0].Seed != tenancyShardSeed {
-		t.Fatalf("smoke trial seed %d drifted from %d", spec.Trials[0].Seed, tenancyShardSeed)
-	}
-	var _ serving.TenancyConfig = tenancySmokeCells()[0].Cfg
 }

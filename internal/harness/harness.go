@@ -93,6 +93,15 @@ func (r *Result) Val(trial, key string) float64 {
 	return v
 }
 
+// Values returns one trial's metrics, and whether the trial exists.
+func (r *Result) Values(trial string) (Values, bool) {
+	tr, ok := r.byID[trial]
+	if !ok {
+		return nil, false
+	}
+	return tr.Values, true
+}
+
 // Err joins the errors of all failed trials, or returns nil.
 func (r *Result) Err() error {
 	var errs []error

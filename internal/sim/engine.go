@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Handle identifies a cancelable scheduled event. The zero Handle is
 // never issued, so it can mark "no timer pending".
@@ -25,6 +28,14 @@ type Engine struct {
 	live    int // processes started and not yet finished
 	parked  int // processes currently blocked awaiting a wakeup
 	fired   uint64
+
+	// goroutines counts proc goroutines not yet exited. Baton holders
+	// change it; after Close, killed procs change it under unwinding,
+	// which lets them unwind one at a time, and the last one closes
+	// unwound.
+	goroutines int
+	unwinding  sync.Mutex
+	unwound    chan struct{}
 }
 
 // New returns a fresh engine with virtual time zero and an empty queue.
@@ -165,16 +176,24 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the simulation by d.
 func (e *Engine) RunFor(d Dur) { e.RunUntil(e.now.Add(d)) }
 
-// Close terminates any parked processes so their goroutines exit. It is
-// safe to call multiple times. After Close the engine must not be used.
+// Close terminates any parked processes and returns once their
+// goroutines have exited. Each killed process unwinds through its
+// deferred calls while holding the engine alone, so those calls may
+// touch simulation state as process code does. Close must be called
+// outside the simulation (not from a process or event), and is safe to
+// call multiple times. After Close the engine must not be used.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
+	if e.goroutines == 0 {
+		close(e.stopped)
+		return
+	}
+	e.unwound = make(chan struct{})
 	close(e.stopped)
-	// Give killed goroutines a chance to observe the close; they need no
-	// baton because park() selects on stopped.
+	<-e.unwound
 }
 
 // resume hands the execution baton to process p and blocks until p parks

@@ -13,6 +13,7 @@ type Proc struct {
 	wake   chan struct{}
 	wakeFn func() // cached resume thunk: one closure per proc, not per park
 	dead   bool
+	dying  bool // killed by Close: holds Eng.unwinding until its goroutine exits
 }
 
 // procStopped is the panic payload used to unwind a process killed by
@@ -35,15 +36,9 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Completion {
 	p.wakeFn = func() { e.resume(p) }
 	e.live++
 	e.Schedule(0, func() {
+		e.goroutines++
 		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(procStopped); ok {
-						return // engine shut down; exit silently
-					}
-					panic(r)
-				}
-			}()
+			defer p.exit()
 			p.waitBaton()
 			fn(p)
 			p.finish(done)
@@ -53,12 +48,43 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Completion {
 	return done
 }
 
+// exit ends the process goroutine. A process killed by Close arrives
+// unwinding with procStopped; it hands Eng.unwinding to the next killed
+// process, and the last one to exit releases Close.
+func (p *Proc) exit() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if _, ok := r.(procStopped); !ok {
+		panic(r)
+	}
+	e := p.Eng
+	e.goroutines--
+	if e.goroutines == 0 {
+		close(e.unwound)
+	}
+	e.unwinding.Unlock()
+}
+
+// kill unwinds the process after Close. Killed processes wake together,
+// so the first kill takes Eng.unwinding: deferred calls then run one
+// process at a time, as process code always does. A deferred call that
+// parks again lands here a second time and must not lock twice.
+func (p *Proc) kill() {
+	if !p.dying {
+		p.dying = true
+		p.Eng.unwinding.Lock()
+	}
+	panic(procStopped{})
+}
+
 // waitBaton blocks until the engine hands this process the baton.
 func (p *Proc) waitBaton() {
 	select {
 	case <-p.wake:
 	case <-p.Eng.stopped:
-		panic(procStopped{})
+		p.kill()
 	}
 }
 
@@ -70,8 +96,7 @@ func (p *Proc) park() {
 	select {
 	case e.yield <- struct{}{}:
 	case <-e.stopped:
-		e.parked--
-		panic(procStopped{})
+		p.kill()
 	}
 	p.waitBaton()
 	e.parked--
@@ -91,6 +116,10 @@ func (p *Proc) finish(done *Completion) {
 	p.dead = true
 	e.live--
 	done.Complete()
+	if p.dying { // fn recovered Close's kill and returned
+		panic(procStopped{})
+	}
+	e.goroutines--
 	select {
 	case e.yield <- struct{}{}:
 	case <-e.stopped:

@@ -130,6 +130,42 @@ func TestEngineCloseReleasesParkedProcs(t *testing.T) {
 	e.Close() // safe to double-close
 }
 
+// TestEngineCloseUnwindsKilledProcsOneAtATime pins Close's contract for
+// deferred calls in killed processes: they touch shared simulation
+// state (a map, a Group whose Done schedules engine events) without
+// locks, so they must run one process at a time, and Close must return
+// only after the last of them has run. One deferred call parks again
+// mid-unwind, which must neither deadlock nor skip the rest.
+func TestEngineCloseUnwindsKilledProcsOneAtATime(t *testing.T) {
+	const n = 64
+	e := New()
+	never := NewCompletion(e)
+	grp := NewGroup(e)
+	grp.Add(n)
+	pending := map[int]int{0: n, 1: n}
+	for i := 0; i < n; i++ {
+		e.Go("stuck", func(p *Proc) {
+			defer grp.Done()
+			defer func() { pending[i%2]-- }()
+			if i == 0 {
+				defer p.Sleep(1)
+			}
+			p.Await(never)
+		})
+	}
+	e.Run()
+	if e.LiveProcs() != n {
+		t.Fatalf("LiveProcs = %d, want %d parked", e.LiveProcs(), n)
+	}
+	e.Close()
+	if pending[0] != n/2 || pending[1] != n/2 {
+		t.Fatalf("after Close, pending = %v, want %d left in each (every deferred decrement run once)", pending, n/2)
+	}
+	if !grp.c.Done() {
+		t.Fatalf("after Close, group counter = %d, want 0", grp.n)
+	}
+}
+
 func TestProcNegativeSleepPanics(t *testing.T) {
 	e := New()
 	defer e.Close()
