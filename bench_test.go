@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/harness"
+	"repro/internal/tenancy"
 )
 
 // BenchmarkFig3 regenerates Fig. 3 (remote memory over commodity
@@ -165,6 +167,40 @@ func BenchmarkServingScale(b *testing.B) {
 		b.ReportMetric(float64(c.P99)/1e3, "p99-us")
 		b.ReportMetric(c.AchievedRPS/1e3, "krps")
 	}
+}
+
+// BenchmarkServingInference regenerates the inference smoke cell:
+// open-loop serving on leased accelerators and bonded NIC egress under
+// rolling donor crashes. Reported metrics: the cell's tail and achieved
+// throughput.
+func BenchmarkServingInference(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		c := &runSmoke[*experiments.InferenceResult](b, "inference-smoke").Cells[0]
+		b.ReportMetric(float64(c.P99)/1e3, "p99-us")
+		b.ReportMetric(c.AchievedRPS/1e3, "krps")
+	}
+}
+
+// BenchmarkServingTenancy regenerates the tenancy smoke cell: SLO-class
+// admission, queueing and preemption under a saturated flash crowd.
+// Reported metrics: the Latency class's tail and the offered session
+// rate.
+func BenchmarkServingTenancy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		c := &runSmoke[*experiments.TenancyResult](b, "tenancy-smoke").Cells[0]
+		b.ReportMetric(float64(c.PerClass[tenancy.Latency].P99)/1e3, "latency-p99-us")
+		b.ReportMetric(c.OfferedRPS/1e3, "offered-krps")
+	}
+}
+
+// runSmoke runs the spec registered under id and returns its assembled
+// result.
+func runSmoke[R harness.Artifact](b *testing.B, id string) R {
+	art, _, err := harness.RunID(id, harness.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return art.(R)
 }
 
 // BenchmarkCost regenerates the §7.3 hardware cost table. Reported

@@ -31,6 +31,9 @@
 //	venice-serve [-addr :8080] [-scenario churn|idle] [-fault fast]
 //	             [-requests N] [-util f] [-loop] [-interval 1s]
 //	             [-pace 0] [-heartbeat 15s] [-snapshot 100ms]
+//
+// A scenario that fails (a bad flag value, a lost request) shuts the
+// HTTP server down cleanly and exits 1; SIGTERM or SIGINT exits 0.
 package main
 
 import (
@@ -109,10 +112,11 @@ func main() {
 		}
 	}()
 
+	var scenarioErr error
 	select {
-	case err := <-simDone:
-		if err != nil {
-			log.Printf("venice-serve: scenario: %v", err)
+	case scenarioErr = <-simDone:
+		if scenarioErr != nil {
+			log.Printf("venice-serve: scenario: %v", scenarioErr)
 			stop()
 		} else {
 			log.Printf("venice-serve: scenario finished; serving final state (ctrl-c to exit)")
@@ -124,11 +128,15 @@ func main() {
 	}
 
 	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil {
+	err := httpSrv.Shutdown(shCtx)
+	cancel()
+	if err != nil {
 		log.Printf("venice-serve: shutdown: %v", err)
 	}
 	log.Printf("venice-serve: bye")
+	if scenarioErr != nil {
+		os.Exit(1) // a failed scenario fails the process, after the clean HTTP shutdown
+	}
 }
 
 // server owns the observability state the handlers read: one metrics

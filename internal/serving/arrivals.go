@@ -8,12 +8,16 @@
 // resource sharing shows up in the tail, which closed-loop batch
 // experiments (figs. 3–18) cannot observe.
 //
-// The scenarios share the methodology: KV and Tier (serving.go) on
-// single-rack meshes, churn (churn.go) adding
-// fault-schedule-driven donor crashes, and Scale (scale.go) on
-// multi-rack rack/spine fabrics where leases are brokered by the
-// sharded monitor plane and a configurable fraction of the working set
-// crosses the oversubscribed spine.
+// Six scenarios share one open-loop phase (openLoop, openloop.go): KV
+// and Tier (serving.go) on single-rack meshes; churn (churn.go) adding
+// fault-schedule-driven donor crashes; Scale (scale.go) on multi-rack
+// rack/spine fabrics where leases are brokered by the sharded monitor
+// plane and a configurable fraction of the working set crosses the
+// oversubscribed spine; Inference (inference.go) on leased remote
+// accelerators and NICs; and tenancy (tenancy.go), SLO classes
+// competing for an oversubscribed lease pool. Churn and flat inference
+// share one rig (churnRig), as do Scale and hierarchical inference
+// (newHierRig).
 package serving
 
 import (
@@ -54,15 +58,13 @@ type ArrivalSpec struct {
 	BurstDwell sim.Dur
 }
 
-// FlashCrowd is the shared flash-crowd arrival preset: a two-state
-// MMPP whose bursty state runs at 8× the mean rate for ~10% of the
-// time with 500 µs mean dwells — long, hard spikes against a
-// correspondingly quieter baseline (quiet-state rate ≈ 0.22× mean),
-// the diurnal-peak/viral-event shape the tenancy and churn scenarios
-// stress admission control with. Override any field after calling for
-// a sharper or gentler crowd; the zero fields keep their documented
-// ArrivalSpec defaults.
-func FlashCrowd() ArrivalSpec {
+// flashCrowd is the flash-crowd arrival preset: a two-state MMPP whose
+// bursty state runs at 8× the mean rate for ~10% of the time with
+// 500 µs mean dwells — long, hard spikes against a correspondingly
+// quieter baseline (quiet-state rate ≈ 0.22× mean), the
+// diurnal-peak/viral-event shape the tenancy scenario stresses
+// admission control with.
+func flashCrowd() ArrivalSpec {
 	return ArrivalSpec{
 		Kind:        MMPP,
 		BurstFactor: 8,

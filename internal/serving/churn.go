@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/monitor"
+	"repro/internal/node"
 	"repro/internal/sim"
 )
 
@@ -42,20 +43,10 @@ type ChurnConfig struct {
 	Util float64
 	// Requests is the number of measured open-loop requests.
 	Requests int
-	// Workers is the app-server dispatch concurrency (default 2).
-	Workers int
-	// Leases is how many remote-memory windows the server spreads its
-	// working set over (default 2; each is placed independently by the
-	// policy, so they can land on different donors).
-	Leases int
 	// Policy names the MN sharing policy ("" = distance-first).
 	Policy string
 	// Fault selects the churn intensity (default FaultNone).
 	Fault FaultRate
-	// Arrivals shapes the open-loop arrival process. The zero value is
-	// the historical Poisson stream (byte-identical results); set
-	// FlashCrowd() to drive churn through hard bursts instead.
-	Arrivals ArrivalSpec
 	// SparePool pre-plugs one lease-sized spare region per donor: the
 	// carve's hot-remove happens when the pool fills (off the serving
 	// path), so a failover's replacement grant skips the ~2 ms hot-plug
@@ -69,7 +60,8 @@ type ChurnConfig struct {
 	// The remaining fields are observability hooks (venice-serve). All
 	// run OUTSIDE virtual time — they may read simulation state but must
 	// not sleep, block, or touch the engine — so leaving them nil (the
-	// default) and setting them produce byte-identical results.
+	// default) and setting them produce byte-identical results
+	// (TestChurnDeterministic checks it).
 
 	// OnCluster, when set, receives the cluster after its RRT is
 	// populated and before serving starts: the place to attach
@@ -80,7 +72,7 @@ type ChurnConfig struct {
 	// clock and to publish state snapshots at a safe point.
 	Throttle func()
 	// Observe, when set, receives every measured request's end-to-end
-	// latency as it completes (in addition to the shard histograms).
+	// latency as it completes (in addition to the run's histogram).
 	Observe func(sim.Dur)
 }
 
@@ -147,243 +139,207 @@ const (
 	churnStallMult    = 20 // unavailability threshold, multiples of mean service
 )
 
-// churnRequest is one queued unit of offered load.
-type churnRequest struct {
-	arrived sim.Time
-	lease   int
-	off     uint64
-	close   bool
+// churnLeases is how many remote-memory windows the churn server
+// spreads its working set over; each is placed independently by the
+// policy, so they can land on different donors.
+const churnLeases = 2
+
+// leaseRead is one churn request: a line-aligned read at off into
+// lease.
+type leaseRead struct {
+	lease int
+	off   uint64
 }
 
 // RunChurn executes one availability-under-churn scenario.
 func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
-	if cfg.Requests <= 0 {
-		return nil, fmt.Errorf("serving: Requests must be positive, got %d", cfg.Requests)
-	}
-	if cfg.Util <= 0 {
-		return nil, fmt.Errorf("serving: Util must be positive, got %v", cfg.Util)
-	}
-	pol, ok := monitor.PolicyByName(cfg.Policy)
-	if !ok {
-		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
-	}
-	if err := cfg.Arrivals.validate(); err != nil {
+	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
 		return nil, err
 	}
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = 8
-	}
-	if nodes < 4 {
-		return nil, fmt.Errorf("serving: churn needs >= 4 nodes (MN + server + two donors), got %d", nodes)
-	}
-	topo, err := topoFor(nodes)
-	if err != nil {
-		return nil, err
-	}
-	var period sim.Dur
-	switch cfg.Fault {
-	case "", FaultNone:
-		period = 0
-	case FaultSlow:
-		period = churnSlowPeriod
-	case FaultFast:
-		period = churnFastPeriod
-	default:
-		return nil, fmt.Errorf("serving: unknown fault rate %q", cfg.Fault)
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 2
-	}
-	leases := cfg.Leases
-	if leases <= 0 {
-		leases = 2
-	}
-
-	ccfg := core.Config{
-		Topology:          &topo,
-		StartAgents:       true,
-		StartRecovery:     true,
-		HeartbeatInterval: churnBeatInterval,
-		HeartbeatTimeout:  churnBeatTimeout,
-		SweepInterval:     churnSweep,
-		Seed:              churnClusterSeed,
-	}
+	ccfg := core.Config{Seed: churnClusterSeed}
 	if cfg.SparePool {
 		// One spare per lease the server holds: a crashed donor can back
 		// every lease it carried, so no failover in the burst goes cold.
-		ccfg.SpareRegionBytes = churnLeaseBytes
-		ccfg.SparesPerDonor = leases
+		ccfg.SpareRegionBytes, ccfg.SparesPerDonor = churnLeaseBytes, churnLeases
 	}
-	cl := core.NewCluster(ccfg)
+	rig, err := newChurnRig("churn", cfg.Nodes, cfg.Policy, cfg.Fault, ccfg, churnChaosSeed, nil)
+	if err != nil {
+		return nil, err
+	}
+	cl, app := rig.cl, rig.app
 	defer cl.Close()
-	cl.MN.Policy = pol
-	// The MN must never be elected donor: its death model (and the
-	// paper's un-replicated MN) is out of scope, and crashing a lease
-	// donor must not take the control plane with it.
-	if err := cl.Node(0).MemMgr.Reserve(cl.Node(0).MemMgr.Idle()); err != nil {
-		return nil, fmt.Errorf("serving: reserving MN memory: %w", err)
-	}
-	cl.RunFor(10 * sim.Millisecond) // populate the RRT
 	if cfg.OnCluster != nil {
 		cfg.OnCluster(cl)
 	}
 
-	// Donor population: every node but the MN (0) and the server (1),
-	// ordered nearest-to-server first. Rolling churn walks this order, so
-	// the early crashes hit the donors the distance-leaning policies
-	// favor — the cell measures failover, not crashes of idle bystanders.
-	var donors []fabric.NodeID
-	for i := 2; i < nodes; i++ {
-		donors = append(donors, fabric.NodeID(i))
-	}
-	sort.Slice(donors, func(i, j int) bool {
-		hi, hj := topo.HopCount(1, donors[i]), topo.HopCount(1, donors[j])
-		if hi != hj {
-			return hi < hj
-		}
-		return donors[i] < donors[j]
-	})
-	inj := chaos.New(cl.Eng, cl.Net, cl.Agents)
-
-	app := cl.Node(1)
 	res := &ChurnResult{}
-	var runErr error
-	done := app.Run("serving-churn", func(pr *sim.Proc) {
-		ls, err := borrowWindows(pr, cl, leases, func(int) core.Request {
+	err = runScenario(cl.Eng, "churn", cfg.Throttle, func(pr *sim.Proc) error {
+		ls, err := borrowWindows(pr, cl, churnLeases, func(int) core.Request {
 			return core.NewRequest(core.Memory, app, churnLeaseBytes)
 		})
 		if err != nil {
-			runErr = fmt.Errorf("serving: churn leases: %w", err)
-			return
+			return fmt.Errorf("serving: churn leases: %w", err)
+		}
+		read := func(p *sim.Proc, r leaseRead) {
+			app.EP.CRMA.Fill(p, ls[r.lease].WindowBase+r.off, churnReadBytes)
+			p.Sleep(churnThink)
 		}
 
 		// Closed-loop calibration under healthy conditions: the mean
 		// remote read sets the capacity the offered load is against.
 		calRng := sim.NewRNG(churnCalSeed)
-		t0 := pr.Now()
-		for j := 0; j < churnCalibrate; j++ {
-			l := ls[j%len(ls)]
-			off := calRng.Uint64n(l.Size-churnReadBytes) &^ 63
-			app.EP.CRMA.Fill(pr, l.WindowBase+off, churnReadBytes)
-			pr.Sleep(churnThink)
-		}
-		res.ServiceNS = float64(pr.Now().Sub(t0)) / churnCalibrate
-		res.OfferedRPS = cfg.Util * float64(workers) / res.ServiceNS * 1e9
+		res.ServiceNS = calibrate(pr, churnCalibrate, func(j int) {
+			l := j % len(ls)
+			read(pr, leaseRead{l, calRng.Uint64n(ls[l].Size-churnReadBytes) &^ 63})
+		})
+		res.OfferedRPS = offeredRPS(cfg.Util, appWorkers, res.ServiceNS)
 		res.Deadline = sim.Dur(churnDeadlineMult * res.ServiceNS)
 		stallThresh := sim.Dur(churnStallMult * res.ServiceNS)
-
-		// Chaos starts only now, so calibration is identical across the
-		// fault-rate axis. The expected measured window is
-		// Requests/OfferedRPS; schedule enough rolling cycles to cover it
-		// (instants are deterministic in the internal seed — shards share
-		// one fault history).
-		if period > 0 {
-			windowNS := float64(cfg.Requests) / res.OfferedRPS * 1e9
-			cycles := int(windowNS/float64(period)) + 2
-			n, err := inj.Install(chaos.Schedule{
-				Seed:    churnChaosSeed,
-				Actions: chaos.Rolling(donors, period, churnOutage, cycles),
-			})
-			if err != nil || n == 0 {
-				runErr = fmt.Errorf("serving: installing churn schedule (%d actions): %v", n, err)
-				return
-			}
+		if err := rig.start(cfg.Requests, res.OfferedRPS); err != nil {
+			return err
 		}
 
-		reqQ := sim.NewQueue[churnRequest](cl.Eng)
-		shards := make([]*sim.LatencyHist, workers)
-		var lastDone sim.Time
-		completed := 0
-		grp := sim.NewGroup(cl.Eng)
-		for w := 0; w < workers; w++ {
-			w := w
-			shards[w] = &sim.LatencyHist{}
-			grp.Add(1)
-			app.Run(fmt.Sprintf("churn-worker-%d", w), func(wp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := reqQ.Pop(wp)
-					if req.close {
-						return
-					}
-					l := ls[req.lease]
-					app.EP.CRMA.Fill(wp, l.WindowBase+req.off, churnReadBytes)
-					wp.Sleep(churnThink)
-					d := wp.Now().Sub(req.arrived)
-					shards[w].AddDur(d)
-					if cfg.Observe != nil {
-						cfg.Observe(d)
-					}
-					if d > res.Deadline {
-						res.Failed++
-					}
-					// Unavailability: completion-gap excess over the stall
-					// threshold. lastDone is shared across workers; the
-					// engine's determinism makes the accounting exact.
-					if completed > 0 {
-						if gap := wp.Now().Sub(lastDone); gap > stallThresh {
-							res.UnavailNS += int64(gap - stallThresh)
-						}
-					}
-					if wp.Now() > lastDone {
-						lastDone = wp.Now()
-					}
-					completed++
-				}
-			})
-		}
-
-		arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
 		offRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-		start := pr.Now()
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			li := offRng.Intn(len(ls))
-			off := offRng.Uint64n(churnLeaseBytes-churnReadBytes) &^ 63
-			reqQ.Push(pr, churnRequest{arrived: pr.Now(), lease: li, off: off})
+		ph, err := openLoop[leaseRead]{
+			workers: appWorkers, rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next: func() (leaseRead, int) {
+				l := offRng.Intn(len(ls))
+				return leaseRead{l, offRng.Uint64n(churnLeaseBytes-churnReadBytes) &^ 63}, 0
+			},
+			serve: func(wp *sim.Proc, _ int, r leaseRead) bool { read(wp, r); return true },
+			done: func(ph *phase, _ leaseRead, now sim.Time, d sim.Dur) {
+				if cfg.Observe != nil {
+					cfg.Observe(d)
+				}
+				if d > res.Deadline {
+					res.Failed++
+				}
+				// Unavailability: completion-gap excess over the stall
+				// threshold, from the second completion on.
+				if gap := now.Sub(ph.lastDone); ph.completed > 0 && gap > stallThresh {
+					res.UnavailNS += int64(gap - stallThresh)
+				}
+			},
+		}.run(pr)
+		if err != nil {
+			return err
 		}
-		for w := 0; w < workers; w++ {
-			reqQ.Push(pr, churnRequest{close: true})
-		}
-		grp.Wait(pr)
-
-		// Zero-loss accounting: open-loop arrivals may stall through an
-		// outage, but every one of them must complete.
-		if completed != cfg.Requests {
-			runErr = fmt.Errorf("serving: churn lost requests: %d of %d completed", completed, cfg.Requests)
-			return
-		}
-		window := lastDone.Sub(start).Seconds()
-		res.AchievedRPS = float64(completed) / window
-		res.GoodputRPS = float64(completed-res.Failed) / window
-		res.Lat = &sim.LatencyHist{}
-		for _, s := range shards {
-			res.Lat.Merge(s)
-		}
+		res.Lat = ph.lat
+		res.AchievedRPS = float64(ph.completed) / ph.window()
+		res.GoodputRPS = float64(ph.completed-res.Failed) / ph.window()
+		return nil
 	})
-	// Step only until the scenario finishes: agents, the recovery loop,
-	// and pending chaos actions would keep the queue alive forever.
-	if cfg.Throttle == nil {
-		for !done.Done() && cl.Eng.Step() {
-		}
-	} else {
-		for !done.Done() && cl.Eng.Step() {
-			cfg.Throttle()
-		}
+	if err != nil {
+		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: churn scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
-	}
-	res.Crashes = inj.Stats.Get(string(chaos.NodeDown))
+	res.Crashes = rig.crashes()
 	res.Recoveries = cl.MN.Stats.Get("recover.replaced")
 	if res.Recoveries > 0 {
 		res.RecoverMeanNS = float64(cl.MN.Stats.Get("recover.ns")) / float64(res.Recoveries)
 	}
-	res.DeadAccesses = cl.Node(1).EP.CRMA.Stats.DeadAccesses
+	res.DeadAccesses = app.EP.CRMA.Stats.DeadAccesses
 	return res, nil
 }
+
+// churnRig is the flat-mesh rig churn and flat inference share: the MN
+// on node 0, the app server on node 1, every other node a donor, the
+// fast control plane, and a rolling crash schedule over the donors that
+// start installs once calibration is done.
+type churnRig struct {
+	cl        *core.Cluster
+	app       *node.Node
+	inj       *chaos.Injector
+	donors    []fabric.NodeID
+	period    sim.Dur
+	chaosSeed uint64
+}
+
+// newChurnRig builds the rig on a nodes-node mesh (0 means 8). ccfg
+// carries the scenario's cluster seed and extras; setup, when set,
+// runs before the 10 ms RRT warm-up.
+func newChurnRig(name string, nodes int, policy string, fault FaultRate, ccfg core.Config,
+	chaosSeed uint64, setup func(*core.Cluster)) (*churnRig, error) {
+	pol, ok := monitor.PolicyByName(policy)
+	if !ok {
+		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", policy, monitor.PolicyNames())
+	}
+	if nodes == 0 {
+		nodes = 8
+	}
+	if nodes < 4 {
+		return nil, fmt.Errorf("serving: %s needs >= 4 nodes (MN + server + two donors), got %d", name, nodes)
+	}
+	topo, err := topoFor(nodes)
+	if err != nil {
+		return nil, err
+	}
+	r := &churnRig{chaosSeed: chaosSeed}
+	switch fault {
+	case "", FaultNone:
+	case FaultSlow:
+		r.period = churnSlowPeriod
+	case FaultFast:
+		r.period = churnFastPeriod
+	default:
+		return nil, fmt.Errorf("serving: unknown fault rate %q", fault)
+	}
+
+	ccfg.Topology, ccfg.StartAgents, ccfg.StartRecovery = &topo, true, true
+	ccfg.HeartbeatInterval, ccfg.HeartbeatTimeout, ccfg.SweepInterval = churnBeatInterval, churnBeatTimeout, churnSweep
+	r.cl = core.NewCluster(ccfg)
+	r.cl.MN.Policy = pol
+	// The MN must never be elected donor: its death model (and the
+	// paper's un-replicated MN) is out of scope, and crashing a donor
+	// must not take the control plane with it.
+	mn := r.cl.Node(0).MemMgr
+	if err := mn.Reserve(mn.Idle()); err != nil {
+		r.cl.Close()
+		return nil, fmt.Errorf("serving: reserving MN memory: %w", err)
+	}
+	if setup != nil {
+		setup(r.cl)
+	}
+	r.cl.RunFor(10 * sim.Millisecond) // populate the RRT
+	r.app = r.cl.Node(1)
+
+	// Donor population: every node but the MN and the server, ordered
+	// nearest-to-server first. Rolling churn walks this order, so the
+	// early crashes hit the donors the distance-leaning policies favor —
+	// the cell measures failover, not crashes of idle bystanders.
+	for i := 2; i < nodes; i++ {
+		r.donors = append(r.donors, fabric.NodeID(i))
+	}
+	sort.Slice(r.donors, func(i, j int) bool {
+		hi, hj := topo.HopCount(1, r.donors[i]), topo.HopCount(1, r.donors[j])
+		if hi != hj {
+			return hi < hj
+		}
+		return r.donors[i] < r.donors[j]
+	})
+	r.inj = chaos.New(r.cl.Eng, r.cl.Net, r.cl.Agents)
+	return r, nil
+}
+
+// start installs the rolling crash schedule, scheduling enough cycles
+// to cover the expected measured window of requests at rps. Chaos
+// starts only after calibration, so calibration is identical across the
+// fault axis; its instants derive from the rig's fixed seed, so every
+// shard of a cell sees the same fault history.
+func (r *churnRig) start(requests int, rps float64) error {
+	if r.period == 0 {
+		return nil
+	}
+	windowNS := float64(requests) / rps * 1e9
+	cycles := int(windowNS/float64(r.period)) + 2
+	n, err := r.inj.Install(chaos.Schedule{
+		Seed:    r.chaosSeed,
+		Actions: chaos.Rolling(r.donors, r.period, churnOutage, cycles),
+	})
+	if err != nil || n == 0 {
+		return fmt.Errorf("serving: installing churn schedule (%d actions): %v", n, err)
+	}
+	return nil
+}
+
+// crashes counts the donor crashes the rig injected.
+func (r *churnRig) crashes() int64 { return r.inj.Stats.Get(string(chaos.NodeDown)) }

@@ -1,8 +1,12 @@
 package serving
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -81,7 +85,9 @@ func TestChurnSurvivesRollingCrashes(t *testing.T) {
 }
 
 // TestChurnDeterministic: two runs with the same config are bit-equal —
-// the property the harness shard/merge machinery stands on.
+// the property the harness shard/merge machinery stands on — and so is
+// a run with every observability hook attached, as venice-serve runs
+// it: the hooks work outside virtual time.
 func TestChurnDeterministic(t *testing.T) {
 	cfg := ChurnConfig{Nodes: 4, Util: 0.7, Requests: 400, Fault: FaultFast, Seed: 7}
 	a := churnRun(t, cfg)
@@ -92,6 +98,31 @@ func TestChurnDeterministic(t *testing.T) {
 	if a.GoodputRPS != b.GoodputRPS || a.Failed != b.Failed || a.UnavailNS != b.UnavailNS ||
 		a.Crashes != b.Crashes || a.Recoveries != b.Recoveries || a.RecoverMeanNS != b.RecoverMeanNS {
 		t.Fatalf("scalar results differ: %+v vs %+v", a, b)
+	}
+
+	hooked := cfg
+	reg := &obs.Registry{}
+	col := &obs.Collector{Reg: reg, Traces: obs.NewTraceStore(0), Events: obs.NewBroadcaster()}
+	var cl *core.Cluster
+	steps, observed := 0, 0
+	hooked.OnCluster = func(c *core.Cluster) {
+		cl = c
+		col.Attach(c)
+		obs.SnapshotFlat(c)
+	}
+	hooked.Throttle = func() {
+		if steps++; steps%64 == 0 {
+			obs.SnapshotFlat(cl)
+			col.MirrorScoreboard("mn_stats", "MN scoreboard.", &cl.MN.Stats)
+		}
+	}
+	hooked.Observe = func(sim.Dur) { observed++ }
+	h := churnRun(t, hooked)
+	if !reflect.DeepEqual(a, h) {
+		t.Fatalf("hooks moved the result:\nbare   %+v\nhooked %+v", a, h)
+	}
+	if observed != cfg.Requests {
+		t.Fatalf("Observe saw %d latencies, want %d", observed, cfg.Requests)
 	}
 	// A different shard seed is a genuinely different trial.
 	cfg.Seed = 8
@@ -112,6 +143,9 @@ func TestChurnConfigValidation(t *testing.T) {
 	}
 	if _, err := RunChurn(ChurnConfig{Nodes: 4, Requests: 10}); err == nil {
 		t.Fatal("zero util accepted")
+	}
+	if _, err := RunChurn(ChurnConfig{Nodes: 4, Util: math.NaN(), Requests: 10}); err == nil {
+		t.Fatal("NaN util accepted")
 	}
 	if _, err := RunChurn(ChurnConfig{Nodes: 2, Util: 0.5, Requests: 10}); err == nil {
 		t.Fatal("2-node churn accepted (no donor diversity)")

@@ -2,12 +2,9 @@ package serving
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/accel"
-	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/monitor"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -36,7 +33,6 @@ import (
 const (
 	inferClusterSeed = 2131
 	inferChaosSeed   = 2132
-	inferCalSeed     = 2133
 	inferHierSeed    = 2134
 
 	// The leased farm: each donor hosts inferAccelsPerDonor accelerators
@@ -58,30 +54,84 @@ const (
 	inferTaskBytes = 128 << 10
 	inferRespBytes = 4 << 10
 	inferCalibrate = 32
-
-	// Flat cells run the churn scenario's fast control plane so failure
-	// detection resolves within a rolling outage.
-	inferBeatInterval = 100 * sim.Microsecond
-	inferBeatTimeout  = 500 * sim.Microsecond
-	inferSweep        = 250 * sim.Microsecond
-
-	// Rolling-churn timing over the donor farm (flat cells only).
-	inferOutage     = 4 * sim.Millisecond
-	inferSlowPeriod = 16 * sim.Millisecond
-	inferFastPeriod = 6 * sim.Millisecond
 )
 
-// runInference dispatches the inference farm onto the configured fabric
-// shape: flat mesh (with optional donor churn) or rack/spine hierarchy
-// (with cross-rack device delegation).
+// runInference serves the farm on the configured fabric shape. On a
+// flat mesh (churnRig: MN on node 0, the app server on node 1, every
+// other node donating accelerators and a NIC), fault rates above none
+// roll crashes through the donor farm once calibration ends. On a
+// rack/spine fabric (newHierRig), the app server in rack 0 leases
+// CrossFrac of its accelerators from other racks through the sharded
+// monitor plane (root-elected donor rack, delegated grant), so every
+// cross-leased request's input/output motion rides the oversubscribed
+// spine uplinks. NIC leases stay rack-local there — egress bonding
+// across the spine would serialize on the same uplinks the sweep is
+// measuring.
 func runInference(cfg Config) (*Result, error) {
-	if cfg.Racks > 0 {
-		if cfg.Fault != "" && cfg.Fault != FaultNone {
-			return nil, fmt.Errorf("serving: inference fault injection runs on flat meshes only (got Racks=%d, Fault=%q)", cfg.Racks, cfg.Fault)
+	var farms []*accel.Service
+	shutdown := func() {
+		for _, svc := range farms {
+			svc.Shutdown()
 		}
-		return runInferenceHier(cfg)
 	}
-	return runInferenceFlat(cfg)
+	res := &Result{}
+	if cfg.Racks <= 0 {
+		rig, err := newChurnRig("inference", cfg.Nodes, cfg.Policy, cfg.Fault, core.Config{Seed: inferClusterSeed},
+			inferChaosSeed, func(cl *core.Cluster) {
+				for i := 2; i < len(cl.Nodes); i++ {
+					farms = append(farms, inferFarm(cl.Eng, cl.P, cl.Node(i), cl.Agents[i]))
+				}
+			})
+		if err != nil {
+			return nil, err
+		}
+		defer rig.cl.Close()
+		defer shutdown()
+		err = runScenario(rig.cl.Eng, "inference", nil, func(pr *sim.Proc) error {
+			return inferServe(pr, rig.cl, rig.app, cfg, res, func(int) []core.Option { return nil }, nil, rig.start)
+		})
+		if err != nil {
+			return nil, err
+		}
+		res.Crashes = rig.crashes()
+		res.DevFailovers = rig.cl.MN.Stats.Get("recover.devices_replaced")
+		return res, nil
+	}
+
+	if cfg.Fault != "" && cfg.Fault != FaultNone {
+		return nil, fmt.Errorf("serving: inference fault injection runs on flat meshes only (got Racks=%d, Fault=%q)", cfg.Racks, cfg.Fault)
+	}
+	// Every rack runs a donor farm on its nodes past the app's index
+	// (clear of the sub-MN/uplink nodes 0 and 1), so remote racks have
+	// devices for the root to delegate.
+	cl, app, err := newHierRig("hierarchical inference", cfg, inferHierSeed, func(cl *core.HierCluster) {
+		for r := 0; r < cfg.Racks; r++ {
+			for _, id := range cl.Hier.RackNodes(r)[3:] {
+				farms = append(farms, inferFarm(cl.Eng, cl.P, cl.Node(int(id)), cl.Agents[id]))
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	defer shutdown()
+	// The first cross leases are forced onto other racks; the rest are
+	// pinned rack-local, so CrossFrac is exact, not a policy accident.
+	cross := int(cfg.CrossFrac*inferAccelLeases + 0.5)
+	local := []core.Option{core.WithScope(monitor.ScopeLocalRack)}
+	err = runScenario(cl.Eng, "inference", nil, func(pr *sim.Proc) error {
+		return inferServe(pr, cl, app, cfg, res, func(i int) []core.Option {
+			if i < cross {
+				return []core.Option{core.WithScope(monitor.ScopeRemoteRack)}
+			}
+			return local
+		}, local, func(int, float64) error { return nil })
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // inferFarm installs accelerator services on one donor node and
@@ -100,9 +150,7 @@ func inferFarm(eng *sim.Engine, p *sim.Params, dn *node.Node, ag *monitor.Agent)
 
 // inferLeases acquires the farm's device working set — accelerator
 // leases then NIC leases — as one all-or-nothing batch through the
-// plane. scope shapes accelerator lease i (NIC leases are always
-// granted wherever the policy sends them on flat planes, rack-local on
-// hierarchical ones).
+// plane. accScope shapes accelerator lease i, nicScope every NIC lease.
 func inferLeases(pr *sim.Proc, pl core.Plane, app *node.Node, client *accel.Client,
 	accScope func(i int) []core.Option, nicScope []core.Option) ([]*core.AccelLease, []*core.NICLease, error) {
 	reqs := make([]core.Request, 0, inferAccelLeases+inferNICLeases)
@@ -129,286 +177,43 @@ func inferLeases(pr *sim.Proc, pl core.Plane, app *node.Node, client *accel.Clie
 	return accLs, nicLs, nil
 }
 
-// inferServe runs calibration plus the measured open-loop phase on an
-// already-leased farm; onCalibrated fires between the two (the flat
-// scenario installs its chaos schedule there, so calibration is
-// identical across the fault axis).
-func inferServe(pr *sim.Proc, eng *sim.Engine, app *node.Node, cfg Config, res *Result,
-	accLs []*core.AccelLease, bond *vnic.Bond, onCalibrated func() error) error {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 2
+// inferServe is the farm's scenario body: lease the devices, bond the
+// NIC leases behind a local NIC, calibrate, call started (the flat rig
+// installs its chaos schedule there), and run the measured phase.
+func inferServe(pr *sim.Proc, pl core.Plane, app *node.Node, cfg Config, res *Result,
+	accScope func(i int) []core.Option, nicScope []core.Option, started func(requests int, rps float64) error) error {
+	accLs, nicLs, err := inferLeases(pr, pl, app, accel.NewClient(app), accScope, nicScope)
+	if err != nil {
+		return fmt.Errorf("serving: inference leases: %w", err)
+	}
+	slaves := []vnic.Slave{&vnic.LocalSlave{NIC: vnic.NewNIC(app.Eng, app.P, "eth0")}}
+	for _, nl := range nicLs {
+		slaves = append(slaves, nl)
+	}
+	bond := vnic.NewBond(app.P, slaves...)
+	infer := func(p *sim.Proc, lease int) {
+		accLs[lease].Handle.Run(p, "fft", inferTaskBytes)
+		bond.Send(p, inferRespBytes)
 	}
 
 	// Closed-loop calibration under healthy conditions: one request's
 	// mean accelerator round trip plus egress sets the capacity the
 	// offered load is expressed against.
-	t0 := pr.Now()
-	for j := 0; j < inferCalibrate; j++ {
-		accLs[j%len(accLs)].Handle.Run(pr, "fft", inferTaskBytes)
-		bond.Send(pr, inferRespBytes)
-	}
-	res.ServiceNS = float64(pr.Now().Sub(t0)) / inferCalibrate
-	res.OfferedRPS = cfg.Util * float64(workers) / res.ServiceNS * 1e9
-	if err := onCalibrated(); err != nil {
+	res.ServiceNS = calibrate(pr, inferCalibrate, func(j int) { infer(pr, j%len(accLs)) })
+	res.OfferedRPS = offeredRPS(cfg.Util, appWorkers, res.ServiceNS)
+	if err := started(cfg.Requests, res.OfferedRPS); err != nil {
 		return err
 	}
 
-	reqQ := sim.NewQueue[request](eng)
-	shards := make([]*sim.LatencyHist, workers)
-	var lastDone sim.Time
-	completed := 0
-	grp := sim.NewGroup(eng)
-	for w := 0; w < workers; w++ {
-		w := w
-		shards[w] = &sim.LatencyHist{}
-		grp.Add(1)
-		app.Run(fmt.Sprintf("infer-worker-%d", w), func(wp *sim.Proc) {
-			defer grp.Done()
-			for {
-				req := reqQ.Pop(wp)
-				if req.close {
-					return
-				}
-				accLs[req.key].Handle.Run(wp, "fft", inferTaskBytes)
-				bond.Send(wp, inferRespBytes)
-				shards[w].AddDur(wp.Now().Sub(req.arrived))
-				if wp.Now() > lastDone {
-					lastDone = wp.Now()
-				}
-				completed++
-			}
-		})
-	}
-
-	arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
+	// Requests may stall through an outage while their lease fails over
+	// and its chunks replay, but every one of them must complete.
 	leaseRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-	start := pr.Now()
-	for r := 0; r < cfg.Requests; r++ {
-		pr.Sleep(arr.Next())
-		reqQ.Push(pr, request{arrived: pr.Now(), key: leaseRng.Intn(len(accLs))})
-	}
-	for w := 0; w < workers; w++ {
-		reqQ.Push(pr, request{close: true})
-	}
-	grp.Wait(pr)
-
-	// Zero-loss accounting: requests may stall through an outage while
-	// their lease fails over and its chunks replay, but every one of
-	// them must complete.
-	if completed != cfg.Requests {
-		return fmt.Errorf("serving: inference lost requests: %d of %d completed", completed, cfg.Requests)
-	}
-	res.AchievedRPS = float64(completed) / lastDone.Sub(start).Seconds()
-	res.MaxQueue = reqQ.MaxDepth()
-	res.Lat = &sim.LatencyHist{}
-	for _, s := range shards {
-		res.Lat.Merge(s)
-	}
-	return nil
-}
-
-// runInferenceFlat serves the farm on a single mesh: MN on node 0
-// (excluded from donation), the app server on node 1, every other node
-// donating accelerators and a NIC. Fault rates above none roll crashes
-// through the donor farm once calibration ends.
-func runInferenceFlat(cfg Config) (*Result, error) {
-	pol, ok := monitor.PolicyByName(cfg.Policy)
-	if !ok {
-		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
-	}
-	nodes := cfg.Nodes
-	if nodes == 0 {
-		nodes = 8
-	}
-	if nodes < 4 {
-		return nil, fmt.Errorf("serving: inference needs >= 4 nodes (MN + server + two donors), got %d", nodes)
-	}
-	topo, err := topoFor(nodes)
-	if err != nil {
-		return nil, err
-	}
-	var period sim.Dur
-	switch cfg.Fault {
-	case "", FaultNone:
-		period = 0
-	case FaultSlow:
-		period = inferSlowPeriod
-	case FaultFast:
-		period = inferFastPeriod
-	default:
-		return nil, fmt.Errorf("serving: unknown fault rate %q", cfg.Fault)
-	}
-
-	cl := core.NewCluster(core.Config{
-		Topology:          &topo,
-		StartAgents:       true,
-		StartRecovery:     true,
-		HeartbeatInterval: inferBeatInterval,
-		HeartbeatTimeout:  inferBeatTimeout,
-		SweepInterval:     inferSweep,
-		Seed:              inferClusterSeed,
-	})
-	defer cl.Close()
-	cl.MN.Policy = pol
-	// The MN must never be elected donor (matching the churn scenario):
-	// crashing a device donor must not take the control plane with it.
-	if err := cl.Node(0).MemMgr.Reserve(cl.Node(0).MemMgr.Idle()); err != nil {
-		return nil, fmt.Errorf("serving: reserving MN memory: %w", err)
-	}
-	for i := 2; i < nodes; i++ {
-		svc := inferFarm(cl.Eng, cl.P, cl.Node(i), cl.Agents[i])
-		defer svc.Shutdown()
-	}
-	cl.RunFor(10 * sim.Millisecond) // populate the RRT (devices ride the beats)
-
-	// Donor population for the rolling schedule, nearest-to-server first
-	// — the early crashes hit the donors distance-leaning policies lease
-	// from, so the cell measures failover, not crashes of idle bystanders.
-	var donors []fabric.NodeID
-	for i := 2; i < nodes; i++ {
-		donors = append(donors, fabric.NodeID(i))
-	}
-	sort.Slice(donors, func(i, j int) bool {
-		hi, hj := topo.HopCount(1, donors[i]), topo.HopCount(1, donors[j])
-		if hi != hj {
-			return hi < hj
-		}
-		return donors[i] < donors[j]
-	})
-	inj := chaos.New(cl.Eng, cl.Net, cl.Agents)
-
-	app := cl.Node(1)
-	res := &Result{}
-	var runErr error
-	done := app.Run("serving-inference", func(pr *sim.Proc) {
-		client := accel.NewClient(app)
-		accLs, nicLs, err := inferLeases(pr, cl, app, client,
-			func(int) []core.Option { return nil }, nil)
-		if err != nil {
-			runErr = fmt.Errorf("serving: inference leases: %w", err)
-			return
-		}
-		local := vnic.NewNIC(cl.Eng, cl.P, "eth0")
-		slaves := []vnic.Slave{&vnic.LocalSlave{NIC: local}}
-		for _, nl := range nicLs {
-			slaves = append(slaves, nl)
-		}
-		bond := vnic.NewBond(cl.P, slaves...)
-
-		runErr = inferServe(pr, cl.Eng, app, cfg, res, accLs, bond, func() error {
-			if period == 0 {
-				return nil
-			}
-			// Chaos starts only after calibration; instants derive from a
-			// fixed internal seed so every shard of a cell sees the same
-			// fault history, covering the expected measured window.
-			windowNS := float64(cfg.Requests) / res.OfferedRPS * 1e9
-			cycles := int(windowNS/float64(period)) + 2
-			n, err := inj.Install(chaos.Schedule{
-				Seed:    inferChaosSeed,
-				Actions: chaos.Rolling(donors, period, inferOutage, cycles),
-			})
-			if err != nil || n == 0 {
-				return fmt.Errorf("serving: installing inference churn schedule (%d actions): %v", n, err)
-			}
-			return nil
-		})
-	})
-	// Agents, recovery, and pending chaos actions keep the event queue
-	// alive forever; step only until the scenario completes.
-	for !done.Done() && cl.Eng.Step() {
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: inference scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
-	}
-	res.Crashes = inj.Stats.Get(string(chaos.NodeDown))
-	res.DevFailovers = cl.MN.Stats.Get("recover.devices_replaced")
-	return res, nil
-}
-
-// runInferenceHier serves the farm on a rack/spine fabric: the app
-// server in rack 0 leases CrossFrac of its accelerators from other
-// racks through the sharded monitor plane (root-elected donor rack,
-// delegated grant), so every cross-leased request's input/output motion
-// rides the oversubscribed spine uplinks. NIC leases stay rack-local —
-// egress bonding across the spine would serialize on the same uplinks
-// the sweep is measuring.
-func runInferenceHier(cfg Config) (*Result, error) {
-	if cfg.Racks < 2 {
-		return nil, fmt.Errorf("serving: hierarchical inference needs >= 2 racks, got %d", cfg.Racks)
-	}
-	if cfg.CrossFrac < 0 || cfg.CrossFrac > 1 {
-		return nil, fmt.Errorf("serving: CrossFrac %v out of [0, 1]", cfg.CrossFrac)
-	}
-	x, y, z, err := scaleRackDims(cfg.RackNodes)
-	if err != nil {
-		return nil, err
-	}
-	cross := int(cfg.CrossFrac*inferAccelLeases + 0.5)
-
-	cl := core.NewHierCluster(core.HierConfig{
-		Racks: cfg.Racks, RackX: x, RackY: y, RackZ: z,
-		Spines: scaleSpines, Uplinks: scaleUplinks, SpineGbps: scaleSpineGbps,
-		Seed: inferHierSeed,
-		// Long periods keep the steady-state event count tractable; the
-		// warm-up covers the staggered first beats that carry every
-		// donor's device advertisement up through the rack beats.
-		HeartbeatInterval: 30 * sim.Second,
-		RackBeatInterval:  30 * sim.Second,
-	})
-	defer cl.Close()
-	// Every rack runs a donor farm on its nodes past the app's index
-	// (clear of the sub-MN/uplink nodes 0 and 1), so remote racks have
-	// devices for the root to delegate.
-	for r := 0; r < cfg.Racks; r++ {
-		ids := cl.Hier.RackNodes(r)
-		for _, id := range ids[3:] {
-			svc := inferFarm(cl.Eng, cl.P, cl.Node(int(id)), cl.Agents[id])
-			defer svc.Shutdown()
-		}
-	}
-	cl.RunFor(1 * sim.Second)
-
-	app := cl.Node(int(cl.Hier.RackNodes(0)[2]))
-	res := &Result{}
-	var runErr error
-	done := app.Run("serving-inference", func(pr *sim.Proc) {
-		client := accel.NewClient(app)
-		// The first cross leases are forced onto other racks; the rest
-		// are pinned rack-local, so CrossFrac is exact, not a policy
-		// accident.
-		accLs, nicLs, err := inferLeases(pr, cl, app, client,
-			func(i int) []core.Option {
-				if i < cross {
-					return []core.Option{core.WithScope(monitor.ScopeRemoteRack)}
-				}
-				return []core.Option{core.WithScope(monitor.ScopeLocalRack)}
-			},
-			[]core.Option{core.WithScope(monitor.ScopeLocalRack)})
-		if err != nil {
-			runErr = fmt.Errorf("serving: inference leases: %w", err)
-			return
-		}
-		local := vnic.NewNIC(cl.Eng, cl.P, "eth0")
-		slaves := []vnic.Slave{&vnic.LocalSlave{NIC: local}}
-		for _, nl := range nicLs {
-			slaves = append(slaves, nl)
-		}
-		bond := vnic.NewBond(cl.P, slaves...)
-
-		runErr = inferServe(pr, cl.Eng, app, cfg, res, accLs, bond, func() error { return nil })
-	})
-	for !done.Done() && cl.Eng.Step() {
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: inference scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
-	}
-	return res, nil
+	ph, err := openLoop[int]{
+		workers: appWorkers, arrivals: cfg.Arrivals,
+		rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+		next:  func() (int, int) { return leaseRng.Intn(len(accLs)), 0 },
+		serve: func(wp *sim.Proc, _, lease int) bool { infer(wp, lease); return true },
+	}.run(pr)
+	res.measured(ph)
+	return err
 }

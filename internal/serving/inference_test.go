@@ -52,7 +52,7 @@ func TestInferenceSurvivesDonorChurn(t *testing.T) {
 	}
 	// The extreme tail carries the failover stalls: at least a heartbeat
 	// timeout long.
-	if p999 < int64(inferBeatTimeout) {
+	if p999 < int64(churnBeatTimeout) {
 		t.Fatalf("p999 %dns under the detection timeout; outages never reached the tail", p999)
 	}
 }

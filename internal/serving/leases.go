@@ -5,12 +5,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Shared lease-acquisition path. Every scenario leases its
-// remote-memory working set through the unified core.Plane surface via
-// this one helper, so the serving, churn, and scale cells share a
-// single borrow shape and a single retry schedule and cannot drift
-// apart. (Cells are gated byte-identical in BENCH_BASELINE.json; the
-// retry schedule only engages on transient failures, which the swept
+// Shared lease-acquisition path. Tier, churn, and scale lease their
+// remote-memory working sets through the unified core.Plane surface via
+// this one helper, so they share a single borrow shape and a single
+// retry schedule and cannot drift apart. (Cells are gated byte-identical in BENCH_BASELINE.json; the retry
+// schedule only engages on transient failures, which the swept
 // configurations never hit.)
 
 // borrowRetry is the scenarios' shared acquisition schedule: three

@@ -67,42 +67,52 @@ func scaleRackDims(rackNodes int) (x, y, z int, err error) {
 	return 0, 0, 0, fmt.Errorf("serving: unsupported rack size %d (want 8, 16, or 32)", rackNodes)
 }
 
-// runScale executes the rack-scale serving scenario.
-func runScale(cfg Config) (*Result, error) {
+// newHierRig builds the rack/spine rig scale and hierarchical
+// inference share: cfg.Racks racks of cfg.RackNodes-node meshes behind
+// the oversubscribed spine, warmed for 1 s. setup, when set, runs
+// before the warm-up. It returns the cluster and the app server, node 2
+// of rack 0 (clear of the sub-MN/uplink nodes 0 and 1).
+func newHierRig(name string, cfg Config, seed uint64, setup func(*core.HierCluster)) (*core.HierCluster, *node.Node, error) {
 	if cfg.Racks < 2 {
-		return nil, fmt.Errorf("serving: scale workload needs >= 2 racks, got %d", cfg.Racks)
+		return nil, nil, fmt.Errorf("serving: %s needs >= 2 racks, got %d", name, cfg.Racks)
 	}
-	if cfg.CrossFrac < 0 || cfg.CrossFrac > 1 {
-		return nil, fmt.Errorf("serving: CrossFrac %v out of [0, 1]", cfg.CrossFrac)
+	if !(cfg.CrossFrac >= 0 && cfg.CrossFrac <= 1) { // NaN fails too
+		return nil, nil, fmt.Errorf("serving: CrossFrac %v out of [0, 1]", cfg.CrossFrac)
 	}
 	x, y, z, err := scaleRackDims(cfg.RackNodes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cross := int(cfg.CrossFrac*scaleWindows + 0.5)
-
 	cl := core.NewHierCluster(core.HierConfig{
 		Racks: cfg.Racks, RackX: x, RackY: y, RackZ: z,
 		Spines: scaleSpines, Uplinks: scaleUplinks, SpineGbps: scaleSpineGbps,
-		Seed: scaleClusterSeed,
+		Seed: seed,
 		// Long periods keep the steady-state event count tractable; the
-		// warm-up run covers the staggered first beats that populate the
-		// RRTs and the root's rack registry.
+		// warm-up covers the staggered first beats that populate the
+		// RRTs, the root's rack registry, and every donor's device
+		// advertisement.
 		HeartbeatInterval: 30 * sim.Second,
 		RackBeatInterval:  30 * sim.Second,
 	})
-	defer cl.Close()
-	cl.RunFor(1 * sim.Second)
-
-	app := cl.Node(2) // rack 0, clear of the sub-MN/uplink nodes 0 and 1
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 2
+	if setup != nil {
+		setup(cl)
 	}
+	cl.RunFor(1 * sim.Second)
+	return cl, cl.Node(2), nil
+}
+
+// runScale executes the rack-scale serving scenario.
+func runScale(cfg Config) (*Result, error) {
+	cl, app, err := newHierRig("scale workload", cfg, scaleClusterSeed, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	cross := int(cfg.CrossFrac*scaleWindows + 0.5)
+
 	res := &Result{}
-	var runErr error
 	stop := false
-	done := app.Run("serving-scale", func(pr *sim.Proc) {
+	err = runScenario(cl.Eng, "scale", nil, func(pr *sim.Proc) error {
 		// Lease the working set: the cross-rack share is delegated by the
 		// root MN (most-idle rack election spreads consecutive windows
 		// over distinct racks), the rest is pinned rack-local.
@@ -114,8 +124,7 @@ func runScale(cfg Config) (*Result, error) {
 			return core.NewRequest(core.Memory, app, scaleWindowBytes, core.WithScope(scope))
 		})
 		if err != nil {
-			runErr = fmt.Errorf("serving: working-set windows: %w", err)
-			return
+			return fmt.Errorf("serving: working-set windows: %w", err)
 		}
 
 		// Background tenants on every rack (nodes past the app's index,
@@ -140,12 +149,10 @@ func runScale(cfg Config) (*Result, error) {
 			return core.NewRequest(core.Memory, tenantNodes[k], scaleWindowBytes, core.WithScope(scope))
 		})
 		if err != nil {
-			runErr = fmt.Errorf("serving: tenant windows: %w", err)
-			return
+			return fmt.Errorf("serving: tenant windows: %w", err)
 		}
 		for k, lease := range tenantLeases {
-			lease, trng := lease, tenantRng.Fork()
-			tn := tenantNodes[k]
+			trng, tn := tenantRng.Fork(), tenantNodes[k]
 			tn.Run("tenant", func(tp *sim.Proc) {
 				for !stop {
 					off := trng.Uint64n(lease.Size-scaleTenantBulk) &^ 63
@@ -155,76 +162,32 @@ func runScale(cfg Config) (*Result, error) {
 			})
 		}
 
+		// One request reads a random line-aligned span of one window.
+		read := func(p *sim.Proc, lease *core.MemoryLease, rng *sim.RNG) {
+			off := rng.Uint64n(lease.Size-scaleReadBytes) &^ 63
+			app.Mem.Read(p, lease.WindowBase+off, scaleReadBytes)
+			app.Mem.Think(p, scaleThink)
+		}
 		// Closed-loop calibration over the same window mix the measured
 		// phase will draw from, under the same background pressure.
 		calRng := sim.NewRNG(scaleCalSeed)
-		t0 := pr.Now()
-		for j := 0; j < scaleCalibration; j++ {
-			lease := windows[j%scaleWindows]
-			off := calRng.Uint64n(lease.Size-scaleReadBytes) &^ 63
-			app.Mem.Read(pr, lease.WindowBase+off, scaleReadBytes)
-			app.Mem.Think(pr, scaleThink)
-		}
-		res.ServiceNS = float64(pr.Now().Sub(t0)) / scaleCalibration
-		res.OfferedRPS = cfg.Util * float64(workers) / res.ServiceNS * 1e9
+		res.ServiceNS = calibrate(pr, scaleCalibration, func(j int) { read(pr, windows[j%scaleWindows], calRng) })
+		res.OfferedRPS = offeredRPS(cfg.Util, appWorkers, res.ServiceNS)
 
-		reqQ := sim.NewQueue[request](cl.Eng)
-		shards := make([]*sim.LatencyHist, workers)
-		var lastDone sim.Time
-		grp := sim.NewGroup(cl.Eng)
 		offRng := sim.NewRNG(cfg.Seed ^ 0xacce55)
-		for w := 0; w < workers; w++ {
-			w := w
-			shards[w] = &sim.LatencyHist{}
-			grp.Add(1)
-			app.Run(fmt.Sprintf("worker-%d", w), func(wp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := reqQ.Pop(wp)
-					if req.close {
-						return
-					}
-					lease := windows[req.key]
-					off := offRng.Uint64n(lease.Size-scaleReadBytes) &^ 63
-					app.Mem.Read(wp, lease.WindowBase+off, scaleReadBytes)
-					app.Mem.Think(wp, scaleThink)
-					shards[w].AddDur(wp.Now().Sub(req.arrived))
-					if wp.Now() > lastDone {
-						lastDone = wp.Now()
-					}
-				}
-			})
-		}
-
-		arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
 		winRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-		start := pr.Now()
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			reqQ.Push(pr, request{arrived: pr.Now(), key: winRng.Intn(scaleWindows)})
-		}
-		for w := 0; w < workers; w++ {
-			reqQ.Push(pr, request{close: true})
-		}
-		grp.Wait(pr)
+		ph, err := openLoop[int]{
+			workers: appWorkers, arrivals: cfg.Arrivals,
+			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next:  func() (int, int) { return winRng.Intn(scaleWindows), 0 },
+			serve: func(wp *sim.Proc, _, w int) bool { read(wp, windows[w], offRng); return true },
+		}.run(pr)
 		stop = true
-
-		res.AchievedRPS = float64(cfg.Requests) / lastDone.Sub(start).Seconds()
-		res.MaxQueue = reqQ.MaxDepth()
-		res.Lat = &sim.LatencyHist{}
-		for _, s := range shards {
-			res.Lat.Merge(s)
-		}
+		res.measured(ph)
+		return err
 	})
-	// Agent and rackbeat loops keep the event queue alive forever; step
-	// only until the scenario completes.
-	for !done.Done() && cl.Eng.Step() {
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: scale scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -65,6 +66,7 @@ func TestScaleConfigErrors(t *testing.T) {
 		{Workload: Scale, Racks: 2, RackNodes: 9, Util: 0.5, Requests: 10},
 		{Workload: Scale, Racks: 2, RackNodes: 8, CrossFrac: -0.1, Util: 0.5, Requests: 10},
 		{Workload: Scale, Racks: 2, RackNodes: 8, CrossFrac: 1.1, Util: 0.5, Requests: 10},
+		{Workload: Scale, Racks: 2, RackNodes: 8, CrossFrac: math.NaN(), Util: 0.5, Requests: 10},
 	}
 	for _, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -41,7 +41,8 @@ const (
 type Config struct {
 	Workload Workload
 	// Nodes is the mesh size: 2, 4, or 8 (0 defaults to the prototype's
-	// 8-node mesh; Tier additionally needs >= 4 for donor diversity).
+	// 8-node mesh; Tier and flat Inference need >= 4 for donor
+	// diversity).
 	Nodes int
 	// Util is the offered load as a fraction of the scenario's
 	// calibrated service capacity (the open-loop arrival rate is
@@ -52,16 +53,13 @@ type Config struct {
 	Arrivals ArrivalSpec
 	// Requests is the number of measured open-loop requests.
 	Requests int
-	// Workers is the app-server concurrency for the Tier workload
-	// (default 2). KV uses one dispatcher per data server.
-	Workers int
 	// Tenants is the number of co-located tenants on the serving node,
 	// each leasing remote memory through the Monitor Node and streaming
 	// reads through it for the scenario's duration (Tier only).
 	Tenants int
 	// Policy names the Monitor Node sharing policy that places every
-	// lease — the serving tier's and the tenants' (Tier only;
-	// "" = the prototype's distance-first).
+	// lease — the serving tier's and the tenants' (Tier and flat
+	// Inference; "" = the prototype's distance-first).
 	Policy string
 	// Telemetry enables the windowed link-utilization plane (Tier
 	// only): agents beat every tierTelemetryBeat instead of staying
@@ -97,8 +95,7 @@ type Config struct {
 // Result is one scenario run's measurements.
 type Result struct {
 	// Lat holds every measured request's end-to-end latency (queueing
-	// included — the arrival instant to the response), merged from the
-	// per-dispatcher shard histograms.
+	// included — the arrival instant to the response).
 	Lat *sim.LatencyHist
 	// OfferedRPS is the open-loop arrival rate (Util × calibrated
 	// capacity) in requests per second of virtual time.
@@ -167,20 +164,10 @@ const (
 	tierMigrateSettle = 4 * sim.Millisecond
 )
 
-// request is one queued unit of offered load.
-type request struct {
-	arrived sim.Time
-	key     int
-	close   bool
-}
-
 // Run executes one serving scenario and returns its measurements.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Requests <= 0 {
-		return nil, fmt.Errorf("serving: Requests must be positive, got %d", cfg.Requests)
-	}
-	if cfg.Util <= 0 {
-		return nil, fmt.Errorf("serving: Util must be positive, got %v", cfg.Util)
+	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
+		return nil, err
 	}
 	if err := cfg.Arrivals.validate(); err != nil {
 		return nil, err
@@ -196,6 +183,11 @@ func Run(cfg Config) (*Result, error) {
 		return runInference(cfg)
 	}
 	return nil, fmt.Errorf("serving: unknown workload %q", cfg.Workload)
+}
+
+// measured copies a measured phase's outcome into the result.
+func (r *Result) measured(ph *phase) {
+	r.Lat, r.AchievedRPS, r.MaxQueue = ph.lat, float64(ph.completed)/ph.window(), ph.maxQueue
 }
 
 // topoFor maps a node count onto the meshes the prototype family
@@ -237,79 +229,44 @@ func runKV(cfg Config) (*Result, error) {
 	servers := topo.N - 1
 
 	res := &Result{}
-	done := nodes[0].Run("serving-kv", func(pr *sim.Proc) {
+	err = runScenario(eng, "kv", nil, func(pr *sim.Proc) error {
 		idx := workloads.BuildBTreeIndex(pr, nodes[0].Mem,
 			workloads.NewArena(0, 128<<20), workloads.NewArena(kvRecordBase, 128<<20),
 			kvKeys, kvRecordSize, kvFanout)
-		queues := make([]*sim.Queue[request], servers)
 		rkvs := make([]*workloads.RemoteKV, servers)
-		shards := make([]*sim.LatencyHist, servers)
-		for i := 0; i < servers; i++ {
+		for i := range rkvs {
 			qa, qb := transport.ConnectQPair(nodes[0].EP, nodes[i+1].EP, transport.QPairConfig{})
 			workloads.ServeKV(eng, fmt.Sprintf("kv-server-%d", i+1),
 				&workloads.DataServer{H: nodes[i+1].Mem, QP: qb, Think: kvThink})
 			rkvs[i] = &workloads.RemoteKV{Index: idx, QP: qa}
-			queues[i] = sim.NewQueue[request](eng)
-			shards[i] = &sim.LatencyHist{}
 		}
 
 		// Closed-loop calibration: the mean synchronous round trip sets
 		// the capacity the offered load is expressed against.
 		calRng := sim.NewRNG(kvCalSeed)
-		t0 := pr.Now()
-		for j := 0; j < kvCalibration; j++ {
+		res.ServiceNS = calibrate(pr, kvCalibration, func(j int) {
 			rkvs[j%servers].Get(pr, calRng.Intn(idx.Keys()))
-		}
-		res.ServiceNS = float64(pr.Now().Sub(t0)) / kvCalibration
-		res.OfferedRPS = cfg.Util * float64(servers) / res.ServiceNS * 1e9
+		})
+		res.OfferedRPS = offeredRPS(cfg.Util, servers, res.ServiceNS)
 
-		var lastDone sim.Time
-		grp := sim.NewGroup(eng)
-		for i := 0; i < servers; i++ {
-			i := i
-			grp.Add(1)
-			nodes[0].Run(fmt.Sprintf("dispatch-%d", i), func(dp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := queues[i].Pop(dp)
-					if req.close {
-						rkvs[i].Close(dp)
-						return
-					}
-					rkvs[i].Get(dp, req.key)
-					shards[i].AddDur(dp.Now().Sub(req.arrived))
-					if dp.Now() > lastDone {
-						lastDone = dp.Now()
-					}
-				}
-			})
-		}
-
-		arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
+		// One dispatcher per data server, each with its own queue.
 		keyRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-		start := pr.Now()
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			key := keyRng.Intn(idx.Keys())
-			queues[key%servers].Push(pr, request{arrived: pr.Now(), key: key})
-		}
-		for i := 0; i < servers; i++ {
-			queues[i].Push(pr, request{close: true})
-		}
-		grp.Wait(pr)
-
-		res.AchievedRPS = float64(cfg.Requests) / lastDone.Sub(start).Seconds()
-		res.Lat = &sim.LatencyHist{}
-		for i := range shards {
-			res.Lat.Merge(shards[i])
-			if d := queues[i].MaxDepth(); d > res.MaxQueue {
-				res.MaxQueue = d
-			}
-		}
+		ph, err := openLoop[int]{
+			workers: servers, ownQueue: true, arrivals: cfg.Arrivals,
+			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next: func() (int, int) {
+				key := keyRng.Intn(idx.Keys())
+				return key, key % servers
+			},
+			serve: func(wp *sim.Proc, w, key int) bool { rkvs[w].Get(wp, key); return true },
+			exit:  func(wp *sim.Proc, w int) { rkvs[w].Close(wp) },
+		}.run(pr)
+		res.measured(ph)
+		return err
 	})
-	eng.Run()
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: kv scenario deadlocked (%d live procs)", eng.LiveProcs())
+	eng.Run() // drain: each data server exits on its close message
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -337,6 +294,9 @@ func runTier(cfg Config) (*Result, error) {
 	if nodes < 4 {
 		return nil, fmt.Errorf("serving: tier workload needs >= 4 nodes for donor diversity, got %d", nodes)
 	}
+	if cfg.Tenants < 0 {
+		return nil, fmt.Errorf("serving: Tenants must be non-negative, got %d", cfg.Tenants)
+	}
 	p := sim.Default()
 	// The baseline runs with agents effectively silent (one beat during
 	// warm-up populates the RRT); the telemetry plane needs live beats.
@@ -357,14 +317,9 @@ func runTier(cfg Config) (*Result, error) {
 	cl.RunFor(1 * sim.Second) // populate the RRT
 
 	app := cl.Node(0)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 2
-	}
 	res := &Result{}
-	var runErr error
 	stop := false
-	done := app.Run("serving-tier", func(pr *sim.Proc) {
+	err = runScenario(cl.Eng, "tier", nil, func(pr *sim.Proc) error {
 		// Co-located tenants lease first: their windows land wherever the
 		// policy sends them, before the serving tier asks. The hammer
 		// processes start only after warm-up — pressure during the
@@ -375,12 +330,11 @@ func runTier(cfg Config) (*Result, error) {
 			return core.NewRequest(core.Memory, app, tenantLeaseBytes)
 		})
 		if err != nil {
-			runErr = fmt.Errorf("serving: tenant leases: %w", err)
-			return
+			return fmt.Errorf("serving: tenant leases: %w", err)
 		}
 		startTenants := func() {
 			for t, lease := range tenantLeases {
-				lease, trng := lease, tenantRng.Fork()
+				trng := tenantRng.Fork()
 				app.Run(fmt.Sprintf("tenant-%d", t), func(tp *sim.Proc) {
 					for !stop {
 						off := trng.Uint64n(lease.Size-tenantReadBytes) &^ 63
@@ -401,9 +355,7 @@ func runTier(cfg Config) (*Result, error) {
 		lease, err := cl.Acquire(pr, core.NewRequest(core.Memory, app, tierCacheLease,
 			core.WithRetry(borrowRetry), core.WithLatencySensitive()))
 		if err != nil {
-			runErr = fmt.Errorf("serving: cache lease: %w", err)
-			stop = true
-			return
+			return fmt.Errorf("serving: cache lease: %w", err)
 		}
 		cache.AddArena(workloads.NewArena(lease.Window()))
 		db := &workloads.TierDB{
@@ -420,66 +372,22 @@ func runTier(cfg Config) (*Result, error) {
 			pr.Sleep(tierMigrateSettle)
 		}
 		calZipf := sim.NewZipf(sim.NewRNG(tierCalSeed), tierKeys, tierZipfTheta)
-		t0 := pr.Now()
-		for j := 0; j < tierCalibration; j++ {
-			db.Query(pr, calZipf.Next())
-		}
-		res.ServiceNS = float64(pr.Now().Sub(t0)) / tierCalibration
-		res.OfferedRPS = cfg.Util * float64(workers) / res.ServiceNS * 1e9
+		res.ServiceNS = calibrate(pr, tierCalibration, func(int) { db.Query(pr, calZipf.Next()) })
+		res.OfferedRPS = offeredRPS(cfg.Util, appWorkers, res.ServiceNS)
 
-		reqQ := sim.NewQueue[request](cl.Eng)
-		shards := make([]*sim.LatencyHist, workers)
-		var lastDone sim.Time
-		grp := sim.NewGroup(cl.Eng)
-		for w := 0; w < workers; w++ {
-			w := w
-			shards[w] = &sim.LatencyHist{}
-			grp.Add(1)
-			app.Run(fmt.Sprintf("worker-%d", w), func(wp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := reqQ.Pop(wp)
-					if req.close {
-						return
-					}
-					db.Query(wp, req.key)
-					shards[w].AddDur(wp.Now().Sub(req.arrived))
-					if wp.Now() > lastDone {
-						lastDone = wp.Now()
-					}
-				}
-			})
-		}
-
-		arr := newSampler(cfg.Arrivals, res.OfferedRPS, sim.NewRNG(cfg.Seed))
 		keys := sim.NewZipf(sim.NewRNG(cfg.Seed^0x5eed), tierKeys, tierZipfTheta)
-		start := pr.Now()
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			reqQ.Push(pr, request{arrived: pr.Now(), key: keys.Next()})
-		}
-		for w := 0; w < workers; w++ {
-			reqQ.Push(pr, request{close: true})
-		}
-		grp.Wait(pr)
+		ph, err := openLoop[int]{
+			workers: appWorkers, arrivals: cfg.Arrivals,
+			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next:  func() (int, int) { return keys.Next(), 0 },
+			serve: func(wp *sim.Proc, _, key int) bool { db.Query(wp, key); return true },
+		}.run(pr)
 		stop = true
-
-		res.AchievedRPS = float64(cfg.Requests) / lastDone.Sub(start).Seconds()
-		res.MaxQueue = reqQ.MaxDepth()
-		res.Lat = &sim.LatencyHist{}
-		for _, s := range shards {
-			res.Lat.Merge(s)
-		}
+		res.measured(ph)
+		return err
 	})
-	// Step only until the scenario finishes: agents and tenants would
-	// otherwise keep the event queue alive forever.
-	for !done.Done() && cl.Eng.Step() {
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: tier scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

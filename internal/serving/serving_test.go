@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -159,6 +160,9 @@ func TestServingConfigErrors(t *testing.T) {
 			Arrivals: ArrivalSpec{Kind: MMPP, BurstFrac: 1.5}},
 		{Workload: KV, Nodes: 2, Util: 0.5, Requests: 10,
 			Arrivals: ArrivalSpec{Kind: MMPP, BurstFactor: 0.5}},
+		{Workload: KV, Nodes: 2, Util: math.NaN(), Requests: 10},         // panicked in the generator
+		{Workload: KV, Nodes: 2, Util: math.Inf(1), Requests: 10},        // ran with OfferedRPS +Inf
+		{Workload: Tier, Nodes: 8, Util: 0.5, Requests: 10, Tenants: -1}, // panicked in borrowWindows
 	}
 	for _, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -31,25 +31,9 @@ type TenancyConfig struct {
 	Util float64
 	// Requests is the number of measured open-loop sessions.
 	Requests int
-	// Workers is the app-server dispatch concurrency (default 8). Each
-	// busy worker holds one in-flight lease, so Workers also bounds the
-	// foreground pool pressure.
-	Workers int
-	// Holders is the background Preemptible-class tenant population
-	// (default 16 — two more than the class budget admits, so the
-	// degrade and reject paths are exercised from the start).
-	Holders int
 	// Seed drives the arrival, class-mix, and offset streams (the shard
 	// axis).
 	Seed uint64
-
-	// OnCluster, when set, receives the cluster after its RRT is
-	// populated and before serving starts (outside virtual time; see
-	// ChurnConfig.OnCluster).
-	OnCluster func(*core.Cluster)
-	// Throttle, when set, is called between engine steps on the driving
-	// goroutine (outside virtual time).
-	Throttle func()
 }
 
 // ClassStats is one SLO class's ledger for a run. Every offered
@@ -125,31 +109,28 @@ const (
 
 	tenancyHolderPoll = 100 * sim.Microsecond
 	tenancySettle     = 20 * sim.Millisecond
+
+	// tenancyWorkers is the app-server dispatch concurrency. Each busy
+	// worker holds one in-flight lease, so it also bounds the foreground
+	// pool pressure.
+	tenancyWorkers = 8
+	// tenancyHolders is the background Preemptible-class tenant
+	// population: two more than the class budget admits, so the degrade
+	// and reject paths are exercised from the start.
+	tenancyHolders = 16
 )
 
-// tenancyRequest is one queued unit of offered load.
-type tenancyRequest struct {
-	arrived sim.Time
-	tenant  uint64
-	class   tenancy.Class
-	close   bool
+// session is one tenancy request: a tenant of one SLO class leasing,
+// reading, and releasing one window.
+type session struct {
+	tenant uint64
+	class  tenancy.Class
 }
 
 // RunTenancy executes one multi-tenant admission scenario.
 func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
-	if cfg.Requests <= 0 {
-		return nil, fmt.Errorf("serving: Requests must be positive, got %d", cfg.Requests)
-	}
-	if cfg.Util <= 0 {
-		return nil, fmt.Errorf("serving: Util must be positive, got %v", cfg.Util)
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	holders := cfg.Holders
-	if holders <= 0 {
-		holders = 16
+	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
+		return nil, err
 	}
 	topo, err := topoFor(8)
 	if err != nil {
@@ -172,9 +153,6 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 		}
 	}
 	cl.RunFor(10 * sim.Millisecond) // populate the RRT
-	if cfg.OnCluster != nil {
-		cfg.OnCluster(cl)
-	}
 
 	// Holders learn about their eviction from the plane's event stream:
 	// the observer records preempted trace ids, each holder polls for
@@ -192,7 +170,6 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 	for c := range res.PerClass {
 		res.PerClass[c].Lat = &sim.LatencyHist{}
 	}
-	var runErr error
 	stop := false
 
 	// Background Preemptible-class tenants: each tries to hold one lease
@@ -200,8 +177,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 	// rejection. Their virtual time is spent asleep, so they load the
 	// pool's capacity, not its request path.
 	holderGrp := sim.NewGroup(cl.Eng)
-	for h := 0; h < holders; h++ {
-		h := h
+	for h := 0; h < tenancyHolders; h++ {
 		holderGrp.Add(1)
 		app.Run(fmt.Sprintf("tenant-holder-%d", h), func(hp *sim.Proc) {
 			defer holderGrp.Done()
@@ -233,16 +209,19 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 		})
 	}
 
-	done := app.Run("serving-tenancy", func(pr *sim.Proc) {
+	err = runScenario(cl.Eng, "tenancy", nil, func(pr *sim.Proc) error {
 		// Closed-loop calibration before the holders saturate anything:
 		// untagged sessions bypass admission, so the measured mean is the
 		// unloaded acquire + read + release cycle.
 		calRng := sim.NewRNG(tenancyCalSeed)
-		t0 := pr.Now()
-		for j := 0; j < tenancyCalibrate; j++ {
+		var calErr error
+		res.ServiceNS = calibrate(pr, tenancyCalibrate, func(int) {
+			if calErr != nil {
+				return
+			}
 			l, err := cl.Acquire(pr, core.NewRequest(core.Memory, app, tenancyLeaseBytes))
 			if err != nil {
-				runErr = fmt.Errorf("serving: tenancy calibration: %w", err)
+				calErr = fmt.Errorf("serving: tenancy calibration: %w", err)
 				return
 			}
 			base, size := l.Window()
@@ -250,9 +229,11 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 			app.EP.CRMA.Fill(pr, base+off, tenancyReadBytes)
 			pr.Sleep(tenancyThink)
 			l.Release(pr)
+		})
+		if calErr != nil {
+			return calErr
 		}
-		res.ServiceNS = float64(pr.Now().Sub(t0)) / tenancyCalibrate
-		res.OfferedRPS = cfg.Util * float64(workers) / res.ServiceNS * 1e9
+		res.OfferedRPS = offeredRPS(cfg.Util, tenancyWorkers, res.ServiceNS)
 		for _, c := range tenancy.Classes() {
 			res.PerClass[c].Deadline = sim.Dur(adm.PerClass[c].SLOMult * res.ServiceNS)
 		}
@@ -262,111 +243,57 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 		// saturated pool.
 		pr.Sleep(tenancySettle)
 
-		reqQ := sim.NewQueue[tenancyRequest](cl.Eng)
-		grp := sim.NewGroup(cl.Eng)
-		type tally struct {
-			completed, rejected, sloMiss [tenancy.NumClasses]int
-			lat                          [tenancy.NumClasses]*sim.LatencyHist
-		}
-		shards := make([]*tally, workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			shards[w] = &tally{}
-			for c := range shards[w].lat {
-				shards[w].lat[c] = &sim.LatencyHist{}
-			}
-			grp.Add(1)
-			app.Run(fmt.Sprintf("tenancy-worker-%d", w), func(wp *sim.Proc) {
-				defer grp.Done()
-				for {
-					req := reqQ.Pop(wp)
-					if req.close {
-						return
-					}
-					l, err := cl.Acquire(wp, core.NewRequest(core.Memory, app, tenancyLeaseBytes,
-						core.WithTenant(req.tenant, req.class),
-						core.WithRetry(borrowRetry)))
-					if err != nil {
-						// Admission rejections and exhausted retries both count
-						// against the class's completion ratio.
-						shards[w].rejected[req.class]++
-						continue
-					}
-					base, size := l.Window()
-					off := uint64(req.tenant*2048) % (size - tenancyReadBytes) &^ 63
-					app.EP.CRMA.Fill(wp, base+off, tenancyReadBytes)
-					wp.Sleep(tenancyThink)
-					l.Release(wp)
-					d := wp.Now().Sub(req.arrived)
-					shards[w].lat[req.class].AddDur(d)
-					shards[w].completed[req.class]++
-					if d > res.PerClass[req.class].Deadline {
-						shards[w].sloMiss[req.class]++
-					}
-				}
-			})
-		}
-
 		// Open-loop flash-crowd arrivals with a per-request class draw.
-		arr := newSampler(FlashCrowd(), res.OfferedRPS, sim.NewRNG(cfg.Seed))
 		mixRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-		for r := 0; r < cfg.Requests; r++ {
-			pr.Sleep(arr.Next())
-			var class tenancy.Class
-			switch u := mixRng.Float64(); {
-			case u < tenancyLatencyFrac:
-				class = tenancy.Latency
-			case u < tenancyLatencyFrac+tenancyStandardFrac:
-				class = tenancy.Standard
-			default:
-				class = tenancy.Preemptible
-			}
-			res.PerClass[class].Offered++
-			reqQ.Push(pr, tenancyRequest{
-				arrived: pr.Now(),
-				tenant:  1 + mixRng.Uint64n(tenancyTenants),
-				class:   class,
-			})
-		}
-		for w := 0; w < workers; w++ {
-			reqQ.Push(pr, tenancyRequest{close: true})
-		}
-		grp.Wait(pr)
+		_, err := openLoop[session]{
+			workers: tenancyWorkers, arrivals: flashCrowd(),
+			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			next: func() (session, int) {
+				var s session
+				switch u := mixRng.Float64(); {
+				case u < tenancyLatencyFrac:
+					s.class = tenancy.Latency
+				case u < tenancyLatencyFrac+tenancyStandardFrac:
+					s.class = tenancy.Standard
+				default:
+					s.class = tenancy.Preemptible
+				}
+				res.PerClass[s.class].Offered++
+				s.tenant = 1 + mixRng.Uint64n(tenancyTenants)
+				return s, 0
+			},
+			serve: func(wp *sim.Proc, _ int, s session) bool {
+				l, err := cl.Acquire(wp, core.NewRequest(core.Memory, app, tenancyLeaseBytes,
+					core.WithTenant(s.tenant, s.class),
+					core.WithRetry(borrowRetry)))
+				if err != nil {
+					// Admission rejections and exhausted retries both count
+					// against the class's completion ratio.
+					res.PerClass[s.class].Rejected++
+					return false
+				}
+				base, size := l.Window()
+				off := uint64(s.tenant*2048) % (size - tenancyReadBytes) &^ 63
+				app.EP.CRMA.Fill(wp, base+off, tenancyReadBytes)
+				wp.Sleep(tenancyThink)
+				l.Release(wp)
+				return true
+			},
+			done: func(_ *phase, s session, _ sim.Time, d sim.Dur) {
+				cs := &res.PerClass[s.class]
+				cs.Lat.AddDur(d)
+				cs.Completed++
+				if d > cs.Deadline {
+					cs.SLOMiss++
+				}
+			},
+		}.run(pr)
 		stop = true
 		holderGrp.Wait(pr)
-
-		for _, sh := range shards {
-			for c := range res.PerClass {
-				res.PerClass[c].Completed += sh.completed[c]
-				res.PerClass[c].Rejected += sh.rejected[c]
-				res.PerClass[c].SLOMiss += sh.sloMiss[c]
-				res.PerClass[c].Lat.Merge(sh.lat[c])
-			}
-		}
-		// Exactly-once accounting: open-loop arrivals may queue or be
-		// turned away, but none may vanish.
-		for _, c := range tenancy.Classes() {
-			cs := res.PerClass[c]
-			if cs.Completed+cs.Rejected != cs.Offered {
-				runErr = fmt.Errorf("serving: tenancy lost %s sessions: %d completed + %d rejected != %d offered",
-					c, cs.Completed, cs.Rejected, cs.Offered)
-				return
-			}
-		}
+		return err
 	})
-	if cfg.Throttle == nil {
-		for !done.Done() && cl.Eng.Step() {
-		}
-	} else {
-		for !done.Done() && cl.Eng.Step() {
-			cfg.Throttle()
-		}
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if !done.Done() {
-		return nil, fmt.Errorf("serving: tenancy scenario deadlocked (%d live procs)", cl.Eng.LiveProcs())
+	if err != nil {
+		return nil, err
 	}
 	res.Preemptions = cl.MN.Stats.Get("preempt.memory")
 	res.Degrades = cl.MN.Stats.Get("admit.degraded")
