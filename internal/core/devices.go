@@ -16,7 +16,7 @@ import (
 // rebuilds its VNIC path) onto the new donor, a revoked lease marks
 // itself dead. Observers run synchronously on the engine goroutine and
 // cost no virtual time, so retargeting uses only the async surfaces
-// (RDMA immediates, backend goroutine spawn).
+// (RDMA immediates, backend proc spawn).
 
 // AccelLease is a remote accelerator attachment: the MN chose a donor
 // advertising a free device, and the recipient drives it through the
@@ -147,7 +147,7 @@ func (l *NICLease) Name() string { return l.VNIC.Name() }
 
 // onEvent follows the lease's own recovery transitions on the plane's
 // stream: a failover rebuilds the VNIC path against the new donor's
-// physical NIC. The old path's backend goroutine parks harmlessly on
+// physical NIC. The old path's backend proc parks harmlessly on
 // its abandoned queue pair; packets it already queued on the dead
 // donor's NIC are lost, as they would be on real hardware.
 func (l *NICLease) onEvent(ev Event) {

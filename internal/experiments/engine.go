@@ -11,7 +11,7 @@ import (
 // semantics the way serving-smoke pins the serving stack. Each trial
 // drives a seeded workload through a regime the timing wheel must get
 // right — same-instant FIFO bursts, all four wheel levels plus the
-// beyond-horizon spill list, cancelable watchdogs, and the proc baton
+// beyond-horizon spill list, cancelable watchdogs, and the proc switching
 // machinery — and reports exact counters plus an order checksum folded
 // over the firing stream. Every value is a pure function of the seed
 // and exactly float64-representable, so the cell is gated byte-exactly

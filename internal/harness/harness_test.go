@@ -110,12 +110,23 @@ func TestErrorPropagation(t *testing.T) {
 }
 
 // A panicking trial must not take down the pool; it becomes that
-// trial's error.
+// trial's error, also when the panic is raised inside a simulated
+// process.
 func TestPanicRecovery(t *testing.T) {
 	spec := Spec{
 		Trials: []Trial{
 			{ID: "panics", Seed: 1, Run: func(uint64) (Values, error) { panic("kaboom") }},
 			{ID: "fine", Seed: 2, Run: func(uint64) (Values, error) { return Values{"v": 9}, nil }},
+			{ID: "proc-panics", Seed: 3, Run: func(uint64) (Values, error) {
+				e := sim.New()
+				defer e.Close()
+				e.Go("bad", func(p *sim.Proc) {
+					p.Sleep(1)
+					panic("boom")
+				})
+				e.Run()
+				return Values{"v": 1}, nil
+			}},
 		},
 		Assemble: func(r *Result) (Artifact, error) { return stringArtifact("x"), nil },
 	}
@@ -125,6 +136,9 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if res.Trials[1].Values["v"] != 9 {
 		t.Fatalf("sibling trial should have completed: %+v", res.Trials[1])
+	}
+	if got := res.Trials[2]; got.Error != "panic: boom" || got.Values != nil {
+		t.Fatalf("a panic inside a sim.Proc should be its trial's error: %+v", got)
 	}
 }
 

@@ -43,3 +43,23 @@ func TestProcSleepSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Sleep wakeup allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// TestProcSpawnSteadyStateAllocs gates the coroutine pool: once a
+// finished proc's coroutine waits idle, Go + one Sleep + finish reuses
+// it, its wakeup thunk and its Proc, so the returned Completion is the
+// only allocation.
+func TestProcSpawnSteadyStateAllocs(t *testing.T) {
+	e := New()
+	defer e.Close()
+	body := func(p *Proc) { p.Sleep(100) }
+	spawn := func() {
+		e.Go("short", body)
+		e.Run()
+	}
+	for i := 0; i < 1_000; i++ {
+		spawn()
+	}
+	if allocs := testing.AllocsPerRun(10_000, spawn); allocs > 1 {
+		t.Fatalf("steady-state spawn allocates %.2f/op, want <= 1 (the Completion)", allocs)
+	}
+}

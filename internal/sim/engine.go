@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Handle identifies a cancelable scheduled event. The zero Handle is
 // never issued, so it can mark "no timer pending".
@@ -22,29 +19,15 @@ type Engine struct {
 	pool    eventPool
 	cancels map[Handle]*event // live cancelable events, by Handle
 	pending int               // queued events not yet fired or canceled
-	yield   chan struct{}
-	stopped chan struct{}
-	closed  bool
-	live    int // processes started and not yet finished
-	parked  int // processes currently blocked awaiting a wakeup
+	live    int               // processes started and not yet finished
 	fired   uint64
-
-	// goroutines counts proc goroutines not yet exited. Baton holders
-	// change it; after Close, killed procs change it under unwinding,
-	// which lets them unwind one at a time, and the last one closes
-	// unwound.
-	goroutines int
-	unwinding  sync.Mutex
-	unwound    chan struct{}
+	procs   *Proc // every coroutine, parked or idle, linked by Proc.all
+	idle    *Proc // coroutines whose fn has returned, linked by Proc.idle
 }
 
 // New returns a fresh engine with virtual time zero and an empty queue.
 func New() *Engine {
-	return &Engine{
-		q:       newWheel(),
-		yield:   make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+	return &Engine{q: newWheel()}
 }
 
 // Now reports the current virtual time.
@@ -176,30 +159,22 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the simulation by d.
 func (e *Engine) RunFor(d Dur) { e.RunUntil(e.now.Add(d)) }
 
-// Close terminates any parked processes and returns once their
-// goroutines have exited. Each killed process unwinds through its
-// deferred calls while holding the engine alone, so those calls may
-// touch simulation state as process code does. Close must be called
+// Close stops every coroutine, parked or idle, one at a time. A parked
+// process unwinds through its deferred calls before the next coroutine
+// is stopped, so those calls may touch simulation state as process code
+// does. Close returns once every coroutine has exited. It must be called
 // outside the simulation (not from a process or event), and is safe to
 // call multiple times. After Close the engine must not be used.
 func (e *Engine) Close() {
-	if e.closed {
-		return
+	for e.procs != nil {
+		p := e.procs
+		e.procs = p.all
+		p.stop()
 	}
-	e.closed = true
-	if e.goroutines == 0 {
-		close(e.stopped)
-		return
-	}
-	e.unwound = make(chan struct{})
-	close(e.stopped)
-	<-e.unwound
 }
 
-// resume hands the execution baton to process p and blocks until p parks
+// resume switches into process p's coroutine and returns once p parks
 // again or finishes. It must only be called from engine context (inside
-// an event callback).
-func (e *Engine) resume(p *Proc) {
-	p.wake <- struct{}{}
-	<-e.yield
-}
+// an event callback). A panic in process code surfaces here, and so in
+// the caller of Step or Run.
+func (e *Engine) resume(p *Proc) { p.next() }

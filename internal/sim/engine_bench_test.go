@@ -53,3 +53,38 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProcSwitch measures one Sleep round trip of a long-lived
+// proc: the engine dispatches its wakeup, switches into the proc, and the
+// proc schedules its next wakeup and switches back. Steady state must
+// not allocate.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := New()
+	defer e.Close()
+	e.Go("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	e.Step() // start the proc; from here each Step is one round trip
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Step()
+	}
+}
+
+// BenchmarkProcSpawn measures a short-lived proc on a warm engine: Go,
+// one Sleep, and finish. Handlers that spawn a proc per request, such as
+// an RPC endpoint's, pay this once per call.
+func BenchmarkProcSpawn(b *testing.B) {
+	e := New()
+	defer e.Close()
+	body := func(p *Proc) { p.Sleep(1) }
+	e.Go("warm", body)
+	e.Run()
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Go("spawn", body)
+		e.Run()
+	}
+}

@@ -1,19 +1,35 @@
 package sim
 
+import "iter"
+
 // Proc is a simulated process: workload code that can block on virtual
 // time (Sleep), on completions, queues and semaphores, while the engine
 // interleaves it deterministically with every other process.
 //
-// A Proc's function runs on its own goroutine, but the engine guarantees
-// that at most one goroutine in the whole simulation executes at a time,
-// so process code may freely touch shared simulation state without locks.
+// A Proc's function runs on a coroutine (iter.Pull). The engine switches
+// into it to resume the process, and the process switches back when it
+// parks or finishes, so exactly one of (engine, some process) executes at
+// any instant and process code may freely touch shared simulation state
+// without locks.
+//
+// Coroutines are pooled per engine: once fn returns, its Proc waits idle
+// and runs the fn of a later Go. A *Proc is therefore valid only until
+// its fn returns; nothing may keep one past that.
 type Proc struct {
-	Eng    *Engine
-	name   string
-	wake   chan struct{}
-	wakeFn func() // cached resume thunk: one closure per proc, not per park
-	dead   bool
-	dying  bool // killed by Close: holds Eng.unwinding until its goroutine exits
+	Eng  *Engine
+	name string
+	fn   func(p *Proc) // body of the current run; nil while idle
+	done *Completion   // completes when fn returns
+
+	// The coroutine: next switches into it, yield (called inside it)
+	// switches back, and stop unwinds it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
+	wakeFn func() // cached resume thunk: one closure per coroutine, not per park
+	all    *Proc  // next in Engine.procs
+	idle   *Proc  // next in Engine.idle
 }
 
 // procStopped is the panic payload used to unwind a process killed by
@@ -31,75 +47,55 @@ func (p *Proc) Now() Time { return p.Eng.Now() }
 // at this instant have run. It returns a Completion that completes when
 // fn returns.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Completion {
-	done := NewCompletion(e)
-	p := &Proc{Eng: e, name: name, wake: make(chan struct{})}
-	p.wakeFn = func() { e.resume(p) }
+	p := e.idle
+	if p != nil {
+		e.idle = p.idle
+	} else {
+		p = &Proc{Eng: e, all: e.procs}
+		p.next, p.stop = iter.Pull(p.run)
+		p.wakeFn = func() { e.resume(p) }
+		e.procs = p
+	}
+	p.name, p.fn, p.done = name, fn, NewCompletion(e)
 	e.live++
-	e.Schedule(0, func() {
-		e.goroutines++
-		go func() {
-			defer p.exit()
-			p.waitBaton()
-			fn(p)
-			p.finish(done)
-		}()
-		e.resume(p)
-	})
-	return done
+	e.Schedule(0, p.wakeFn)
+	return p.done
 }
 
-// exit ends the process goroutine. A process killed by Close arrives
-// unwinding with procStopped; it hands Eng.unwinding to the next killed
-// process, and the last one to exit releases Close.
-func (p *Proc) exit() {
-	r := recover()
-	if r == nil {
-		return
-	}
-	if _, ok := r.(procStopped); !ok {
-		panic(r)
-	}
+// run is the coroutine body. It runs one fn per Go, then goes idle on
+// Eng.idle until the next Go resumes it or Close stops it. A process
+// killed by Close unwinds as a procStopped panic, which ends here; any
+// other panic leaves through Engine.resume to the caller of Step or Run.
+func (p *Proc) run(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procStopped); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.yield = yield
 	e := p.Eng
-	e.goroutines--
-	if e.goroutines == 0 {
-		close(e.unwound)
-	}
-	e.unwinding.Unlock()
-}
-
-// kill unwinds the process after Close. Killed processes wake together,
-// so the first kill takes Eng.unwinding: deferred calls then run one
-// process at a time, as process code always does. A deferred call that
-// parks again lands here a second time and must not lock twice.
-func (p *Proc) kill() {
-	if !p.dying {
-		p.dying = true
-		p.Eng.unwinding.Lock()
-	}
-	panic(procStopped{})
-}
-
-// waitBaton blocks until the engine hands this process the baton.
-func (p *Proc) waitBaton() {
-	select {
-	case <-p.wake:
-	case <-p.Eng.stopped:
-		p.kill()
+	for {
+		p.fn(p)
+		done := p.done
+		p.fn, p.done = nil, nil
+		e.live--
+		done.Complete()
+		p.idle, e.idle = e.idle, p
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
-// park returns the baton to the engine and blocks until resumed. Process
-// code calls this (via Sleep/Await/...) after arranging for a wakeup.
+// park switches back to the engine until resumed. Process code calls
+// this (via Sleep/Await/...) after arranging for a wakeup. After Close
+// the switch fails, and park unwinds the process.
 func (p *Proc) park() {
-	e := p.Eng
-	e.parked++
-	select {
-	case e.yield <- struct{}{}:
-	case <-e.stopped:
-		p.kill()
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
 	}
-	p.waitBaton()
-	e.parked--
 }
 
 // unparkAfter schedules this process to resume d from now. The cached
@@ -108,22 +104,6 @@ func (p *Proc) park() {
 func (p *Proc) unparkAfter(d Dur) {
 	e := p.Eng
 	e.At(e.now.Add(d), p.wakeFn)
-}
-
-// finish marks the process done and returns the baton for the last time.
-func (p *Proc) finish(done *Completion) {
-	e := p.Eng
-	p.dead = true
-	e.live--
-	done.Complete()
-	if p.dying { // fn recovered Close's kill and returned
-		panic(procStopped{})
-	}
-	e.goroutines--
-	select {
-	case e.yield <- struct{}{}:
-	case <-e.stopped:
-	}
 }
 
 // Sleep blocks the process for d of virtual time.

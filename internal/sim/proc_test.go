@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestProcSleepAdvancesTime(t *testing.T) {
 	e := New()
@@ -163,6 +166,61 @@ func TestEngineCloseUnwindsKilledProcsOneAtATime(t *testing.T) {
 	}
 	if !grp.c.Done() {
 		t.Fatalf("after Close, group counter = %d, want 0", grp.n)
+	}
+}
+
+// TestProcPanicSurfacesFromRun pins where a panic in process code goes:
+// out of Run, to its caller, instead of killing the program from a
+// goroutine nobody can recover on. The engine still closes cleanly,
+// unwinding a second proc that is parked.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	e := New()
+	never := NewCompletion(e)
+	unwound := false
+	e.Go("stuck", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Await(never)
+	})
+	e.Go("bad", func(p *Proc) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v from Run, want boom", r)
+			}
+		}()
+		e.Run()
+	}()
+	e.Close()
+	if !unwound {
+		t.Fatal("Close did not unwind the parked proc")
+	}
+}
+
+// TestEngineCloseReleasesEveryCoroutine checks that Close ends every
+// coroutine it holds: the idle ones, whose procs finished and wait in
+// the pool for the next Go, as well as the parked ones.
+func TestEngineCloseReleasesEveryCoroutine(t *testing.T) {
+	const n = 8
+	before := runtime.NumGoroutine()
+	e := New()
+	never := NewCompletion(e)
+	for i := 0; i < n; i++ {
+		e.Go("finishes", func(p *Proc) { p.Sleep(Dur(i)) })
+		e.Go("stuck", func(p *Proc) { p.Await(never) })
+	}
+	e.Run()
+	if e.LiveProcs() != n {
+		t.Fatalf("LiveProcs = %d, want %d parked", e.LiveProcs(), n)
+	}
+	if got := runtime.NumGoroutine() - before; got != 2*n {
+		t.Fatalf("%d coroutines alive before Close, want %d idle and %d parked", got, n, n)
+	}
+	e.Close()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines after Close, want %d as before New", got, before)
 	}
 }
 

@@ -4,10 +4,10 @@
 // timing parameters calibrated against the paper's hardware prototype.
 //
 // The engine is strictly single-threaded from the simulation's point of
-// view: although processes run on goroutines for readability, a baton is
-// passed so that exactly one of (engine, some process) executes at any
-// instant. Given the same seed and the same program, every run produces
-// the identical event trace.
+// view: each process runs on a coroutine (iter.Pull) that the engine
+// switches into and the process switches out of, so exactly one of
+// (engine, some process) executes at any instant. Given the same seed
+// and the same program, every run produces the identical event trace.
 package sim
 
 import "fmt"
