@@ -60,11 +60,6 @@ type Config struct {
 	// hot-plug latency (see monitor.Monitor.EnableSparePool).
 	SpareRegionBytes uint64
 	SparesPerDonor   int
-	// AdaptiveSpares scales the spare pool's per-donor count with the
-	// measured crash rate when SpareRegionBytes > 0: SparesPerDonor
-	// becomes the floor and AdaptiveSpares the ceiling (see
-	// monitor.Monitor.EnableAdaptiveSparePool). 0 keeps the pool fixed.
-	AdaptiveSpares int
 	// Admission installs the MN's tenancy admission policy (per-class
 	// budgets, queue bounds, preemption; see tenancy.Default). nil — the
 	// default — disables admission entirely: every request, tagged or
@@ -145,11 +140,7 @@ func NewCluster(cfg Config) *Cluster {
 		if per <= 0 {
 			per = 1
 		}
-		if cfg.AdaptiveSpares > per {
-			c.MN.EnableAdaptiveSparePool(cfg.SpareRegionBytes, per, cfg.AdaptiveSpares)
-		} else {
-			c.MN.EnableSparePool(cfg.SpareRegionBytes, per)
-		}
+		c.MN.EnableSparePool(cfg.SpareRegionBytes, per)
 	}
 	if cfg.MigrateInterval > 0 {
 		c.MN.MigrateUtil = cfg.MigrateUtil

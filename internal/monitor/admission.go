@@ -117,7 +117,9 @@ func (m *Monitor) preempt(p *sim.Proc, from fabric.NodeID, res Resource, amount 
 			}
 			return preempted
 		}
-		m.preemptLease(p, victim)
+		// An eviction from a live donor; the victim sees LeasePreempted
+		// and re-acquires with backoff.
+		m.evict(p, victim, m.incarnationOf(victim.Donor), replacement{alive: true})
 		preempted = true
 	}
 }
@@ -188,30 +190,4 @@ func (m *Monitor) sortedDonorIDs() []fabric.NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// preemptLease revokes one Preemptible lease through the same machinery
-// recovery uses for a donor that died with no candidate — except the
-// donor here is alive, so the backing goes straight back to it. A memory
-// victim's agent gets the standard revoke notice (window goes dead,
-// parked accesses unwedge), parked for sweep retry if the delivery is
-// lost; device clients follow the event stream. The row's lifecycle
-// stream announces LeasePreempted so the victim can re-acquire with
-// backoff.
-func (m *Monitor) preemptLease(p *sim.Proc, a *Allocation) {
-	delete(m.rat, a.ID)
-	m.releaseBacking(p, a)
-	if a.Kind == Memory {
-		rv := &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size}
-		recipientInc := m.incarnationOf(a.Recipient)
-		if _, ok := m.EP.CallTimeout(p, a.Recipient, kindRevoke, 32, rv, m.GrantTimeout); !ok {
-			m.pendingRevokes[a.ID] = &pendingNotice[revokeReq]{
-				req: rv, recipient: a.Recipient, recipientInc: recipientInc,
-			}
-			m.Stats.Add("preempt.revoke_lost", 1)
-		}
-	}
-	m.Stats.Add(pick(a.Kind, "preempt.memory", "preempt.device"), 1)
-	m.emitLease(LeasePreempted, a, a.Donor)
-	m.notifyDelegateMoved(p, a.Deleg, a.Donor, true)
 }

@@ -125,9 +125,6 @@ func (a *Agent) Restart() {
 	a.Stats.Add("reboots", 1)
 }
 
-// Crashed reports whether the agent currently models a downed node.
-func (a *Agent) Crashed() bool { return a.crashed }
-
 // Incarnation reports the agent's reboot count.
 func (a *Agent) Incarnation() int64 { return a.incarnation }
 

@@ -10,11 +10,12 @@ import (
 // Live lease migration: the telemetry plane tells the MN which leases
 // sit behind saturated links *while they are being served*; the
 // migration loop moves the hottest one per scan to a donor behind a
-// cooler path, reusing the exact retarget-and-replay machinery recovery
-// already exercises. Like failover, migration does not copy region
-// contents — the serving scenarios lease remote memory for
-// re-initializable state (caches, scratch, cold tiers), and the
-// recipient-side CRMA replay guarantees no in-flight access is lost.
+// cooler path. The move is failover's re-placement walk (replace, in
+// recovery.go) with the old donor alive, so migration owns only its
+// candidate filter. Like failover, it does not copy region contents —
+// the serving scenarios lease remote memory for re-initializable state
+// (caches, scratch, cold tiers), and the recipient-side CRMA replay
+// guarantees no in-flight access is lost.
 
 // Leases carry a traffic class (AllocReq.Latency): bulk by default,
 // latency-sensitive on request. The scan serves the classes
@@ -47,9 +48,9 @@ type pathRelief struct {
 
 // StartMigration launches the MN's hot-lease scan at the given period
 // (0 selects 500 µs). The loop keeps the event queue non-empty forever,
-// so programs that drive the engine with Run must StopMigration first.
-// Without telemetry-enabled agents the loop never sees a hot path and
-// does nothing.
+// so drive the engine with RunFor or step-until-done, not Run. Without
+// telemetry-enabled agents the loop never sees a hot path and does
+// nothing.
 func (m *Monitor) StartMigration(interval sim.Dur) {
 	if m.migrationOn {
 		return
@@ -59,15 +60,12 @@ func (m *Monitor) StartMigration(interval sim.Dur) {
 		interval = 500 * sim.Microsecond
 	}
 	m.EP.Eng.Go("mn-migrate", func(p *sim.Proc) {
-		for m.migrationOn {
+		for {
 			p.Sleep(interval)
 			m.migrateScan(p)
 		}
 	})
 }
-
-// StopMigration ends the migration loop after the current scan.
-func (m *Monitor) StopMigration() { m.migrationOn = false }
 
 // migrateScan finds the lease whose recipient→donor path has the
 // hottest windowed bottleneck above the threshold and tries to relieve
@@ -162,15 +160,13 @@ func (m *Monitor) relieveLatencyPath(p *sim.Proc, v *View, hot *Allocation, hotU
 // migrateLease moves one (always bulk-class) lease to a donor behind a
 // better path: meaningfully cooler in the default mode, or — when
 // relief is non-nil — any path that avoids the latency leases and
-// stays under the bulk ceiling after absorbing the victim's share. The
-// shape mirrors failoverLease with one inversion: the old donor is
-// alive, so any mid-flight failure aborts back to the old placement
-// (which still works) instead of parking retries, and on success the
-// old region is hot-returned to its donor — off the serving critical
-// path, since the recipient is already retargeted.
+// stays under the bulk ceiling after absorbing the victim's share.
+// This filter is all migration adds to the re-placement walk: with the
+// old donor alive, replace aborts back to the old placement (which
+// still works) on a lost relocate instead of parking a retry, and on
+// success hot-returns the old region to its donor, off the serving
+// critical path since the recipient is already retargeted.
 func (m *Monitor) migrateLease(p *sim.Proc, v *View, a *Allocation, curUtil float64, relief *pathRelief) bool {
-	t0 := m.EP.Eng.Now()
-	oldDonor, oldBase := a.Donor, a.DonorBase
 	margin := m.MigrateMargin
 	if margin <= 0 {
 		margin = defaultMigrateMargin
@@ -186,96 +182,25 @@ func (m *Monitor) migrateLease(p *sim.Proc, v *View, a *Allocation, curUtil floa
 			latLinks[l] = true
 		}
 	}
-	for _, cand := range m.donorCandidates(a.Recipient, nil) {
-		if cand.Node == oldDonor || !m.NodeAlive(cand.Node) {
-			continue
-		}
-		if cand.IdleBytes < a.Size && !m.hasSpare(cand.Node, a.Size) {
-			continue
-		}
+	return m.replace(p, a, replacement{alive: true, accept: func(cand *Registration) bool {
 		if crossesAny(v, a.Recipient, cand.Node, latLinks) {
-			continue
+			return false
 		}
 		cu, known := v.PathUtil(a.Recipient, cand.Node)
-		if relief != nil {
+		switch {
+		case !known:
+			// A never-sampled path reads as idle (nothing hot has crossed
+			// it this window).
+			return true
+		case relief != nil:
 			// Relieving a latency path: the destination only has to absorb
 			// the victim's share without itself turning pathological.
-			if known && cu+relief.share > relief.ceiling {
-				continue
-			}
-		} else if known && cu > curUtil-margin {
-			// Only move somewhere meaningfully cooler; a never-sampled path
-			// reads as idle (nothing hot has crossed it this window).
-			continue
+			return cu+relief.share <= relief.ceiling
+		default:
+			// Only move somewhere meaningfully cooler.
+			return cu <= curUtil-margin
 		}
-		base, viaSpare, ok := m.replacementRegion(p, cand, a)
-		if !ok {
-			continue
-		}
-		if _, live := m.rat[a.ID]; !live {
-			// Freed while the region was being acquired: the free already
-			// returned the old region; only the new one needs undoing.
-			m.undoReplacement(p, cand, a, base)
-			m.Stats.Add("migrate.raced_free", 1)
-			return false
-		}
-		rel := &relocateReq{
-			AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size,
-			OldDonor: oldDonor, NewDonor: cand.Node, NewDonorBase: base,
-		}
-		raw, ok := m.EP.CallTimeout(p, a.Recipient, kindRelocate, 64, rel, m.GrantTimeout)
-		switch {
-		case !ok:
-			// Delivery unknown — unlike failover the old placement still
-			// works, so abort rather than park a retry: reclaim the new
-			// region and let a later scan try again. (If the relocate did
-			// land, the recipient aims at the new donor whose export we
-			// just tore down; its next access faults the window dead, the
-			// same contract as a revoke — accept that narrow race rather
-			// than double-commit.)
-			m.undoReplacement(p, cand, a, base)
-			m.Stats.Add("migrate.aborted", 1)
-			return false
-		case !raw.(*relocateResp).OK:
-			// The window vanished at the recipient (freed concurrently; the
-			// MN-side free may still be queued behind this proc). Drop the
-			// row, reclaim the new region, and return the old one to its
-			// live donor — exactly what the queued free would have done.
-			delete(m.rat, a.ID)
-			m.undoReplacement(p, cand, a, base)
-			m.releaseBacking(p, &Allocation{
-				ID: a.ID, Kind: a.Kind, Donor: oldDonor, Recipient: a.Recipient,
-				DonorBase: oldBase, RecipientBase: a.RecipientBase, Size: a.Size,
-			})
-			m.Stats.Add("migrate.raced_free", 1)
-			return false
-		}
-		a.Donor, a.DonorBase = cand.Node, base
-		a.At = m.EP.Eng.Now()
-		if !viaSpare {
-			cand.IdleBytes -= a.Size
-		}
-		// Hot-return the old region to its (live) old donor. The ~2 ms
-		// hot-add runs on the donor, off the serving path.
-		ret := &hotReturnReq{
-			Recipient: a.Recipient, RecipientBase: a.RecipientBase,
-			Base: oldBase, Size: a.Size,
-		}
-		oldInc := m.incarnationOf(oldDonor)
-		if _, ok := m.EP.CallTimeout(p, oldDonor, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
-			m.queueOrphan(oldDonor, oldInc, ret)
-		}
-		if r, ok := m.rrt[oldDonor]; ok {
-			r.IdleBytes += a.Size
-		}
-		m.Stats.Add("migrate.moved", 1)
-		m.Stats.Add("migrate.ns", int64(m.EP.Eng.Now().Sub(t0)))
-		m.emitLease(LeaseMigrated, a, oldDonor)
-		m.notifyDelegateMoved(p, a.Deleg, a.Donor, false)
-		return true
-	}
-	m.Stats.Add("migrate.no_candidate", 1)
-	return false
+	}})
 }
 
 // crossesAny reports whether the a→b path traverses any link in links.

@@ -189,14 +189,6 @@ type Monitor struct {
 	sparePer     int
 	spares       map[fabric.NodeID][]spareRegion
 	sparePending map[fabric.NodeID]int
-	// Adaptive sizing state (EnableAdaptiveSparePool): the sweep scales
-	// sparePer between spareMin and spareMax from an EWMA of the
-	// per-sweep crash count.
-	spareAdaptive  bool
-	spareMin       int
-	spareMax       int
-	spareCrashEWMA float64
-	spareLastCrash int64
 
 	// Migration loop state (migrate.go).
 	migrationOn bool
@@ -536,7 +528,7 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, res Resource, amou
 		}
 		var donorBase, window uint64
 		if res == Memory {
-			base, ok := m.hotRemove(p, cand, recipient, amount, windowBase)
+			base, ok := m.hotRemove(p, cand, recipient, amount, windowBase, false)
 			if !ok {
 				continue
 			}
@@ -564,8 +556,10 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, res Resource, amou
 // hotRemove is memory's donor handshake: ask cand's agent to hot-remove
 // size bytes and export them to recipient's window. RRT records can be
 // stale, so a donor that declines is marked drained and the walk
-// retries the next candidate (handshake-and-retry, §5.3).
-func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.NodeID, size, windowBase uint64) (uint64, bool) {
+// retries the next candidate (handshake-and-retry, §5.3). The grant
+// walk counts its timeouts and retries under alloc.*, re-placement
+// (recovery) under recover.*.
+func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.NodeID, size, windowBase uint64, recovery bool) (uint64, bool) {
 	hr := &hotRemoveReq{Size: size, Recipient: recipient, RecipientBase: windowBase}
 	inc := m.incarnationOf(cand.Node)
 	raw, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, hr, m.GrantTimeout)
@@ -575,7 +569,7 @@ func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.No
 		// We cannot know whether the hot-remove happened and its ACK
 		// was lost, so park a cancellation (key-resolved hot-return)
 		// for when the donor is reachable again.
-		m.Stats.Add("alloc.grant_timeouts", 1)
+		m.Stats.Add(either(recovery, "recover.grant_timeouts", "alloc.grant_timeouts"), 1)
 		m.queueOrphan(cand.Node, inc, &hotReturnReq{Recipient: recipient, RecipientBase: windowBase})
 		cand.IdleBytes = 0
 		return 0, false
@@ -583,7 +577,7 @@ func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.No
 	resp := raw.(*hotRemoveResp)
 	if !resp.OK {
 		// Stale RRT record; mark what we learned and retry.
-		m.Stats.Add("alloc.retries", 1)
+		m.Stats.Add(either(recovery, "recover.retries", "alloc.retries"), 1)
 		cand.IdleBytes = 0
 		return 0, false
 	}
@@ -628,10 +622,7 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 // the donor is unreachable), a device unit is a table credit.
 func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
 	if a.Kind == Memory {
-		ret := &hotReturnReq{
-			Recipient: a.Recipient, RecipientBase: a.RecipientBase,
-			Base: a.DonorBase, Size: a.Size,
-		}
+		ret := a.hotReturn(a.DonorBase)
 		inc := m.incarnationOf(a.Donor)
 		if _, ok := m.EP.CallTimeout(p, a.Donor, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
 			// Donor unreachable: park the return with the orphan queue so it

@@ -91,6 +91,15 @@ func pick[T any](r Resource, mem, dev T) T {
 	return dev
 }
 
+// either returns yes when c holds and no otherwise: pick's twin for
+// choices that are not by resource.
+func either[T any](c bool, yes, no T) T {
+	if c {
+		return yes
+	}
+	return no
+}
+
 // allocKey is the scoreboard key counting r's local grants.
 func (r Resource) allocKey() string {
 	switch r {
@@ -254,6 +263,12 @@ type hotReturnReq struct {
 	RecipientBase uint64
 	Base          uint64
 	Size          uint64
+}
+
+// hotReturn asks for the region at base, which backs a's window, to go
+// back to its donor.
+func (a *Allocation) hotReturn(base uint64) *hotReturnReq {
+	return &hotReturnReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase, Base: base, Size: a.Size}
 }
 
 // windowKey identifies one grant by its recipient-unique window (or, for

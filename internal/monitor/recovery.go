@@ -14,13 +14,14 @@ import (
 // heartbeats stopped (slow path, bounded by HeartbeatTimeout +
 // SweepInterval), and onHeartbeat notices incarnation bumps (fast path:
 // a node that crashed and rebooted inside the timeout still loses every
-// donation it was serving). Recovery then walks the RAT: leases donated
-// BY the failed node are re-placed onto survivors elected by the active
-// Policy and the recipients told to retarget + replay in flight
-// accesses; leases held BY the failed node are reclaimed to their
-// donors; device grants from it fail over to survivors with free units
-// (falling back to revocation when none exists — the client's next call
-// then surfaces the loss).
+// donation it was serving). Recovery then walks the RAT: leases held BY
+// the failed node are reclaimed to their donors, and leases donated BY
+// it go through replace, the one re-placement walk failover shares with
+// migration. A memory lease moves to a survivor elected by the active
+// Policy and its recipient retargets and replays in-flight accesses; a
+// device lease moves to a survivor with a free unit. With no survivor
+// the lease is evicted: a memory window is revoked, and a device
+// client's next call surfaces the loss.
 
 // pendingNotice parks one undelivered recovery notice (relocate or
 // revoke) for a recipient, remembering the recipient's incarnation when
@@ -93,11 +94,9 @@ func (m *Monitor) sweep(p *sim.Proc) {
 		m.retryRackFrees(p)
 	}
 	// Spare-pool upkeep (no-ops unless EnableSparePool ran): drop pool
-	// entries whose donor died or rebooted, rescale the pool depth from
-	// this sweep's crash delta (adaptive pools only), then replace
-	// consumed or pruned spares asynchronously.
+	// entries whose donor died or rebooted, then replace consumed or
+	// pruned spares asynchronously.
 	m.pruneSpares()
-	m.adaptSpares()
 	m.topUpSpares()
 }
 
@@ -128,12 +127,12 @@ func (m *Monitor) retryPendingNotices(p *sim.Proc) {
 		}
 		delete(m.pendingRelocates, id)
 		if !raw.(*relocateResp).OK {
-			// The window was released while the notice was parked: drop
-			// the row and reclaim the replacement region.
-			delete(m.rat, id)
-			if r, ok := m.rrt[a.Donor]; ok {
-				m.undoReplacement(p, r, a, a.DonorBase)
-				r.IdleBytes += a.Size
+			// The window was released while the notice was parked. Unless
+			// a free deleted the row during the call, this path does, so it
+			// returns the replacement region.
+			if _, live := m.rat[id]; live {
+				delete(m.rat, id)
+				m.releaseBacking(p, a)
 			}
 			m.Stats.Add("recover.raced_free", 1)
 			continue
@@ -211,11 +210,9 @@ func (m *Monitor) recoverNode(p *sim.Proc, id fabric.NodeID, rebooted bool) {
 		}
 		switch {
 		case a.Recipient == id:
-			m.reclaimLease(p, a, rebooted)
-		case a.Donor == id && a.Kind == Memory:
-			m.failoverLease(p, a, rebooted)
+			m.reclaimLease(p, a)
 		case a.Donor == id:
-			m.failoverDevice(p, a)
+			m.replace(p, a, replacement{rebooted: rebooted})
 		}
 	}
 }
@@ -243,152 +240,173 @@ func (m *Monitor) queueOrphan(donor fabric.NodeID, inc int64, ret *hotReturnReq)
 
 // reclaimLease handles an allocation whose recipient died: the donor is
 // healthy, so its backing returns to service.
-func (m *Monitor) reclaimLease(p *sim.Proc, a *Allocation, _ bool) {
+func (m *Monitor) reclaimLease(p *sim.Proc, a *Allocation) {
 	delete(m.rat, a.ID)
 	m.emitLease(LeaseRevoked, a, a.Donor)
 	m.releaseBacking(p, a)
 	m.Stats.Add(pick(a.Kind, "recover.reclaimed", "recover.devices_reclaimed"), 1)
 }
 
-// failoverLease re-places a lease whose donor died: elect a new donor
-// with the active policy, hot-remove a fresh region there, swing the RAT
-// row, and tell the recipient's agent to retarget the window and replay
-// what was in flight. The region's contents are not migrated — nothing
-// survives the donor to migrate from — so the model fits re-initializable
-// uses (caches, scratch, cold tiers), which is what the serving
-// scenarios lease remote memory for.
-func (m *Monitor) failoverLease(p *sim.Proc, a *Allocation, rebooted bool) {
+// replacement is what a re-placement walk cannot derive from the row it
+// moves. alive says the old donor still serves (migration) rather than
+// having died (failover). That one fact decides what a lost relocate
+// does (abort, or park for retry), how the old backing goes back (a
+// hot-return now, or an orphan return owed), and which counters and
+// event the walk reports. rebooted says a dead donor came back with
+// fresh memory, so nothing is owed to it. accept, when set, is
+// migration's candidate filter.
+type replacement struct {
+	alive, rebooted bool
+	accept          func(cand *Registration) bool
+}
+
+// replace moves lease a to a new donor and reports whether it moved:
+// walk the candidates, acquire the new backing (replacementBacking),
+// retarget the recipient's window and replay what was in flight, commit
+// the row, and release the old backing. Region contents are not copied
+// — a dead donor has nothing left to copy from — so the model fits
+// re-initializable uses (caches, scratch, cold tiers), which is what
+// the serving scenarios lease remote memory for. A device row has no
+// window to relocate: its client follows the lease event and replays
+// its own work. With no candidate, failover evicts the lease and
+// migration leaves it where it is.
+//
+// Every blocking step can race a free, and one rule keeps the backing
+// accounted for: the path that deletes a RAT row releases its backing,
+// old and new. A free that wins has released the old backing, so the
+// walk only returns the backing it acquired.
+func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 	t0 := m.EP.Eng.Now()
-	oldDonor, oldBase := a.Donor, a.DonorBase
-	oldInc := m.incarnationOf(oldDonor)
+	old := *a
+	oldInc := m.incarnationOf(old.Donor)
 	for _, cand := range m.donorCandidates(a.Recipient, nil) {
-		if cand.Node == oldDonor || !m.NodeAlive(cand.Node) {
+		if cand.Node == old.Donor || !m.NodeAlive(cand.Node) || how.accept != nil && !how.accept(cand) {
 			continue
 		}
-		// A donor whose RRT idle account ran dry can still back the lease
-		// from a pre-plugged spare (the spare's bytes were debited from the
-		// account when they were carved).
-		if cand.IdleBytes < a.Size && !m.hasSpare(cand.Node, a.Size) {
-			continue
-		}
-		base, viaSpare, ok := m.replacementRegion(p, cand, a)
+		base, prepaid, ok := m.replacementBacking(p, cand, a)
 		if !ok {
 			continue
 		}
-		// The region acquisition blocked (2 ms for a hot-remove, a round
-		// trip for a spare attach); the lease can have been freed (or
-		// reclaimed by another recovery step) in the meantime. If the row
-		// is gone, the fresh replacement region must go straight back or
-		// it leaks untracked on the new donor.
 		if _, live := m.rat[a.ID]; !live {
+			// The acquisition blocked (2 ms for a hot-remove, a round trip
+			// for a spare attach) and a free or another recovery step
+			// deleted the row meanwhile: the new region goes straight back,
+			// or it leaks untracked on the new donor.
 			m.undoReplacement(p, cand, a, base)
-			m.Stats.Add("recover.raced_free", 1)
-			return
+			m.Stats.Add(either(how.alive, "migrate.raced_free", "recover.raced_free"), 1)
+			return false
 		}
-		rel := &relocateReq{
-			AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size,
-			OldDonor: oldDonor, NewDonor: cand.Node, NewDonorBase: base,
-		}
-		recipientInc := m.incarnationOf(a.Recipient)
-		raw, ok := m.EP.CallTimeout(p, a.Recipient, kindRelocate, 64, rel, m.GrantTimeout)
-		switch {
-		case !ok:
-			// The notice was lost — the recipient may be mid-crash, or a
-			// link flap ate the RPC. Committing the failover with the
-			// recipient still aimed at the dead donor would park its
-			// accesses forever, so the sweep retries until delivery, a
-			// newer failover supersedes it, or the recipient's own death
-			// recovery reclaims the row.
-			m.pendingRelocates[a.ID] = &pendingNotice[relocateReq]{
-				req: rel, recipient: a.Recipient, recipientInc: recipientInc,
+		if a.Kind == Memory {
+			rel := &relocateReq{
+				AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size,
+				OldDonor: old.Donor, NewDonor: cand.Node, NewDonorBase: base,
 			}
-			m.Stats.Add("recover.relocate_lost", 1)
-		case !raw.(*relocateResp).OK:
-			// The recipient no longer has the window (released while the
-			// relocate was in flight): drop the row and take the
-			// replacement region back.
-			delete(m.rat, a.ID)
-			m.undoReplacement(p, cand, a, base)
-			m.Stats.Add("recover.raced_free", 1)
-			return
-		default:
-			// Delivered: any notice parked by an older failover of this
-			// row is superseded.
-			delete(m.pendingRelocates, a.ID)
+			recipientInc := m.incarnationOf(a.Recipient)
+			raw, ok := m.EP.CallTimeout(p, a.Recipient, kindRelocate, 64, rel, m.GrantTimeout)
+			switch {
+			case !ok && how.alive:
+				// Delivery unknown, but the old placement still works: take
+				// the new region back and let a later scan try again. (If the
+				// relocate did land, the recipient aims at a region just torn
+				// down; its next access faults the window dead, the same
+				// contract as a revoke. That narrow race beats a double
+				// commit.)
+				m.undoReplacement(p, cand, a, base)
+				m.Stats.Add("migrate.aborted", 1)
+				return false
+			case !ok:
+				// Lost: the recipient may be mid-crash, or a link flap ate the
+				// notice. It still aims at the dead donor, so commit and let
+				// the sweep redeliver until delivery, a newer failover
+				// supersedes it, or the recipient's own death reclaims the
+				// row.
+				m.pendingRelocates[a.ID] = &pendingNotice[relocateReq]{
+					req: rel, recipient: a.Recipient, recipientInc: recipientInc,
+				}
+				m.Stats.Add("recover.relocate_lost", 1)
+			case !raw.(*relocateResp).OK:
+				// The window was released while the relocate was in flight.
+				// Unless the free has already deleted the row, this path
+				// does, so it releases the old backing too.
+				if _, live := m.rat[a.ID]; live {
+					delete(m.rat, a.ID)
+					m.releaseOld(p, &old, oldInc, how)
+				}
+				m.undoReplacement(p, cand, a, base)
+				m.Stats.Add(either(how.alive, "migrate.raced_free", "recover.raced_free"), 1)
+				return false
+			default:
+				// Delivered: a notice parked by an older failover of this row
+				// is superseded.
+				delete(m.pendingRelocates, a.ID)
+			}
 		}
-		a.Donor, a.DonorBase = cand.Node, base
-		a.At = m.EP.Eng.Now()
-		if !viaSpare {
-			// A spare's bytes were already debited at carve time.
-			cand.IdleBytes -= a.Size
+		a.Donor, a.DonorBase, a.At = cand.Node, base, m.EP.Eng.Now()
+		if !prepaid {
+			cand.debit(a.Kind, a.Size)
 		}
-		if !rebooted {
-			m.queueOrphan(oldDonor, oldInc, &hotReturnReq{
-				Recipient: a.Recipient, RecipientBase: a.RecipientBase,
-				Base: oldBase, Size: a.Size,
-			})
+		m.releaseOld(p, &old, oldInc, how)
+		m.Stats.Add(either(how.alive, "migrate.moved", pick(a.Kind, "recover.replaced", "recover.devices_replaced")), 1)
+		if a.Kind == Memory {
+			m.Stats.Add(either(how.alive, "migrate.ns", "recover.ns"), int64(m.EP.Eng.Now().Sub(t0)))
 		}
-		m.Stats.Add("recover.replaced", 1)
-		m.Stats.Add("recover.ns", int64(m.EP.Eng.Now().Sub(t0)))
-		m.emitLease(LeaseFailedOver, a, oldDonor)
+		m.emitLease(either(how.alive, LeaseMigrated, LeaseFailedOver), a, old.Donor)
 		m.notifyDelegateMoved(p, a.Deleg, a.Donor, false)
-		return
+		return true
 	}
-	// The candidate walk blocked; if the lease was freed meanwhile there
-	// is nothing left to revoke (and onFree owns the old donor's orphan
-	// return).
-	if _, live := m.rat[a.ID]; !live {
+	switch _, live := m.rat[a.ID]; {
+	case how.alive:
+		m.Stats.Add("migrate.no_candidate", 1)
+	case !live:
+		// The walk blocked and a free deleted the row meanwhile.
 		m.Stats.Add("recover.raced_free", 1)
-		return
+	default:
+		// No survivor can back the lease: evict it, so the recipient does
+		// not park forever on a region that no longer exists.
+		m.evict(p, a, oldInc, how)
 	}
-	// No surviving donor can back the window: revoke outright so the
-	// recipient does not park forever on a region that no longer exists.
-	delete(m.rat, a.ID)
-	if !rebooted {
-		m.queueOrphan(oldDonor, oldInc, &hotReturnReq{
-			Recipient: a.Recipient, RecipientBase: a.RecipientBase,
-			Base: oldBase, Size: a.Size,
-		})
-	}
-	rv := &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size}
-	recipientInc := m.incarnationOf(a.Recipient)
-	if _, ok := m.EP.CallTimeout(p, a.Recipient, kindRevoke, 32, rv, m.GrantTimeout); !ok {
-		// Same retry contract as relocates: an undelivered revoke leaves
-		// the recipient parked on a window that no longer exists.
-		m.pendingRevokes[a.ID] = &pendingNotice[revokeReq]{
-			req: rv, recipient: a.Recipient, recipientInc: recipientInc,
-		}
-		m.Stats.Add("recover.revoke_lost", 1)
-	}
-	m.Stats.Add("recover.revoked", 1)
-	m.emitLease(LeaseRevoked, a, oldDonor)
-	m.notifyDelegateMoved(p, a.Deleg, a.Donor, true)
+	return false
 }
 
-// failoverDevice re-places a device lease whose donor died: elect a live
-// donor with a free unit of the same kind, swing the RAT row, and
-// announce the failover so the recipient's lease observer retargets its
-// session and replays what was in flight (device clients own their
-// replay — there is no agent-managed window to relocate). With no
-// candidate the row is dropped and the lease revoked: the recipient's
-// next call surfaces the loss.
-func (m *Monitor) failoverDevice(p *sim.Proc, a *Allocation) {
-	oldDonor := a.Donor
-	for _, cand := range m.donorCandidates(a.Recipient, nil) {
-		if cand.Node == oldDonor || cand.free(a.Kind) < 1 || !m.NodeAlive(cand.Node) {
-			continue
-		}
-		cand.debit(a.Kind, 1)
-		a.Donor = cand.Node
-		a.At = m.EP.Eng.Now()
-		m.Stats.Add("recover.devices_replaced", 1)
-		m.emitLease(LeaseFailedOver, a, oldDonor)
-		m.notifyDelegateMoved(p, a.Deleg, a.Donor, false)
-		return
+// releaseOld gives back the backing row a held before its walk, as its
+// donor's state allows. A live donor takes it straight back
+// (releaseBacking). A dead one is owed an orphan hot-return for a memory
+// region, keyed to its incarnation inc when the walk began, unless it
+// rebooted and so wiped the region. A dead donor's device unit needs
+// nothing: its next heartbeat re-advertises its units and re-debits the
+// live rows.
+func (m *Monitor) releaseOld(p *sim.Proc, a *Allocation, inc int64, how replacement) {
+	switch {
+	case how.alive:
+		m.releaseBacking(p, a)
+	case a.Kind == Memory && !how.rebooted:
+		m.queueOrphan(a.Donor, inc, a.hotReturn(a.DonorBase))
 	}
+}
+
+// evict tears row a down with nothing to replace it: failover that found
+// no donor left, or preemption of a lease on a live donor (how.alive).
+// By the row-ownership rule it deletes the row and releases the backing
+// (releaseOld), then revokes a memory window so parked accesses unwedge
+// and later ones fail fast (parked for sweep retry when lost; device
+// clients follow the event stream instead). Last it announces the event
+// and tells the root.
+func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) {
 	delete(m.rat, a.ID)
-	m.Stats.Add("recover.devices_dropped", 1)
-	m.emitLease(LeaseRevoked, a, oldDonor)
+	m.releaseOld(p, a, inc, how)
+	if a.Kind == Memory {
+		rv := &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size}
+		recipientInc := m.incarnationOf(a.Recipient)
+		if _, ok := m.EP.CallTimeout(p, a.Recipient, kindRevoke, 32, rv, m.GrantTimeout); !ok {
+			m.pendingRevokes[a.ID] = &pendingNotice[revokeReq]{
+				req: rv, recipient: a.Recipient, recipientInc: recipientInc,
+			}
+			m.Stats.Add(either(how.alive, "preempt.revoke_lost", "recover.revoke_lost"), 1)
+		}
+	}
+	m.Stats.Add(either(how.alive, pick(a.Kind, "preempt.memory", "preempt.device"),
+		pick(a.Kind, "recover.revoked", "recover.devices_dropped")), 1)
+	m.emitLease(either(how.alive, LeasePreempted, LeaseRevoked), a, a.Donor)
 	m.notifyDelegateMoved(p, a.Deleg, a.Donor, true)
 }
 
@@ -406,14 +424,15 @@ func (m *Monitor) notifyDelegateMoved(p *sim.Proc, deleg int, donor fabric.NodeI
 	}
 }
 
-// undoReplacement returns a replacement region that lost its race with a
-// concurrent free back to the donor it was just carved from.
+// undoReplacement returns a replacement region the walk will not commit
+// to the donor it was just carved from. A device unit is only debited
+// at commit, so it has nothing to undo.
 func (m *Monitor) undoReplacement(p *sim.Proc, cand *Registration, a *Allocation, base uint64) {
-	inc := m.incarnationOf(cand.Node)
-	ret := &hotReturnReq{
-		Recipient: a.Recipient, RecipientBase: a.RecipientBase,
-		Base: base, Size: a.Size,
+	if a.Kind != Memory {
+		return
 	}
+	inc := m.incarnationOf(cand.Node)
+	ret := a.hotReturn(base)
 	if _, ok := m.EP.CallTimeout(p, cand.Node, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
 		m.queueOrphan(cand.Node, inc, ret)
 	}

@@ -23,7 +23,7 @@ import (
 //
 //   - donor died         -> donor rack's own sweep re-places the lease
 //     (rack-local)          locally and relocates the remote recipient
-//     (failoverLease); the root learns via delegateMoved.
+//     (replace); the root learns via delegateMoved.
 //   - recipient died     -> the recipient rack's sweep notifies the root
 //     (cross-rack)          (nodeDown), which reclaims the delegated
 //     region through the donor rack's sub-MN.
@@ -698,7 +698,7 @@ func (m *Monitor) StartRackBeat(root fabric.NodeID, rack int, interval sim.Dur) 
 	}
 	m.EP.Eng.Go(fmt.Sprintf("submn@%v-rackbeat", m.EP.ID), func(p *sim.Proc) {
 		p.Sleep(sim.Dur(m.Topo.N+2+rack) * sim.Millisecond)
-		for m.rackBeatOn {
+		for {
 			m.sendRackBeat(p, interval)
 			// Parked upstream teardowns (lost frees/cancels) retry on the
 			// beat, not only in the recovery sweep: the beat loop is the
@@ -709,10 +709,6 @@ func (m *Monitor) StartRackBeat(root fabric.NodeID, rack int, interval sim.Dur) 
 		}
 	})
 }
-
-// StopRackBeat ends the rack-level report loop after the current period
-// (escalation stays enabled).
-func (m *Monitor) StopRackBeat() { m.rackBeatOn = false }
 
 // sendRackBeat sends one rack-level report to the root MN, aggregating
 // the rack's telemetry (hottest reported link window) one level up so

@@ -40,67 +40,9 @@ func (m *Monitor) EnableSparePool(regionSize uint64, perDonor int) {
 	m.topUpSpares()
 }
 
-// EnableAdaptiveSparePool turns on spare-region pools whose per-donor
-// depth tracks the measured crash rate: the pool starts at minPer
-// regions per donor and the recovery sweep rescales it between minPer
-// and maxPer from an EWMA of the crashes (deaths + reboot recoveries)
-// each sweep observes. Quiet fleets keep only the floor carved;
-// crash-heavy windows ramp toward the ceiling and decay back once the
-// fleet settles. Requires StartRecovery for the sizing to ever adapt.
-func (m *Monitor) EnableAdaptiveSparePool(regionSize uint64, minPer, maxPer int) {
-	if maxPer < minPer {
-		panic("monitor: EnableAdaptiveSparePool needs maxPer >= minPer")
-	}
-	m.EnableSparePool(regionSize, minPer)
-	m.spareAdaptive = true
-	m.spareMin = minPer
-	m.spareMax = maxPer
-	m.spareLastCrash = m.crashCount()
-}
-
-// crashCount totals the crash events the recovery plane has recorded.
-func (m *Monitor) crashCount() int64 {
-	return m.Stats.Get("recover.deaths") + m.Stats.Get("recover.reboot_recoveries")
-}
-
-// adaptSpares rescales the per-donor pool depth from this sweep's crash
-// delta, smoothed by an EWMA so one bad sweep does not thrash the carve
-// machinery and a quiet stretch decays the depth gradually. Runs from
-// the recovery sweep, just before top-up.
-func (m *Monitor) adaptSpares() {
-	if !m.spareAdaptive {
-		return
-	}
-	crashes := m.crashCount()
-	delta := crashes - m.spareLastCrash
-	m.spareLastCrash = crashes
-	const alpha = 0.5
-	m.spareCrashEWMA = alpha*float64(delta) + (1-alpha)*m.spareCrashEWMA
-	per := m.spareMin + int(m.spareCrashEWMA+0.5)
-	if per > m.spareMax {
-		per = m.spareMax
-	}
-	if per != m.sparePer {
-		m.sparePer = per
-		m.Stats.Add("spare.resized", 1)
-	}
-}
-
 // SpareCount reports how many spares are currently parked on a donor
 // (provisioned and not yet consumed; in-flight carves excluded).
 func (m *Monitor) SpareCount(donor fabric.NodeID) int { return len(m.spares[donor]) }
-
-// hasSpare reports whether donor holds a parked spare usable for a
-// size-byte lease right now.
-func (m *Monitor) hasSpare(donor fabric.NodeID, size uint64) bool {
-	cur := m.incarnationOf(donor)
-	for _, sp := range m.spares[donor] {
-		if sp.size == size && sp.inc == cur {
-			return true
-		}
-	}
-	return false
-}
 
 // takeSpare pops a parked spare of exactly size bytes from donor's
 // pool, dropping entries invalidated by a reboot along the way.
@@ -206,12 +148,15 @@ func (m *Monitor) carveSpare(donor fabric.NodeID) {
 	})
 }
 
-// replacementRegion acquires a region on cand to back lease a: the
-// spare-attach fast path when a parked spare matches, the ordinary
-// hot-remove otherwise. It owns the same lost-ACK bookkeeping as the
-// grant path; viaSpare tells the caller whether cand's idle account was
-// already debited (at carve time).
-func (m *Monitor) replacementRegion(p *sim.Proc, cand *Registration, a *Allocation) (base uint64, viaSpare, ok bool) {
+// replacementBacking acquires the backing for lease a on cand: one free
+// unit for a device; for memory, the spare-attach fast path when a
+// parked spare matches, the ordinary hot-remove otherwise. It owns the
+// same lost-ACK bookkeeping as the grant path. prepaid tells the caller
+// that cand's account was already debited (a spare's, at carve time).
+func (m *Monitor) replacementBacking(p *sim.Proc, cand *Registration, a *Allocation) (base uint64, prepaid, ok bool) {
+	if a.Kind != Memory {
+		return 0, false, cand.free(a.Kind) >= a.Size
+	}
 	if sp, found := m.takeSpare(cand.Node, a.Size); found {
 		att := &spareAttachReq{
 			Base: sp.base, Size: sp.size,
@@ -238,24 +183,11 @@ func (m *Monitor) replacementRegion(p *sim.Proc, cand *Registration, a *Allocati
 			// an ordinary hot-remove on the same candidate.
 			m.Stats.Add("recover.spare_stale", 1)
 		}
-	}
-	hr := &hotRemoveReq{Size: a.Size, Recipient: a.Recipient, RecipientBase: a.RecipientBase}
-	inc := m.incarnationOf(cand.Node)
-	raw, delivered := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, hr, m.GrantTimeout)
-	if !delivered {
-		// Same lost-ACK uncertainty as the grant path: park a key-resolved
-		// cancellation so a performed-but-unacked hot-remove cannot leak
-		// the candidate's region.
-		m.Stats.Add("recover.grant_timeouts", 1)
-		m.queueOrphan(cand.Node, inc, &hotReturnReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase})
-		cand.IdleBytes = 0
+	} else if cand.IdleBytes < a.Size {
+		// A dry idle account can back the lease only from a spare, whose
+		// bytes were debited when it was carved.
 		return 0, false, false
 	}
-	resp := raw.(*hotRemoveResp)
-	if !resp.OK {
-		m.Stats.Add("recover.retries", 1)
-		cand.IdleBytes = 0
-		return 0, false, false
-	}
-	return resp.Base, false, true
+	base, ok = m.hotRemove(p, cand, a.Recipient, a.Size, a.RecipientBase, true)
+	return base, false, ok
 }

@@ -115,46 +115,6 @@ func TestSparePoolExhaustionFallsBackToHotplug(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSparePoolRampAndDecay: the adaptive pool's depth must
-// ramp toward the ceiling while crashes accumulate and decay back to
-// the floor once the fleet quiets down. The test drives adaptSpares
-// directly against hand-fed crash counters — the sizing rule, not the
-// sweep cadence, is what's under test.
-func TestAdaptiveSparePoolRampAndDecay(t *testing.T) {
-	c := newCluster(t, 1<<30)
-	c.eng.RunFor(1 * sim.Second)
-	c.mn.EnableAdaptiveSparePool(128<<20, 1, 4)
-	if c.mn.sparePer != 1 {
-		t.Fatalf("initial depth = %d, want the floor (1)", c.mn.sparePer)
-	}
-
-	// One crash-heavy window: 4 crashes → EWMA 2.0 → depth 3.
-	c.mn.Stats.Add("recover.deaths", 4)
-	c.mn.adaptSpares()
-	if c.mn.sparePer != 3 {
-		t.Fatalf("depth after 4-crash window = %d, want 3", c.mn.sparePer)
-	}
-
-	// A heavier one saturates at the ceiling, never beyond.
-	c.mn.Stats.Add("recover.deaths", 6)
-	c.mn.Stats.Add("recover.reboot_recoveries", 2)
-	c.mn.adaptSpares()
-	if c.mn.sparePer != 4 {
-		t.Fatalf("depth after 8-crash window = %d, want the ceiling (4)", c.mn.sparePer)
-	}
-
-	// Quiet sweeps decay the EWMA until the depth is back at the floor.
-	for i := 0; i < 10; i++ {
-		c.mn.adaptSpares()
-	}
-	if c.mn.sparePer != 1 {
-		t.Fatalf("depth after quiet stretch = %d, want back at the floor (1)", c.mn.sparePer)
-	}
-	if c.mn.Stats.Get("spare.resized") < 3 {
-		t.Fatalf("spare.resized = %d, want at least 3 (two ramps + decay)", c.mn.Stats.Get("spare.resized"))
-	}
-}
-
 // TestMigrationRacingDestinationCrashKeepsLease: the migration's chosen
 // destination donor dies mid hot-remove. The old placement still works,
 // so the move must either abort back to it or land on another donor —

@@ -164,21 +164,3 @@ func (v *View) PathCrosses(a, b fabric.NodeID, link [2]fabric.NodeID) bool {
 	}
 	return false
 }
-
-// FirstHopUtil reports the utilization of node's busiest sampled
-// adjacent link — the "recipient's own congested first hop" signal.
-func (v *View) FirstHopUtil(node fabric.NodeID) (float64, bool) {
-	if !v.HasTelemetry {
-		return 0, false
-	}
-	max, known := 0.0, false
-	for _, nb := range v.Topo.NeighborsOf(node) {
-		if u, ok := v.linkUtil[linkKey(node, nb)]; ok {
-			known = true
-			if u > max {
-				max = u
-			}
-		}
-	}
-	return max, known
-}
