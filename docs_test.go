@@ -149,7 +149,8 @@ func TestAPIFreeze(t *testing.T) {
 // name that CI runs or the docs cite must be defined in some _test.go.
 // `go test -run` with a name that matches nothing prints "[no tests to
 // run]" and passes, so a renamed test would silently drop out of CI's
-// race steps. ROADMAP.md is skipped: it names planned benchmarks.
+// race steps, or of the verification steps the repository's verify
+// skill lists. ROADMAP.md is skipped: it names planned benchmarks.
 func TestCitedTestsExist(t *testing.T) {
 	defined := map[string]bool{}
 	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w+)\(`)
@@ -176,7 +177,10 @@ func TestCitedTestsExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	citeRe := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*`)
-	for _, doc := range []string{filepath.Join(".github", "workflows", "ci.yml"), "README.md", "ARCHITECTURE.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{
+		filepath.Join(".github", "workflows", "ci.yml"), "README.md", "ARCHITECTURE.md", "EXPERIMENTS.md",
+		filepath.Join(".claude", "skills", "verify", "SKILL.md"),
+	} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

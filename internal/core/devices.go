@@ -47,10 +47,6 @@ func (l *AccelLease) Kind() Kind { return Accel }
 // moved it since the grant; the handle follows automatically.
 func (l *AccelLease) Donor() fabric.NodeID { return l.donor.ID }
 
-// DonorNode returns the donor node itself (device leases know their
-// node, not just its id — the donor runs the accel.Service).
-func (l *AccelLease) DonorNode() *node.Node { return l.donor }
-
 // Window reports no memory window: device leases move data over the
 // transport channels, not a hot-plugged region.
 func (l *AccelLease) Window() (base, size uint64) { return 0, 0 }
@@ -123,9 +119,6 @@ func (l *NICLease) Kind() Kind { return NIC }
 // Recovery may have moved it since the grant; the path follows
 // automatically.
 func (l *NICLease) Donor() fabric.NodeID { return l.donor.ID }
-
-// DonorNode returns the donor node itself.
-func (l *NICLease) DonorNode() *node.Node { return l.donor }
 
 // Window reports no memory window.
 func (l *NICLease) Window() (base, size uint64) { return 0, 0 }

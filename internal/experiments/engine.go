@@ -261,8 +261,3 @@ func engineSmokeSpec() harness.Spec {
 		},
 	}
 }
-
-// EngineSmoke runs the event-core determinism cell.
-func EngineSmoke() *EngineSmokeResult {
-	return runSpec("engine-smoke", engineSmokeSpec()).(*EngineSmokeResult)
-}

@@ -19,8 +19,8 @@ type Network struct {
 	rng      *sim.RNG
 	kinds    map[string]trafficKeys
 
-	// Lat histograms end-to-end packet latency (inject -> local delivery).
-	Lat sim.Hist
+	// Lat summarizes end-to-end packet latency (inject -> local delivery).
+	Lat sim.RunningStat
 	// Traffic counts delivered packets and bytes by Kind.
 	Traffic sim.Scoreboard
 }

@@ -45,7 +45,6 @@ type Switch struct {
 
 	delivered int64
 	forwarded int64
-	dropped   int64
 }
 
 func newSwitch(eng *sim.Engine, p *sim.Params, id NodeID, next []int32) *Switch {
@@ -87,16 +86,12 @@ func (s *Switch) SetDown(down bool) { s.down = down }
 // IsDown reports whether the node is marked crashed.
 func (s *Switch) IsDown() bool { return s.down }
 
-// Dropped reports how many packets the switch discarded while down.
-func (s *Switch) Dropped() int64 { return s.dropped }
-
 // Inject sends a packet from this node's local port into the fabric.
 func (s *Switch) Inject(pkt *Packet) {
 	if pkt.Src != s.id {
 		panic(fmt.Sprintf("fabric: inject at %v of packet from %v", s.id, pkt.Src))
 	}
 	if s.down {
-		s.dropped++
 		return
 	}
 	pkt.Injected = s.eng.Now()
@@ -120,7 +115,6 @@ func (s *Switch) traverse() { s.route(s.transit.pop()) }
 // route forwards a packet toward its destination or delivers it locally.
 func (s *Switch) route(pkt *Packet) {
 	if s.down {
-		s.dropped++
 		return
 	}
 	if pkt.Dst == s.id {
@@ -143,7 +137,6 @@ func (s *Switch) deliver(pkt *Packet) {
 	// The node can crash between route() and a deliverExtra-delayed
 	// delivery; power-cut semantics mean the packet dies with it.
 	if s.down {
-		s.dropped++
 		return
 	}
 	if s.local == nil {

@@ -142,6 +142,3 @@ func (as *AddressSpace) Lookup(addr uint64) (*Region, bool) {
 	}
 	return nil, false
 }
-
-// Regions returns the current region list.
-func (as *AddressSpace) Regions() []*Region { return as.regions }

@@ -158,29 +158,16 @@ type Monitor struct {
 	// same ownership check as local rows) for leases backed by another
 	// rack.
 	delegated map[int]delegatedLease
-	// pendingRackFrees parks upstream releases whose delivery to the
-	// root was lost; the sweep retries them so a link flap cannot leak
-	// a delegation forever. pendingCancels does the same for escalation
-	// cancellations (keyed by recipient + window, the cancellation's own
-	// resolution key).
-	pendingRackFrees map[int]*rackFreeReq
-	pendingCancels   map[windowKey]*borrowCancelReq
 	// rackBeatOn gates the rack-level report loop.
 	rackBeatOn bool
 
 	// recovery loop state.
 	recoveryOn bool
-	// orphans queues hot-returns owed to donors that were declared dead
-	// and had their leases re-placed. If such a donor reappears with the
-	// same incarnation (heartbeat loss, not a reboot), its regions are
-	// still hot-removed and exported; the queued returns clean them up.
-	orphans map[fabric.NodeID][]*hotReturnReq
-	// pendingRelocates / pendingRevokes park recovery notices whose
-	// delivery to a recipient timed out (e.g. a link flap on the path).
-	// The sweep retries them: committing a failover while the recipient
-	// still aims at the dead donor would wedge the recipient forever.
-	pendingRelocates map[int]*pendingNotice[relocateReq]
-	pendingRevokes   map[int]*pendingNotice[revokeReq]
+	// out parks the control messages whose delivery was lost (outbox.go):
+	// hot-returns owed to donors, among them the regions of donors
+	// falsely declared dead, relocates and revokes owed to recipients,
+	// and a sub-MN's frees and cancellations owed to the root.
+	out outbox
 
 	// Spare-region pool state (spare.go): per-donor pre-plugged regions
 	// that let failover and migration skip the hot-plug latency.
@@ -217,15 +204,11 @@ func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 		tst:              make(map[[2]fabric.NodeID]*LinkStatus),
 		HeartbeatTimeout: 3 * sim.Second,
 		GrantTimeout:     10*ep.P.HotplugOp + sim.Millisecond,
-		orphans:          make(map[fabric.NodeID][]*hotReturnReq),
-		pendingRelocates: make(map[int]*pendingNotice[relocateReq]),
-		pendingRevokes:   make(map[int]*pendingNotice[revokeReq]),
 		delegated:        make(map[int]delegatedLease),
-		pendingRackFrees: make(map[int]*rackFreeReq),
-		pendingCancels:   make(map[windowKey]*borrowCancelReq),
 		spares:           make(map[fabric.NodeID][]spareRegion),
 		sparePending:     make(map[fabric.NodeID]int),
 	}
+	m.out = outbox{ep: ep, stats: &m.Stats, incarnation: m.incarnationOf, reachable: m.reachable}
 	ep.HandleCall(kindHeartbeat, m.onHeartbeat)
 	ep.HandleCall(kindAlloc, m.onAlloc)
 	ep.HandleCall(kindFree, m.onFree)
@@ -340,11 +323,11 @@ func linkKey(a, b fabric.NodeID) [2]fabric.NodeID {
 
 // onHeartbeat folds an agent report into the RRT and TST. It also drives
 // the fast half of failure detection: a heartbeat from a node the sweep
-// declared dead clears the death latch (and, when the incarnation is
-// unchanged — the node never actually rebooted — settles any hot-returns
-// owed from falsely re-placed leases), while an incarnation bump flags
-// the node for recovery even though it never missed enough beats.
-func (m *Monitor) onHeartbeat(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+// declared dead clears the death latch (the next sweep then settles any
+// hot-returns owed from falsely re-placed leases), while an incarnation
+// bump flags the node for recovery even though it never missed enough
+// beats.
+func (m *Monitor) onHeartbeat(_ *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	hb := req.(*Heartbeat)
 	r, ok := m.rrt[hb.Node]
 	if !ok {
@@ -357,19 +340,11 @@ func (m *Monitor) onHeartbeat(p *sim.Proc, from fabric.NodeID, req any) (any, in
 		// any hot-returns we owed its previous life.
 		r.Incarnation = hb.Incarnation
 		r.needsRecovery = true
-		delete(m.orphans, hb.Node)
 		m.Stats.Add("recover.reboots_seen", 1)
 	}
 	if r.Dead {
 		r.Dead = false
 		m.Stats.Add("recover.reappeared", 1)
-		if !r.needsRecovery {
-			// Same incarnation: the node was healthy all along (lost
-			// heartbeats). Return the regions we re-placed out from under
-			// it so they stop leaking. (The recovery sweep also settles
-			// orphans owed to nodes that were never declared dead.)
-			m.flushOrphans(p, hb.Node)
-		}
 	}
 	r.IdleBytes = hb.IdleBytes
 	r.Devices = hb.Devices
@@ -570,7 +545,7 @@ func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.No
 		// was lost, so park a cancellation (key-resolved hot-return)
 		// for when the donor is reachable again.
 		m.Stats.Add(either(recovery, "recover.grant_timeouts", "alloc.grant_timeouts"), 1)
-		m.queueOrphan(cand.Node, inc, &hotReturnReq{Recipient: recipient, RecipientBase: windowBase})
+		m.out.park(m.giveBack(cand.Node, &hotReturnReq{Recipient: recipient, RecipientBase: windowBase}), inc)
 		cand.IdleBytes = 0
 		return 0, false
 	}
@@ -595,11 +570,12 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 			return &ack{}, 8
 		}
 		delete(m.delegated, f.AllocID)
-		fr := &rackFreeReq{DelegID: ref.deleg}
-		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindRackFree, 32, fr, 3*m.GrantTimeout); !ok {
-			// Lost to the spine: park for sweep retry — a dropped free
-			// must not leak the delegation and its donor-rack backing.
-			m.pendingRackFrees[ref.deleg] = fr
+		// Lost to the spine, the free parks: a dropped free must not leak
+		// the delegation and its donor-rack backing.
+		if !m.out.send(p, letter{
+			to: m.Upstream, kind: kindRackFree, size: 32, req: &rackFreeReq{DelegID: ref.deleg},
+			timeout: 3 * m.GrantTimeout, retried: "free.upstream_retried",
+		}) {
 			m.Stats.Add("free.upstream_lost", 1)
 		}
 		m.Stats.Add("free.delegated", 1)
@@ -618,20 +594,22 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 
 // releaseBacking hands a torn-down row's backing back to its donor by
 // the row's resource and restores the RRT account: memory hot-returns
-// the region through the donor's agent (parking an orphan return when
-// the donor is unreachable), a device unit is a table credit.
+// the region through the donor's agent (parked when the donor is
+// unreachable, to settle if it reappears un-rebooted), a device unit is
+// a table credit.
 func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
-	if a.Kind == Memory {
-		ret := a.hotReturn(a.DonorBase)
-		inc := m.incarnationOf(a.Donor)
-		if _, ok := m.EP.CallTimeout(p, a.Donor, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
-			// Donor unreachable: park the return with the orphan queue so it
-			// settles if the donor reappears un-rebooted.
-			m.queueOrphan(a.Donor, inc, ret)
-			m.Stats.Add("free.donor_unreachable", 1)
-		}
+	if a.Kind == Memory && !m.out.send(p, m.giveBack(a.Donor, a.hotReturn(a.DonorBase))) {
+		m.Stats.Add("free.donor_unreachable", 1)
 	}
 	if r, ok := m.rrt[a.Donor]; ok {
 		r.credit(a.Kind, a.Size)
+	}
+}
+
+// giveBack is the letter handing the region ret names back to donor.
+func (m *Monitor) giveBack(donor fabric.NodeID, ret *hotReturnReq) letter {
+	return letter{
+		to: donor, kind: kindHotReturn, size: 64, req: ret,
+		timeout: m.GrantTimeout, retried: "recover.orphan_returns",
 	}
 }

@@ -7,14 +7,16 @@
 //
 // The runtime extends the paper's prototype in two directions. First,
 // recovery (recovery.go): heartbeat-incarnation failure detection, MN
-// sweep loops, lease failover with recipient-side in-flight replay, and
-// orphan hot-returns after false positives. Second, scale (shard.go): on
-// multi-rack fabrics the plane shards into one sub-MN per rack plus a
-// root MN that sees only rack-granularity state — sub-MNs escalate
-// requests their rack cannot serve, the root elects donor racks and
-// delegates grants, and recovery composes across the delegation
-// boundary (including re-delegating a whole rack's donated leases when
-// its sub-MN dies).
+// sweep loops, and lease failover with recipient-side in-flight replay.
+// Second, scale (shard.go): on multi-rack fabrics the plane shards into
+// one sub-MN per rack plus a root MN that sees only rack-granularity
+// state — sub-MNs escalate requests their rack cannot serve, the root
+// elects donor racks and delegates grants, and recovery composes across
+// the delegation boundary (including re-delegating a whole rack's
+// donated leases when its sub-MN dies). Every MN holds one outbox
+// (outbox.go) for the control messages that must land eventually — the
+// hot-return a falsely dead donor is owed among them — parking a lost
+// one and redelivering it on a later pass.
 package monitor
 
 import (

@@ -21,17 +21,10 @@ import (
 // Policy and its recipient retargets and replays in-flight accesses; a
 // device lease moves to a survivor with a free unit. With no survivor
 // the lease is evicted: a memory window is revoked, and a device
-// client's next call surfaces the loss.
-
-// pendingNotice parks one undelivered recovery notice (relocate or
-// revoke) for a recipient, remembering the recipient's incarnation when
-// it was queued: a rebooted recipient has a fresh RAMT and its old
-// windows (and parked processes) died with it, so the notice is moot.
-type pendingNotice[T any] struct {
-	req          *T
-	recipient    fabric.NodeID
-	recipientInc int64
-}
+// client's next call surfaces the loss. Every hot-return, relocate and
+// revoke whose delivery is lost parks in the MN's outbox (outbox.go),
+// and each sweep redelivers what is parked: a donor falsely declared
+// dead gets its regions back once it beats again.
 
 // StartRecovery launches the MN's failure-detection and lease-failover
 // loop. The loop keeps the event queue non-empty forever, so programs
@@ -82,17 +75,9 @@ func (m *Monitor) sweep(p *sim.Proc) {
 			m.Stats.Add("recover.deaths", 1)
 			m.recoverNode(p, id, false)
 			m.notifyNodeDown(p, id)
-		case !r.Dead && m.NodeAlive(id) && len(m.orphans[id]) > 0:
-			// Hot-returns can be owed to a node that was never declared
-			// dead (e.g. a free whose return was lost to a link flap);
-			// settle them as soon as the node is reachable again.
-			m.flushOrphans(p, id)
 		}
 	}
-	m.retryPendingNotices(p)
-	if m.HasUpstream {
-		m.retryRackFrees(p)
-	}
+	m.out.redeliver(p)
 	// Spare-pool upkeep (no-ops unless EnableSparePool ran): drop pool
 	// entries whose donor died or rebooted, then replace consumed or
 	// pruned spares asynchronously.
@@ -100,74 +85,17 @@ func (m *Monitor) sweep(p *sim.Proc) {
 	m.topUpSpares()
 }
 
-// retryPendingNotices redelivers relocate/revoke notices whose first
-// attempt was lost, in allocation-id order.
-func (m *Monitor) retryPendingNotices(p *sim.Proc) {
-	for _, id := range sortedKeys(m.pendingRelocates) {
-		n := m.pendingRelocates[id]
-		a, live := m.rat[id]
-		if !live || a.Donor != n.req.NewDonor {
-			// Freed, reclaimed, or superseded by a newer failover.
-			delete(m.pendingRelocates, id)
-			continue
-		}
-		if m.incarnationOf(n.recipient) != n.recipientInc {
-			// The recipient rebooted: its windows are gone; its own
-			// reboot recovery reclaims the row.
-			delete(m.pendingRelocates, id)
-			continue
-		}
-		if !m.recipientReachable(n.recipient) {
-			continue // unreachable; keep for a later sweep
-		}
-		raw, ok := m.EP.CallTimeout(p, n.recipient, kindRelocate, 64, n.req, m.GrantTimeout)
-		if !ok {
-			m.Stats.Add("recover.relocate_retry_lost", 1)
-			continue
-		}
-		delete(m.pendingRelocates, id)
-		if !raw.(*relocateResp).OK {
-			// The window was released while the notice was parked. Unless
-			// a free deleted the row during the call, this path does, so it
-			// returns the replacement region.
-			if _, live := m.rat[id]; live {
-				delete(m.rat, id)
-				m.releaseBacking(p, a)
-			}
-			m.Stats.Add("recover.raced_free", 1)
-			continue
-		}
-		m.Stats.Add("recover.relocate_retried", 1)
-	}
-	for _, id := range sortedKeys(m.pendingRevokes) {
-		n := m.pendingRevokes[id]
-		if m.incarnationOf(n.recipient) != n.recipientInc {
-			delete(m.pendingRevokes, id)
-			continue
-		}
-		if !m.recipientReachable(n.recipient) {
-			continue
-		}
-		if _, ok := m.EP.CallTimeout(p, n.recipient, kindRevoke, 32, n.req, m.GrantTimeout); !ok {
-			m.Stats.Add("recover.revoke_retry_lost", 1)
-			continue
-		}
-		delete(m.pendingRevokes, id)
-		m.Stats.Add("recover.revoke_retried", 1)
-	}
-}
-
-// recipientReachable reports whether a recovery notice to recipient is
-// worth attempting. Rack-local recipients are gated on their heartbeat
-// freshness; recipients outside this sub-MN's rack (delegated leases)
-// never appear in the RRT, so delivery is simply attempted — their own
-// rack's sub-MN owns their liveness, and an undeliverable notice just
-// stays parked for the next sweep.
-func (m *Monitor) recipientReachable(recipient fabric.NodeID) bool {
-	if _, local := m.rrt[recipient]; !local {
+// reachable reports whether a parked letter to id is worth attempting.
+// Rack-local nodes are gated on their heartbeat freshness; anyone else
+// never appears in the RRT — a delegated lease's recipient in another
+// rack, whose liveness its own rack's sub-MN owns, or the root MN — so
+// delivery is simply attempted, and an undeliverable letter just stays
+// parked for the next pass.
+func (m *Monitor) reachable(id fabric.NodeID) bool {
+	if _, local := m.rrt[id]; !local {
 		return true
 	}
-	return m.NodeAlive(recipient)
+	return m.NodeAlive(id)
 }
 
 // notifyNodeDown reports a locally-detected node death (or reboot) to
@@ -223,19 +151,6 @@ func (m *Monitor) incarnationOf(id fabric.NodeID) int64 {
 		return r.Incarnation
 	}
 	return 0
-}
-
-// queueOrphan parks a hot-return owed to a donor that could not be
-// reached — unless the donor has rebooted since inc was read, in which
-// case the region died with its old life and there is nothing to
-// return. (Recovery's blocking RPCs take milliseconds; a donor can
-// crash AND come back fresh inside one of them.)
-func (m *Monitor) queueOrphan(donor fabric.NodeID, inc int64, ret *hotReturnReq) {
-	if m.incarnationOf(donor) != inc {
-		m.Stats.Add("recover.orphans_obsolete", 1)
-		return
-	}
-	m.orphans[donor] = append(m.orphans[donor], ret)
 }
 
 // reclaimLease handles an allocation whose recipient died: the donor is
@@ -317,12 +232,10 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 			case !ok:
 				// Lost: the recipient may be mid-crash, or a link flap ate the
 				// notice. It still aims at the dead donor, so commit and let
-				// the sweep redeliver until delivery, a newer failover
+				// the sweep redeliver until delivery, a newer placement
 				// supersedes it, or the recipient's own death reclaims the
 				// row.
-				m.pendingRelocates[a.ID] = &pendingNotice[relocateReq]{
-					req: rel, recipient: a.Recipient, recipientInc: recipientInc,
-				}
+				m.out.park(m.relocate(a.Recipient, rel), recipientInc)
 				m.Stats.Add("recover.relocate_lost", 1)
 			case !raw.(*relocateResp).OK:
 				// The window was released while the relocate was in flight.
@@ -335,10 +248,6 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 				m.undoReplacement(p, cand, a, base)
 				m.Stats.Add(either(how.alive, "migrate.raced_free", "recover.raced_free"), 1)
 				return false
-			default:
-				// Delivered: a notice parked by an older failover of this row
-				// is superseded.
-				delete(m.pendingRelocates, a.ID)
 			}
 		}
 		a.Donor, a.DonorBase, a.At = cand.Node, base, m.EP.Eng.Now()
@@ -371,16 +280,43 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 // releaseOld gives back the backing row a held before its walk, as its
 // donor's state allows. A live donor takes it straight back
 // (releaseBacking). A dead one is owed an orphan hot-return for a memory
-// region, keyed to its incarnation inc when the walk began, unless it
-// rebooted and so wiped the region. A dead donor's device unit needs
-// nothing: its next heartbeat re-advertises its units and re-debits the
-// live rows.
+// region, parked against its incarnation inc when the walk began, so it
+// is dropped if the donor rebooted and so wiped the region. A dead
+// donor's device unit needs nothing: its next heartbeat re-advertises
+// its units and re-debits the live rows.
 func (m *Monitor) releaseOld(p *sim.Proc, a *Allocation, inc int64, how replacement) {
 	switch {
 	case how.alive:
 		m.releaseBacking(p, a)
 	case a.Kind == Memory && !how.rebooted:
-		m.queueOrphan(a.Donor, inc, a.hotReturn(a.DonorBase))
+		m.out.park(m.giveBack(a.Donor, a.hotReturn(a.DonorBase)), inc)
+	}
+}
+
+// relocate is the letter redelivering a failover's lost relocate rel to
+// recipient.
+// It goes stale once the row is gone or has moved on from the placement
+// rel names. A redelivery the recipient refuses found the window
+// released while the letter was parked: unless a free deleted the row
+// during the call, this path does, so it returns the replacement region.
+func (m *Monitor) relocate(recipient fabric.NodeID, rel *relocateReq) letter {
+	return letter{
+		to: recipient, kind: kindRelocate, size: 64, req: rel,
+		timeout: m.GrantTimeout, retried: "recover.relocate_retried",
+		stale: func() bool {
+			a, live := m.rat[rel.AllocID]
+			return !live || a.Donor != rel.NewDonor || a.DonorBase != rel.NewDonorBase
+		},
+		answer: func(p *sim.Proc, resp any) {
+			if resp.(*relocateResp).OK {
+				return
+			}
+			if a, live := m.rat[rel.AllocID]; live {
+				delete(m.rat, rel.AllocID)
+				m.releaseBacking(p, a)
+			}
+			m.Stats.Add("recover.raced_free", 1)
+		},
 	}
 }
 
@@ -388,21 +324,18 @@ func (m *Monitor) releaseOld(p *sim.Proc, a *Allocation, inc int64, how replacem
 // no donor left, or preemption of a lease on a live donor (how.alive).
 // By the row-ownership rule it deletes the row and releases the backing
 // (releaseOld), then revokes a memory window so parked accesses unwedge
-// and later ones fail fast (parked for sweep retry when lost; device
+// and later ones fail fast (parked in the outbox when lost; device
 // clients follow the event stream instead). Last it announces the event
 // and tells the root.
 func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) {
 	delete(m.rat, a.ID)
 	m.releaseOld(p, a, inc, how)
-	if a.Kind == Memory {
-		rv := &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size}
-		recipientInc := m.incarnationOf(a.Recipient)
-		if _, ok := m.EP.CallTimeout(p, a.Recipient, kindRevoke, 32, rv, m.GrantTimeout); !ok {
-			m.pendingRevokes[a.ID] = &pendingNotice[revokeReq]{
-				req: rv, recipient: a.Recipient, recipientInc: recipientInc,
-			}
-			m.Stats.Add(either(how.alive, "preempt.revoke_lost", "recover.revoke_lost"), 1)
-		}
+	if a.Kind == Memory && !m.out.send(p, letter{
+		to: a.Recipient, kind: kindRevoke, size: 32,
+		req:     &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size},
+		timeout: m.GrantTimeout, retried: "recover.revoke_retried",
+	}) {
+		m.Stats.Add(either(how.alive, "preempt.revoke_lost", "recover.revoke_lost"), 1)
 	}
 	m.Stats.Add(either(how.alive, pick(a.Kind, "preempt.memory", "preempt.device"),
 		pick(a.Kind, "recover.revoked", "recover.devices_dropped")), 1)
@@ -428,31 +361,7 @@ func (m *Monitor) notifyDelegateMoved(p *sim.Proc, deleg int, donor fabric.NodeI
 // to the donor it was just carved from. A device unit is only debited
 // at commit, so it has nothing to undo.
 func (m *Monitor) undoReplacement(p *sim.Proc, cand *Registration, a *Allocation, base uint64) {
-	if a.Kind != Memory {
-		return
-	}
-	inc := m.incarnationOf(cand.Node)
-	ret := a.hotReturn(base)
-	if _, ok := m.EP.CallTimeout(p, cand.Node, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
-		m.queueOrphan(cand.Node, inc, ret)
-	}
-}
-
-// flushOrphans settles hot-returns owed to a donor that reappeared
-// without having rebooted: the MN declared it dead and moved its leases,
-// but its regions are still hot-removed and exported.
-func (m *Monitor) flushOrphans(p *sim.Proc, id fabric.NodeID) {
-	rets := m.orphans[id]
-	if len(rets) == 0 {
-		return
-	}
-	delete(m.orphans, id)
-	for _, ret := range rets {
-		if _, ok := m.EP.CallTimeout(p, id, kindHotReturn, 64, ret, m.GrantTimeout); !ok {
-			// Unreachable again; requeue for the next reappearance.
-			m.orphans[id] = append(m.orphans[id], ret)
-			continue
-		}
-		m.Stats.Add("recover.orphan_returns", 1)
+	if a.Kind == Memory {
+		m.out.send(p, m.giveBack(cand.Node, a.hotReturn(base)))
 	}
 }

@@ -112,6 +112,36 @@ func TestReplaceOutcomes(t *testing.T) {
 				t.Fatal("no LeaseRevoked event")
 			}
 		}},
+		{"failover/lost-revoke-retried", func(t *testing.T, r *replaceRig) {
+			a := r.lease(t)
+			for _, n := range []int{1, 2, 3, 6, 7} {
+				reserveAllOn(t, r.cluster, n)
+			}
+			// The donor's death is swept 3 s after its crash; flap the MN's
+			// link to the recipient across that sweep, as
+			// TestLostRelocateIsRetried does, so the revoke is lost.
+			r.eng.Schedule(2900*sim.Millisecond, func() { r.net.SetLinkDown(0, 4, true) })
+			r.eng.Schedule(3700*sim.Millisecond, func() { r.net.SetLinkDown(0, 4, false) })
+			r.agents[5].Crash()
+			r.net.SetNodeDown(5, true)
+			r.eng.RunFor(3800 * sim.Millisecond)
+			if got := r.mn.Stats.Get("recover.revoke_lost"); got != 1 {
+				t.Fatalf("test premise broken: recover.revoke_lost = %d, want 1", got)
+			}
+			if got := r.agents[4].Stats.Get("revoked"); got != 0 {
+				t.Fatalf("test premise broken: the revoke landed %d times during the flap", got)
+			}
+			r.eng.RunFor(5 * sim.Second)
+			if got := r.mn.Stats.Get("recover.revoke_retried"); got != 1 {
+				t.Fatalf("recover.revoke_retried = %d, want 1", got)
+			}
+			if got := r.agents[4].Stats.Get("revoked"); got != 1 {
+				t.Fatalf("recipient saw %d revokes, want 1", got)
+			}
+			if _, ok := r.mn.Allocation(a.ID); ok {
+				t.Fatal("row survived with no donor left to back it")
+			}
+		}},
 		{"device-failover/no-unit-drops", func(t *testing.T, r *replaceRig) {
 			r.agents[5].Devices[DevAccelerator] = 1
 			r.eng.RunFor(1 * sim.Second)

@@ -33,6 +33,12 @@ import (
 //     rack, then the same relocate+replay path the
 //     recipients' agents already implement (PR 3), so
 //     in-flight accesses complete instead of being lost.
+//
+// The root parks what it cannot deliver in its own outbox (outbox.go),
+// as a sub-MN does: delegate-frees, cancellations, relocates and
+// revokes. A rack falsely declared dead gets its tombstones, the
+// delegate-frees for rows whose leases moved while it was gone, on the
+// root's next pass after it beats again.
 
 // RackStatus is one row of the root MN's rack registry — the
 // rack-granularity analogue of a Registration.
@@ -108,30 +114,16 @@ type Root struct {
 	nextDelegID int
 	sweepOn     bool
 
-	// tombs parks, per declared-dead rack, the sub-MN RAT row ids whose
-	// leases were re-delegated (or revoked) out from under it. A rack
-	// whose death was a false positive comes back with those rows — and
-	// their carved-out regions — intact; flushing the tombstones as
-	// delegate-frees on reappearance reconciles the stale sub-MN with
-	// the re-delegated truth and un-leaks the regions.
-	tombs map[int][]int
-	// cancels parks, per rack, delegation ids whose delegate call timed
-	// out there: the sub may have granted and lost the response, leaving
-	// a row (and region) nobody tracks. The sweep delivers key-resolved
-	// cancellations when the rack is reachable.
-	cancels map[int][]int
+	// out parks the root's undelivered letters: delegate-frees (among
+	// them the tombstones a rack falsely declared dead comes back to),
+	// delegate cancellations, and re-delegation relocates and revokes.
+	out outbox
 	// cancelled records borrow cancellations that arrived while their
 	// election was still in flight (possible if a sub's patience is
 	// configured under the root's worst case): the election's success
 	// path consults it and unwinds instead of recording a delegation the
 	// canceller will never free.
 	cancelled map[windowKey]bool
-
-	// pendingRel / pendingRev park undelivered relocate/revoke notices
-	// from re-delegations, retried each sweep — the same
-	// never-strand-a-recipient contract the sub-MN sweeps keep.
-	pendingRel map[int]*relocateReq
-	pendingRev map[int]*parkedRevoke
 
 	// Stats counts root activity (borrows, delegations, re-delegations,
 	// reclaims).
@@ -152,12 +144,11 @@ func NewRoot(ep *transport.Endpoint) *Root {
 		racks:           make(map[int]*RackStatus),
 		dels:            make(map[int]*Delegation),
 		nextDelegID:     1,
-		pendingRel:      make(map[int]*relocateReq),
-		pendingRev:      make(map[int]*parkedRevoke),
-		tombs:           make(map[int][]int),
-		cancels:         make(map[int][]int),
 		cancelled:       make(map[windowKey]bool),
 	}
+	// The root tracks no node reboots: every letter is written against
+	// incarnation 0.
+	rt.out = outbox{ep: ep, stats: &rt.Stats, incarnation: func(fabric.NodeID) int64 { return 0 }, reachable: rt.reachable}
 	ep.HandleCall(kindRackBeat, rt.onRackBeat)
 	ep.HandleCall(kindRackBorrow, rt.onRackBorrow)
 	ep.HandleCall(kindRackFree, rt.onRackFree)
@@ -203,6 +194,10 @@ func (rt *Root) Delegations() []Delegation {
 }
 
 // onRackBeat folds a sub-MN's rack-level report into the registry.
+// Without recovery the root runs no loop of its own, so a rackbeat
+// spawns the redelivery pass when letters are parked; with recovery on
+// the sweep owns redelivery, so a redelivered letter never races a
+// re-delegation.
 func (rt *Root) onRackBeat(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	b := req.(*rackBeat)
 	rs, ok := rt.racks[b.Rack]
@@ -214,12 +209,11 @@ func (rt *Root) onRackBeat(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 		// The rack's control plane reappeared. Anything it was donating
 		// was re-delegated (or revoked) while it was gone; if the death
 		// was a false positive the sub still holds those RAT rows and
-		// their regions, so flush the parked tombstones as
-		// delegate-frees to reconcile it. A genuinely rebooted sub
-		// answers them as stale no-ops.
+		// their regions, which the parked tombstones reconcile now that
+		// the rack is reachable. A genuinely rebooted sub answers them as
+		// stale no-ops.
 		rs.Dead = false
 		rt.Stats.Add("root.rack_reappeared", 1)
-		rt.flushTombstones(b.Rack, b.Sub)
 	}
 	rs.Sub = b.Sub
 	rs.IdleBytes = b.IdleBytes
@@ -229,7 +223,22 @@ func (rt *Root) onRackBeat(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	rs.LastBeat = rt.EP.Eng.Now()
 	rs.Beats++
 	rt.Stats.Add("root.rackbeats", 1)
+	if !rt.sweepOn && len(rt.out.parked) > 0 {
+		rt.EP.Eng.Go("root-outbox", rt.out.redeliver)
+	}
 	return &ack{}, 8
+}
+
+// reachable reports whether a parked letter to id is worth attempting: a
+// sub-MN only while its rack beats, anyone else (a recipient's agent,
+// whose liveness its own rack's sub-MN owns) always.
+func (rt *Root) reachable(id fabric.NodeID) bool {
+	for rack, rs := range rt.racks {
+		if rs.Sub == id {
+			return rt.RackAlive(rack)
+		}
+	}
+	return true
 }
 
 // donorRacks orders candidate donor racks for amount of res, requested
@@ -286,9 +295,20 @@ func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*dele
 		// The sub may have granted and lost the response; park a
 		// key-resolved cancellation so the orphaned row (and region)
 		// cannot leak, and so the next candidate's row under the same
-		// delegation id never coexists with this one.
+		// delegation id never coexists with this one. A later
+		// re-delegation can legitimately land the delegation back in this
+		// rack; the cancel is then aimed at the live backing and goes
+		// stale.
 		rt.Stats.Add("root.delegate_timeouts", 1)
-		rt.cancels[rs.Rack] = append(rt.cancels[rs.Rack], req.DelegID)
+		id, rack := req.DelegID, rs.Rack
+		rt.out.park(letter{
+			to: rs.Sub, kind: kindDelegateCancel, size: 32, req: &delegateCancelReq{DelegID: id},
+			timeout: rt.delegateTimeout(), retried: "root.delegates_cancelled",
+			stale: func() bool {
+				d, live := rt.dels[id]
+				return live && d.DonorRack == rack
+			},
+		}, 0)
 		rs.debit(req.Res, rs.free(req.Res))
 		return nil, false
 	}
@@ -367,8 +387,6 @@ func (rt *Root) onBorrowCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, int)
 			continue
 		}
 		delete(rt.dels, id)
-		delete(rt.pendingRel, id)
-		delete(rt.pendingRev, id)
 		rt.freeBacking(p, d)
 		rt.Stats.Add("root.borrows_cancelled", 1)
 		matched = true
@@ -391,26 +409,33 @@ func (rt *Root) onRackFree(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 		return &ack{}, 8
 	}
 	delete(rt.dels, f.DelegID)
-	delete(rt.pendingRel, f.DelegID)
-	delete(rt.pendingRev, f.DelegID)
 	rt.freeBacking(p, d)
 	rt.Stats.Add("root.freed", 1)
 	return &ack{}, 8
 }
 
 // freeBacking asks a delegation's donor rack to tear down its backing
-// region. With the donor rack's control plane dead there is no one to
-// ask: the region stays carved out until that rack's sub-MN returns —
-// the documented leak window of a rack-level control-plane outage.
+// region. A rack that is not beating cannot be asked now, so the
+// delegate-free parks until it beats again, as does one whose delivery
+// is lost: the region stays carved out only until the rack's sub-MN is
+// back.
 func (rt *Root) freeBacking(p *sim.Proc, d *Delegation) {
-	rs, ok := rt.racks[d.DonorRack]
-	if !ok || !rt.RackAlive(d.DonorRack) {
-		rt.Stats.Add("root.free_leaked", 1)
+	l := rt.delegateFree(d.DonorRack, d.SubAllocID)
+	if !rt.RackAlive(d.DonorRack) {
+		rt.out.park(l, 0)
+	} else if rt.out.send(p, l) {
 		return
 	}
-	if _, ok := rt.EP.CallTimeout(p, rs.Sub, kindDelegateFree, 32,
-		&delegateFreeReq{AllocID: d.SubAllocID}, rt.delegateTimeout()); !ok {
-		rt.Stats.Add("root.free_leaked", 1)
+	rt.Stats.Add("root.free_lost", 1)
+}
+
+// delegateFree is the letter asking rack's sub-MN to tear down its RAT
+// row id: a delegation's backing on free, or a tombstone for a row whose
+// lease moved elsewhere while the rack was presumed dead.
+func (rt *Root) delegateFree(rack, id int) letter {
+	return letter{
+		to: rt.racks[rack].Sub, kind: kindDelegateFree, size: 32, req: &delegateFreeReq{AllocID: id},
+		timeout: rt.delegateTimeout(), retried: "root.tombstones_flushed",
 	}
 }
 
@@ -428,8 +453,6 @@ func (rt *Root) onNodeDown(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			continue
 		}
 		delete(rt.dels, id)
-		delete(rt.pendingRel, id)
-		delete(rt.pendingRev, id)
 		rt.freeBacking(p, d)
 		rt.Stats.Add("root.reclaimed", 1)
 		rt.emitDelegation(LeaseRevoked, d, d.Donor)
@@ -455,8 +478,6 @@ func (rt *Root) onDelegateMoved(_ *sim.Proc, from fabric.NodeID, req any) (any, 
 	}
 	if mv.Gone {
 		delete(rt.dels, mv.DelegID)
-		delete(rt.pendingRel, mv.DelegID)
-		delete(rt.pendingRev, mv.DelegID)
 		rt.Stats.Add("root.delegate_revoked", 1)
 		return &ack{}, 8
 	}
@@ -464,28 +485,6 @@ func (rt *Root) onDelegateMoved(_ *sim.Proc, from fabric.NodeID, req any) (any, 
 	d.At = rt.EP.Eng.Now()
 	rt.Stats.Add("root.delegate_moved", 1)
 	return &ack{}, 8
-}
-
-// flushTombstones asks a reappeared rack's sub-MN to tear down the RAT
-// rows whose leases moved elsewhere while it was presumed dead. Runs in
-// its own process so the rackbeat handler never blocks on it;
-// undeliverable tombstones re-park for the rack's next reappearance.
-func (rt *Root) flushTombstones(rack int, sub fabric.NodeID) {
-	ids := rt.tombs[rack]
-	if len(ids) == 0 {
-		return
-	}
-	delete(rt.tombs, rack)
-	rt.EP.Eng.Go(fmt.Sprintf("root-tombs-rack%d", rack), func(p *sim.Proc) {
-		for _, id := range ids {
-			if _, ok := rt.EP.CallTimeout(p, sub, kindDelegateFree, 32,
-				&delegateFreeReq{AllocID: id}, rt.delegateTimeout()); !ok {
-				rt.tombs[rack] = append(rt.tombs[rack], id)
-				continue
-			}
-			rt.Stats.Add("root.tombstones_flushed", 1)
-		}
-	})
 }
 
 // StartRecovery launches the root's rack-level failure-detection loop.
@@ -529,42 +528,7 @@ func (rt *Root) sweep(p *sim.Proc) {
 			rt.redelegateRack(p, r)
 		}
 	}
-	rt.retryPending(p)
-	rt.flushCancels(p)
-}
-
-// flushCancels delivers parked delegate cancellations to racks that are
-// reachable again, in rack then queue order; undeliverable ones stay
-// parked for the next sweep.
-func (rt *Root) flushCancels(p *sim.Proc) {
-	racks := make([]int, 0, len(rt.cancels))
-	for r := range rt.cancels {
-		racks = append(racks, r)
-	}
-	sort.Ints(racks)
-	for _, r := range racks {
-		if !rt.RackAlive(r) {
-			continue
-		}
-		sub := rt.racks[r].Sub
-		ids := rt.cancels[r]
-		delete(rt.cancels, r)
-		for i, id := range ids {
-			// A later re-delegation can legitimately land this delegation
-			// back in the rack whose earlier attempt timed out; the parked
-			// cancel is then aimed at the live backing and must be dropped.
-			if d, live := rt.dels[id]; live && d.DonorRack == r {
-				rt.Stats.Add("root.cancels_obsolete", 1)
-				continue
-			}
-			if _, ok := rt.EP.CallTimeout(p, sub, kindDelegateCancel, 32,
-				&delegateCancelReq{DelegID: id}, rt.delegateTimeout()); !ok {
-				rt.cancels[r] = append(rt.cancels[r], ids[i:]...)
-				break
-			}
-			rt.Stats.Add("root.delegates_cancelled", 1)
-		}
-	}
+	rt.out.redeliver(p)
 }
 
 // redelegateRack moves every lease the dead rack was donating onto a
@@ -580,10 +544,10 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 			continue
 		}
 		// Whatever happens next, the dead rack's backing region stays
-		// carved out of its donor; leave a tombstone so a reappearing
+		// carved out of its donor; park a tombstone so a reappearing
 		// (falsely-dead) sub-MN drops the stale row and hot-returns the
 		// region instead of diverging from the re-delegated truth.
-		rt.tombs[dead] = append(rt.tombs[dead], d.SubAllocID)
+		rt.out.park(rt.delegateFree(dead, d.SubAllocID), 0)
 		oldDonor := d.Donor
 		moved := false
 		for _, rs := range rt.donorRacks(dead, d.Kind, d.Size) {
@@ -617,12 +581,12 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 			// recipient's parked accesses fail fast instead of waiting on
 			// a region that no longer exists.
 			delete(rt.dels, d.ID)
-			if d.Kind == Memory {
-				rv := &revokeReq{AllocID: d.SubAllocID, RecipientBase: d.RecipientBase, Size: d.Size}
-				if _, ok := rt.EP.CallTimeout(p, d.Recipient, kindRevoke, 32, rv, rt.GrantTimeout); !ok {
-					rt.pendingRev[d.ID] = &parkedRevoke{req: rv, to: d.Recipient}
-					rt.Stats.Add("root.revoke_lost", 1)
-				}
+			if d.Kind == Memory && !rt.out.send(p, letter{
+				to: d.Recipient, kind: kindRevoke, size: 32,
+				req:     &revokeReq{AllocID: d.SubAllocID, RecipientBase: d.RecipientBase, Size: d.Size},
+				timeout: rt.GrantTimeout, retried: "root.revoke_retried",
+			}) {
+				rt.Stats.Add("root.revoke_lost", 1)
 			}
 			rt.Stats.Add("root.revoked", 1)
 			rt.emitDelegation(LeaseRevoked, d, oldDonor)
@@ -631,53 +595,28 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 }
 
 // deliverRelocate sends a re-delegation's relocate notice to the
-// recipient's agent, parking it for sweep retry when delivery fails and
-// unwinding the fresh grant when the window raced a concurrent free.
+// recipient's agent. A lost one parks until it lands or goes stale: the
+// delegation is gone or has moved on from the row rel names. When the
+// window raced a concurrent free, the agent refuses it, and the root
+// drops the delegation and takes the replacement backing down.
 func (rt *Root) deliverRelocate(p *sim.Proc, d *Delegation, rel *relocateReq) {
-	raw, ok := rt.EP.CallTimeout(p, d.Recipient, kindRelocate, 64, rel, rt.GrantTimeout)
-	switch {
-	case !ok:
-		rt.pendingRel[d.ID] = rel
+	if !rt.out.send(p, letter{
+		to: d.Recipient, kind: kindRelocate, size: 64, req: rel,
+		timeout: rt.GrantTimeout, retried: "root.relocate_retried",
+		stale: func() bool {
+			cur, live := rt.dels[d.ID]
+			return !live || cur.Donor != rel.NewDonor || cur.SubAllocID != rel.AllocID
+		},
+		answer: func(p *sim.Proc, resp any) {
+			if !resp.(*relocateResp).OK {
+				delete(rt.dels, d.ID)
+				rt.freeBacking(p, d)
+				rt.Stats.Add("root.raced_free", 1)
+			}
+		},
+	}) {
 		rt.Stats.Add("root.relocate_lost", 1)
-	case !raw.(*relocateResp).OK:
-		// The window was released while the notice was in flight: drop
-		// the delegation and take the replacement backing down.
-		delete(rt.dels, d.ID)
-		rt.freeBacking(p, d)
-		rt.Stats.Add("root.raced_free", 1)
-	default:
-		delete(rt.pendingRel, d.ID)
 	}
-}
-
-// retryPending redelivers relocate/revoke notices whose first attempt
-// was lost, in delegation-id order.
-func (rt *Root) retryPending(p *sim.Proc) {
-	for _, id := range sortedKeys(rt.pendingRel) {
-		rel := rt.pendingRel[id]
-		d, live := rt.dels[id]
-		if !live || d.Donor != rel.NewDonor {
-			delete(rt.pendingRel, id) // freed or superseded meanwhile
-			continue
-		}
-		delete(rt.pendingRel, id)
-		rt.deliverRelocate(p, d, rel)
-	}
-	for _, id := range sortedKeys(rt.pendingRev) {
-		pr := rt.pendingRev[id]
-		if _, ok := rt.EP.CallTimeout(p, pr.to, kindRevoke, 32, pr.req, rt.GrantTimeout); !ok {
-			continue
-		}
-		delete(rt.pendingRev, id)
-	}
-}
-
-// parkedRevoke is an undelivered revoke notice plus its addressee (the
-// delegation row that knew the recipient is gone by the time a revoke
-// parks).
-type parkedRevoke struct {
-	req *revokeReq
-	to  fabric.NodeID
 }
 
 // --- sub-MN side -----------------------------------------------------
@@ -700,11 +639,14 @@ func (m *Monitor) StartRackBeat(root fabric.NodeID, rack int, interval sim.Dur) 
 		p.Sleep(sim.Dur(m.Topo.N+2+rack) * sim.Millisecond)
 		for {
 			m.sendRackBeat(p, interval)
-			// Parked upstream teardowns (lost frees/cancels) retry on the
-			// beat, not only in the recovery sweep: the beat loop is the
-			// one loop every sub-MN always runs, so a cluster without
-			// recovery enabled still cannot leak a delegation forever.
-			m.retryRackFrees(p)
+			// Without recovery the beat loop is the one loop a sub-MN
+			// runs, so it redelivers parked letters and a lost free or
+			// cancel still cannot leak a delegation forever. With recovery
+			// on the sweep owns redelivery, so a redelivered relocate never
+			// races a failover of the same row.
+			if !m.recoveryOn {
+				m.out.redeliver(p)
+			}
 			p.Sleep(interval)
 		}
 	})
@@ -779,12 +721,14 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 		// the rootBorrowCandidates bound rules out): the borrow may have
 		// completed at the root, where nobody else holds a mapping for
 		// it. Send a cancellation; the root tears down any matching
-		// delegation. An undeliverable cancel parks for sweep retry — a
-		// flap must not leak a delegation forever.
+		// delegation. An undeliverable cancel parks — a flap must not
+		// leak a delegation forever.
 		m.Stats.Add("alloc.upstream_timeouts", 1)
-		cancel := &borrowCancelReq{Recipient: from, RecipientBase: key, Res: r.Res}
-		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindBorrowCancel, 32, cancel, m.GrantTimeout); !ok {
-			m.pendingCancels[windowKey{recipient: from, base: key}] = cancel
+		if !m.out.send(p, letter{
+			to: m.Upstream, kind: kindBorrowCancel, size: 32,
+			req:     &borrowCancelReq{Recipient: from, RecipientBase: key, Res: r.Res},
+			timeout: m.GrantTimeout, retried: "alloc.cancel_retried",
+		}) {
 			m.Stats.Add("alloc.cancel_lost", 1)
 		}
 		return nil
@@ -808,38 +752,6 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 type delegatedLease struct {
 	deleg     int
 	recipient fabric.NodeID
-}
-
-// retryRackFrees redelivers upstream releases and escalation
-// cancellations whose first attempt was lost, in deterministic order
-// (called from the recovery sweep).
-func (m *Monitor) retryRackFrees(p *sim.Proc) {
-	for _, id := range sortedKeys(m.pendingRackFrees) {
-		fr := m.pendingRackFrees[id]
-		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindRackFree, 32, fr, 3*m.GrantTimeout); !ok {
-			continue
-		}
-		delete(m.pendingRackFrees, id)
-		m.Stats.Add("free.upstream_retried", 1)
-	}
-	keys := make([]windowKey, 0, len(m.pendingCancels))
-	for k := range m.pendingCancels {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].recipient != keys[j].recipient {
-			return keys[i].recipient < keys[j].recipient
-		}
-		return keys[i].base < keys[j].base
-	})
-	for _, k := range keys {
-		if _, ok := m.EP.CallTimeout(p, m.Upstream, kindBorrowCancel, 32,
-			m.pendingCancels[k], m.GrantTimeout); !ok {
-			continue
-		}
-		delete(m.pendingCancels, k)
-		m.Stats.Add("alloc.cancel_retried", 1)
-	}
 }
 
 // onDelegate services the root MN's cross-rack grant request: the

@@ -170,7 +170,7 @@ func (m *Monitor) replacementBacking(p *sim.Proc, cand *Registration, a *Allocat
 			// been installed: park a key-resolved cancellation, same as a
 			// lost hot-remove ACK.
 			m.Stats.Add("recover.grant_timeouts", 1)
-			m.queueOrphan(cand.Node, inc, &hotReturnReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase})
+			m.out.park(m.giveBack(cand.Node, &hotReturnReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase}), inc)
 			cand.IdleBytes = 0
 			return 0, false, false
 		case raw.(*spareAttachResp).OK:

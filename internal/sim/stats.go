@@ -66,57 +66,6 @@ func (s *RunningStat) String() string {
 		s.n, s.mean, s.min, s.max, s.StdDev())
 }
 
-// Hist is a power-of-two bucketed histogram of non-negative integer
-// observations (typically latencies in ns). Bucket i counts observations
-// in [2^i, 2^(i+1)); bucket 0 also absorbs zero. The zero value is ready
-// to use.
-type Hist struct {
-	buckets [64]int64
-	stat    RunningStat
-}
-
-// Add records one observation; negative values are clamped to zero.
-func (h *Hist) Add(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.stat.Add(float64(v))
-	h.buckets[log2(uint64(v))]++
-}
-
-// AddDur records a duration observation.
-func (h *Hist) AddDur(d Dur) { h.Add(int64(d)) }
-
-// N reports the observation count.
-func (h *Hist) N() int64 { return h.stat.N() }
-
-// Mean reports the mean observation.
-func (h *Hist) Mean() float64 { return h.stat.Mean() }
-
-// Max reports the maximum observation.
-func (h *Hist) Max() float64 { return h.stat.Max() }
-
-// Percentile returns an upper bound for the p-th percentile (p in
-// [0,100]) from bucket boundaries.
-func (h *Hist) Percentile(p float64) int64 {
-	total := h.stat.N()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(float64(total) * p / 100.0))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return (int64(1) << uint(i+1)) - 1
-		}
-	}
-	return int64(h.stat.Max())
-}
-
 func log2(v uint64) int {
 	n := 0
 	for v > 1 {

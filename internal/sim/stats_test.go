@@ -51,45 +51,6 @@ func TestRunningStatMeanWithinBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestHistPercentiles(t *testing.T) {
-	var h Hist
-	for i := int64(1); i <= 1000; i++ {
-		h.Add(i)
-	}
-	if h.N() != 1000 {
-		t.Fatalf("N = %d", h.N())
-	}
-	p50 := h.Percentile(50)
-	if p50 < 500 || p50 > 1024 {
-		t.Fatalf("p50 = %d, want within [500,1024]", p50)
-	}
-	p100 := h.Percentile(100)
-	if p100 < 1000 {
-		t.Fatalf("p100 = %d, want >= 1000", p100)
-	}
-	if h.Percentile(0) <= 0 {
-		t.Fatalf("p0 = %d, want positive bucket bound", h.Percentile(0))
-	}
-}
-
-func TestHistNegativeClamped(t *testing.T) {
-	var h Hist
-	h.Add(-5)
-	if h.N() != 1 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.Percentile(100) > 1 {
-		t.Fatalf("negative observation landed in a high bucket")
-	}
-}
-
-func TestHistEmptyPercentile(t *testing.T) {
-	var h Hist
-	if h.Percentile(99) != 0 {
-		t.Fatal("empty histogram percentile should be 0")
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()

@@ -42,22 +42,6 @@ func TestCompletionThenChaining(t *testing.T) {
 	}
 }
 
-func TestHistPercentileMonotoneProperty(t *testing.T) {
-	var h Hist
-	rng := NewRNG(3)
-	for i := 0; i < 5000; i++ {
-		h.Add(int64(rng.Intn(1_000_000)))
-	}
-	last := int64(0)
-	for _, p := range []float64{1, 10, 25, 50, 75, 90, 99, 100} {
-		v := h.Percentile(p)
-		if v < last {
-			t.Fatalf("percentile %v = %d below previous %d", p, v, last)
-		}
-		last = v
-	}
-}
-
 func TestEngineRunFiredCount(t *testing.T) {
 	e := New()
 	defer e.Close()

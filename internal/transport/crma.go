@@ -66,7 +66,7 @@ type CRMAStats struct {
 	Unexported   int64 // requests dropped at the donor for lack of an export (rebooted donor)
 	Replayed     int64 // in-flight accesses re-issued after a window retarget
 	DeadAccesses int64 // accesses to a revoked (dead) window, completed with poison
-	FillLat      sim.Hist
+	FillLat      sim.RunningStat
 	RemoteBkt    sim.Scoreboard // per-donor fill counts
 }
 
@@ -80,10 +80,6 @@ type CRMA struct {
 	exports []*RAMTEntry // donor-side reverse mappings (remote node's window -> local)
 	pending map[uint64]*crmaPending
 	nextID  uint64
-
-	// postedObserver, when set, sees every posted store's note; the QPair
-	// collaboration path registers itself here.
-	postedObserver func(addr uint64, note any)
 
 	Stats CRMAStats
 }
@@ -130,15 +126,6 @@ func (c *CRMA) Export(recipient fabric.NodeID, recipientBase, size, localBase ui
 
 // Unmap invalidates a requester-side entry after cleanup (stop-sharing).
 func (c *CRMA) Unmap(e *RAMTEntry) { e.Valid = false }
-
-// UnexportAll invalidates every donor-side export serving a recipient.
-func (c *CRMA) UnexportAll(recipient fabric.NodeID) {
-	for _, e := range c.exports {
-		if e.Node == recipient {
-			e.Valid = false
-		}
-	}
-}
 
 // Reset wipes the channel's soft state — every mapping, every export,
 // every pending access — modeling the node rebooting: the RAMT is
@@ -305,9 +292,6 @@ func (c *CRMA) PostWrite(dst fabric.NodeID, addr uint64, size int, note any) {
 	})
 }
 
-// ObservePosted registers the consumer of posted-write notes.
-func (c *CRMA) ObservePosted(fn func(addr uint64, note any)) { c.postedObserver = fn }
-
 // lookupExport finds the donor-side entry matching a requester address.
 func (c *CRMA) lookupExport(from fabric.NodeID, addr uint64) (*RAMTEntry, bool) {
 	for _, e := range c.exports {
@@ -368,10 +352,6 @@ func (c *CRMA) handlePosted(_ *fabric.Packet, m *crmaPosted) {
 			if qp, live := c.ep.qpairs[cr.dstQID]; live {
 				qp.addCredits(cr.credits)
 			}
-			return
-		}
-		if c.postedObserver != nil {
-			c.postedObserver(m.addr, m.note)
 		}
 	})
 }

@@ -71,7 +71,7 @@ type QPairStats struct {
 	OutOfOrder  int64
 	CreditStall sim.Dur // total time the sender spent blocked on credits
 	CreditsSent int64
-	MsgLat      sim.Hist
+	MsgLat      sim.RunningStat
 }
 
 // QPair is one endpoint of a bidirectional user-level channel between two
@@ -205,18 +205,6 @@ func (q *QPair) RecvHW(p *sim.Proc) *Message {
 	msg := q.recvQ.Pop(p)
 	q.afterConsume(p)
 	return msg
-}
-
-// TryRecv polls for a message without blocking for arrival (the software
-// receive cost still applies when a message is returned).
-func (q *QPair) TryRecv(p *sim.Proc) (*Message, bool) {
-	msg, ok := q.recvQ.TryPop()
-	if !ok {
-		return nil, false
-	}
-	p.Sleep(q.ep.P.QPairSWRecv + q.cfg.ExtraSW)
-	q.afterConsume(p)
-	return msg, true
 }
 
 // afterConsume accumulates consumed buffers and returns credits to the

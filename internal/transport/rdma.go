@@ -38,7 +38,7 @@ type RDMAStats struct {
 	Writes   int64
 	BytesIn  int64
 	BytesOut int64
-	OpLat    sim.Hist
+	OpLat    sim.RunningStat
 }
 
 // RDMA is the bulk-transfer channel (§5.1.2): software posts a
