@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
-	"repro/internal/memsys"
 	"repro/internal/monitor"
 	"repro/internal/node"
 	"repro/internal/sim"
-	"repro/internal/tenancy"
-	"repro/internal/vnic"
 )
 
 // Both cluster shapes are Planes: scenario code written against the
@@ -19,79 +16,108 @@ var (
 	_ Plane = (*HierCluster)(nil)
 )
 
-// Observe registers a lease-lifecycle observer with the flat plane and
-// returns its cancel.
-func (c *Cluster) Observe(fn Observer) (cancel func()) { return c.hub.observe(fn) }
-
-// Acquire obtains one resource through the flat plane's Monitor Node
-// (or directly, for the Direct kinds). See Plane.
-func (c *Cluster) Acquire(p *sim.Proc, req Request) (Lease, error) {
-	return acquireWithRetry(p, req, &c.hub, c.acquireOnce)
+// plane is the acquisition surface both cluster shapes embed. A shape
+// supplies only its broker and whether it has racks; validation, the
+// retry schedule, batching, every grant path and the event stream run
+// here once.
+type plane struct {
+	// hub fans lease-lifecycle events out to Observe subscribers; every
+	// MN of the shape feeds it its recovery events.
+	hub eventHub
+	// nodes indexes the shape's nodes by id (device leases reach their
+	// donors through it).
+	nodes []*node.Node
+	// hier tells whether the plane has racks (and so accepts placement
+	// scopes).
+	hier bool
+	// broker names the MN that brokers a grant for a recipient.
+	broker func(on *node.Node) (fabric.NodeID, error)
 }
 
-// AcquireAll grants every request or none. See Plane.
-func (c *Cluster) AcquireAll(p *sim.Proc, reqs ...Request) ([]Lease, error) {
-	return acquireAll(c, p, reqs)
+// Observe registers a lease-lifecycle observer and returns its cancel.
+// On a rack-scale plane the stream aggregates every sub-MN's and the
+// root's recovery events. See Plane.
+func (c *plane) Observe(fn Observer) (cancel func()) { return c.hub.observe(fn) }
+
+// Acquire obtains one resource through the recipient's Monitor Node —
+// on a rack-scale plane its rack sub-MN, escalated across the spine by
+// the root MN when the rack cannot (or, under ScopeRemoteRack, must
+// not) serve it — or directly, for the Direct kinds. See Plane.
+func (c *plane) Acquire(p *sim.Proc, req Request) (Lease, error) {
+	// Mint the lease's trace id before the first attempt, so a failed
+	// acquire and the grant it finally becomes share one span chain.
+	req.trace = c.hub.nextTrace()
+	attempts := req.retry.Attempts
+	if attempts < 1 {
+		attempts = 1
+	}
+	backoff := req.retry.Backoff
+	var err error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 && backoff > 0 {
+			p.Sleep(backoff)
+			if f := req.retry.Factor; f > 1 {
+				backoff = sim.Dur(float64(backoff) * f)
+			}
+		}
+		var l Lease
+		if l, err = c.acquireOnce(p, req); err == nil {
+			return l, nil
+		}
+		if !retryable(err) {
+			break
+		}
+	}
+	var on fabric.NodeID // a validation error may report a nil recipient
+	if req.On != nil {
+		on = req.On.ID
+	}
+	c.hub.emit(Event{
+		Type: LeaseAcquireFailed, Kind: req.Kind, At: p.Now(), Trace: req.trace,
+		Recipient: on, Size: req.Size, Err: err.Error(),
+	})
+	return nil, err
 }
 
-// acquireOnce runs one acquisition attempt on the flat plane.
-func (c *Cluster) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
-	if err := r.validate(false); err != nil {
+// AcquireAll grants every request or none: sequential grants, reverse
+// rollback on the first failure. See Plane.
+func (c *plane) AcquireAll(p *sim.Proc, reqs ...Request) ([]Lease, error) {
+	leases := make([]Lease, 0, len(reqs))
+	for i, r := range reqs {
+		l, err := c.Acquire(p, r)
+		if err != nil {
+			for j := len(leases) - 1; j >= 0; j-- {
+				leases[j].Release(p)
+			}
+			return nil, fmt.Errorf("core: batch acquire %d/%d (%s): %w", i+1, len(reqs), r.Kind, err)
+		}
+		leases = append(leases, l)
+	}
+	return leases, nil
+}
+
+// acquireOnce runs one acquisition attempt.
+func (c *plane) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
+	if err := r.validate(c.hier); err != nil {
 		return nil, err
 	}
+	l := lease{kind: r.Kind, recipient: r.On, allocID: -1, trace: r.trace, plane: c}
+	if !r.Kind.direct() {
+		mn, err := c.broker(r.On)
+		if err != nil {
+			return nil, err
+		}
+		l.mn = mn
+	}
 	switch r.Kind {
-	case Memory:
-		return acquireMemory(p, r, c.MN.Node(), &c.hub)
-	case Swap:
-		return acquireSwap(p, r, c.MN.Node(), &c.hub)
+	case Memory, DirectMemory:
+		return acquireMemory(p, r, l)
+	case Swap, DirectSwap:
+		return acquireSwap(p, r, l)
 	case Accel:
-		return acquireAccel(p, r, c.MN.Node(), c.Nodes, &c.hub)
-	case NIC:
-		return acquireNIC(p, r, c.MN.Node(), c.Eng, c.P, c.Nodes, &c.hub)
-	default: // DirectMemory, DirectSwap (validate rejected the rest)
-		return acquireDirect(p, r, &c.hub)
-	}
-}
-
-// Observe registers a lease-lifecycle observer with the rack-scale
-// plane (it aggregates every sub-MN's and the root's recovery events)
-// and returns its cancel.
-func (c *HierCluster) Observe(fn Observer) (cancel func()) { return c.hub.observe(fn) }
-
-// Acquire obtains one resource through the recipient's rack sub-MN —
-// escalated across the spine by the root MN when the rack cannot (or,
-// under ScopeRemoteRack, must not) serve it. See Plane.
-func (c *HierCluster) Acquire(p *sim.Proc, req Request) (Lease, error) {
-	return acquireWithRetry(p, req, &c.hub, c.acquireOnce)
-}
-
-// AcquireAll grants every request or none. See Plane.
-func (c *HierCluster) AcquireAll(p *sim.Proc, reqs ...Request) ([]Lease, error) {
-	return acquireAll(c, p, reqs)
-}
-
-// acquireOnce runs one acquisition attempt on the rack-scale plane.
-func (c *HierCluster) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
-	if err := r.validate(true); err != nil {
-		return nil, err
-	}
-	if r.Kind.direct() {
-		return acquireDirect(p, r, &c.hub)
-	}
-	rack, ok := c.Hier.RackOf(r.On.ID)
-	if !ok {
-		return nil, fmt.Errorf("%w: recipient %v is a spine switch, not a rack member", ErrBadRequest, r.On.ID)
-	}
-	sub := c.SubNode(rack)
-	switch r.Kind {
-	case Memory:
-		return acquireMemory(p, r, sub, &c.hub)
-	case Swap:
-		return acquireSwap(p, r, sub, &c.hub)
-	case Accel:
-		return acquireAccel(p, r, sub, c.Nodes, &c.hub)
-	default: // NIC
-		return acquireNIC(p, r, sub, c.Eng, c.P, c.Nodes, &c.hub)
+		return acquireAccel(p, r, l)
+	default: // NIC (validate rejected the rest)
+		return acquireNIC(p, r, l)
 	}
 }
 
@@ -121,140 +147,91 @@ func grantVia(p *sim.Proc, r Request, mn fabric.NodeID, res monitor.Resource, wi
 	return resp, nil
 }
 
-// acquireMemory runs the MN-brokered remote-memory grant — the complete
-// Fig. 2 flow: pick the hot-plug window, ask mn, and mount the granted
-// region over CRMA.
-func acquireMemory(p *sim.Proc, r Request, mn fabric.NodeID, hub *eventHub) (Lease, error) {
-	win := r.On.NextHotplugWindow(r.Size)
-	resp, err := grantVia(p, r, mn, monitor.Memory, win)
-	if err != nil {
-		return nil, err
-	}
-	// A degraded grant mounts at the same base: the hot-plug window was
-	// sized for the full request, so the smaller region has room to spare.
-	size := resp.Granted
-	lease, err := mountCRMA(p, r.On, resp.Donor, win, resp.DonorBase, size)
-	if err != nil {
-		// The grant committed MN-side (RAT row live, donor region
-		// hot-removed); a recipient-side mount failure must hand it back
-		// or the donor's memory leaks untracked.
-		monitor.Free(p, r.On.EP, mn, resp.AllocID)
-		return nil, err
-	}
-	lease.kind, lease.allocID, lease.mn, lease.hub, lease.trace = Memory, resp.AllocID, mn, hub, r.trace
-	emitGranted(hub, p, Memory, r.On.ID, resp.Donor, size, win, r.trace, r.tenant, r.class)
-	return lease, nil
+// lease is the record every concrete lease embeds: the fields its
+// events report and what its release needs.
+type lease struct {
+	kind      Kind
+	recipient *node.Node
+	donor     fabric.NodeID
+	// size and window are what the lease's events report: a memory
+	// lease's granted bytes and recipient-side window base (swap has no
+	// window), one unit and no window for a device.
+	size, window uint64
+	allocID      int           // -1 for direct (MN-less) attachments
+	mn           fabric.NodeID // the MN (or sub-MN) that brokered the lease
+	trace        uint64
+	plane        *plane
 }
 
-// acquireSwap obtains donor memory through mn and wraps it in the
-// remote-swap block device. Nothing is mapped at the lease's hot-plug
-// window, but reserving one gives the grant its recipient-unique key:
-// the donor's agent files exports by (recipient, window), so two swap
-// leases from one donor must not share one.
-func acquireSwap(p *sim.Proc, r Request, mn fabric.NodeID, hub *eventHub) (Lease, error) {
-	resp, err := grantVia(p, r, mn, monitor.Memory, r.On.NextHotplugWindow(r.Size))
-	if err != nil {
-		return nil, err
-	}
-	lease := &SwapLease{
-		Recipient: r.On,
-		DonorBase: resp.DonorBase,
-		Size:      resp.Granted,
-		Dev: &memsys.RemoteSwap{P: r.On.P, RDMA: r.On.EP.RDMA,
-			Donor: resp.Donor, Base: resp.DonorBase},
-		donor:   resp.Donor,
-		kind:    Swap,
-		allocID: resp.AllocID,
-		mn:      mn,
-		hub:     hub,
-		trace:   r.trace,
-	}
-	emitGranted(hub, p, Swap, r.On.ID, resp.Donor, resp.Granted, 0, r.trace, r.tenant, r.class)
-	return lease, nil
-}
+// Trace reports the lease's trace id (see Lease.Trace).
+func (l *lease) Trace() uint64 { return l.trace }
 
-// acquireAccel asks mn for a remote accelerator and opens a handle to
-// the requested mailbox on the chosen donor. The donor must be running
-// an accel.Service (its agent advertises the device count).
-func acquireAccel(p *sim.Proc, r Request, mn fabric.NodeID, nodes []*node.Node, hub *eventHub) (Lease, error) {
-	resp, err := grantVia(p, r, mn, monitor.DevAccelerator, 0)
-	if err != nil {
-		return nil, err
-	}
-	h := r.client.Attach(resp.Donor, r.device, r.exclusive)
-	lease := &AccelLease{
-		Handle:    h,
-		Recipient: r.On,
-		donor:     nodes[resp.Donor],
-		nodes:     nodes,
-		allocID:   resp.AllocID,
-		mn:        mn,
-		hub:       hub,
-		trace:     r.trace,
-	}
-	// Follow recovery live: a donor failover retargets the handle and
-	// replays in-flight chunks against the replacement device.
-	lease.cancelWatch = hub.observe(lease.onEvent)
-	emitGranted(hub, p, Accel, r.On.ID, resp.Donor, 1, 0, r.trace, r.tenant, r.class)
-	return lease, nil
-}
+// Kind reports the resource class the lease was acquired as.
+func (l *lease) Kind() Kind { return l.kind }
 
-// acquireNIC asks mn for a remote NIC and builds the VNIC path to the
-// chosen donor's physical NIC (created here on its behalf).
-func acquireNIC(p *sim.Proc, r Request, mn fabric.NodeID, eng *sim.Engine, params *sim.Params, nodes []*node.Node, hub *eventHub) (Lease, error) {
-	resp, err := grantVia(p, r, mn, monitor.DevNIC, 0)
-	if err != nil {
-		return nil, err
-	}
-	donor := nodes[resp.Donor]
-	dn := vnic.NewNIC(eng, params, fmt.Sprintf("eth0@%v", donor.ID))
-	v := vnic.AttachRemote(r.On, donor, dn)
-	lease := &NICLease{
-		VNIC:      v,
-		Recipient: r.On,
-		donor:     donor,
-		nodes:     nodes,
-		eng:       eng,
-		params:    params,
-		allocID:   resp.AllocID,
-		mn:        mn,
-		hub:       hub,
-		trace:     r.trace,
-	}
-	// Follow recovery live: a donor failover rebuilds the VNIC path
-	// against the replacement donor's physical NIC.
-	lease.cancelWatch = hub.observe(lease.onEvent)
-	emitGranted(hub, p, NIC, r.On.ID, resp.Donor, 1, 0, r.trace, r.tenant, r.class)
-	return lease, nil
-}
+// Donor reports the donor node backing the lease. A device lease
+// follows recovery onto its new donor; a memory or swap lease reports
+// the donor as of the grant. A memory window keeps working across a
+// re-placement (the recipient's agent retargets it transparently), but
+// bulk RDMA against DonorBase must follow the plane's failed-over
+// events to stay aimed.
+func (l *lease) Donor() fabric.NodeID { return l.donor }
 
-// acquireDirect wires a DirectMemory/DirectSwap attachment between the
-// request's recipient and its named donor, bypassing the MN — but, on
-// this surface, no longer bypassing the plane's lifecycle stream.
-func acquireDirect(p *sim.Proc, r Request, hub *eventHub) (Lease, error) {
-	if r.Kind == DirectMemory {
-		lease, err := attachMemoryDirect(p, r.On, r.donor, r.Size)
+// back obtains the donor region a memory or swap lease rests on:
+// granted by the broker, or for the direct kinds hot-removed straight
+// from the request's donor, whose side is driven directly rather than
+// via its agent (the controlled configuration of the §4.2 latency
+// studies). It stamps the donor, size and alloc id on the record and
+// returns the region's donor-local base; win is the grant's
+// recipient-side window.
+func (l *lease) back(p *sim.Proc, r Request, win uint64) (uint64, error) {
+	if !r.Kind.direct() {
+		resp, err := grantVia(p, r, l.mn, monitor.Memory, win)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		lease.hub, lease.trace = hub, r.trace
-		emitGranted(hub, p, DirectMemory, r.On.ID, r.donor.ID, r.Size, lease.WindowBase, r.trace, 0, tenancy.ClassNone)
-		return lease, nil
+		l.donor, l.size, l.allocID = resp.Donor, resp.Granted, resp.AllocID
+		return resp.DonorBase, nil
 	}
-	lease, err := attachSwapDirect(p, r.On, r.donor, r.Size)
+	base, err := r.donor.MemMgr.HotRemove(p, r.Size)
 	if err != nil {
-		return nil, err
+		// A drained donor is the direct-path analogue of "no donor with
+		// enough idle bytes": transient, so WithRetry engages.
+		what := "attach"
+		if r.Kind == DirectSwap {
+			what = "swap attach"
+		}
+		return 0, fmt.Errorf("core: direct %s: %w: %w", what, err, ErrUnavailable)
 	}
-	lease.hub, lease.trace = hub, r.trace
-	emitGranted(hub, p, DirectSwap, r.On.ID, r.donor.ID, r.Size, 0, r.trace, 0, tenancy.ClassNone)
-	return lease, nil
+	if r.Kind == DirectMemory {
+		r.donor.EP.CRMA.Export(r.On.ID, win, r.Size, base)
+	}
+	l.donor, l.size = r.donor.ID, r.Size
+	return base, nil
 }
 
-// emitGranted announces a successful grant on the plane's stream.
-func emitGranted(hub *eventHub, p *sim.Proc, kind Kind, recipient, donor fabric.NodeID, size, window uint64, trace, tenant uint64, class tenancy.Class) {
-	hub.emit(Event{
-		Type: LeaseGranted, Kind: kind, At: p.Now(), Trace: trace,
-		Recipient: recipient, Donor: donor, Size: size, Window: window,
-		Tenant: tenant, Class: class,
-	})
+// event stamps an event of type t with the lease's fields.
+func (l *lease) event(p *sim.Proc, t EventType) Event {
+	return Event{Type: t, Kind: l.kind, At: p.Now(), Trace: l.trace,
+		Recipient: l.recipient.ID, Donor: l.donor, Size: l.size, Window: l.window}
 }
+
+// granted announces the grant of r. Only brokered grants carry the
+// request's tenant: direct attachments never cross admission.
+func (l *lease) granted(p *sim.Proc, r Request) {
+	ev := l.event(p, LeaseGranted)
+	if l.allocID >= 0 {
+		ev.Tenant, ev.Class = r.tenant, r.class
+	}
+	l.plane.hub.emit(ev)
+}
+
+// free returns a brokered lease's allocation row to its MN.
+func (l *lease) free(p *sim.Proc) {
+	if l.allocID >= 0 {
+		monitor.Free(p, l.recipient.EP, l.mn, l.allocID)
+	}
+}
+
+// released announces a voluntary release.
+func (l *lease) released(p *sim.Proc) { l.plane.hub.emit(l.event(p, LeaseReleased)) }

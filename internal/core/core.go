@@ -78,8 +78,7 @@ type Cluster struct {
 	Agents []*monitor.Agent
 	MN     *monitor.Monitor
 
-	// hub fans lease-lifecycle events out to Observe subscribers.
-	hub eventHub
+	plane
 }
 
 // NewCluster builds the rack.
@@ -117,9 +116,10 @@ func NewCluster(cfg Config) *Cluster {
 	// The network's copy of the topology carries its routing tables even
 	// when cfg.Topology was assembled field by field.
 	c.MN = monitor.New(c.Nodes[cfg.MonitorNode].EP, net.Topo)
-	// Surface the MN's recovery transitions (revocations, donor
-	// failovers) on the plane's event stream.
-	c.MN.Observe(c.hub.forwardRecovery)
+	// Surface the MN's recovery transitions (revocations, failovers,
+	// migrations, preemptions) on the plane's event stream.
+	c.plane = plane{nodes: c.Nodes, broker: c.flatMN}
+	c.MN.OnLease = c.hub.forwardRecovery
 	if cfg.HeartbeatTimeout > 0 {
 		c.MN.HeartbeatTimeout = cfg.HeartbeatTimeout
 	}
@@ -149,6 +149,9 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	return c
 }
+
+// flatMN names the cluster's one MN, which brokers every grant.
+func (c *Cluster) flatMN(*node.Node) (fabric.NodeID, error) { return c.MN.Node(), nil }
 
 // Node returns node i.
 func (c *Cluster) Node(i int) *node.Node { return c.Nodes[i] }

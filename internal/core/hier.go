@@ -75,9 +75,7 @@ type HierCluster struct {
 	Subs []*monitor.Monitor
 	Root *monitor.Root
 
-	// hub fans lease-lifecycle events out to Observe subscribers,
-	// aggregated across every sub-MN and the root.
-	hub eventHub
+	plane
 }
 
 // NewHierCluster builds the fabric, one sub-MN per rack (on the rack's
@@ -152,9 +150,10 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 		c.Nodes = append(c.Nodes, node.New(eng, p, net, fabric.NodeID(i), mem))
 	}
 	c.Agents = make([]*monitor.Agent, h.N)
+	c.plane = plane{nodes: c.Nodes, hier: true, broker: c.rackMN}
 
 	c.Root = monitor.NewRoot(c.Nodes[h.SpineID(0)].EP)
-	c.Root.Observe(c.hub.forwardRecovery)
+	c.Root.OnLease = c.hub.forwardRecovery
 	if cfg.RackBeatTimeout > 0 {
 		c.Root.RackBeatTimeout = cfg.RackBeatTimeout
 	} else {
@@ -167,7 +166,7 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 	for r := 0; r < cfg.Racks; r++ {
 		subNode := c.SubNode(r)
 		sub := monitor.New(c.Nodes[subNode].EP, h.Topology)
-		sub.Observe(c.hub.forwardRecovery)
+		sub.OnLease = c.hub.forwardRecovery
 		sub.Admission = cfg.Admission
 		sub.HeartbeatTimeout = hbTimeout
 		if cfg.SweepInterval > 0 {
@@ -195,6 +194,15 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 // SubNode reports the node hosting rack r's sub-MN (the rack's first
 // node, which is also its first spine uplink).
 func (c *HierCluster) SubNode(r int) fabric.NodeID { return c.Hier.RackNodes(r)[0] }
+
+// rackMN names the recipient's rack sub-MN, where every grant starts.
+func (c *HierCluster) rackMN(on *node.Node) (fabric.NodeID, error) {
+	rack, ok := c.Hier.RackOf(on.ID)
+	if !ok {
+		return 0, fmt.Errorf("%w: recipient %v is a spine switch, not a rack member", ErrBadRequest, on.ID)
+	}
+	return c.SubNode(rack), nil
+}
 
 // Node returns node i.
 func (c *HierCluster) Node(i int) *node.Node { return c.Nodes[i] }

@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/memsys"
-	"repro/internal/monitor"
-	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -17,7 +14,7 @@ import (
 // It satisfies Lease; acquire one with Kind Memory (MN-brokered) or
 // DirectMemory (explicit donor, no MN).
 type MemoryLease struct {
-	Recipient  *node.Node
+	lease
 	WindowBase uint64
 	// DonorBase is the region's donor-local base address — what the RDMA
 	// channel (which addresses donor memory directly) targets for bulk
@@ -25,90 +22,65 @@ type MemoryLease struct {
 	DonorBase uint64
 	Size      uint64
 
-	donor   fabric.NodeID
-	kind    Kind
-	allocID int           // -1 for direct (MN-less) attachments
-	mn      fabric.NodeID // the MN (or sub-MN) that brokered the lease
-	region  *memsys.Region
-	entry   *transport.RAMTEntry
-	hub     *eventHub
-	trace   uint64
+	region *memsys.Region
+	entry  *transport.RAMTEntry
 }
-
-// Trace reports the lease's trace id (see Lease.Trace).
-func (l *MemoryLease) Trace() uint64 { return l.trace }
-
-// Kind reports how the lease was acquired (Memory or DirectMemory).
-func (l *MemoryLease) Kind() Kind { return l.kind }
-
-// Donor reports the donor node as of the grant. Recovery may re-place
-// the backing afterwards; the window keeps working either way (the
-// recipient's agent retargets it transparently), but bulk RDMA against
-// DonorBase must follow the plane's failed-over events to stay aimed.
-func (l *MemoryLease) Donor() fabric.NodeID { return l.donor }
 
 // Window reports the hot-plugged recipient-side window.
 func (l *MemoryLease) Window() (base, size uint64) { return l.WindowBase, l.Size }
 
-// attachMemoryDirect wires a borrow between two specific nodes without
-// the Monitor Node — the controlled configuration of the §4.2 latency
-// studies. The donor side is driven directly rather than via its agent.
-func attachMemoryDirect(p *sim.Proc, recipient, donor *node.Node, size uint64) (*MemoryLease, error) {
-	win := recipient.NextHotplugWindow(size)
-	donorBase, err := donor.MemMgr.HotRemove(p, size)
+// acquireMemory runs the Fig. 2 flow for Memory and DirectMemory: pick
+// the hot-plug window, back it with a donor region (see lease.back),
+// and mount the region over CRMA.
+func acquireMemory(p *sim.Proc, r Request, l lease) (Lease, error) {
+	l.window = r.On.NextHotplugWindow(r.Size)
+	base, err := l.back(p, r, l.window)
 	if err != nil {
-		// A drained donor is the direct-path analogue of "no donor with
-		// enough idle bytes": transient, so WithRetry engages.
-		return nil, fmt.Errorf("core: direct attach: %w: %w", err, ErrUnavailable)
+		return nil, err
 	}
-	donor.EP.CRMA.Export(recipient.ID, win, size, donorBase)
-	return mountCRMA(p, recipient, donor.ID, win, donorBase, size)
+	// A degraded grant mounts at the same base: the hot-plug window was
+	// sized for the full request, so the smaller region has room to spare.
+	ml, err := mountCRMA(p, l, base)
+	if err != nil {
+		// A brokered grant committed MN-side (RAT row live, donor region
+		// hot-removed); a recipient-side mount failure must hand it back
+		// or the donor's memory leaks untracked.
+		l.free(p)
+		return nil, err
+	}
+	ml.granted(p, r)
+	return ml, nil
 }
 
-// mountCRMA installs the recipient-side mapping and hot-plugs the
-// window. The caller stamps kind, broker, and event-hub fields.
-func mountCRMA(p *sim.Proc, recipient *node.Node, donor fabric.NodeID, win, donorBase, size uint64) (*MemoryLease, error) {
-	entry, err := recipient.EP.CRMA.Map(win, size, donor, donorBase)
+// mountCRMA installs the recipient-side mapping of the record's window
+// onto the donor region at donorBase and hot-plugs the window.
+func mountCRMA(p *sim.Proc, l lease, donorBase uint64) (*MemoryLease, error) {
+	n := l.recipient
+	entry, err := n.EP.CRMA.Map(l.window, l.size, l.donor, donorBase)
 	if err != nil {
 		return nil, fmt.Errorf("core: mapping borrowed window: %w", err)
 	}
-	region := &memsys.Region{Base: win, Size: size,
-		Backend: &memsys.CRMARemote{CRMA: recipient.EP.CRMA, Donor: donor}}
-	if err := recipient.Mem.AS.Add(region); err != nil {
-		recipient.EP.CRMA.Unmap(entry)
+	region := &memsys.Region{Base: l.window, Size: l.size,
+		Backend: &memsys.CRMARemote{CRMA: n.EP.CRMA, Donor: l.donor}}
+	if err := n.Mem.AS.Add(region); err != nil {
+		n.EP.CRMA.Unmap(entry)
 		return nil, fmt.Errorf("core: hot-plugging borrowed window: %w", err)
 	}
 	// Hot-plug cost on the recipient (Fig. 10 step 2).
-	p.Sleep(recipient.P.HotplugOp)
-	return &MemoryLease{
-		Recipient:  recipient,
-		WindowBase: win,
-		DonorBase:  donorBase,
-		Size:       size,
-		donor:      donor,
-		kind:       DirectMemory,
-		allocID:    -1,
-		region:     region,
-		entry:      entry,
-	}, nil
+	p.Sleep(n.P.HotplugOp)
+	return &MemoryLease{lease: l, WindowBase: l.window, DonorBase: donorBase, Size: l.size,
+		region: region, entry: entry}, nil
 }
 
 // Release tears the lease down: invalidate the mapping, drop the region,
 // flush stale cache lines, and (for MN-brokered leases) return the
 // memory to the donor.
 func (l *MemoryLease) Release(p *sim.Proc) {
-	l.Recipient.Mem.AS.Remove(l.region)
-	l.Recipient.Mem.Cache.InvalidateAll()
-	l.Recipient.EP.CRMA.Unmap(l.entry)
-	if l.allocID >= 0 {
-		monitor.Free(p, l.Recipient.EP, l.mn, l.allocID)
-	}
-	p.Sleep(l.Recipient.P.HotplugOp)
-	if l.hub != nil {
-		l.hub.emit(Event{
-			Type: LeaseReleased, Kind: l.kind, At: p.Now(), Trace: l.trace,
-			Recipient: l.Recipient.ID, Donor: l.donor,
-			Size: l.Size, Window: l.WindowBase,
-		})
-	}
+	n := l.recipient
+	n.Mem.AS.Remove(l.region)
+	n.Mem.Cache.InvalidateAll()
+	n.EP.CRMA.Unmap(l.entry)
+	l.free(p)
+	p.Sleep(n.P.HotplugOp)
+	l.released(p)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -137,8 +138,8 @@ type Request struct {
 	tenant    uint64
 	class     tenancy.Class
 
-	// trace is the lease trace id acquireWithRetry mints before the
-	// first attempt; every event of the resulting lease carries it.
+	// trace is the lease trace id Acquire mints before the first
+	// attempt; every event of the resulting lease carries it.
 	trace uint64
 }
 
@@ -502,16 +503,16 @@ type Event struct {
 // Observer consumes plane events.
 type Observer func(Event)
 
-// eventHub fans plane events out to registered observers. Registration,
-// cancellation, and emission are all mutation-safe: emit walks a
-// point-in-time copy of the list, so an observer cancelling itself (or
+// eventHub fans plane events out to registered observers. The list is
+// copy-on-write: observe and cancel install a fresh slice, and emit
+// walks the slice it loaded, so an observer cancelling itself (or
 // another observer) mid-delivery — or an out-of-band goroutine such as
 // an HTTP server tearing a subscriber down — never races the iteration.
 // A cancel that runs concurrently with an in-flight emit may still see
 // that one event; it never sees a later one.
 type eventHub struct {
 	mu  sync.Mutex
-	obs []Observer
+	obs []*Observer
 
 	// lastTrace is the plane's trace-id mint (see nextTrace).
 	lastTrace atomic.Uint64
@@ -521,35 +522,37 @@ type eventHub struct {
 // 1, and cost no virtual time.
 func (h *eventHub) nextTrace() uint64 { return h.lastTrace.Add(1) }
 
-// observe registers fn and returns its cancel.
+// observe registers fn and returns its cancel, which takes fn's entry
+// off the list.
 func (h *eventHub) observe(fn Observer) (cancel func()) {
+	entry := &fn
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.obs = append(h.obs, fn)
-	i := len(h.obs) - 1
+	h.obs = append(slices.Clip(h.obs), entry)
 	return func() {
 		h.mu.Lock()
-		h.obs[i] = nil
-		h.mu.Unlock()
+		defer h.mu.Unlock()
+		if i := slices.Index(h.obs, entry); i >= 0 {
+			h.obs = slices.Delete(slices.Clone(h.obs), i, i+1)
+		}
 	}
 }
 
 // emit delivers ev to every live observer in registration order.
 func (h *eventHub) emit(ev Event) {
 	h.mu.Lock()
-	snap := append([]Observer(nil), h.obs...)
+	obs := h.obs
 	h.mu.Unlock()
-	for _, fn := range snap {
-		if fn != nil {
-			fn(ev)
-		}
+	for _, fn := range obs {
+		(*fn)(ev)
 	}
 }
 
-// forwardRecovery adapts a monitor-level recovery event onto the
-// plane's stream. Grants and frees are NOT forwarded — the plane emits
-// those itself at the Acquire/Release call sites, where the true kind
-// (memory vs swap, direct or not) is still known.
+// forwardRecovery is every MN's recovery-event sink: it carries the
+// MN's revocations, failovers, migrations and preemptions onto the
+// plane's stream. Grants and frees the plane emits itself, at the
+// Acquire/Release call sites, where the true kind (memory vs swap,
+// direct or not) is still known.
 func (h *eventHub) forwardRecovery(ev monitor.LeaseEvent) {
 	var t EventType
 	switch ev.Type {
@@ -561,8 +564,6 @@ func (h *eventHub) forwardRecovery(ev monitor.LeaseEvent) {
 		t = LeaseMigrated
 	case monitor.LeasePreempted:
 		t = LeasePreempted
-	default:
-		return
 	}
 	h.emit(Event{
 		Type:      t,
@@ -594,64 +595,4 @@ func kindOfAlloc(a monitor.Allocation) Kind {
 // retryable reports whether err is worth re-attempting.
 func retryable(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrTimeout)
-}
-
-// acquireWithRetry runs one plane's single-attempt acquire under the
-// request's retry schedule, emitting the terminal acquire-failed event.
-func acquireWithRetry(p *sim.Proc, req Request, hub *eventHub,
-	once func(*sim.Proc, Request) (Lease, error)) (Lease, error) {
-	// Mint the lease's trace id before the first attempt, so a failed
-	// acquire and the grant it finally becomes share one span chain.
-	req.trace = hub.nextTrace()
-	attempts := req.retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := req.retry.Backoff
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 && backoff > 0 {
-			p.Sleep(backoff)
-			if f := req.retry.Factor; f > 1 {
-				backoff = sim.Dur(float64(backoff) * f)
-			}
-		}
-		var l Lease
-		if l, err = once(p, req); err == nil {
-			return l, nil
-		}
-		if !retryable(err) {
-			break
-		}
-	}
-	hub.emit(Event{
-		Type: LeaseAcquireFailed, Kind: req.Kind, At: p.Now(), Trace: req.trace,
-		Recipient: recipientID(req.On), Size: req.Size, Err: err.Error(),
-	})
-	return nil, err
-}
-
-// recipientID tolerates the nil recipient a validation error reports.
-func recipientID(n *node.Node) fabric.NodeID {
-	if n == nil {
-		return 0
-	}
-	return n.ID
-}
-
-// acquireAll is the shared AcquireAll body: sequential grants, reverse
-// rollback on the first failure.
-func acquireAll(pl Plane, p *sim.Proc, reqs []Request) ([]Lease, error) {
-	leases := make([]Lease, 0, len(reqs))
-	for i, r := range reqs {
-		l, err := pl.Acquire(p, r)
-		if err != nil {
-			for j := len(leases) - 1; j >= 0; j-- {
-				leases[j].Release(p)
-			}
-			return nil, fmt.Errorf("core: batch acquire %d/%d (%s): %w", i+1, len(reqs), r.Kind, err)
-		}
-		leases = append(leases, l)
-	}
-	return leases, nil
 }

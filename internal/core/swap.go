@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/memsys"
-	"repro/internal/monitor"
-	"repro/internal/node"
 	"repro/internal/sim"
 )
 
@@ -16,51 +13,35 @@ import (
 // satisfies Lease; acquire one with Kind Swap (MN-brokered) or
 // DirectSwap (explicit donor, no MN).
 type SwapLease struct {
-	Recipient *node.Node
+	lease
 	DonorBase uint64
 	Size      uint64
 	Dev       *memsys.RemoteSwap
-
-	donor   fabric.NodeID
-	kind    Kind
-	allocID int
-	mn      fabric.NodeID
-	hub     *eventHub
-	trace   uint64
 }
-
-// Trace reports the lease's trace id (see Lease.Trace).
-func (l *SwapLease) Trace() uint64 { return l.trace }
-
-// Kind reports how the lease was acquired (Swap or DirectSwap).
-func (l *SwapLease) Kind() Kind { return l.kind }
-
-// Donor reports the donor node backing the device.
-func (l *SwapLease) Donor() fabric.NodeID { return l.donor }
 
 // Window reports no recipient-side window: the lease reaches the donor
 // through the block device until Mount installs a paged region.
 func (l *SwapLease) Window() (base, size uint64) { return 0, l.Size }
 
-// attachSwapDirect builds the swap device between two specific nodes
-// without the MN.
-func attachSwapDirect(p *sim.Proc, recipient, donor *node.Node, size uint64) (*SwapLease, error) {
-	base, err := donor.MemMgr.HotRemove(p, size)
-	if err != nil {
-		// Transient like the brokered path's donor-walk failure (see
-		// attachMemoryDirect).
-		return nil, fmt.Errorf("core: direct swap attach: %w: %w", err, ErrUnavailable)
+// acquireSwap backs a swap lease with a donor region (see lease.back)
+// and wraps the region in the remote-swap block device. Nothing is
+// mapped at a brokered lease's hot-plug window, but reserving one gives
+// the grant its recipient-unique key: the donor's agent files exports
+// by (recipient, window), so two swap leases from one donor must not
+// share one. A direct lease exports nothing and takes no window.
+func acquireSwap(p *sim.Proc, r Request, l lease) (Lease, error) {
+	var win uint64
+	if !r.Kind.direct() {
+		win = r.On.NextHotplugWindow(r.Size)
 	}
-	return &SwapLease{
-		Recipient: recipient,
-		DonorBase: base,
-		Size:      size,
-		Dev: &memsys.RemoteSwap{P: recipient.P, RDMA: recipient.EP.RDMA,
-			Donor: donor.ID, Base: base},
-		donor:   donor.ID,
-		kind:    DirectSwap,
-		allocID: -1,
-	}, nil
+	base, err := l.back(p, r, win)
+	if err != nil {
+		return nil, err
+	}
+	sl := &SwapLease{lease: l, DonorBase: base, Size: l.size,
+		Dev: &memsys.RemoteSwap{P: r.On.P, RDMA: r.On.EP.RDMA, Donor: l.donor, Base: base}}
+	sl.granted(p, r)
+	return sl, nil
 }
 
 // Mount installs a paged region of regionSize bytes at base in the
@@ -68,8 +49,8 @@ func attachSwapDirect(p *sim.Proc, recipient, donor *node.Node, size uint64) (*S
 // this lease's device behind it, and returns the paged backend for
 // inspection.
 func (l *SwapLease) Mount(base, regionSize uint64, residentPages int) (*memsys.Paged, error) {
-	paged := memsys.NewPaged(l.Recipient.P, residentPages, l.Dev)
-	if err := l.Recipient.Mem.AS.Add(&memsys.Region{Base: base, Size: regionSize, Backend: paged}); err != nil {
+	paged := memsys.NewPaged(l.recipient.P, residentPages, l.Dev)
+	if err := l.recipient.Mem.AS.Add(&memsys.Region{Base: base, Size: regionSize, Backend: paged}); err != nil {
 		return nil, fmt.Errorf("core: mounting swap-backed region: %w", err)
 	}
 	return paged, nil
@@ -77,13 +58,6 @@ func (l *SwapLease) Mount(base, regionSize uint64, residentPages int) (*memsys.P
 
 // Release returns the donor memory (for MN-brokered leases).
 func (l *SwapLease) Release(p *sim.Proc) {
-	if l.allocID >= 0 {
-		monitor.Free(p, l.Recipient.EP, l.mn, l.allocID)
-	}
-	if l.hub != nil {
-		l.hub.emit(Event{
-			Type: LeaseReleased, Kind: l.kind, At: p.Now(), Trace: l.trace,
-			Recipient: l.Recipient.ID, Donor: l.donor, Size: l.Size,
-		})
-	}
+	l.free(p)
+	l.released(p)
 }

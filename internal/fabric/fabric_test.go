@@ -248,25 +248,6 @@ func TestCreditStallsUnderBurst(t *testing.T) {
 	}
 }
 
-func TestNetworkTrafficAccounting(t *testing.T) {
-	eng, net, _ := testNet(t, Pair())
-	eng.Schedule(0, func() {
-		net.Send(&Packet{Src: 0, Dst: 1, Kind: "crma.req", Size: 16})
-		net.Send(&Packet{Src: 0, Dst: 1, Kind: "crma.req", Size: 16})
-		net.Send(&Packet{Src: 1, Dst: 0, Kind: "crma.resp", Size: 64})
-	})
-	eng.Run()
-	if got := net.Traffic.Get("crma.req.pkts"); got != 2 {
-		t.Fatalf("crma.req.pkts = %d, want 2", got)
-	}
-	if got := net.Traffic.Get("crma.resp.bytes"); got != 64 {
-		t.Fatalf("crma.resp.bytes = %d, want 64", got)
-	}
-	if net.Lat.N() != 3 {
-		t.Fatalf("latency samples = %d, want 3", net.Lat.N())
-	}
-}
-
 func TestLinkUtilizationUnderSaturation(t *testing.T) {
 	eng, net, _ := testNet(t, Pair())
 	eng.Schedule(0, func() {

@@ -17,16 +17,7 @@ type Network struct {
 	switches []*Switch
 	routers  []*Router
 	rng      *sim.RNG
-	kinds    map[string]trafficKeys
-
-	// Lat summarizes end-to-end packet latency (inject -> local delivery).
-	Lat sim.RunningStat
-	// Traffic counts delivered packets and bytes by Kind.
-	Traffic sim.Scoreboard
 }
-
-// trafficKeys are the Traffic counter names of one packet kind.
-type trafficKeys struct{ pkts, bytes string }
 
 // NewNetwork builds the fabric for a topology. Per-node delivery handlers
 // must be registered with SetDelivery before traffic flows to that node.
@@ -96,31 +87,8 @@ func (n *Network) links(fn func(*Link)) {
 // Nodes reports the number of nodes.
 func (n *Network) Nodes() int { return n.Topo.N }
 
-// SetDelivery registers the local-port handler for node id, wrapping it
-// with latency accounting.
-func (n *Network) SetDelivery(id NodeID, fn DeliverFunc) {
-	n.switches[id].local = func(pkt *Packet) {
-		n.Lat.AddDur(n.Eng.Now().Sub(pkt.Injected))
-		k := n.trafficKeys(pkt.Kind)
-		n.Traffic.Add(k.pkts, 1)
-		n.Traffic.Add(k.bytes, int64(pkt.Size))
-		fn(pkt)
-	}
-}
-
-// trafficKeys returns the Traffic counter names for a packet kind,
-// building them the first time the kind is delivered.
-func (n *Network) trafficKeys(kind string) trafficKeys {
-	k, ok := n.kinds[kind]
-	if !ok {
-		k = trafficKeys{pkts: kind + ".pkts", bytes: kind + ".bytes"}
-		if n.kinds == nil {
-			n.kinds = make(map[string]trafficKeys)
-		}
-		n.kinds[kind] = k
-	}
-	return k
-}
+// SetDelivery registers the local-port handler for node id.
+func (n *Network) SetDelivery(id NodeID, fn DeliverFunc) { n.switches[id].local = fn }
 
 // Send injects a packet into the fabric at its source node.
 func (n *Network) Send(pkt *Packet) {

@@ -14,11 +14,7 @@
 // monitor plane (internal/monitor) and the scale experiments build on.
 package fabric
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // NodeID identifies a node (an endpoint with an embedded switch) in the
 // fabric. IDs are dense, starting at zero.
@@ -28,14 +24,13 @@ type NodeID int
 func (n NodeID) String() string { return fmt.Sprintf("n%d", int(n)) }
 
 // Packet is one transport-layer packet on the wire. The fabric treats the
-// payload as opaque; Kind tags the packet for statistics and demux.
+// payload as opaque; Kind tags the packet for demux.
 type Packet struct {
 	Src, Dst NodeID
 	Kind     string // e.g. "crma.req", "rdma.data", "qpair.msg", "credit"
 	Size     int    // payload bytes (header overhead added by the link model)
 	Payload  any    // transport-defined contents
-	Injected sim.Time
-	Hops     int // incremented per switch traversal, for diagnostics
+	Hops     int    // incremented per switch traversal, for diagnostics
 }
 
 // String formats a packet for debugging.

@@ -94,7 +94,6 @@ func (s *Switch) Inject(pkt *Packet) {
 	if s.down {
 		return
 	}
-	pkt.Injected = s.eng.Now()
 	if s.injectExtra > 0 {
 		s.eng.Schedule(s.injectExtra, func() { s.route(pkt) })
 		return

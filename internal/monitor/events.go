@@ -1,35 +1,26 @@
 package monitor
 
 import (
-	"sync"
-
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
-// Lease-lifecycle events. Every change to an allocation's existence or
-// backing — a grant, a voluntary free, a recovery revocation, a donor
-// failover — is announced to registered observers, so metrics and
-// scenario code consume one event stream instead of polling the RAT.
-// The core layer (core.Plane) subscribes here to surface recovery
-// events on its unified observer; grants and frees it also emits
-// itself, where the requested resource kind (memory vs swap) is still
-// known.
+// Recovery events. Every involuntary change to an allocation's
+// existence or backing — a revocation, a donor failover, a migration,
+// a preemption — is handed to the MN's OnLease sink, so the plane
+// above (core.Plane, which sets the sink of every MN it runs) surfaces
+// recovery on its one event stream instead of polling the RAT. Grants
+// and frees have no event here: the plane announces those itself,
+// where the requested resource kind (memory vs swap) is still known.
 
-// LeaseEventType classifies a lease-lifecycle transition.
+// LeaseEventType classifies a recovery transition.
 type LeaseEventType int
 
 const (
-	// LeaseGranted fires when a RAT row is created (a grant completed,
-	// including delegated cross-rack backings).
-	LeaseGranted LeaseEventType = iota
-	// LeaseReleased fires when a RAT row is torn down voluntarily (the
-	// recipient freed it, or the root tore down a delegated backing).
-	LeaseReleased
 	// LeaseRevoked fires when recovery destroys a lease involuntarily:
 	// the recipient died, or the donor died with no surviving candidate
 	// to back the window.
-	LeaseRevoked
+	LeaseRevoked LeaseEventType = iota
 	// LeaseFailedOver fires when recovery re-placed a lease onto a new
 	// donor (rack-local failover, or a root-MN re-delegation).
 	LeaseFailedOver
@@ -47,10 +38,6 @@ const (
 // String names the event type.
 func (t LeaseEventType) String() string {
 	switch t {
-	case LeaseGranted:
-		return "granted"
-	case LeaseReleased:
-		return "released"
 	case LeaseRevoked:
 		return "revoked"
 	case LeaseFailedOver:
@@ -64,7 +51,7 @@ func (t LeaseEventType) String() string {
 	}
 }
 
-// LeaseEvent is one lease-lifecycle transition. Alloc is a copy of the
+// LeaseEvent is one recovery transition. Alloc is a copy of the
 // allocation row as of the event (for failed-over events it carries the
 // NEW donor; OldDonor names the one being replaced). Root-MN events
 // synthesize Alloc from the delegation row, so ID is the delegation id
@@ -76,76 +63,22 @@ type LeaseEvent struct {
 	OldDonor fabric.NodeID
 }
 
-// LeaseObserver consumes lease-lifecycle events. Observers run
-// synchronously on the monitor's handler path and must not block; they
-// cost no virtual time.
-type LeaseObserver func(LeaseEvent)
-
-// leaseObservers is the shared registration list (Monitor and Root).
-// Registration and cancel take the mutex so an observer cancelling
-// itself (or another goroutine cancelling it) during an emit cannot
-// corrupt the slice; emit delivers against a snapshot.
-type leaseObservers struct {
-	mu  sync.Mutex
-	fns []LeaseObserver
-}
-
-// observe registers fn and returns its cancel.
-func (o *leaseObservers) observe(fn LeaseObserver) (cancel func()) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.fns = append(o.fns, fn)
-	i := len(o.fns) - 1
-	return func() {
-		o.mu.Lock()
-		o.fns[i] = nil
-		o.mu.Unlock()
-	}
-}
-
-// empty reports whether no observer is registered (cheap emit guard).
-func (o *leaseObservers) empty() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.fns) == 0
-}
-
-// emit delivers ev to every live observer in registration order.
-func (o *leaseObservers) emit(ev LeaseEvent) {
-	o.mu.Lock()
-	snap := append([]LeaseObserver(nil), o.fns...)
-	o.mu.Unlock()
-	for _, fn := range snap {
-		if fn != nil {
-			fn(ev)
-		}
-	}
-}
-
-// Observe registers a lease-lifecycle observer with this Monitor (a
-// flat cluster's MN or one rack's sub-MN) and returns a cancel.
-func (m *Monitor) Observe(fn LeaseObserver) (cancel func()) { return m.observers.observe(fn) }
-
-// emitLease announces one lifecycle transition for an allocation row.
+// emitLease hands one recovery transition of an allocation row to the
+// MN's sink.
 func (m *Monitor) emitLease(t LeaseEventType, a *Allocation, oldDonor fabric.NodeID) {
-	if m.observers.empty() {
-		return
+	if m.OnLease != nil {
+		m.OnLease(LeaseEvent{Type: t, At: m.EP.Eng.Now(), Alloc: *a, OldDonor: oldDonor})
 	}
-	m.observers.emit(LeaseEvent{Type: t, At: m.EP.Eng.Now(), Alloc: *a, OldDonor: oldDonor})
 }
 
-// Observe registers a lease-lifecycle observer with the root MN (it
-// announces cross-rack re-delegations and reclaims) and returns a
-// cancel.
-func (rt *Root) Observe(fn LeaseObserver) (cancel func()) { return rt.observers.observe(fn) }
-
-// emitDelegation announces one lifecycle transition for a delegation
-// row, synthesized into the Allocation shape observers already consume.
+// emitDelegation hands one recovery transition of a delegation row to
+// the root's sink, synthesized into the Allocation shape sinks already
+// consume.
 func (rt *Root) emitDelegation(t LeaseEventType, d *Delegation, oldDonor fabric.NodeID) {
-	if rt.observers.empty() {
+	if rt.OnLease == nil {
 		return
 	}
-	rt.observers.emit(LeaseEvent{
+	rt.OnLease(LeaseEvent{
 		Type: t,
 		At:   rt.EP.Eng.Now(),
 		Alloc: Allocation{

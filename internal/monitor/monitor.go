@@ -190,8 +190,10 @@ type Monitor struct {
 	// by stale RRT records (§5.3's handshake-and-retry).
 	Stats sim.Scoreboard
 
-	// observers receive lease-lifecycle events (see events.go).
-	observers leaseObservers
+	// OnLease, when set, receives the MN's recovery transitions
+	// (events.go). It runs synchronously on the engine goroutine, must
+	// not block, and costs no virtual time.
+	OnLease func(LeaseEvent)
 }
 
 // New starts a Monitor on the given endpoint.
@@ -519,7 +521,6 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, res Resource, amou
 		}
 		m.rat[id] = a
 		cand.debit(res, amount)
-		m.emitLease(LeaseGranted, a, a.Donor)
 		if res == Memory {
 			m.topUpSpares()
 		}
@@ -588,7 +589,6 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	delete(m.rat, f.AllocID)
 	m.releaseBacking(p, a)
 	m.Stats.Add(pick(a.Kind, "free.memory", "free.device"), 1)
-	m.emitLease(LeaseReleased, a, a.Donor)
 	return &ack{}, 8
 }
 

@@ -18,7 +18,7 @@ type replaceRig struct {
 
 func newReplaceRig(t *testing.T) *replaceRig {
 	r := &replaceRig{cluster: newCluster(t, 1<<30)}
-	r.mn.Observe(func(ev LeaseEvent) { r.events = append(r.events, ev) })
+	r.mn.OnLease = func(ev LeaseEvent) { r.events = append(r.events, ev) }
 	r.mn.StartRecovery()
 	t.Cleanup(r.mn.StopRecovery)
 	reserveAllOn(t, r.cluster, 0)

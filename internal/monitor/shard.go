@@ -129,9 +129,10 @@ type Root struct {
 	// reclaims).
 	Stats sim.Scoreboard
 
-	// observers receive lease-lifecycle events for cross-rack
-	// re-delegations and reclaims (see events.go).
-	observers leaseObservers
+	// OnLease, when set, receives the root's recovery transitions of
+	// cross-rack delegations (re-delegations and reclaims; events.go),
+	// under the same rules as Monitor.OnLease.
+	OnLease func(LeaseEvent)
 }
 
 // NewRoot starts a root MN on the given endpoint (typically a spine
@@ -814,7 +815,6 @@ func (m *Monitor) onDelegateFree(p *sim.Proc, _ fabric.NodeID, req any) (any, in
 	delete(m.rat, f.AllocID)
 	m.releaseBacking(p, a)
 	m.Stats.Add("free.delegate_backed", 1)
-	m.emitLease(LeaseReleased, a, a.Donor)
 	return &ack{}, 8
 }
 
@@ -832,7 +832,6 @@ func (m *Monitor) onDelegateCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, 
 		delete(m.rat, id)
 		m.releaseBacking(p, a)
 		m.Stats.Add("free.delegate_cancelled", 1)
-		m.emitLease(LeaseReleased, a, a.Donor)
 	}
 	return &ack{}, 8
 }

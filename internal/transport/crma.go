@@ -66,8 +66,6 @@ type CRMAStats struct {
 	Unexported   int64 // requests dropped at the donor for lack of an export (rebooted donor)
 	Replayed     int64 // in-flight accesses re-issued after a window retarget
 	DeadAccesses int64 // accesses to a revoked (dead) window, completed with poison
-	FillLat      sim.RunningStat
-	RemoteBkt    sim.Scoreboard // per-donor fill counts
 }
 
 // CRMA is the cacheline remote memory access channel: once a mapping is
@@ -84,12 +82,11 @@ type CRMA struct {
 	Stats CRMAStats
 }
 
-// crmaPending tracks one outstanding access for completion and latency
-// accounting. addr and size are kept so the access can be re-issued
-// against a new donor if the window is retargeted while it is in flight.
+// crmaPending tracks one outstanding access for completion. addr and
+// size are kept so the access can be re-issued against a new donor if
+// the window is retargeted while it is in flight.
 type crmaPending struct {
 	done  *sim.Completion
-	start sim.Time
 	write bool
 	addr  uint64
 	size  int
@@ -250,12 +247,10 @@ func (c *CRMA) accessAsync(addr uint64, size int, write bool) *sim.Completion {
 		c.Stats.Writes++
 	} else {
 		c.Stats.Fills++
-		c.Stats.RemoteBkt.Add(e.Node.String(), 1)
 	}
 	id := c.nextID
 	c.nextID++
-	pend := &crmaPending{done: sim.NewCompletion(c.ep.Eng), start: c.ep.Eng.Now(),
-		write: write, addr: addr, size: size}
+	pend := &crmaPending{done: sim.NewCompletion(c.ep.Eng), write: write, addr: addr, size: size}
 	c.pending[id] = pend
 	reqSize := 16 // address + control
 	if write {
@@ -335,12 +330,7 @@ func (c *CRMA) handleResp(m *crmaResp) {
 	}
 	delete(c.pending, m.id)
 	// De-packetize in the CRMA logic before handing data to the core.
-	c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
-		if !pend.write {
-			c.Stats.FillLat.AddDur(c.ep.Eng.Now().Sub(pend.start))
-		}
-		pend.done.Complete()
-	})
+	c.ep.Eng.Schedule(c.ep.P.CRMALogic, pend.done.Complete)
 }
 
 // handlePosted applies a posted write at the receiver. Credit notes go

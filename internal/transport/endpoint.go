@@ -62,9 +62,6 @@ type Endpoint struct {
 	pending  map[uint64]*pendingCall
 	nextID   uint64
 	rpcKinds map[string]string // call kind -> "rpc."+kind, built once per kind
-
-	// Stats tallies per-channel operation counts and latencies.
-	Stats sim.Scoreboard
 }
 
 // pendingCall tracks an outstanding RPC issued by Call.
@@ -156,7 +153,6 @@ func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, req
 	ep.Eng.Cancel(watchdog)
 	delete(ep.pending, id)
 	if pc.timedOut {
-		ep.Stats.Add("rpc.timeouts", 1)
 		return nil, false
 	}
 	return pc.resp, true

@@ -38,7 +38,6 @@ type RDMAStats struct {
 	Writes   int64
 	BytesIn  int64
 	BytesOut int64
-	OpLat    sim.RunningStat
 }
 
 // RDMA is the bulk-transfer channel (§5.1.2): software posts a
@@ -61,7 +60,6 @@ func (r *RDMA) ObserveImmediate(fn func(from fabric.NodeID, addr uint64, note an
 
 type rdmaPending struct {
 	done     *sim.Completion
-	start    sim.Time
 	received int
 	total    int
 }
@@ -90,7 +88,7 @@ func (r *RDMA) ReadAsync(donor fabric.NodeID, remoteAddr uint64, size int) *sim.
 	id := r.nextID
 	r.nextID++
 	chunks := r.chunksFor(size)
-	pend := &rdmaPending{done: sim.NewCompletion(r.ep.Eng), start: r.ep.Eng.Now(), total: chunks}
+	pend := &rdmaPending{done: sim.NewCompletion(r.ep.Eng), total: chunks}
 	r.pending[id] = pend
 	req := &rdmaReq{id: id, addr: remoteAddr, size: size, write: false, chunks: chunks}
 	// Software descriptor setup, then doorbell and a small request packet.
@@ -123,7 +121,7 @@ func (r *RDMA) WriteAsyncNote(donor fabric.NodeID, remoteAddr uint64, size int, 
 	id := r.nextID
 	r.nextID++
 	chunks := r.chunksFor(size)
-	pend := &rdmaPending{done: sim.NewCompletion(r.ep.Eng), start: r.ep.Eng.Now(), total: 1}
+	pend := &rdmaPending{done: sim.NewCompletion(r.ep.Eng), total: 1}
 	r.pending[id] = pend
 	// Software descriptor setup, then the source-side engine streams
 	// chunks; the donor acks the last one.
@@ -188,10 +186,7 @@ func (r *RDMA) handleChunk(pkt *fabric.Packet, m *rdmaChunk) {
 		if pend.received == pend.total {
 			delete(r.pending, m.id)
 			// Completion interrupt + driver bottom half.
-			r.ep.Eng.Schedule(r.ep.P.RDMADoneIRQ, func() {
-				r.Stats.OpLat.AddDur(r.ep.Eng.Now().Sub(pend.start))
-				pend.done.Complete()
-			})
+			r.ep.Eng.Schedule(r.ep.P.RDMADoneIRQ, pend.done.Complete)
 		}
 		return
 	}
