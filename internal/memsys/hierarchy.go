@@ -109,25 +109,35 @@ func (h *Hierarchy) access(p *sim.Proc, addr uint64, size int, write bool) {
 	if mshrs < 1 {
 		mshrs = 1
 	}
-	var outstanding []*sim.Completion
+	// The MSHRs: a ring of in-flight misses, awaited oldest first. Its
+	// slots live on this stack for every MSHR count up to 16; the
+	// hierarchy is shared by every process of its node, so it cannot
+	// hold them.
+	var slots [16]*sim.Completion
+	mshr := slots[:]
+	if mshrs > len(slots) {
+		mshr = make([]*sim.Completion, mshrs)
+	}
+	issued, awaited := 0, 0
 	for la := first; ; la += line {
-		if len(outstanding) >= mshrs {
+		if issued-awaited == mshrs {
 			// MSHRs full: the core stalls on the oldest miss.
 			h.Flush(p)
-			p.Await(outstanding[0])
-			outstanding = outstanding[1:]
+			p.Await(mshr[awaited%mshrs])
+			awaited++
 		}
 		if c := h.accessLine(ctx, la, write, multi); c != nil {
-			outstanding = append(outstanding, c)
+			mshr[issued%mshrs] = c
+			issued++
 		}
 		if la == last {
 			break
 		}
 	}
-	if len(outstanding) > 0 {
+	if awaited < issued {
 		h.Flush(p)
-		for _, c := range outstanding {
-			p.Await(c)
+		for ; awaited < issued; awaited++ {
+			p.Await(mshr[awaited%mshrs])
 		}
 	}
 	h.maybeFlush(p)

@@ -3,10 +3,15 @@ package sim
 // Completion is a one-shot event that processes can await: the simulated
 // analogue of a future. The zero value is not usable; construct with
 // NewCompletion (or receive one from Engine.Go).
+//
+// The first waiter is kept inline: most completions have exactly one
+// (the proc that issued the operation), and awaiting them then
+// allocates nothing.
 type Completion struct {
 	eng     *Engine
 	done    bool
-	waiters []*Proc
+	waiter  *Proc   // first waiter
+	waiters []*Proc // later waiters, in arrival order
 	thens   []func()
 }
 
@@ -24,6 +29,10 @@ func (c *Completion) Complete() {
 		return
 	}
 	c.done = true
+	if c.waiter != nil {
+		c.waiter.unparkAfter(0)
+		c.waiter = nil
+	}
 	for _, w := range c.waiters {
 		w.unparkAfter(0)
 	}
@@ -50,7 +59,11 @@ func (p *Proc) Await(c *Completion) {
 	if c.done {
 		return
 	}
-	c.waiters = append(c.waiters, p)
+	if c.waiter == nil {
+		c.waiter = p
+	} else {
+		c.waiters = append(c.waiters, p)
+	}
 	p.park()
 }
 

@@ -16,6 +16,15 @@ type crmaReq struct {
 	write bool
 }
 
+// wireSize is the request's packet size: address and control, plus the
+// data a store carries.
+func (m *crmaReq) wireSize() int {
+	if m.write {
+		return 16 + m.size
+	}
+	return 16
+}
+
 // crmaResp completes a crmaReq at the requester.
 type crmaResp struct {
 	id uint64
@@ -73,27 +82,71 @@ type CRMAStats struct {
 // packetized, and serviced by the donor with no software on the critical
 // path.
 type CRMA struct {
-	ep      *Endpoint
-	ramt    []*RAMTEntry // requester-side windows
-	exports []*RAMTEntry // donor-side reverse mappings (remote node's window -> local)
-	pending map[uint64]*crmaPending
-	nextID  uint64
+	ep       *Endpoint
+	ramt     []*RAMTEntry // requester-side windows
+	exports  []*RAMTEntry // donor-side reverse mappings (remote node's window -> local)
+	pending  map[uint64]*crmaAccess
+	nextID   uint64
+	accesses freeList[crmaAccess]
+	replies  freeList[crmaReply]
 
 	Stats CRMAStats
 }
 
-// crmaPending tracks one outstanding access for completion. addr and
-// size are kept so the access can be re-issued against a new donor if
-// the window is retargeted while it is in flight.
-type crmaPending struct {
-	done  *sim.Completion
-	write bool
-	addr  uint64
-	size  int
+// crmaAccess is one outstanding fill or store at the requester. It keeps
+// its request so the access can be re-issued against a new donor if the
+// window is retargeted while it is in flight, and its RAMT entry, whose
+// donor it reads when the request leaves. Its life ends in its
+// completion event.
+type crmaAccess struct {
+	c      *CRMA
+	e      *RAMTEntry
+	req    crmaReq
+	done   *sim.Completion
+	onSend func()
+	onDone func()
+}
+
+// send injects the access's request once the CRMA logic has captured and
+// packetized it.
+func (a *crmaAccess) send() { send(a.c.ep, a.e.Node, "crma.req", a.req.wireSize(), a.req) }
+
+// complete hands the data to the core, after the CRMA logic has
+// de-packetized the response.
+func (a *crmaAccess) complete() {
+	a.done.Complete()
+	a.e, a.done = nil, nil
+	a.c.accesses.put(a)
+}
+
+// crmaReply is the donor's response to one request, waiting out the
+// memory service time. Its life ends when it is sent.
+type crmaReply struct {
+	c      *CRMA
+	to     fabric.NodeID
+	size   int
+	resp   crmaResp
+	onSend func()
+}
+
+func (r *crmaReply) send() {
+	send(r.c.ep, r.to, "crma.resp", r.size, r.resp)
+	r.c.replies.put(r)
 }
 
 func newCRMA(ep *Endpoint) *CRMA {
-	return &CRMA{ep: ep, pending: make(map[uint64]*crmaPending)}
+	c := &CRMA{ep: ep, pending: make(map[uint64]*crmaAccess)}
+	c.accesses.fresh = func() *crmaAccess {
+		a := &crmaAccess{c: c}
+		a.onSend, a.onDone = a.send, a.complete
+		return a
+	}
+	c.replies.fresh = func() *crmaReply {
+		r := &crmaReply{c: c}
+		r.onSend = r.send
+		return r
+	}
+	return c
 }
 
 // Map installs a requester-side RAMT entry: the local window
@@ -131,7 +184,7 @@ func (c *CRMA) Unmap(e *RAMTEntry) { e.Valid = false }
 func (c *CRMA) Reset() {
 	c.ramt = nil
 	c.exports = nil
-	c.pending = make(map[uint64]*crmaPending)
+	c.pending = make(map[uint64]*crmaAccess)
 }
 
 // pendingInWindow collects the ids of in-flight accesses whose address
@@ -139,8 +192,8 @@ func (c *CRMA) Reset() {
 // both recovery paths (replay and kill) walk them in.
 func (c *CRMA) pendingInWindow(base, size uint64) []uint64 {
 	ids := make([]uint64, 0, len(c.pending))
-	for id, pend := range c.pending {
-		if pend.addr >= base && pend.addr < base+size {
+	for id, a := range c.pending {
+		if a.req.addr >= base && a.req.addr < base+size {
 			ids = append(ids, id)
 		}
 	}
@@ -163,26 +216,23 @@ func (c *CRMA) Retarget(e *RAMTEntry, donor fabric.NodeID, remoteBase uint64) {
 // request the old donor did answer (response still in flight) is
 // completed by whichever response lands first, and the duplicate is
 // dropped by id. Iteration is in ascending request id so replays hit the
-// wire in a deterministic order.
+// wire in a deterministic order. A replay carries its own copy of the
+// request: the original response may complete the access, and recycle
+// its record, before the replay leaves.
 func (c *CRMA) ReplayWindow(base, size uint64) int {
 	ids := c.pendingInWindow(base, size)
 	replayed := 0
 	for _, id := range ids {
-		pend := c.pending[id]
-		e, ok := c.Lookup(pend.addr)
+		req := c.pending[id].req
+		e, ok := c.Lookup(req.addr)
 		if !ok || e.Dead {
 			continue
 		}
 		c.Stats.Replayed++
 		replayed++
-		reqSize := 16
-		if pend.write {
-			reqSize = 16 + pend.size
-		}
-		req := &crmaReq{id: id, addr: pend.addr, size: pend.size, write: pend.write}
 		node := e.Node
 		c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
-			c.ep.SendRaw(node, "crma.req", reqSize, req)
+			send(c.ep, node, "crma.req", req.wireSize(), req)
 		})
 	}
 	return replayed
@@ -199,10 +249,10 @@ func (c *CRMA) KillWindow(base, size uint64) {
 		}
 	}
 	for _, id := range c.pendingInWindow(base, size) {
-		pend := c.pending[id]
+		a := c.pending[id]
 		delete(c.pending, id)
 		c.Stats.DeadAccesses++
-		pend.done.Complete()
+		a.done.Complete()
 	}
 }
 
@@ -248,20 +298,14 @@ func (c *CRMA) accessAsync(addr uint64, size int, write bool) *sim.Completion {
 	} else {
 		c.Stats.Fills++
 	}
-	id := c.nextID
+	a := c.accesses.get()
+	a.e, a.req = e, crmaReq{id: c.nextID, addr: addr, size: size, write: write}
+	a.done = sim.NewCompletion(c.ep.Eng)
+	c.pending[c.nextID] = a
 	c.nextID++
-	pend := &crmaPending{done: sim.NewCompletion(c.ep.Eng), write: write, addr: addr, size: size}
-	c.pending[id] = pend
-	reqSize := 16 // address + control
-	if write {
-		reqSize = 16 + size // write carries data
-	}
-	req := &crmaReq{id: id, addr: addr, size: size, write: write}
 	// Capture + packetize in the CRMA logic, then inject.
-	c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
-		c.ep.SendRaw(e.Node, "crma.req", reqSize, req)
-	})
-	return pend.done
+	c.ep.Eng.Schedule(c.ep.P.CRMALogic, a.onSend)
+	return a.done
 }
 
 // Fill blocks the calling process until a remote read completes.
@@ -281,9 +325,9 @@ func (c *CRMA) Write(p *sim.Proc, addr uint64, size int) {
 // for credit updates.
 func (c *CRMA) PostWrite(dst fabric.NodeID, addr uint64, size int, note any) {
 	c.Stats.Posted++
-	m := &crmaPosted{addr: addr, size: size, note: note}
+	m := crmaPosted{addr: addr, size: size, note: note}
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
-		c.ep.SendRaw(dst, "crma.post", 16+size, m)
+		send(c.ep, dst, "crma.post", 16+size, m)
 	})
 }
 
@@ -312,25 +356,24 @@ func (c *CRMA) handleReq(pkt *fabric.Packet, m *crmaReq) {
 	c.Stats.Served++
 	local := e.translate(m.addr)
 	svc := c.ep.Mem.Service(local, m.size, m.write)
-	respSize := m.size // read response carries data
+	r := c.replies.get()
+	r.to, r.resp = pkt.Src, crmaResp{id: m.id}
+	r.size = m.size // read response carries data
 	if m.write {
-		respSize = 0 // store ack is header-only
+		r.size = 0 // store ack is header-only
 	}
-	from := pkt.Src
-	c.ep.Eng.Schedule(c.ep.P.CRMALogic+svc, func() {
-		c.ep.SendRaw(from, "crma.resp", respSize, &crmaResp{id: m.id})
-	})
+	c.ep.Eng.Schedule(c.ep.P.CRMALogic+svc, r.onSend)
 }
 
 // handleResp completes the requester-side pending access.
 func (c *CRMA) handleResp(m *crmaResp) {
-	pend, ok := c.pending[m.id]
+	a, ok := c.pending[m.id]
 	if !ok {
 		return
 	}
 	delete(c.pending, m.id)
 	// De-packetize in the CRMA logic before handing data to the core.
-	c.ep.Eng.Schedule(c.ep.P.CRMALogic, pend.done.Complete)
+	c.ep.Eng.Schedule(c.ep.P.CRMALogic, a.onDone)
 }
 
 // handlePosted applies a posted write at the receiver. Credit notes go

@@ -56,19 +56,85 @@ type Endpoint struct {
 
 	Mem MemService
 
-	qpairs   map[int]*QPair
-	handlers map[string]Handler
-	calls    map[string]CallHandler
-	pending  map[uint64]*pendingCall
-	nextID   uint64
-	rpcKinds map[string]string // call kind -> "rpc."+kind, built once per kind
+	qpairs    map[int]*QPair
+	handlers  map[string]Handler
+	calls     map[string]CallHandler
+	pending   map[uint64]*rpcCall
+	nextID    uint64
+	rpcKinds  map[string]string // call kind -> "rpc."+kind, built once per kind
+	callRecs  freeList[rpcCall]
+	serveRecs freeList[rpcService]
 }
 
-// pendingCall tracks an outstanding RPC issued by Call.
-type pendingCall struct {
-	done     *sim.Completion
-	resp     any
-	timedOut bool
+// freeList recycles one kind of per-operation record. fresh builds a
+// record and binds its event handlers, once. A record comes back only in
+// the event that ends its life, so no scheduled handler finds it reused;
+// one cut short (KillWindow, CRMA.Reset, Engine.Close) is left to the GC.
+type freeList[T any] struct {
+	fresh func() *T
+	free  []*T
+}
+
+func (l *freeList[T]) get() *T {
+	n := len(l.free)
+	if n == 0 {
+		return l.fresh()
+	}
+	r := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return r
+}
+
+func (l *freeList[T]) put(r *T) { l.free = append(l.free, r) }
+
+// send injects a packet carrying m inside its own allocation: one object
+// per message, and the receiver's handler gets a pointer into it. Packets
+// are not recycled: the fabric may deliver one twice, and a handler may
+// keep its payload.
+func send[M any](ep *Endpoint, dst fabric.NodeID, kind string, size int, m M) {
+	w := &struct {
+		pkt fabric.Packet
+		msg M
+	}{pkt: fabric.Packet{Src: ep.ID, Dst: dst, Kind: kind, Size: size}, msg: m}
+	w.pkt.Payload = &w.msg
+	ep.Net.Send(&w.pkt)
+}
+
+// rpcCall is one outstanding call at its caller. Its life ends when
+// CallTimeout returns.
+type rpcCall struct {
+	done      *sim.Completion
+	resp      any
+	timedOut  bool
+	onTimeout func()
+}
+
+// timeout is a call's watchdog.
+func (c *rpcCall) timeout() {
+	if !c.done.Done() {
+		c.timedOut = true
+		c.done.Complete()
+	}
+}
+
+// rpcService services one incoming call in a proc of its own. Its life
+// ends with the proc.
+type rpcService struct {
+	ep   *Endpoint
+	h    CallHandler
+	from fabric.NodeID
+	id   uint64
+	body any
+	run  func(p *sim.Proc)
+}
+
+// serve is the service proc: run the handler and reply.
+func (s *rpcService) serve(p *sim.Proc) {
+	resp, size := s.h(p, s.from, s.body)
+	send(s.ep, s.from, "rpc.resp", size, rpcResp{id: s.id, body: resp})
+	s.h, s.body = nil, nil
+	s.ep.serveRecs.put(s)
 }
 
 // rpcReq and rpcResp are the wire envelopes of the generic RPC helper
@@ -95,8 +161,18 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		qpairs:   make(map[int]*QPair),
 		handlers: make(map[string]Handler),
 		calls:    make(map[string]CallHandler),
-		pending:  make(map[uint64]*pendingCall),
+		pending:  make(map[uint64]*rpcCall),
 		rpcKinds: make(map[string]string),
+	}
+	ep.callRecs.fresh = func() *rpcCall {
+		c := &rpcCall{}
+		c.onTimeout = c.timeout
+		return c
+	}
+	ep.serveRecs.fresh = func() *rpcService {
+		s := &rpcService{ep: ep}
+		s.run = s.serve
+		return s
 	}
 	ep.CRMA = newCRMA(ep)
 	ep.RDMA = newRDMA(ep)
@@ -133,29 +209,28 @@ func (ep *Endpoint) Call(p *sim.Proc, dst fabric.NodeID, kind string, reqSize in
 func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur) (any, bool) {
 	id := ep.nextID
 	ep.nextID++
-	pc := &pendingCall{done: sim.NewCompletion(ep.Eng)}
-	ep.pending[id] = pc
-	ep.SendRaw(dst, ep.rpcKind(kind), reqSize, &rpcReq{id: id, kind: kind, body: body})
+	call := ep.callRecs.get()
+	call.done, call.timedOut = sim.NewCompletion(ep.Eng), false
+	ep.pending[id] = call
+	send(ep, dst, ep.rpcKind(kind), reqSize, rpcReq{id: id, kind: kind, body: body})
 	var watchdog sim.Handle
 	if timeout > 0 {
-		watchdog = ep.Eng.ScheduleCancelable(timeout, func() {
-			if !pc.done.Done() {
-				pc.timedOut = true
-				pc.done.Complete()
-			}
-		})
+		watchdog = ep.Eng.ScheduleCancelable(timeout, call.onTimeout)
 	}
-	p.Await(pc.done)
+	p.Await(call.done)
 	// When the response wins the race, revoke the watchdog instead of
 	// letting it fire later as a dead callback: every monitor heartbeat,
 	// grant, and recovery RPC otherwise leaves a tombstone event churning
-	// through the queue.
+	// through the queue. Nor does a watchdog outlive its record.
 	ep.Eng.Cancel(watchdog)
 	delete(ep.pending, id)
-	if pc.timedOut {
+	resp, ok := call.resp, !call.timedOut
+	call.done, call.resp = nil, nil
+	ep.callRecs.put(call)
+	if !ok {
 		return nil, false
 	}
-	return pc.resp, true
+	return resp, true
 }
 
 // rpcKind returns the packet kind, and service proc name, of a call
@@ -190,12 +265,12 @@ func (ep *Endpoint) deliver(pkt *fabric.Packet) {
 	case *rpcReq:
 		ep.handleRPC(pkt, m)
 	case *rpcResp:
-		pc, ok := ep.pending[m.id]
+		call, ok := ep.pending[m.id]
 		if !ok {
-			return // caller vanished; drop
+			return // caller vanished or timed out; drop
 		}
-		pc.resp = m.body
-		pc.done.Complete()
+		call.resp = m.body
+		call.done.Complete()
 	default:
 		h, ok := ep.handlers[pkt.Kind]
 		if !ok {
@@ -211,11 +286,9 @@ func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 	if !ok {
 		panic(fmt.Sprintf("transport: node %v: no call handler %q", ep.ID, req.kind))
 	}
-	from := pkt.Src
-	ep.Eng.Go(ep.rpcKind(req.kind), func(p *sim.Proc) {
-		resp, size := h(p, from, req.body)
-		ep.SendRaw(from, "rpc.resp", size, &rpcResp{id: req.id, body: resp})
-	})
+	s := ep.serveRecs.get()
+	s.h, s.from, s.id, s.body = h, pkt.Src, req.id, req.body
+	ep.Eng.Go(ep.rpcKind(req.kind), s.run)
 }
 
 // deliverQP routes an arriving QPair message to its local queue pair.
