@@ -145,7 +145,7 @@ func TestAPIFreeze(t *testing.T) {
 	}
 }
 
-// TestCitedTestsExist keeps test citations honest: every Test…/Benchmark…
+// TestCitedTestsExist keeps test citations honest: every Test…/Benchmark…/Fuzz…
 // name that CI runs or the docs cite must be defined in some _test.go.
 // `go test -run` with a name that matches nothing prints "[no tests to
 // run]" and passes, so a renamed test would silently drop out of CI's
@@ -153,7 +153,7 @@ func TestAPIFreeze(t *testing.T) {
 // skill lists. ROADMAP.md is skipped: it names planned benchmarks.
 func TestCitedTestsExist(t *testing.T) {
 	defined := map[string]bool{}
-	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w+)\(`)
+	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -176,7 +176,7 @@ func TestCitedTestsExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	citeRe := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*`)
+	citeRe := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
 	for _, doc := range []string{
 		filepath.Join(".github", "workflows", "ci.yml"), "README.md", "ARCHITECTURE.md", "EXPERIMENTS.md",
 		filepath.Join(".claude", "skills", "verify", "SKILL.md"),

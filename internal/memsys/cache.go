@@ -34,6 +34,7 @@ type Cache struct {
 	setMask  uint64
 	ways     int
 	sets     []cacheLine // sets*ways, flattened
+	valid    int         // lines with valid set
 	useClock uint64
 
 	Stats CacheStats
@@ -95,7 +96,9 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 	}
 	c.Stats.Misses++
 	v := &c.sets[lruIdx]
-	if v.valid && v.dirty {
+	if !v.valid {
+		c.valid++
+	} else if v.dirty {
 		victim = v.tag << c.lineBits
 		victimDirty = true
 		c.Stats.Writebacks++
@@ -122,8 +125,13 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // InvalidateAll drops every line (e.g. after a region is unmapped).
-// Dirty lines are counted as writebacks.
+// Dirty lines are counted as writebacks. On a cache with no valid line
+// it returns at once: an invalid line's other fields are never read.
 func (c *Cache) InvalidateAll() {
+	if c.valid == 0 {
+		return
+	}
+	c.valid = 0
 	for i := range c.sets {
 		if c.sets[i].valid && c.sets[i].dirty {
 			c.Stats.Writebacks++

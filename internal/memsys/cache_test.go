@@ -108,16 +108,41 @@ func TestCacheSequentialBeatsRandom(t *testing.T) {
 }
 
 func TestCacheInvalidateAll(t *testing.T) {
-	p := smallCacheParams()
-	c := NewCache(&p)
-	c.Access(0x40, true)
-	c.Access(0x80, false)
-	c.InvalidateAll()
-	if c.Contains(0x40) || c.Contains(0x80) {
-		t.Fatal("lines survived InvalidateAll")
-	}
-	if c.Stats.Writebacks != 1 {
-		t.Fatalf("writebacks = %d, want 1 (the dirty line)", c.Stats.Writebacks)
+	// Each row runs its steps on a fresh cache: a positive address is a
+	// read, a negative one a write to -addr, and 0 an InvalidateAll.
+	for _, tc := range []struct {
+		name       string
+		steps      []int64
+		gone       []uint64 // lines that must not be cached at the end
+		writebacks int64
+	}{
+		{"dirty line written back", []int64{-0x40, 0x80, 0}, []uint64{0x40, 0x80}, 1},
+		{"second call adds no writebacks", []int64{-0x40, 0x80, 0, 0}, []uint64{0x40, 0x80}, 1},
+		{"empty cache", []int64{0}, nil, 0},
+		{"line filled after an invalidation is dropped", []int64{-0x40, 0, -0xc0, 0}, []uint64{0x40, 0xc0}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallCacheParams()
+			c := NewCache(&p)
+			for _, s := range tc.steps {
+				switch {
+				case s == 0:
+					c.InvalidateAll()
+				case s < 0:
+					c.Access(uint64(-s), true)
+				default:
+					c.Access(uint64(s), false)
+				}
+			}
+			for _, addr := range tc.gone {
+				if c.Contains(addr) {
+					t.Errorf("line %#x survived InvalidateAll", addr)
+				}
+			}
+			if c.Stats.Writebacks != tc.writebacks {
+				t.Errorf("writebacks = %d, want %d", c.Stats.Writebacks, tc.writebacks)
+			}
+		})
 	}
 }
 

@@ -15,8 +15,8 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		e.Schedule(Dur(rng.Intn(1_000_000)), fn)
 	}
-	// Warm-up: grow the pool, every bucket's capacity, and the spill
-	// machinery to steady state.
+	// Warm-up: grow the event pool to the in-flight population. Wheel
+	// buckets are intrusive lists, so they have no capacity to grow.
 	for i := 0; i < 300_000; i++ {
 		e.Step()
 	}

@@ -69,7 +69,7 @@ func TestEngineCancelPreservesOrderAndClock(t *testing.T) {
 func TestEngineCancelThenEarlierSchedule(t *testing.T) {
 	e := New()
 	e.Schedule(10, func() {})
-	h := e.ScheduleCancelable(1<<33, func() {}) // far future, via spill
+	h := e.ScheduleCancelable(2<<horizonBits, func() {}) // beyond the horizon, via spill
 	e.Cancel(h)
 	e.Run() // drains the live event and the tombstone
 	if e.Now() != 10 {

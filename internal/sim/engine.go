@@ -15,7 +15,6 @@ type Handle uint64
 type Engine struct {
 	now     Time
 	seq     uint64
-	q       queue
 	pool    eventPool
 	cancels map[Handle]*event // live cancelable events, by Handle
 	pending int               // queued events not yet fired or canceled
@@ -23,11 +22,12 @@ type Engine struct {
 	fired   uint64
 	procs   *Proc // every coroutine, parked or idle, linked by Proc.all
 	idle    *Proc // coroutines whose fn has returned, linked by Proc.idle
+	q       wheel // last: the fields above stay ahead of its bucket arrays
 }
 
 // New returns a fresh engine with virtual time zero and an empty queue.
 func New() *Engine {
-	return &Engine{q: newWheel()}
+	return &Engine{}
 }
 
 // Now reports the current virtual time.

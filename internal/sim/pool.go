@@ -11,26 +11,26 @@ type event struct {
 	at         Time
 	seq        uint64
 	fn         func()
-	canceled   bool // tombstoned by Engine.Cancel; discarded at dispatch
-	cancelable bool // registered in the engine's cancel table
+	next       *event // next in the event's wheel bucket or on the free list
+	canceled   bool   // tombstoned by Engine.Cancel; discarded at dispatch
+	cancelable bool   // registered in the engine's cancel table
 }
 
-// eventPool is a LIFO free list of event structs. The engine returns
-// every popped event here after dispatch, so after warm-up the pool is
-// the only source of event storage: get allocates only while the
-// population of in-flight events is still growing.
+// eventPool is a LIFO free list of event structs, linked through
+// event.next. The engine returns every popped event here after
+// dispatch, so after warm-up the pool is the only source of event
+// storage: get allocates only while the population of in-flight events
+// is still growing.
 type eventPool struct {
-	free []*event
+	free *event
 }
 
 // get returns a recycled event, or a fresh one when the list is empty.
-// Timing fields are overwritten by the scheduler; flag fields are
-// cleared by put.
+// Timing fields are overwritten by the scheduler, next by the wheel;
+// flag fields are cleared by put.
 func (p *eventPool) get() *event {
-	if n := len(p.free); n > 0 {
-		ev := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if ev := p.free; ev != nil {
+		p.free = ev.next
 		return ev
 	}
 	return &event{}
@@ -42,5 +42,5 @@ func (p *eventPool) put(ev *event) {
 	ev.fn = nil
 	ev.canceled = false
 	ev.cancelable = false
-	p.free = append(p.free, ev)
+	ev.next, p.free = p.free, ev
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -199,12 +200,33 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
+// procCoroutines counts the goroutines whose stack is in (*Proc).run:
+// the coroutines of every engine in the test binary, and nothing else
+// the runtime or other tests have running.
+func procCoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		count := 0
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "sim.(*Proc).run(") {
+				count++
+			}
+		}
+		return count
+	}
+}
+
 // TestEngineCloseReleasesEveryCoroutine checks that Close ends every
 // coroutine it holds: the idle ones, whose procs finished and wait in
 // the pool for the next Go, as well as the parked ones.
 func TestEngineCloseReleasesEveryCoroutine(t *testing.T) {
 	const n = 8
-	before := runtime.NumGoroutine()
+	before := procCoroutines()
 	e := New()
 	never := NewCompletion(e)
 	for i := 0; i < n; i++ {
@@ -215,12 +237,12 @@ func TestEngineCloseReleasesEveryCoroutine(t *testing.T) {
 	if e.LiveProcs() != n {
 		t.Fatalf("LiveProcs = %d, want %d parked", e.LiveProcs(), n)
 	}
-	if got := runtime.NumGoroutine() - before; got != 2*n {
+	if got := procCoroutines() - before; got != 2*n {
 		t.Fatalf("%d coroutines alive before Close, want %d idle and %d parked", got, n, n)
 	}
 	e.Close()
-	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("%d goroutines after Close, want %d as before New", got, before)
+	if got := procCoroutines(); got != before {
+		t.Fatalf("%d coroutines after Close, want %d as before New", got, before)
 	}
 }
 

@@ -2,15 +2,16 @@ package sim
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"testing"
 )
 
 // refHeap is the engine's original container/heap event queue, retired
 // from the hot path but kept here as the reference implementation of
-// the queue contract: pop order is (at, seq) ascending by construction
-// of heap.Interface, with none of the wheel's window bookkeeping to get
-// wrong. The property tests below fire identical event streams through
-// both and require identical pop order.
+// the wheel's push/pop contract: pop order is (at, seq) ascending by
+// construction of heap.Interface, with none of the wheel's window
+// bookkeeping to get wrong. The property tests below fire identical
+// event streams through both and require identical pop order.
 type refHeap []*event
 
 func (h refHeap) Len() int { return len(h) }
@@ -31,99 +32,170 @@ func (h *refHeap) Pop() any {
 	return ev
 }
 
-// heapQueue adapts refHeap to the queue interface.
+// heapQueue gives refHeap the wheel's bounded-pop semantics.
 type heapQueue struct{ h refHeap }
 
-func (q *heapQueue) push(ev *event, _ Time) { heap.Push(&q.h, ev) }
+func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
 func (q *heapQueue) pop(bound Time, bounded bool) *event {
 	if len(q.h) == 0 || (bounded && q.h[0].at > bound) {
 		return nil
 	}
 	return heap.Pop(&q.h).(*event)
 }
-func (q *heapQueue) len() int { return len(q.h) }
 
-// queueDelay spreads timestamps across every wheel regime: same-instant
-// FIFO ties, level-0 hits, multi-level cascades, and beyond-horizon
-// spills (> 2^32 ns).
-func queueDelay(rng *RNG) Dur {
-	switch rng.Intn(6) {
-	case 0:
-		return 0 // same-instant tie: FIFO order must hold
-	case 1:
-		return Dur(rng.Intn(256)) // level 0
-	case 2:
-		return Dur(rng.Intn(1 << 16)) // level 1
-	case 3:
-		return Dur(rng.Intn(1 << 24)) // level 2
-	case 4:
-		return Dur(rng.Int63n(1 << 32)) // level 3
+// horizonBits is log2 of the wheel's horizon: an event whose timestamp
+// leaves the clock's top-level window of 2^horizonBits ns waits in the
+// spill list.
+const horizonBits = wheelLevels * wheelBits
+
+// regimes counts the delay regimes the property tests draw from: a
+// same-instant tie, one per wheel level, and beyond the horizon.
+const regimes = wheelLevels + 2
+
+// regimeDelay maps regime r and a raw draw x to a delay, deriving every
+// range from the wheel's geometry. Regime 0 is a same-instant tie, where
+// FIFO order must hold. Regime r in [1, wheelLevels] draws below
+// 2^(r·wheelBits) ns, so it lands in level r−1, or one level higher when
+// it crosses that level's window. The last regime lies beyond the
+// horizon, in the spill list.
+func regimeDelay(r int, x uint64) Dur {
+	switch {
+	case r == 0:
+		return 0
+	case r <= wheelLevels:
+		return Dur(x & (1<<(r*wheelBits) - 1))
 	default:
-		return Dur(1<<32 + rng.Int63n(1<<34)) // spill list
+		return Dur(1<<horizonBits + x&(1<<(horizonBits+2)-1))
 	}
 }
 
-// TestWheelMatchesHeapOrder fires 10k random-timestamp events through
-// the timing wheel and the reference heap, interleaving pushes with
-// pops the way a simulation does (pushes never rewind behind the last
-// popped instant), then drains both. Every pop must agree on (at, seq).
+// queueDelay draws a delay from every regime with equal weight.
+func queueDelay(rng *RNG) Dur { return regimeDelay(rng.Intn(regimes), rng.Uint64()) }
+
+// orderCheck drives the timing wheel and the reference heap through one
+// stream of operations and fails on the first pop they disagree on.
+type orderCheck struct {
+	t   testing.TB
+	w   wheel
+	h   heapQueue
+	seq uint64
+	// now plays the engine clock: the last popped instant, or the bound
+	// of a bounded pop that found nothing, as RunUntil leaves it. Pushes
+	// never land before it.
+	now Time
+	// seen records which regimes held an event at some point: each
+	// level's occupancy bitmap, then the spill list.
+	seen [wheelLevels + 1]bool
+}
+
+// opSize is the bytes one operation takes from a stream: a control byte
+// and an 8-byte little-endian argument.
+const opSize = 9
+
+// run interprets ops, opSize bytes per operation (a short last one reads
+// its missing bytes as zero), then drains both queues. The control
+// byte's low three bits pick the operation: five of eight push, one pops
+// up to a bound, two pop unbounded. Its high bits pick the regime of the
+// push's delay or of the bound's distance from the clock, and the
+// argument picks the value within it.
+func (c *orderCheck) run(ops []byte) {
+	for len(ops) > 0 {
+		var op [opSize]byte
+		ops = ops[copy(op[:], ops):]
+		d := regimeDelay(int(op[0]>>3)%regimes, binary.LittleEndian.Uint64(op[1:]))
+		switch op[0] & 7 {
+		case 5:
+			c.pop(c.now.Add(d), true)
+		case 6, 7:
+			c.pop(0, false)
+		default:
+			c.push(c.now.Add(d))
+		}
+		c.observe()
+	}
+	for c.pop(0, false) {
+	}
+	if c.w.len() != 0 || c.h.h.Len() != 0 {
+		c.t.Fatalf("queues not drained: wheel=%d heap=%d", c.w.len(), c.h.h.Len())
+	}
+}
+
+func (c *orderCheck) push(at Time) {
+	c.w.push(&event{at: at, seq: c.seq}, c.now)
+	c.h.push(&event{at: at, seq: c.seq})
+	c.seq++
+}
+
+// pop pops both queues, compares the pair, and reports whether an event
+// popped.
+func (c *orderCheck) pop(bound Time, bounded bool) bool {
+	we, he := c.w.pop(bound, bounded), c.h.pop(bound, bounded)
+	switch {
+	case we == nil && he == nil:
+		if bounded && bound > c.now {
+			c.now = bound
+		}
+		return false
+	case we == nil || he == nil:
+		c.t.Fatalf("pop mismatch after %d pushes: wheel=%v heap=%v", c.seq, we, he)
+	case we.at != he.at || we.seq != he.seq:
+		c.t.Fatalf("pop order diverged: wheel=(%d,%d) heap=(%d,%d)", we.at, we.seq, he.at, he.seq)
+	case we.at < c.now:
+		c.t.Fatalf("time rewound: popped %d after %d", we.at, c.now)
+	}
+	c.now = we.at
+	return true
+}
+
+func (c *orderCheck) observe() {
+	for l := range c.w.occ {
+		for _, word := range c.w.occ[l] {
+			c.seen[l] = c.seen[l] || word != 0
+		}
+	}
+	c.seen[wheelLevels] = c.seen[wheelLevels] || len(c.w.spill) > 0
+}
+
+// TestWheelMatchesHeapOrder runs 16k random operations through the
+// timing wheel and the reference heap, interleaving pushes with bounded
+// and unbounded pops the way a simulation does, then drains both. Every
+// pop must agree on (at, seq), and every wheel level and the spill list
+// must have held events, so a geometry change cannot leave a regime
+// untested.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	rng := NewRNG(1234)
-	w, h := newWheel(), &heapQueue{}
-	var seq uint64
-	var vnow Time
-	push := func(at Time) {
-		// vnow plays the engine clock: it trails at the last popped
-		// timestamp, matching the queue contract.
-		w.push(&event{at: at, seq: seq}, vnow)
-		h.push(&event{at: at, seq: seq}, vnow)
-		seq++
+	ops := make([]byte, 16_000*opSize)
+	for i := 0; i < len(ops); i += 8 {
+		binary.LittleEndian.PutUint64(ops[i:], rng.Uint64())
 	}
-	popBoth := func(bound Time, bounded bool) bool {
-		we, he := w.pop(bound, bounded), h.pop(bound, bounded)
-		switch {
-		case we == nil && he == nil:
-			// Mirror RunUntil: an exhausted bounded pop advances the
-			// engine clock to the bound, so no later push is earlier.
-			if bounded && bound > vnow {
-				vnow = bound
-			}
-			return false
-		case we == nil || he == nil:
-			t.Fatalf("pop mismatch after %d events: wheel=%v heap=%v", seq, we, he)
-		case we.at != he.at || we.seq != he.seq:
-			t.Fatalf("pop order diverged: wheel=(%d,%d) heap=(%d,%d)", we.at, we.seq, he.at, he.seq)
-		case we.at < vnow:
-			t.Fatalf("time rewound: popped %d after %d", we.at, vnow)
-		}
-		vnow = we.at
-		return true
-	}
-	const n = 10_000
-	for seq < n {
-		if rng.Bool(0.6) {
-			push(vnow.Add(queueDelay(rng)))
-		} else if rng.Bool(0.3) {
-			// Bounded pop at a nearby boundary, like RunUntil.
-			popBoth(vnow.Add(Dur(rng.Int63n(1<<20))), true)
-		} else {
-			popBoth(0, false)
+	c := &orderCheck{t: t}
+	c.run(ops)
+	for l, seen := range c.seen[:wheelLevels] {
+		if !seen {
+			t.Errorf("wheel level %d never held an event", l)
 		}
 	}
-	for popBoth(0, false) {
-		// drain fully; popBoth compares each pair
+	if !c.seen[wheelLevels] {
+		t.Error("the spill list never held an event")
 	}
-	if w.len() != 0 || h.len() != 0 {
-		t.Fatalf("queues not drained: wheel=%d heap=%d", w.len(), h.len())
-	}
+}
+
+// FuzzWheelOrder runs a fuzzer-chosen operation stream (see
+// orderCheck.run) through the wheel and the reference heap. The seed
+// corpus under testdata/fuzz/FuzzWheelOrder covers every regime.
+func FuzzWheelOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		(&orderCheck{t: t}).run(ops)
+	})
 }
 
 // TestWheelBoundedPopStopsAtBoundary pins the bounded-pop contract the
 // engine's RunUntil depends on: nothing beyond the bound pops, and the
 // queue is undisturbed for later unbounded pops.
 func TestWheelBoundedPopStopsAtBoundary(t *testing.T) {
-	w := newWheel()
-	for i, at := range []Time{5, 10, 10, 1 << 20, 1<<32 + 7} {
+	const spilled = 1<<horizonBits + 7 // beyond the horizon from 0
+	var w wheel
+	for i, at := range []Time{5, 10, 10, 1 << 20, spilled} {
 		w.push(&event{at: at, seq: uint64(i)}, 0)
 	}
 	var got []Time
@@ -140,8 +212,8 @@ func TestWheelBoundedPopStopsAtBoundary(t *testing.T) {
 	if ev := w.pop(0, false); ev == nil || ev.at != 1<<20 {
 		t.Fatalf("first unbounded pop after boundary = %v, want at=1<<20", ev)
 	}
-	if ev := w.pop(0, false); ev == nil || ev.at != 1<<32+7 {
-		t.Fatalf("spill pop = %v, want at=1<<32+7", ev)
+	if ev := w.pop(0, false); ev == nil || ev.at != spilled {
+		t.Fatalf("spill pop = %v, want at=%d", ev, Time(spilled))
 	}
 	if w.len() != 0 {
 		t.Fatalf("len = %d after drain, want 0", w.len())

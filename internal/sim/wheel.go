@@ -5,25 +5,27 @@ import (
 	"sort"
 )
 
-// The hierarchical timing wheel: the engine's production event queue.
+// The hierarchical timing wheel: the engine's event queue.
 //
-// Virtual time is an int64 nanosecond count, split into 8-bit digits.
-// Level l of the wheel has 256 slots of 256^l ns each, so the four
-// levels together cover the 2^32 ns (~4.29 s) of virtual time that
-// shares the current top-level window with the wheel's clock; events
-// scheduled beyond that horizon wait in a (time, seq)-sorted spill
-// list and are pulled into the wheel when the clock reaches their
-// window.
+// Virtual time is an int64 nanosecond count, split into 12-bit digits.
+// Level l of the wheel has 4096 slots of 4096^l ns each, so level 0
+// spans 4096 ns and the three levels together cover the 2^36 ns
+// (~68.7 s) of virtual time that shares the current top-level window
+// with the wheel's clock. Events scheduled beyond that horizon wait in
+// a (time, seq)-sorted spill list and are pulled into the wheel when
+// the clock reaches their window. A fabric hop's arrival, traversal and
+// credit return are all scheduled less than level 0's span ahead of the
+// clock, so most events are placed once and never cascade.
 //
 // A level-0 slot spans exactly 1 ns, so within one rotation every event
-// in it carries the same timestamp; buckets are append-only, pushes
+// in it carries the same timestamp; buckets are FIFO lists, pushes
 // happen in ascending seq order, and cascades preserve relative order —
 // which together make bucket order the (at, seq) FIFO order the engine
 // requires, with no comparisons on the hot path. Insertion is O(1)
-// (pick the level whose window contains the timestamp, append);
-// extraction is O(1) amortized (a 4-word occupancy bitmap per level
-// finds the next non-empty slot; events in higher levels cascade down
-// one level at a time as the clock reaches their window).
+// (pick the level whose window contains the timestamp, append at the
+// bucket's tail); extraction is O(1) amortized (each level's occupancy
+// bitmap and its summary word find the next non-empty slot; events in
+// higher levels cascade down as the clock reaches their window).
 //
 // The wheel's clock (vnow) trails the engine's: it advances to each
 // popped event's timestamp, or to a slot boundary during a cascade —
@@ -31,30 +33,39 @@ import (
 // "in the past" relative to the wheel. When the wheel empties, the
 // clock simply restarts at the next pushed event's timestamp.
 const (
-	wheelBits   = 8
-	wheelSlots  = 1 << wheelBits // 256 slots per level
+	wheelBits   = 12
+	wheelSlots  = 1 << wheelBits // 4096 slots per level
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 4               // horizon: 256^4 ns ≈ 4.29 s
+	wheelLevels = 3               // horizon: 4096^3 ns ≈ 68.7 s
 	wheelWords  = wheelSlots / 64 // occupancy bitmap words per level
 )
 
-// bucket is one wheel slot: an append-ordered event list. head marks the
-// already-popped prefix at level 0, so draining a slot is O(1) per event
-// with the backing array (and its capacity) reused across rotations.
-type bucket struct {
-	evs  []*event
-	head int
-}
+// bucket is one wheel slot: an intrusive FIFO list of events linked
+// through event.next.
+type bucket struct{ head, tail *event }
 
+// wheel is the engine's event queue. The engine keeps two invariants
+// for it:
+//
+//   - push is only called with ev.at >= the timestamp of the most
+//     recently popped event (virtual time never rewinds), and
+//   - seq values are assigned in push order, so (at, seq) is a strict
+//     total order and equal-timestamp events pop FIFO.
+//
+// The zero value is an empty wheel. The fields the hot path touches on
+// every operation come first, ahead of the bucket arrays. The tests in
+// queue_ref_test.go hold the wheel to the firing order of the
+// container/heap queue it replaced, for any push and pop sequence.
 type wheel struct {
-	vnow  Time // trails the engine clock; see the invariant above
-	n     int  // events across all levels plus the spill list
-	level [wheelLevels][wheelSlots]bucket
+	vnow Time // trails the engine clock; see the invariant above
+	n    int  // events across all levels plus the spill list
+	// sum[l] has bit w set iff occ[l][w] is non-zero; occ[l] has bit s
+	// set iff level l's slot s holds an event.
+	sum   [wheelLevels]uint64
 	occ   [wheelLevels][wheelWords]uint64
 	spill []*event // beyond-horizon events, sorted by (at, seq)
+	level [wheelLevels][wheelSlots]bucket
 }
-
-func newWheel() *wheel { return &wheel{} }
 
 func (w *wheel) len() int { return w.n }
 
@@ -63,8 +74,9 @@ func digit(l int, t Time) int {
 	return int(uint64(t)>>uint(l*wheelBits)) & wheelMask
 }
 
-// push inserts ev. The engine guarantees ev.at >= now >= the last
-// popped timestamp (see the queue contract).
+// push inserts ev. It receives the engine clock alongside the event: an
+// empty wheel re-anchors its own clock there, which is what makes the
+// invariants above hold across drain/refill cycles.
 func (w *wheel) push(ev *event, now Time) {
 	if w.n == 0 {
 		// Empty wheel: every window is stale, so re-anchor the clock at
@@ -82,23 +94,41 @@ func (w *wheel) push(ev *event, now Time) {
 // contains ev.at, or to the spill list when ev.at is beyond the
 // horizon. Shared by push, cascade, and the spill drain.
 func (w *wheel) place(ev *event) {
-	at, vn := uint64(ev.at), uint64(w.vnow)
+	diff := uint64(ev.at) ^ uint64(w.vnow)
 	for l := 0; l < wheelLevels; l++ {
-		if shift := uint((l + 1) * wheelBits); at>>shift == vn>>shift {
-			slot := int(at>>uint(l*wheelBits)) & wheelMask
+		if diff>>uint((l+1)*wheelBits) == 0 {
+			slot := digit(l, ev.at)
 			b := &w.level[l][slot]
-			b.evs = append(b.evs, ev)
-			w.occ[l][slot>>6] |= 1 << uint(slot&63)
+			ev.next = nil
+			if b.tail == nil {
+				b.head = ev
+				w.occ[l][slot>>6] |= 1 << uint(slot&63)
+				w.sum[l] |= 1 << uint(slot>>6)
+			} else {
+				b.tail.next = ev
+			}
+			b.tail = ev
 			return
 		}
 	}
 	w.spillInsert(ev)
 }
 
-// pop removes and returns the minimum-(at, seq) event; nil when empty.
-// With bounded true it pops only an event with at <= bound: the wheel
-// may still cascade internally (cascades never advance the clock past
-// bound), but the queue's firing order is untouched.
+// vacate clears the occupancy bits of level l's slot once it is empty.
+func (w *wheel) vacate(l, slot int) {
+	word := slot >> 6
+	if w.occ[l][word] &^= 1 << uint(slot&63); w.occ[l][word] == 0 {
+		w.sum[l] &^= 1 << uint(word)
+	}
+}
+
+// pop removes and returns the minimum-(at, seq) event, or nil when the
+// wheel is empty. With bounded true, pop removes the minimum only when
+// its timestamp is <= bound and otherwise returns nil leaving the
+// queue's firing order intact — that is what lets RunUntil stop exactly
+// at its boundary without peeking-then-popping twice. The wheel may
+// still cascade internally, but cascades never advance the clock past
+// bound.
 func (w *wheel) pop(bound Time, bounded bool) *event {
 	if w.n == 0 {
 		return nil
@@ -109,16 +139,13 @@ func (w *wheel) pop(bound Time, bounded bool) *event {
 		// after the clock's position.
 		if slot, ok := w.scan(0, digit(0, w.vnow)); ok {
 			b := &w.level[0][slot]
-			ev := b.evs[b.head]
+			ev := b.head
 			if bounded && ev.at > bound {
 				return nil
 			}
-			b.evs[b.head] = nil
-			b.head++
-			if b.head == len(b.evs) {
-				b.evs = b.evs[:0]
-				b.head = 0
-				w.occ[0][slot>>6] &^= 1 << uint(slot&63)
+			if b.head = ev.next; b.head == nil {
+				b.tail = nil
+				w.vacate(0, slot)
 			}
 			w.vnow = ev.at
 			w.n--
@@ -146,19 +173,20 @@ func (w *wheel) pop(bound Time, bounded bool) *event {
 	}
 }
 
-// scan returns the first occupied slot >= from at level l.
+// scan returns the first occupied slot >= from at level l: one masked
+// look at from's bitmap word, then one at the summary word for the
+// words after it.
 func (w *wheel) scan(l, from int) (int, bool) {
 	word := from >> 6
-	bs := w.occ[l][word] &^ (1<<uint(from&63) - 1)
-	for {
-		if bs != 0 {
-			return word<<6 + bits.TrailingZeros64(bs), true
-		}
-		if word++; word == wheelWords {
-			return 0, false
-		}
-		bs = w.occ[l][word]
+	if bs := w.occ[l][word] &^ (1<<uint(from&63) - 1); bs != 0 {
+		return word<<6 + bits.TrailingZeros64(bs), true
 	}
+	later := w.sum[l] &^ (1<<uint(word+1) - 1)
+	if later == 0 {
+		return 0, false
+	}
+	word = bits.TrailingZeros64(later)
+	return word<<6 + bits.TrailingZeros64(w.occ[l][word]), true
 }
 
 // scanUp finds the lowest level above 0 with an occupied slot at or
@@ -181,26 +209,26 @@ func (w *wheel) slotStart(l, slot int) Time {
 }
 
 // cascade redistributes one higher-level slot's events into lower
-// levels. Re-placing happens strictly below l (the clock has advanced
-// into the slot's window), so reusing the bucket's backing array is
-// safe; relative order of equal-timestamp events is preserved, keeping
-// every bucket in (at, seq) FIFO order.
+// levels, head to tail. Re-placing happens strictly below l (the clock
+// has advanced into the slot's window) into buckets that are still
+// empty, and relative order of equal-timestamp events is preserved,
+// keeping every bucket in (at, seq) FIFO order.
 func (w *wheel) cascade(l, slot int) {
 	b := &w.level[l][slot]
-	evs := b.evs[b.head:]
-	b.evs = b.evs[:0]
-	b.head = 0
-	w.occ[l][slot>>6] &^= 1 << uint(slot&63)
-	for i, ev := range evs {
+	ev := b.head
+	*b = bucket{}
+	w.vacate(l, slot)
+	for ev != nil {
+		next := ev.next
 		w.place(ev)
-		evs[i] = nil
+		ev = next
 	}
 }
 
 // spillInsert adds a beyond-horizon event, keeping spill (at, seq)
-// sorted. Far-future timers (chaos MTTF schedules, multi-second
-// deadlines) are rare relative to hot-path events, so the O(n) insert
-// is cheaper in practice than a fifth wheel level's cascades.
+// sorted. Timers more than a minute out are rare relative to hot-path
+// events, so the O(n) insert is cheaper in practice than another wheel
+// level's cascades.
 func (w *wheel) spillInsert(ev *event) {
 	i := sort.Search(len(w.spill), func(i int) bool {
 		s := w.spill[i]
