@@ -46,7 +46,7 @@ func (c *plane) Observe(fn Observer) (cancel func()) { return c.hub.observe(fn) 
 func (c *plane) Acquire(p *sim.Proc, req Request) (Lease, error) {
 	// Mint the lease's trace id before the first attempt, so a failed
 	// acquire and the grant it finally becomes share one span chain.
-	req.trace = c.hub.nextTrace()
+	req.tags.Trace = c.hub.nextTrace()
 	attempts := req.retry.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -73,7 +73,7 @@ func (c *plane) Acquire(p *sim.Proc, req Request) (Lease, error) {
 		on = req.On.ID
 	}
 	c.hub.emit(Event{
-		Type: LeaseAcquireFailed, Kind: req.Kind, At: p.Now(), Trace: req.trace,
+		Type: LeaseAcquireFailed, Kind: req.Kind, At: p.Now(), Trace: req.tags.Trace,
 		Recipient: on, Size: req.Size, Err: err.Error(),
 	})
 	return nil, err
@@ -101,7 +101,7 @@ func (c *plane) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
 	if err := r.validate(c.hier); err != nil {
 		return nil, err
 	}
-	l := lease{kind: r.Kind, recipient: r.On, allocID: -1, trace: r.trace, plane: c}
+	l := lease{kind: r.Kind, recipient: r.On, allocID: -1, trace: r.tags.Trace, plane: c}
 	if !r.Kind.direct() {
 		mn, err := c.broker(r.On)
 		if err != nil {
@@ -130,8 +130,7 @@ func (c *plane) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
 // or less when admission degraded a memory grant.
 func grantVia(p *sim.Proc, r Request, mn fabric.NodeID, res monitor.Resource, window uint64) (*monitor.AllocResp, error) {
 	resp, ok := monitor.Alloc(p, r.On.EP, mn, monitor.AllocReq{
-		Res: res, Size: r.Size, WindowBase: window, Scope: r.scope, Policy: r.policy,
-		Latency: r.latency, Trace: r.trace, Tenant: r.tenant, Class: r.class,
+		Res: res, Size: r.Size, WindowBase: window, Scope: r.scope, Tags: r.tags,
 	}, r.timeout)
 	switch {
 	case !ok:
@@ -221,7 +220,7 @@ func (l *lease) event(p *sim.Proc, t EventType) Event {
 func (l *lease) granted(p *sim.Proc, r Request) {
 	ev := l.event(p, LeaseGranted)
 	if l.allocID >= 0 {
-		ev.Tenant, ev.Class = r.tenant, r.class
+		ev.Tenant, ev.Class = r.tags.Tenant, r.tags.Class
 	}
 	l.plane.hub.emit(ev)
 }

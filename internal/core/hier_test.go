@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/tenancy"
 )
 
 // hierTestConfig is the shared small fabric: 3 racks of 2x2x1 meshes
@@ -187,13 +189,97 @@ func TestHierRackLocalCrashStaysLocal(t *testing.T) {
 	}
 }
 
+// TestHierDelegatedDonorCrashMovesDelegation: when the donor of a
+// delegated lease dies but its rack's sub-MN survives, the donor rack's
+// own sweep re-places the lease inside that rack, relocates the remote
+// recipient, and tells the root, whose delegation row then names the
+// new backing — donor and donor base — exactly as the backing row does.
+func TestHierDelegatedDonorCrashMovesDelegation(t *testing.T) {
+	cl := NewHierCluster(hierTestConfig(true))
+	defer cl.Close()
+	// Rack 1 is the only donor rack, and its sub-MN node is no donor
+	// (losing it is TestHierKillSubMN's case).
+	drained := append([]fabric.NodeID{cl.SubNode(1)}, cl.Hier.RackNodes(2)...)
+	for _, id := range drained {
+		if err := cl.Node(int(id)).MemMgr.Reserve(cl.Node(int(id)).MemMgr.Idle()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.RunFor(25 * sim.Millisecond)
+
+	recipient := cl.Node(2) // rack 0
+	reads := 0
+	var old *MemoryLease
+	done := recipient.Run("tenant", func(p *sim.Proc) {
+		// A larger first lease lowers the top of the donor the second
+		// fails over to, so that donor carves the second at a different
+		// base than the dead one did.
+		first, err := acquireMem(p, cl, recipient, 8<<20, WithScope(monitor.ScopeRemoteRack))
+		if err != nil {
+			t.Errorf("borrow: %v", err)
+			return
+		}
+		if old, err = acquireMem(p, cl, recipient, 4<<20, WithScope(monitor.ScopeRemoteRack)); err != nil {
+			t.Errorf("borrow: %v", err)
+			return
+		}
+		if r, _ := cl.Hier.RackOf(old.Donor()); r != 1 || old.Donor() == first.Donor() {
+			t.Errorf("test premise broken: donors %v and %v", first.Donor(), old.Donor())
+			return
+		}
+		cl.Eng.Schedule(sim.Millisecond, func() {
+			cl.Net.SetNodeDown(old.Donor(), true)
+			cl.Agents[old.Donor()].Crash()
+		})
+		rng := sim.NewRNG(31)
+		for i := 0; i < 200; i++ {
+			off := rng.Uint64n(old.Size-2048) &^ 63
+			recipient.EP.CRMA.Fill(p, old.WindowBase+off, 2048)
+			reads++
+			p.Sleep(20 * sim.Microsecond)
+		}
+	})
+	stepUntil(t, cl, done)
+
+	if reads != 200 {
+		t.Fatalf("completed %d of 200 reads", reads)
+	}
+	if got := cl.Root.Stats.Get("root.delegate_moved"); got != 1 {
+		t.Fatalf("root.delegate_moved = %d, want 1", got)
+	}
+	var del monitor.Delegation
+	for _, d := range cl.Root.Delegations() {
+		if d.Trace == old.Trace() {
+			del = d
+		}
+	}
+	var row monitor.Allocation
+	for _, a := range cl.Subs[1].Allocations() {
+		if a.Trace == old.Trace() {
+			row = a
+		}
+	}
+	if row.Donor == old.Donor() || row.DonorBase == old.DonorBase {
+		t.Fatalf("test premise broken: backing moved from %v base %#x to %v base %#x",
+			old.Donor(), old.DonorBase, row.Donor, row.DonorBase)
+	}
+	if del.Donor != row.Donor || del.DonorBase != row.DonorBase {
+		t.Fatalf("delegation names donor %v base %#x, backing row %v base %#x",
+			del.Donor, del.DonorBase, row.Donor, row.DonorBase)
+	}
+}
+
 // TestHierKillSubMN is the rack-scale acceptance test: a recipient in
 // rack 0 streams reads through a lease delegated to rack 1 while the
 // node hosting rack 1's sub-MN (which is also the lease's donor) is
 // killed. The root MN must notice the missed rackbeats and re-delegate
 // the rack's leases onto a surviving rack; the recipient's agent
 // retargets the window and replays what was in flight, so every issued
-// read completes — zero lost completions.
+// read completes — zero lost completions. The lease's tags (trace id,
+// tenant, class, latency class) ride every hop: the backing row and the
+// delegation carry them before the kill and after the re-delegation,
+// and so does the plane's failed-over event. No admission or migration
+// runs here, so the tags change no timing.
 func TestHierKillSubMN(t *testing.T) {
 	const (
 		reads     = 400
@@ -203,13 +289,30 @@ func TestHierKillSubMN(t *testing.T) {
 	defer cl.Close()
 	cl.RunFor(25 * sim.Millisecond)
 
+	var failedOver []Event
+	defer cl.Observe(func(ev Event) {
+		if ev.Type == LeaseFailedOver {
+			failedOver = append(failedOver, ev)
+		}
+	})()
+
 	recipient := cl.Node(2) // rack 0
 	completed := 0
 	var issuedAt, doneAt []sim.Time
 	var lease *MemoryLease
+	// tagged checks one hop's copy of the lease's tags; events carry no
+	// latency class, so their callers pass latency true.
+	tagged := func(where string, trace, tenant uint64, class tenancy.Class, latency bool) {
+		t.Helper()
+		if trace != lease.Trace() || tenant != 7 || class != tenancy.Standard || !latency {
+			t.Errorf("%s carries trace %d, tenant %d, class %v, latency %v; want %d, 7, %v, true",
+				where, trace, tenant, class, latency, lease.Trace(), tenancy.Standard)
+		}
+	}
 	done := recipient.Run("tenant", func(p *sim.Proc) {
 		var err error
-		lease, err = acquireMem(p, cl, recipient, 4<<20, WithScope(monitor.ScopeRemoteRack))
+		lease, err = acquireMem(p, cl, recipient, 4<<20, WithScope(monitor.ScopeRemoteRack),
+			WithTenant(7, tenancy.Standard), WithLatencySensitive())
 		if err != nil {
 			t.Errorf("borrow: %v", err)
 			return
@@ -222,6 +325,13 @@ func TestHierKillSubMN(t *testing.T) {
 			t.Errorf("test premise broken: donor %v, want rack-1 sub-MN %v", lease.Donor(), cl.SubNode(1))
 			return
 		}
+		rows, dels := cl.Subs[1].Allocations(), cl.Root.Delegations()
+		if len(rows) != 1 || len(dels) != 1 {
+			t.Errorf("rack 1 holds %d rows and the root %d delegations, want 1 each", len(rows), len(dels))
+			return
+		}
+		tagged("rack 1's backing row", rows[0].Trace, rows[0].Tenant, rows[0].Class, rows[0].Latency)
+		tagged("the delegation", dels[0].Trace, dels[0].Tenant, dels[0].Class, dels[0].Latency)
 		cl.Eng.Schedule(sim.Millisecond, func() {
 			cl.Net.SetNodeDown(lease.Donor(), true)
 			cl.Agents[lease.Donor()].Crash()
@@ -262,6 +372,13 @@ func TestHierKillSubMN(t *testing.T) {
 	if len(backing) != 1 || backing[0].Donor != dels[0].Donor || backing[0].Deleg != dels[0].ID {
 		t.Fatalf("rack-2 backing row inconsistent with delegation: %+v vs %+v", backing, dels)
 	}
+	tagged("the new backing row", backing[0].Trace, backing[0].Tenant, backing[0].Class, backing[0].Latency)
+	tagged("the re-delegation", dels[0].Trace, dels[0].Tenant, dels[0].Class, dels[0].Latency)
+	if len(failedOver) != 1 {
+		t.Fatalf("plane announced %d failed-over events, want 1", len(failedOver))
+	}
+	ev := failedOver[0]
+	tagged("the failed-over event", ev.Trace, ev.Tenant, ev.Class, true)
 	// The recipient's agent actually retargeted and replayed.
 	if cl.Agents[recipient.ID].Stats.Get("relocate.ok") != 1 {
 		t.Fatal("recipient agent never relocated the window")

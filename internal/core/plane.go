@@ -133,14 +133,12 @@ type Request struct {
 	client    *accel.Client
 	timeout   sim.Dur
 	retry     RetryPolicy
-	policy    string
-	latency   bool
-	tenant    uint64
-	class     tenancy.Class
 
-	// trace is the lease trace id Acquire mints before the first
-	// attempt; every event of the resulting lease carries it.
-	trace uint64
+	// tags are what every hop of a brokered grant forwards and its RAT
+	// row keeps: the options' latency class and tenant, and the lease
+	// trace id Acquire mints before the first attempt, which every event
+	// of the resulting lease carries.
+	tags monitor.Tags
 }
 
 // Option refines a Request.
@@ -206,15 +204,6 @@ func WithClient(c *accel.Client) Option {
 	return func(r *Request) { r.client = c }
 }
 
-// WithPolicy overrides the Monitor Node's placement policy for this one
-// request: the MN's donor walk orders candidates with the named policy
-// (any name in monitor.PolicyNames) instead of its configured default.
-// Applies to every MN-brokered kind — memory, swap, and device walks
-// alike; direct attachments have no donor election to steer.
-func WithPolicy(name string) Option {
-	return func(r *Request) { r.policy = name }
-}
-
 // WithTenant tags an MN-brokered request with the owning tenant's
 // identity and SLO class. On a plane configured with an admission
 // policy (Config.Admission), the MN gates class-tagged grants under
@@ -224,7 +213,7 @@ func WithPolicy(name string) Option {
 // requests (the zero tenancy.ClassNone) bypass admission entirely, so
 // pre-tenancy scenarios are byte-identical.
 func WithTenant(id uint64, class tenancy.Class) Option {
-	return func(r *Request) { r.tenant, r.class = id, class }
+	return func(r *Request) { r.tags.Tenant, r.tags.Class = id, class }
 }
 
 // WithLatencySensitive marks a memory or swap lease's traffic
@@ -234,7 +223,7 @@ func WithTenant(id uint64, class tenancy.Class) Option {
 // pause is exactly what the class forbids. Placement is unchanged; the
 // class only steers migration.
 func WithLatencySensitive() Option {
-	return func(r *Request) { r.latency = true }
+	return func(r *Request) { r.tags.Latency = true }
 }
 
 // Acquire failure classes, surfaced with errors.Is through whatever
@@ -315,28 +304,19 @@ func (r *Request) validate(hier bool) error {
 			return fmt.Errorf("%w: placement scope on a flat plane (no racks)", ErrBadRequest)
 		}
 	}
-	if r.policy != "" {
-		// Policy overrides steer the same donor elections as scopes do.
-		if r.Kind.direct() {
-			return fmt.Errorf("%w: placement policy on a %s request", ErrBadRequest, r.Kind)
-		}
-		if _, ok := monitor.PolicyByName(r.policy); !ok {
-			return fmt.Errorf("%w: unknown placement policy %q (have %v)", ErrBadRequest, r.policy, monitor.PolicyNames())
-		}
-	}
-	if r.latency && r.Kind != Memory && r.Kind != Swap {
+	if r.tags.Latency && r.Kind != Memory && r.Kind != Swap {
 		// The traffic class steers the MN's migration loop, which only
 		// manages memory rows.
 		return fmt.Errorf("%w: latency-sensitive class on a %s request", ErrBadRequest, r.Kind)
 	}
-	if r.class != tenancy.ClassNone {
+	if r.tags.Class != tenancy.ClassNone {
 		// Tenancy classes gate the MN's admission controller; direct
 		// attachments never cross the MN.
 		if r.Kind.direct() {
 			return fmt.Errorf("%w: tenant class on a %s request", ErrBadRequest, r.Kind)
 		}
-		if r.class >= tenancy.NumClasses {
-			return fmt.Errorf("%w: unknown tenant class %d", ErrBadRequest, uint8(r.class))
+		if r.tags.Class >= tenancy.NumClasses {
+			return fmt.Errorf("%w: unknown tenant class %d", ErrBadRequest, uint8(r.tags.Class))
 		}
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/accel"
-	"repro/internal/fabric"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 )
@@ -82,86 +81,6 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if failures != len(cases) {
 		t.Fatalf("observer saw %d acquire-failed events, want %d", failures, len(cases))
-	}
-}
-
-// grantShape is the observable outcome of one memory acquisition:
-// everything that must match for two code paths to be equivalent.
-type grantShape struct {
-	donor            fabric.NodeID
-	window, dbase    uint64
-	size             uint64
-	at               sim.Time
-	allocs, failures int64
-}
-
-// memoryGrant runs one MN-brokered borrow via borrow and reports its
-// shape.
-func memoryGrant(t *testing.T, seed uint64, borrow func(p *sim.Proc, c *Cluster) (*MemoryLease, error)) grantShape {
-	t.Helper()
-	c := NewCluster(Config{StartAgents: true, Seed: seed})
-	defer c.Close()
-	c.RunFor(1 * sim.Second)
-	var g grantShape
-	recipient := c.Node(7)
-	done := recipient.Run("borrow", func(p *sim.Proc) {
-		lease, err := borrow(p, c)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		g = grantShape{
-			donor: lease.Donor(), window: lease.WindowBase, dbase: lease.DonorBase,
-			size: lease.Size, at: p.Now(),
-		}
-	})
-	c.RunFor(30 * sim.Second)
-	if !done.Done() {
-		t.Fatal("borrow wedged")
-	}
-	g.allocs = c.MN.Stats.Get("alloc.memory")
-	g.failures = c.MN.Stats.Get("alloc.failures")
-	return g
-}
-
-// TestWithPolicyOverridesDefault: a per-request placement policy rides
-// the request to the MN and steers the grant, without touching the
-// cluster's default policy — and spelling the default explicitly is a
-// no-op, byte-for-byte.
-func TestWithPolicyOverridesDefault(t *testing.T) {
-	const size = 96 << 20
-	base := memoryGrant(t, 7, func(p *sim.Proc, c *Cluster) (*MemoryLease, error) {
-		return acquireMem(p, c, c.Node(7), size)
-	})
-	explicit := memoryGrant(t, 7, func(p *sim.Proc, c *Cluster) (*MemoryLease, error) {
-		return acquireMem(p, c, c.Node(7), size, WithPolicy("distance"))
-	})
-	if base != explicit {
-		t.Fatalf("explicit default policy changed the grant: %+v != %+v", explicit, base)
-	}
-	// Spread breaks the all-idle tie by node id and lands on node 0 —
-	// three hops from the requester, a donor distance-first never picks.
-	spread := memoryGrant(t, 7, func(p *sim.Proc, c *Cluster) (*MemoryLease, error) {
-		return acquireMem(p, c, c.Node(7), size, WithPolicy("spread"))
-	})
-	if spread.donor == base.donor {
-		t.Fatalf("spread and distance chose the same donor %v — override never reached the MN", spread.donor)
-	}
-
-	// An unregistered policy is a hard request error, rejected before
-	// anything reaches the wire.
-	c := NewCluster(Config{StartAgents: true, Seed: 7})
-	defer c.Close()
-	c.RunFor(1 * sim.Second)
-	done := c.Node(7).Run("badpolicy", func(p *sim.Proc) {
-		_, err := c.Acquire(p, NewRequest(Memory, c.Node(7), size, WithPolicy("no-such-policy")))
-		if !errors.Is(err, ErrBadRequest) {
-			t.Errorf("unknown policy: err = %v, want ErrBadRequest", err)
-		}
-	})
-	c.RunFor(1 * sim.Second)
-	if !done.Done() {
-		t.Fatal("unknown-policy request reached the MN")
 	}
 }
 

@@ -193,20 +193,35 @@ func (a *Agent) probeLinks() []LinkProbe {
 // onHotRemove services the MN's donation request: hot-remove the region
 // from the local OS and export it over CRMA for the recipient.
 func (a *Agent) onHotRemove(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
-	r := req.(*hotRemoveReq)
-	if a.MemMgr.Idle() < r.Size {
-		a.Stats.Add("hotremove.declined", 1)
-		return &hotRemoveResp{OK: false, Err: "insufficient idle memory"}, 32
+	r := req.(*regionReq)
+	resp := a.carve(p, r.Size, "hotremove.declined")
+	if resp.OK {
+		a.export(r, resp.Base)
+		a.Stats.Add("hotremove.ok", 1)
 	}
-	base, err := a.MemMgr.HotRemove(p, r.Size)
+	return resp, 32
+}
+
+// carve hot-removes size bytes from the local OS and answers with the
+// region's base. It declines, bumping the caller's declined counter,
+// when idle memory is short or the hot-remove fails.
+func (a *Agent) carve(p *sim.Proc, size uint64, declined string) *regionResp {
+	if a.MemMgr.Idle() < size {
+		a.Stats.Add(declined, 1)
+		return &regionResp{OK: false, Err: "insufficient idle memory"}
+	}
+	base, err := a.MemMgr.HotRemove(p, size)
 	if err != nil {
-		a.Stats.Add("hotremove.declined", 1)
-		return &hotRemoveResp{OK: false, Err: err.Error()}, 32
+		a.Stats.Add(declined, 1)
+		return &regionResp{OK: false, Err: err.Error()}
 	}
-	e := a.EP.CRMA.Export(r.Recipient, r.RecipientBase, r.Size, base)
-	a.exports[windowKey{recipient: r.Recipient, base: r.RecipientBase}] = e
-	a.Stats.Add("hotremove.ok", 1)
-	return &hotRemoveResp{OK: true, Base: base}, 32
+	return &regionResp{OK: true, Base: base}
+}
+
+// export installs the CRMA export of the region at base to r's window,
+// filed under the window key where a hot-return finds it.
+func (a *Agent) export(r *regionReq, base uint64) {
+	a.exports[r.key()] = a.EP.CRMA.Export(r.Recipient, r.RecipientBase, r.Size, base)
 }
 
 // onRelocate services the MN's lease-failover notice on the recipient:
@@ -244,46 +259,38 @@ func (a *Agent) onRevoke(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 // it unexported so a later spareAttach can hand it out without the
 // hot-plug latency.
 func (a *Agent) onSpareCarve(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
-	r := req.(*spareCarveReq)
-	if a.MemMgr.Idle() < r.Size {
-		a.Stats.Add("spare.declined", 1)
-		return &spareCarveResp{OK: false, Err: "insufficient idle memory"}, 32
+	r := req.(*regionReq)
+	resp := a.carve(p, r.Size, "spare.declined")
+	if resp.OK {
+		a.spares[resp.Base] = r.Size
+		a.Stats.Add("spare.carved", 1)
 	}
-	base, err := a.MemMgr.HotRemove(p, r.Size)
-	if err != nil {
-		a.Stats.Add("spare.declined", 1)
-		return &spareCarveResp{OK: false, Err: err.Error()}, 32
-	}
-	a.spares[base] = r.Size
-	a.Stats.Add("spare.carved", 1)
-	return &spareCarveResp{OK: true, Base: base}, 32
+	return resp, 32
 }
 
 // onSpareAttach exports a parked spare region to a recipient — the
 // failover/migration fast path. The hot-plug already happened at carve
 // time, so this is only the CRMA export install.
 func (a *Agent) onSpareAttach(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
-	r := req.(*spareAttachReq)
-	size, ok := a.spares[r.Base]
-	if !ok || size != r.Size {
+	r := req.(*regionReq)
+	if size, ok := a.spares[r.Base]; !ok || size != r.Size {
 		// The MN's pool entry is stale (we rebooted since the carve, or
 		// this is a duplicate attach): refuse so the MN falls back to an
 		// ordinary hot-remove instead of handing out memory we don't hold.
 		a.Stats.Add("spare.attach_stale", 1)
-		return &spareAttachResp{OK: false, Err: "no such spare region"}, 16
+		return &regionResp{OK: false, Err: "no such spare region"}, 16
 	}
 	delete(a.spares, r.Base)
-	e := a.EP.CRMA.Export(r.Recipient, r.RecipientBase, r.Size, r.Base)
-	a.exports[windowKey{recipient: r.Recipient, base: r.RecipientBase}] = e
+	a.export(r, r.Base)
 	a.Stats.Add("spare.attached", 1)
-	return &spareAttachResp{OK: true}, 16
+	return &regionResp{OK: true}, 16
 }
 
 // onHotReturn tears down a donation: invalidate the export and hot-add
 // the region back into the local OS.
 func (a *Agent) onHotReturn(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
-	r := req.(*hotReturnReq)
-	key := windowKey{recipient: r.Recipient, base: r.RecipientBase}
+	r := req.(*regionReq)
+	key := r.key()
 	e, ok := a.exports[key]
 	if !ok {
 		// Stale or duplicate return (e.g. an orphan replayed after a

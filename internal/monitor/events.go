@@ -54,7 +54,7 @@ func (t LeaseEventType) String() string {
 // LeaseEvent is one recovery transition. Alloc is a copy of the
 // allocation row as of the event (for failed-over events it carries the
 // NEW donor; OldDonor names the one being replaced). Root-MN events
-// synthesize Alloc from the delegation row, so ID is the delegation id
+// carry the delegation row's Allocation, so ID is the delegation id
 // there.
 type LeaseEvent struct {
 	Type     LeaseEventType
@@ -72,20 +72,9 @@ func (m *Monitor) emitLease(t LeaseEventType, a *Allocation, oldDonor fabric.Nod
 }
 
 // emitDelegation hands one recovery transition of a delegation row to
-// the root's sink, synthesized into the Allocation shape sinks already
-// consume.
+// the root's sink: the recipient-facing Allocation the row stands for.
 func (rt *Root) emitDelegation(t LeaseEventType, d *Delegation, oldDonor fabric.NodeID) {
-	if rt.OnLease == nil {
-		return
+	if rt.OnLease != nil {
+		rt.OnLease(LeaseEvent{Type: t, At: rt.EP.Eng.Now(), Alloc: d.Allocation, OldDonor: oldDonor})
 	}
-	rt.OnLease(LeaseEvent{
-		Type: t,
-		At:   rt.EP.Eng.Now(),
-		Alloc: Allocation{
-			ID: d.ID, Kind: d.Kind, Donor: d.Donor, Recipient: d.Recipient,
-			RecipientBase: d.RecipientBase, Size: d.Size, At: d.At, Deleg: d.ID,
-			Trace: d.Trace, Tenant: d.Tenant, Class: d.Class,
-		},
-		OldDonor: oldDonor,
-	})
 }

@@ -17,7 +17,7 @@ import (
 // (caches, scratch, cold tiers), and the recipient-side CRMA replay
 // guarantees no in-flight access is lost.
 
-// Leases carry a traffic class (AllocReq.Latency): bulk by default,
+// Leases carry a traffic class (Tags.Latency): bulk by default,
 // latency-sensitive on request. The scan serves the classes
 // asymmetrically. A hot bulk lease is itself moved somewhere cooler — a
 // max-utilization objective. A hot latency lease is never moved (the

@@ -61,7 +61,8 @@ func moveFree(res Resource, idle *uint64, devs map[Resource]int, delta int64) {
 	}
 }
 
-// Allocation is one row of the Resource Allocation Table.
+// Allocation is one row of the Resource Allocation Table. Its Tags are
+// the granted request's, copied whole.
 type Allocation struct {
 	ID            int
 	Kind          Resource // memory, or the class of a one-unit device lease
@@ -72,28 +73,12 @@ type Allocation struct {
 	Size          uint64
 	At            sim.Time
 
-	// Latency marks a latency-sensitive lease: the migration loop works
-	// for it (moving bulk leases off its hot path) and never moves it —
-	// a retarget-and-replay pause is exactly what the class forbids.
-	Latency bool
-
 	// Deleg is the root MN's delegation id when this row backs a lease
 	// delegated from another rack (the recipient is outside this sub-MN's
 	// rack); 0 for ordinary local grants.
 	Deleg int
 
-	// Trace is the lease trace id the requester minted at Acquire time;
-	// lifecycle events for this row (grant, free, failover, migration,
-	// revocation) carry it so observability layers can chain them into
-	// one per-lease span history. Purely passive.
-	Trace uint64
-
-	// Tenant/Class identify the owning tenant as of the request
-	// (admission.go). Class steers the preemption scan: Preemptible rows
-	// are the victims it may revoke for a higher class. Zero values mark
-	// a pre-tenancy (untagged) lease.
-	Tenant uint64
-	Class  tenancy.Class
+	Tags
 }
 
 // LinkStatus is one row of the Topology Status Table. Util carries the
@@ -385,11 +370,10 @@ func (m *Monitor) onHeartbeat(_ *sim.Proc, from fabric.NodeID, req any) (any, in
 	return &ack{}, 8
 }
 
-// donorCandidates collects live donors and orders them with pol — the
-// per-request policy override when non-nil, else the MN's configured
-// policy, else the prototype default (distance only, §5.3). The policy
-// sees the current telemetry View.
-func (m *Monitor) donorCandidates(requester fabric.NodeID, pol Policy) []*Registration {
+// donorCandidates collects live donors and orders them with the MN's
+// configured policy, else the prototype default (distance only, §5.3).
+// The policy sees the current telemetry View.
+func (m *Monitor) donorCandidates(requester fabric.NodeID) []*Registration {
 	var cands []*Registration
 	for _, r := range m.rrt {
 		if r.Node == requester || !m.NodeAlive(r.Node) {
@@ -397,9 +381,7 @@ func (m *Monitor) donorCandidates(requester fabric.NodeID, pol Policy) []*Regist
 		}
 		cands = append(cands, r)
 	}
-	if pol == nil {
-		pol = m.Policy
-	}
+	pol := m.Policy
 	if pol == nil {
 		pol = DistanceFirst{}
 	}
@@ -415,10 +397,6 @@ func (m *Monitor) donorCandidates(requester fabric.NodeID, pol Policy) []*Regist
 func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	r := req.(*AllocReq)
 	wire := pick(r.Res, 64, 32)
-	pol, ok := m.resolvePolicy(r.Policy)
-	if !ok {
-		return &AllocResp{OK: false, Err: fmt.Sprintf("unknown policy %q", r.Policy)}, wire
-	}
 	// Tagged requests pass the admission controller first: it may admit
 	// the full amount, shrink it (degraded grant), hold the request for a
 	// bounded wait, preempt Preemptible leases for a higher class, or
@@ -435,9 +413,7 @@ func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 		size = g
 	}
 	if r.Scope != ScopeRemoteRack {
-		if a, ok := m.grant(p, from, r.Res, size, r.WindowBase, 0, pol, grantMeta{
-			latency: r.Latency, trace: r.Trace, tenant: r.Tenant, class: r.Class,
-		}); ok {
+		if a, ok := m.grant(p, from, r, size, 0); ok {
 			m.Stats.Add(r.Res.allocKey(), 1)
 			return r.granted(a.ID, a.Donor, a.DonorBase, size), wire
 		}
@@ -461,39 +437,17 @@ func (r *AllocReq) granted(id int, donor fabric.NodeID, donorBase, size uint64) 
 	return resp
 }
 
-// resolvePolicy maps a request's policy-override name onto a Policy:
-// "" means no override (nil — the MN's own policy applies), anything
-// else must be registered.
-func (m *Monitor) resolvePolicy(name string) (Policy, bool) {
-	if name == "" {
-		return nil, true
-	}
-	return PolicyByName(name)
-}
-
-// grantMeta carries the per-request row annotations threaded through the
-// donor walk: the latency-sensitive flag for the migration loop, the
-// requester's lease trace id, and the owning tenant identity for the
-// admission/preemption plane. All passive — none of it steers placement.
-type grantMeta struct {
-	latency bool
-	trace   uint64
-	tenant  uint64
-	class   tenancy.Class
-}
-
-// grant runs the donor walk for amount of res on recipient's behalf:
-// find a live candidate with that much free, run the resource's donor
-// handshake, and record the RAT row. Only the handshake differs by
-// resource: memory asks the donor's agent to hot-remove and export the
-// region at windowBase (hotRemove), a device unit is a table debit and
-// its row carries no window. deleg tags the row with a root delegation
-// id when the grant backs a cross-rack lease; pol, when non-nil,
-// overrides the MN's placement policy for this walk; meta carries the
-// row's passive annotations (latency class, trace id, tenant identity).
-func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, res Resource, amount, windowBase uint64, deleg int, pol Policy, meta grantMeta) (*Allocation, bool) {
-	for _, cand := range m.donorCandidates(recipient, pol) {
-		if cand.free(res) < amount {
+// grant runs the donor walk for amount of r's resource on recipient's
+// behalf: find a live candidate with that much free, run the resource's
+// donor handshake, and record the RAT row with r's tags. Only the
+// handshake differs by resource: memory asks the donor's agent to
+// hot-remove and export the region at r's window (hotRemove), a device
+// unit is a table debit and its row carries no window. deleg tags the
+// row with a root delegation id when the grant backs a cross-rack
+// lease.
+func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, r *AllocReq, amount uint64, deleg int) (*Allocation, bool) {
+	for _, cand := range m.donorCandidates(recipient) {
+		if cand.free(r.Res) < amount {
 			continue
 		}
 		// Cross-check liveness at grant time: the candidate list was
@@ -504,24 +458,24 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, res Resource, amou
 			continue
 		}
 		var donorBase, window uint64
-		if res == Memory {
-			base, ok := m.hotRemove(p, cand, recipient, amount, windowBase, false)
+		if r.Res == Memory {
+			reg := &regionReq{Recipient: recipient, RecipientBase: r.WindowBase, Size: amount}
+			base, ok := m.hotRemove(p, cand, reg, false)
 			if !ok {
 				continue
 			}
-			donorBase, window = base, windowBase
+			donorBase, window = base, r.WindowBase
 		}
 		id := m.nextAllocID
 		m.nextAllocID++
 		a := &Allocation{
-			ID: id, Kind: res, Donor: cand.Node, Recipient: recipient,
+			ID: id, Kind: r.Res, Donor: cand.Node, Recipient: recipient,
 			DonorBase: donorBase, RecipientBase: window,
-			Size: amount, At: m.EP.Eng.Now(), Deleg: deleg, Latency: meta.latency,
-			Trace: meta.trace, Tenant: meta.tenant, Class: meta.class,
+			Size: amount, At: m.EP.Eng.Now(), Deleg: deleg, Tags: r.Tags,
 		}
 		m.rat[id] = a
-		cand.debit(res, amount)
-		if res == Memory {
+		cand.debit(r.Res, amount)
+		if r.Res == Memory {
 			m.topUpSpares()
 		}
 		return a, true
@@ -530,27 +484,21 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, res Resource, amou
 }
 
 // hotRemove is memory's donor handshake: ask cand's agent to hot-remove
-// size bytes and export them to recipient's window. RRT records can be
-// stale, so a donor that declines is marked drained and the walk
+// the region reg names and export it to reg's window. RRT records can
+// be stale, so a donor that declines is marked drained and the walk
 // retries the next candidate (handshake-and-retry, §5.3). The grant
 // walk counts its timeouts and retries under alloc.*, re-placement
 // (recovery) under recover.*.
-func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.NodeID, size, windowBase uint64, recovery bool) (uint64, bool) {
-	hr := &hotRemoveReq{Size: size, Recipient: recipient, RecipientBase: windowBase}
+func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, reg *regionReq, recovery bool) (uint64, bool) {
 	inc := m.incarnationOf(cand.Node)
-	raw, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, hr, m.GrantTimeout)
+	raw, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, reg, m.GrantTimeout)
 	if !ok {
 		// The donor died mid-handshake (its agent never answered);
 		// without the timeout this request would wedge the MN forever.
-		// We cannot know whether the hot-remove happened and its ACK
-		// was lost, so park a cancellation (key-resolved hot-return)
-		// for when the donor is reachable again.
-		m.Stats.Add(either(recovery, "recover.grant_timeouts", "alloc.grant_timeouts"), 1)
-		m.out.park(m.giveBack(cand.Node, &hotReturnReq{Recipient: recipient, RecipientBase: windowBase}), inc)
-		cand.IdleBytes = 0
+		m.lostRegion(cand, reg, inc, either(recovery, "recover.grant_timeouts", "alloc.grant_timeouts"))
 		return 0, false
 	}
-	resp := raw.(*hotRemoveResp)
+	resp := raw.(*regionResp)
 	if !resp.OK {
 		// Stale RRT record; mark what we learned and retry.
 		m.Stats.Add(either(recovery, "recover.retries", "alloc.retries"), 1)
@@ -558,6 +506,17 @@ func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.No
 		return 0, false
 	}
 	return resp.Base, true
+}
+
+// lostRegion handles a hot-remove or spare attach to cand whose answer
+// never came. We cannot know whether the donor exported the region and
+// the answer was lost, so park a cancellation (a hot-return naming only
+// reg's window, which the agent resolves itself) for when the donor is
+// reachable again, and mark it drained.
+func (m *Monitor) lostRegion(cand *Registration, reg *regionReq, inc int64, counter string) {
+	m.Stats.Add(counter, 1)
+	m.out.park(m.giveBack(cand.Node, &regionReq{Recipient: reg.Recipient, RecipientBase: reg.RecipientBase}), inc)
+	cand.IdleBytes = 0
 }
 
 // onFree tears an allocation down by its row's resource, handing the
@@ -574,7 +533,7 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 		// Lost to the spine, the free parks: a dropped free must not leak
 		// the delegation and its donor-rack backing.
 		if !m.out.send(p, letter{
-			to: m.Upstream, kind: kindRackFree, size: 32, req: &rackFreeReq{DelegID: ref.deleg},
+			to: m.Upstream, kind: kindRackFree, size: 32, req: &FreeReq{AllocID: ref.deleg},
 			timeout: 3 * m.GrantTimeout, retried: "free.upstream_retried",
 		}) {
 			m.Stats.Add("free.upstream_lost", 1)
@@ -598,7 +557,7 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 // unreachable, to settle if it reappears un-rebooted), a device unit is
 // a table credit.
 func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
-	if a.Kind == Memory && !m.out.send(p, m.giveBack(a.Donor, a.hotReturn(a.DonorBase))) {
+	if a.Kind == Memory && !m.out.send(p, m.giveBack(a.Donor, a.region(a.DonorBase))) {
 		m.Stats.Add("free.donor_unreachable", 1)
 	}
 	if r, ok := m.rrt[a.Donor]; ok {
@@ -607,7 +566,7 @@ func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
 }
 
 // giveBack is the letter handing the region ret names back to donor.
-func (m *Monitor) giveBack(donor fabric.NodeID, ret *hotReturnReq) letter {
+func (m *Monitor) giveBack(donor fabric.NodeID, ret *regionReq) letter {
 	return letter{
 		to: donor, kind: kindHotReturn, size: 64, req: ret,
 		timeout: m.GrantTimeout, retried: "recover.orphan_returns",

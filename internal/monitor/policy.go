@@ -22,8 +22,7 @@ type Policy interface {
 
 // policyRegistry is the single source of truth for selectable policies:
 // each policy self-registers in an init func, and PolicyByName /
-// PolicyNames / core.WithPolicy validation / venice-bench -list all
-// read from it.
+// PolicyNames / venice-bench -list all read from it.
 var policyRegistry = struct {
 	names []string
 	mk    map[string]func() Policy
@@ -43,9 +42,8 @@ func RegisterPolicy(name string, mk func() Policy) {
 }
 
 // PolicyByName resolves a policy by its registered name — the form the
-// serving scenario sweeps, per-request overrides (core.WithPolicy), and
-// command-line surfaces use. The empty string selects the prototype
-// default (distance-first).
+// serving scenario sweeps and command-line surfaces set Monitor.Policy
+// by. The empty string selects the prototype default (distance-first).
 func PolicyByName(name string) (Policy, bool) {
 	if name == "" {
 		name = "distance"

@@ -160,6 +160,27 @@ const (
 	ScopeRemoteRack
 )
 
+// Tags are a request's passive annotations: no donor walk reads them to
+// place a grant, and the request's wire size is fixed. Every hop
+// forwards them and every RAT row keeps them, whole.
+type Tags struct {
+	// Latency marks a memory lease latency-sensitive: the migration loop
+	// relieves its path by moving bulk leases away, and never retargets
+	// the lease itself (a retarget-and-replay pause is exactly what the
+	// class forbids).
+	Latency bool
+	// Trace is the requester's lease trace id. Every lifecycle event for
+	// the lease (grant, free, failover, migration, revocation) carries
+	// it, so observability layers can chain them into one span history.
+	Trace uint64
+	// Tenant/Class identify the requesting tenant for the admission
+	// controller (tenancy.Config on the MN), and Class steers its
+	// preemption scan, whose victims are Preemptible rows. The zero Class
+	// marks an untagged request, which admission never gates.
+	Tenant uint64
+	Class  tenancy.Class
+}
+
 // AllocReq asks the MN for an amount of one resource: Size bytes of
 // memory, or one unit of a device class (Size is ignored). A memory
 // requester pre-selects the local address window the borrowed region
@@ -172,30 +193,15 @@ type AllocReq struct {
 	// Scope is the hierarchical placement hint; flat clusters ignore it
 	// except ScopeRemoteRack, which fails (there is no other rack).
 	Scope AllocScope
-	// Policy names a registered placement policy to use for this request
-	// instead of the MN's configured one; "" keeps the MN default.
-	Policy string
-	// Latency marks a memory lease latency-sensitive: the migration loop
-	// relieves its path by moving bulk leases away, and never retargets
-	// the lease itself.
-	Latency bool
-	// Trace is the requester's lease trace id; the MN stores it on the
-	// allocation row so recovery and migration events announce the same
-	// id the recipient's grant/release events carry. Purely passive —
-	// it never steers placement, and the request's wire size is fixed.
-	Trace uint64
-	// Tenant/Class identify the requesting tenant for the admission
-	// controller (tenancy.Config on the MN). The zero Class marks an
-	// untagged request, which admission never gates — pre-tenancy
-	// callers keep today's behavior exactly.
-	Tenant uint64
-	Class  tenancy.Class
+	Tags
 }
 
 // amount is the request's size in its resource's unit.
 func (r *AllocReq) amount() uint64 { return pick(r.Res, r.Size, 1) }
 
-// AllocResp answers an AllocReq.
+// AllocResp answers an AllocReq, and every hop that forwards one: a
+// root MN's answer names the delegation id in AllocID, a donor-rack
+// sub-MN's its own RAT row id.
 type AllocResp struct {
 	OK        bool
 	Err       string
@@ -212,7 +218,10 @@ type AllocResp struct {
 	Rejected bool
 }
 
-// FreeReq releases a previous allocation of any resource.
+// FreeReq tears an allocation down by id. The RPC kind says whose id it
+// carries: mn.free a recipient-facing alloc id, root.free and
+// sub.delegatecancel a root delegation id, sub.delegatefree the donor
+// rack's own RAT row id.
 type FreeReq struct {
 	AllocID int
 }
@@ -241,36 +250,45 @@ func Free(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
 	ep.Call(p, mn, kindFree, 16, &FreeReq{AllocID: allocID})
 }
 
-// hotRemoveReq is the MN->donor-agent request to donate memory.
-type hotRemoveReq struct {
-	Size          uint64
-	Recipient     fabric.NodeID
-	RecipientBase uint64
-}
-
-// hotRemoveResp is the donor agent's answer.
-type hotRemoveResp struct {
-	OK   bool
-	Err  string
-	Base uint64
-}
-
-// hotReturnReq is the MN->donor-agent request to take memory back. A
-// zero Size asks the agent to resolve the region from its own export
-// bookkeeping by (Recipient, RecipientBase) — the cancellation form the
-// MN sends when a hot-remove's ACK was lost and it cannot know whether
-// (or where) the donor carved the region.
-type hotReturnReq struct {
+// regionReq names one region to a donor's agent: the recipient window
+// it backs (Recipient, RecipientBase), its donor-local Base and its
+// Size. Each call fills what it knows:
+//   - agent.hotremove: the window and Size; the agent picks Base.
+//   - agent.sparecarve: Size alone. The agent hot-removes the region
+//     now, off any grant's critical path, and parks it unexported.
+//   - agent.spareattach: all four. The parked region at Base is only
+//     exported, with no hot-plug sleep.
+//   - agent.hotreturn: all four. With Size zero it names the window
+//     alone, and the agent resolves the region from its own export
+//     bookkeeping: the cancellation the MN sends when a hot-remove's or
+//     attach's answer was lost and it cannot know whether (or where)
+//     the donor exported the region.
+type regionReq struct {
 	Recipient     fabric.NodeID
 	RecipientBase uint64
 	Base          uint64
 	Size          uint64
 }
 
-// hotReturn asks for the region at base, which backs a's window, to go
-// back to its donor.
-func (a *Allocation) hotReturn(base uint64) *hotReturnReq {
-	return &hotReturnReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase, Base: base, Size: a.Size}
+// key is the window the region is exported to.
+func (r *regionReq) key() windowKey {
+	return windowKey{recipient: r.Recipient, base: r.RecipientBase}
+}
+
+// regionResp is a donor agent's answer to a hot-remove, spare carve or
+// spare attach. Base names the region a carve hot-removed. A declined
+// attach means the agent no longer holds the parked region (e.g. it
+// rebooted since the carve), and the MN falls back to an ordinary
+// hot-remove.
+type regionResp struct {
+	OK   bool
+	Err  string
+	Base uint64
+}
+
+// region names the region at base that backs a's window.
+func (a *Allocation) region(base uint64) *regionReq {
+	return &regionReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase, Base: base, Size: a.Size}
 }
 
 // windowKey identifies one grant by its recipient-unique window (or, for
@@ -279,40 +297,6 @@ func (a *Allocation) hotReturn(base uint64) *hotReturnReq {
 type windowKey struct {
 	recipient fabric.NodeID
 	base      uint64
-}
-
-// spareCarveReq is the MN->donor-agent request to pre-plug a spare
-// region: hot-remove Size bytes now — off any grant's critical path —
-// and park them unexported, so a later failover or migration can attach
-// the region without paying the hot-plug latency.
-type spareCarveReq struct {
-	Size uint64
-}
-
-// spareCarveResp is the donor agent's answer; Base identifies the
-// parked region in later spareAttach requests.
-type spareCarveResp struct {
-	OK   bool
-	Err  string
-	Base uint64
-}
-
-// spareAttachReq is the MN->donor-agent request to export a parked
-// spare region to a recipient. The region is already hot-removed, so
-// the agent only installs the CRMA export — no hot-plug sleep.
-type spareAttachReq struct {
-	Base          uint64
-	Size          uint64
-	Recipient     fabric.NodeID
-	RecipientBase uint64
-}
-
-// spareAttachResp is the donor agent's answer. !OK means the agent no
-// longer holds the parked region (e.g. it rebooted since the carve);
-// the MN falls back to an ordinary hot-remove.
-type spareAttachResp struct {
-	OK  bool
-	Err string
 }
 
 // relocateReq is the MN->recipient-agent notice that a lease's donor has
@@ -369,37 +353,17 @@ type rackBeat struct {
 }
 
 // rackBorrowReq is a sub-MN's escalation to the root MN: its rack
-// cannot (or, under ScopeRemoteRack, must not) back Size of Res (1 unit
-// for a device), so the root elects a donor rack by its free amount of
-// Res and delegates the grant. WindowBase is the borrow's
-// recipient-unique key: the window for memory and, for a device (which
-// has no window), the sub's pre-minted recipient-facing alloc id, so
-// cancellations stay key-resolvable.
+// cannot (or, under ScopeRemoteRack, must not) back the recipient's
+// request, so the root elects a donor rack by its free amount of Res
+// and delegates the grant. The request rides whole, with Size set to
+// the admitted amount (1 unit for a device) and WindowBase to the
+// borrow's recipient-unique key: the window for memory and, for a
+// device (which has no window), the sub's pre-minted recipient-facing
+// alloc id, so cancellations stay key-resolvable.
 type rackBorrowReq struct {
-	Rack       int // requester's rack, excluded from donor election
-	Recipient  fabric.NodeID
-	Res        Resource
-	Size       uint64
-	WindowBase uint64
-	Policy     string        // per-request policy override, forwarded to the donor rack
-	Latency    bool          // latency-sensitive class, forwarded to the donor rack
-	Trace      uint64        // lease trace id, forwarded to the donor rack's RAT row
-	Tenant     uint64        // requesting tenant, forwarded to the donor rack's RAT row
-	Class      tenancy.Class // tenant priority class, forwarded for donor-rack admission
-}
-
-// rackBorrowResp answers a rackBorrowReq.
-type rackBorrowResp struct {
-	OK        bool
-	Err       string
-	DelegID   int
-	Donor     fabric.NodeID
-	DonorBase uint64
-}
-
-// rackFreeReq releases a delegated lease by root delegation id.
-type rackFreeReq struct {
-	DelegID int
+	Rack      int // requester's rack, excluded from donor election
+	Recipient fabric.NodeID
+	AllocReq
 }
 
 // borrowCancelReq is a sub-MN's cancellation of an escalation whose
@@ -429,46 +393,18 @@ type nodeDownReq struct {
 // sweep changed (or revoked) a delegated lease's backing, keeping the
 // root's delegation table truthful across the delegation boundary.
 type delegateMovedReq struct {
-	DelegID int
-	Donor   fabric.NodeID
-	Gone    bool // the sub revoked the lease outright
+	DelegID   int
+	Donor     fabric.NodeID
+	DonorBase uint64
+	Gone      bool // the sub revoked the lease outright
 }
 
 // delegateReq is the root MN's grant request to a donor rack's sub-MN:
-// perform the normal donor walk for a recipient outside the rack.
+// perform the normal donor walk for a recipient outside the rack, on
+// the request a borrow forwarded (or the one a re-delegated row was
+// granted under). The sub answers with an AllocResp naming its RAT row.
 type delegateReq struct {
-	DelegID    int
-	Recipient  fabric.NodeID
-	Res        Resource
-	Size       uint64
-	WindowBase uint64
-	Policy     string        // per-request policy override for the donor walk
-	Latency    bool          // latency-sensitive class for the granted row
-	Trace      uint64        // lease trace id for the granted row
-	Tenant     uint64        // requesting tenant for the granted row
-	Class      tenancy.Class // tenant priority class (donor-rack admission: admit/reject only)
-}
-
-// delegateResp answers a delegateReq.
-type delegateResp struct {
-	OK        bool
-	Err       string
-	AllocID   int // RAT row id at the donor-rack sub-MN
-	Donor     fabric.NodeID
-	DonorBase uint64
-}
-
-// delegateFreeReq asks a donor rack's sub-MN to tear down a delegated
-// lease it is backing, by its local RAT row id.
-type delegateFreeReq struct {
-	AllocID int
-}
-
-// delegateCancelReq is the root MN's cancellation of a delegate call
-// whose response it never saw: the sub resolves the row (if its grant
-// did complete) by the delegation id the request carried — the
-// root-to-sub analogue of the flat plane's key-resolved hot-return
-// cancellation.
-type delegateCancelReq struct {
-	DelegID int
+	DelegID   int
+	Recipient fabric.NodeID
+	AllocReq
 }

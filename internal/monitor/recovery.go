@@ -194,7 +194,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 	t0 := m.EP.Eng.Now()
 	old := *a
 	oldInc := m.incarnationOf(old.Donor)
-	for _, cand := range m.donorCandidates(a.Recipient, nil) {
+	for _, cand := range m.donorCandidates(a.Recipient) {
 		if cand.Node == old.Donor || !m.NodeAlive(cand.Node) || how.accept != nil && !how.accept(cand) {
 			continue
 		}
@@ -260,7 +260,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 			m.Stats.Add(either(how.alive, "migrate.ns", "recover.ns"), int64(m.EP.Eng.Now().Sub(t0)))
 		}
 		m.emitLease(either(how.alive, LeaseMigrated, LeaseFailedOver), a, old.Donor)
-		m.notifyDelegateMoved(p, a.Deleg, a.Donor, false)
+		m.notifyDelegateMoved(p, a, false)
 		return true
 	}
 	switch _, live := m.rat[a.ID]; {
@@ -289,7 +289,7 @@ func (m *Monitor) releaseOld(p *sim.Proc, a *Allocation, inc int64, how replacem
 	case how.alive:
 		m.releaseBacking(p, a)
 	case a.Kind == Memory && !how.rebooted:
-		m.out.park(m.giveBack(a.Donor, a.hotReturn(a.DonorBase)), inc)
+		m.out.park(m.giveBack(a.Donor, a.region(a.DonorBase)), inc)
 	}
 }
 
@@ -340,19 +340,19 @@ func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) 
 	m.Stats.Add(either(how.alive, pick(a.Kind, "preempt.memory", "preempt.device"),
 		pick(a.Kind, "recover.revoked", "recover.devices_dropped")), 1)
 	m.emitLease(either(how.alive, LeasePreempted, LeaseRevoked), a, a.Donor)
-	m.notifyDelegateMoved(p, a.Deleg, a.Donor, true)
+	m.notifyDelegateMoved(p, a, true)
 }
 
-// notifyDelegateMoved tells the root MN that a delegated lease's backing
+// notifyDelegateMoved tells the root MN that delegated row a's backing
 // changed (new donor after a rack-local failover) or is gone (revoked),
 // keeping the root's delegation table truthful. No-op for non-delegated
 // rows and on flat clusters.
-func (m *Monitor) notifyDelegateMoved(p *sim.Proc, deleg int, donor fabric.NodeID, gone bool) {
-	if deleg == 0 || !m.HasUpstream {
+func (m *Monitor) notifyDelegateMoved(p *sim.Proc, a *Allocation, gone bool) {
+	if a.Deleg == 0 || !m.HasUpstream {
 		return
 	}
-	if _, ok := m.EP.CallTimeout(p, m.Upstream, kindDelegateMoved, 32,
-		&delegateMovedReq{DelegID: deleg, Donor: donor, Gone: gone}, m.GrantTimeout); !ok {
+	mv := &delegateMovedReq{DelegID: a.Deleg, Donor: a.Donor, DonorBase: a.DonorBase, Gone: gone}
+	if _, ok := m.EP.CallTimeout(p, m.Upstream, kindDelegateMoved, 32, mv, m.GrantTimeout); !ok {
 		m.Stats.Add("recover.delegatemoved_lost", 1)
 	}
 }
@@ -362,6 +362,6 @@ func (m *Monitor) notifyDelegateMoved(p *sim.Proc, deleg int, donor fabric.NodeI
 // at commit, so it has nothing to undo.
 func (m *Monitor) undoReplacement(p *sim.Proc, cand *Registration, a *Allocation, base uint64) {
 	if a.Kind == Memory {
-		m.out.send(p, m.giveBack(cand.Node, a.hotReturn(base)))
+		m.out.send(p, m.giveBack(cand.Node, a.region(base)))
 	}
 }

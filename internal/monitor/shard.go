@@ -71,24 +71,17 @@ func (rs *RackStatus) debit(res Resource, amount uint64) {
 // whose donor and recipient live in different racks. The donor rack's
 // sub-MN holds the authoritative RAT row (SubAllocID); the root holds
 // the rack-level indirection needed to free, reclaim, and re-delegate.
+//
+// The embedded Allocation is the recipient-facing lease the delegation
+// stands for, tags and all, as the root's recovery events announce it:
+// ID and Deleg are the delegation id, Donor and DonorBase the current
+// backing. A device delegation has Size 1 (one unit) and carries the
+// recipient sub-MN's pre-minted alloc id in RecipientBase.
 type Delegation struct {
-	ID            int
+	Allocation
 	DonorRack     int
 	RecipientRack int
 	SubAllocID    int
-	Donor         fabric.NodeID
-	Recipient     fabric.NodeID
-	RecipientBase uint64
-	Size          uint64
-	At            sim.Time
-	Latency       bool          // latency-sensitive class, preserved across re-delegation
-	Trace         uint64        // lease trace id, preserved across re-delegation
-	Tenant        uint64        // owning tenant, preserved across re-delegation
-	Class         tenancy.Class // tenant priority class, preserved across re-delegation
-	// Kind is the delegated resource. Device delegations have Size 1
-	// (one unit) and carry the recipient sub-MN's pre-minted alloc id in
-	// RecipientBase.
-	Kind Resource
 }
 
 // Root is the root Monitor Node of a sharded plane. It brokers nothing
@@ -285,13 +278,14 @@ func (rt *Root) delegateTimeout() sim.Dur { return 3 * rt.GrantTimeout }
 // property the escalation cancellation (cancelBorrow) relies on.
 const rootBorrowCandidates = 2
 
-// delegateTo asks one rack's sub-MN to back a delegation, keeping the
-// registry's free account of the resource: a declining or unreachable
-// rack is marked drained of it. Shared by the borrow election and
-// rack-death re-delegation so decline/timeout handling cannot drift
-// between them.
-func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*delegateResp, bool) {
-	raw, ok := rt.EP.CallTimeout(p, rs.Sub, kindDelegate, 64, req, rt.delegateTimeout())
+// delegateTo asks one rack's sub-MN to back delegation d with req,
+// keeping the registry's free account of the resource: a declining or
+// unreachable rack is marked drained of it. On success d names its new
+// backing. Shared by the borrow election and rack-death re-delegation
+// so decline/timeout handling cannot drift between them.
+func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, d *Delegation, req AllocReq) bool {
+	dr := &delegateReq{DelegID: d.ID, Recipient: d.Recipient, AllocReq: req}
+	raw, ok := rt.EP.CallTimeout(p, rs.Sub, kindDelegate, 64, dr, rt.delegateTimeout())
 	if !ok {
 		// The sub may have granted and lost the response; park a
 		// key-resolved cancellation so the orphaned row (and region)
@@ -301,26 +295,28 @@ func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, req *delegateReq) (*dele
 		// rack; the cancel is then aimed at the live backing and goes
 		// stale.
 		rt.Stats.Add("root.delegate_timeouts", 1)
-		id, rack := req.DelegID, rs.Rack
+		id, rack := d.ID, rs.Rack
 		rt.out.park(letter{
-			to: rs.Sub, kind: kindDelegateCancel, size: 32, req: &delegateCancelReq{DelegID: id},
+			to: rs.Sub, kind: kindDelegateCancel, size: 32, req: &FreeReq{AllocID: id},
 			timeout: rt.delegateTimeout(), retried: "root.delegates_cancelled",
 			stale: func() bool {
-				d, live := rt.dels[id]
-				return live && d.DonorRack == rack
+				cur, live := rt.dels[id]
+				return live && cur.DonorRack == rack
 			},
 		}, 0)
 		rs.debit(req.Res, rs.free(req.Res))
-		return nil, false
+		return false
 	}
-	resp := raw.(*delegateResp)
+	resp := raw.(*AllocResp)
 	if !resp.OK {
 		rt.Stats.Add("root.delegate_declines", 1)
 		rs.debit(req.Res, rs.free(req.Res))
-		return nil, false
+		return false
 	}
 	rs.debit(req.Res, req.Size)
-	return resp, true
+	d.DonorRack, d.SubAllocID = rs.Rack, resp.AllocID
+	d.Donor, d.DonorBase, d.At = resp.Donor, resp.DonorBase, rt.EP.Eng.Now()
+	return true
 }
 
 // onRackBorrow services a sub-MN's escalation: elect a donor rack and
@@ -333,24 +329,16 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	key := windowKey{recipient: r.Recipient, base: r.WindowBase}
 	id := rt.nextDelegID
 	rt.nextDelegID++
+	d := &Delegation{RecipientRack: r.Rack, Allocation: Allocation{
+		ID: id, Kind: r.Res, Recipient: r.Recipient, RecipientBase: r.WindowBase,
+		Size: r.Size, Deleg: id, Tags: r.Tags,
+	}}
 	for tried, rs := range rt.donorRacks(r.Rack, r.Res, r.Size) {
 		if tried >= rootBorrowCandidates {
 			break
 		}
-		resp, ok := rt.delegateTo(p, rs, &delegateReq{
-			DelegID: id, Recipient: r.Recipient, Res: r.Res, Size: r.Size, WindowBase: r.WindowBase,
-			Policy: r.Policy, Latency: r.Latency, Trace: r.Trace,
-			Tenant: r.Tenant, Class: r.Class,
-		})
-		if !ok {
+		if !rt.delegateTo(p, rs, d, r.AllocReq) {
 			continue
-		}
-		d := &Delegation{
-			ID: id, DonorRack: rs.Rack, RecipientRack: r.Rack,
-			SubAllocID: resp.AllocID, Donor: resp.Donor,
-			Recipient: r.Recipient, RecipientBase: r.WindowBase,
-			Size: r.Size, At: rt.EP.Eng.Now(), Latency: r.Latency, Trace: r.Trace,
-			Tenant: r.Tenant, Class: r.Class, Kind: r.Res,
 		}
 		if rt.cancelled[key] {
 			// The requesting sub gave up and cancelled while this
@@ -360,15 +348,15 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			delete(rt.cancelled, key)
 			rt.freeBacking(p, d)
 			rt.Stats.Add("root.borrows_cancelled", 1)
-			return &rackBorrowResp{OK: false, Err: "borrow cancelled by requester"}, 64
+			return &AllocResp{OK: false, Err: "borrow cancelled by requester"}, 64
 		}
 		rt.dels[id] = d
 		rt.Stats.Add("root.delegated", 1)
-		return &rackBorrowResp{OK: true, DelegID: id, Donor: resp.Donor, DonorBase: resp.DonorBase}, 64
+		return &AllocResp{OK: true, AllocID: id, Donor: d.Donor, DonorBase: d.DonorBase}, 64
 	}
 	delete(rt.cancelled, key) // a failed election has nothing to cancel
 	rt.Stats.Add("root.borrow_failures", 1)
-	return &rackBorrowResp{OK: false, Err: fmt.Sprintf(pick(r.Res,
+	return &AllocResp{OK: false, Err: fmt.Sprintf(pick(r.Res,
 		"no rack with %[1]d idle bytes", "no rack with a free %[2]s"), r.Size, r.Res)}, 64
 }
 
@@ -404,12 +392,12 @@ func (rt *Root) onBorrowCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, int)
 // onRackFree releases a delegated lease: tear down the donor-rack
 // backing through its sub-MN and drop the delegation row.
 func (rt *Root) onRackFree(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
-	f := req.(*rackFreeReq)
-	d, ok := rt.dels[f.DelegID]
+	f := req.(*FreeReq)
+	d, ok := rt.dels[f.AllocID]
 	if !ok {
 		return &ack{}, 8
 	}
-	delete(rt.dels, f.DelegID)
+	delete(rt.dels, f.AllocID)
 	rt.freeBacking(p, d)
 	rt.Stats.Add("root.freed", 1)
 	return &ack{}, 8
@@ -435,7 +423,7 @@ func (rt *Root) freeBacking(p *sim.Proc, d *Delegation) {
 // lease moved elsewhere while the rack was presumed dead.
 func (rt *Root) delegateFree(rack, id int) letter {
 	return letter{
-		to: rt.racks[rack].Sub, kind: kindDelegateFree, size: 32, req: &delegateFreeReq{AllocID: id},
+		to: rt.racks[rack].Sub, kind: kindDelegateFree, size: 32, req: &FreeReq{AllocID: id},
 		timeout: rt.delegateTimeout(), retried: "root.tombstones_flushed",
 	}
 }
@@ -482,8 +470,7 @@ func (rt *Root) onDelegateMoved(_ *sim.Proc, from fabric.NodeID, req any) (any, 
 		rt.Stats.Add("root.delegate_revoked", 1)
 		return &ack{}, 8
 	}
-	d.Donor = mv.Donor
-	d.At = rt.EP.Eng.Now()
+	d.Donor, d.DonorBase, d.At = mv.Donor, mv.DonorBase, rt.EP.Eng.Now()
 	rt.Stats.Add("root.delegate_moved", 1)
 	return &ack{}, 8
 }
@@ -551,16 +538,13 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 		rt.out.park(rt.delegateFree(dead, d.SubAllocID), 0)
 		oldDonor := d.Donor
 		moved := false
+		// Resend the request the row was granted under: its admitted
+		// amount, its key and its tags.
+		req := AllocReq{Res: d.Kind, Size: d.Size, WindowBase: d.RecipientBase, Tags: d.Tags}
 		for _, rs := range rt.donorRacks(dead, d.Kind, d.Size) {
-			resp, ok := rt.delegateTo(p, rs, &delegateReq{
-				DelegID: d.ID, Recipient: d.Recipient, Res: d.Kind, Size: d.Size, WindowBase: d.RecipientBase,
-				Latency: d.Latency, Trace: d.Trace, Tenant: d.Tenant, Class: d.Class,
-			})
-			if !ok {
+			if !rt.delegateTo(p, rs, d, req) {
 				continue
 			}
-			d.DonorRack, d.Donor, d.SubAllocID = rs.Rack, resp.Donor, resp.AllocID
-			d.At = rt.EP.Eng.Now()
 			if d.Kind == Memory {
 				// Device leases carry no hot-plugged window: recipients
 				// learn the new donor from the lease-lifecycle event and
@@ -568,7 +552,7 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 				// need the agent-level relocate.
 				rel := &relocateReq{
 					AllocID: d.SubAllocID, RecipientBase: d.RecipientBase, Size: d.Size,
-					OldDonor: oldDonor, NewDonor: resp.Donor, NewDonorBase: resp.DonorBase,
+					OldDonor: oldDonor, NewDonor: d.Donor, NewDonorBase: d.DonorBase,
 				}
 				rt.deliverRelocate(p, d, rel)
 			}
@@ -712,10 +696,8 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 		m.nextAllocID++
 		key = uint64(id)
 	}
-	req := &rackBorrowReq{
-		Rack: m.Rack, Recipient: from, Res: r.Res, Size: size, WindowBase: key,
-		Policy: r.Policy, Latency: r.Latency, Trace: r.Trace, Tenant: r.Tenant, Class: r.Class,
-	}
+	req := &rackBorrowReq{Rack: m.Rack, Recipient: from, AllocReq: *r}
+	req.Size, req.WindowBase = size, key
 	raw, ok := m.EP.CallTimeout(p, m.Upstream, kindRackBorrow, 64, req, m.borrowTimeout())
 	if !ok {
 		// The response is lost (or the root outran our patience, which
@@ -734,7 +716,7 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 		}
 		return nil
 	}
-	resp := raw.(*rackBorrowResp)
+	resp := raw.(*AllocResp)
 	if !resp.OK {
 		m.Stats.Add("alloc.upstream_declines", 1)
 		return nil
@@ -743,7 +725,7 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 		id = m.nextAllocID
 		m.nextAllocID++
 	}
-	m.delegated[id] = delegatedLease{deleg: resp.DelegID, recipient: from}
+	m.delegated[id] = delegatedLease{deleg: resp.AllocID, recipient: from}
 	m.Stats.Add("alloc.delegated", 1)
 	return r.granted(id, resp.Donor, resp.DonorBase, size)
 }
@@ -767,26 +749,17 @@ type delegatedLease struct {
 // tries the next candidate rack.
 func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*delegateReq)
-	pol, ok := m.resolvePolicy(r.Policy)
+	if m.Admission != nil && r.Class != tenancy.ClassNone && !m.admitDelegate(p, r) {
+		m.Stats.Add("admit.delegate_declined", 1)
+		return &AllocResp{OK: false, Err: "admission: donor rack over budget"}, 64
+	}
+	a, ok := m.grant(p, r.Recipient, &r.AllocReq, r.Size, r.DelegID)
 	if !ok {
 		m.Stats.Add("delegate.declined", 1)
-		return &delegateResp{OK: false, Err: fmt.Sprintf("unknown policy %q", r.Policy)}, 64
-	}
-	if m.Admission != nil && r.Class != tenancy.ClassNone {
-		if !m.admitDelegate(p, r) {
-			m.Stats.Add("admit.delegate_declined", 1)
-			return &delegateResp{OK: false, Err: "admission: donor rack over budget"}, 64
-		}
-	}
-	a, ok := m.grant(p, r.Recipient, r.Res, r.Size, r.WindowBase, r.DelegID, pol, grantMeta{
-		latency: r.Latency, trace: r.Trace, tenant: r.Tenant, class: r.Class,
-	})
-	if !ok {
-		m.Stats.Add("delegate.declined", 1)
-		return &delegateResp{OK: false, Err: "no rack donor"}, 64
+		return &AllocResp{OK: false, Err: "no rack donor"}, 64
 	}
 	m.Stats.Add("delegate.granted", 1)
-	return &delegateResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}, 64
+	return &AllocResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}, 64
 }
 
 // admitDelegate is the donor-rack admission check for one delegated
@@ -807,7 +780,7 @@ func (m *Monitor) admitDelegate(p *sim.Proc, r *delegateReq) bool {
 // onDelegateFree services the root MN's teardown of a delegated lease
 // this rack is backing.
 func (m *Monitor) onDelegateFree(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
-	f := req.(*delegateFreeReq)
+	f := req.(*FreeReq)
 	a, ok := m.rat[f.AllocID]
 	if !ok || a.Deleg == 0 {
 		return &ack{}, 8
@@ -823,10 +796,10 @@ func (m *Monitor) onDelegateFree(p *sim.Proc, _ fabric.NodeID, req any) (any, in
 // here, the row (found by its delegation tag) is torn down; otherwise
 // this is a no-op.
 func (m *Monitor) onDelegateCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
-	c := req.(*delegateCancelReq)
+	c := req.(*FreeReq)
 	for _, id := range sortedKeys(m.rat) {
 		a, ok := m.rat[id]
-		if !ok || a.Deleg != c.DelegID {
+		if !ok || a.Deleg != c.AllocID {
 			continue
 		}
 		delete(m.rat, id)

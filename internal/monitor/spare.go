@@ -122,7 +122,7 @@ func (m *Monitor) carveSpare(donor fabric.NodeID) {
 	m.EP.Eng.Go("mn-spare", func(p *sim.Proc) {
 		defer func() { m.sparePending[donor]-- }()
 		raw, ok := m.EP.CallTimeout(p, donor, kindSpareCarve, 32,
-			&spareCarveReq{Size: m.spareSize}, m.GrantTimeout)
+			&regionReq{Size: m.spareSize}, m.GrantTimeout)
 		if !ok {
 			// Outcome unknown (donor died mid-carve). Unlike a grant there
 			// is no recipient key to cancel by; if the donor comes back
@@ -132,7 +132,7 @@ func (m *Monitor) carveSpare(donor fabric.NodeID) {
 			m.Stats.Add("spare.carve_lost", 1)
 			return
 		}
-		resp := raw.(*spareCarveResp)
+		resp := raw.(*regionResp)
 		if !resp.OK {
 			m.Stats.Add("spare.carve_declined", 1)
 			return
@@ -158,22 +158,16 @@ func (m *Monitor) replacementBacking(p *sim.Proc, cand *Registration, a *Allocat
 		return 0, false, cand.free(a.Kind) >= a.Size
 	}
 	if sp, found := m.takeSpare(cand.Node, a.Size); found {
-		att := &spareAttachReq{
-			Base: sp.base, Size: sp.size,
-			Recipient: a.Recipient, RecipientBase: a.RecipientBase,
-		}
+		att := a.region(sp.base)
 		inc := m.incarnationOf(cand.Node)
 		raw, delivered := m.EP.CallTimeout(p, cand.Node, kindSpareAttach, 64, att, m.GrantTimeout)
 		switch {
 		case !delivered:
 			// The donor died mid-attach and the export may or may not have
-			// been installed: park a key-resolved cancellation, same as a
-			// lost hot-remove ACK.
-			m.Stats.Add("recover.grant_timeouts", 1)
-			m.out.park(m.giveBack(cand.Node, &hotReturnReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase}), inc)
-			cand.IdleBytes = 0
+			// been installed, same as a lost hot-remove ACK.
+			m.lostRegion(cand, att, inc, "recover.grant_timeouts")
 			return 0, false, false
-		case raw.(*spareAttachResp).OK:
+		case raw.(*regionResp).OK:
 			m.Stats.Add("recover.spare_attached", 1)
 			m.topUpSpares() // replace the consumed spare asynchronously
 			return sp.base, true, true
@@ -188,6 +182,6 @@ func (m *Monitor) replacementBacking(p *sim.Proc, cand *Registration, a *Allocat
 		// bytes were debited when it was carved.
 		return 0, false, false
 	}
-	base, ok = m.hotRemove(p, cand, a.Recipient, a.Size, a.RecipientBase, true)
+	base, ok = m.hotRemove(p, cand, a.region(0), true)
 	return base, false, ok
 }

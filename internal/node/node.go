@@ -29,20 +29,6 @@ type Node struct {
 	hotplugBase uint64
 }
 
-// memAdapter charges donor-side memory service through the node's
-// parameters (remote requests do not pollute the recipient-visible
-// cache: the paper's single-subscriber model gives the region to exactly
-// one owner, and the donor's own accesses to it have been hot-removed).
-type memAdapter struct{ p *sim.Params }
-
-func (m memAdapter) Service(_ uint64, size int, _ bool) sim.Dur {
-	bursts := (size + 63) / 64
-	if bursts < 1 {
-		bursts = 1
-	}
-	return m.p.DRAMLat + sim.Dur(bursts-1)*(m.p.DRAMLat/4)
-}
-
 // New builds a node with dramBytes of local memory mapped at address 0.
 func New(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.NodeID, dramBytes uint64) *Node {
 	n := &Node{
@@ -54,7 +40,6 @@ func New(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.NodeID, 
 		MemMgr:    memsys.NewMemManager(p, dramBytes),
 		DRAMBytes: dramBytes,
 	}
-	n.EP.Mem = memAdapter{p}
 	if err := n.Mem.AS.Add(&memsys.Region{Base: 0, Size: dramBytes,
 		Backend: &memsys.LocalDRAM{P: p}}); err != nil {
 		panic(err)

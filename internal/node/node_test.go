@@ -89,14 +89,46 @@ func TestNodeLocalMemoryTiming(t *testing.T) {
 	}
 }
 
-func TestNodeMemServiceAdapter(t *testing.T) {
+// remoteFill times one CRMA read of size bytes from a donor node's
+// exported memory, with the donor's DRAM latency set to dramLat.
+func remoteFill(t *testing.T, dramLat sim.Dur, size int) sim.Dur {
+	eng := sim.New()
+	defer eng.Close()
 	p := sim.Default()
-	svc := memAdapter{&p}
-	if svc.Service(0, 64, false) != p.DRAMLat {
-		t.Fatal("single-line service should cost one DRAM access")
+	p.DRAMLat = dramLat
+	net := fabric.NewNetwork(eng, &p, fabric.Pair(), sim.NewRNG(1))
+	recip := New(eng, &p, net, 0, 1<<30)
+	donor := New(eng, &p, net, 1, 1<<30)
+
+	const window = 1 << 16
+	win := recip.NextHotplugWindow(window)
+	donor.EP.CRMA.Export(0, win, window, 0)
+	if _, err := recip.EP.CRMA.Map(win, window, 1, 0); err != nil {
+		t.Fatal(err)
 	}
-	if svc.Service(0, 4096, false) <= p.DRAMLat {
-		t.Fatal("page-sized service should cost more than one access")
+	var elapsed sim.Dur
+	recip.Run("fill", func(pr *sim.Proc) {
+		t0 := pr.Now()
+		recip.EP.CRMA.Fill(pr, win, size)
+		elapsed = pr.Now().Sub(t0)
+	})
+	eng.Run()
+	return elapsed
+}
+
+func TestNodeMemServiceAdapter(t *testing.T) {
+	// The donor's memory service is the only part of a remote fill that
+	// DRAM latency moves: raising it by d must slow a single-line fill by
+	// exactly one access, and a page-sized fill by more.
+	p := sim.Default()
+	const d = 40 * sim.Nanosecond
+	line := remoteFill(t, p.DRAMLat+d, 64) - remoteFill(t, p.DRAMLat, 64)
+	if line != d {
+		t.Fatalf("single-line service grew by %v, want one DRAM access %v", line, d)
+	}
+	page := remoteFill(t, p.DRAMLat+d, 4096) - remoteFill(t, p.DRAMLat, 4096)
+	if page <= d {
+		t.Fatalf("page-sized service grew by %v, want more than one access %v", page, d)
 	}
 }
 

@@ -6,66 +6,6 @@ import (
 	"sort"
 )
 
-// RunningStat accumulates count/mean/variance/min/max in one pass
-// (Welford's algorithm). The zero value is ready to use.
-type RunningStat struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (s *RunningStat) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// AddDur records a duration observation in nanoseconds.
-func (s *RunningStat) AddDur(d Dur) { s.Add(float64(d)) }
-
-// N reports the number of observations.
-func (s *RunningStat) N() int64 { return s.n }
-
-// Mean reports the arithmetic mean (0 with no observations).
-func (s *RunningStat) Mean() float64 { return s.mean }
-
-// Min reports the smallest observation (0 with no observations).
-func (s *RunningStat) Min() float64 { return s.min }
-
-// Max reports the largest observation (0 with no observations).
-func (s *RunningStat) Max() float64 { return s.max }
-
-// Sum reports the total of all observations.
-func (s *RunningStat) Sum() float64 { return s.mean * float64(s.n) }
-
-// StdDev reports the sample standard deviation.
-func (s *RunningStat) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// String summarizes the statistic for logs.
-func (s *RunningStat) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g min=%.3g max=%.3g sd=%.3g",
-		s.n, s.mean, s.min, s.max, s.StdDev())
-}
-
 func log2(v uint64) int {
 	n := 0
 	for v > 1 {
@@ -270,20 +210,6 @@ func (h *LatencyHist) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g p50=%d p90=%d p99=%d p999=%d max=%d",
 		h.n, h.Mean(), h.Quantile(50), h.Quantile(90), h.Quantile(99), h.Quantile(99.9), h.Max())
 }
-
-// Counter is a named monotonically increasing count.
-type Counter struct {
-	v int64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v += n }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v }
 
 // Scoreboard is a string-keyed set of counters used by components to
 // export ad-hoc metrics without new fields. The zero value is ready to

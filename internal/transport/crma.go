@@ -11,7 +11,7 @@ import (
 // crmaReq is a cacheline fetch or store crossing the fabric.
 type crmaReq struct {
 	id    uint64
-	addr  uint64 // requester-local address; translated by the donor's table
+	addr  uint64 // requester-local address; the donor checks it against its exports
 	size  int
 	write bool
 }
@@ -59,11 +59,6 @@ type RAMTEntry struct {
 // contains reports whether addr falls inside the entry's local window.
 func (e *RAMTEntry) contains(addr uint64) bool {
 	return e.Valid && addr >= e.LocalBase && addr < e.LocalBase+e.Size
-}
-
-// translate maps a requester-local address to the donor-local address.
-func (e *RAMTEntry) translate(addr uint64) uint64 {
-	return e.RemoteBase + (addr - e.LocalBase)
 }
 
 // CRMAStats counts CRMA channel activity.
@@ -341,12 +336,11 @@ func (c *CRMA) lookupExport(from fabric.NodeID, addr uint64) (*RAMTEntry, bool) 
 	return nil, false
 }
 
-// handleReq services a remote fill or store at the donor: translate
-// through the export table, access memory, respond (for reads) after the
-// memory service time.
+// handleReq services a remote fill or store at the donor: check the
+// export table, access memory, respond (for reads) after the memory
+// service time.
 func (c *CRMA) handleReq(pkt *fabric.Packet, m *crmaReq) {
-	e, ok := c.lookupExport(pkt.Src, m.addr)
-	if !ok {
+	if _, ok := c.lookupExport(pkt.Src, m.addr); !ok {
 		// A rebooted donor forgot its exports: drop the request (the
 		// requester's lease will be re-placed by the Monitor Node and the
 		// access replayed) instead of crashing the simulation.
@@ -354,8 +348,7 @@ func (c *CRMA) handleReq(pkt *fabric.Packet, m *crmaReq) {
 		return
 	}
 	c.Stats.Served++
-	local := e.translate(m.addr)
-	svc := c.ep.Mem.Service(local, m.size, m.write)
+	svc := memService(c.ep.P, m.size)
 	r := c.replies.get()
 	r.to, r.resp = pkt.Src, crmaResp{id: m.id}
 	r.size = m.size // read response carries data

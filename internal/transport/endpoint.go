@@ -13,26 +13,15 @@ import (
 	"repro/internal/sim"
 )
 
-// MemService models the donor-side memory being read or written when a
-// remote request arrives. The node layer wires in its memory system; the
-// default charges one DRAM access per request.
-type MemService interface {
-	// Service returns the time to satisfy an access of size bytes at
-	// addr. write distinguishes stores from loads.
-	Service(addr uint64, size int, write bool) sim.Dur
-}
-
-// flatDRAM is the default MemService: every request costs one DRAM access
-// plus streaming time proportional to size.
-type flatDRAM struct{ p *sim.Params }
-
-func (f flatDRAM) Service(_ uint64, size int, _ bool) sim.Dur {
-	// 64 B per DRAM burst beyond the first.
-	bursts := (size + 63) / 64
-	if bursts < 1 {
-		bursts = 1
-	}
-	return f.p.DRAMLat + sim.Dur(bursts-1)*(f.p.DRAMLat/4)
+// memService is the donor-side memory time to serve a remote access of
+// size bytes, load or store alike: one DRAM access, plus a quarter of
+// one per 64 B burst beyond the first. Remote requests do not touch the
+// donor's caches: the paper's single-subscriber model gives the region
+// to exactly one owner, and the donor's own accesses to it have been
+// hot-removed.
+func memService(p *sim.Params, size int) sim.Dur {
+	bursts := max((size+63)/64, 1)
+	return p.DRAMLat + sim.Dur(bursts-1)*(p.DRAMLat/4)
 }
 
 // Handler processes an incoming raw packet addressed to a registered kind.
@@ -53,8 +42,6 @@ type Endpoint struct {
 
 	CRMA *CRMA
 	RDMA *RDMA
-
-	Mem MemService
 
 	qpairs    map[int]*QPair
 	handlers  map[string]Handler
@@ -157,7 +144,6 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		P:        p,
 		Net:      net,
 		ID:       id,
-		Mem:      flatDRAM{p},
 		qpairs:   make(map[int]*QPair),
 		handlers: make(map[string]Handler),
 		calls:    make(map[string]CallHandler),

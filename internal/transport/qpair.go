@@ -71,7 +71,6 @@ type QPairStats struct {
 	OutOfOrder  int64
 	CreditStall sim.Dur // total time the sender spent blocked on credits
 	CreditsSent int64
-	MsgLat      sim.RunningStat
 }
 
 // QPair is one endpoint of a bidirectional user-level channel between two
@@ -184,7 +183,6 @@ func (q *QPair) release(from fabric.NodeID, m *qpMsg) {
 	q.Stats.Received++
 	q.Stats.BytesRecv += int64(m.size)
 	lat := q.ep.Eng.Now().Sub(m.sent)
-	q.Stats.MsgLat.AddDur(lat)
 	q.recvQ.TryPush(&Message{From: from, Size: m.size, Data: m.data, Latency: lat})
 }
 

@@ -223,7 +223,7 @@ func (r *RDMA) handleReq(pkt *fabric.Packet, m *rdmaReq) {
 		s := r.sends.get()
 		s.to, s.c = pkt.Src, r.chunk(m, i)
 		s.c.resp = true
-		elapsed += r.ep.Mem.Service(s.c.addr, s.c.size, false)
+		elapsed += memService(r.ep.P, s.c.size)
 		r.Stats.BytesOut += int64(s.c.size)
 		r.ep.Eng.At(r.ep.Eng.Now().Add(elapsed), s.onSend)
 	}
@@ -248,7 +248,7 @@ func (r *RDMA) handleChunk(pkt *fabric.Packet, m *rdmaChunk) {
 	}
 	// Donor side of a write: absorb into memory; ack the last chunk and
 	// deliver any immediate note once the data is in memory.
-	svc := r.ep.Mem.Service(m.addr, m.size, true)
+	svc := memService(r.ep.P, m.size)
 	if m.last {
 		s := r.sends.get()
 		s.to, s.c = pkt.Src, *m

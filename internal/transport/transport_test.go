@@ -117,9 +117,6 @@ func TestCRMALookupTranslateUnmap(t *testing.T) {
 	if _, ok := r.a.CRMA.Lookup(0x1_0000_4000); ok {
 		t.Fatal("Lookup hit one past the window end")
 	}
-	if want := uint64(0x9000_2000); e.translate(0x1_0000_2000) != want {
-		t.Fatalf("translate = %#x, want %#x", e.translate(0x1_0000_2000), want)
-	}
 	r.a.CRMA.Unmap(e)
 	if _, ok := r.a.CRMA.Lookup(0x1_0000_2000); ok {
 		t.Fatal("Lookup hit an unmapped entry")
@@ -422,9 +419,11 @@ func TestChannelAndPatternStrings(t *testing.T) {
 
 func TestMemServiceScalesWithSize(t *testing.T) {
 	p := sim.Default()
-	m := flatDRAM{&p}
-	small := m.Service(0, 64, false)
-	big := m.Service(0, 4096, false)
+	small := memService(&p, 64)
+	big := memService(&p, 4096)
+	if small != p.DRAMLat {
+		t.Fatalf("64B service %v, want one DRAM access %v", small, p.DRAMLat)
+	}
 	if big <= small {
 		t.Fatalf("4KiB service %v not slower than 64B %v", big, small)
 	}
