@@ -246,6 +246,7 @@ func TestCreditStallsUnderBurst(t *testing.T) {
 	if net.Link(0, 1).Stats().CreditStall == 0 {
 		t.Fatal("expected credit stalls with 2 credits and a 50-packet burst")
 	}
+	checkLinksAtRest(t, net)
 }
 
 func TestLinkUtilizationUnderSaturation(t *testing.T) {

@@ -76,6 +76,7 @@ func TestCreditsRecoveredAfterDrops(t *testing.T) {
 	if got != 8 {
 		t.Fatalf("delivered %d fresh packets, want 8 (credits leaked?)", got)
 	}
+	checkLinksAtRest(t, net)
 }
 
 func TestHeavyCRCStormStillDelivers(t *testing.T) {
@@ -91,6 +92,7 @@ func TestHeavyCRCStormStillDelivers(t *testing.T) {
 	if len(logs[1]) != n {
 		t.Fatalf("delivered %d/%d under CRC storm", len(logs[1]), n)
 	}
+	checkLinksAtRest(t, net)
 }
 
 // Property: after ANY seeded sequence of link flaps on a 4- or 8-node
@@ -173,6 +175,7 @@ func TestLinkFlapStormProperty(t *testing.T) {
 			t.Logf("seed %d: %d events still pending after Run", seed, eng.Pending())
 			return false
 		}
+		checkLinksAtRest(t, net)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -331,4 +334,5 @@ func TestLossyLineGolden(t *testing.T) {
 			t.Errorf("link %v->%v stats %+v, want %+v", e[0], e[1], got, want)
 		}
 	}
+	checkLinksAtRest(t, net)
 }

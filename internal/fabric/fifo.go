@@ -19,6 +19,22 @@ func (q *fifo[T]) push(v T) {
 	q.n++
 }
 
+// peek returns the oldest entry without removing it.
+func (q *fifo[T]) peek() T {
+	if q.n == 0 {
+		panic("fabric: peek at an empty fifo")
+	}
+	return q.buf[q.head]
+}
+
+// tail returns the newest entry.
+func (q *fifo[T]) tail() T {
+	if q.n == 0 {
+		panic("fabric: tail of an empty fifo")
+	}
+	return q.buf[(q.head+q.n-1)&(len(q.buf)-1)]
+}
+
 func (q *fifo[T]) pop() T {
 	if q.n == 0 {
 		panic("fabric: pop from an empty fifo")

@@ -46,6 +46,15 @@ type Link struct {
 	credits  int           // datalink credits available at the sender
 	waitQ    fifo[*Packet] // sends waiting for a credit, in send order
 
+	// returns holds the credit returns on their way back to the sender
+	// that are not events, each at the slot its event would have had,
+	// in slot order. Only send and returnCredit read the credits, and
+	// each first applies every return whose slot has passed; a send
+	// that finds no credit turns the rest into events at their slots.
+	// While a send waits, arrivals schedule their returns as events at
+	// once, so returns is empty whenever waitQ is not.
+	returns fifo[sim.Slot]
+
 	errRate float64 // probability a packet arrives corrupted
 	rng     *sim.RNG
 	down    bool
@@ -208,13 +217,28 @@ func (l *Link) UtilizationSince(s LinkSample) float64 {
 
 // send queues a packet for transmission, respecting datalink credits.
 func (l *Link) send(pkt *Packet) {
+	l.applyReturns()
 	if l.credits == 0 {
 		l.stats.CreditStall++
 		l.waitQ.push(pkt)
+		// Each return still on its way becomes an event at its slot, so
+		// the first to land transmits the packet when it always did.
+		for l.returns.len() > 0 {
+			l.eng.AtSlot(l.returns.pop(), l.onCredit)
+		}
 		return
 	}
 	l.credits--
 	l.transmit(pkt, 0)
+}
+
+// applyReturns hands back the credit of every queued return whose slot
+// has passed.
+func (l *Link) applyReturns() {
+	for l.returns.len() > 0 && l.eng.Passed(l.returns.peek()) {
+		l.returns.pop()
+		l.credits++
+	}
 }
 
 // transmit pushes one packet through the serializer and schedules its
@@ -242,10 +266,11 @@ func (l *Link) transmit(pkt *Packet, replays int) {
 	// corrupting, or leaving the ack no margin to beat the timer — arms
 	// it here, right after the arrival as it always was, so the timer
 	// keeps its (time, seq) order against every other event. A healthy
-	// link arms none, and a delivered packet costs three events
-	// (arrival, credit return, switch traversal); an arrival that does
-	// lose the packet, because the link failed in flight, arms the timer
-	// then for the same instant.
+	// link arms none, and a delivered packet costs two events (arrival,
+	// switch traversal), plus its credit return when a send waits for
+	// it (see arrive); an arrival that does lose the packet, because
+	// the link failed in flight, arms the timer then for the same
+	// instant.
 	f := flight{pkt: pkt, replays: replays, replayAt: arrive.Add(l.fixed + l.serialize(0) + l.p.ReplayTO)}
 	if l.down || l.errRate > 0 || l.p.ReplayTO <= 0 {
 		f.timer = l.armReplay(f)
@@ -261,7 +286,11 @@ func (l *Link) armReplay(f flight) *replayTimer {
 }
 
 // arrive runs at the receiver for the oldest transmission in flight:
-// CRC check, ack, delivery, credit return.
+// CRC check, ack, delivery, credit return. The return reserves the
+// event slot it always had but becomes an event only when a send is
+// waiting for a credit, or when the ack delay shrank in flight
+// (SetGbps, or a Params change) so that it would land before a queued
+// return; otherwise it joins returns for the next send to apply.
 func (l *Link) arrive() {
 	f := l.inflight.pop()
 	lost := l.down // lost in flight; replay until the bound, then give up
@@ -284,13 +313,19 @@ func (l *Link) arrive() {
 	}
 	// The receiver buffer frees once the switch has taken the packet;
 	// return the credit after that plus the reverse flight.
-	l.eng.Schedule(l.p.SwitchLat+ackDelay, l.onCredit)
+	s := l.eng.Reserve(l.p.SwitchLat + ackDelay)
+	if l.waitQ.len() > 0 || l.returns.len() > 0 && s.Before(l.returns.tail()) {
+		l.eng.AtSlot(s, l.onCredit)
+	} else {
+		l.returns.push(s)
+	}
 	l.to.receive(f.pkt, l)
 }
 
-// returnCredit hands a buffer credit back to the sender and drains the
-// wait queue.
+// returnCredit hands a buffer credit back to the sender, after every
+// queued return whose slot has passed, and drains the wait queue.
 func (l *Link) returnCredit() {
+	l.applyReturns()
 	l.credits++
 	if l.waitQ.len() > 0 && l.credits > 0 {
 		l.credits--

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Handle identifies a cancelable scheduled event. The zero Handle is
 // never issued, so it can mark "no timer pending".
@@ -15,6 +18,7 @@ type Handle uint64
 type Engine struct {
 	now     Time
 	seq     uint64
+	cur     uint64 // seq of the event dispatched last; MaxUint64 once the queue stops (see Passed)
 	pool    eventPool
 	cancels map[Handle]*event // live cancelable events, by Handle
 	pending int               // queued events not yet fired or canceled
@@ -34,7 +38,9 @@ func New() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of events waiting in the queue. Canceled
-// events are not counted: they are dead the moment Cancel returns.
+// events are not counted: they are dead the moment Cancel returns. Nor
+// are reserved slots (see Reserve): they are not events until AtSlot
+// schedules them.
 func (e *Engine) Pending() int { return e.pending }
 
 // Fired reports the total number of events executed so far.
@@ -92,6 +98,59 @@ func (e *Engine) ScheduleCancelable(d Dur, fn func()) Handle {
 	return e.AtCancelable(e.now.Add(d), fn)
 }
 
+// Slot is a reserved place in the firing order: an instant and the seq
+// an event scheduled for it when the slot was reserved would have had.
+// A caller reserves a slot for a would-be event it may never need to
+// schedule, and either acts when it next finds the slot Passed, or
+// schedules the event with AtSlot, which fires it exactly where it
+// would have fired had it been scheduled at the reservation.
+type Slot struct {
+	at  Time
+	seq uint64
+}
+
+// At reports the slot's instant.
+func (s Slot) At() Time { return s.at }
+
+// Before reports whether s comes before o in the firing order.
+func (s Slot) Before(o Slot) bool {
+	return s.at < o.at || s.at == o.at && s.seq < o.seq
+}
+
+// Reserve returns the slot an event scheduled d after the current
+// instant would take. It consumes one seq, as Schedule does, so every
+// later event keeps the seq it would have had.
+func (e *Engine) Reserve(d Dur) Slot {
+	if d < 0 {
+		panic("sim: negative delay")
+	}
+	s := Slot{at: e.now.Add(d), seq: e.seq}
+	e.seq++
+	return s
+}
+
+// Passed reports whether an event at slot s would already have fired.
+// While an event is being dispatched, and after Step returns, that is
+// whether s comes before the event dispatched last. Once the queue has
+// drained, or RunUntil has run out of events up to its bound, every
+// slot at or before Now has passed; a later one has not.
+func (e *Engine) Passed(s Slot) bool {
+	return s.at < e.now || s.at == e.now && s.seq < e.cur
+}
+
+// AtSlot schedules fn at a reserved slot that has not passed; it panics
+// on one that has. The event fires ahead of every event at the same
+// instant scheduled after the reservation.
+func (e *Engine) AtSlot(s Slot, fn func()) {
+	if e.Passed(s) {
+		panic(fmt.Sprintf("sim: scheduling at slot (%v, %d), which has passed", s.at, s.seq))
+	}
+	ev := e.pool.get()
+	ev.at, ev.seq, ev.fn = s.at, s.seq, fn
+	e.pending++
+	e.q.insert(ev, e.now)
+}
+
 // Cancel revokes a cancelable event that has not fired yet, reporting
 // whether it did anything. The event is tombstoned in place — the wheel
 // discards it when its slot drains — so Cancel is O(1) and never
@@ -116,6 +175,9 @@ func (e *Engine) step(bound Time, bounded bool) bool {
 	for {
 		ev := e.q.pop(bound, bounded)
 		if ev == nil {
+			// Every event up to the stop has fired, so every slot up
+			// to now has passed.
+			e.cur = math.MaxUint64
 			return false
 		}
 		if ev.canceled {
@@ -125,7 +187,7 @@ func (e *Engine) step(bound Time, bounded bool) bool {
 		if ev.cancelable {
 			delete(e.cancels, Handle(ev.seq+1))
 		}
-		e.now = ev.at
+		e.now, e.cur = ev.at, ev.seq
 		e.pending--
 		e.fired++
 		fn := ev.fn
@@ -138,9 +200,11 @@ func (e *Engine) step(bound Time, bounded bool) bool {
 // Step executes the earliest pending event and reports whether one ran.
 func (e *Engine) Step() bool { return e.step(0, false) }
 
-// Run executes events until the queue drains. If simulated processes are
-// still blocked when the queue empties, they stay parked (see LiveProcs);
-// Close releases them.
+// Run executes events until the queue drains, leaving Now at the last
+// event's instant. A reserved slot that was never scheduled may lie
+// later (see Reserve); it passes once the clock reaches it. If
+// simulated processes are still blocked when the queue empties, they
+// stay parked (see LiveProcs); Close releases them.
 func (e *Engine) Run() {
 	for e.Step() {
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -175,4 +176,64 @@ func TestDurScale(t *testing.T) {
 		}
 	}()
 	Dur(1).Scale(-1)
+}
+
+// TestReservedSlotFiresInPlace pins the reserved-slot contract: an
+// event scheduled at a slot fires exactly where one scheduled when the
+// slot was reserved would have, ahead of later-scheduled events at its
+// instant and behind earlier ones; Passed follows the dispatch order
+// inside events, after Step, and once the queue drains.
+func TestReservedSlotFiresInPlace(t *testing.T) {
+	e := New()
+	var got []string
+	log := func(s string) func() { return func() { got = append(got, s) } }
+	var s Slot
+	e.Schedule(100, log("before")) // queued ahead of the reservation
+	e.Schedule(50, func() {
+		s = e.Reserve(50)
+		e.Schedule(50, log("after")) // queued behind it
+		if e.Passed(s) {
+			t.Error("a slot 50 ns ahead has passed")
+		}
+	})
+	e.Schedule(100, func() {
+		// Dispatched before the reservation's seq: the slot is ahead.
+		if e.Passed(s) {
+			t.Error("slot passed before the event that precedes it")
+		}
+		e.AtSlot(s, log("slot"))
+	})
+	e.Run()
+	want := "before slot after"
+	if g := strings.Join(got, " "); g != want {
+		t.Fatalf("firing order %q, want %q", g, want)
+	}
+	if !e.Passed(s) {
+		t.Error("slot at Now has not passed once the queue drained")
+	}
+
+	// After Step, a slot passes only if it precedes the event Step ran.
+	e2 := New()
+	early := e2.Reserve(20)
+	e2.Schedule(20, func() {})
+	var late Slot
+	e2.Schedule(10, func() { late = e2.Reserve(10) })
+	e2.Step()
+	e2.Step()
+	if !e2.Passed(early) || e2.Passed(late) {
+		t.Fatalf("after Step at %v: early passed %v, late passed %v; want true, false",
+			e2.Now(), e2.Passed(early), e2.Passed(late))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AtSlot accepted a slot that has passed")
+			}
+		}()
+		e2.AtSlot(early, func() {})
+	}()
+	e2.Run()
+	if !e2.Passed(late) || e2.Pending() != 0 {
+		t.Fatalf("after Run: late passed %v, pending %d", e2.Passed(late), e2.Pending())
+	}
 }

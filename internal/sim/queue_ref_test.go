@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -79,13 +80,19 @@ type orderCheck struct {
 	w   wheel
 	h   heapQueue
 	seq uint64
-	// now plays the engine clock: the last popped instant, or the bound
-	// of a bounded pop that found nothing, as RunUntil leaves it. Pushes
-	// never land before it.
+	// now and cur play the engine clock and its dispatch seq: the last
+	// popped event's instant and seq, or the bound of a bounded pop that
+	// found nothing (the clock RunUntil leaves) and MaxUint64. Pushes
+	// never land before now.
 	now Time
+	cur uint64
+	// reserved holds the slots reserved and not yet inserted.
+	reserved []Slot
 	// seen records which regimes held an event at some point: each
-	// level's occupancy bitmap, then the spill list.
-	seen [wheelLevels + 1]bool
+	// level's occupancy bitmap, then the spill list. ahead records
+	// where an insert at a reserved slot landed ahead of an event
+	// already queued at its instant.
+	seen, ahead [wheelLevels + 1]bool
 }
 
 // opSize is the bytes one operation takes from a stream: a control byte
@@ -93,25 +100,46 @@ type orderCheck struct {
 const opSize = 9
 
 // run interprets ops, opSize bytes per operation (a short last one reads
-// its missing bytes as zero), then drains both queues. The control
-// byte's low three bits pick the operation: five of eight push, one pops
-// up to a bound, two pop unbounded. Its high bits pick the regime of the
-// push's delay or of the bound's distance from the clock, and the
-// argument picks the value within it.
+// its missing bytes as zero), then inserts every reserved slot that has
+// not passed and drains both queues. The control byte's low three bits
+// pick the operation: three of eight push; one pushes at the instant of
+// a reserved slot; one reserves a slot; one inserts an event at a
+// reserved slot, as Engine.AtSlot does, or drops the slot if it has
+// passed; one pops up to a bound; one pops unbounded. Its high bits
+// pick the regime of the push's or reservation's delay or of the
+// bound's distance from the clock, and the argument picks the value
+// within it, or which reserved slot the operation takes.
 func (c *orderCheck) run(ops []byte) {
 	for len(ops) > 0 {
 		var op [opSize]byte
 		ops = ops[copy(op[:], ops):]
-		d := regimeDelay(int(op[0]>>3)%regimes, binary.LittleEndian.Uint64(op[1:]))
+		arg := binary.LittleEndian.Uint64(op[1:])
+		d := regimeDelay(int(op[0]>>3)%regimes, arg)
 		switch op[0] & 7 {
+		case 3:
+			if n := uint64(len(c.reserved)); n > 0 && c.reserved[arg%n].at >= c.now {
+				c.push(c.reserved[arg%n].at)
+			} else {
+				c.push(c.now.Add(d))
+			}
+		case 4:
+			c.reserved = append(c.reserved, Slot{at: c.now.Add(d), seq: c.seq})
+			c.seq++
 		case 5:
 			c.pop(c.now.Add(d), true)
-		case 6, 7:
+		case 6:
 			c.pop(0, false)
+		case 7:
+			if n := uint64(len(c.reserved)); n > 0 {
+				c.insert(int(arg % n))
+			}
 		default:
 			c.push(c.now.Add(d))
 		}
 		c.observe()
+	}
+	for len(c.reserved) > 0 {
+		c.insert(0)
 	}
 	for c.pop(0, false) {
 	}
@@ -126,6 +154,34 @@ func (c *orderCheck) push(at Time) {
 	c.seq++
 }
 
+// insert takes reserved slot i off the list and, unless it has passed,
+// inserts an event there in both queues, noting whether the wheel put
+// it ahead of an event already queued at the same instant.
+func (c *orderCheck) insert(i int) {
+	s := c.reserved[i]
+	c.reserved[i] = c.reserved[len(c.reserved)-1]
+	c.reserved = c.reserved[:len(c.reserved)-1]
+	if s.at < c.now || s.at == c.now && s.seq < c.cur {
+		return // passed: the engine would have acted on it already
+	}
+	ev := &event{at: s.at, seq: s.seq}
+	c.w.insert(ev, c.now)
+	c.h.push(&event{at: s.at, seq: s.seq})
+	l := c.w.levelOf(s.at)
+	next := ev.next
+	if l == wheelLevels {
+		next = nil
+		for j, sp := range c.w.spill {
+			if sp == ev && j+1 < len(c.w.spill) {
+				next = c.w.spill[j+1]
+			}
+		}
+	}
+	if next != nil && next.at == s.at {
+		c.ahead[l] = true
+	}
+}
+
 // pop pops both queues, compares the pair, and reports whether an event
 // popped.
 func (c *orderCheck) pop(bound Time, bounded bool) bool {
@@ -135,6 +191,7 @@ func (c *orderCheck) pop(bound Time, bounded bool) bool {
 		if bounded && bound > c.now {
 			c.now = bound
 		}
+		c.cur = math.MaxUint64
 		return false
 	case we == nil || he == nil:
 		c.t.Fatalf("pop mismatch after %d pushes: wheel=%v heap=%v", c.seq, we, he)
@@ -143,7 +200,7 @@ func (c *orderCheck) pop(bound Time, bounded bool) bool {
 	case we.at < c.now:
 		c.t.Fatalf("time rewound: popped %d after %d", we.at, c.now)
 	}
-	c.now = we.at
+	c.now, c.cur = we.at, we.seq
 	return true
 }
 
@@ -157,10 +214,12 @@ func (c *orderCheck) observe() {
 }
 
 // TestWheelMatchesHeapOrder runs 16k random operations through the
-// timing wheel and the reference heap, interleaving pushes with bounded
-// and unbounded pops the way a simulation does, then drains both. Every
-// pop must agree on (at, seq), and every wheel level and the spill list
-// must have held events, so a geometry change cannot leave a regime
+// timing wheel and the reference heap, interleaving pushes, reserved
+// slots and inserts at them with bounded and unbounded pops the way a
+// simulation does, then drains both. Every pop must agree on (at, seq).
+// Every wheel level and the spill list must have held events, and in
+// each of them an insert must have landed ahead of an event already
+// queued at its instant, so a geometry change cannot leave a regime
 // untested.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	rng := NewRNG(1234)
@@ -177,6 +236,14 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 	}
 	if !c.seen[wheelLevels] {
 		t.Error("the spill list never held an event")
+	}
+	for l, ahead := range c.ahead[:wheelLevels] {
+		if !ahead {
+			t.Errorf("no insert at a reserved slot landed ahead of a queued same-instant event in wheel level %d", l)
+		}
+	}
+	if !c.ahead[wheelLevels] {
+		t.Error("no insert at a reserved slot landed ahead of a queued same-instant event in the spill list")
 	}
 }
 

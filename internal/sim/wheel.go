@@ -14,18 +14,23 @@ import (
 // with the wheel's clock. Events scheduled beyond that horizon wait in
 // a (time, seq)-sorted spill list and are pulled into the wheel when
 // the clock reaches their window. A fabric hop's arrival, traversal and
-// credit return are all scheduled less than level 0's span ahead of the
-// clock, so most events are placed once and never cascade.
+// credit return (when it is an event) are all scheduled less than level
+// 0's span ahead of the clock, so most events are placed once and never
+// cascade.
 //
 // A level-0 slot spans exactly 1 ns, so within one rotation every event
-// in it carries the same timestamp; buckets are FIFO lists, pushes
-// happen in ascending seq order, and cascades preserve relative order —
-// which together make bucket order the (at, seq) FIFO order the engine
-// requires, with no comparisons on the hot path. Insertion is O(1)
+// in it carries the same timestamp; buckets are FIFO lists in which the
+// events of one instant sit in ascending seq order, and cascades
+// preserve relative order — which together make bucket order the
+// (at, seq) FIFO order the engine requires. A push keeps that order with
+// no comparison, because its seq is the largest yet issued: it is O(1)
 // (pick the level whose window contains the timestamp, append at the
-// bucket's tail); extraction is O(1) amortized (each level's occupancy
-// bitmap and its summary word find the next non-empty slot; events in
-// higher levels cascade down as the clock reaches their window).
+// bucket's tail). An event at a reserved slot (Engine.AtSlot) may carry
+// a lower seq than events already queued at its instant; insert walks
+// its bucket and puts it ahead of the first of them with a larger seq.
+// Extraction is O(1) amortized (each level's occupancy bitmap and its
+// summary word find the next non-empty slot; events in higher levels
+// cascade down as the clock reaches their window).
 //
 // The wheel's clock (vnow) trails the engine's: it advances to each
 // popped event's timestamp, or to a slot boundary during a cascade —
@@ -47,15 +52,18 @@ type bucket struct{ head, tail *event }
 // wheel is the engine's event queue. The engine keeps two invariants
 // for it:
 //
-//   - push is only called with ev.at >= the timestamp of the most
-//     recently popped event (virtual time never rewinds), and
-//   - seq values are assigned in push order, so (at, seq) is a strict
-//     total order and equal-timestamp events pop FIFO.
+//   - push and insert are only called with ev.at >= the timestamp of
+//     the most recently popped event (virtual time never rewinds), and
+//   - push gets seq values in ascending order; an event whose seq may
+//     be lower than a queued one's goes through insert. Seqs are
+//     unique, so (at, seq) is a strict total order and equal-timestamp
+//     events pop in seq order.
 //
 // The zero value is an empty wheel. The fields the hot path touches on
 // every operation come first, ahead of the bucket arrays. The tests in
 // queue_ref_test.go hold the wheel to the firing order of the
-// container/heap queue it replaced, for any push and pop sequence.
+// container/heap queue it replaced, for any push, insert and pop
+// sequence.
 type wheel struct {
 	vnow Time // trails the engine clock; see the invariant above
 	n    int  // events across all levels plus the spill list
@@ -90,9 +98,52 @@ func (w *wheel) push(ev *event, now Time) {
 	w.place(ev)
 }
 
+// insert is push for an event whose seq may be lower than that of
+// events already queued at its instant: one scheduled at a reserved
+// slot. It goes ahead of the first event at the same instant with a
+// larger seq, in a level's bucket as in the spill list, so each
+// bucket's same-instant events stay in seq order; cascades and spill
+// drains keep that order, and pops stay in (at, seq) order. The walk
+// visits at most the bucket's events; plain push stays a tail append.
+func (w *wheel) insert(ev *event, now Time) {
+	if w.n > 0 {
+		if l := w.levelOf(ev.at); l < wheelLevels {
+			b := &w.level[l][digit(l, ev.at)]
+			var prev *event
+			for next := b.head; next != nil; prev, next = next, next.next {
+				if next.at == ev.at && next.seq > ev.seq {
+					ev.next = next
+					if prev == nil {
+						b.head = ev
+					} else {
+						prev.next = ev
+					}
+					w.n++
+					return
+				}
+			}
+		}
+	}
+	// Nothing later is queued at ev's instant: append it, or insert it
+	// in the sorted spill list.
+	w.push(ev, now)
+}
+
+// levelOf reports the lowest wheel level whose current window contains
+// t, or wheelLevels when t is beyond the horizon: the level place puts
+// an event at t in.
+func (w *wheel) levelOf(t Time) int {
+	diff := uint64(t) ^ uint64(w.vnow)
+	l := 0
+	for l < wheelLevels && diff>>uint((l+1)*wheelBits) != 0 {
+		l++
+	}
+	return l
+}
+
 // place appends ev to the lowest wheel level whose current window
 // contains ev.at, or to the spill list when ev.at is beyond the
-// horizon. Shared by push, cascade, and the spill drain.
+// horizon. Shared by push, insert, cascade, and the spill drain.
 func (w *wheel) place(ev *event) {
 	diff := uint64(ev.at) ^ uint64(w.vnow)
 	for l := 0; l < wheelLevels; l++ {
