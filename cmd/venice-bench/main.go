@@ -10,15 +10,14 @@
 // Usage:
 //
 //	venice-bench [-list] [-run id,id] [-parallel N] [-json out.json]
-//	             [-baseline base.json] [-tolerance 0.01]
-//	             [-trial substr] [-seed N] [id ...]
+//	             [-baseline base.json] [-trial substr] [-seed N] [id ...]
 //
 // Every experiment is decomposed into independent deterministic trials
 // executed on a bounded worker pool, so -parallel N produces
 // byte-identical tables for any N; only the wall-clock changes. That
 // determinism is what makes -baseline an exact regression gate: it
 // compares every trial metric of this run against a previously written
-// report and exits with status 3 if anything drifts beyond -tolerance.
+// report and exits with status 3 if any value differs.
 //
 // -trial and -seed isolate single trials for debugging: -trial runs only
 // the trials whose id contains the substring, and -seed overrides every
@@ -51,14 +50,13 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
 	jsonPath := flag.String("json", "", "write per-trial results and timing metadata to this file")
 	baseline := flag.String("baseline", "", "compare trial metrics against this report; exit 3 on drift")
-	tolerance := flag.Float64("tolerance", 0.01, "allowed relative drift per metric with -baseline")
 	trialFilter := flag.String("trial", "", "run only trials whose id contains this substring (prints raw metrics, skips assembly)")
 	seedOverride := flag.Uint64("seed", 0, "override the seed of every selected trial (use with -trial to reproduce one cell)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (pprof format) to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (pprof format) to this file at exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: venice-bench [-list] [-run id,id] [-parallel N] [-json out.json] [-baseline base.json] [-tolerance f] [-trial substr] [-seed N] [-cpuprofile f] [-memprofile f] [id ...]\n")
+			"usage: venice-bench [-list] [-run id,id] [-parallel N] [-json out.json] [-baseline base.json] [-trial substr] [-seed N] [-cpuprofile f] [-memprofile f] [id ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -137,17 +135,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "venice-bench: loading baseline: %v\n", err)
 			exit(1)
 		}
-		drifts := rep.CompareToBaseline(base, *tolerance)
+		drifts := rep.CompareToBaseline(base)
 		if len(drifts) > 0 {
-			fmt.Fprintf(os.Stderr, "venice-bench: %d metric(s) drifted beyond %.2f%% of %s:\n",
-				len(drifts), 100**tolerance, *baseline)
+			fmt.Fprintf(os.Stderr, "venice-bench: %d metric(s) drifted from %s:\n", len(drifts), *baseline)
 			for _, d := range drifts {
 				fmt.Fprintf(os.Stderr, "  %s\n", d)
 			}
 			exit(3)
 		}
-		fmt.Printf("baseline check: %d metrics within %.2f%% of %s\n",
-			rep.MetricCount(), 100**tolerance, *baseline)
+		fmt.Printf("baseline check: %d metrics match %s exactly\n", rep.MetricCount(), *baseline)
 	}
 	stopProfiles()
 }

@@ -111,13 +111,15 @@ func TestBaselineCommandsMatchCI(t *testing.T) {
 // monitor.Free) for every resource; the per-resource Request*/Free*
 // calls and their option structs are gone too, and so is the
 // per-request placement-policy override (core.WithPolicy): the MN's
-// configured Policy is the one placement knob. The gate rejects both a
-// surviving use and a reintroduced definition — deleting dead code only
-// sticks if nothing can quietly grow it back.
+// configured Policy is the one placement knob. core.WithExclusive is
+// gone as well: it reserved nothing, and the exclusive mailbox path is
+// the donor's setting (accel.Service.SetExclusive). The gate rejects
+// both a surviving use and a reintroduced definition — deleting dead
+// code only sticks if nothing can quietly grow it back.
 func TestAPIFreeze(t *testing.T) {
 	const names = `BorrowMemory|BorrowMemoryScoped|BorrowSwap|AttachAccelerator|AttachNIC|AttachMemoryDirect|AttachSwapDirect|` +
 		`RequestMemory|RequestMemoryScoped|RequestMemoryOpts|RequestDevice|RequestDeviceOpts|MemReqOpts|DevReqOpts|FreeMemory|FreeDevice|` +
-		`WithPolicy`
+		`WithPolicy|WithExclusive`
 	deprecated := regexp.MustCompile(`\.(` + names + `)[({]`)
 	redefined := regexp.MustCompile(`^(func (\([^)]*\) )?|type )(` + names + `)\b`)
 	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments"} {

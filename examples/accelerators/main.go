@@ -43,8 +43,8 @@ func main() {
 	app.Run("app", func(p *sim.Proc) {
 		// Fig. 11: the application receives two FFT and one crypto
 		// accelerator; the library handles dispatch.
-		fftA := attach(p, core.WithExclusive())
-		fftB := attach(p, core.WithDevice(1), core.WithExclusive())
+		fftA := attach(p)
+		fftB := attach(p, core.WithDevice(1))
 		cr := attach(p)
 		fmt.Printf("attached: fft@%v fft@%v crypto@%v\n",
 			fftA.Donor(), fftB.Donor(), cr.Donor())

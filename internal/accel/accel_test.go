@@ -62,7 +62,7 @@ func TestRemoteRunMovesDataAndComputes(t *testing.T) {
 	svc := Serve(donor, dev)
 	defer svc.Shutdown()
 	client := NewClient(recip)
-	h := client.Attach(1, 0, false)
+	h := client.Attach(1, 0)
 
 	const n = 4 << 20
 	var elapsed sim.Dur
@@ -100,9 +100,9 @@ func TestRemotePipelineOverlapsTransferAndCompute(t *testing.T) {
 	dev := New(eng, &p, FFT{MBps: 150, Setup: 0})
 	svc := Serve(donor, dev)
 	defer svc.Shutdown()
-	svc.SetExclusive(0, recip.ID)
+	svc.SetExclusive(0)
 	client := NewClient(recip)
-	h := client.Attach(1, 0, true)
+	h := client.Attach(1, 0)
 
 	const n = 16 << 20
 	var elapsed sim.Dur
@@ -131,10 +131,10 @@ func TestExclusiveSkipsKernelThreadOverhead(t *testing.T) {
 		svc := Serve(donor, dev)
 		defer svc.Shutdown()
 		if exclusive {
-			svc.SetExclusive(0, recip.ID)
+			svc.SetExclusive(0)
 		}
 		client := NewClient(recip)
-		h := client.Attach(1, 0, exclusive)
+		h := client.Attach(1, 0)
 		var elapsed sim.Dur
 		recip.Run("offload", func(pr *sim.Proc) {
 			t0 := pr.Now()
@@ -160,8 +160,8 @@ func TestMultipleAcceleratorsServeConcurrently(t *testing.T) {
 		t.Fatal("service bookkeeping wrong")
 	}
 	client := NewClient(recip)
-	h1 := client.Attach(1, 0, false)
-	h2 := client.Attach(1, 1, false)
+	h1 := client.Attach(1, 0)
+	h2 := client.Attach(1, 1)
 
 	const n = 2 << 20
 	var oneT, twoT sim.Dur

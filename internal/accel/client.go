@@ -63,10 +63,6 @@ type RemoteHandle struct {
 	Mailbox int
 	// BufBase is the donor-side pinned staging buffer for this handle.
 	BufBase uint64
-	// Exclusive uses the direct, exclusively-mapped fast path: the
-	// recipient manipulates the mailbox itself, skipping the donor's
-	// kernel thread (the donor service must have granted exclusivity).
-	Exclusive bool
 
 	// Tasks and Bytes count work shipped through this handle.
 	Tasks int64
@@ -76,14 +72,15 @@ type RemoteHandle struct {
 	Replays int64
 }
 
-// Attach opens a handle to mailbox mb on the donor.
-func (c *Client) Attach(donor fabric.NodeID, mb int, exclusive bool) *RemoteHandle {
+// Attach opens a handle to mailbox mb on the donor. Whether the donor
+// drives that mailbox through its kernel thread or the direct path is
+// the donor's setting (Service.SetExclusive).
+func (c *Client) Attach(donor fabric.NodeID, mb int) *RemoteHandle {
 	return &RemoteHandle{
-		c:         c,
-		Donor:     donor,
-		Mailbox:   mb,
-		BufBase:   0x7000_0000 + uint64(mb)<<28,
-		Exclusive: exclusive,
+		c:       c,
+		Donor:   donor,
+		Mailbox: mb,
+		BufBase: 0x7000_0000 + uint64(mb)<<28,
 	}
 }
 

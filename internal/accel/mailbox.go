@@ -31,12 +31,13 @@ type Mailbox struct {
 type Service struct {
 	Node  *node.Node
 	boxes []*Mailbox
-	// ExclusiveOwners maps mailbox id -> recipient when a device is
-	// exclusively shared and driven via the direct path.
-	exclusive map[int]fabric.NodeID
+	// exclusive holds the mailbox ids driven through the direct path
+	// (SetExclusive).
+	exclusive map[int]bool
 }
 
-// accelStartMsg rings a mailbox from a remote recipient.
+// accelStartMsg rings a mailbox from a remote recipient: the note that
+// rides the RDMA write-with-immediate carrying the task's input.
 type accelStartMsg struct {
 	Mailbox int
 	Exec    string
@@ -50,16 +51,15 @@ type accelDoneMsg struct {
 }
 
 // Serve installs accelerators on a donor node and starts one kernel
-// thread per mailbox. Remote starts arrive either as explicit doorbell
-// packets or as RDMA write-with-immediate notes riding the input data.
+// thread per mailbox. Remote starts arrive as RDMA write-with-immediate
+// notes riding the input data.
 func Serve(n *node.Node, accels ...*Accelerator) *Service {
-	s := &Service{Node: n, exclusive: make(map[int]fabric.NodeID)}
+	s := &Service{Node: n, exclusive: make(map[int]bool)}
 	for i, a := range accels {
 		mb := &Mailbox{ID: i, Accel: a, queue: sim.NewQueue[*Task](n.Eng)}
 		s.boxes = append(s.boxes, mb)
 		s.runKernelThread(mb)
 	}
-	n.EP.Handle("accel.start", s.onStart)
 	n.EP.RDMA.ObserveImmediate(func(from fabric.NodeID, _ uint64, note any) {
 		m, ok := note.(*accelStartMsg)
 		if !ok {
@@ -87,7 +87,7 @@ func (s *Service) runKernelThread(mb *Mailbox) {
 			}
 			// Mailbox processing by the kernel thread (skipped when the
 			// recipient drives the device directly).
-			if _, excl := s.exclusive[mb.ID]; !excl {
+			if !s.exclusive[mb.ID] {
 				p.Sleep(s.Node.P.AccelMailboxOp)
 			}
 			mb.Accel.Exec(p, task.Bytes)
@@ -103,11 +103,11 @@ func (s *Service) Shutdown() {
 	}
 }
 
-// SetExclusive grants a recipient the optimized, exclusively-mapped path
-// to mailbox id: its access interface is mapped to the recipient like a
+// SetExclusive puts mailbox id on the optimized, exclusively-mapped
+// path: its access interface is mapped to its one recipient like a
 // shared memory region, bypassing the kernel thread's mailbox handling.
-func (s *Service) SetExclusive(id int, recipient fabric.NodeID) {
-	s.exclusive[id] = recipient
+func (s *Service) SetExclusive(id int) {
+	s.exclusive[id] = true
 }
 
 // Submit enqueues a task locally (used by both the local path and the
@@ -117,11 +117,6 @@ func (s *Service) Submit(mbID int, exec string, bytes int) *sim.Completion {
 	t := &Task{Exec: exec, Bytes: bytes, done: sim.NewCompletion(s.Node.Eng)}
 	mb.queue.TryPush(t)
 	return t.done
-}
-
-// onStart services an explicit remote doorbell packet.
-func (s *Service) onStart(pkt *fabric.Packet) {
-	s.start(pkt.Src, pkt.Payload.(*accelStartMsg))
 }
 
 // start enqueues a remotely-requested task and replies with a completion

@@ -15,9 +15,9 @@ func TestChunkStartsRideDataFIFO(t *testing.T) {
 	dev := New(eng, &p, FFT{MBps: 10000, Setup: 0}) // compute ~free: transfer-bound
 	svc := Serve(donor, dev)
 	defer svc.Shutdown()
-	svc.SetExclusive(0, recip.ID)
+	svc.SetExclusive(0)
 	client := NewClient(recip)
-	h := client.Attach(1, 0, true)
+	h := client.Attach(1, 0)
 	const n = 8 << 20
 	var elapsed sim.Dur
 	recip.Run("offload", func(pr *sim.Proc) {
@@ -45,7 +45,7 @@ func TestRunRejectsNonPositiveSize(t *testing.T) {
 	svc := Serve(donor, dev)
 	defer svc.Shutdown()
 	client := NewClient(recip)
-	h := client.Attach(1, 0, false)
+	h := client.Attach(1, 0)
 	panicked := false
 	recip.Run("bad", func(pr *sim.Proc) {
 		defer func() {
@@ -68,8 +68,8 @@ func TestMixedKernelsServeIndependently(t *testing.T) {
 	svc := Serve(donor, fft, crypto)
 	defer svc.Shutdown()
 	client := NewClient(recip)
-	hf := client.Attach(1, 0, false)
-	hc := client.Attach(1, 1, false)
+	hf := client.Attach(1, 0)
+	hc := client.Attach(1, 1)
 	var fftT, cryptoT sim.Dur
 	done := sim.NewGroup(eng)
 	done.Add(2)

@@ -119,8 +119,6 @@ type Injector struct {
 	// Trace records every applied action with its absolute instant, in
 	// application order — the deterministic log tests compare.
 	Trace []AppliedAction
-	// Stats counts applied actions by op.
-	Stats sim.Scoreboard
 }
 
 // AppliedAction is one Trace row.
@@ -163,7 +161,6 @@ func (in *Injector) Apply(a Action) {
 		panic(fmt.Sprintf("chaos: unknown op %q", a.Op))
 	}
 	in.Trace = append(in.Trace, AppliedAction{At: in.Eng.Now(), Action: a})
-	in.Stats.Add(string(a.Op), 1)
 }
 
 func (in *Injector) agent(id fabric.NodeID) *monitor.Agent {

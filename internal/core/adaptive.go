@@ -16,9 +16,6 @@ type Adaptive struct {
 	Node  *node.Node
 	Lease *MemoryLease     // CRMA/RDMA target region (borrowed memory)
 	QP    *transport.QPair // message channel to the donor
-
-	// Stats counts operations per chosen channel.
-	Stats sim.Scoreboard
 }
 
 // NewAdaptive builds the library over a memory lease and an optional
@@ -38,9 +35,8 @@ func (a *Adaptive) Get(p *sim.Proc, offset uint64, size int, pattern transport.P
 	case transport.ChanRDMA:
 		a.Node.EP.RDMA.Read(p, a.Lease.Donor(), a.donorAddr(offset), size)
 	case transport.ChanQPair:
-		a.message(p, size)
+		a.Message(p, size)
 	}
-	a.Stats.Add(ch.String(), 1)
 	return ch
 }
 
@@ -54,20 +50,14 @@ func (a *Adaptive) Put(p *sim.Proc, offset uint64, size int, pattern transport.P
 	case transport.ChanRDMA:
 		a.Node.EP.RDMA.Write(p, a.Lease.Donor(), a.donorAddr(offset), size)
 	case transport.ChanQPair:
-		a.message(p, size)
+		a.Message(p, size)
 	}
-	a.Stats.Add(ch.String(), 1)
 	return ch
 }
 
 // Message sends an explicit message of size bytes to the donor over the
 // QPair channel.
 func (a *Adaptive) Message(p *sim.Proc, size int) {
-	a.message(p, size)
-	a.Stats.Add(transport.ChanQPair.String(), 1)
-}
-
-func (a *Adaptive) message(p *sim.Proc, size int) {
 	if a.QP == nil {
 		panic(fmt.Sprintf("core: adaptive library on %v has no QPair", a.Node.ID))
 	}

@@ -18,14 +18,13 @@ import (
 )
 
 // Config shapes a cluster. Zero values select the paper's prototype
-// configuration (Table 1): eight 1 GB nodes on a 2x2x2 mesh, MN on node
-// 0.
+// configuration (Table 1): eight 1 GB nodes on a 2x2x2 mesh. The MN
+// always runs on node 0.
 type Config struct {
 	Params       *sim.Params      // nil: sim.Default()
 	Topology     *fabric.Topology // nil: Mesh3D(2,2,2)
 	NodeMemBytes uint64           // 0: 1 GiB
-	MonitorNode  fabric.NodeID
-	Seed         uint64 // 0: 1
+	Seed         uint64           // 0: 1
 	// StartAgents launches heartbeat daemons on every node (required for
 	// MN-brokered sharing; controlled experiments may skip them).
 	StartAgents bool
@@ -41,25 +40,14 @@ type Config struct {
 	StartRecovery bool
 	// SweepInterval overrides the recovery loop's scan period when >0.
 	SweepInterval sim.Dur
-	// Telemetry enables the windowed link-utilization plane: every
-	// agent's heartbeats then carry per-link recent utilization, feeding
-	// the monitor.View that telemetry-aware policies and the migration
-	// loop consume. Off by default (the heartbeat payload is unchanged).
-	Telemetry bool
-	// MigrateInterval launches the MN's telemetry-driven lease-migration
-	// loop at this period when >0 (see monitor.Monitor.StartMigration;
-	// requires Telemetry to ever observe a hot path). Like recovery, the
-	// loop keeps the event queue alive. MigrateUtil and MigrateMargin
-	// override the loop's hot threshold and required cool-down when >0.
-	MigrateInterval sim.Dur
-	MigrateUtil     float64
-	MigrateMargin   float64
-	// SpareRegionBytes enables per-donor spare-region pools when >0:
-	// SparesPerDonor regions (default 1) of this size are kept
-	// pre-plugged on every donor so failover and migration skip the
-	// hot-plug latency (see monitor.Monitor.EnableSparePool).
-	SpareRegionBytes uint64
-	SparesPerDonor   int
+	// Migrate turns on telemetry-driven lease migration: every agent's
+	// heartbeats carry per-link recent utilization (the windowed
+	// link-utilization plane feeding the monitor.View that
+	// telemetry-aware policies read), and the MN runs its migration loop
+	// on that view (see monitor.Monitor.StartMigration). Like recovery,
+	// the loop keeps the event queue alive. Off by default: the
+	// heartbeat payload is then unchanged.
+	Migrate bool
 	// Admission installs the MN's tenancy admission policy (per-class
 	// budgets, queue bounds, preemption; see tenancy.Default). nil — the
 	// default — disables admission entirely: every request, tagged or
@@ -110,12 +98,12 @@ func NewCluster(cfg Config) *Cluster {
 		if cfg.HeartbeatInterval > 0 {
 			a.Interval = cfg.HeartbeatInterval
 		}
-		a.Telemetry = cfg.Telemetry
+		a.Telemetry = cfg.Migrate
 		c.Agents = append(c.Agents, a)
 	}
 	// The network's copy of the topology carries its routing tables even
 	// when cfg.Topology was assembled field by field.
-	c.MN = monitor.New(c.Nodes[cfg.MonitorNode].EP, net.Topo)
+	c.MN = monitor.New(c.Nodes[0].EP, net.Topo)
 	// Surface the MN's recovery transitions (revocations, failovers,
 	// migrations, preemptions) on the plane's event stream.
 	c.plane = plane{nodes: c.Nodes, broker: c.flatMN}
@@ -129,23 +117,14 @@ func NewCluster(cfg Config) *Cluster {
 	c.MN.Admission = cfg.Admission
 	if cfg.StartAgents {
 		for _, a := range c.Agents {
-			a.Start(cfg.MonitorNode)
+			a.Start(c.MN.Node())
 		}
 	}
 	if cfg.StartRecovery {
 		c.MN.StartRecovery()
 	}
-	if cfg.SpareRegionBytes > 0 {
-		per := cfg.SparesPerDonor
-		if per <= 0 {
-			per = 1
-		}
-		c.MN.EnableSparePool(cfg.SpareRegionBytes, per)
-	}
-	if cfg.MigrateInterval > 0 {
-		c.MN.MigrateUtil = cfg.MigrateUtil
-		c.MN.MigrateMargin = cfg.MigrateMargin
-		c.MN.StartMigration(cfg.MigrateInterval)
+	if cfg.Migrate {
+		c.MN.StartMigration()
 	}
 	return c
 }

@@ -260,9 +260,8 @@ func TestAdaptiveLibraryPicksChannels(t *testing.T) {
 		usedRDMA = ad.Get(p, 4096, 1<<20, transport.PatternContiguous)
 		ad.Message(p, 256)
 		usedQP = transport.ChanQPair
-		if ad.Stats.Get("CRMA") != 1 || ad.Stats.Get("RDMA") != 1 || ad.Stats.Get("QPair") != 1 {
-			t.Errorf("adaptive stats wrong: %v %v %v",
-				ad.Stats.Get("CRMA"), ad.Stats.Get("RDMA"), ad.Stats.Get("QPair"))
+		if qa.Stats.Sent != 1 {
+			t.Errorf("Message sent %d QPair messages, want 1", qa.Stats.Sent)
 		}
 	})
 	c.RunFor(10 * sim.Second)

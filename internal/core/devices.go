@@ -64,8 +64,7 @@ func (l *device) watch(retarget func(donor fabric.NodeID)) {
 // AccelLease is a remote accelerator attachment: the MN chose a donor
 // advertising a free device, and the recipient drives it through the
 // accelerator library's handle (§5.2.2). It satisfies Lease; acquire
-// one with Kind Accel plus WithClient (and WithDevice/WithExclusive for
-// the mailbox).
+// one with Kind Accel plus WithClient (and WithDevice for the mailbox).
 type AccelLease struct {
 	device
 	Handle *accel.RemoteHandle
@@ -79,7 +78,7 @@ func acquireAccel(p *sim.Proc, r Request, l lease) (Lease, error) {
 	if err := al.grant(p, r, monitor.DevAccelerator); err != nil {
 		return nil, err
 	}
-	al.Handle = r.client.Attach(al.donor, r.device, r.exclusive)
+	al.Handle = r.client.Attach(al.donor, r.device)
 	// Follow recovery live: a donor failover retargets the handle and
 	// replays in-flight chunks against the replacement device.
 	al.watch(al.Handle.Retarget)

@@ -34,7 +34,7 @@ const (
 	Swap
 	// Accel is an MN-brokered remote accelerator attachment (§5.2.2).
 	// The request must carry WithClient; WithDevice selects the donor
-	// mailbox and WithExclusive reserves it.
+	// mailbox.
 	Accel
 	// NIC is an MN-brokered remote NIC attachment (§5.2.3).
 	NIC
@@ -126,7 +126,6 @@ type Request struct {
 	// Option-carried fields (see With*).
 	scope     monitor.AllocScope
 	hasScope  bool
-	exclusive bool
 	device    int
 	hasDevice bool
 	donor     *node.Node
@@ -165,12 +164,6 @@ func (r Request) With(opts ...Option) Request {
 // than ScopeAny is a validation error there.
 func WithScope(scope monitor.AllocScope) Option {
 	return func(r *Request) { r.scope, r.hasScope = scope, true }
-}
-
-// WithExclusive reserves an accelerator mailbox for this recipient
-// alone (Accel only).
-func WithExclusive() Option {
-	return func(r *Request) { r.exclusive = true }
 }
 
 // WithDevice selects the donor-side device id — the accelerator mailbox
@@ -267,14 +260,11 @@ func (r *Request) validate(hier bool) error {
 	default:
 		return fmt.Errorf("%w: unknown kind %s", ErrBadRequest, r.Kind)
 	}
-	// The mailbox/exclusivity/client options shape accelerator
-	// attachments only.
+	// The mailbox and client options shape accelerator attachments
+	// only.
 	if r.Kind != Accel {
 		if r.hasDevice {
 			return fmt.Errorf("%w: device id on a %s request", ErrBadRequest, r.Kind)
-		}
-		if r.exclusive {
-			return fmt.Errorf("%w: exclusive flag on a %s request", ErrBadRequest, r.Kind)
 		}
 		if r.client != nil {
 			return fmt.Errorf("%w: accelerator client on a %s request", ErrBadRequest, r.Kind)

@@ -33,7 +33,6 @@ func TestRequestValidation(t *testing.T) {
 		{"scope on flat plane", NewRequest(Memory, on, 4096, WithScope(monitor.ScopeLocalRack)), "flat plane"},
 		{"device id on memory", NewRequest(Memory, on, 4096, WithDevice(1)), "device id"},
 		{"device id on nic", NewRequest(NIC, on, 0, WithDevice(1)), "device id"},
-		{"exclusive on memory", NewRequest(Memory, on, 4096, WithExclusive()), "exclusive"},
 		{"client on memory", NewRequest(Memory, on, 4096, WithClient(client)), "client"},
 		{"accel without client", NewRequest(Accel, on, 0), "WithClient"},
 		{"client on nic", NewRequest(NIC, on, 0, WithClient(client)), "client"},

@@ -204,7 +204,7 @@ func ablationWindowRun(window int, viaCRMA bool, seed uint64) float64 {
 	p := sim.Default()
 	rig := newPair(&p, seed)
 	defer rig.close()
-	cfg := transport.QPairConfig{Window: window, CreditBatch: window / 4, CreditViaCRMA: viaCRMA}
+	cfg := transport.QPairConfig{Window: window, CreditViaCRMA: viaCRMA}
 	qa, qb := transport.ConnectQPair(rig.Local.EP, rig.Donor.EP, cfg)
 	const count = 2000
 	var done sim.Time

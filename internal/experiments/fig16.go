@@ -38,9 +38,9 @@ func fig16aRun(k, dataset int, seed uint64) sim.Dur {
 		donor := node.New(eng, &p, net, fabric.NodeID(i+1), 4<<30)
 		dev := accel.New(eng, &p, xfft)
 		svc := accel.Serve(donor, dev)
-		svc.SetExclusive(0, host.ID)
+		svc.SetExclusive(0)
 		defer svc.Shutdown()
-		handles = append(handles, client.Attach(donor.ID, 0, true))
+		handles = append(handles, client.Attach(donor.ID, 0))
 	}
 	var elapsed sim.Dur
 	host.Run("fft-farm", func(pr *sim.Proc) {

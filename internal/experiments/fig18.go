@@ -27,7 +27,7 @@ func fig18Run(size int, viaCRMA bool, seed uint64) float64 {
 	p := sim.Default()
 	rig := newPair(&p, seed)
 	defer rig.close()
-	cfg := transport.QPairConfig{Window: 16, CreditBatch: 4, CreditViaCRMA: viaCRMA}
+	cfg := transport.QPairConfig{Window: 16, CreditViaCRMA: viaCRMA}
 	qa, qb := transport.ConnectQPair(rig.Local.EP, rig.Donor.EP, cfg)
 	const count = 3000
 	var done sim.Time

@@ -30,7 +30,6 @@ import (
 func migrateServingCells() []cell[serving.Config] {
 	base := tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{})
 	hot := tierCell("telemetry", "traffic-aware", 8, 3, 0.9, serving.ArrivalSpec{})
-	hot.Cfg.Telemetry = true
 	hot.Cfg.Migrate = true
 	return []cell[serving.Config]{base, hot}
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -183,6 +184,33 @@ func TestRouterInsertionAddsLatency(t *testing.T) {
 	ratio := float64(routed) / float64(direct)
 	if ratio < 1.2 || ratio > 1.6 {
 		t.Fatalf("routed/direct = %.2f, want within [1.2,1.6]", ratio)
+	}
+}
+
+// TestRouterHalfLinksCounted checks that the network-wide link walk
+// reaches a router's outgoing half-links: one packet across a routed
+// pair crosses two links, and SetErrorRate reaches all four half-links.
+func TestRouterHalfLinksCounted(t *testing.T) {
+	eng, net, logs := testNet(t, Pair())
+	net.InsertRouter(0, 1)
+	eng.Schedule(0, func() { net.Send(&Packet{Src: 0, Dst: 1, Kind: "t", Size: 64}) })
+	eng.Run()
+	if len(logs[1]) != 1 {
+		t.Fatal("packet not delivered")
+	}
+	if got := net.TotalLinkStats().Packets; got != 2 {
+		t.Fatalf("one routed packet counted %d link packets, want 2", got)
+	}
+	net.SetErrorRate(0.25)
+	var reached []string
+	net.links(func(l *Link) {
+		if l.errRate == 0.25 {
+			reached = append(reached, l.Name())
+		}
+	})
+	want := []string{"n0->R", "n1->R", "R->n1", "R->n0"}
+	if !slices.Equal(reached, want) {
+		t.Fatalf("SetErrorRate reached %v, want %v", reached, want)
 	}
 }
 

@@ -74,12 +74,18 @@ func (n *Network) Link(a, b NodeID) *Link {
 	return n.switches[a].port[b]
 }
 
-// links calls fn on every link between two nodes' switches, in node and
-// neighbor order.
+// links calls fn on every link: each switch's ports in node and
+// neighbor order (a port moved onto a router is the half-link into it),
+// then each router's two outgoing half-links in insertion order.
 func (n *Network) links(fn func(*Link)) {
 	for _, s := range n.switches {
 		for _, nb := range n.Topo.NeighborsOf(s.id) {
 			fn(s.port[nb])
+		}
+	}
+	for _, r := range n.routers {
+		for _, l := range r.out {
+			fn(l)
 		}
 	}
 }
@@ -173,8 +179,8 @@ func (n *Network) InsertRouter(a, b NodeID) *Router {
 	for _, l := range []*Link{aToR, rToB, bToR, rToA} {
 		l.fixed = halfFixed
 	}
-	r.out[aToR] = rToB
-	r.out[bToR] = rToA
+	r.in = [2]*Link{aToR, bToR}
+	r.out = [2]*Link{rToB, rToA}
 	n.switches[a].port[b] = aToR
 	n.switches[b].port[a] = bToR
 	n.routers = append(n.routers, r)

@@ -154,13 +154,15 @@ type Router struct {
 	p    *sim.Params
 	name string
 	lat  sim.Dur
-	out  map[*Link]*Link // incoming link -> outgoing link on the far side
+	// in and out are the router's half-links: a packet arriving on in[i]
+	// leaves on out[i], the outgoing link on the far side.
+	in, out [2]*Link
 
 	forwarded int64
 }
 
 func newRouter(eng *sim.Engine, p *sim.Params, name string) *Router {
-	return &Router{eng: eng, p: p, name: name, lat: p.RouterLat, out: make(map[*Link]*Link)}
+	return &Router{eng: eng, p: p, name: name, lat: p.RouterLat}
 }
 
 // Forwarded reports how many packets crossed the router.
@@ -169,8 +171,13 @@ func (r *Router) Forwarded() int64 { return r.forwarded }
 // receive implements the link receiver for the router.
 func (r *Router) receive(pkt *Packet, from *Link) {
 	pkt.Hops++
-	outLink, ok := r.out[from]
-	if !ok {
+	var outLink *Link
+	switch from {
+	case r.in[0]:
+		outLink = r.out[0]
+	case r.in[1]:
+		outLink = r.out[1]
+	default:
 		panic("fabric: router received packet on unknown link")
 	}
 	r.forwarded++

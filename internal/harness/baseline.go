@@ -22,8 +22,8 @@ func LoadReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// Drift is one metric that moved beyond tolerance between a baseline
-// and a fresh run, or coverage that appeared/disappeared.
+// Drift is one metric whose value differs between a baseline and a
+// fresh run, or coverage that appeared/disappeared.
 type Drift struct {
 	Spec   string
 	Trial  string
@@ -59,9 +59,10 @@ func relDiff(base, got float64) float64 {
 // compared (the gate runs a pinned subset), but within a compared spec
 // coverage must match both ways: a trial or metric missing from either
 // side is a drift, so the gate cannot be silently narrowed. Timing
-// metadata (wall_ms and friends) is never compared — with deterministic
-// seeds the measured Values must match to within tol exactly.
-func (rep *Report) CompareToBaseline(base *Report, tol float64) []Drift {
+// metadata (wall_ms and friends) is never compared. Every trial is
+// seeded, so the measured Values must match exactly: any change to a
+// value is a drift.
+func (rep *Report) CompareToBaseline(base *Report) []Drift {
 	type key struct{ spec, trial string }
 	baseTrials := make(map[key]Values, len(base.Trials))
 	for i := range base.Trials {
@@ -92,7 +93,7 @@ func (rep *Report) CompareToBaseline(base *Report, tol float64) []Drift {
 					Got: got, Reason: "metric absent from baseline (regenerate the baseline)"})
 				continue
 			}
-			if relDiff(b, got) > tol {
+			if got != b {
 				drifts = append(drifts, Drift{Spec: t.Spec, Trial: t.Trial, Key: k, Base: b, Got: got})
 			}
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -23,7 +24,7 @@ func testReport() *Report {
 
 func TestCompareToBaselineClean(t *testing.T) {
 	rep, base := testReport(), testReport()
-	if drifts := rep.CompareToBaseline(base, 0.01); len(drifts) != 0 {
+	if drifts := rep.CompareToBaseline(base); len(drifts) != 0 {
 		t.Fatalf("identical reports drifted: %v", drifts)
 	}
 	if rep.MetricCount() != 4 {
@@ -31,16 +32,17 @@ func TestCompareToBaselineClean(t *testing.T) {
 	}
 }
 
-func TestCompareToBaselineToleranceBoundary(t *testing.T) {
-	rep, base := testReport(), testReport()
-	rep.Trials[1].Values["ns"] = 201.9 // 0.95% drift: inside 1%
-	if drifts := rep.CompareToBaseline(base, 0.01); len(drifts) != 0 {
-		t.Fatalf("sub-tolerance change flagged: %v", drifts)
-	}
-	rep.Trials[1].Values["ns"] = 203 // 1.5% drift: outside
-	drifts := rep.CompareToBaseline(base, 0.01)
-	if len(drifts) != 1 || drifts[0].Trial != "a/2" || drifts[0].Key != "ns" {
-		t.Fatalf("want exactly the a/2 ns drift, got %v", drifts)
+// TestCompareToBaselineIsExact checks that the gate has no tolerance:
+// a 0.95% change, a change of one ulp either way and a 1.5% change are
+// each exactly one drift.
+func TestCompareToBaselineIsExact(t *testing.T) {
+	for _, got := range []float64{201.9, math.Nextafter(200, 201), math.Nextafter(200, 199), 203} {
+		rep, base := testReport(), testReport()
+		rep.Trials[1].Values["ns"] = got
+		drifts := rep.CompareToBaseline(base)
+		if len(drifts) != 1 || drifts[0].Trial != "a/2" || drifts[0].Key != "ns" || drifts[0].Got != got {
+			t.Fatalf("ns 200 -> %v: want exactly the a/2 ns drift, got %v", got, drifts)
+		}
 	}
 }
 
@@ -48,20 +50,20 @@ func TestCompareToBaselineCoverage(t *testing.T) {
 	// A trial the baseline has never seen.
 	rep, base := testReport(), testReport()
 	rep.Trials = append(rep.Trials, TrialResult{Spec: "alpha", Trial: "a/3", Values: Values{"ns": 1}})
-	if drifts := rep.CompareToBaseline(base, 0.01); len(drifts) != 1 || drifts[0].Reason == "" {
+	if drifts := rep.CompareToBaseline(base); len(drifts) != 1 || drifts[0].Reason == "" {
 		t.Fatalf("new trial not flagged: %v", drifts)
 	}
 	// A baseline trial that vanished from the run.
 	rep = testReport()
 	rep.Trials = rep.Trials[1:] // drop alpha a/1
-	if drifts := rep.CompareToBaseline(base, 0.01); len(drifts) != 1 || drifts[0].Trial != "a/1" {
+	if drifts := rep.CompareToBaseline(base); len(drifts) != 1 || drifts[0].Trial != "a/1" {
 		t.Fatalf("vanished trial not flagged: %v", drifts)
 	}
 	// A metric that vanished, and one that appeared.
 	rep = testReport()
 	delete(rep.Trials[0].Values, "miss")
 	rep.Trials[2].Values["extra"] = 1
-	drifts := rep.CompareToBaseline(base, 0.01)
+	drifts := rep.CompareToBaseline(base)
 	if len(drifts) != 2 {
 		t.Fatalf("want 2 coverage drifts, got %v", drifts)
 	}
@@ -69,7 +71,7 @@ func TestCompareToBaselineCoverage(t *testing.T) {
 	rep = testReport()
 	rep.Specs = rep.Specs[:1]
 	rep.Trials = rep.Trials[:2]
-	if drifts := rep.CompareToBaseline(base, 0.01); len(drifts) != 0 {
+	if drifts := rep.CompareToBaseline(base); len(drifts) != 0 {
 		t.Fatalf("unran spec compared: %v", drifts)
 	}
 }
@@ -78,11 +80,11 @@ func TestCompareToBaselineZeroHandling(t *testing.T) {
 	rep, base := testReport(), testReport()
 	base.Trials[0].Values["miss"] = 0
 	rep.Trials[0].Values["miss"] = 0
-	if drifts := rep.CompareToBaseline(base, 0.01); len(drifts) != 0 {
+	if drifts := rep.CompareToBaseline(base); len(drifts) != 0 {
 		t.Fatalf("0 vs 0 drifted: %v", drifts)
 	}
 	rep.Trials[0].Values["miss"] = 1e-9
-	if drifts := rep.CompareToBaseline(base, 0.01); len(drifts) != 1 {
+	if drifts := rep.CompareToBaseline(base); len(drifts) != 1 {
 		t.Fatalf("0 -> nonzero not flagged: %v", drifts)
 	}
 }
@@ -97,7 +99,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drifts := loaded.CompareToBaseline(rep, 0); len(drifts) != 0 {
+	if drifts := loaded.CompareToBaseline(rep); len(drifts) != 0 {
 		t.Fatalf("round trip drifted: %v", drifts)
 	}
 	if _, err := LoadReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {

@@ -63,8 +63,8 @@ func (m *Monitor) admit(p *sim.Proc, from fabric.NodeID, res Resource, amount ui
 		var waited sim.Dur
 		maxWait := cfg.PerClass[class].MaxWait
 		for dec == tenancy.Queue && waited < maxWait {
-			p.Sleep(cfg.Poll())
-			waited += cfg.Poll()
+			p.Sleep(tenancy.PollInterval)
+			waited += tenancy.PollInterval
 			dec, g = m.decide(res, amount, class)
 		}
 		if dec == tenancy.Admit || dec == tenancy.Degrade {

@@ -29,11 +29,22 @@ import (
 // bulk flows: pairing two bulk flows raises the max, so a pure max-util
 // objective always refuses.
 
-// defaults for the migration thresholds (Monitor.MigrateUtil /
-// MigrateMargin override them when positive).
+// The migration loop's cadence and thresholds. They are sized to the
+// telemetry scale of the one scenario that runs the loop (the Tier
+// serving cell): 2 KiB reads on multi-GB/s links leave
+// single-digit-percent utilization even on a contended uplink, so "hot"
+// means a link carrying several co-located flows, not a saturated one.
+// The scan runs every two of that cell's telemetry beats, so it acts on
+// fresh samples.
 const (
-	defaultMigrateUtil   = 0.75
-	defaultMigrateMargin = 0.20
+	// migrateEvery is the scan period.
+	migrateEvery = 500 * sim.Microsecond
+	// migrateUtil is the windowed path utilization above which a lease
+	// is hot.
+	migrateUtil = 0.10
+	// migrateMargin is how much cooler a destination path must be for a
+	// move to be worthwhile.
+	migrateMargin = 0.07
 )
 
 // pathRelief is migrateLease's relieve-a-latency-path mode: the
@@ -46,22 +57,18 @@ type pathRelief struct {
 	ceiling float64
 }
 
-// StartMigration launches the MN's hot-lease scan at the given period
-// (0 selects 500 µs). The loop keeps the event queue non-empty forever,
-// so drive the engine with RunFor or step-until-done, not Run. Without
-// telemetry-enabled agents the loop never sees a hot path and does
-// nothing.
-func (m *Monitor) StartMigration(interval sim.Dur) {
+// StartMigration launches the MN's hot-lease scan, every 500 µs. The
+// loop keeps the event queue non-empty forever, so drive the engine
+// with RunFor or step-until-done, not Run. Without telemetry-enabled
+// agents the loop never sees a hot path and does nothing.
+func (m *Monitor) StartMigration() {
 	if m.migrationOn {
 		return
 	}
 	m.migrationOn = true
-	if interval <= 0 {
-		interval = 500 * sim.Microsecond
-	}
 	m.EP.Eng.Go("mn-migrate", func(p *sim.Proc) {
 		for {
-			p.Sleep(interval)
+			p.Sleep(migrateEvery)
 			m.migrateScan(p)
 		}
 	})
@@ -77,10 +84,6 @@ func (m *Monitor) migrateScan(p *sim.Proc) {
 	if !v.HasTelemetry {
 		return
 	}
-	threshold := m.MigrateUtil
-	if threshold <= 0 {
-		threshold = defaultMigrateUtil
-	}
 	ids := make([]int, 0, len(m.rat))
 	for id := range m.rat {
 		ids = append(ids, id)
@@ -94,7 +97,7 @@ func (m *Monitor) migrateScan(p *sim.Proc) {
 			continue
 		}
 		u, known := v.PathUtil(a.Recipient, a.Donor)
-		if !known || u < threshold {
+		if !known || u < migrateUtil {
 			continue
 		}
 		switch {
@@ -145,14 +148,10 @@ func (m *Monitor) relieveLatencyPath(p *sim.Proc, v *View, hot *Allocation, hotU
 		m.Stats.Add("migrate.no_candidate", 1)
 		return
 	}
-	threshold := m.MigrateUtil
-	if threshold <= 0 {
-		threshold = defaultMigrateUtil
-	}
 	relief := &pathRelief{
 		link:    link,
 		share:   hotUtil / float64(sharers),
-		ceiling: 2 * threshold,
+		ceiling: 2 * migrateUtil,
 	}
 	m.migrateLease(p, v, victim, hotUtil, relief)
 }
@@ -167,10 +166,6 @@ func (m *Monitor) relieveLatencyPath(p *sim.Proc, v *View, hot *Allocation, hotU
 // success hot-returns the old region to its donor, off the serving
 // critical path since the recipient is already retargeted.
 func (m *Monitor) migrateLease(p *sim.Proc, v *View, a *Allocation, curUtil float64, relief *pathRelief) bool {
-	margin := m.MigrateMargin
-	if margin <= 0 {
-		margin = defaultMigrateMargin
-	}
 	// Links any latency-sensitive lease depends on: no migration may
 	// land bulk traffic there, whichever mode chose the victim.
 	latLinks := make(map[[2]fabric.NodeID]bool)
@@ -198,7 +193,7 @@ func (m *Monitor) migrateLease(p *sim.Proc, v *View, a *Allocation, curUtil floa
 			return cu+relief.share <= relief.ceiling
 		default:
 			// Only move somewhere meaningfully cooler.
-			return cu <= curUtil-margin
+			return cu <= curUtil-migrateMargin
 		}
 	}})
 }

@@ -164,12 +164,6 @@ type Monitor struct {
 
 	// Migration loop state (migrate.go).
 	migrationOn bool
-	// MigrateUtil is the windowed path-utilization threshold above which
-	// a lease is considered hot (0 selects the default, 0.75);
-	// MigrateMargin is how much cooler a destination path must be for a
-	// move to be worthwhile (0 selects the default, 0.20).
-	MigrateUtil   float64
-	MigrateMargin float64
 
 	// Stats counts runtime activity, including allocation retries caused
 	// by stale RRT records (§5.3's handshake-and-retry).

@@ -156,13 +156,13 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
 		return nil, err
 	}
-	ccfg := core.Config{Seed: churnClusterSeed}
+	var setup func(*core.Cluster)
 	if cfg.SparePool {
 		// One spare per lease the server holds: a crashed donor can back
 		// every lease it carried, so no failover in the burst goes cold.
-		ccfg.SpareRegionBytes, ccfg.SparesPerDonor = churnLeaseBytes, churnLeases
+		setup = func(cl *core.Cluster) { cl.MN.EnableSparePool(churnLeaseBytes, churnLeases) }
 	}
-	rig, err := newChurnRig("churn", cfg.Nodes, cfg.Policy, cfg.Fault, ccfg, churnChaosSeed, nil)
+	rig, err := newChurnRig("churn", cfg.Nodes, cfg.Policy, cfg.Fault, churnClusterSeed, churnChaosSeed, setup)
 	if err != nil {
 		return nil, err
 	}
@@ -254,11 +254,11 @@ type churnRig struct {
 	chaosSeed uint64
 }
 
-// newChurnRig builds the rig on a nodes-node mesh (0 means 8). ccfg
-// carries the scenario's cluster seed and extras; setup, when set,
-// runs before the 10 ms RRT warm-up.
-func newChurnRig(name string, nodes int, policy string, fault FaultRate, ccfg core.Config,
-	chaosSeed uint64, setup func(*core.Cluster)) (*churnRig, error) {
+// newChurnRig builds the rig on a nodes-node mesh (0 means 8) with the
+// scenario's cluster and chaos seeds; setup, when set, runs before the
+// 10 ms RRT warm-up, while the MN's donor table is still empty.
+func newChurnRig(name string, nodes int, policy string, fault FaultRate,
+	clusterSeed, chaosSeed uint64, setup func(*core.Cluster)) (*churnRig, error) {
 	pol, ok := monitor.PolicyByName(policy)
 	if !ok {
 		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", policy, monitor.PolicyNames())
@@ -284,9 +284,10 @@ func newChurnRig(name string, nodes int, policy string, fault FaultRate, ccfg co
 		return nil, fmt.Errorf("serving: unknown fault rate %q", fault)
 	}
 
-	ccfg.Topology, ccfg.StartAgents, ccfg.StartRecovery = &topo, true, true
-	ccfg.HeartbeatInterval, ccfg.HeartbeatTimeout, ccfg.SweepInterval = churnBeatInterval, churnBeatTimeout, churnSweep
-	r.cl = core.NewCluster(ccfg)
+	r.cl = core.NewCluster(core.Config{
+		Topology: &topo, Seed: clusterSeed, StartAgents: true, StartRecovery: true,
+		HeartbeatInterval: churnBeatInterval, HeartbeatTimeout: churnBeatTimeout, SweepInterval: churnSweep,
+	})
 	r.cl.MN.Policy = pol
 	// The MN must never be elected donor: its death model (and the
 	// paper's un-replicated MN) is out of scope, and crashing a donor
@@ -342,4 +343,12 @@ func (r *churnRig) start(requests int, rps float64) error {
 }
 
 // crashes counts the donor crashes the rig injected.
-func (r *churnRig) crashes() int64 { return r.inj.Stats.Get(string(chaos.NodeDown)) }
+func (r *churnRig) crashes() int64 {
+	var n int64
+	for _, a := range r.inj.Trace {
+		if a.Action.Op == chaos.NodeDown {
+			n++
+		}
+	}
+	return n
+}

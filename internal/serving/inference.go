@@ -76,7 +76,7 @@ func runInference(cfg Config) (*Result, error) {
 	}
 	res := &Result{}
 	if cfg.Racks <= 0 {
-		rig, err := newChurnRig("inference", cfg.Nodes, cfg.Policy, cfg.Fault, core.Config{Seed: inferClusterSeed},
+		rig, err := newChurnRig("inference", cfg.Nodes, cfg.Policy, cfg.Fault, inferClusterSeed,
 			inferChaosSeed, func(cl *core.Cluster) {
 				for i := 2; i < len(cl.Nodes); i++ {
 					farms = append(farms, inferFarm(cl.Eng, cl.P, cl.Node(i), cl.Agents[i]))

@@ -61,15 +61,11 @@ type Config struct {
 	// lease — the serving tier's and the tenants' (Tier and flat
 	// Inference; "" = the prototype's distance-first).
 	Policy string
-	// Telemetry enables the windowed link-utilization plane (Tier
-	// only): agents beat every tierTelemetryBeat instead of staying
-	// silent for the run, each beat carrying per-link recent
-	// utilization, so telemetry-aware policies and the migration loop
-	// see where traffic actually flows.
-	Telemetry bool
-	// Migrate starts the MN's lease-migration loop (Tier only; needs
-	// Telemetry to ever observe a hot path): a lease serving through a
-	// saturated path is retargeted to a cooler donor mid-run, reads
+	// Migrate turns on the windowed link-utilization plane and the MN's
+	// lease-migration loop (Tier only): agents beat every
+	// tierTelemetryBeat instead of staying silent for the run, each beat
+	// carrying per-link recent utilization, and a lease serving through
+	// a saturated path is retargeted to a cooler donor mid-run, reads
 	// replaying transparently through the CRMA window.
 	Migrate bool
 	// Racks and RackNodes shape the hierarchical fabric (Scale only):
@@ -145,18 +141,11 @@ const (
 	tenantReadBytes  = 2048
 	tenantThinkMaxNS = 4000
 
-	// Telemetry-plane cadence (Tier cells with Telemetry set): the beat
+	// Telemetry-plane cadence (Tier cells with Migrate set): the beat
 	// must be much shorter than the measured window for utilization to
-	// resolve mid-run hotspots, and the migration loop a couple of
-	// beats so it acts on fresh samples. The hot threshold and required
-	// cool-down are sized to the scenario's telemetry scale — 2 KiB
-	// reads on multi-GB/s links leave single-digit-percent utilization
-	// even on a contended uplink, so "hot" here means a link carrying
-	// several co-located flows, not a saturated one.
+	// resolve mid-run hotspots; the MN's migration loop scans every two
+	// beats.
 	tierTelemetryBeat = 250 * sim.Microsecond
-	tierMigrateEvery  = 500 * sim.Microsecond
-	tierMigrateUtil   = 0.10
-	tierMigrateMargin = 0.07
 	// tierMigrateSettle is the pause between the tenants lighting up and
 	// calibration when the migration loop is on: one telemetry window to
 	// see the new traffic, one scan to react, and slack for the move —
@@ -302,14 +291,9 @@ func runTier(cfg Config) (*Result, error) {
 	// warm-up populates the RRT); the telemetry plane needs live beats.
 	ccfg := core.Config{Params: &p, Topology: &topo, StartAgents: true,
 		Seed: tierClusterSeed, HeartbeatInterval: 30 * sim.Second}
-	if cfg.Telemetry {
-		ccfg.Telemetry = true
-		ccfg.HeartbeatInterval = tierTelemetryBeat
-	}
 	if cfg.Migrate {
-		ccfg.MigrateInterval = tierMigrateEvery
-		ccfg.MigrateUtil = tierMigrateUtil
-		ccfg.MigrateMargin = tierMigrateMargin
+		ccfg.Migrate = true
+		ccfg.HeartbeatInterval = tierTelemetryBeat
 	}
 	cl := core.NewCluster(ccfg)
 	defer cl.Close()

@@ -118,10 +118,11 @@ type Config struct {
 	// Preempt allows Standard/Latency requests that would otherwise be
 	// rejected to revoke Preemptible-class leases instead.
 	Preempt bool
-	// PollInterval is how often a queued request re-evaluates pressure
-	// while waiting out its class's MaxWait. Zero defaults to 100µs.
-	PollInterval sim.Dur
 }
+
+// PollInterval is how often a queued request re-evaluates pressure
+// while waiting out its class's MaxWait.
+const PollInterval = 100 * sim.Microsecond
 
 // Default returns the reference policy used by the serving-tenancy
 // scenario: Latency admits to the full pool and preempts rather than
@@ -135,17 +136,8 @@ func Default() *Config {
 			Standard:    {ReserveFrac: 0.85, MaxWait: 2 * sim.Millisecond, DegradeFrac: 0.5, SLOMult: 8},
 			Latency:     {ReserveFrac: 1.0, SLOMult: 4},
 		},
-		Preempt:      true,
-		PollInterval: 100 * sim.Microsecond,
+		Preempt: true,
 	}
-}
-
-// Poll reports the queue re-evaluation period with the default applied.
-func (c *Config) Poll() sim.Dur {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 100 * sim.Microsecond
 }
 
 // Decision is the admission controller's verdict for one request.

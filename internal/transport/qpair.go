@@ -35,32 +35,23 @@ type Message struct {
 	Latency sim.Dur
 }
 
-// QPairConfig shapes one direction of a queue pair.
+// QPairConfig shapes one direction of a queue pair. The extra cost of
+// Fig. 5's off-chip QPair comes from the interface's placement off the
+// processor die (fabric.Switch.SetOffChip), not from this config.
 type QPairConfig struct {
 	// Window is the transport-level credit window: the number of receive
-	// buffers at the peer. Zero disables transport flow control.
+	// buffers at the peer. Zero disables transport flow control. The
+	// receiver returns credits in batches of a quarter window (at least
+	// one).
 	Window int
-	// CreditBatch is how many consumed messages the receiver accumulates
-	// before returning credits. Zero defaults to max(1, Window/4).
-	CreditBatch int
 	// CreditViaCRMA routes credit updates through the CRMA channel as
 	// posted writes instead of QPair control messages (Fig. 9 right).
 	CreditViaCRMA bool
-	// ExtraSW is additional per-message software cost, modeling thicker
-	// legacy stacks (the off-chip QPair configuration of Fig. 5 runs a
-	// conventional IB-style path).
-	ExtraSW sim.Dur
 }
 
-func (c QPairConfig) creditBatch() int {
-	if c.CreditBatch > 0 {
-		return c.CreditBatch
-	}
-	if c.Window >= 4 {
-		return c.Window / 4
-	}
-	return 1
-}
+// creditBatch is how many consumed messages the receiver accumulates
+// before returning credits.
+func (c QPairConfig) creditBatch() int { return max(1, c.Window/4) }
 
 // QPairStats counts one endpoint's QPair activity.
 type QPairStats struct {
@@ -133,7 +124,7 @@ func (q *QPair) Pending() int { return q.recvQ.Len() }
 // process for the software send path and, when flow control is enabled,
 // until a credit is available.
 func (q *QPair) Send(p *sim.Proc, size int, data any) {
-	p.Sleep(q.ep.P.QPairSWSend + q.cfg.ExtraSW)
+	p.Sleep(q.ep.P.QPairSWSend)
 	q.sendHW(p, size, data)
 }
 
@@ -190,7 +181,7 @@ func (q *QPair) release(from fabric.NodeID, m *qpMsg) {
 // path, and handles credit returns.
 func (q *QPair) Recv(p *sim.Proc) *Message {
 	msg := q.recvQ.Pop(p)
-	p.Sleep(q.ep.P.QPairSWRecv + q.cfg.ExtraSW)
+	p.Sleep(q.ep.P.QPairSWRecv)
 	q.afterConsume(p)
 	return msg
 }
@@ -228,7 +219,7 @@ func (q *QPair) afterConsume(p *sim.Proc) {
 	// Traditional path: a QPair control message — a lighter software
 	// post than a data send, but still on the receiver's CPU and still a
 	// full traversal of the channel's latency.
-	p.Sleep(q.ep.P.QPairCreditSW + q.cfg.ExtraSW)
+	p.Sleep(q.ep.P.QPairCreditSW)
 	q.ep.Eng.Schedule(q.ep.P.QPairDoor, func() {
 		q.ep.SendRaw(q.peer, "qpair.credit", 8, cr)
 	})

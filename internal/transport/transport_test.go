@@ -248,37 +248,9 @@ func TestQPairPingPongRTT(t *testing.T) {
 	}
 }
 
-func TestQPairLegacyStackIsSlower(t *testing.T) {
-	run := func(extra sim.Dur) sim.Dur {
-		r := newRig(t)
-		qa, qb := ConnectQPair(r.a, r.b, QPairConfig{ExtraSW: extra})
-		var rtt sim.Dur
-		r.eng.Go("server", func(p *sim.Proc) {
-			qb.Recv(p)
-			qb.Send(p, 64, nil)
-		})
-		r.eng.Go("client", func(p *sim.Proc) {
-			t0 := p.Now()
-			qa.Send(p, 64, nil)
-			qa.Recv(p)
-			rtt = p.Now().Sub(t0)
-		})
-		r.eng.Run()
-		return rtt
-	}
-	fast, slow := run(0), run(5*sim.Microsecond)
-	if slow <= fast {
-		t.Fatalf("legacy stack RTT %v not slower than lean stack %v", slow, fast)
-	}
-	// Four software crossings -> 20µs extra.
-	if d := slow - fast; d != 20*sim.Microsecond {
-		t.Fatalf("extra SW delta = %v, want 20µs", d)
-	}
-}
-
 func TestQPairFlowControlBlocksSender(t *testing.T) {
 	r := newRig(t)
-	qa, qb := ConnectQPair(r.a, r.b, QPairConfig{Window: 4, CreditBatch: 2})
+	qa, qb := ConnectQPair(r.a, r.b, QPairConfig{Window: 4})
 	const n = 32
 	r.eng.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
@@ -309,7 +281,7 @@ func TestQPairFlowControlBlocksSender(t *testing.T) {
 func TestQPairCreditsViaCRMAReduceStall(t *testing.T) {
 	run := func(viaCRMA bool) sim.Dur {
 		r := newRig(t)
-		qa, qb := ConnectQPair(r.a, r.b, QPairConfig{Window: 8, CreditBatch: 2, CreditViaCRMA: viaCRMA})
+		qa, qb := ConnectQPair(r.a, r.b, QPairConfig{Window: 8, CreditViaCRMA: viaCRMA})
 		const n = 200
 		var elapsed sim.Dur
 		r.eng.Go("sender", func(p *sim.Proc) {
