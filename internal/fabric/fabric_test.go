@@ -214,6 +214,35 @@ func TestRouterHalfLinksCounted(t *testing.T) {
 	}
 }
 
+// TestRoutedLinkSettersReachHalfLinks checks that the per-link setters
+// reach all four half-links of a routed pair, the router's outgoing ones
+// included, and that 0 restores the global rate on all four.
+func TestRoutedLinkSettersReachHalfLinks(t *testing.T) {
+	p := sim.Default()
+	_, net, _ := testNet(t, Line(2))
+	net.InsertRouter(0, 1)
+	check := func(gbps float64, down bool) {
+		t.Helper()
+		var n int
+		net.links(func(l *Link) {
+			n++
+			if l.Gbps() != gbps || l.Down() != down {
+				t.Errorf("%s: (Gbps, Down) = (%v, %v), want (%v, %v)", l.Name(), l.Gbps(), l.Down(), gbps, down)
+			}
+		})
+		if n != 4 {
+			t.Fatalf("walked %d half-links, want 4", n)
+		}
+	}
+	net.SetLinkGbps(0, 1, 1)
+	check(1, false)
+	net.SetLinkDown(1, 0, true)
+	check(1, true)
+	net.SetLinkGbps(1, 0, 0)
+	net.SetLinkDown(0, 1, false)
+	check(p.LinkGbps, false)
+}
+
 func TestOffChipInterfaceAddsCrossings(t *testing.T) {
 	p := sim.Default()
 	run := func(offchip bool) sim.Time {

@@ -107,29 +107,41 @@ func (n *Network) Send(pkt *Packet) {
 // HopCount reports shortest-path hops between two nodes.
 func (n *Network) HopCount(a, b NodeID) int { return n.Topo.HopCount(a, b) }
 
+// pair calls fn on every half-link of the a<->b link: both directions
+// and, once InsertRouter has put a router on the link, the router's two
+// outgoing half-links after them.
+func (n *Network) pair(a, b NodeID, fn func(*Link)) {
+	ab, ba := n.Link(a, b), n.Link(b, a)
+	for _, l := range [2]*Link{ab, ba} {
+		if l != nil {
+			fn(l)
+		}
+	}
+	if ab == nil {
+		return
+	}
+	if r, ok := ab.to.(*Router); ok {
+		for _, l := range r.out {
+			fn(l)
+		}
+	}
+}
+
 // SetLinkGbps overrides the serial bandwidth of both directions of the
-// a<->b link (0 restores the global Params.LinkGbps). Hierarchical
-// topologies use it to model oversubscribed spine uplinks.
+// a<->b link, router half-links included (0 restores the global
+// Params.LinkGbps). Hierarchical topologies use it to model
+// oversubscribed spine uplinks.
 func (n *Network) SetLinkGbps(a, b NodeID, gbps float64) {
 	if n.Link(a, b) == nil && n.Link(b, a) == nil {
 		panic(fmt.Sprintf("fabric: no link %v<->%v to set bandwidth on", a, b))
 	}
-	if l := n.Link(a, b); l != nil {
-		l.SetGbps(gbps)
-	}
-	if l := n.Link(b, a); l != nil {
-		l.SetGbps(gbps)
-	}
+	n.pair(a, b, func(l *Link) { l.SetGbps(gbps) })
 }
 
-// SetLinkDown fails or restores both directions of the a<->b link.
+// SetLinkDown fails or restores both directions of the a<->b link,
+// router half-links included.
 func (n *Network) SetLinkDown(a, b NodeID, down bool) {
-	if l := n.Link(a, b); l != nil {
-		l.SetDown(down)
-	}
-	if l := n.Link(b, a); l != nil {
-		l.SetDown(down)
-	}
+	n.pair(a, b, func(l *Link) { l.SetDown(down) })
 }
 
 // SetNodeDown crashes or restores node id: while down, the node's

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/fabric"
 	"repro/internal/memsys"
@@ -20,6 +21,10 @@ type Agent struct {
 
 	// Devices advertises shareable device units (accelerators, NICs).
 	Devices map[Resource]int
+	// devSnap is the copy of Devices the last beat carried. A sent
+	// snapshot is never mutated, so the MN reads the counts as of its
+	// send; beats share it until Devices changes.
+	devSnap map[Resource]int
 
 	// Interval is the heartbeat period.
 	Interval sim.Dur
@@ -80,10 +85,10 @@ func NewAgent(ep *transport.Endpoint, mm *memsys.MemManager, net *fabric.Network
 	}
 	ep.HandleCall(kindHotRemove, a.onHotRemove)
 	ep.HandleCall(kindHotReturn, a.onHotReturn)
-	ep.HandleCall(kindRelocate, a.onRelocate)
-	ep.HandleCall(kindRevoke, a.onRevoke)
+	ep.HandleInline(kindRelocate, a.onRelocate)
+	ep.HandleInline(kindRevoke, a.onRevoke)
 	ep.HandleCall(kindSpareCarve, a.onSpareCarve)
-	ep.HandleCall(kindSpareAttach, a.onSpareAttach)
+	ep.HandleInline(kindSpareAttach, a.onSpareAttach)
 	return a
 }
 
@@ -135,15 +140,13 @@ func (a *Agent) Incarnation() int64 { return a.incarnation }
 func (a *Agent) Mute(muted bool) { a.muted = muted }
 
 // beat sends one heartbeat: idle memory, device counts, link probes.
+// Each beat's report is a fresh allocation: the fabric may deliver one
+// packet twice, so a sent report is never reused.
 func (a *Agent) beat(p *sim.Proc) {
-	devs := make(map[Resource]int, len(a.Devices))
-	for k, v := range a.Devices {
-		devs[k] = v
-	}
 	hb := &Heartbeat{
 		Node:        a.EP.ID,
 		IdleBytes:   a.MemMgr.Idle(),
-		Devices:     devs,
+		Devices:     a.devices(),
 		Links:       a.probeLinks(),
 		Incarnation: a.incarnation,
 	}
@@ -155,14 +158,24 @@ func (a *Agent) beat(p *sim.Proc) {
 	a.Stats.Add("beats", 1)
 }
 
+// devices returns the device counts a beat carries: devSnap, rebuilt
+// first if Devices has changed since the last beat.
+func (a *Agent) devices() map[Resource]int {
+	if !maps.Equal(a.devSnap, a.Devices) {
+		a.devSnap = maps.Clone(a.Devices)
+	}
+	return a.devSnap
+}
+
 // probeLinks tests this node's fabric ports (the daemon "tests and
 // reports the status of the Venice fabric links on every heartbeat").
 // With Telemetry on, each probe additionally samples both directions of
 // the link and reports the busier one's utilization over the window
 // since the previous beat.
 func (a *Agent) probeLinks() []LinkProbe {
-	var probes []LinkProbe
-	for _, nb := range a.Net.Topo.NeighborsOf(a.EP.ID) {
+	nbs := a.Net.Topo.NeighborsOf(a.EP.ID)
+	probes := make([]LinkProbe, 0, len(nbs))
+	for _, nb := range nbs {
 		pr := LinkProbe{Peer: nb, Up: true}
 		out := a.Net.Link(a.EP.ID, nb)
 		in := a.Net.Link(nb, a.EP.ID)
@@ -229,7 +242,7 @@ func (a *Agent) export(r *regionReq, base uint64) {
 // access that was in flight toward the dead one. The window's user never
 // sees an API change — blocked loads simply complete late, which is the
 // transparency §3 promises extended to the failure path.
-func (a *Agent) onRelocate(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+func (a *Agent) onRelocate(_ fabric.NodeID, req any) (any, int) {
 	r := req.(*relocateReq)
 	e, ok := a.EP.CRMA.Lookup(r.RecipientBase)
 	if !ok || e.LocalBase != r.RecipientBase || e.Size != r.Size {
@@ -247,7 +260,7 @@ func (a *Agent) onRelocate(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 
 // onRevoke services the MN's revoke-without-replacement notice: the
 // window goes dead so parked accesses unwedge and future ones fail fast.
-func (a *Agent) onRevoke(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+func (a *Agent) onRevoke(_ fabric.NodeID, req any) (any, int) {
 	r := req.(*revokeReq)
 	a.EP.CRMA.KillWindow(r.RecipientBase, r.Size)
 	a.Stats.Add("revoked", 1)
@@ -271,7 +284,7 @@ func (a *Agent) onSpareCarve(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 // onSpareAttach exports a parked spare region to a recipient — the
 // failover/migration fast path. The hot-plug already happened at carve
 // time, so this is only the CRMA export install.
-func (a *Agent) onSpareAttach(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+func (a *Agent) onSpareAttach(_ fabric.NodeID, req any) (any, int) {
 	r := req.(*regionReq)
 	if size, ok := a.spares[r.Base]; !ok || size != r.Size {
 		// The MN's pool entry is stale (we rebooted since the carve, or

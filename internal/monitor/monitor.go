@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/fabric"
@@ -190,7 +191,7 @@ func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 		sparePending:     make(map[fabric.NodeID]int),
 	}
 	m.out = outbox{ep: ep, stats: &m.Stats, incarnation: m.incarnationOf, reachable: m.reachable}
-	ep.HandleCall(kindHeartbeat, m.onHeartbeat)
+	ep.HandleInline(kindHeartbeat, m.onHeartbeat)
 	ep.HandleCall(kindAlloc, m.onAlloc)
 	ep.HandleCall(kindFree, m.onFree)
 	ep.HandleCall(kindDelegate, m.onDelegate)
@@ -202,18 +203,19 @@ func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 // Node reports the MN's node id.
 func (m *Monitor) Node() fabric.NodeID { return m.EP.ID }
 
-// Registered reports a copy of a node's RRT row.
+// Registered reports a copy of a node's RRT row. Its device map is
+// copied too, so the caller may hold the row across MN activity.
 func (m *Monitor) Registered(id fabric.NodeID) (Registration, bool) {
 	r, ok := m.rrt[id]
 	if !ok {
 		return Registration{}, false
 	}
-	return *r, true
+	return r.snapshot(), true
 }
 
-// Registrations returns the live RRT rows, ordered by node id — the
-// donor-population snapshot observability surfaces export. Device maps
-// are copied, so callers may hold the rows across MN activity.
+// Registrations returns copies of the live RRT rows, as Registered
+// does, ordered by node id — the donor-population snapshot
+// observability surfaces export.
 func (m *Monitor) Registrations() []Registration {
 	ids := make([]fabric.NodeID, 0, len(m.rrt))
 	for id := range m.rrt {
@@ -222,17 +224,17 @@ func (m *Monitor) Registrations() []Registration {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]Registration, 0, len(ids))
 	for _, id := range ids {
-		r := *m.rrt[id]
-		if r.Devices != nil {
-			devs := make(map[Resource]int, len(r.Devices))
-			for k, v := range r.Devices {
-				devs[k] = v
-			}
-			r.Devices = devs
-		}
-		out = append(out, r)
+		out = append(out, m.rrt[id].snapshot())
 	}
 	return out
+}
+
+// snapshot copies the row and its device map, which the MN updates in
+// place on every heartbeat and grant.
+func (r *Registration) snapshot() Registration {
+	c := *r
+	c.Devices = maps.Clone(r.Devices)
+	return c
 }
 
 // Links returns the TST rows, ordered by link key — the fabric-health
@@ -308,11 +310,11 @@ func linkKey(a, b fabric.NodeID) [2]fabric.NodeID {
 // hot-returns owed from falsely re-placed leases), while an incarnation
 // bump flags the node for recovery even though it never missed enough
 // beats.
-func (m *Monitor) onHeartbeat(_ *sim.Proc, from fabric.NodeID, req any) (any, int) {
+func (m *Monitor) onHeartbeat(_ fabric.NodeID, req any) (any, int) {
 	hb := req.(*Heartbeat)
 	r, ok := m.rrt[hb.Node]
 	if !ok {
-		r = &Registration{Node: hb.Node, Incarnation: hb.Incarnation}
+		r = &Registration{Node: hb.Node, Incarnation: hb.Incarnation, Devices: make(map[Resource]int)}
 		m.rrt[hb.Node] = r
 	}
 	if hb.Incarnation > r.Incarnation {
@@ -328,7 +330,10 @@ func (m *Monitor) onHeartbeat(_ *sim.Proc, from fabric.NodeID, req any) (any, in
 		m.Stats.Add("recover.reappeared", 1)
 	}
 	r.IdleBytes = hb.IdleBytes
-	r.Devices = hb.Devices
+	// The row owns its device map: the report's is the agent's snapshot,
+	// shared with its later beats, so the counts are copied, not adopted.
+	clear(r.Devices)
+	maps.Copy(r.Devices, hb.Devices)
 	if len(hb.Devices) > 0 {
 		// Agents advertise installed device counts, not free ones (they
 		// don't know which units the MN has leased out). Re-debit the live
@@ -359,7 +364,6 @@ func (m *Monitor) onHeartbeat(_ *sim.Proc, from fabric.NodeID, req any) (any, in
 			s.HasUtil = true
 		}
 	}
-	_ = from
 	m.Stats.Add("heartbeats", 1)
 	return &ack{}, 8
 }

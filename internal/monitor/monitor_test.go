@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,10 +22,10 @@ type cluster struct {
 	mn     *Monitor
 }
 
-func newCluster(t *testing.T, dram uint64) *cluster {
-	t.Helper()
+func newCluster(tb testing.TB, dram uint64) *cluster {
+	tb.Helper()
 	eng := sim.New()
-	t.Cleanup(eng.Close)
+	tb.Cleanup(eng.Close)
 	p := sim.Default()
 	topo := fabric.Mesh3D(2, 2, 2)
 	net := fabric.NewNetwork(eng, &p, topo, sim.NewRNG(42))
@@ -230,6 +231,114 @@ func TestDeviceAllocation(t *testing.T) {
 		}
 	})
 	c.eng.RunFor(5 * sim.Second)
+}
+
+// TestRegisteredIsACopy checks that a row Registered hands out keeps
+// the counts it was read with: the MN updates its own row's device map
+// in place, on grants and on every heartbeat, never the caller's copy.
+func TestRegisteredIsACopy(t *testing.T) {
+	c := newCluster(t, 1<<30)
+	c.agents[2].Devices[DevAccelerator] = 2
+	c.eng.RunFor(1 * sim.Second)
+	held, ok := c.mn.Registered(2)
+	if !ok || held.Devices[DevAccelerator] != 2 {
+		t.Fatalf("node 2's row = %+v, want 2 accelerators", held)
+	}
+	var resp *AllocResp
+	c.nodes[0].Run("grant", func(p *sim.Proc) {
+		resp = c.nodes[0].EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
+	})
+	for _, d := range []sim.Dur{sim.Millisecond, sim.Second} {
+		c.eng.RunFor(d)
+		if resp == nil || !resp.OK || resp.Donor != 2 {
+			t.Fatalf("grant = %+v, want one accelerator from node 2", resp)
+		}
+		if now, _ := c.mn.Registered(2); now.Devices[DevAccelerator] != 1 {
+			t.Fatalf("after the grant the MN's row reads %d accelerators, want 1", now.Devices[DevAccelerator])
+		}
+		if got := held.Devices[DevAccelerator]; got != 2 {
+			t.Fatalf("held row reads %d accelerators after the grant, want 2", got)
+		}
+	}
+}
+
+// TestHeartbeatCarriesDevicesAsSent checks that a beat reports the
+// agent's device counts as of its send, even when Devices changes while
+// the beat is in flight, and that the next beat reports the change.
+func TestHeartbeatCarriesDevicesAsSent(t *testing.T) {
+	c := newCluster(t, 1<<30)
+	a := c.agents[7] // three hops from the MN; its first beat leaves at 8 ms
+	a.Devices[DevNIC] = 1
+	c.eng.RunUntil(sim.Time(0).Add(8 * sim.Millisecond))
+	if _, ok := c.mn.Registered(7); ok {
+		t.Fatal("test premise broken: node 7's first beat landed at its send instant")
+	}
+	a.Devices[DevNIC] = 5
+	c.eng.RunFor(sim.Millisecond)
+	if r, ok := c.mn.Registered(7); !ok || r.Devices[DevNIC] != 1 {
+		t.Fatalf("first beat registered %+v, want the 1 NIC it was sent with", r)
+	}
+	c.eng.RunFor(a.Interval)
+	if r, _ := c.mn.Registered(7); r.Devices[DevNIC] != 5 {
+		t.Fatalf("next beat registered %d NICs, want 5", r.Devices[DevNIC])
+	}
+}
+
+// TestHeartbeatSteadyStateAllocs is the heartbeat path's allocation
+// gate. Once warm, a beat allocates its report, its link-probe slice
+// and its two packets: the MN serves it without a proc and copies the
+// device counts into its own row, the call keeps its Completion, and an
+// agent whose Devices has not changed resends the same snapshot.
+func TestHeartbeatSteadyStateAllocs(t *testing.T) {
+	c := newCluster(t, 1<<30)
+	c.agents[2].Devices[DevAccelerator] = 2
+	c.agents[4].Devices[DevNIC] = 1
+	for _, a := range c.agents {
+		a.Interval = 100 * sim.Microsecond
+	}
+	c.eng.RunFor(20 * sim.Millisecond)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	beats := c.mn.Stats.Get("heartbeats")
+	runtime.ReadMemStats(&before)
+	c.eng.RunFor(20 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	beats = c.mn.Stats.Get("heartbeats") - beats
+	if beats < 1000 {
+		t.Fatalf("only %d beats in the window", beats)
+	}
+	// Mallocs counts the whole process, so allow one stray allocation
+	// elsewhere per hundred beats; a warm beat itself makes exactly 4.
+	if got := float64(after.Mallocs-before.Mallocs) / float64(beats); got > 4.01 {
+		t.Fatalf("steady-state beat allocates %.3f objects, want <= 4", got)
+	}
+}
+
+// BenchmarkHeartbeat measures one warm heartbeat round trip on the
+// 8-node mesh: the report and its link probes, the MN's RRT and TST
+// update, and the ack. Once the agents' own loops have stopped, one proc
+// drives the beats, cycling through the agents.
+func BenchmarkHeartbeat(b *testing.B) {
+	c := newCluster(b, 1<<30)
+	c.agents[2].Devices[DevAccelerator] = 2
+	c.agents[4].Devices[DevNIC] = 1
+	c.eng.RunFor(1 * sim.Second)
+	for _, a := range c.agents {
+		a.Stop()
+	}
+	c.eng.Run()
+	beats := func(n int) {
+		c.eng.Go("beats", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				c.agents[i%len(c.agents)].beat(p)
+			}
+		})
+		c.eng.Run()
+	}
+	beats(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	beats(b.N)
 }
 
 func TestNodeDeathDetectedByMissedHeartbeats(t *testing.T) {

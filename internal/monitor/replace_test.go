@@ -236,7 +236,7 @@ func TestReplaceOutcomes(t *testing.T) {
 					rec.EP.CRMA.Unmap(e)
 				}
 				Free(p, rec.EP, 0, a.ID)
-				return rec.onRelocate(p, from, req)
+				return rec.onRelocate(from, req)
 			})
 			var mnIdle, agentIdle uint64
 			moved := r.migrate(a.ID, 1.0, func() {

@@ -143,11 +143,11 @@ func NewRoot(ep *transport.Endpoint) *Root {
 	// The root tracks no node reboots: every letter is written against
 	// incarnation 0.
 	rt.out = outbox{ep: ep, stats: &rt.Stats, incarnation: func(fabric.NodeID) int64 { return 0 }, reachable: rt.reachable}
-	ep.HandleCall(kindRackBeat, rt.onRackBeat)
+	ep.HandleInline(kindRackBeat, rt.onRackBeat)
 	ep.HandleCall(kindRackBorrow, rt.onRackBorrow)
 	ep.HandleCall(kindRackFree, rt.onRackFree)
 	ep.HandleCall(kindNodeDown, rt.onNodeDown)
-	ep.HandleCall(kindDelegateMoved, rt.onDelegateMoved)
+	ep.HandleInline(kindDelegateMoved, rt.onDelegateMoved)
 	ep.HandleCall(kindBorrowCancel, rt.onBorrowCancel)
 	return rt
 }
@@ -192,7 +192,7 @@ func (rt *Root) Delegations() []Delegation {
 // spawns the redelivery pass when letters are parked; with recovery on
 // the sweep owns redelivery, so a redelivered letter never races a
 // re-delegation.
-func (rt *Root) onRackBeat(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+func (rt *Root) onRackBeat(_ fabric.NodeID, req any) (any, int) {
 	b := req.(*rackBeat)
 	rs, ok := rt.racks[b.Rack]
 	if !ok {
@@ -451,7 +451,7 @@ func (rt *Root) onNodeDown(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 
 // onDelegateMoved keeps the delegation table truthful when a donor
 // rack's own recovery sweep re-placed (or revoked) a delegated lease.
-func (rt *Root) onDelegateMoved(_ *sim.Proc, from fabric.NodeID, req any) (any, int) {
+func (rt *Root) onDelegateMoved(from fabric.NodeID, req any) (any, int) {
 	mv := req.(*delegateMovedReq)
 	d, ok := rt.dels[mv.DelegID]
 	if !ok {

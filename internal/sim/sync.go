@@ -2,7 +2,9 @@ package sim
 
 // Completion is a one-shot event that processes can await: the simulated
 // analogue of a future. The zero value is not usable; construct with
-// NewCompletion (or receive one from Engine.Go).
+// NewCompletion (or receive one from Engine.Go). Its owner may Rearm a
+// done one for its next use, so a pooled record keeps one Completion
+// for its whole life.
 //
 // The first waiter is kept inline: most completions have exactly one
 // (the proc that issued the operation), and awaiting them then
@@ -20,6 +22,16 @@ func NewCompletion(e *Engine) *Completion { return &Completion{eng: e} }
 
 // Done reports whether Complete has been called.
 func (c *Completion) Done() bool { return c.done }
+
+// Rearm makes c incomplete again for its next use. It panics if a waiter
+// or a Then callback is still registered: only a completion nobody can
+// be waiting on may be reused.
+func (c *Completion) Rearm() {
+	if c.waiter != nil || len(c.waiters) > 0 || len(c.thens) > 0 {
+		panic("sim: rearming a completion that is still awaited")
+	}
+	c.done = false
+}
 
 // Complete marks the completion done, wakes all awaiting processes, and
 // fires Then callbacks at the current instant. Completing twice is a

@@ -56,3 +56,45 @@ func TestEngineRunFiredCount(t *testing.T) {
 		t.Fatalf("Pending = %d", e.Pending())
 	}
 }
+
+// TestCompletionRearm checks that a done completion can be rearmed and
+// awaited again, and that rearming one still awaited, by a parked proc
+// or a Then callback, panics.
+func TestCompletionRearm(t *testing.T) {
+	e := New()
+	defer e.Close()
+	c := NewCompletion(e)
+	var woke []Time
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			p.Await(c)
+			woke = append(woke, p.Now())
+			c.Rearm()
+		}
+	})
+	e.Schedule(10, c.Complete)
+	e.Schedule(25, c.Complete)
+	e.Run()
+	if len(woke) != 2 || woke[0] != 10 || woke[1] != 25 {
+		t.Fatalf("waiter woke at %v, want [10 25]", woke)
+	}
+	if c.Done() {
+		t.Fatal("a rearmed completion reads done")
+	}
+
+	parked := NewCompletion(e)
+	e.Go("parked", func(p *Proc) { p.Await(parked) })
+	e.Run()
+	then := NewCompletion(e)
+	then.Then(func() {})
+	for name, c := range map[string]*Completion{"parked waiter": parked, "then callback": then} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rearming a completion with a %s did not panic", name)
+				}
+			}()
+			c.Rearm()
+		}()
+	}
+}

@@ -50,3 +50,12 @@ func BenchmarkCall(b *testing.B) {
 	a := r.ep[0]
 	benchOps(b, r, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) })
 }
+
+// BenchmarkCallInline measures one blocking RPC served by an inline
+// handler, without a service proc.
+func BenchmarkCallInline(b *testing.B) {
+	r := newLineRig(b)
+	r.ep[1].HandleInline("echo", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
+	a := r.ep[0]
+	benchOps(b, r, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) })
+}

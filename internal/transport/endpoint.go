@@ -28,9 +28,23 @@ func memService(p *sim.Params, size int) sim.Dur {
 type Handler func(pkt *fabric.Packet)
 
 // CallHandler services an RPC registered with HandleCall. It runs inside
-// a fresh simulated process, so it may block (sleep, touch memory, send
-// nested messages). It returns the response payload and its wire size.
+// a simulated process of its own, started where the request arrives, so
+// it may block (sleep, touch memory, send nested calls). It returns the
+// response payload and its wire size, which is sent when it returns.
 type CallHandler func(p *sim.Proc, from fabric.NodeID, req any) (resp any, respSize int)
+
+// InlineHandler services an RPC registered with HandleInline: one that
+// cannot block, since it is given no process. It runs as a plain
+// callback in the event that would have started a CallHandler's
+// process, and its response is sent in that same event.
+type InlineHandler func(from fabric.NodeID, req any) (resp any, respSize int)
+
+// callHandler is one call kind's registration: exactly one of call and
+// inline is set.
+type callHandler struct {
+	call   CallHandler
+	inline InlineHandler
+}
 
 // Endpoint is one node's Venice transport interface: the hardware block
 // that terminates the three channels and demultiplexes arriving packets.
@@ -45,7 +59,7 @@ type Endpoint struct {
 
 	qpairs    map[int]*QPair
 	handlers  map[string]Handler
-	calls     map[string]CallHandler
+	calls     map[string]callHandler
 	pending   map[uint64]*rpcCall
 	nextID    uint64
 	rpcKinds  map[string]string // call kind -> "rpc."+kind, built once per kind
@@ -89,7 +103,10 @@ func send[M any](ep *Endpoint, dst fabric.NodeID, kind string, size int, m M) {
 }
 
 // rpcCall is one outstanding call at its caller. Its life ends when
-// CallTimeout returns.
+// CallTimeout returns. The record keeps its Completion for its whole
+// life, re-armed at the start of each call: by the time a record goes
+// back, its watchdog is revoked and its pending entry deleted, so
+// nothing can complete it again.
 type rpcCall struct {
 	done      *sim.Completion
 	resp      any
@@ -105,22 +122,33 @@ func (c *rpcCall) timeout() {
 	}
 }
 
-// rpcService services one incoming call in a proc of its own. Its life
-// ends with the proc.
+// rpcService services one incoming call, in a proc of its own or, for
+// an inline handler, in one event. Its life ends with the proc or the
+// event.
 type rpcService struct {
-	ep   *Endpoint
-	h    CallHandler
-	from fabric.NodeID
-	id   uint64
-	body any
-	run  func(p *sim.Proc)
+	ep        *Endpoint
+	h         callHandler
+	from      fabric.NodeID
+	id        uint64
+	body      any
+	run       func(p *sim.Proc)
+	runInline func()
 }
 
 // serve is the service proc: run the handler and reply.
 func (s *rpcService) serve(p *sim.Proc) {
-	resp, size := s.h(p, s.from, s.body)
+	s.reply(s.h.call(p, s.from, s.body))
+}
+
+// serveInline is the service event of an inline handler.
+func (s *rpcService) serveInline() {
+	s.reply(s.h.inline(s.from, s.body))
+}
+
+// reply sends the handler's response and ends the record's life.
+func (s *rpcService) reply(resp any, size int) {
 	send(s.ep, s.from, "rpc.resp", size, rpcResp{id: s.id, body: resp})
-	s.h, s.body = nil, nil
+	s.h, s.body = callHandler{}, nil
 	s.ep.serveRecs.put(s)
 }
 
@@ -146,18 +174,18 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		ID:       id,
 		qpairs:   make(map[int]*QPair),
 		handlers: make(map[string]Handler),
-		calls:    make(map[string]CallHandler),
+		calls:    make(map[string]callHandler),
 		pending:  make(map[uint64]*rpcCall),
 		rpcKinds: make(map[string]string),
 	}
 	ep.callRecs.fresh = func() *rpcCall {
-		c := &rpcCall{}
+		c := &rpcCall{done: sim.NewCompletion(eng)}
 		c.onTimeout = c.timeout
 		return c
 	}
 	ep.serveRecs.fresh = func() *rpcService {
 		s := &rpcService{ep: ep}
-		s.run = s.serve
+		s.run, s.runInline = s.serve, s.serveInline
 		return s
 	}
 	ep.CRMA = newCRMA(ep)
@@ -169,8 +197,19 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 // Handle registers a raw packet handler for a packet kind.
 func (ep *Endpoint) Handle(kind string, h Handler) { ep.handlers[kind] = h }
 
-// HandleCall registers an RPC service for a call kind.
-func (ep *Endpoint) HandleCall(kind string, h CallHandler) { ep.calls[kind] = h }
+// HandleCall registers an RPC service for a call kind, served in a proc
+// of its own. Registering a kind again replaces its handler, of either
+// type.
+func (ep *Endpoint) HandleCall(kind string, h CallHandler) { ep.calls[kind] = callHandler{call: h} }
+
+// HandleInline registers an RPC service that cannot block for a call
+// kind. It is served without a proc, in the event a CallHandler's proc
+// would have started in, so every event it and its reply schedule keeps
+// its place in the firing order. Registering a kind again replaces its
+// handler, of either type.
+func (ep *Endpoint) HandleInline(kind string, h InlineHandler) {
+	ep.calls[kind] = callHandler{inline: h}
+}
 
 // SendRaw injects an arbitrary packet from this endpoint.
 func (ep *Endpoint) SendRaw(dst fabric.NodeID, kind string, size int, payload any) {
@@ -196,7 +235,8 @@ func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, req
 	id := ep.nextID
 	ep.nextID++
 	call := ep.callRecs.get()
-	call.done, call.timedOut = sim.NewCompletion(ep.Eng), false
+	call.done.Rearm()
+	call.timedOut = false
 	ep.pending[id] = call
 	send(ep, dst, ep.rpcKind(kind), reqSize, rpcReq{id: id, kind: kind, body: body})
 	var watchdog sim.Handle
@@ -211,7 +251,7 @@ func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, req
 	ep.Eng.Cancel(watchdog)
 	delete(ep.pending, id)
 	resp, ok := call.resp, !call.timedOut
-	call.done, call.resp = nil, nil
+	call.resp = nil
 	ep.callRecs.put(call)
 	if !ok {
 		return nil, false
@@ -266,7 +306,9 @@ func (ep *Endpoint) deliver(pkt *fabric.Packet) {
 	}
 }
 
-// handleRPC spawns a process to service a call and reply.
+// handleRPC services a call and replies: in a process of its own, or,
+// for an inline handler, in an event scheduled exactly where that
+// process's first resume would have been.
 func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 	h, ok := ep.calls[req.kind]
 	if !ok {
@@ -274,6 +316,10 @@ func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 	}
 	s := ep.serveRecs.get()
 	s.h, s.from, s.id, s.body = h, pkt.Src, req.id, req.body
+	if h.inline != nil {
+		ep.Eng.Schedule(0, s.runInline)
+		return
+	}
 	ep.Eng.Go(ep.rpcKind(req.kind), s.run)
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -219,13 +220,16 @@ func TestTransportRecordReuse(t *testing.T) {
 
 // TestTransportSteadyStateAllocs is the transport path's pooling gate:
 // once the engine, the fabric and the channels' free lists are warm, an
-// operation allocates only its packets and the Completion it hands out
-// (for a call, the caller's and the service proc's). Each run drives one
-// operation from a fresh proc, whose own Go completion is not counted.
+// operation allocates only its packets and the Completion it hands out.
+// A call keeps its own Completion in its record, so it allocates its two
+// packets and its service proc's Completion, or its packets alone when
+// served inline. Each run drives one operation from a fresh proc, whose
+// own Go completion is not counted.
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	r := newLineRig(t)
 	r.mapWindow(t)
 	r.ep[1].HandleCall("echo", func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
+	r.ep[1].HandleInline("echo-inline", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
 	a := r.ep[0]
 	const k = 4
 	bulk := k * r.p.RDMAChunk
@@ -238,8 +242,9 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 		{"crma-write", 3, func(p *sim.Proc) { a.CRMA.Write(p, winBase, 64) }},
 		{"rdma-read", k + 2, func(p *sim.Proc) { a.RDMA.Read(p, 1, oldBase, bulk) }},
 		{"rdma-write", k + 2, func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, bulk) }},
-		{"call", 4, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) }},
-		{"call-timeout", 4, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, sim.Millisecond) }},
+		{"call", 3, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) }},
+		{"call-timeout", 3, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, sim.Millisecond) }},
+		{"inline-call", 2, func(p *sim.Proc) { a.Call(p, 1, "echo-inline", 8, nil) }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -252,6 +257,77 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(500, run) - 1; got > row.want {
 				t.Fatalf("steady-state %s allocates %.2f/op, want <= %.0f", row.name, got, row.want)
+			}
+		})
+	}
+}
+
+// serviceSlotLog drives one call from node 0 to a "probe" handler on
+// node 1, which register installs. The handler records its instant,
+// sends a raw notice to node 2, schedules a same-instant event and
+// spawns a proc. An event queued at time 0 for the request's arrival
+// instant chains three more events at that instant, so events queued
+// before and after the arrival surround the handler. The log holds each
+// logged event's instant and name, in firing order.
+func serviceSlotLog(t *testing.T, register func(ep *Endpoint, h InlineHandler)) []string {
+	const arrive = sim.Time(1438) // the request's arrival at node 1
+	r := newLineRig(t)
+	var log []string
+	note := func(what string) { log = append(log, fmt.Sprintf("%d %s", r.eng.Now(), what)) }
+	r.ep[2].Handle("notice", func(*fabric.Packet) { note("notice") })
+	register(r.ep[1], func(from fabric.NodeID, req any) (any, int) {
+		note("handler")
+		r.ep[1].SendRaw(2, "notice", 16, nil)
+		r.eng.Schedule(0, func() { note("handler-event") })
+		r.eng.Go("spawned", func(*sim.Proc) { note("spawned") })
+		return req, 8
+	})
+	r.eng.At(arrive, func() {
+		note("same-1")
+		r.eng.Schedule(0, func() {
+			note("same-2")
+			r.eng.Schedule(0, func() {
+				note("same-3")
+				r.eng.Schedule(0, func() { note("same-4") })
+			})
+		})
+	})
+	r.eng.Go("caller", func(p *sim.Proc) {
+		if resp := r.ep[0].Call(p, 1, "probe", 8, "ping"); resp != "ping" {
+			t.Errorf("call answered %v, want ping", resp)
+		}
+		note("reply")
+	})
+	r.eng.Run()
+	if n := r.eng.LiveProcs(); n != 0 {
+		t.Fatalf("%d procs still parked", n)
+	}
+	return log
+}
+
+// TestInlineHandlerKeepsServiceSlot checks that an inline handler runs
+// where a proc-served one would: at the same instant and in the same
+// place among the events around it, and that everything it schedules
+// keeps its place too. The golden log was taken with the handler served
+// in a proc; both registrations must reproduce it.
+func TestInlineHandlerKeepsServiceSlot(t *testing.T) {
+	want := []string{
+		"1438 same-1", "1438 same-2", "1438 handler", "1438 same-3",
+		"1438 handler-event", "1438 spawned", "1438 same-4",
+		"2876 reply", "2889 notice",
+	}
+	for _, row := range []struct {
+		name     string
+		register func(ep *Endpoint, h InlineHandler)
+	}{
+		{"proc", func(ep *Endpoint, h InlineHandler) {
+			ep.HandleCall("probe", func(_ *sim.Proc, from fabric.NodeID, req any) (any, int) { return h(from, req) })
+		}},
+		{"inline", func(ep *Endpoint, h InlineHandler) { ep.HandleInline("probe", h) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if got := serviceSlotLog(t, row.register); !slices.Equal(got, want) {
+				t.Fatalf("firing order:\n got %q\nwant %q", got, want)
 			}
 		})
 	}
