@@ -278,8 +278,10 @@ func (l *Link) transmit(pkt *Packet, replays int) {
 	l.inflight.push(f)
 }
 
-// armReplay schedules f's replay timer.
+// armReplay schedules f's replay timer, and marks its packet held: the
+// timer may send it again after it has been delivered.
 func (l *Link) armReplay(f flight) *replayTimer {
+	f.pkt.held = true
 	r := &replayTimer{l: l, pkt: f.pkt, replays: f.replays}
 	l.eng.At(f.replayAt, r.fire)
 	return r

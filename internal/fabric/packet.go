@@ -31,7 +31,17 @@ type Packet struct {
 	Size     int    // payload bytes (header overhead added by the link model)
 	Payload  any    // transport-defined contents
 	Hops     int    // incremented per switch traversal, for diagnostics
+
+	held bool // a link armed a replay timer for it; see Held
 }
+
+// Held reports whether a link has armed a sender replay timer for the
+// packet: on a down or corrupting link, on one slowed while the packet
+// was in flight, or when Params.ReplayTO ≤ 0. A held packet may be
+// transmitted, and delivered, again after its receiver has seen it, so
+// whoever sent it must not reuse it; one that is not held is delivered
+// at most once, and no link refers to it once it has been.
+func (p *Packet) Held() bool { return p.held }
 
 // String formats a packet for debugging.
 func (p *Packet) String() string {

@@ -45,21 +45,32 @@ func TestProcSleepSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestProcSpawnSteadyStateAllocs gates the coroutine pool: once a
-// finished proc's coroutine waits idle, Go + one Sleep + finish reuses
-// it, its wakeup thunk and its Proc, so the returned Completion is the
-// only allocation.
+// finished proc's coroutine waits idle, a start + one Sleep + finish
+// reuses it, its wakeup thunk and its Proc. Go's returned Completion is
+// then its only allocation, and a detached Spawn allocates nothing.
 func TestProcSpawnSteadyStateAllocs(t *testing.T) {
-	e := New()
-	defer e.Close()
 	body := func(p *Proc) { p.Sleep(100) }
-	spawn := func() {
-		e.Go("short", body)
-		e.Run()
-	}
-	for i := 0; i < 1_000; i++ {
-		spawn()
-	}
-	if allocs := testing.AllocsPerRun(10_000, spawn); allocs > 1 {
-		t.Fatalf("steady-state spawn allocates %.2f/op, want <= 1 (the Completion)", allocs)
+	for _, row := range []struct {
+		name  string
+		want  float64
+		start func(e *Engine)
+	}{
+		{"go", 1, func(e *Engine) { e.Go("short", body) }},
+		{"spawn", 0, func(e *Engine) { e.Spawn("short", body) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			e := New()
+			defer e.Close()
+			spawn := func() {
+				row.start(e)
+				e.Run()
+			}
+			for i := 0; i < 1_000; i++ {
+				spawn()
+			}
+			if allocs := testing.AllocsPerRun(10_000, spawn); allocs > row.want {
+				t.Fatalf("steady-state %s allocates %.2f/op, want <= %.0f", row.name, allocs, row.want)
+			}
+		})
 	}
 }

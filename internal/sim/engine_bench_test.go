@@ -77,9 +77,19 @@ func BenchmarkProcSwitch(b *testing.B) {
 }
 
 // BenchmarkProcSpawn measures a short-lived proc on a warm engine: Go,
-// one Sleep, and finish. Handlers that spawn a proc per request, such as
-// an RPC endpoint's, pay this once per call.
+// one Sleep, and finish.
 func BenchmarkProcSpawn(b *testing.B) {
+	benchSpawn(b, func(e *Engine, body func(p *Proc)) { e.Go("spawn", body) })
+}
+
+// BenchmarkProcSpawnDetached is BenchmarkProcSpawn started with Spawn,
+// which allocates no Completion. An RPC endpoint pays this once per
+// call to a blocking handler.
+func BenchmarkProcSpawnDetached(b *testing.B) {
+	benchSpawn(b, func(e *Engine, body func(p *Proc)) { e.Spawn("spawn", body) })
+}
+
+func benchSpawn(b *testing.B, start func(e *Engine, body func(p *Proc))) {
 	e := New()
 	defer e.Close()
 	body := func(p *Proc) { p.Sleep(1) }
@@ -87,7 +97,7 @@ func BenchmarkProcSpawn(b *testing.B) {
 	e.Run()
 	b.ReportAllocs()
 	for b.Loop() {
-		e.Go("spawn", body)
+		start(e, body)
 		e.Run()
 	}
 }

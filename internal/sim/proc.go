@@ -13,13 +13,13 @@ import "iter"
 // without locks.
 //
 // Coroutines are pooled per engine: once fn returns, its Proc waits idle
-// and runs the fn of a later Go. A *Proc is therefore valid only until
-// its fn returns; nothing may keep one past that.
+// and runs the fn of a later Go or Spawn. A *Proc is therefore valid
+// only until its fn returns; nothing may keep one past that.
 type Proc struct {
 	Eng  *Engine
 	name string
 	fn   func(p *Proc) // body of the current run; nil while idle
-	done *Completion   // completes when fn returns
+	done *Completion   // completes when fn returns; nil if Spawn started it
 
 	// The coroutine: next switches into it, yield (called inside it)
 	// switches back, and stop unwinds it.
@@ -47,6 +47,19 @@ func (p *Proc) Now() Time { return p.Eng.Now() }
 // at this instant have run. It returns a Completion that completes when
 // fn returns.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Completion {
+	p := e.start(name, fn)
+	p.done = NewCompletion(e)
+	return p.done
+}
+
+// Spawn starts a detached process: it runs fn exactly as Go would, from
+// the same event slot, but nothing can wait for it to finish, so it
+// allocates no Completion.
+func (e *Engine) Spawn(name string, fn func(p *Proc)) { e.start(name, fn) }
+
+// start takes an idle coroutine, or builds one, and schedules its first
+// resume: the start path Go and Spawn share.
+func (e *Engine) start(name string, fn func(p *Proc)) *Proc {
 	p := e.idle
 	if p != nil {
 		e.idle = p.idle
@@ -56,16 +69,17 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Completion {
 		p.wakeFn = func() { e.resume(p) }
 		e.procs = p
 	}
-	p.name, p.fn, p.done = name, fn, NewCompletion(e)
+	p.name, p.fn = name, fn
 	e.live++
 	e.Schedule(0, p.wakeFn)
-	return p.done
+	return p
 }
 
-// run is the coroutine body. It runs one fn per Go, then goes idle on
-// Eng.idle until the next Go resumes it or Close stops it. A process
-// killed by Close unwinds as a procStopped panic, which ends here; any
-// other panic leaves through Engine.resume to the caller of Step or Run.
+// run is the coroutine body. It runs one fn per Go or Spawn, then goes
+// idle on Eng.idle until the next start resumes it or Close stops it. A
+// process killed by Close unwinds as a procStopped panic, which ends
+// here; any other panic leaves through Engine.resume to the caller of
+// Step or Run.
 func (p *Proc) run(yield func(struct{}) bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -81,7 +95,9 @@ func (p *Proc) run(yield func(struct{}) bool) {
 		done := p.done
 		p.fn, p.done = nil, nil
 		e.live--
-		done.Complete()
+		if done != nil {
+			done.Complete()
+		}
 		p.idle, e.idle = e.idle, p
 		if !yield(struct{}{}) {
 			return

@@ -84,6 +84,9 @@ type CRMA struct {
 	nextID   uint64
 	accesses freeList[crmaAccess]
 	replies  freeList[crmaReply]
+	reqs     wireList[crmaReq]
+	resps    wireList[crmaResp]
+	posts    wireList[crmaPosted]
 
 	Stats CRMAStats
 }
@@ -104,7 +107,7 @@ type crmaAccess struct {
 
 // send injects the access's request once the CRMA logic has captured and
 // packetized it.
-func (a *crmaAccess) send() { send(a.c.ep, a.e.Node, "crma.req", a.req.wireSize(), a.req) }
+func (a *crmaAccess) send() { send(&a.c.reqs, a.c.ep, a.e.Node, "crma.req", a.req.wireSize(), a.req) }
 
 // complete hands the data to the core, after the CRMA logic has
 // de-packetized the response.
@@ -125,7 +128,7 @@ type crmaReply struct {
 }
 
 func (r *crmaReply) send() {
-	send(r.c.ep, r.to, "crma.resp", r.size, r.resp)
+	send(&r.c.resps, r.c.ep, r.to, "crma.resp", r.size, r.resp)
 	r.c.replies.put(r)
 }
 
@@ -227,7 +230,7 @@ func (c *CRMA) ReplayWindow(base, size uint64) int {
 		replayed++
 		node := e.Node
 		c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
-			send(c.ep, node, "crma.req", req.wireSize(), req)
+			send(&c.reqs, c.ep, node, "crma.req", req.wireSize(), req)
 		})
 	}
 	return replayed
@@ -322,7 +325,7 @@ func (c *CRMA) PostWrite(dst fabric.NodeID, addr uint64, size int, note any) {
 	c.Stats.Posted++
 	m := crmaPosted{addr: addr, size: size, note: note}
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
-		send(c.ep, dst, "crma.post", 16+size, m)
+		send(&c.posts, c.ep, dst, "crma.post", 16+size, m)
 	})
 }
 
@@ -372,9 +375,10 @@ func (c *CRMA) handleResp(m *crmaResp) {
 // handlePosted applies a posted write at the receiver. Credit notes go
 // straight to their queue pair's hardware state machine — no software on
 // the path, which is the point of the collaboration (Fig. 9).
-func (c *CRMA) handlePosted(_ *fabric.Packet, m *crmaPosted) {
+func (c *CRMA) handlePosted(m *crmaPosted) {
+	note := m.note
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
-		if cr, ok := m.note.(*qpCredit); ok {
+		if cr, ok := note.(*qpCredit); ok {
 			if qp, live := c.ep.qpairs[cr.dstQID]; live {
 				qp.addCredits(cr.credits)
 			}

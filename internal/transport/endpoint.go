@@ -65,6 +65,8 @@ type Endpoint struct {
 	rpcKinds  map[string]string // call kind -> "rpc."+kind, built once per kind
 	callRecs  freeList[rpcCall]
 	serveRecs freeList[rpcService]
+	reqWires  wireList[rpcReq]
+	respWires wireList[rpcResp]
 }
 
 // freeList recycles one kind of per-operation record. fresh builds a
@@ -89,16 +91,61 @@ func (l *freeList[T]) get() *T {
 
 func (l *freeList[T]) put(r *T) { l.free = append(l.free, r) }
 
-// send injects a packet carrying m inside its own allocation: one object
-// per message, and the receiver's handler gets a pointer into it. Packets
-// are not recycled: the fabric may deliver one twice, and a handler may
-// keep its payload.
-func send[M any](ep *Endpoint, dst fabric.NodeID, kind string, size int, m M) {
-	w := &struct {
-		pkt fabric.Packet
-		msg M
-	}{pkt: fabric.Packet{Src: ep.ID, Dst: dst, Kind: kind, Size: size}, msg: m}
-	w.pkt.Payload = &w.msg
+// wire is one packet and the message it carries, in one allocation.
+// The packet's Payload points at the wire, so deliver finds it, hands
+// the handler a pointer to the message, and puts it back on home.
+type wire[M any] struct {
+	pkt  fabric.Packet
+	msg  M
+	home *wireList[M]
+	idle bool // on home's free list
+}
+
+// wireList recycles the wires of one message type. The channel that
+// sends the type owns the list, and a wire goes back to the list it
+// came from, whichever endpoint delivered it, so each list stays
+// balanced.
+type wireList[M any] struct{ free []*wire[M] }
+
+func (l *wireList[M]) get() *wire[M] {
+	n := len(l.free)
+	if n == 0 {
+		return &wire[M]{home: l}
+	}
+	w := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	w.idle = false
+	return w
+}
+
+// release puts a delivered wire back on its list, unless a link holds
+// its packet (fabric.Packet.Held): that packet may be delivered again,
+// so it is left to the GC. Releasing a wire that is already on its list
+// panics.
+func (w *wire[M]) release() {
+	if w.pkt.Held() {
+		return
+	}
+	if w.idle {
+		panic(fmt.Sprintf("transport: %v released twice", &w.pkt))
+	}
+	var zero M
+	w.msg, w.idle = zero, true
+	w.home.free = append(w.home.free, w)
+}
+
+// send injects a packet carrying m, in a wire taken from l, the sending
+// channel's list for m's type. The receiver's handler gets a pointer to
+// the message that is valid only until it returns, since deliver then
+// puts the wire back: a handler copies whatever outlives it. A wire is
+// reused only once the fabric can no longer deliver its packet: a
+// packet is delivered at most once unless a link armed a replay timer
+// for it, and a wire whose packet a link held is never put back.
+func send[M any](l *wireList[M], ep *Endpoint, dst fabric.NodeID, kind string, size int, m M) {
+	w := l.get()
+	w.pkt = fabric.Packet{Src: ep.ID, Dst: dst, Kind: kind, Size: size, Payload: w}
+	w.msg = m
 	ep.Net.Send(&w.pkt)
 }
 
@@ -147,7 +194,7 @@ func (s *rpcService) serveInline() {
 
 // reply sends the handler's response and ends the record's life.
 func (s *rpcService) reply(resp any, size int) {
-	send(s.ep, s.from, "rpc.resp", size, rpcResp{id: s.id, body: resp})
+	send(&s.ep.respWires, s.ep, s.from, "rpc.resp", size, rpcResp{id: s.id, body: resp})
 	s.h, s.body = callHandler{}, nil
 	s.ep.serveRecs.put(s)
 }
@@ -238,7 +285,7 @@ func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, req
 	call.done.Rearm()
 	call.timedOut = false
 	ep.pending[id] = call
-	send(ep, dst, ep.rpcKind(kind), reqSize, rpcReq{id: id, kind: kind, body: body})
+	send(&ep.reqWires, ep, dst, ep.rpcKind(kind), reqSize, rpcReq{id: id, kind: kind, body: body})
 	var watchdog sim.Handle
 	if timeout > 0 {
 		watchdog = ep.Eng.ScheduleCancelable(timeout, call.onTimeout)
@@ -271,38 +318,50 @@ func (ep *Endpoint) rpcKind(kind string) string {
 	return k
 }
 
-// deliver demultiplexes an arriving packet to its channel or handler.
+// deliver demultiplexes an arriving packet to its channel or handler,
+// then puts a wire back on its sender's list.
 func (ep *Endpoint) deliver(pkt *fabric.Packet) {
-	switch m := pkt.Payload.(type) {
-	case *crmaReq:
-		ep.CRMA.handleReq(pkt, m)
-	case *crmaResp:
-		ep.CRMA.handleResp(m)
-	case *crmaPosted:
-		ep.CRMA.handlePosted(pkt, m)
-	case *rdmaReq:
-		ep.RDMA.handleReq(pkt, m)
-	case *rdmaChunk:
-		ep.RDMA.handleChunk(pkt, m)
+	switch w := pkt.Payload.(type) {
+	case *wire[crmaReq]:
+		ep.CRMA.handleReq(pkt, &w.msg)
+		w.release()
+	case *wire[crmaResp]:
+		ep.CRMA.handleResp(&w.msg)
+		w.release()
+	case *wire[crmaPosted]:
+		ep.CRMA.handlePosted(&w.msg)
+		w.release()
+	case *wire[rdmaReq]:
+		ep.RDMA.handleReq(pkt, &w.msg)
+		w.release()
+	case *wire[rdmaChunk]:
+		ep.RDMA.handleChunk(pkt, &w.msg)
+		w.release()
+	case *wire[rpcReq]:
+		ep.handleRPC(pkt, &w.msg)
+		w.release()
+	case *wire[rpcResp]:
+		ep.handleResp(&w.msg)
+		w.release()
 	case *qpMsg:
-		ep.deliverQP(pkt, m)
+		ep.deliverQP(pkt, w)
 	case *qpCredit:
-		ep.creditQP(m)
-	case *rpcReq:
-		ep.handleRPC(pkt, m)
-	case *rpcResp:
-		call, ok := ep.pending[m.id]
-		if !ok {
-			return // caller vanished or timed out; drop
-		}
-		call.resp = m.body
-		call.done.Complete()
+		ep.creditQP(w)
 	default:
 		h, ok := ep.handlers[pkt.Kind]
 		if !ok {
 			panic(fmt.Sprintf("transport: node %v: no handler for %v", ep.ID, pkt))
 		}
 		h(pkt)
+	}
+}
+
+// handleResp completes the call a response answers; a response whose
+// caller vanished or timed out is dropped.
+func (ep *Endpoint) handleResp(m *rpcResp) {
+	if call, ok := ep.pending[m.id]; ok {
+		call.resp = m.body
+		call.done.Complete()
 	}
 }
 
@@ -320,7 +379,7 @@ func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 		ep.Eng.Schedule(0, s.runInline)
 		return
 	}
-	ep.Eng.Go(ep.rpcKind(req.kind), s.run)
+	ep.Eng.Spawn(ep.rpcKind(req.kind), s.run)
 }
 
 // deliverQP routes an arriving QPair message to its local queue pair.

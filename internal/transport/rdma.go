@@ -51,6 +51,8 @@ type RDMA struct {
 	observer func(from fabric.NodeID, addr uint64, note any)
 	ops      freeList[rdmaOp]
 	sends    freeList[rdmaSend]
+	reqs     wireList[rdmaReq]
+	chunks   wireList[rdmaChunk]
 
 	Stats RDMAStats
 }
@@ -81,7 +83,7 @@ type rdmaOp struct {
 func (op *rdmaOp) start() {
 	r, m := op.r, &op.req
 	if !m.write {
-		send(r.ep, op.to, "rdma.req", 32, *m)
+		send(&r.reqs, r.ep, op.to, "rdma.req", 32, *m)
 		return
 	}
 	for i := 0; i < m.chunks; i++ {
@@ -90,7 +92,7 @@ func (op *rdmaOp) start() {
 			c.note = op.note
 		}
 		r.Stats.BytesOut += int64(c.size)
-		send(r.ep, op.to, "rdma.data", c.size, c)
+		send(&r.chunks, r.ep, op.to, "rdma.data", c.size, c)
 	}
 }
 
@@ -119,10 +121,10 @@ func (s *rdmaSend) send() {
 	s.c.note = nil
 	r.sends.put(s)
 	if c.resp {
-		send(r.ep, to, "rdma.data", c.size, c)
+		send(&r.chunks, r.ep, to, "rdma.data", c.size, c)
 		return
 	}
-	send(r.ep, to, "rdma.ack", 0, rdmaChunk{id: c.id, resp: true, last: true})
+	send(&r.chunks, r.ep, to, "rdma.ack", 0, rdmaChunk{id: c.id, resp: true, last: true})
 	if c.note != nil && r.observer != nil {
 		r.observer(to, c.addr, c.note)
 	}

@@ -51,18 +51,113 @@ func (r *lineRig) mapWindow(tb testing.TB) *RAMTEntry {
 	return e
 }
 
+// lossyLinks are the line's four half-links, in the order a fuzz input
+// names them.
+var lossyLinks = [4][2]fabric.NodeID{{0, 1}, {1, 0}, {1, 2}, {2, 1}}
+
+// lossyMix is every operation lossyRun knows, to each donor, spread
+// over its four procs.
+var lossyMix = []byte{0x00, 0x91, 0x52, 0xe3, 0xa4, 0x35, 0xf6, 0x47, 0x08, 0x99, 0x5a, 0xeb, 0xac, 0x3d, 0xfe, 0x4f}
+
+// lossyRun maps the window, and a second one on the new donor, then
+// starts up to four procs at time zero from node 0, each running its
+// share of ops in order, and runs the engine for a second of virtual
+// time, by which its event queue must have drained. An
+// op byte's top two bits pick the proc; bit 0 picks the donor, bits 1-3
+// the operation (a fill, write or posted write on the donor's window,
+// an RDMA read or write, a blocking call, or an inline one) and bits
+// 4-5 an RDMA transfer's chunk count less one, or a fill's line. A call
+// has a deadline, so it returns even when the fabric gives up on its
+// packet. lossyRun returns every operation's completion instant, in
+// completion order.
+func (r *lineRig) lossyRun(tb testing.TB, ops []byte) []sim.Time {
+	tb.Helper()
+	r.mapWindow(tb)
+	const win2 = winBase + winSize
+	if _, err := r.ep[0].CRMA.Map(win2, winSize, 2, newBase); err != nil {
+		tb.Fatal(err)
+	}
+	r.ep[2].CRMA.Export(0, win2, winSize, newBase)
+	for i, ep := range r.ep[1:] {
+		ep.HandleCall("echo", func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+			p.Sleep(sim.Dur(i+1) * sim.Microsecond)
+			return req, 64
+		})
+		ep.HandleInline("echo-inline", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
+	}
+	a := r.ep[0]
+	var procs [4][]byte
+	for _, op := range ops {
+		procs[op>>6] = append(procs[op>>6], op&63)
+	}
+	var got []sim.Time
+	for _, list := range procs {
+		if len(list) == 0 {
+			continue
+		}
+		r.eng.Go("ops", func(p *sim.Proc) {
+			for _, op := range list {
+				donor := fabric.NodeID(1 + op&1)
+				base := winBase + uint64(donor-1)*winSize
+				chunks := 1 + int(op>>4)
+				kind := "echo"
+				switch op >> 1 & 7 {
+				case 0:
+					a.CRMA.Fill(p, base+64*uint64(op>>4), 64)
+				case 1:
+					a.CRMA.Write(p, base, 64)
+				case 2:
+					a.CRMA.PostWrite(donor, base, 8, nil)
+				case 3:
+					a.RDMA.Read(p, donor, newBase, chunks*r.p.RDMAChunk)
+				case 4:
+					a.RDMA.Write(p, donor, newBase, chunks*r.p.RDMAChunk)
+				case 7:
+					kind = "echo-inline"
+					fallthrough
+				default:
+					if resp, ok := a.CallTimeout(p, donor, kind, 16, op, sim.Millisecond); ok && resp != op {
+						tb.Errorf("%s answered %v, want %v", kind, resp, op)
+					}
+				}
+				got = append(got, p.Now())
+			}
+		})
+	}
+	const horizon = sim.Time(sim.Second)
+	r.eng.RunUntil(horizon)
+	if n := r.eng.Pending(); n != 0 {
+		tb.Fatalf("%d events still queued at %v", n, horizon)
+	}
+	return got
+}
+
 // served reports how many CRMA requests each donor serviced.
 func (r *lineRig) served() [2]int64 {
 	return [2]int64{r.ep[1].CRMA.Stats.Served, r.ep[2].CRMA.Stats.Served}
 }
 
+// slowFor slows the a->b half-link to a rate whose ack delay outruns
+// the replay timer, for d from at: a packet that arrives meanwhile is
+// acked too late, so its sender replays it and it is delivered twice.
+func (r *lineRig) slowFor(a, b fabric.NodeID, at sim.Time, d sim.Dur) {
+	l := r.ep[0].Net.Link(a, b)
+	r.eng.At(at, func() { l.SetGbps(0.01) })
+	r.eng.At(at.Add(d), func() { l.SetGbps(0) })
+}
+
 // TestTransportRecordReuse pins the paths where an operation's
 // bookkeeping outlives, or is cut short of, its normal round trip:
 // replay after a retarget, a retarget or kill that lands before the
-// request leaves, a late RPC response, and back-to-back RDMA reads. Each
-// row asserts the exact virtual instant every access or call completes,
-// so recycling a record early, or reading a field of a recycled one,
-// moves an instant or leaves an operation parked.
+// request leaves, a late RPC response, and back-to-back RDMA reads.
+// Three more rows run lossyMix over a lossy line, where the fabric
+// replays packets and delivers some twice: a packet a link held for
+// replay must never be reused. Each row asserts the exact virtual
+// instant every access or call completes, so recycling a record or a
+// packet early, or reading a field of a recycled one, moves an instant
+// or leaves an operation parked. The lossy rows' instants and served
+// counts were taken with every packet allocated fresh, so recycling
+// must not move them.
 func TestTransportRecordReuse(t *testing.T) {
 	rows := []struct {
 		name string
@@ -203,6 +298,63 @@ func TestTransportRecordReuse(t *testing.T) {
 			},
 			want: []sim.Time{34433, 49129},
 		},
+		{
+			// Every half-link corrupts about one packet in four: the
+			// receiver drops each, and its sender replays it.
+			name: "crc-errors",
+			run: func(t *testing.T, r *lineRig) []sim.Time {
+				for _, ab := range lossyLinks {
+					r.ep[0].Net.Link(ab[0], ab[1]).SetErrorRate(0.25)
+				}
+				got := r.lossyRun(t, lossyMix)
+				if s := r.served(); s != [2]int64{2, 2} {
+					t.Errorf("served (old, new) = %v, want [2 2]", s)
+				}
+				return got
+			},
+			want: []sim.Time{6423, 6423, 15793, 15793, 23661, 34598, 39375, 73834, 77541, 84248, 100406, 131837, 141519, 159774, 164903, 205197},
+		},
+		{
+			// Links slowed while packets are in flight, so their acks
+			// land after the replay timer: a CRMA request and an RDMA
+			// read's request to the new donor, and a chunk on its way
+			// back, are each delivered twice. The donor serves the
+			// request twice and streams the read twice; the duplicate
+			// responses find no pending entry.
+			name: "slowed-in-flight",
+			run: func(t *testing.T, r *lineRig) []sim.Time {
+				r.slowFor(1, 2, 2700, 300)
+				r.slowFor(1, 2, 13200, 300)
+				r.slowFor(2, 1, 22500, 300)
+				got := r.lossyRun(t, lossyMix)
+				if s := r.served(); s != [2]int64{2, 3} {
+					t.Errorf("served (old, new) = %v, want [2 3]", s)
+				}
+				// The one-chunk read from the new donor, streamed twice,
+				// plus the duplicate chunk.
+				if out, in := r.ep[2].RDMA.Stats.BytesOut, r.ep[0].RDMA.Stats.BytesIn; out != 8192 || in != 28672 {
+					t.Errorf("RDMA bytes (new donor out, requester in) = (%d, %d), want (8192, 28672)", out, in)
+				}
+				return got
+			},
+			want: []sim.Time{3239, 3239, 3291, 6423, 6423, 6476, 17884, 33970, 60414, 64121, 70854, 70982, 71020, 73726, 73871, 77705},
+		},
+		{
+			// The link to the new donor fails for 15 µs and comes back:
+			// packets lost in flight are replayed until one gets through.
+			name: "link-down-and-up",
+			run: func(t *testing.T, r *lineRig) []sim.Time {
+				net := r.ep[0].Net
+				r.eng.At(15000, func() { net.SetLinkDown(1, 2, true) })
+				r.eng.At(30000, func() { net.SetLinkDown(1, 2, false) })
+				got := r.lossyRun(t, lossyMix)
+				if s := r.served(); s != [2]int64{2, 2} {
+					t.Errorf("served (old, new) = %v, want [2 2]", s)
+				}
+				return got
+			},
+			want: []sim.Time{3239, 3239, 3291, 6423, 6423, 6476, 17884, 57550, 61283, 64129, 64155, 65508, 68108, 68236, 68397, 73886},
+		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -219,12 +371,13 @@ func TestTransportRecordReuse(t *testing.T) {
 }
 
 // TestTransportSteadyStateAllocs is the transport path's pooling gate:
-// once the engine, the fabric and the channels' free lists are warm, an
-// operation allocates only its packets and the Completion it hands out.
-// A call keeps its own Completion in its record, so it allocates its two
-// packets and its service proc's Completion, or its packets alone when
-// served inline. Each run drives one operation from a fresh proc, whose
-// own Go completion is not counted.
+// once the engine, the fabric and the channels' free lists are warm, a
+// CRMA access or an RDMA transfer allocates only the Completion it hands
+// out, whatever its chunk count, since every packet goes back to its
+// sender's list when it is delivered. A call keeps its own Completion in
+// its record and a blocking one is served in a detached proc, so a call
+// allocates nothing, served inline or not. Each run drives one operation
+// from a fresh proc, whose own Go completion is not counted.
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	r := newLineRig(t)
 	r.mapWindow(t)
@@ -238,13 +391,13 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 		want float64
 		op   func(p *sim.Proc)
 	}{
-		{"crma-fill", 3, func(p *sim.Proc) { a.CRMA.Fill(p, winBase, 64) }},
-		{"crma-write", 3, func(p *sim.Proc) { a.CRMA.Write(p, winBase, 64) }},
-		{"rdma-read", k + 2, func(p *sim.Proc) { a.RDMA.Read(p, 1, oldBase, bulk) }},
-		{"rdma-write", k + 2, func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, bulk) }},
-		{"call", 3, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) }},
-		{"call-timeout", 3, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, sim.Millisecond) }},
-		{"inline-call", 2, func(p *sim.Proc) { a.Call(p, 1, "echo-inline", 8, nil) }},
+		{"crma-fill", 1, func(p *sim.Proc) { a.CRMA.Fill(p, winBase, 64) }},
+		{"crma-write", 1, func(p *sim.Proc) { a.CRMA.Write(p, winBase, 64) }},
+		{"rdma-read", 1, func(p *sim.Proc) { a.RDMA.Read(p, 1, oldBase, bulk) }},
+		{"rdma-write", 1, func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, bulk) }},
+		{"call", 0, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) }},
+		{"call-timeout", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, sim.Millisecond) }},
+		{"inline-call", 0, func(p *sim.Proc) { a.Call(p, 1, "echo-inline", 8, nil) }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -260,6 +413,20 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWireReleasedTwicePanics checks the free list's guard: a wire put
+// back twice would be handed to two senders at once.
+func TestWireReleasedTwicePanics(t *testing.T) {
+	var l wireList[crmaResp]
+	w := l.get()
+	w.release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a wire twice did not panic")
+		}
+	}()
+	w.release()
 }
 
 // serviceSlotLog drives one call from node 0 to a "probe" handler on
