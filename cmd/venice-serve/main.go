@@ -86,7 +86,8 @@ func main() {
 			var err error
 			switch *scenario {
 			case "churn":
-				err = s.runChurn(ctx, serving.ChurnConfig{
+				err = s.runChurn(ctx, serving.Config{
+					Workload: serving.Churn,
 					Requests: *requests,
 					Util:     *util,
 					Fault:    serving.FaultRate(*fault),
@@ -183,7 +184,7 @@ func newServer(heartbeat time.Duration) *server {
 // trace store, and SSE broadcaster from the plane's event stream, and
 // the engine-step throttle publishes state snapshots (at most one per
 // snapEvery of wall clock) plus optional pacing.
-func (s *server) runChurn(ctx context.Context, cfg serving.ChurnConfig, snapEvery, pace time.Duration) error {
+func (s *server) runChurn(ctx context.Context, cfg serving.Config, snapEvery, pace time.Duration) error {
 	traces := obs.NewTraceStore(0)
 	s.traces.Store(traces)
 	col := &obs.Collector{Reg: s.reg, Traces: traces, Events: s.bcast}
@@ -214,7 +215,7 @@ func (s *server) runChurn(ctx context.Context, cfg serving.ChurnConfig, snapEver
 		if pace > 0 && steps%1024 == 0 {
 			time.Sleep(pace)
 		}
-		// ctx cancellation cannot abort RunChurn mid-run (the scenario
+		// ctx cancellation cannot abort serving.Run mid-run (the scenario
 		// owns its engine loop); pacing just stops so shutdown is quick.
 		if ctx.Err() != nil {
 			pace = 0
@@ -226,7 +227,7 @@ func (s *server) runChurn(ctx context.Context, cfg serving.ChurnConfig, snapEver
 	}
 
 	s.reg.Counter("venice_scenario_runs_total", "Completed scenario runs.", nil)
-	res, err := serving.RunChurn(cfg)
+	res, err := serving.Run(cfg)
 	if err != nil {
 		return err
 	}

@@ -96,8 +96,8 @@ func TestServeChurnEndToEnd(t *testing.T) {
 
 	// The same cell the serving tests pin: fast churn on an 8-node mesh
 	// reliably produces recoveries, hence failed-over events.
-	runErr := s.runChurn(context.Background(), serving.ChurnConfig{
-		Nodes: 8, Util: 0.7, Requests: 1500, Fault: serving.FaultFast, Seed: 1,
+	runErr := s.runChurn(context.Background(), serving.Config{
+		Workload: serving.Churn, Nodes: 8, Util: 0.7, Requests: 1500, Fault: serving.FaultFast, Seed: 1,
 	}, 5*time.Millisecond, 0)
 	if runErr != nil {
 		t.Fatalf("runChurn: %v", runErr)

@@ -113,13 +113,16 @@ func TestBaselineCommandsMatchCI(t *testing.T) {
 // per-request placement-policy override (core.WithPolicy): the MN's
 // configured Policy is the one placement knob. core.WithExclusive is
 // gone as well: it reserved nothing, and the exclusive mailbox path is
-// the donor's setting (accel.Service.SetExclusive). The gate rejects
-// both a surviving use and a reintroduced definition — deleting dead
-// code only sticks if nothing can quietly grow it back.
+// the donor's setting (accel.Service.SetExclusive). The serving
+// family has one entry point, serving.Run, whose Config.Workload picks
+// the scenario: the churn and tenancy entry points and their config
+// types are gone. The gate rejects both a surviving use and a
+// reintroduced definition — deleting dead code only sticks if nothing
+// can quietly grow it back.
 func TestAPIFreeze(t *testing.T) {
 	const names = `BorrowMemory|BorrowMemoryScoped|BorrowSwap|AttachAccelerator|AttachNIC|AttachMemoryDirect|AttachSwapDirect|` +
 		`RequestMemory|RequestMemoryScoped|RequestMemoryOpts|RequestDevice|RequestDeviceOpts|MemReqOpts|DevReqOpts|FreeMemory|FreeDevice|` +
-		`WithPolicy|WithExclusive`
+		`WithPolicy|WithExclusive|RunChurn|RunTenancy|ChurnConfig|TenancyConfig`
 	deprecated := regexp.MustCompile(`\.(` + names + `)[({]`)
 	redefined := regexp.MustCompile(`^(func (\([^)]*\) )?|type )(` + names + `)\b`)
 	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments"} {
@@ -136,7 +139,7 @@ func TestAPIFreeze(t *testing.T) {
 			}
 			for i, line := range strings.Split(string(data), "\n") {
 				if m := deprecated.FindString(line); m != "" {
-					t.Errorf("%s:%d: uses deleted entry point %q — use core.Plane's Acquire or monitor.Alloc/Free instead", path, i+1, strings.TrimRight(strings.TrimPrefix(m, "."), "({"))
+					t.Errorf("%s:%d: uses deleted entry point %q — use core.Plane's Acquire, monitor.Alloc/Free or serving.Run instead", path, i+1, strings.TrimRight(strings.TrimPrefix(m, "."), "({"))
 				}
 				if redefined.MatchString(line) {
 					t.Errorf("%s:%d: reintroduces a deleted entry point: %s", path, i+1, strings.TrimSpace(line))

@@ -114,8 +114,8 @@ func scene2() {
 func scene3() {
 	fmt.Println("\n— scene 3: rolling churn as a serving scenario —")
 	for _, fault := range []serving.FaultRate{serving.FaultNone, serving.FaultSlow, serving.FaultFast} {
-		r, err := serving.RunChurn(serving.ChurnConfig{
-			Nodes: 8, Util: 0.7, Requests: 1200, Fault: fault, Seed: 5,
+		r, err := serving.Run(serving.Config{
+			Workload: serving.Churn, Nodes: 8, Util: 0.7, Requests: 1200, Fault: fault, Seed: 5,
 		})
 		if err != nil {
 			panic(err)

@@ -24,10 +24,10 @@ const (
 	churnSmokeRequests = 800
 )
 
-func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, requests, shards int) cell[serving.ChurnConfig] {
-	return cell[serving.ChurnConfig]{
+func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, requests, shards int) cell {
+	return cell{
 		ID: fmt.Sprintf("churn/%s/n%d/%s", label, nodes, fault),
-		Cfg: serving.ChurnConfig{Nodes: nodes, Util: 0.7, Requests: requests,
+		Cfg: serving.Config{Workload: serving.Churn, Nodes: nodes, Util: 0.7, Requests: requests,
 			Policy: policy, Fault: fault},
 		Shards: shards,
 	}
@@ -36,8 +36,8 @@ func churnCellOf(label, policy string, nodes int, fault serving.FaultRate, reque
 // churnCellsFull is the registered sweep: mesh size × fault rate under
 // the prototype's distance policy, plus the policy axis at the hardest
 // point.
-func churnCellsFull() []cell[serving.ChurnConfig] {
-	var cells []cell[serving.ChurnConfig]
+func churnCellsFull() []cell {
+	var cells []cell
 	for _, nodes := range []int{4, 8} {
 		for _, fault := range []serving.FaultRate{serving.FaultNone, serving.FaultSlow, serving.FaultFast} {
 			cells = append(cells, churnCellOf("distance", "distance", nodes, fault, churnRequests, 2))
@@ -56,8 +56,8 @@ func churnCellsFull() []cell[serving.ChurnConfig] {
 
 // churnCellsShort is the reduced matrix the tests use: the control, the
 // cliff, and the scale-out comparison, with one multi-shard cell.
-func churnCellsShort() []cell[serving.ChurnConfig] {
-	return []cell[serving.ChurnConfig]{
+func churnCellsShort() []cell {
+	return []cell{
 		churnCellOf("distance", "distance", 4, serving.FaultNone, churnRequests, 1),
 		churnCellOf("distance", "distance", 4, serving.FaultFast, churnRequests, 2),
 		churnCellOf("distance", "distance", 8, serving.FaultFast, churnRequests, 1),
@@ -67,29 +67,24 @@ func churnCellsShort() []cell[serving.ChurnConfig] {
 // churnSmokeCells is the pinned single-cell subset the bench-regression
 // CI gate regenerates on every push — deliberately a faulted cell, so
 // the gate exercises detection, failover, and replay, not just serving.
-func churnSmokeCells() []cell[serving.ChurnConfig] {
+func churnSmokeCells() []cell {
 	c := churnCellOf("distance", "distance", 4, serving.FaultFast, churnSmokeRequests, 1)
 	c.ID = "churn-smoke/n4/fast"
-	return []cell[serving.ChurnConfig]{c}
+	return []cell{c}
 }
 
 // churnSweep renders the availability-under-churn table.
-var churnSweep = sweep[serving.ChurnConfig, ChurnCellResult]{
+var churnSweep = sweep[ChurnCellResult]{
 	title: "Serving churn — availability under donor crash/restart (open-loop, SLO deadline 50x service)",
 	columns: []string{"cell", "offered rps", "goodput rps", "failed", "unavail",
 		"crashes", "recov", "recov mean", "p50", "p99", "p999"},
-	seed: 9100,
-	run:  churnTrial,
-	fold: foldChurn,
+	seed:   9100,
+	values: churnValues,
+	fold:   foldChurn,
 }
 
-// churnTrial runs one shard.
-func churnTrial(cfg serving.ChurnConfig, seed uint64) (harness.Values, error) {
-	cfg.Seed = seed
-	r, err := serving.RunChurn(cfg)
-	if err != nil {
-		return nil, err
-	}
+// churnValues exports one shard.
+func churnValues(cfg serving.Config, r *serving.Result) harness.Values {
 	v := harness.Values{
 		"offered_rps":     r.OfferedRPS,
 		"achieved_rps":    r.AchievedRPS,
@@ -104,7 +99,7 @@ func churnTrial(cfg serving.ChurnConfig, seed uint64) (harness.Values, error) {
 		"dead_accesses":   float64(r.DeadAccesses),
 	}
 	putHist(v, "", r.Lat)
-	return v, nil
+	return v
 }
 
 // ChurnCellResult is one assembled sweep cell.
@@ -127,7 +122,7 @@ type ChurnCellResult struct {
 // ChurnResult is the assembled sweep.
 type ChurnResult = SweepResult[ChurnCellResult]
 
-func foldChurn(c cell[serving.ChurnConfig], shards []harness.Values, t *Table) (ChurnCellResult, error) {
+func foldChurn(c cell, shards []harness.Values, t *Table) (ChurnCellResult, error) {
 	merged, err := mergeHist(shards, "")
 	if err != nil {
 		return ChurnCellResult{}, err

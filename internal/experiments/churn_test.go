@@ -1,14 +1,10 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/serving"
-)
+import "testing"
 
 // churnTestCells picks the matrix by -short, like the other experiment
 // tests.
-func churnTestCells(t *testing.T) []cell[serving.ChurnConfig] {
+func churnTestCells(t *testing.T) []cell {
 	if testing.Short() {
 		return churnCellsShort()
 	}

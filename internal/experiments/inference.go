@@ -27,9 +27,9 @@ const (
 )
 
 // inferFlatCell builds a flat-mesh cell.
-func inferFlatCell(nodes int, util float64, fault serving.FaultRate, requests, shards int) cell[serving.Config] {
+func inferFlatCell(nodes int, util float64, fault serving.FaultRate, requests, shards int) cell {
 	id := fmt.Sprintf("infer/flat/n%d/%s/u%02.0f", nodes, fault, util*100)
-	return cell[serving.Config]{
+	return cell{
 		ID: id,
 		Cfg: serving.Config{Workload: serving.Inference, Nodes: nodes, Util: util,
 			Requests: requests, Fault: fault},
@@ -38,8 +38,8 @@ func inferFlatCell(nodes int, util float64, fault serving.FaultRate, requests, s
 }
 
 // inferHierCell builds a rack/spine cell.
-func inferHierCell(racks int, crossFrac float64, requests, shards int) cell[serving.Config] {
-	return cell[serving.Config]{
+func inferHierCell(racks int, crossFrac float64, requests, shards int) cell {
+	return cell{
 		ID: fmt.Sprintf("infer/hier/r%d/cf%02.0f", racks, crossFrac*100),
 		Cfg: serving.Config{Workload: serving.Inference, Util: 0.7, Requests: requests,
 			Racks: racks, RackNodes: 8, CrossFrac: crossFrac},
@@ -50,8 +50,8 @@ func inferHierCell(racks int, crossFrac float64, requests, shards int) cell[serv
 // inferCellsFull is the registered sweep: the load axis on the healthy
 // flat mesh, the fault axis at the operating point, and rack count ×
 // cross-rack fraction on the hierarchy.
-func inferCellsFull() []cell[serving.Config] {
-	var cells []cell[serving.Config]
+func inferCellsFull() []cell {
+	var cells []cell
 	for _, util := range []float64{0.5, 0.7, 0.9} {
 		cells = append(cells, inferFlatCell(8, util, serving.FaultNone, inferRequests, 1))
 	}
@@ -70,29 +70,24 @@ func inferCellsFull() []cell[serving.Config] {
 // inferSmokeCells is the pinned single-cell subset the bench-regression
 // CI gate regenerates on every push — a faulted cell, so the gate
 // exercises device-lease failover and chunk replay, not just serving.
-func inferSmokeCells() []cell[serving.Config] {
+func inferSmokeCells() []cell {
 	c := inferFlatCell(8, 0.7, serving.FaultFast, inferSmokeRequests, 1)
 	c.ID = "inference-smoke/n8/fast"
-	return []cell[serving.Config]{c}
+	return []cell{c}
 }
 
 // inferSweep renders the device-plane serving table.
-var inferSweep = sweep[serving.Config, InferenceCellResult]{
+var inferSweep = sweep[InferenceCellResult]{
 	title: "Serving inference — leased accelerators + bonded NIC egress (open-loop)",
 	columns: []string{"cell", "offered rps", "achieved rps", "svc",
 		"crashes", "failovers", "p50", "p99", "p999"},
-	seed: 9200,
-	run:  inferTrial,
-	fold: foldInference,
+	seed:   9200,
+	values: inferValues,
+	fold:   foldInference,
 }
 
-// inferTrial runs one shard.
-func inferTrial(cfg serving.Config, seed uint64) (harness.Values, error) {
-	cfg.Seed = seed
-	r, err := serving.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
+// inferValues exports one shard.
+func inferValues(cfg serving.Config, r *serving.Result) harness.Values {
 	v := harness.Values{
 		"offered_rps":   r.OfferedRPS,
 		"achieved_rps":  r.AchievedRPS,
@@ -103,7 +98,7 @@ func inferTrial(cfg serving.Config, seed uint64) (harness.Values, error) {
 		"dev_failovers": float64(r.DevFailovers),
 	}
 	putHist(v, "", r.Lat)
-	return v, nil
+	return v
 }
 
 // InferenceCellResult is one assembled sweep cell.
@@ -123,7 +118,7 @@ type InferenceCellResult struct {
 // InferenceResult is the assembled sweep.
 type InferenceResult = SweepResult[InferenceCellResult]
 
-func foldInference(c cell[serving.Config], shards []harness.Values, t *Table) (InferenceCellResult, error) {
+func foldInference(c cell, shards []harness.Values, t *Table) (InferenceCellResult, error) {
 	merged, err := mergeHist(shards, "")
 	if err != nil {
 		return InferenceCellResult{}, err

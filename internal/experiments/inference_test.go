@@ -12,7 +12,7 @@ import (
 // cross-rack accelerator leases cost service time on the oversubscribed
 // spine.
 func TestInferenceFindings(t *testing.T) {
-	cells := []cell[serving.Config]{
+	cells := []cell{
 		inferFlatCell(8, 0.7, serving.FaultNone, 200, 1),
 		inferFlatCell(8, 0.7, serving.FaultFast, 200, 2),
 		inferHierCell(2, 0, 120, 1),

@@ -27,20 +27,20 @@ import (
 
 // migrateServingCells pairs the frozen-placement baseline with the
 // telemetry+migration treatment on the same pressured tier cell.
-func migrateServingCells() []cell[serving.Config] {
+func migrateServingCells() []cell {
 	base := tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{})
 	hot := tierCell("telemetry", "traffic-aware", 8, 3, 0.9, serving.ArrivalSpec{})
 	hot.Cfg.Migrate = true
-	return []cell[serving.Config]{base, hot}
+	return []cell{base, hot}
 }
 
 // migrateChurnCells pairs cold failover with the spare-pool treatment
 // on the churn smoke cell's conditions.
-func migrateChurnCells() []cell[serving.ChurnConfig] {
+func migrateChurnCells() []cell {
 	cold := churnCellOf("cold", "distance", 4, serving.FaultFast, churnSmokeRequests, 1)
 	warm := churnCellOf("spares", "distance", 4, serving.FaultFast, churnSmokeRequests, 1)
 	warm.Cfg.SparePool = true
-	return []cell[serving.ChurnConfig]{cold, warm}
+	return []cell{cold, warm}
 }
 
 // MigrateResult is the assembled pairing: the serving comparison and

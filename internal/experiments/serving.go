@@ -23,16 +23,16 @@ const (
 	servingSmokeRequests = 200
 )
 
-func kvCell(nodes int, util float64) cell[serving.Config] {
-	return cell[serving.Config]{
+func kvCell(nodes int, util float64) cell {
+	return cell{
 		ID:     fmt.Sprintf("kv/n%d/u%.2f", nodes, util),
 		Cfg:    serving.Config{Workload: serving.KV, Nodes: nodes, Util: util, Requests: servingKVRequests},
 		Shards: 2,
 	}
 }
 
-func tierCell(label, policy string, nodes, tenants int, util float64, arr serving.ArrivalSpec) cell[serving.Config] {
-	return cell[serving.Config]{
+func tierCell(label, policy string, nodes, tenants int, util float64, arr serving.ArrivalSpec) cell {
+	return cell{
 		ID: fmt.Sprintf("tier/%s/n%d/u%.2f", label, nodes, util),
 		Cfg: serving.Config{Workload: serving.Tier, Nodes: nodes, Util: util,
 			Requests: servingTierRequests, Tenants: tenants, Policy: policy, Arrivals: arr},
@@ -44,8 +44,8 @@ func tierCell(label, policy string, nodes, tenants int, util float64, arr servin
 // for the kv tier, offered load × sharing policy (plus a node-count
 // point, a no-pressure baseline, and an MMPP burst point) for the
 // cache tier.
-func servingCellsFull() []cell[serving.Config] {
-	var cells []cell[serving.Config]
+func servingCellsFull() []cell {
+	var cells []cell
 	for _, nodes := range []int{2, 4, 8} {
 		for _, util := range []float64{0.6, 0.9} {
 			cells = append(cells, kvCell(nodes, util))
@@ -69,8 +69,8 @@ func servingCellsFull() []cell[serving.Config] {
 // servingCellsShort is the reduced matrix the tests use: the extremes
 // the qualitative findings need (scale-out, load, pressure), with one
 // multi-shard cell so the exact-merge path stays exercised.
-func servingCellsShort() []cell[serving.Config] {
-	return []cell[serving.Config]{
+func servingCellsShort() []cell {
+	return []cell{
 		kvCell(2, 0.9),
 		kvCell(8, 0.9),
 		tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{}),
@@ -80,38 +80,33 @@ func servingCellsShort() []cell[serving.Config] {
 
 // servingSmokeCells is the single cheapest cell — the pinned subset the
 // bench-regression CI gate regenerates on every push.
-func servingSmokeCells() []cell[serving.Config] {
+func servingSmokeCells() []cell {
 	c := kvCell(2, 0.6)
 	c.Cfg.Requests = servingSmokeRequests
 	c.Shards = 1
-	return []cell[serving.Config]{c}
+	return []cell{c}
 }
 
 // servingSweep renders the latency-vs-throughput table; the flat
 // serving sweep and the rack-scale sweep share it.
-var servingSweep = sweep[serving.Config, ServingCellResult]{
+var servingSweep = sweep[ServingCellResult]{
 	title:   "Serving — open-loop latency vs offered load (end-to-end, queueing included)",
 	columns: []string{"cell", "arrivals", "offered rps", "achieved rps", "p50", "p90", "p99", "p999"},
 	seed:    9000,
-	run:     servingTrial,
+	values:  servingValues,
 	fold:    foldServing,
 }
 
-// servingTrial runs one shard, exporting the scenario's scalars plus
-// the latency histogram.
-func servingTrial(cfg serving.Config, seed uint64) (harness.Values, error) {
-	cfg.Seed = seed
-	r, err := serving.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
+// servingValues exports one shard's scalars plus its latency
+// histogram.
+func servingValues(_ serving.Config, r *serving.Result) harness.Values {
 	v := harness.Values{
 		"offered_rps":  r.OfferedRPS,
 		"achieved_rps": r.AchievedRPS,
 		"svc_ns":       r.ServiceNS,
 	}
 	putHist(v, "", r.Lat)
-	return v, nil
+	return v
 }
 
 // ServingCellResult is one assembled sweep cell.
@@ -130,7 +125,7 @@ type ServingCellResult struct {
 // ServingResult is the assembled serving (or rack-scale) sweep.
 type ServingResult = SweepResult[ServingCellResult]
 
-func foldServing(c cell[serving.Config], shards []harness.Values, t *Table) (ServingCellResult, error) {
+func foldServing(c cell, shards []harness.Values, t *Table) (ServingCellResult, error) {
 	merged, err := mergeHist(shards, "")
 	if err != nil {
 		return ServingCellResult{}, err
@@ -159,6 +154,6 @@ func ServingSmoke() *ServingResult { return runRegistered("serving-smoke").(*Ser
 // co-located tenants leasing and hammering remote memory while the
 // tier serves at 0.9 utilization (the benchmark entry point).
 func ServingPressure() *ServingResult {
-	cells := []cell[serving.Config]{tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{})}
+	cells := []cell{tierCell("distance", "distance", 8, 3, 0.9, serving.ArrivalSpec{})}
 	return runSpec("serving-pressure", servingSweep.spec("Serving — pressured tier cell", cells)).(*ServingResult)
 }

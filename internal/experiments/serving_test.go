@@ -1,14 +1,10 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/serving"
-)
+import "testing"
 
 // servingTestCells picks the matrix by -short, like the other
 // experiment tests.
-func servingTestCells(t *testing.T) []cell[serving.Config] {
+func servingTestCells(t *testing.T) []cell {
 	if testing.Short() {
 		return servingCellsShort()
 	}

@@ -22,8 +22,8 @@ const (
 	servingScaleUtil     = 0.7
 )
 
-func scaleCell(racks, rackNodes int, cross float64) cell[serving.Config] {
-	return cell[serving.Config]{
+func scaleCell(racks, rackNodes int, cross float64) cell {
+	return cell{
 		ID: fmt.Sprintf("scale/n%d/r%d/x%.2f", racks*rackNodes, rackNodes, cross),
 		Cfg: serving.Config{Workload: serving.Scale, Racks: racks, RackNodes: rackNodes,
 			CrossFrac: cross, Util: servingScaleUtil, Requests: servingScaleRequests},
@@ -35,8 +35,8 @@ func scaleCell(racks, rackNodes int, cross float64) cell[serving.Config] {
 // twice — as 8 racks of 8 and as 4 racks of 16 — so the rack-size axis
 // is measured at a fixed node count; the 256-node row is the
 // acceptance-scale configuration (8 racks of 32).
-func servingScaleCells() []cell[serving.Config] {
-	var cells []cell[serving.Config]
+func servingScaleCells() []cell {
+	var cells []cell
 	for _, cross := range []float64{0, 0.25, 0.5} {
 		cells = append(cells, scaleCell(8, 8, cross))
 	}
@@ -54,11 +54,11 @@ func servingScaleCells() []cell[serving.Config] {
 // working set cross-rack — pinned in BENCH_BASELINE.json so the CI gate
 // regenerates the whole plane (topology, delegation, spine bandwidth
 // override, open-loop serving) on every push.
-func scaleSmokeCells() []cell[serving.Config] {
+func scaleSmokeCells() []cell {
 	c := scaleCell(2, 8, 0.5)
 	c.Cfg.Requests = scaleSmokeRequests
 	c.Shards = 1
-	return []cell[serving.Config]{c}
+	return []cell{c}
 }
 
 // ScaleSmoke runs the single-cell CI subset.

@@ -1,15 +1,11 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/serving"
-)
+import "testing"
 
 // scaleTestCells is the reduced matrix: the smoke cell plus the
 // cheapest two-rack full-cross cell, so both the delegation path and
 // the multi-shard merge stay exercised.
-func scaleTestCells() []cell[serving.Config] {
+func scaleTestCells() []cell {
 	extra := scaleCell(2, 8, 0)
 	extra.Cfg.Requests = scaleSmokeRequests
 	return append(scaleSmokeCells(), extra)

@@ -6,30 +6,31 @@ import (
 	"strings"
 
 	"repro/internal/harness"
+	"repro/internal/serving"
 	"repro/internal/sim"
 )
 
 // The open-loop scenario families (serving, serving-scale,
 // serving-churn, serving-inference, serving-tenancy, and the
 // migrate-smoke pairing) share one pipeline, which this file owns: a
-// cell list decomposes into shard trials, each trial exports its
-// scalars plus its latency histogram in exact-merge form, and a
-// per-family fold turns one cell's shard values into a typed result and
-// its table row(s). Shards differ only in their seed, and the
-// histogram merge is integral, so any harness worker count renders
-// byte-identical tables.
+// cell list decomposes into shard trials, each trial runs its cell's
+// serving.Config through serving.Run and exports its scalars plus its
+// latency histogram in exact-merge form, and a per-family fold turns
+// one cell's shard values into a typed result and its table row(s).
+// Shards differ only in their seed, and the histogram merge is
+// integral, so any harness worker count renders byte-identical tables.
 
 // cell is one configuration of a sweep, run as Shards independent
 // trials.
-type cell[C any] struct {
+type cell struct {
 	ID     string
-	Cfg    C
+	Cfg    serving.Config
 	Shards int
 }
 
-// sweep is one scenario family: a trial body per shard, and a fold per
-// cell into the family's result type R and the table.
-type sweep[C, R any] struct {
+// sweep is one scenario family: what a shard's result exports, and a
+// fold per cell into the family's result type R and the table.
+type sweep[R any] struct {
 	title   string
 	columns []string
 	// seed is the base shard seed: shard k of every cell runs with
@@ -37,25 +38,34 @@ type sweep[C, R any] struct {
 	// between a cell's trials; everything else in a scenario is
 	// internally seeded.
 	seed uint64
-	run  func(cfg C, seed uint64) (harness.Values, error)
+	// values exports one shard's result; cfg is the shard's config.
+	values func(cfg serving.Config, r *serving.Result) harness.Values
 	// fold gets one cell's shard values in shard order, returns the
 	// cell's result, and adds the cell's row(s) to the table.
-	fold func(c cell[C], shards []harness.Values, t *Table) (R, error)
+	fold func(c cell, shards []harness.Values, t *Table) (R, error)
 }
 
 // shardID names shard k of a cell's trials.
 func shardID(cellID string, k int) string { return fmt.Sprintf("%s/s%d", cellID, k) }
 
 // trials decomposes a cell list into shard trials, in cell then shard
-// order.
-func (s sweep[C, R]) trials(cells []cell[C]) []harness.Trial {
+// order. A trial runs its cell's config under the shard's seed.
+func (s sweep[R]) trials(cells []cell) []harness.Trial {
 	var trials []harness.Trial
 	for _, c := range cells {
 		for k := 0; k < c.Shards; k++ {
 			trials = append(trials, harness.Trial{
 				ID:   shardID(c.ID, k),
 				Seed: s.seed + uint64(k),
-				Run:  func(seed uint64) (harness.Values, error) { return s.run(c.Cfg, seed) },
+				Run: func(seed uint64) (harness.Values, error) {
+					cfg := c.Cfg
+					cfg.Seed = seed
+					r, err := serving.Run(cfg)
+					if err != nil {
+						return nil, err
+					}
+					return s.values(cfg, r), nil
+				},
 			})
 		}
 	}
@@ -63,7 +73,7 @@ func (s sweep[C, R]) trials(cells []cell[C]) []harness.Trial {
 }
 
 // assemble folds every cell's shards into the sweep's result.
-func (s sweep[C, R]) assemble(r *harness.Result, cells []cell[C]) (*SweepResult[R], error) {
+func (s sweep[R]) assemble(r *harness.Result, cells []cell) (*SweepResult[R], error) {
 	res := &SweepResult[R]{Table: Table{Title: s.title, Columns: s.columns}}
 	for _, c := range cells {
 		shards := make([]harness.Values, c.Shards)
@@ -85,7 +95,7 @@ func (s sweep[C, R]) assemble(r *harness.Result, cells []cell[C]) (*SweepResult[
 }
 
 // spec builds a registrable spec over a cell list.
-func (s sweep[C, R]) spec(title string, cells []cell[C]) harness.Spec {
+func (s sweep[R]) spec(title string, cells []cell) harness.Spec {
 	return harness.Spec{
 		Title:  title,
 		Trials: s.trials(cells),
@@ -158,7 +168,7 @@ func mergeHist(shards []harness.Values, prefix string) (*sim.LatencyHist, error)
 }
 
 // get returns one metric of one shard. Like harness.Result.Val it
-// panics on a missing key: the trial body and the fold are written
+// panics on a missing key: the values exporter and the fold are written
 // together, so a miss is a spec-authoring bug.
 func get(v harness.Values, key string) float64 {
 	x, ok := v[key]

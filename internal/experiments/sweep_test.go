@@ -12,7 +12,7 @@ import (
 
 // runCells runs an ad-hoc cell list through the harness, like the
 // registered specs do (the tests' reduced matrices).
-func runCells[C, R any](t *testing.T, s sweep[C, R], cells []cell[C]) *SweepResult[R] {
+func runCells[R any](t *testing.T, s sweep[R], cells []cell) *SweepResult[R] {
 	t.Helper()
 	art, _, err := harness.Run("subset", s.spec("subset", cells), harness.Options{})
 	if err != nil {

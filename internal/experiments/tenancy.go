@@ -24,10 +24,10 @@ const (
 )
 
 // tenancySweepCell builds one load cell.
-func tenancySweepCell(util float64, requests, shards int) cell[serving.TenancyConfig] {
-	return cell[serving.TenancyConfig]{
+func tenancySweepCell(util float64, requests, shards int) cell {
+	return cell{
 		ID:     fmt.Sprintf("tenancy/u%03.0f", util*100),
-		Cfg:    serving.TenancyConfig{Util: util, Requests: requests},
+		Cfg:    serving.Config{Workload: serving.Tenancy, Util: util, Requests: requests},
 		Shards: shards,
 	}
 }
@@ -35,8 +35,8 @@ func tenancySweepCell(util float64, requests, shards int) cell[serving.TenancyCo
 // tenancyCellsFull is the registered sweep: below saturation the plane
 // barely intervenes; at and past saturation the preemption and queue
 // paths carry the Latency class through.
-func tenancyCellsFull() []cell[serving.TenancyConfig] {
-	return []cell[serving.TenancyConfig]{
+func tenancyCellsFull() []cell {
+	return []cell{
 		tenancySweepCell(0.5, tenancyRequests, 1),
 		tenancySweepCell(0.8, tenancyRequests, 2),
 		tenancySweepCell(1.1, tenancyRequests, 2),
@@ -47,30 +47,26 @@ func tenancyCellsFull() []cell[serving.TenancyConfig] {
 // bench-regression CI gate regenerates on every push — the saturated
 // operating point, so the gate exercises queueing and preemption, not
 // just admission bookkeeping.
-func tenancySmokeCells() []cell[serving.TenancyConfig] {
+func tenancySmokeCells() []cell {
 	c := tenancySweepCell(0.9, tenancySmokeRequests, 1)
 	c.ID = "tenancy-smoke/u90"
-	return []cell[serving.TenancyConfig]{c}
+	return []cell{c}
 }
 
 // tenancySweep renders one row per SLO class per cell.
-var tenancySweep = sweep[serving.TenancyConfig, TenancyCellResult]{
+var tenancySweep = sweep[TenancyCellResult]{
 	title: "Serving tenancy — SLO classes under flash-crowd admission (open-loop)",
 	columns: []string{"cell", "class", "offered", "goodput",
 		"slo-miss", "p50", "p99", "preempts", "fairness"},
-	seed: 9300,
-	run:  tenancyTrial,
-	fold: foldTenancy,
+	seed:   9300,
+	values: tenancyValues,
+	fold:   foldTenancy,
 }
 
-// tenancyTrial runs one shard. Per-class metrics are exported under a
-// class-name prefix ("latency_offered", "standard_lat_b042", ...).
-func tenancyTrial(cfg serving.TenancyConfig, seed uint64) (harness.Values, error) {
-	cfg.Seed = seed
-	r, err := serving.RunTenancy(cfg)
-	if err != nil {
-		return nil, err
-	}
+// tenancyValues exports one shard. Per-class metrics are exported
+// under a class-name prefix ("latency_offered", "standard_lat_b042",
+// ...).
+func tenancyValues(cfg serving.Config, r *serving.Result) harness.Values {
 	v := harness.Values{
 		"svc_ns":          r.ServiceNS,
 		"offered_rps":     r.OfferedRPS,
@@ -90,7 +86,7 @@ func tenancyTrial(cfg serving.TenancyConfig, seed uint64) (harness.Values, error
 		v[pfx+"deadline_ns"] = float64(cs.Deadline)
 		putHist(v, pfx, cs.Lat)
 	}
-	return v, nil
+	return v
 }
 
 // TenancyClassResult is one class's merged ledger within a cell.
@@ -140,7 +136,7 @@ type TenancyResult = SweepResult[TenancyCellResult]
 
 // foldTenancy merges each class's shard ledgers and folds the
 // admission-plane counters.
-func foldTenancy(c cell[serving.TenancyConfig], shards []harness.Values, t *Table) (TenancyCellResult, error) {
+func foldTenancy(c cell, shards []harness.Values, t *Table) (TenancyCellResult, error) {
 	r := TenancyCellResult{
 		ID:          c.ID,
 		OfferedRPS:  get(shards[0], "offered_rps"),

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/serving"
 	"repro/internal/tenancy"
 )
 
@@ -13,7 +12,7 @@ import (
 // while the Preemptible class absorbs the pressure as preemptions and
 // rejections.
 func TestTenancyFindings(t *testing.T) {
-	r := runCells(t, tenancySweep, []cell[serving.TenancyConfig]{tenancySweepCell(0.9, 240, 2)})
+	r := runCells(t, tenancySweep, []cell{tenancySweepCell(0.9, 240, 2)})
 	c := r.Cell("tenancy/u090")
 	if c == nil {
 		t.Fatalf("cell missing from %v", r.Cells)

@@ -336,3 +336,51 @@ func TestLossyLineGolden(t *testing.T) {
 	}
 	checkLinksAtRest(t, net)
 }
+
+// TestReplayedCopyIsDeliveredOnce: a packet that arrives intact but
+// whose ack lands after its replay timer is replayed, and the receiver,
+// which already took it, acks the copy and drops it. The packet is
+// delivered once and every credit comes back once. The ack is late on
+// a link slowed while the packet is in flight, which costs one replay
+// on the restored link, and on every arrival with ReplayTO = 0, which
+// replays the packet up to the bound. Each copy still occupies the
+// serializer and counts as a replay.
+func TestReplayedCopyIsDeliveredOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		replayTO sim.Dur
+		slow     bool
+		replays  int64
+	}{
+		{"slowed-in-flight", sim.Default().ReplayTO, true, 1},
+		{"no-replay-timeout", 0, false, maxReplays},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			defer eng.Close()
+			p := sim.Default()
+			p.ReplayTO = tc.replayTO
+			net := NewNetwork(eng, &p, Pair(), sim.NewRNG(1))
+			got := 0
+			net.SetDelivery(1, func(*Packet) { got++ })
+			net.SetDelivery(0, func(*Packet) {})
+			l := net.Link(0, 1)
+			eng.Schedule(0, func() { net.Send(&Packet{Src: 0, Dst: 1, Kind: "once", Size: 64}) })
+			if tc.slow {
+				// From just after the send until well past the arrival, and
+				// before the replay timer fires: the arrival's ack is about
+				// 12.8 µs late at this rate, 10 µs being the timeout.
+				eng.At(1, func() { l.SetGbps(0.01) })
+				eng.At(5000, func() { l.SetGbps(0) })
+			}
+			eng.Run()
+			if got != 1 {
+				t.Fatalf("delivered %d times, want once", got)
+			}
+			if s := l.Stats(); s.Replays != tc.replays || s.Packets != 1+tc.replays {
+				t.Fatalf("link sent %d packets with %d replays, want %d and %d", s.Packets, s.Replays, 1+tc.replays, tc.replays)
+			}
+			checkLinksAtRest(t, net)
+		})
+	}
+}

@@ -76,17 +76,27 @@ type Link struct {
 // flight is one transmission on the wire.
 type flight struct {
 	pkt      *Packet
-	replays  int          // retransmissions of pkt before this one
+	replays  int          // retransmissions of pkt before this one, plus taken
 	replayAt sim.Time     // when the sender's replay timer fires, if armed
 	timer    *replayTimer // the timer, when transmit armed it
 }
+
+// taken is a bit of a replay count, above any count the replay bound
+// allows: it marks a copy of a packet the receiver has already taken.
+// Such a copy is acked on arrival, as a real datalink acks a sequence
+// number it has seen, but not delivered again and frees no credit: the
+// copy the receiver took did both. The mark reaches every copy a timer
+// sends after an earlier copy landed, which with a ReplayTO of at least
+// minus the ack delay is every copy; a timer set to fire before its own
+// copy lands resends one the receiver cannot have taken yet.
+const taken = 1 << 30
 
 // replayTimer is an armed sender replay timer: it resends its packet
 // unless the packet's ack landed first.
 type replayTimer struct {
 	l       *Link
 	pkt     *Packet
-	replays int
+	replays int      // the flight's, plus taken once it arrives intact
 	acked   bool     // the packet arrived intact
 	ackAt   sim.Time // when its ack reaches the sender
 }
@@ -242,7 +252,8 @@ func (l *Link) applyReturns() {
 }
 
 // transmit pushes one packet through the serializer and schedules its
-// arrival; replays counts the earlier transmissions of the same packet.
+// arrival; replays counts the earlier transmissions of the same packet
+// and carries the taken bit.
 func (l *Link) transmit(pkt *Packet, replays int) {
 	now := l.eng.Now()
 	ser := l.serialize(pkt.Size)
@@ -288,7 +299,8 @@ func (l *Link) armReplay(f flight) *replayTimer {
 }
 
 // arrive runs at the receiver for the oldest transmission in flight:
-// CRC check, ack, delivery, credit return. The return reserves the
+// CRC check, ack, delivery, credit return. A copy of a packet the
+// receiver already took is acked and dropped. The return reserves the
 // event slot it always had but becomes an event only when a send is
 // waiting for a credit, or when the ack delay shrank in flight
 // (SetGbps, or a Params change) so that it would land before a queued
@@ -304,13 +316,17 @@ func (l *Link) arrive() {
 	// small-packet delay without charging the serializer.
 	ackDelay := l.fixed + l.serialize(0)
 	ackAt := l.eng.Now().Add(ackDelay)
+	dup := f.replays&taken != 0
+	if !lost {
+		f.replays |= taken // any later copy is one
+	}
 	switch {
 	case f.timer != nil:
-		f.timer.acked, f.timer.ackAt = !lost, ackAt
+		f.timer.acked, f.timer.ackAt, f.timer.replays = !lost, ackAt, f.replays
 	case lost || ackAt >= f.replayAt: // or the link slowed in flight
 		l.armReplay(f)
 	}
-	if lost {
+	if lost || dup {
 		return
 	}
 	// The receiver buffer frees once the switch has taken the packet;
@@ -336,10 +352,13 @@ func (l *Link) returnCredit() {
 }
 
 // resend retransmits a packet whose ack never arrived, keeping the
-// credit it holds, or past the replay bound gives up and frees it.
+// credit it holds, or past the replay bound gives up and frees it,
+// unless the receiver took a copy, whose delivery returned the credit.
 func (l *Link) resend(pkt *Packet, replays int) {
-	if replays > maxReplays {
-		l.returnCredit() // free the buffer the lost packet held
+	if replays&^taken > maxReplays {
+		if replays&taken == 0 {
+			l.returnCredit() // free the buffer the lost packet held
+		}
 		return
 	}
 	l.transmit(pkt, replays)

@@ -8,16 +8,17 @@
 // resource sharing shows up in the tail, which closed-loop batch
 // experiments (figs. 3–18) cannot observe.
 //
-// Six scenarios share one open-loop phase (openLoop, openloop.go): KV
-// and Tier (serving.go) on single-rack meshes; churn (churn.go) adding
-// fault-schedule-driven donor crashes; Scale (scale.go) on multi-rack
-// rack/spine fabrics where leases are brokered by the sharded monitor
-// plane and a configurable fraction of the working set crosses the
-// oversubscribed spine; Inference (inference.go) on leased remote
-// accelerators and NICs; and tenancy (tenancy.go), SLO classes
-// competing for an oversubscribed lease pool. Churn and flat inference
-// share one rig (churnRig), as do Scale and hierarchical inference
-// (newHierRig).
+// Six scenarios share one entry point, Run, which takes one Config and
+// returns one Result, and one open-loop phase (openLoop, openloop.go):
+// KV and Tier (serving.go) on single-rack meshes; Churn (churn.go)
+// adding fault-schedule-driven donor crashes; Scale (scale.go) on
+// multi-rack rack/spine fabrics where leases are brokered by the
+// sharded monitor plane and a configurable fraction of the working set
+// crosses the oversubscribed spine; Inference (inference.go) on leased
+// remote accelerators and NICs; and Tenancy (tenancy.go), SLO classes
+// competing for an oversubscribed lease pool. Config.Workload picks the
+// scenario. Churn and flat inference share one rig (churnRig), as do
+// Scale and hierarchical inference (newHierRig).
 package serving
 
 import (

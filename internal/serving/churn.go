@@ -34,84 +34,6 @@ const (
 	FaultFast FaultRate = "fast"
 )
 
-// ChurnConfig shapes one churn scenario run.
-type ChurnConfig struct {
-	// Nodes is the mesh size: 4 or 8. The MN runs on node 0 (excluded
-	// from donation), the app server on node 1; everything else donates.
-	Nodes int
-	// Util is offered load as a fraction of calibrated capacity.
-	Util float64
-	// Requests is the number of measured open-loop requests.
-	Requests int
-	// Policy names the MN sharing policy ("" = distance-first).
-	Policy string
-	// Fault selects the churn intensity (default FaultNone).
-	Fault FaultRate
-	// SparePool pre-plugs one lease-sized spare region per donor: the
-	// carve's hot-remove happens when the pool fills (off the serving
-	// path), so a failover's replacement grant skips the ~2 ms hot-plug
-	// and recovery latency collapses to the control-plane round trips.
-	SparePool bool
-	// Seed drives the arrival and offset streams (the shard axis).
-	// Chaos instants derive from a fixed internal seed so every shard of
-	// a cell sees the same fault history.
-	Seed uint64
-
-	// The remaining fields are observability hooks (venice-serve). All
-	// run OUTSIDE virtual time — they may read simulation state but must
-	// not sleep, block, or touch the engine — so leaving them nil (the
-	// default) and setting them produce byte-identical results
-	// (TestChurnDeterministic checks it).
-
-	// OnCluster, when set, receives the cluster after its RRT is
-	// populated and before serving starts: the place to attach
-	// lease-lifecycle observers or capture handles for snapshots.
-	OnCluster func(*core.Cluster)
-	// Throttle, when set, is called between engine steps on the driving
-	// goroutine. venice-serve uses it to pace virtual time against wall
-	// clock and to publish state snapshots at a safe point.
-	Throttle func()
-	// Observe, when set, receives every measured request's end-to-end
-	// latency as it completes (in addition to the run's histogram).
-	Observe func(sim.Dur)
-}
-
-// ChurnResult is one churn run's measurements.
-type ChurnResult struct {
-	// Lat holds every request's end-to-end latency (arrival to
-	// completion, queueing and outage stalls included).
-	Lat *sim.LatencyHist
-	// OfferedRPS is the open-loop arrival rate.
-	OfferedRPS float64
-	// AchievedRPS counts every completion over the measured window.
-	AchievedRPS float64
-	// GoodputRPS counts only completions within the SLO deadline.
-	GoodputRPS float64
-	// ServiceNS is the calibrated closed-loop mean service time.
-	ServiceNS float64
-	// Deadline is the SLO the goodput is measured against
-	// (churnDeadlineMult × ServiceNS).
-	Deadline sim.Dur
-	// Failed counts deadline misses. Every request still completes —
-	// zero-loss accounting is asserted by the scenario — so Failed is an
-	// SLO figure, not a loss figure.
-	Failed int
-	// UnavailNS totals completion-stall time: for each inter-completion
-	// gap exceeding the stall threshold (churnStallMult × ServiceNS),
-	// the excess is charged as unavailability.
-	UnavailNS int64
-	// Crashes and Recoveries count injected donor crashes and completed
-	// lease re-placements; RecoverMeanNS is the mean MN-side
-	// re-placement latency (detection excluded).
-	Crashes       int64
-	Recoveries    int64
-	RecoverMeanNS float64
-	// DeadAccesses counts reads that hit a revoked window (re-placement
-	// found no donor). Zero in every swept configuration — rolling churn
-	// keeps a survivor available by construction.
-	DeadAccesses int64
-}
-
 // Scenario-internal calibration constants (shared by every cell, like
 // the serving scenarios' — the sweep varies only load, scale, policy,
 // and fault rate).
@@ -151,18 +73,15 @@ type leaseRead struct {
 	off   uint64
 }
 
-// RunChurn executes one availability-under-churn scenario.
-func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
-	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
-		return nil, err
-	}
+// runChurn executes one availability-under-churn scenario.
+func runChurn(cfg Config) (*Result, error) {
 	var setup func(*core.Cluster)
 	if cfg.SparePool {
 		// One spare per lease the server holds: a crashed donor can back
 		// every lease it carried, so no failover in the burst goes cold.
 		setup = func(cl *core.Cluster) { cl.MN.EnableSparePool(churnLeaseBytes, churnLeases) }
 	}
-	rig, err := newChurnRig("churn", cfg.Nodes, cfg.Policy, cfg.Fault, churnClusterSeed, churnChaosSeed, setup)
+	rig, err := newChurnRig(cfg, churnClusterSeed, churnChaosSeed, setup)
 	if err != nil {
 		return nil, err
 	}
@@ -172,8 +91,8 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		cfg.OnCluster(cl)
 	}
 
-	res := &ChurnResult{}
-	err = runScenario(cl.Eng, "churn", cfg.Throttle, func(pr *sim.Proc) error {
+	res := &Result{}
+	err = runScenario(cl.Eng, cfg, func(pr *sim.Proc) error {
 		ls, err := borrowWindows(pr, cl, churnLeases, func(int) core.Request {
 			return core.NewRequest(core.Memory, app, churnLeaseBytes)
 		})
@@ -201,16 +120,13 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 
 		offRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
 		ph, err := openLoop[leaseRead]{
-			workers: appWorkers, rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			cfg: cfg, workers: appWorkers, rps: res.OfferedRPS,
 			next: func() (leaseRead, int) {
 				l := offRng.Intn(len(ls))
 				return leaseRead{l, offRng.Uint64n(churnLeaseBytes-churnReadBytes) &^ 63}, 0
 			},
 			serve: func(wp *sim.Proc, _ int, r leaseRead) bool { read(wp, r); return true },
 			done: func(ph *phase, _ leaseRead, now sim.Time, d sim.Dur) {
-				if cfg.Observe != nil {
-					cfg.Observe(d)
-				}
 				if d > res.Deadline {
 					res.Failed++
 				}
@@ -224,8 +140,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		if err != nil {
 			return err
 		}
-		res.Lat = ph.lat
-		res.AchievedRPS = float64(ph.completed) / ph.window()
+		res.measured(ph)
 		res.GoodputRPS = float64(ph.completed-res.Failed) / ph.window()
 		return nil
 	})
@@ -254,34 +169,35 @@ type churnRig struct {
 	chaosSeed uint64
 }
 
-// newChurnRig builds the rig on a nodes-node mesh (0 means 8) with the
-// scenario's cluster and chaos seeds; setup, when set, runs before the
-// 10 ms RRT warm-up, while the MN's donor table is still empty.
-func newChurnRig(name string, nodes int, policy string, fault FaultRate,
-	clusterSeed, chaosSeed uint64, setup func(*core.Cluster)) (*churnRig, error) {
-	pol, ok := monitor.PolicyByName(policy)
+// newChurnRig builds the rig on a cfg.Nodes-node mesh (0 means 8)
+// under cfg's policy and fault rate, with the scenario's cluster and
+// chaos seeds; setup, when set, runs before the 10 ms RRT warm-up,
+// while the MN's donor table is still empty.
+func newChurnRig(cfg Config, clusterSeed, chaosSeed uint64, setup func(*core.Cluster)) (*churnRig, error) {
+	pol, ok := monitor.PolicyByName(cfg.Policy)
 	if !ok {
-		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", policy, monitor.PolicyNames())
+		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
 	}
+	nodes := cfg.Nodes
 	if nodes == 0 {
 		nodes = 8
 	}
 	if nodes < 4 {
-		return nil, fmt.Errorf("serving: %s needs >= 4 nodes (MN + server + two donors), got %d", name, nodes)
+		return nil, fmt.Errorf("serving: %s needs >= 4 nodes (MN + server + two donors), got %d", cfg.Workload, nodes)
 	}
 	topo, err := topoFor(nodes)
 	if err != nil {
 		return nil, err
 	}
 	r := &churnRig{chaosSeed: chaosSeed}
-	switch fault {
+	switch cfg.Fault {
 	case "", FaultNone:
 	case FaultSlow:
 		r.period = churnSlowPeriod
 	case FaultFast:
 		r.period = churnFastPeriod
 	default:
-		return nil, fmt.Errorf("serving: unknown fault rate %q", fault)
+		return nil, fmt.Errorf("serving: unknown fault rate %q", cfg.Fault)
 	}
 
 	r.cl = core.NewCluster(core.Config{

@@ -10,9 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-func churnRun(t *testing.T, cfg ChurnConfig) *ChurnResult {
+func churnRun(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	r, err := RunChurn(cfg)
+	cfg.Workload = Churn
+	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func churnRun(t *testing.T, cfg ChurnConfig) *ChurnResult {
 // plain open-loop serving run — no crashes, no recoveries, no SLO
 // misses, no unavailability.
 func TestChurnNoFaultBaseline(t *testing.T) {
-	r := churnRun(t, ChurnConfig{Nodes: 4, Util: 0.7, Requests: 300, Seed: 1})
+	r := churnRun(t, Config{Nodes: 4, Util: 0.7, Requests: 300, Seed: 1})
 	if r.Crashes != 0 || r.Recoveries != 0 {
 		t.Fatalf("control cell saw faults: crashes=%d recoveries=%d", r.Crashes, r.Recoveries)
 	}
@@ -46,7 +47,7 @@ func TestChurnNoFaultBaseline(t *testing.T) {
 // still completes — the outages show up as SLO misses and
 // unavailability, not as losses.
 func TestChurnSurvivesRollingCrashes(t *testing.T) {
-	r := churnRun(t, ChurnConfig{Nodes: 8, Util: 0.7, Requests: 1500, Fault: FaultFast, Seed: 1})
+	r := churnRun(t, Config{Nodes: 8, Util: 0.7, Requests: 1500, Fault: FaultFast, Seed: 1})
 	if r.Crashes == 0 {
 		t.Fatal("fast churn injected no crashes")
 	}
@@ -89,7 +90,7 @@ func TestChurnSurvivesRollingCrashes(t *testing.T) {
 // a run with every observability hook attached, as venice-serve runs
 // it: the hooks work outside virtual time.
 func TestChurnDeterministic(t *testing.T) {
-	cfg := ChurnConfig{Nodes: 4, Util: 0.7, Requests: 400, Fault: FaultFast, Seed: 7}
+	cfg := Config{Nodes: 4, Util: 0.7, Requests: 400, Fault: FaultFast, Seed: 7}
 	a := churnRun(t, cfg)
 	b := churnRun(t, cfg)
 	if a.Lat.String() != b.Lat.String() {
@@ -136,24 +137,22 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnConfigValidation: bad configs surface as errors.
+// TestChurnConfigValidation: bad churn configs surface as errors from Run.
 func TestChurnConfigValidation(t *testing.T) {
-	if _, err := RunChurn(ChurnConfig{Nodes: 4, Util: 0.7}); err == nil {
-		t.Fatal("zero requests accepted")
-	}
-	if _, err := RunChurn(ChurnConfig{Nodes: 4, Requests: 10}); err == nil {
-		t.Fatal("zero util accepted")
-	}
-	if _, err := RunChurn(ChurnConfig{Nodes: 4, Util: math.NaN(), Requests: 10}); err == nil {
-		t.Fatal("NaN util accepted")
-	}
-	if _, err := RunChurn(ChurnConfig{Nodes: 2, Util: 0.5, Requests: 10}); err == nil {
-		t.Fatal("2-node churn accepted (no donor diversity)")
-	}
-	if _, err := RunChurn(ChurnConfig{Nodes: 4, Util: 0.5, Requests: 10, Fault: "storm"}); err == nil {
-		t.Fatal("unknown fault rate accepted")
-	}
-	if _, err := RunChurn(ChurnConfig{Nodes: 4, Util: 0.5, Requests: 10, Policy: "bogus"}); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, c := range []struct {
+		cfg  Config
+		what string
+	}{
+		{Config{Nodes: 4, Util: 0.7}, "zero requests accepted"},
+		{Config{Nodes: 4, Requests: 10}, "zero util accepted"},
+		{Config{Nodes: 4, Util: math.NaN(), Requests: 10}, "NaN util accepted"},
+		{Config{Nodes: 2, Util: 0.5, Requests: 10}, "2-node churn accepted (no donor diversity)"},
+		{Config{Nodes: 4, Util: 0.5, Requests: 10, Fault: "storm"}, "unknown fault rate accepted"},
+		{Config{Nodes: 4, Util: 0.5, Requests: 10, Policy: "bogus"}, "unknown policy accepted"},
+	} {
+		c.cfg.Workload = Churn
+		if _, err := Run(c.cfg); err == nil {
+			t.Fatal(c.what)
+		}
 	}
 }

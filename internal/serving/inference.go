@@ -76,18 +76,17 @@ func runInference(cfg Config) (*Result, error) {
 	}
 	res := &Result{}
 	if cfg.Racks <= 0 {
-		rig, err := newChurnRig("inference", cfg.Nodes, cfg.Policy, cfg.Fault, inferClusterSeed,
-			inferChaosSeed, func(cl *core.Cluster) {
-				for i := 2; i < len(cl.Nodes); i++ {
-					farms = append(farms, inferFarm(cl.Eng, cl.P, cl.Node(i), cl.Agents[i]))
-				}
-			})
+		rig, err := newChurnRig(cfg, inferClusterSeed, inferChaosSeed, func(cl *core.Cluster) {
+			for i := 2; i < len(cl.Nodes); i++ {
+				farms = append(farms, inferFarm(cl.Eng, cl.P, cl.Node(i), cl.Agents[i]))
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
 		defer rig.cl.Close()
 		defer shutdown()
-		err = runScenario(rig.cl.Eng, "inference", nil, func(pr *sim.Proc) error {
+		err = runScenario(rig.cl.Eng, cfg, func(pr *sim.Proc) error {
 			return inferServe(pr, rig.cl, rig.app, cfg, res, func(int) []core.Option { return nil }, nil, rig.start)
 		})
 		if err != nil {
@@ -120,7 +119,7 @@ func runInference(cfg Config) (*Result, error) {
 	// pinned rack-local, so CrossFrac is exact, not a policy accident.
 	cross := int(cfg.CrossFrac*inferAccelLeases + 0.5)
 	local := []core.Option{core.WithScope(monitor.ScopeLocalRack)}
-	err = runScenario(cl.Eng, "inference", nil, func(pr *sim.Proc) error {
+	err = runScenario(cl.Eng, cfg, func(pr *sim.Proc) error {
 		return inferServe(pr, cl, app, cfg, res, func(i int) []core.Option {
 			if i < cross {
 				return []core.Option{core.WithScope(monitor.ScopeRemoteRack)}
@@ -209,8 +208,7 @@ func inferServe(pr *sim.Proc, pl core.Plane, app *node.Node, cfg Config, res *Re
 	// and its chunks replay, but every one of them must complete.
 	leaseRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
 	ph, err := openLoop[int]{
-		workers: appWorkers, arrivals: cfg.Arrivals,
-		rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+		cfg: cfg, workers: appWorkers, rps: res.OfferedRPS,
 		next:  func() (int, int) { return leaseRng.Intn(len(accLs)), 0 },
 		serve: func(wp *sim.Proc, _, lease int) bool { infer(wp, lease); return true },
 	}.run(pr)

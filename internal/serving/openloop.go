@@ -2,7 +2,6 @@ package serving
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sim"
 )
@@ -11,26 +10,14 @@ import (
 // calibrates closed-loop (calibrate), and hands the measured phase to
 // openLoop: a request maker and a serve body are all it supplies.
 // openLoop owns the request queue(s), the worker pool, the seeded
-// arrival generator and its drain, and the run's one latency
-// histogram; runScenario owns the engine step loop and the deadlock
-// check around the whole scenario.
+// arrival generator and its drain, the run's one latency histogram and
+// the Observe hook; runScenario owns the engine step loop, the Throttle
+// hook and the deadlock check around the whole scenario.
 
 // appWorkers is the app-server concurrency of tier, scale, churn and
 // inference; KV runs one dispatcher per data server and tenancy sizes
 // its own pool.
 const appWorkers = 2
-
-// checkLoad is the load check every entry point shares: NaN fails both
-// comparisons, so a malformed Util is an error, not a negative sleep.
-func checkLoad(requests int, util float64) error {
-	if requests <= 0 {
-		return fmt.Errorf("serving: Requests must be positive, got %d", requests)
-	}
-	if !(util > 0) || math.IsInf(util, 1) {
-		return fmt.Errorf("serving: Util must be finite and positive, got %v", util)
-	}
-	return nil
-}
 
 // calibrate runs op n times closed-loop and returns the mean service
 // time in ns.
@@ -50,15 +37,14 @@ func offeredRPS(util float64, workers int, serviceNS float64) float64 {
 
 // openLoop is one measured open-loop phase over requests of type R.
 type openLoop[R any] struct {
+	// cfg supplies the arrival process, the seed that drives it, the
+	// request count and the Observe hook.
+	cfg     Config
 	workers int
 	// ownQueue gives worker w its own queue, the one next names;
 	// otherwise every worker pops one shared queue.
 	ownQueue bool
-	arrivals ArrivalSpec
 	rps      float64
-	// seed drives the arrival stream.
-	seed     uint64
-	requests int
 	// next draws one request after each arrival sleep, and the queue it
 	// joins (always 0 without ownQueue).
 	next func() (req R, queue int)
@@ -127,6 +113,9 @@ func (o openLoop[R]) run(pr *sim.Proc) (*phase, error) {
 				if o.done != nil {
 					o.done(ph, item.req, now, d)
 				}
+				if o.cfg.Observe != nil {
+					o.cfg.Observe(d)
+				}
 				ph.lat.AddDur(d)
 				if now > ph.lastDone {
 					ph.lastDone = now
@@ -136,9 +125,9 @@ func (o openLoop[R]) run(pr *sim.Proc) (*phase, error) {
 		})
 	}
 
-	arr := newSampler(o.arrivals, o.rps, sim.NewRNG(o.seed))
+	arr := newSampler(o.cfg.Arrivals, o.rps, sim.NewRNG(o.cfg.Seed))
 	ph.start = pr.Now()
-	for r := 0; r < o.requests; r++ {
+	for r := 0; r < o.cfg.Requests; r++ {
 		pr.Sleep(arr.Next())
 		req, qi := o.next()
 		queues[qi].Push(pr, queued[R]{arrived: pr.Now(), req: req})
@@ -151,31 +140,31 @@ func (o openLoop[R]) run(pr *sim.Proc) (*phase, error) {
 	for _, q := range queues {
 		ph.maxQueue = max(ph.maxQueue, q.MaxDepth())
 	}
-	if ph.completed+ph.rejected != o.requests {
+	if ph.completed+ph.rejected != o.cfg.Requests {
 		return ph, fmt.Errorf("serving: lost requests: %d completed + %d rejected of %d",
-			ph.completed, ph.rejected, o.requests)
+			ph.completed, ph.rejected, o.cfg.Requests)
 	}
 	return ph, nil
 }
 
-// runScenario runs body as the scenario proc and steps eng until body
-// returns, calling throttle (when set) between steps, outside virtual
-// time. Agents, recovery sweeps, tenants and pending chaos actions keep
-// the event queue alive forever, so the loop stops at the body's end;
-// a queue that drains first leaves the body parked for good.
-func runScenario(eng *sim.Engine, name string, throttle func(), body func(pr *sim.Proc) error) error {
+// runScenario runs body as cfg's scenario proc and steps eng until body
+// returns, calling cfg.Throttle (when set) between steps, outside
+// virtual time. Agents, recovery sweeps, tenants and pending chaos
+// actions keep the event queue alive forever, so the loop stops at the
+// body's end; a queue that drains first leaves the body parked for good.
+func runScenario(eng *sim.Engine, cfg Config, body func(pr *sim.Proc) error) error {
 	var err error
-	done := eng.Go("serving-"+name, func(pr *sim.Proc) { err = body(pr) })
+	done := eng.Go("serving-"+string(cfg.Workload), func(pr *sim.Proc) { err = body(pr) })
 	for !done.Done() && eng.Step() {
-		if throttle != nil {
-			throttle()
+		if cfg.Throttle != nil {
+			cfg.Throttle()
 		}
 	}
 	if err != nil {
 		return err
 	}
 	if !done.Done() {
-		return fmt.Errorf("serving: %s scenario deadlocked (%d live procs)", name, eng.LiveProcs())
+		return fmt.Errorf("serving: %s scenario deadlocked (%d live procs)", cfg.Workload, eng.LiveProcs())
 	}
 	return nil
 }

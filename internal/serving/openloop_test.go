@@ -17,10 +17,10 @@ func TestOpenLoopContract(t *testing.T) {
 		defer eng.Close()
 		var ph *phase
 		n := 0
-		err := runScenario(eng, "reject", nil, func(pr *sim.Proc) error {
+		err := runScenario(eng, Config{Workload: "reject"}, func(pr *sim.Proc) error {
 			var err error
 			ph, err = openLoop[int]{
-				workers: 3, rps: 1e5, seed: 1, requests: 90,
+				cfg: Config{Seed: 1, Requests: 90}, workers: 3, rps: 1e5,
 				next: func() (int, int) { n++; return n, 0 },
 				serve: func(wp *sim.Proc, _ int, r int) bool {
 					wp.Sleep(20 * sim.Microsecond)
@@ -51,10 +51,10 @@ func TestOpenLoopContract(t *testing.T) {
 		exits := make([]int, workers)
 		rng := sim.NewRNG(3)
 		var ph *phase
-		err := runScenario(eng, "route", nil, func(pr *sim.Proc) error {
+		err := runScenario(eng, Config{Workload: "route"}, func(pr *sim.Proc) error {
 			var err error
 			ph, err = openLoop[int]{
-				workers: workers, ownQueue: true, rps: 1e6, seed: 2, requests: 200,
+				cfg: Config{Seed: 2, Requests: 200}, workers: workers, ownQueue: true, rps: 1e6,
 				next: func() (int, int) { q := rng.Intn(workers); return q, q },
 				serve: func(wp *sim.Proc, w, q int) bool {
 					if q != w {
@@ -87,7 +87,7 @@ func TestOpenLoopContract(t *testing.T) {
 		eng := sim.New()
 		defer eng.Close()
 		never := sim.NewCompletion(eng)
-		err := runScenario(eng, "stuck", nil, func(pr *sim.Proc) error {
+		err := runScenario(eng, Config{Workload: "stuck"}, func(pr *sim.Proc) error {
 			pr.Await(never)
 			return nil
 		})

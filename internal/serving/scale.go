@@ -112,7 +112,7 @@ func runScale(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	stop := false
-	err = runScenario(cl.Eng, "scale", nil, func(pr *sim.Proc) error {
+	err = runScenario(cl.Eng, cfg, func(pr *sim.Proc) error {
 		// Lease the working set: the cross-rack share is delegated by the
 		// root MN (most-idle rack election spreads consecutive windows
 		// over distinct racks), the rest is pinned rack-local.
@@ -177,8 +177,7 @@ func runScale(cfg Config) (*Result, error) {
 		offRng := sim.NewRNG(cfg.Seed ^ 0xacce55)
 		winRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
 		ph, err := openLoop[int]{
-			workers: appWorkers, arrivals: cfg.Arrivals,
-			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			cfg: cfg, workers: appWorkers, rps: res.OfferedRPS,
 			next:  func() (int, int) { return winRng.Intn(scaleWindows), 0 },
 			serve: func(wp *sim.Proc, _, w int) bool { read(wp, windows[w], offRng); return true },
 		}.run(pr)

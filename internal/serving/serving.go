@@ -2,12 +2,14 @@ package serving
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/monitor"
 	"repro/internal/node"
 	"repro/internal/sim"
+	"repro/internal/tenancy"
 	"repro/internal/transport"
 	"repro/internal/workloads"
 )
@@ -35,30 +37,41 @@ const (
 	// donor churn, on rack/spine fabrics with a CrossFrac share of the
 	// accelerator leases delegated cross-rack (inference.go).
 	Inference Workload = "inference"
+	// Churn is availability under failure: an app server reads out of
+	// leased remote-memory windows while rolling crashes walk the donor
+	// population (churn.go).
+	Churn Workload = "churn"
+	// Tenancy is admission under oversubscription: class-tagged lease
+	// sessions from thousands of tenants compete for a lease pool that
+	// preemptible holders saturate (tenancy.go).
+	Tenancy Workload = "tenancy"
 )
 
-// Config shapes one serving scenario run.
+// Config shapes one serving scenario run. Each field names the
+// workloads that read it; the others ignore it.
 type Config struct {
 	Workload Workload
-	// Nodes is the mesh size: 2, 4, or 8 (0 defaults to the prototype's
-	// 8-node mesh; Tier and flat Inference need >= 4 for donor
-	// diversity).
+	// Nodes is the flat mesh size (KV, Tier, Churn and flat Inference):
+	// 2, 4, or 8 (0 defaults to the prototype's 8-node mesh; all but KV
+	// need >= 4 for donor diversity). Tenancy runs a fixed 8-node mesh.
 	Nodes int
 	// Util is the offered load as a fraction of the scenario's
 	// calibrated service capacity (the open-loop arrival rate is
 	// Util × capacity). Meaningful range (0, 1); above ~1 the open-loop
-	// queue grows without bound for the whole horizon.
+	// queue grows without bound for the whole horizon. Every workload.
 	Util float64
-	// Arrivals shapes the arrival process (zero value: Poisson).
+	// Arrivals shapes the arrival process (zero value: Poisson). Every
+	// workload but Tenancy, which runs its flash-crowd MMPP arrivals.
 	Arrivals ArrivalSpec
-	// Requests is the number of measured open-loop requests.
+	// Requests is the number of measured open-loop requests (Tenancy:
+	// sessions). Every workload.
 	Requests int
 	// Tenants is the number of co-located tenants on the serving node,
 	// each leasing remote memory through the Monitor Node and streaming
 	// reads through it for the scenario's duration (Tier only).
 	Tenants int
 	// Policy names the Monitor Node sharing policy that places every
-	// lease — the serving tier's and the tenants' (Tier and flat
+	// lease — the serving tier's and the tenants' (Tier, Churn and flat
 	// Inference; "" = the prototype's distance-first).
 	Policy string
 	// Migrate turns on the windowed link-utilization plane and the MN's
@@ -68,9 +81,9 @@ type Config struct {
 	// a saturated path is retargeted to a cooler donor mid-run, reads
 	// replaying transparently through the CRMA window.
 	Migrate bool
-	// Racks and RackNodes shape the hierarchical fabric (Scale only):
-	// Racks racks of RackNodes-node meshes (8, 16, or 32 per rack)
-	// behind an oversubscribed spine.
+	// Racks and RackNodes shape the hierarchical fabric (Scale, and
+	// Inference when Racks > 0): Racks racks of RackNodes-node meshes
+	// (8, 16, or 32 per rack) behind an oversubscribed spine.
 	Racks     int
 	RackNodes int
 	// CrossFrac is the fraction of the working set's leases delegated
@@ -78,35 +91,113 @@ type Config struct {
 	// the spine penalty with (Scale: remote-memory windows; Inference:
 	// accelerator leases).
 	CrossFrac float64
-	// Fault selects the rolling donor-churn intensity (Inference on
-	// flat meshes only; default FaultNone).
+	// Fault selects the rolling donor-churn intensity (Churn, and
+	// Inference on flat meshes; default FaultNone).
 	Fault FaultRate
-	// Seed drives the arrival and key streams. Everything else in the
-	// scenario uses fixed internal seeds, so two runs with the same
+	// SparePool pre-plugs one lease-sized spare region per donor
+	// (Churn only): the carve's hot-remove happens when the pool fills
+	// (off the serving path), so a failover's replacement grant skips
+	// the ~2 ms hot-plug and recovery latency collapses to the
+	// control-plane round trips.
+	SparePool bool
+	// Seed drives the arrival and key streams (the shard axis). Every
+	// workload. Everything else in the scenario, chaos instants
+	// included, uses fixed internal seeds, so two runs with the same
 	// Seed are identical and runs with different Seeds are independent
 	// shards of the same cell, mergeable via sim.LatencyHist.
 	Seed uint64
+
+	// The remaining fields are observability hooks (venice-serve). All
+	// run OUTSIDE virtual time — they may read simulation state but must
+	// not sleep, block, or touch the engine — so leaving them nil (the
+	// default) and setting them produce identical results
+	// (TestRunHooksReachEveryWorkload checks it).
+
+	// OnCluster, when set, receives the cluster after its RRT is
+	// populated and before serving starts: the place to attach
+	// lease-lifecycle observers or capture handles for snapshots
+	// (Churn only).
+	OnCluster func(*core.Cluster)
+	// Throttle, when set, is called between engine steps on the driving
+	// goroutine (every workload). venice-serve uses it to pace virtual
+	// time against wall clock and to publish state snapshots at a safe
+	// point.
+	Throttle func()
+	// Observe, when set, receives every completed request's end-to-end
+	// latency as it completes, in addition to the run's histogram
+	// (every workload; Tenancy: every completed session).
+	Observe func(sim.Dur)
 }
 
-// Result is one scenario run's measurements.
+// Result is one scenario run's measurements. The fields past MaxQueue
+// name the workloads that fill them; the rest stay zero.
 type Result struct {
-	// Lat holds every measured request's end-to-end latency (queueing
-	// included — the arrival instant to the response).
+	// Lat holds every completed request's end-to-end latency (queueing
+	// included — the arrival instant to the response; Churn: outage
+	// stalls included).
 	Lat *sim.LatencyHist
 	// OfferedRPS is the open-loop arrival rate (Util × calibrated
 	// capacity) in requests per second of virtual time.
 	OfferedRPS float64
 	// AchievedRPS is the measured completion throughput.
 	AchievedRPS float64
-	// ServiceNS is the calibrated closed-loop mean service time.
+	// ServiceNS is the calibrated closed-loop mean service time
+	// (Tenancy: the acquire + read + release session, untagged and
+	// unloaded).
 	ServiceNS float64
 	// MaxQueue is the deepest any request queue got.
 	MaxQueue int
-	// Crashes and DevFailovers count injected donor crashes and
-	// completed device-lease re-placements (Inference under a fault
-	// rate; zero elsewhere).
-	Crashes      int64
+	// Crashes counts injected donor crashes (Churn, and flat Inference
+	// under a fault rate).
+	Crashes int64
+	// DevFailovers counts completed device-lease re-placements
+	// (Inference).
 	DevFailovers int64
+
+	// GoodputRPS counts only completions within the SLO deadline
+	// (Churn).
+	GoodputRPS float64
+	// Deadline is the SLO the goodput is measured against
+	// (churnDeadlineMult × ServiceNS; Churn).
+	Deadline sim.Dur
+	// Failed counts deadline misses (Churn). Every request still
+	// completes — zero-loss accounting is asserted by the scenario — so
+	// Failed is an SLO figure, not a loss figure.
+	Failed int
+	// UnavailNS totals completion-stall time (Churn): for each
+	// inter-completion gap exceeding the stall threshold
+	// (churnStallMult × ServiceNS), the excess is charged as
+	// unavailability.
+	UnavailNS int64
+	// Recoveries counts completed lease re-placements and RecoverMeanNS
+	// is their mean MN-side latency, detection excluded (Churn).
+	Recoveries    int64
+	RecoverMeanNS float64
+	// DeadAccesses counts reads that hit a revoked window (re-placement
+	// found no donor; Churn). Zero in every swept configuration —
+	// rolling churn keeps a survivor available by construction.
+	DeadAccesses int64
+
+	// PerClass indexes the class ledgers by tenancy class (Tenancy;
+	// ClassNone's slot stays zero).
+	PerClass [tenancy.NumClasses]ClassStats
+	// Preemptions counts Preemptible-class leases the MN revoked to
+	// make room for a higher class ("preempt.memory"; Tenancy).
+	Preemptions int64
+	// Degrades counts grants admitted at a reduced size
+	// ("admit.degraded"; Tenancy).
+	Degrades int64
+	// QueueAdmits counts grants admitted after a bounded queue wait
+	// ("admit.queue_admits"; Tenancy).
+	QueueAdmits int64
+	// HolderAcquires and HolderPreemptions count the background
+	// population's lease grants and observed evictions (Tenancy).
+	HolderAcquires    int64
+	HolderPreemptions int64
+	// Fairness is the Jain index over per-class completion ratios
+	// (Tenancy; 1 = every class completed the same fraction of its
+	// offered load).
+	Fairness float64
 }
 
 // Scenario-internal calibration constants. These are deliberately not
@@ -155,8 +246,13 @@ const (
 
 // Run executes one serving scenario and returns its measurements.
 func Run(cfg Config) (*Result, error) {
-	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
-		return nil, err
+	if cfg.Requests <= 0 {
+		return nil, fmt.Errorf("serving: Requests must be positive, got %d", cfg.Requests)
+	}
+	// NaN fails both comparisons, so a malformed Util is an error, not a
+	// negative sleep.
+	if !(cfg.Util > 0) || math.IsInf(cfg.Util, 1) {
+		return nil, fmt.Errorf("serving: Util must be finite and positive, got %v", cfg.Util)
 	}
 	if err := cfg.Arrivals.validate(); err != nil {
 		return nil, err
@@ -170,6 +266,10 @@ func Run(cfg Config) (*Result, error) {
 		return runScale(cfg)
 	case Inference:
 		return runInference(cfg)
+	case Churn:
+		return runChurn(cfg)
+	case Tenancy:
+		return runTenancy(cfg)
 	}
 	return nil, fmt.Errorf("serving: unknown workload %q", cfg.Workload)
 }
@@ -218,7 +318,7 @@ func runKV(cfg Config) (*Result, error) {
 	servers := topo.N - 1
 
 	res := &Result{}
-	err = runScenario(eng, "kv", nil, func(pr *sim.Proc) error {
+	err = runScenario(eng, cfg, func(pr *sim.Proc) error {
 		idx := workloads.BuildBTreeIndex(pr, nodes[0].Mem,
 			workloads.NewArena(0, 128<<20), workloads.NewArena(kvRecordBase, 128<<20),
 			kvKeys, kvRecordSize, kvFanout)
@@ -241,8 +341,7 @@ func runKV(cfg Config) (*Result, error) {
 		// One dispatcher per data server, each with its own queue.
 		keyRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
 		ph, err := openLoop[int]{
-			workers: servers, ownQueue: true, arrivals: cfg.Arrivals,
-			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			cfg: cfg, workers: servers, ownQueue: true, rps: res.OfferedRPS,
 			next: func() (int, int) {
 				key := keyRng.Intn(idx.Keys())
 				return key, key % servers
@@ -303,7 +402,7 @@ func runTier(cfg Config) (*Result, error) {
 	app := cl.Node(0)
 	res := &Result{}
 	stop := false
-	err = runScenario(cl.Eng, "tier", nil, func(pr *sim.Proc) error {
+	err = runScenario(cl.Eng, cfg, func(pr *sim.Proc) error {
 		// Co-located tenants lease first: their windows land wherever the
 		// policy sends them, before the serving tier asks. The hammer
 		// processes start only after warm-up — pressure during the
@@ -361,8 +460,7 @@ func runTier(cfg Config) (*Result, error) {
 
 		keys := sim.NewZipf(sim.NewRNG(cfg.Seed^0x5eed), tierKeys, tierZipfTheta)
 		ph, err := openLoop[int]{
-			workers: appWorkers, arrivals: cfg.Arrivals,
-			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+			cfg: cfg, workers: appWorkers, rps: res.OfferedRPS,
 			next:  func() (int, int) { return keys.Next(), 0 },
 			serve: func(wp *sim.Proc, _, key int) bool { db.Query(wp, key); return true },
 		}.run(pr)

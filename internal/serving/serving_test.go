@@ -2,8 +2,11 @@ package serving
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -163,10 +166,69 @@ func TestServingConfigErrors(t *testing.T) {
 		{Workload: KV, Nodes: 2, Util: math.NaN(), Requests: 10},         // panicked in the generator
 		{Workload: KV, Nodes: 2, Util: math.Inf(1), Requests: 10},        // ran with OfferedRPS +Inf
 		{Workload: Tier, Nodes: 8, Util: 0.5, Requests: 10, Tenants: -1}, // panicked in borrowWindows
+		{Workload: Tenancy, Util: 0.5},
 	}
 	for _, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("Run(%+v) succeeded, want error", cfg)
 		}
+	}
+}
+
+// TestRunHooksReachEveryWorkload runs each of the six workloads bare
+// and with all three observability hooks set. The hooks run outside
+// virtual time, so the hooked result must equal the bare one field for
+// field. Observe must see each completed request once (each completed
+// session, for tenancy), Throttle must be called between engine steps,
+// and OnCluster must reach churn, its one reader, and no other workload.
+func TestRunHooksReachEveryWorkload(t *testing.T) {
+	for _, cfg := range []Config{
+		{Workload: KV, Nodes: 2, Util: 0.6, Requests: 80},
+		{Workload: Tier, Nodes: 4, Util: 0.6, Requests: 40, Tenants: 1},
+		{Workload: Scale, Racks: 2, RackNodes: 8, CrossFrac: 0.5, Util: 0.6, Requests: 40},
+		{Workload: Inference, Nodes: 4, Util: 0.6, Requests: 60, Fault: FaultFast},
+		{Workload: Churn, Nodes: 4, Util: 0.7, Requests: 200, Fault: FaultFast},
+		{Workload: Tenancy, Util: 0.8, Requests: 60},
+	} {
+		t.Run(string(cfg.Workload), func(t *testing.T) {
+			cfg.Seed = 3
+			bare, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hooked := cfg
+			var cl *core.Cluster
+			steps, observed := 0, 0
+			hooked.OnCluster = func(c *core.Cluster) { cl = c }
+			hooked.Throttle = func() {
+				if steps++; cl != nil && steps%64 == 0 {
+					obs.SnapshotFlat(cl)
+				}
+			}
+			hooked.Observe = func(sim.Dur) { observed++ }
+			h, err := Run(hooked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(bare, h) {
+				t.Fatalf("hooks moved the result:\nbare   %+v\nhooked %+v", bare, h)
+			}
+			want := cfg.Requests
+			if cfg.Workload == Tenancy {
+				want = 0
+				for _, cs := range h.PerClass {
+					want += cs.Completed
+				}
+			}
+			if observed != want || int64(observed) != h.Lat.N() {
+				t.Fatalf("Observe saw %d latencies, want %d (histogram holds %d)", observed, want, h.Lat.N())
+			}
+			if steps == 0 {
+				t.Fatal("Throttle was never called")
+			}
+			if (cl != nil) != (cfg.Workload == Churn) {
+				t.Fatalf("OnCluster reached = %v, want it on churn only", cl != nil)
+			}
+		})
 	}
 }

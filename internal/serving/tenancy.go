@@ -25,17 +25,6 @@ import (
 // plane; holders watch the plane's event stream for their eviction and
 // re-acquire with backoff once pressure relents.
 
-// TenancyConfig shapes one tenancy scenario run.
-type TenancyConfig struct {
-	// Util is offered load as a fraction of calibrated capacity.
-	Util float64
-	// Requests is the number of measured open-loop sessions.
-	Requests int
-	// Seed drives the arrival, class-mix, and offset streams (the shard
-	// axis).
-	Seed uint64
-}
-
 // ClassStats is one SLO class's ledger for a run. Every offered
 // session is accounted exactly once: Completed + Rejected == Offered.
 type ClassStats struct {
@@ -55,34 +44,6 @@ type ClassStats struct {
 	// Lat holds the class's end-to-end session latencies (completed
 	// sessions only; arrival to completion, queueing included).
 	Lat *sim.LatencyHist
-}
-
-// TenancyResult is one tenancy run's measurements.
-type TenancyResult struct {
-	// ServiceNS is the calibrated closed-loop mean session time
-	// (acquire + read + release, untagged, unloaded).
-	ServiceNS float64
-	// OfferedRPS is the open-loop arrival rate across all classes.
-	OfferedRPS float64
-	// PerClass indexes the class ledgers by tenancy class
-	// (ClassNone's slot stays zero).
-	PerClass [tenancy.NumClasses]ClassStats
-	// Preemptions counts Preemptible-class leases the MN revoked to
-	// make room for a higher class ("preempt.memory").
-	Preemptions int64
-	// Degrades counts grants admitted at a reduced size
-	// ("admit.degraded").
-	Degrades int64
-	// QueueAdmits counts grants admitted after a bounded queue wait
-	// ("admit.queue_admits").
-	QueueAdmits int64
-	// HolderAcquires and HolderPreemptions count the background
-	// population's lease grants and observed evictions.
-	HolderAcquires    int64
-	HolderPreemptions int64
-	// Fairness is the Jain index over per-class completion ratios
-	// (1 = every class completed the same fraction of its offered load).
-	Fairness float64
 }
 
 // Scenario-internal constants (shared by every cell; the sweep varies
@@ -127,11 +88,11 @@ type session struct {
 	class  tenancy.Class
 }
 
-// RunTenancy executes one multi-tenant admission scenario.
-func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
-	if err := checkLoad(cfg.Requests, cfg.Util); err != nil {
-		return nil, err
-	}
+// runTenancy executes one multi-tenant admission scenario. It ignores
+// cfg.Nodes, Policy and Arrivals: the rig is a fixed 8-node mesh under
+// the distance-first policy, offered flash-crowd MMPP arrivals.
+func runTenancy(cfg Config) (*Result, error) {
+	cfg.Arrivals = flashCrowd()
 	topo, err := topoFor(8)
 	if err != nil {
 		return nil, err
@@ -166,7 +127,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 	defer cancel()
 
 	app := cl.Node(1)
-	res := &TenancyResult{}
+	res := &Result{}
 	for c := range res.PerClass {
 		res.PerClass[c].Lat = &sim.LatencyHist{}
 	}
@@ -209,7 +170,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 		})
 	}
 
-	err = runScenario(cl.Eng, "tenancy", nil, func(pr *sim.Proc) error {
+	err = runScenario(cl.Eng, cfg, func(pr *sim.Proc) error {
 		// Closed-loop calibration before the holders saturate anything:
 		// untagged sessions bypass admission, so the measured mean is the
 		// unloaded acquire + read + release cycle.
@@ -245,9 +206,8 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 
 		// Open-loop flash-crowd arrivals with a per-request class draw.
 		mixRng := sim.NewRNG(cfg.Seed ^ 0x5eed)
-		_, err := openLoop[session]{
-			workers: tenancyWorkers, arrivals: flashCrowd(),
-			rps: res.OfferedRPS, seed: cfg.Seed, requests: cfg.Requests,
+		ph, err := openLoop[session]{
+			cfg: cfg, workers: tenancyWorkers, rps: res.OfferedRPS,
 			next: func() (session, int) {
 				var s session
 				switch u := mixRng.Float64(); {
@@ -290,6 +250,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 		}.run(pr)
 		stop = true
 		holderGrp.Wait(pr)
+		res.measured(ph)
 		return err
 	})
 	if err != nil {
@@ -304,7 +265,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 
 // tenancyFairness computes the Jain index over per-class completion
 // ratios. Classes with no offered load are excluded.
-func tenancyFairness(res *TenancyResult) float64 {
+func tenancyFairness(res *Result) float64 {
 	var ratios []float64
 	for _, c := range tenancy.Classes() {
 		cs := res.PerClass[c]

@@ -12,7 +12,7 @@ import (
 // Preemptible class absorb the pressure (preemptions and rejections
 // land there), with every offered session accounted exactly once.
 func TestTenancyLatencyClassHeldWhole(t *testing.T) {
-	res, err := RunTenancy(TenancyConfig{Util: 0.9, Requests: 240, Seed: 1})
+	res, err := Run(Config{Workload: Tenancy, Util: 0.9, Requests: 240, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func TestTenancyLatencyClassHeldWhole(t *testing.T) {
 
 // Same seed, same everything: the scenario must be deterministic.
 func TestTenancyDeterministic(t *testing.T) {
-	cfg := TenancyConfig{Util: 0.8, Requests: 120, Seed: 7}
-	a, err := RunTenancy(cfg)
+	cfg := Config{Workload: Tenancy, Util: 0.8, Requests: 120, Seed: 7}
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTenancy(cfg)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

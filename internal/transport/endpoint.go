@@ -120,9 +120,9 @@ func (l *wireList[M]) get() *wire[M] {
 }
 
 // release puts a delivered wire back on its list, unless a link holds
-// its packet (fabric.Packet.Held): that packet may be delivered again,
-// so it is left to the GC. Releasing a wire that is already on its list
-// panics.
+// its packet (fabric.Packet.Held): that link may still transmit the
+// packet again, so it is left to the GC. Releasing a wire that is
+// already on its list panics.
 func (w *wire[M]) release() {
 	if w.pkt.Held() {
 		return
@@ -139,9 +139,10 @@ func (w *wire[M]) release() {
 // channel's list for m's type. The receiver's handler gets a pointer to
 // the message that is valid only until it returns, since deliver then
 // puts the wire back: a handler copies whatever outlives it. A wire is
-// reused only once the fabric can no longer deliver its packet: a
-// packet is delivered at most once unless a link armed a replay timer
-// for it, and a wire whose packet a link held is never put back.
+// reused only once the fabric is done with its packet: a packet is
+// delivered at most once, and one a link armed a replay timer for may
+// still be transmitted again, so a wire whose packet a link held is
+// never put back.
 func send[M any](l *wireList[M], ep *Endpoint, dst fabric.NodeID, kind string, size int, m M) {
 	w := l.get()
 	w.pkt = fabric.Packet{Src: ep.ID, Dst: dst, Kind: kind, Size: size, Payload: w}

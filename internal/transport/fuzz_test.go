@@ -30,11 +30,12 @@ func (r *lineRig) lossyFault(rec []byte) {
 // the three-node line under fuzzer-chosen faults: a CRC error rate per
 // half-link, one byte of rates each (up to about one packet in two),
 // and slowdowns and down windows (see lossyFault). The fabric then
-// replays packets and delivers some twice, so a packet put back on its
-// sender's list while a link still holds it for replay is released
-// twice, which panics. The event queue must also drain: nothing may
-// schedule work forever. The seed corpus under
-// testdata/fuzz/FuzzLossyDelivery covers each fault kind.
+// replays packets, and drops each replayed copy of a packet its
+// receiver already took: a packet delivered twice would be released
+// twice, which panics, and every call must get its own answer. The
+// event queue must also drain: nothing may schedule work forever. The
+// seed corpus under testdata/fuzz/FuzzLossyDelivery covers each fault
+// kind. TestHeldWiresAreNotReused gates Packet.Held itself.
 func FuzzLossyDelivery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rates uint32, faults, ops []byte) {
 		r := newLineRig(t)

@@ -139,7 +139,8 @@ func (r *lineRig) served() [2]int64 {
 
 // slowFor slows the a->b half-link to a rate whose ack delay outruns
 // the replay timer, for d from at: a packet that arrives meanwhile is
-// acked too late, so its sender replays it and it is delivered twice.
+// acked too late, so its sender replays it, and its receiver drops the
+// copy.
 func (r *lineRig) slowFor(a, b fabric.NodeID, at sim.Time, d sim.Dur) {
 	l := r.ep[0].Net.Link(a, b)
 	r.eng.At(at, func() { l.SetGbps(0.01) })
@@ -151,13 +152,15 @@ func (r *lineRig) slowFor(a, b fabric.NodeID, at sim.Time, d sim.Dur) {
 // replay after a retarget, a retarget or kill that lands before the
 // request leaves, a late RPC response, and back-to-back RDMA reads.
 // Three more rows run lossyMix over a lossy line, where the fabric
-// replays packets and delivers some twice: a packet a link held for
-// replay must never be reused. Each row asserts the exact virtual
-// instant every access or call completes, so recycling a record or a
-// packet early, or reading a field of a recycled one, moves an instant
-// or leaves an operation parked. The lossy rows' instants and served
+// replays packets: a packet a link held for replay must never be
+// reused. Each row asserts the exact virtual instant every access or
+// call completes, so recycling a record or a packet early, or reading a
+// field of a recycled one, moves an instant or leaves an operation
+// parked. The crc-errors and link-down-and-up rows' instants and served
 // counts were taken with every packet allocated fresh, so recycling
-// must not move them.
+// must not move them; the slowed-in-flight row's were taken once a
+// replayed copy of a packet its receiver had taken was no longer
+// delivered again.
 func TestTransportRecordReuse(t *testing.T) {
 	rows := []struct {
 		name string
@@ -318,26 +321,25 @@ func TestTransportRecordReuse(t *testing.T) {
 			// Links slowed while packets are in flight, so their acks
 			// land after the replay timer: a CRMA request and an RDMA
 			// read's request to the new donor, and a chunk on its way
-			// back, are each delivered twice. The donor serves the
-			// request twice and streams the read twice; the duplicate
-			// responses find no pending entry.
+			// back, are each replayed. The receiver took the first copy
+			// of each, so it drops the replayed one: the donor serves
+			// the request once and streams the read once, and the
+			// requester counts the chunk once.
 			name: "slowed-in-flight",
 			run: func(t *testing.T, r *lineRig) []sim.Time {
 				r.slowFor(1, 2, 2700, 300)
 				r.slowFor(1, 2, 13200, 300)
 				r.slowFor(2, 1, 22500, 300)
 				got := r.lossyRun(t, lossyMix)
-				if s := r.served(); s != [2]int64{2, 3} {
-					t.Errorf("served (old, new) = %v, want [2 3]", s)
+				if s := r.served(); s != [2]int64{2, 2} {
+					t.Errorf("served (old, new) = %v, want [2 2]", s)
 				}
-				// The one-chunk read from the new donor, streamed twice,
-				// plus the duplicate chunk.
-				if out, in := r.ep[2].RDMA.Stats.BytesOut, r.ep[0].RDMA.Stats.BytesIn; out != 8192 || in != 28672 {
-					t.Errorf("RDMA bytes (new donor out, requester in) = (%d, %d), want (8192, 28672)", out, in)
+				if out, in := r.ep[2].RDMA.Stats.BytesOut, r.ep[0].RDMA.Stats.BytesIn; out != 4096 || in != 20480 {
+					t.Errorf("RDMA bytes (new donor out, requester in) = (%d, %d), want (4096, 20480)", out, in)
 				}
 				return got
 			},
-			want: []sim.Time{3239, 3239, 3291, 6423, 6423, 6476, 17884, 33970, 60414, 64121, 70854, 70982, 71020, 73726, 73871, 77705},
+			want: []sim.Time{3239, 3239, 3291, 6423, 6423, 6476, 17884, 33970, 57414, 57568, 60286, 60440, 63192, 64419, 68244, 71133},
 		},
 		{
 			// The link to the new donor fails for 15 µs and comes back:
@@ -427,6 +429,45 @@ func TestWireReleasedTwicePanics(t *testing.T) {
 		}
 	}()
 	w.release()
+}
+
+// TestHeldWiresAreNotReused gates Packet.Held directly. With ReplayTO
+// = 0 every link arms a replay timer for every packet it carries, so
+// every packet is held: a link may transmit it again after its
+// delivery, and that replay reads the packet, so no wire may go back
+// on its list. Fills, writes, RDMA reads and calls must then leave
+// every list on the line empty; with the default timeout the same ops
+// put wires back, so the check can fail.
+func TestHeldWiresAreNotReused(t *testing.T) {
+	for _, held := range []bool{false, true} {
+		r := newLineRig(t)
+		r.mapWindow(t)
+		if held {
+			r.p.ReplayTO = 0
+		}
+		r.ep[1].HandleCall("echo", func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
+		a := r.ep[0]
+		r.eng.Go("ops", func(p *sim.Proc) {
+			for i := 0; i < 2; i++ {
+				a.CRMA.Fill(p, winBase, 64)
+				a.CRMA.Write(p, winBase, 64)
+				a.RDMA.Read(p, 1, oldBase, 2*r.p.RDMAChunk)
+				a.Call(p, 1, "echo", 8, nil)
+			}
+		})
+		r.eng.Run()
+		free := 0
+		for _, ep := range r.ep {
+			free += len(ep.CRMA.reqs.free) + len(ep.CRMA.resps.free) + len(ep.CRMA.posts.free) +
+				len(ep.RDMA.reqs.free) + len(ep.RDMA.chunks.free) + len(ep.reqWires.free) + len(ep.respWires.free)
+		}
+		if held && free != 0 {
+			t.Fatalf("%d wires went back on their lists while their packets were held", free)
+		}
+		if !held && free == 0 {
+			t.Fatal("no wire went back on its list with the default replay timeout")
+		}
+	}
 }
 
 // serviceSlotLog drives one call from node 0 to a "probe" handler on

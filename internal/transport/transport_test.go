@@ -400,3 +400,42 @@ func TestMemServiceScalesWithSize(t *testing.T) {
 		t.Fatalf("4KiB service %v not slower than 64B %v", big, small)
 	}
 }
+
+// TestRDMAReadCountsReplayedChunkOnce slows the donor's link back to
+// the requester for 200 ns while a 40-chunk read streams over it: the
+// chunk that arrives meanwhile is acked after its replay timer, so the
+// donor's link replays it. The requester took the first copy and the
+// fabric drops the replayed one, so the read receives each chunk once
+// and completes on its last chunk, one chunk's wire time (the copy's
+// turn on the serializer) after the same read on a clean link. Were the
+// copy delivered too, the read would count 41 chunks and complete on
+// its 40th arrival, before its last chunk had landed.
+func TestRDMAReadCountsReplayedChunkOnce(t *testing.T) {
+	const chunks = 40
+	read := func(slow bool) (sim.Time, *rig) {
+		r := newRig(t)
+		if slow {
+			l := r.net.Link(1, 0)
+			r.eng.At(11300, func() { l.SetGbps(0.01) })
+			r.eng.At(11500, func() { l.SetGbps(0) })
+		}
+		var done sim.Time
+		r.eng.Go("dma", func(p *sim.Proc) {
+			r.a.RDMA.Read(p, 1, 0x4000_0000, chunks*r.p.RDMAChunk)
+			done = p.Now()
+		})
+		r.eng.Run()
+		return done, r
+	}
+	clean, _ := read(false)
+	done, r := read(true)
+	if got, want := r.a.RDMA.Stats.BytesIn, int64(chunks*r.p.RDMAChunk); got != want {
+		t.Fatalf("read received %d bytes, want %d", got, want)
+	}
+	if n := r.net.Link(1, 0).Stats().Replays; n != 1 {
+		t.Fatalf("donor link replayed %d packets, want 1", n)
+	}
+	if want := clean.Add(r.p.Serialize(r.p.RDMAChunk)); done != want {
+		t.Fatalf("read completed at %v, want %v (clean %v plus one chunk on the wire)", done, want, clean)
+	}
+}
