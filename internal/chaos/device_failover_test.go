@@ -75,6 +75,12 @@ func TestKillAccelDonorMidRequest(t *testing.T) {
 			doneAt = append(doneAt, p.Now())
 			completed++
 		}
+		// The lease has moved off the dead donor, which has rebooted and
+		// beats again: each donor's count of units on loan, which its
+		// beats re-debit, must match the RAT.
+		if err := cl.MN.AuditDevices(); err != nil {
+			t.Error(err)
+		}
 		lease.Release(p)
 	})
 	for !done.Done() && cl.Eng.Step() {
@@ -82,6 +88,9 @@ func TestKillAccelDonorMidRequest(t *testing.T) {
 	if !done.Done() {
 		t.Fatalf("tenant wedged: %d/%d tasks completed, %d live procs",
 			completed, tasks, cl.Eng.LiveProcs())
+	}
+	if err := cl.MN.AuditDevices(); err != nil {
+		t.Error(err)
 	}
 
 	// Zero lost completions.

@@ -69,11 +69,13 @@ func deviceScript(t *testing.T, pl Plane, eng *sim.Engine, app *node.Node, opts 
 		a2.Release(p)
 		acc()
 		nic()
+		auditDevices(t, pl)
 		for i := len(live) - 1; i >= 0; i-- {
 			if live[i] != a2 {
 				live[i].Release(p)
 			}
 		}
+		auditDevices(t, pl)
 	})
 	switch c := pl.(type) {
 	case *Cluster:
@@ -87,6 +89,25 @@ func deviceScript(t *testing.T, pl Plane, eng *sim.Engine, app *node.Node, opts 
 		t.Fatalf("device script wedged with %d live procs", eng.LiveProcs())
 	}
 	return seq
+}
+
+// auditDevices fails t if an MN of pl (the flat plane's, or each
+// rack's sub-MN) counts device units on loan that its RAT rows do not
+// show.
+func auditDevices(t *testing.T, pl Plane) {
+	t.Helper()
+	var mns []*monitor.Monitor
+	switch c := pl.(type) {
+	case *Cluster:
+		mns = append(mns, c.MN)
+	case *HierCluster:
+		mns = c.Subs
+	}
+	for _, m := range mns {
+		if err := m.AuditDevices(); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 // flatDeviceSeq builds the reference flat mesh — donors 2..6 advertising

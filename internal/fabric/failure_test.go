@@ -343,8 +343,11 @@ func TestLossyLineGolden(t *testing.T) {
 // delivered once and every credit comes back once. The ack is late on
 // a link slowed while the packet is in flight, which costs one replay
 // on the restored link, and on every arrival with ReplayTO = 0, which
-// replays the packet up to the bound. Each copy still occupies the
-// serializer and counts as a replay.
+// replays the packet up to the bound. A ReplayTO below minus the ack
+// delay (1 226 ns on the default Pair) would have the timer fire before
+// its own copy lands; the timer waits for the landing instead, so those
+// rows replay like ReplayTO = 0. Each copy still occupies the serializer
+// and counts as a replay.
 func TestReplayedCopyIsDeliveredOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -354,6 +357,8 @@ func TestReplayedCopyIsDeliveredOnce(t *testing.T) {
 	}{
 		{"slowed-in-flight", sim.Default().ReplayTO, true, 1},
 		{"no-replay-timeout", 0, false, maxReplays},
+		{"timeout-before-landing-1.5us", -1500 * sim.Nanosecond, false, maxReplays},
+		{"timeout-before-landing-2us", -2 * sim.Microsecond, false, maxReplays},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.New()

@@ -86,9 +86,8 @@ type flight struct {
 // Such a copy is acked on arrival, as a real datalink acks a sequence
 // number it has seen, but not delivered again and frees no credit: the
 // copy the receiver took did both. The mark reaches every copy a timer
-// sends after an earlier copy landed, which with a ReplayTO of at least
-// minus the ack delay is every copy; a timer set to fire before its own
-// copy lands resends one the receiver cannot have taken yet.
+// sends after an earlier copy landed, and that is every copy, since a
+// timer fires no earlier than its own copy lands (see transmit).
 const taken = 1 << 30
 
 // replayTimer is an armed sender replay timer: it resends its packet
@@ -282,7 +281,9 @@ func (l *Link) transmit(pkt *Packet, replays int) {
 	// it (see arrive); an arrival that does lose the packet, because
 	// the link failed in flight, arms the timer then for the same
 	// instant.
-	f := flight{pkt: pkt, replays: replays, replayAt: arrive.Add(l.fixed + l.serialize(0) + l.p.ReplayTO)}
+	// A timer never fires before its copy lands: a ReplayTO below minus
+	// the ack delay acts as exactly minus the ack delay.
+	f := flight{pkt: pkt, replays: replays, replayAt: max(arrive.Add(l.fixed+l.serialize(0)+l.p.ReplayTO), arrive)}
 	if l.down || l.errRate > 0 || l.p.ReplayTO <= 0 {
 		f.timer = l.armReplay(f)
 	}

@@ -38,11 +38,11 @@ type Packet struct {
 // Held reports whether a link has armed a sender replay timer for the
 // packet: on a down or corrupting link, on one slowed while the packet
 // was in flight, or when Params.ReplayTO ≤ 0. A packet is delivered at
-// most once unless ReplayTO is below minus the ack delay (see taken in
-// link.go), but a held one may be transmitted again after its receiver
-// has taken it (the receiver acks that copy and drops it), and the
-// replay reads the packet, so whoever sent it must not reuse it. No
-// link refers to a packet that is not held once it has been delivered.
+// most once (see taken in link.go), but a held one may be transmitted
+// again after its receiver has taken it (the receiver acks that copy
+// and drops it), and the replay reads the packet, so whoever sent it
+// must not reuse it. No link refers to a packet that is not held once
+// it has been delivered.
 func (p *Packet) Held() bool { return p.held }
 
 // String formats a packet for debugging.

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"fmt"
 	"maps"
 
 	"repro/internal/fabric"
@@ -62,6 +61,15 @@ type Agent struct {
 	// parked so a failover can attach it without the hot-plug latency.
 	spares map[uint64]uint64
 
+	// report is the heartbeat the next beat refills and sends, with its
+	// probe slice sized to the node's neighbors; nil until the first
+	// beat and after a beat whose wait timed out (see beat).
+	report *Heartbeat
+
+	// The beat chain's cached handlers.
+	onTick func()
+	onAck  func(resp any, ok bool)
+
 	// Stats counts agent activity.
 	Stats sim.Scoreboard
 }
@@ -83,6 +91,7 @@ func NewAgent(ep *transport.Endpoint, mm *memsys.MemManager, net *fabric.Network
 		marks:    make(map[fabric.NodeID]*linkMarks),
 		spares:   make(map[uint64]uint64),
 	}
+	a.onTick, a.onAck = a.tick, a.acked
 	ep.HandleCall(kindHotRemove, a.onHotRemove)
 	ep.HandleCall(kindHotReturn, a.onHotReturn)
 	ep.HandleInline(kindRelocate, a.onRelocate)
@@ -94,17 +103,35 @@ func NewAgent(ep *transport.Endpoint, mm *memsys.MemManager, net *fabric.Network
 
 // Start begins heartbeating to the MN at mnID. Each node's phase is
 // staggered by its id so reports do not stampede the MN.
+//
+// The beat loop is a chain of events, not a proc: a start event in the
+// slot where a proc would have started, then one tick per period, the
+// first at (ID+1) ms, and for each beat a continuation in the slot where
+// the proc would have resumed from its call. Each tick and continuation
+// schedules the next event exactly where the proc would have slept, so
+// every event keeps its (time, seq), and the engine's LiveProcs does not
+// count agents.
 func (a *Agent) Start(mnID fabric.NodeID) {
 	a.mn = mnID
-	a.EP.Eng.Go(fmt.Sprintf("agent@%v", a.EP.ID), func(p *sim.Proc) {
-		p.Sleep(sim.Dur(int64(a.EP.ID)+1) * sim.Millisecond)
-		for !a.stopped {
-			if !a.crashed && !a.muted {
-				a.beat(p)
-			}
-			p.Sleep(a.Interval)
-		}
-	})
+	a.EP.Eng.Schedule(0, a.start)
+}
+
+// start is the chain's first event: it waits out the node's phase.
+func (a *Agent) start() {
+	a.EP.Eng.Schedule(sim.Dur(int64(a.EP.ID)+1)*sim.Millisecond, a.onTick)
+}
+
+// tick is one period of the beat loop. A stopped agent ends the chain
+// here; a crashed or muted one skips its beat and waits out the period;
+// any other sends a beat, whose continuation (acked) goes on.
+func (a *Agent) tick() {
+	switch {
+	case a.stopped:
+	case a.crashed || a.muted:
+		a.EP.Eng.Schedule(a.Interval, a.onTick)
+	default:
+		a.beat()
+	}
 }
 
 // Stop ends the heartbeat loop after the current period.
@@ -140,22 +167,36 @@ func (a *Agent) Incarnation() int64 { return a.incarnation }
 func (a *Agent) Mute(muted bool) { a.muted = muted }
 
 // beat sends one heartbeat: idle memory, device counts, link probes.
-// Each beat's report is a fresh allocation: the fabric may deliver one
-// packet twice, so a sent report is never reused.
-func (a *Agent) beat(p *sim.Proc) {
-	hb := &Heartbeat{
-		Node:        a.EP.ID,
-		IdleBytes:   a.MemMgr.Idle(),
-		Devices:     a.devices(),
-		Links:       a.probeLinks(),
-		Incarnation: a.incarnation,
+// It refills the report the last beat sent, once that beat was acked:
+// the ack means the MN's handler has run, which copies what it keeps,
+// and the fabric delivers a packet at most once, so nothing reads the
+// report again.
+func (a *Agent) beat() {
+	hb := a.report
+	if hb == nil {
+		hb = &Heartbeat{Node: a.EP.ID, Links: make([]LinkProbe, 0, len(a.Net.Topo.NeighborsOf(a.EP.ID)))}
+		a.report = hb
 	}
+	hb.IdleBytes = a.MemMgr.Idle()
+	hb.Devices = a.devices()
+	hb.Links = a.probeLinks(hb.Links[:0])
+	hb.Incarnation = a.incarnation
 	// Bounded wait: a beat whose ack is lost (down link on the MN path,
 	// or our own node dying mid-flight) must not wedge the daemon.
-	if _, ok := a.EP.CallTimeout(p, a.mn, kindHeartbeat, 64, hb, a.Interval); !ok {
+	a.EP.CallFunc(a.mn, kindHeartbeat, 64, hb, a.Interval, a.onAck)
+}
+
+// acked is a beat's continuation, once its ack lands or its wait times
+// out, and it schedules the next tick. A beat that timed out may still
+// be in flight toward the MN, so its report is left to it, and the next
+// beat takes a fresh one.
+func (a *Agent) acked(_ any, ok bool) {
+	if !ok {
+		a.report = nil
 		a.Stats.Add("beats.lost", 1)
 	}
 	a.Stats.Add("beats", 1)
+	a.EP.Eng.Schedule(a.Interval, a.onTick)
 }
 
 // devices returns the device counts a beat carries: devSnap, rebuilt
@@ -168,14 +209,12 @@ func (a *Agent) devices() map[Resource]int {
 }
 
 // probeLinks tests this node's fabric ports (the daemon "tests and
-// reports the status of the Venice fabric links on every heartbeat").
-// With Telemetry on, each probe additionally samples both directions of
-// the link and reports the busier one's utilization over the window
-// since the previous beat.
-func (a *Agent) probeLinks() []LinkProbe {
-	nbs := a.Net.Topo.NeighborsOf(a.EP.ID)
-	probes := make([]LinkProbe, 0, len(nbs))
-	for _, nb := range nbs {
+// reports the status of the Venice fabric links on every heartbeat"),
+// appending one probe per neighbor to probes. With Telemetry on, each
+// probe additionally samples both directions of the link and reports
+// the busier one's utilization over the window since the previous beat.
+func (a *Agent) probeLinks(probes []LinkProbe) []LinkProbe {
+	for _, nb := range a.Net.Topo.NeighborsOf(a.EP.ID) {
 		pr := LinkProbe{Peer: nb, Up: true}
 		out := a.Net.Link(a.EP.ID, nb)
 		in := a.Net.Link(nb, a.EP.ID)

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/fabric"
@@ -28,6 +29,14 @@ type Registration struct {
 	// (incarnation bump) — its donations are gone even though it is
 	// beating. The sweep consumes the flag.
 	needsRecovery bool
+
+	// leased counts the node's device units on loan, by class: its live
+	// RAT rows of each device class, kept by the RAT helpers (addRow,
+	// dropRow, moveRow). A class with no row has no entry.
+	leased map[Resource]int
+	// links caches the TST rows of the node's last beat's probes, in
+	// probe order (see linkRow).
+	links []*LinkStatus
 }
 
 // free reports how much of res the row can still grant: its idle bytes,
@@ -149,6 +158,7 @@ type Monitor struct {
 
 	// recovery loop state.
 	recoveryOn bool
+	sweepIDs   []fabric.NodeID // the sweep's id buffer, between passes
 	// out parks the control messages whose delivery was lost (outbox.go):
 	// hot-returns owed to donors, among them the regions of donors
 	// falsely declared dead, relocates and revokes owed to recipients,
@@ -336,26 +346,20 @@ func (m *Monitor) onHeartbeat(_ fabric.NodeID, req any) (any, int) {
 	maps.Copy(r.Devices, hb.Devices)
 	if len(hb.Devices) > 0 {
 		// Agents advertise installed device counts, not free ones (they
-		// don't know which units the MN has leased out). Re-debit the live
-		// grants so a heartbeat cannot resurrect a unit that is on loan —
-		// the device analogue of IdleBytes, which agents do track.
-		for _, a := range m.rat {
-			if a.Kind != Memory && a.Donor == hb.Node {
-				r.Devices[a.Kind]--
-			}
+		// don't know which units the MN has leased out). Re-debit the units
+		// on loan so a heartbeat cannot resurrect one — the device analogue
+		// of IdleBytes, which agents do track.
+		for res, n := range r.leased {
+			r.Devices[res] -= n
 		}
 	}
-	r.LastBeat = m.EP.Eng.Now()
+	now := m.EP.Eng.Now()
+	r.LastBeat = now
 	r.Beats++
-	for _, lp := range hb.Links {
-		key := linkKey(hb.Node, lp.Peer)
-		s, ok := m.tst[key]
-		if !ok {
-			s = &LinkStatus{A: key[0], B: key[1]}
-			m.tst[key] = s
-		}
+	for i, lp := range hb.Links {
+		s := m.linkRow(r, i, lp.Peer)
 		s.Up = lp.Up
-		s.LastSeen = m.EP.Eng.Now()
+		s.LastSeen = now
 		if lp.HasUtil {
 			// Both endpoints may sample the same link; keep the freshest
 			// report (last writer wins — reports carry the same window
@@ -366,6 +370,106 @@ func (m *Monitor) onHeartbeat(_ fabric.NodeID, req any) (any, int) {
 	}
 	m.Stats.Add("heartbeats", 1)
 	return &ack{}, 8
+}
+
+// linkRow returns the TST row of probe i of r's node, the link to peer:
+// the row r cached for probe i on an earlier beat when it is that
+// link's, else the TST's row for the pair, made if new, which r then
+// caches. A node's probes come in the same order every beat, so a beat
+// folds its links without a map lookup.
+func (m *Monitor) linkRow(r *Registration, i int, peer fabric.NodeID) *LinkStatus {
+	key := linkKey(r.Node, peer)
+	if i < len(r.links) {
+		if s := r.links[i]; s.A == key[0] && s.B == key[1] {
+			return s
+		}
+	}
+	s, ok := m.tst[key]
+	if !ok {
+		s = &LinkStatus{A: key[0], B: key[1]}
+		m.tst[key] = s
+	}
+	if i < len(r.links) {
+		r.links[i] = s
+	} else {
+		r.links = append(r.links, s)
+	}
+	return s
+}
+
+// The RAT helpers are the one place that files, drops or re-places a RAT
+// row. Each keeps the donor's count of leased device units (leased),
+// which a heartbeat re-debits without walking the RAT. Every row's donor
+// has an RRT row: grants and re-placements pick donors from the RRT,
+// and no row ever leaves it.
+
+// addRow files a new row.
+func (m *Monitor) addRow(a *Allocation) {
+	m.rat[a.ID] = a
+	m.countLeased(a, 1)
+}
+
+// dropRow removes a row; dropping one that is no longer live does
+// nothing.
+func (m *Monitor) dropRow(a *Allocation) {
+	if m.rat[a.ID] != a {
+		return
+	}
+	delete(m.rat, a.ID)
+	m.countLeased(a, -1)
+}
+
+// moveRow re-places a row on donor at base, as of now.
+func (m *Monitor) moveRow(a *Allocation, donor fabric.NodeID, base uint64) {
+	m.countLeased(a, -1)
+	a.Donor, a.DonorBase, a.At = donor, base, m.EP.Eng.Now()
+	m.countLeased(a, 1)
+}
+
+// countLeased moves the count of a device row's class at its donor by
+// delta. Memory rows are not counted.
+func (m *Monitor) countLeased(a *Allocation, delta int) {
+	if a.Kind == Memory {
+		return
+	}
+	r, ok := m.rrt[a.Donor]
+	if !ok {
+		return
+	}
+	if r.leased == nil {
+		r.leased = make(map[Resource]int)
+	}
+	if r.leased[a.Kind] += delta; r.leased[a.Kind] == 0 {
+		delete(r.leased, a.Kind)
+	}
+}
+
+// AuditDevices checks the count of leased device units each RRT row
+// keeps, which its heartbeats re-debit, against a walk of the RAT: a
+// donor's count of each device class must equal its live rows of that
+// class. It names the first donor, in id order, whose count differs,
+// and returns nil when none does.
+func (m *Monitor) AuditDevices() error {
+	rows := make(map[fabric.NodeID]map[Resource]int)
+	for _, a := range m.rat {
+		if a.Kind == Memory {
+			continue
+		}
+		if rows[a.Donor] == nil {
+			rows[a.Donor] = make(map[Resource]int)
+		}
+		rows[a.Donor][a.Kind]++
+	}
+	for _, id := range slices.Sorted(maps.Keys(m.rrt)) {
+		if leased := m.rrt[id].leased; !maps.Equal(leased, rows[id]) {
+			return fmt.Errorf("monitor: node %v counts %v device units on loan, its RAT rows %v", id, leased, rows[id])
+		}
+		delete(rows, id)
+	}
+	if len(rows) > 0 {
+		return fmt.Errorf("monitor: device rows by donor %v name donors with no RRT row", rows)
+	}
+	return nil
 }
 
 // donorCandidates collects live donors and orders them with the MN's
@@ -471,7 +575,7 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, r *AllocReq, amoun
 			DonorBase: donorBase, RecipientBase: window,
 			Size: amount, At: m.EP.Eng.Now(), Deleg: deleg, Tags: r.Tags,
 		}
-		m.rat[id] = a
+		m.addRow(a)
 		cand.debit(r.Res, amount)
 		if r.Res == Memory {
 			m.topUpSpares()
@@ -543,7 +647,7 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	if !ok || a.Recipient != from {
 		return &ack{}, 8
 	}
-	delete(m.rat, f.AllocID)
+	m.dropRow(a)
 	m.releaseBacking(p, a)
 	m.Stats.Add(pick(a.Kind, "free.memory", "free.device"), 1)
 	return &ack{}, 8

@@ -2,7 +2,9 @@ package monitor
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -284,12 +286,83 @@ func TestHeartbeatCarriesDevicesAsSent(t *testing.T) {
 	}
 }
 
+// TestAgentChainKeepsProcSlots pins where an agent's beat chain fires
+// among other events at the same instants: its first tick, which a
+// start event queues where a proc would have started; the continuation
+// of its first beat, where the proc would have resumed from its call;
+// and its next tick. At each instant an event queued at time 0, after
+// Start ran but before its start event fired, chains two more, and each
+// logs the beat packets node 1 has sent and the beats the agent has
+// counted. The golden log was taken with the beat loop running in a
+// proc; the chain must reproduce it. (Queuing the first tick straight
+// from Start passes every other test and leaves the whole suite's
+// output unchanged; this fails.)
+func TestAgentChainKeepsProcSlots(t *testing.T) {
+	want := []string{
+		"tick-1 sent=0 beats=0", "tick-2 sent=1 beats=0", "tick-3 sent=1 beats=0",
+		"ack-1 sent=1 beats=0", "ack-2 sent=1 beats=0", "ack-3 sent=1 beats=1",
+		"next-1 sent=1 beats=1", "next-2 sent=2 beats=1", "next-3 sent=2 beats=1",
+	}
+	// The first run finds the instant the first beat's continuation
+	// runs; the second surrounds the three instants with probes.
+	var ack sim.Time
+	agentSlotLog(t, func(eng *sim.Engine, a *Agent) {
+		for a.Stats.Get("beats") == 0 && eng.Step() {
+		}
+		ack = eng.Now()
+	})
+	var got []string
+	agentSlotLog(t, func(eng *sim.Engine, a *Agent) {
+		link := a.Net.Link(1, 0)
+		around := func(at sim.Time, name string) {
+			note := func(i int) {
+				got = append(got, fmt.Sprintf("%s-%d sent=%d beats=%d", name, i, link.Stats().Packets, a.Stats.Get("beats")))
+			}
+			eng.At(at, func() {
+				note(1)
+				eng.Schedule(0, func() {
+					note(2)
+					eng.Schedule(0, func() { note(3) })
+				})
+			})
+		}
+		eng.Schedule(0, func() {
+			around(sim.Time(0).Add(2*sim.Millisecond), "tick") // node 1's first tick
+			around(ack, "ack")
+			around(ack.Add(a.Interval), "next")
+		})
+		eng.RunUntil(ack.Add(a.Interval + sim.Millisecond))
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("firing order:\n got %q\nwant %q", got, want)
+	}
+}
+
+// agentSlotLog builds a Pair with the MN on node 0 and an agent on
+// node 1, queues the agent's Start in an event at time 0, and hands the
+// engine and agent to run, which drives the engine: an event run queues
+// at time 0 fires after Start and before the start event Start queues.
+func agentSlotLog(t *testing.T, run func(eng *sim.Engine, a *Agent)) {
+	eng := sim.New()
+	t.Cleanup(eng.Close)
+	p := sim.Default()
+	topo := fabric.Pair()
+	net := fabric.NewNetwork(eng, &p, topo, sim.NewRNG(1))
+	mn := node.New(eng, &p, net, 0, 1<<30)
+	n := node.New(eng, &p, net, 1, 1<<30)
+	New(mn.EP, topo)
+	a := NewAgent(n.EP, n.MemMgr, net)
+	eng.Schedule(0, func() { a.Start(0) })
+	run(eng, a)
+}
+
 // TestHeartbeatSteadyStateAllocs is the heartbeat path's allocation
-// gate. Once warm, a beat allocates its report and its link-probe slice:
-// its two packets go back to their senders' lists, the MN serves it
-// without a proc and copies the device counts into its own row, the
-// call keeps its Completion, and an agent whose Devices has not changed
-// resends the same snapshot.
+// gate. Once warm, an acked beat allocates nothing: the agent's beat
+// loop is an event chain that refills one report and its probe slice,
+// its call keeps its record and packets, the MN serves it without a
+// proc, copies the device counts into its own row, re-debits the units
+// on loan from a count and finds each link's TST row in the row's cache,
+// and an agent whose Devices has not changed resends the same snapshot.
 func TestHeartbeatSteadyStateAllocs(t *testing.T) {
 	c := newCluster(t, 1<<30)
 	c.agents[2].Devices[DevAccelerator] = 2
@@ -309,37 +382,69 @@ func TestHeartbeatSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("only %d beats in the window", beats)
 	}
 	// Mallocs counts the whole process, so allow one stray allocation
-	// elsewhere per hundred beats; a warm beat itself makes exactly 2.
-	if got := float64(after.Mallocs-before.Mallocs) / float64(beats); got > 2.01 {
-		t.Fatalf("steady-state beat allocates %.3f objects, want <= 2", got)
+	// elsewhere per hundred beats; a warm beat itself makes none.
+	if got := float64(after.Mallocs-before.Mallocs) / float64(beats); got > 0.01 {
+		t.Fatalf("steady-state beat allocates %.3f objects, want 0", got)
+	}
+}
+
+// TestTimedOutBeatReportIsNotReused: a beat whose wait times out may
+// still be in flight, so the agent's next beat must not refill its
+// report. Node 1's link to the MN is slowed so that one beat lands
+// after its timeout and after the next beat leaves; the agent's idle
+// bytes change in between. The MN must fold the late beat's own value.
+func TestTimedOutBeatReportIsNotReused(t *testing.T) {
+	c := newCluster(t, 1<<30)
+	a, mm := c.agents[1], c.nodes[1].MemMgr
+	a.Interval = 100 * sim.Microsecond
+	c.eng.RunFor(20 * sim.Millisecond)
+	// A beat now takes about 400 µs to serialize: it times out after
+	// 100 µs, and the next one leaves 100 µs later.
+	c.net.Link(1, 0).SetGbps(0.002)
+	for a.Stats.Get("beats.lost") == 0 {
+		c.eng.Step()
+	}
+	c.net.Link(1, 0).SetGbps(0)
+	nextBeat := c.eng.Now().Add(a.Interval)
+	sent := mm.Idle()
+	if err := mm.Reserve(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := c.mn.Registered(1)
+	for beats := reg.Beats; reg.Beats == beats; reg, _ = c.mn.Registered(1) {
+		c.eng.Step()
+	}
+	if c.eng.Now() <= nextBeat {
+		t.Fatalf("test premise broken: the late beat landed at %v, before the next beat left at %v", c.eng.Now(), nextBeat)
+	}
+	if reg.IdleBytes != sent {
+		t.Fatalf("the late beat registered %d idle bytes, want the %d it was sent with", reg.IdleBytes, sent)
+	}
+	c.eng.RunFor(sim.Millisecond)
+	if reg, _ := c.mn.Registered(1); reg.IdleBytes != sent-1<<20 {
+		t.Fatalf("the next beat registered %d idle bytes, want %d", reg.IdleBytes, sent-1<<20)
 	}
 }
 
 // BenchmarkHeartbeat measures one warm heartbeat round trip on the
-// 8-node mesh: the report and its link probes, the MN's RRT and TST
-// update, and the ack. Once the agents' own loops have stopped, one proc
-// drives the beats, cycling through the agents.
+// 8-node mesh through the agents' own event chains: the report and its
+// link probes, the MN's RRT and TST update, the ack, and the
+// continuation that schedules the next tick. Each agent beats every
+// 100 µs; the engine runs until b.N more beats have landed.
 func BenchmarkHeartbeat(b *testing.B) {
 	c := newCluster(b, 1<<30)
 	c.agents[2].Devices[DevAccelerator] = 2
 	c.agents[4].Devices[DevNIC] = 1
-	c.eng.RunFor(1 * sim.Second)
 	for _, a := range c.agents {
-		a.Stop()
+		a.Interval = 100 * sim.Microsecond
 	}
-	c.eng.Run()
-	beats := func(n int) {
-		c.eng.Go("beats", func(p *sim.Proc) {
-			for i := 0; i < n; i++ {
-				c.agents[i%len(c.agents)].beat(p)
-			}
-		})
-		c.eng.Run()
-	}
-	beats(1000)
+	c.eng.RunFor(20 * sim.Millisecond)
+	want := c.mn.Stats.Get("heartbeats") + int64(b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
-	beats(b.N)
+	for c.mn.Stats.Get("heartbeats") < want {
+		c.eng.RunFor(10 * sim.Microsecond)
+	}
 }
 
 func TestNodeDeathDetectedByMissedHeartbeats(t *testing.T) {

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/fabric"
@@ -54,13 +55,16 @@ func (m *Monitor) StartRecovery() {
 func (m *Monitor) StopRecovery() { m.recoveryOn = false }
 
 // sweep runs one detection pass. Iteration is in node-id order so runs
-// are deterministic regardless of map layout.
+// are deterministic regardless of map layout. The id list reuses the
+// last pass's buffer, which the pass holds while it runs: a pass that
+// starts while another is blocked takes a buffer of its own.
 func (m *Monitor) sweep(p *sim.Proc) {
-	ids := make([]fabric.NodeID, 0, len(m.rrt))
+	ids := m.sweepIDs[:0]
+	m.sweepIDs = nil
 	for id := range m.rrt {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		r := m.rrt[id]
 		switch {
@@ -77,6 +81,7 @@ func (m *Monitor) sweep(p *sim.Proc) {
 			m.notifyNodeDown(p, id)
 		}
 	}
+	m.sweepIDs = ids
 	m.out.redeliver(p)
 	// Spare-pool upkeep (no-ops unless EnableSparePool ran): drop pool
 	// entries whose donor died or rebooted, then replace consumed or
@@ -156,7 +161,7 @@ func (m *Monitor) incarnationOf(id fabric.NodeID) int64 {
 // reclaimLease handles an allocation whose recipient died: the donor is
 // healthy, so its backing returns to service.
 func (m *Monitor) reclaimLease(p *sim.Proc, a *Allocation) {
-	delete(m.rat, a.ID)
+	m.dropRow(a)
 	m.emitLease(LeaseRevoked, a, a.Donor)
 	m.releaseBacking(p, a)
 	m.Stats.Add(pick(a.Kind, "recover.reclaimed", "recover.devices_reclaimed"), 1)
@@ -242,7 +247,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 				// Unless the free has already deleted the row, this path
 				// does, so it releases the old backing too.
 				if _, live := m.rat[a.ID]; live {
-					delete(m.rat, a.ID)
+					m.dropRow(a)
 					m.releaseOld(p, &old, oldInc, how)
 				}
 				m.undoReplacement(p, cand, a, base)
@@ -250,7 +255,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 				return false
 			}
 		}
-		a.Donor, a.DonorBase, a.At = cand.Node, base, m.EP.Eng.Now()
+		m.moveRow(a, cand.Node, base)
 		if !prepaid {
 			cand.debit(a.Kind, a.Size)
 		}
@@ -312,7 +317,7 @@ func (m *Monitor) relocate(recipient fabric.NodeID, rel *relocateReq) letter {
 				return
 			}
 			if a, live := m.rat[rel.AllocID]; live {
-				delete(m.rat, rel.AllocID)
+				m.dropRow(a)
 				m.releaseBacking(p, a)
 			}
 			m.Stats.Add("recover.raced_free", 1)
@@ -328,7 +333,7 @@ func (m *Monitor) relocate(recipient fabric.NodeID, rel *relocateReq) letter {
 // clients follow the event stream instead). Last it announces the event
 // and tells the root.
 func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) {
-	delete(m.rat, a.ID)
+	m.dropRow(a)
 	m.releaseOld(p, a, inc, how)
 	if a.Kind == Memory && !m.out.send(p, letter{
 		to: a.Recipient, kind: kindRevoke, size: 32,

@@ -90,7 +90,8 @@ func (r *replaceRig) checkRemoved(t *testing.T, donor int, want uint64) {
 // run in the recovery, spare and migration tests and in the gated smoke
 // cells; these rows cover the exits nothing else reaches, and the two
 // races with a concurrent free, where the path that deletes the RAT row
-// must release its backing — old and new — exactly once.
+// must release its backing — old and new — exactly once. After each
+// row, every donor's count of leased device units must match the RAT.
 func TestReplaceOutcomes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -254,6 +255,12 @@ func TestReplaceOutcomes(t *testing.T) {
 			r.checkRemoved(t, 5, 0)
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, newReplaceRig(t)) })
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReplaceRig(t)
+			tc.run(t, r)
+			if err := r.mn.AuditDevices(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -785,7 +785,7 @@ func (m *Monitor) onDelegateFree(p *sim.Proc, _ fabric.NodeID, req any) (any, in
 	if !ok || a.Deleg == 0 {
 		return &ack{}, 8
 	}
-	delete(m.rat, f.AllocID)
+	m.dropRow(a)
 	m.releaseBacking(p, a)
 	m.Stats.Add("free.delegate_backed", 1)
 	return &ack{}, 8
@@ -802,7 +802,7 @@ func (m *Monitor) onDelegateCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, 
 		if !ok || a.Deleg != c.AllocID {
 			continue
 		}
-		delete(m.rat, id)
+		m.dropRow(a)
 		m.releaseBacking(p, a)
 		m.Stats.Add("free.delegate_cancelled", 1)
 	}

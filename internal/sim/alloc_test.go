@@ -74,3 +74,29 @@ func TestProcSpawnSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestQueueSteadyStateAllocs gates the queue's slices: a popper parks
+// on an empty queue, an event's TryPush wakes it, and it pops and parks
+// again. Once warm, the cycle appends into the slots the last cycle
+// vacated, in both the item and the waiter slice, and allocates nothing.
+func TestQueueSteadyStateAllocs(t *testing.T) {
+	e := New()
+	defer e.Close()
+	q := NewQueue[int](e)
+	e.Go("popper", func(p *Proc) {
+		for {
+			q.Pop(p)
+		}
+	})
+	push := func() { q.TryPush(1) }
+	cycle := func() {
+		e.Schedule(10, push)
+		e.Run()
+	}
+	for i := 0; i < 1_000; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(10_000, cycle); allocs != 0 {
+		t.Fatalf("steady-state push/pop cycle allocates %.2f/op, want 0", allocs)
+	}
+}

@@ -35,8 +35,33 @@ func TestEngineCancelIsIdempotentAndDeadAfterFire(t *testing.T) {
 	if e.Cancel(h2) {
 		t.Fatal("Cancel succeeded after the event fired")
 	}
-	if e.Cancel(Handle(0)) {
+	if e.Cancel(Handle{}) {
 		t.Fatal("zero Handle canceled something")
+	}
+}
+
+// TestEngineCancelStaleHandleSparesReusedEvent: once a cancelable
+// event fires, the pool hands its struct to the next event scheduled,
+// here another cancelable one. The first event's Handle must not cancel
+// the second.
+func TestEngineCancelStaleHandleSparesReusedEvent(t *testing.T) {
+	e := New()
+	var fired []int
+	var h2 Handle
+	h1 := e.ScheduleCancelable(5, func() {
+		fired = append(fired, 1)
+		h2 = e.ScheduleCancelable(5, func() { fired = append(fired, 2) })
+	})
+	e.RunUntil(5)
+	if h1.ev != h2.ev {
+		t.Fatal("test premise broken: the second event did not reuse the first's struct")
+	}
+	if e.Cancel(h1) {
+		t.Fatal("a fired event's Handle canceled the event now in its struct")
+	}
+	e.Run()
+	if len(fired) != 2 || fired[1] != 2 {
+		t.Fatalf("fired = %v, want [1 2]", fired)
 	}
 }
 

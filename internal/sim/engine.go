@@ -5,9 +5,15 @@ import (
 	"math"
 )
 
-// Handle identifies a cancelable scheduled event. The zero Handle is
+// Handle identifies a cancelable scheduled event: the pooled event
+// and the seq it was scheduled with. Once the event fires or is
+// canceled, the pool may reuse its struct for a later event, which has
+// a later seq, so a stale Handle never matches it. The zero Handle is
 // never issued, so it can mark "no timer pending".
-type Handle uint64
+type Handle struct {
+	ev  *event
+	seq uint64
+}
 
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct one with New.
@@ -20,9 +26,8 @@ type Engine struct {
 	seq     uint64
 	cur     uint64 // seq of the event dispatched last; MaxUint64 once the queue stops (see Passed)
 	pool    eventPool
-	cancels map[Handle]*event // live cancelable events, by Handle
-	pending int               // queued events not yet fired or canceled
-	live    int               // processes started and not yet finished
+	pending int // queued events not yet fired or canceled
+	live    int // processes started and not yet finished
 	fired   uint64
 	procs   *Proc // every coroutine, parked or idle, linked by Proc.all
 	idle    *Proc // coroutines whose fn has returned, linked by Proc.idle
@@ -82,12 +87,7 @@ func (e *Engine) Schedule(d Dur, fn func()) {
 func (e *Engine) AtCancelable(t Time, fn func()) Handle {
 	ev := e.schedule(t, fn)
 	ev.cancelable = true
-	h := Handle(ev.seq + 1)
-	if e.cancels == nil {
-		e.cancels = make(map[Handle]*event)
-	}
-	e.cancels[h] = ev
-	return h
+	return Handle{ev: ev, seq: ev.seq}
 }
 
 // ScheduleCancelable is Schedule returning a Handle that Cancel accepts.
@@ -157,11 +157,12 @@ func (e *Engine) AtSlot(s Slot, fn func()) {
 // disturbs the firing order of live events. Canceling an event that
 // already fired, was already canceled, or a zero Handle returns false.
 func (e *Engine) Cancel(h Handle) bool {
-	ev, ok := e.cancels[h]
-	if !ok {
+	ev := h.ev
+	// A fired or recycled event has lost its cancelable flag (the pool
+	// clears it) or carries another seq; a canceled one is tombstoned.
+	if ev == nil || !ev.cancelable || ev.canceled || ev.seq != h.seq {
 		return false
 	}
-	delete(e.cancels, h)
 	ev.canceled = true
 	ev.fn = nil
 	e.pending--
@@ -183,9 +184,6 @@ func (e *Engine) step(bound Time, bounded bool) bool {
 		if ev.canceled {
 			e.pool.put(ev)
 			continue
-		}
-		if ev.cancelable {
-			delete(e.cancels, Handle(ev.seq+1))
 		}
 		e.now, e.cur = ev.at, ev.seq
 		e.pending--

@@ -13,7 +13,7 @@ type event struct {
 	fn         func()
 	next       *event // next in the event's wheel bucket or on the free list
 	canceled   bool   // tombstoned by Engine.Cancel; discarded at dispatch
-	cancelable bool   // registered in the engine's cancel table
+	cancelable bool   // scheduled by AtCancelable: a Handle naming it may cancel it
 }
 
 // eventPool is a LIFO free list of event structs, linked through

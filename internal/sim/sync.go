@@ -148,14 +148,29 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 // MaxDepth reports the high-water mark of the queue length.
 func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
 
+// popHead removes and returns the head of a nonempty FIFO slice. It
+// zeroes the vacated slot, so the array pins nothing, and rewinds a
+// drained slice to length zero in place, so a steady stream of one push
+// per pop keeps appending into the same slot instead of walking off the
+// end of its array and reallocating.
+func popHead[T any](s *[]T) T {
+	v := (*s)[0]
+	var zero T
+	(*s)[0] = zero
+	if len(*s) == 1 {
+		*s = (*s)[:0]
+	} else {
+		*s = (*s)[1:]
+	}
+	return v
+}
+
 // wakeOne unparks the first waiter in the given list, if any.
 func wakeOne(list *[]*Proc) {
 	if len(*list) == 0 {
 		return
 	}
-	w := (*list)[0]
-	*list = (*list)[1:]
-	w.unparkAfter(0)
+	popHead(list).unparkAfter(0)
 }
 
 // Push appends v, blocking p while a bounded queue is full.
@@ -191,8 +206,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		q.poppers = append(q.poppers, p)
 		p.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := popHead(&q.items)
 	wakeOne(&q.pushers)
 	return v
 }
@@ -203,8 +217,7 @@ func (q *Queue[T]) TryPop() (T, bool) {
 	if len(q.items) == 0 {
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := popHead(&q.items)
 	wakeOne(&q.pushers)
 	return v, true
 }

@@ -151,23 +151,68 @@ func send[M any](l *wireList[M], ep *Endpoint, dst fabric.NodeID, kind string, s
 }
 
 // rpcCall is one outstanding call at its caller. Its life ends when
-// CallTimeout returns. The record keeps its Completion for its whole
-// life, re-armed at the start of each call: by the time a record goes
-// back, its watchdog is revoked and its pending entry deleted, so
-// nothing can complete it again.
+// CallTimeout returns, or when CallFunc's continuation is called. The
+// record keeps its Completion for its whole life, re-armed at the start
+// of each call: by the time a record goes back, its watchdog is revoked
+// and its pending entry deleted, so nothing can complete it again.
 type rpcCall struct {
+	ep        *Endpoint
+	id        uint64
 	done      *sim.Completion
+	watchdog  sim.Handle
+	then      func(resp any, ok bool) // CallFunc's continuation; nil under CallTimeout
 	resp      any
 	timedOut  bool
 	onTimeout func()
+	onWake    func()
 }
 
 // timeout is a call's watchdog.
 func (c *rpcCall) timeout() {
 	if !c.done.Done() {
 		c.timedOut = true
-		c.done.Complete()
+		c.wake()
 	}
+}
+
+// wake ends the call's wait, the first time the reply or the watchdog
+// calls it. Completing done schedules CallTimeout's proc to resume at
+// the current instant; CallFunc's continuation is scheduled instead, in
+// that same slot.
+func (c *rpcCall) wake() {
+	if c.done.Done() {
+		return
+	}
+	c.done.Complete()
+	if c.then != nil {
+		c.ep.Eng.Schedule(0, c.onWake)
+	}
+}
+
+// finish is CallFunc's wake event: it ends the call and hands the
+// result to the continuation.
+func (c *rpcCall) finish() {
+	then := c.then
+	then(c.end())
+}
+
+// end ends the call once it has woken and returns what the caller gets:
+// the response, or (nil, false) if the watchdog fired first. When the
+// response wins the race, the watchdog is revoked instead of left to
+// fire later as a dead callback: every monitor heartbeat, grant, and
+// recovery RPC otherwise leaves a tombstone event churning through the
+// queue. Nor does a watchdog outlive its record.
+func (c *rpcCall) end() (any, bool) {
+	ep := c.ep
+	ep.Eng.Cancel(c.watchdog)
+	delete(ep.pending, c.id)
+	resp, ok := c.resp, !c.timedOut
+	c.resp, c.watchdog, c.then = nil, sim.Handle{}, nil
+	ep.callRecs.put(c)
+	if !ok {
+		return nil, false
+	}
+	return resp, true
 }
 
 // rpcService services one incoming call, in a proc of its own or, for
@@ -227,8 +272,8 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		rpcKinds: make(map[string]string),
 	}
 	ep.callRecs.fresh = func() *rpcCall {
-		c := &rpcCall{done: sim.NewCompletion(eng)}
-		c.onTimeout = c.timeout
+		c := &rpcCall{ep: ep, done: sim.NewCompletion(eng)}
+		c.onTimeout, c.onWake = c.timeout, c.finish
 		return c
 	}
 	ep.serveRecs.fresh = func() *rpcService {
@@ -280,31 +325,35 @@ func (ep *Endpoint) Call(p *sim.Proc, dst fabric.NodeID, kind string, reqSize in
 // servicing a request — a plain Call to a dead node parks its caller
 // permanently.
 func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur) (any, bool) {
-	id := ep.nextID
-	ep.nextID++
-	call := ep.callRecs.get()
-	call.done.Rearm()
-	call.timedOut = false
-	ep.pending[id] = call
-	send(&ep.reqWires, ep, dst, ep.rpcKind(kind), reqSize, rpcReq{id: id, kind: kind, body: body})
-	var watchdog sim.Handle
-	if timeout > 0 {
-		watchdog = ep.Eng.ScheduleCancelable(timeout, call.onTimeout)
-	}
+	call := ep.call(dst, kind, reqSize, body, timeout, nil)
 	p.Await(call.done)
-	// When the response wins the race, revoke the watchdog instead of
-	// letting it fire later as a dead callback: every monitor heartbeat,
-	// grant, and recovery RPC otherwise leaves a tombstone event churning
-	// through the queue. Nor does a watchdog outlive its record.
-	ep.Eng.Cancel(watchdog)
-	delete(ep.pending, id)
-	resp, ok := call.resp, !call.timedOut
-	call.resp = nil
-	ep.callRecs.put(call)
-	if !ok {
-		return nil, false
+	return call.end()
+}
+
+// CallFunc is CallTimeout for a caller that is not a proc: it returns
+// at once, and done later receives exactly what CallTimeout would have
+// returned, in an event in the slot where CallTimeout's proc would
+// have resumed, so every event keeps its (time, seq). done must not
+// block. A warm call allocates nothing when done is a value the caller
+// keeps, such as a method value bound once.
+func (ep *Endpoint) CallFunc(dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur, done func(resp any, ok bool)) {
+	ep.call(dst, kind, reqSize, body, timeout, done)
+}
+
+// call sends a call's request and arms its watchdog: the start that
+// CallTimeout and CallFunc share.
+func (ep *Endpoint) call(dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur, then func(any, bool)) *rpcCall {
+	c := ep.callRecs.get()
+	c.id = ep.nextID
+	ep.nextID++
+	c.done.Rearm()
+	c.timedOut, c.then = false, then
+	ep.pending[c.id] = c
+	send(&ep.reqWires, ep, dst, ep.rpcKind(kind), reqSize, rpcReq{id: c.id, kind: kind, body: body})
+	if timeout > 0 {
+		c.watchdog = ep.Eng.ScheduleCancelable(timeout, c.onTimeout)
 	}
-	return resp, true
+	return c
 }
 
 // rpcKind returns the packet kind, and service proc name, of a call
@@ -362,7 +411,7 @@ func (ep *Endpoint) deliver(pkt *fabric.Packet) {
 func (ep *Endpoint) handleResp(m *rpcResp) {
 	if call, ok := ep.pending[m.id]; ok {
 		call.resp = m.body
-		call.done.Complete()
+		call.wake()
 	}
 }
 

@@ -540,3 +540,91 @@ func TestInlineHandlerKeepsServiceSlot(t *testing.T) {
 		})
 	}
 }
+
+// TestCallFuncKeepsResumeSlot checks that CallFunc's continuation runs
+// where a proc blocked in CallTimeout resumes: at the same instant, in
+// the same place among the events around it, with the same result. It
+// runs each case both ways and requires the same log and Fired: the
+// reply wins; the watchdog wins and no reply comes (the request is lost
+// on a down link); and the watchdog wins and the reply lands after it.
+func TestCallFuncKeepsResumeSlot(t *testing.T) {
+	echo := func(_ fabric.NodeID, req any) (any, int) { return req, 8 }
+	for _, tc := range []callSlotCase{
+		{"reply-wins", sim.Millisecond, func(r *lineRig, _ func(string)) { r.ep[1].HandleInline("probe", echo) }, "ping true"},
+		{"timeout-wins", 5 * sim.Microsecond, func(r *lineRig, _ func(string)) {
+			r.ep[1].HandleInline("probe", echo)
+			r.ep[0].Net.SetLinkDown(0, 1, true)
+		}, "<nil> false"},
+		{"late-reply", 5 * sim.Microsecond, func(r *lineRig, note func(string)) {
+			r.ep[1].HandleCall("probe", func(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+				p.Sleep(10 * sim.Microsecond)
+				note("replied")
+				return echo(from, req)
+			})
+		}, "<nil> false"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, wakeAt := callSlotLog(t, tc, false, 0)
+			want, wantFired, _ := callSlotLog(t, tc, false, wakeAt)
+			got, gotFired, _ := callSlotLog(t, tc, true, wakeAt)
+			if !slices.Contains(want, fmt.Sprintf("%d woke %s", wakeAt, tc.result)) {
+				t.Fatalf("test premise broken: CallTimeout's log %q lacks its result %q", want, tc.result)
+			}
+			if !slices.Equal(got, want) || gotFired != wantFired {
+				t.Fatalf("CallFunc fired %d events in order\n %q\nCallTimeout %d in order\n %q", gotFired, got, wantFired, want)
+			}
+		})
+	}
+}
+
+// callSlotCase is one TestCallFuncKeepsResumeSlot case: the call's
+// timeout, the rig's service and faults (given the log's note), and
+// the result the caller logs.
+type callSlotCase struct {
+	name    string
+	timeout sim.Dur
+	setup   func(r *lineRig, note func(string))
+	result  string
+}
+
+// callSlotLog makes tc's call from node 0 to node 1, made by a proc's
+// CallTimeout or, with byFunc, by CallFunc in an event in the slot of
+// that proc's start. The caller logs its wake, and an event it
+// schedules then. When wakeAt is set, an event queued at time 0 for
+// that instant chains three more there, so events queued before and
+// after the wake surround it. It returns the log of instants and names
+// in firing order, the events fired, and the wake's instant.
+func callSlotLog(t *testing.T, tc callSlotCase, byFunc bool, wakeAt sim.Time) ([]string, uint64, sim.Time) {
+	r := newLineRig(t)
+	var log []string
+	var woke sim.Time
+	note := func(what string) { log = append(log, fmt.Sprintf("%d %s", r.eng.Now(), what)) }
+	tc.setup(r, note)
+	done := func(resp any, ok bool) {
+		woke = r.eng.Now()
+		note(fmt.Sprintf("woke %v %v", resp, ok))
+		r.eng.Schedule(0, func() { note("after-wake") })
+	}
+	if wakeAt > 0 {
+		r.eng.At(wakeAt, func() {
+			note("same-1")
+			r.eng.Schedule(0, func() {
+				note("same-2")
+				r.eng.Schedule(0, func() {
+					note("same-3")
+					r.eng.Schedule(0, func() { note("same-4") })
+				})
+			})
+		})
+	}
+	if byFunc {
+		r.eng.Schedule(0, func() { r.ep[0].CallFunc(1, "probe", 8, "ping", tc.timeout, done) })
+	} else {
+		r.eng.Go("caller", func(p *sim.Proc) { done(r.ep[0].CallTimeout(p, 1, "probe", 8, "ping", tc.timeout)) })
+	}
+	r.eng.Run()
+	if n := len(r.ep[0].pending); n != 0 {
+		t.Fatalf("%d calls still pending", n)
+	}
+	return log, r.eng.Fired(), woke
+}
