@@ -22,7 +22,7 @@ import (
 // normalized execution time (paper: 42x).
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3()
+		r := runID[*experiments.Fig3Result](b, "fig3")
 		b.ReportMetric(r.Normalized[0], "eth-slowdown-x")
 		b.ReportMetric(r.Normalized[3], "ldst-slowdown-x")
 	}
@@ -33,7 +33,7 @@ func BenchmarkFig3(b *testing.B) {
 // (paper: PageRank 2.12, BerkeleyDB 2.48).
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig5()
+		r := runID[*experiments.Fig5Result](b, "fig5")
 		b.ReportMetric(r.PageRank[4], "pr-oncrma-x")
 		b.ReportMetric(r.BerkeleyDB[4], "bdb-oncrma-x")
 	}
@@ -43,7 +43,7 @@ func BenchmarkFig5(b *testing.B) {
 // Reported metric: on-chip CRMA overhead percent (paper: ~16-23%).
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6()
+		r := runID[*experiments.Fig6Result](b, "fig6")
 		b.ReportMetric(r.PageRank[4], "pr-oncrma-ovh-%")
 		b.ReportMetric(r.BerkeleyDB[4], "bdb-oncrma-ovh-%")
 	}
@@ -54,7 +54,7 @@ func BenchmarkFig6(b *testing.B) {
 // final miss rate (paper: ~5%).
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig14()
+		r := runID[*experiments.Fig14Result](b, "fig14")
 		n := len(r.Sizes)
 		b.ReportMetric(float64(r.RemoteTime[0])/float64(r.RemoteTime[n-1]), "sweep-speedup-x")
 		b.ReportMetric(r.RemoteMiss[n-1]*100, "final-miss-%")
@@ -67,7 +67,7 @@ func BenchmarkFig14(b *testing.B) {
 // contiguous-access inversion).
 func BenchmarkFig15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig15()
+		r := runID[*experiments.Fig15Result](b, "fig15")
 		b.ReportMetric(r.CRMA[0]/r.RDMA[0], "db-crma-over-rdma-x")
 		b.ReportMetric(r.RDMA[2]/r.CRMA[2], "grep-rdma-over-crma-x")
 	}
@@ -77,7 +77,7 @@ func BenchmarkFig15(b *testing.B) {
 // metric: LA+3RA speedup for the large dataset (paper: near-linear ~4x).
 func BenchmarkFig16a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig16a()
+		r := runID[*experiments.Fig16aResult](b, "fig16a")
 		b.ReportMetric(r.Large[len(r.Large)-1], "la3ra-large-x")
 		b.ReportMetric(r.Small[len(r.Small)-1], "la3ra-small-x")
 	}
@@ -87,7 +87,7 @@ func BenchmarkFig16a(b *testing.B) {
 // bond utilization with 3 remote NICs (paper: ~40% @4B, ~85% @256B).
 func BenchmarkFig16b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig16b()
+		r := runID[*experiments.Fig16bResult](b, "fig16b")
 		last := len(r.Remotes) - 1
 		b.ReportMetric(100*r.Tiny[last]/4, "4B-util-%")
 		b.ReportMetric(100*r.Normal[last]/4, "256B-util-%")
@@ -99,7 +99,7 @@ func BenchmarkFig16b(b *testing.B) {
 // 23.7, 57.7).
 func BenchmarkFig17(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig17()
+		r := runID[*experiments.Fig17Result](b, "fig17")
 		b.ReportMetric(r.RDMA[0], "db-rdma-norm")
 		b.ReportMetric(r.CRMA[1], "cc-crma-norm")
 		b.ReportMetric(r.CRMA[2], "iperf-crma-norm")
@@ -111,7 +111,7 @@ func BenchmarkFig17(b *testing.B) {
 // 28% at 128B).
 func BenchmarkFig18(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig18()
+		r := runID[*experiments.Fig18Result](b, "fig18")
 		b.ReportMetric(r.Improvement[0], "4B-improvement-%")
 		b.ReportMetric(r.Improvement[len(r.Improvement)-1], "128B-improvement-%")
 	}
@@ -122,8 +122,7 @@ func BenchmarkFig18(b *testing.B) {
 // end-to-end latency percentiles and achieved throughput.
 func BenchmarkServing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.ServingSmoke()
-		c := &r.Cells[0]
+		c := &runID[*experiments.ServingResult](b, "serving-smoke").Cells[0]
 		b.ReportMetric(float64(c.P50)/1e3, "p50-us")
 		b.ReportMetric(float64(c.P90)/1e3, "p90-us")
 		b.ReportMetric(float64(c.P99)/1e3, "p99-us")
@@ -149,8 +148,7 @@ func BenchmarkServingTier(b *testing.B) {
 // pins. Reported metrics: goodput under faults and recovery tail.
 func BenchmarkServingChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.ChurnSmoke()
-		c := &r.Cells[0]
+		c := &runID[*experiments.ChurnResult](b, "churn-smoke").Cells[0]
 		b.ReportMetric(c.GoodputRPS/1e3, "goodput-krps")
 		b.ReportMetric(c.UnavailMS, "unavail-ms")
 		b.ReportMetric(float64(c.P99)/1e3, "p99-us")
@@ -162,8 +160,7 @@ func BenchmarkServingChurn(b *testing.B) {
 // tail and achieved throughput.
 func BenchmarkServingScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.ScaleSmoke()
-		c := &r.Cells[0]
+		c := &runID[*experiments.ServingResult](b, "scale-smoke").Cells[0]
 		b.ReportMetric(float64(c.P99)/1e3, "p99-us")
 		b.ReportMetric(c.AchievedRPS/1e3, "krps")
 	}
@@ -175,7 +172,7 @@ func BenchmarkServingScale(b *testing.B) {
 // throughput.
 func BenchmarkServingInference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := &runSmoke[*experiments.InferenceResult](b, "inference-smoke").Cells[0]
+		c := &runID[*experiments.InferenceResult](b, "inference-smoke").Cells[0]
 		b.ReportMetric(float64(c.P99)/1e3, "p99-us")
 		b.ReportMetric(c.AchievedRPS/1e3, "krps")
 	}
@@ -187,15 +184,15 @@ func BenchmarkServingInference(b *testing.B) {
 // rate.
 func BenchmarkServingTenancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := &runSmoke[*experiments.TenancyResult](b, "tenancy-smoke").Cells[0]
+		c := &runID[*experiments.TenancyResult](b, "tenancy-smoke").Cells[0]
 		b.ReportMetric(float64(c.PerClass[tenancy.Latency].P99)/1e3, "latency-p99-us")
 		b.ReportMetric(c.OfferedRPS/1e3, "offered-krps")
 	}
 }
 
-// runSmoke runs the spec registered under id and returns its assembled
+// runID runs the spec registered under id and returns its assembled
 // result.
-func runSmoke[R harness.Artifact](b *testing.B, id string) R {
+func runID[R harness.Artifact](b *testing.B, id string) R {
 	art, _, err := harness.RunID(id, harness.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -217,7 +214,7 @@ func BenchmarkCost(b *testing.B) {
 // BenchmarkValidation regenerates the §4.2 prototype-vs-Xeon check.
 func BenchmarkValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Validation()
+		r := runID[*experiments.ValidationResult](b, "validation")
 		b.ReportMetric(r.Ratios[0], "bdb-proto-over-xeon-x")
 	}
 }
@@ -226,7 +223,7 @@ func BenchmarkValidation(b *testing.B) {
 // design choice that makes CRMA streaming viable at all.
 func BenchmarkAblationMSHR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationMSHR()
+		r := runID[*experiments.AblationMSHRResult](b, "ablation-mshr")
 		b.ReportMetric(float64(r.Times[0])/float64(r.Times[len(r.Times)-1]), "mlp-gain-x")
 	}
 }
@@ -235,7 +232,7 @@ func BenchmarkAblationMSHR(b *testing.B) {
 // makes RDMA-swap win the contiguous patterns of Figs. 15 and 17.
 func BenchmarkAblationReadahead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationReadahead()
+		r := runID[*experiments.AblationReadaheadResult](b, "ablation-readahead")
 		b.ReportMetric(float64(r.Times[0])/float64(r.Times[len(r.Times)-1]), "readahead-gain-x")
 	}
 }
@@ -244,7 +241,7 @@ func BenchmarkAblationReadahead(b *testing.B) {
 // credit paths.
 func BenchmarkAblationWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationWindow()
+		r := runID[*experiments.AblationWindowResult](b, "ablation-window")
 		gain := (r.CRMAMBps[0] - r.QPairMBps[0]) / r.QPairMBps[0]
 		b.ReportMetric(100*gain, "smallest-window-gain-%")
 	}
@@ -253,7 +250,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 // BenchmarkAblationGranularity locates the CRMA/RDMA crossover size.
 func BenchmarkAblationGranularity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationGranularity()
+		r := runID[*experiments.AblationGranularityResult](b, "ablation-granularity")
 		cross := float64(r.Sizes[len(r.Sizes)-1])
 		for j := range r.Sizes {
 			if r.RDMA[j] < r.CRMA[j] {

@@ -116,16 +116,27 @@ func TestBaselineCommandsMatchCI(t *testing.T) {
 // the donor's setting (accel.Service.SetExclusive). The serving
 // family has one entry point, serving.Run, whose Config.Workload picks
 // the scenario: the churn and tenancy entry points and their config
-// types are gone. The gate rejects both a surviving use and a
-// reintroduced definition — deleting dead code only sticks if nothing
-// can quietly grow it back.
+// types are gone. Wrappers only tests called are gone too: the
+// experiments' per-figure and smoke runners (run a spec through
+// harness.RunID or its spec builder), transport's Endpoint.Call
+// (CallTimeout with a zero timeout), and sim's Proc.AwaitAll,
+// Proc.Yield, Queue.TryPop, Semaphore.TryAcquire and Params.CycleTime
+// (Await each completion; Sleep(0)). RNG.Shuffle and
+// Semaphore.Available are gone as well but not listed: their names
+// would match unrelated calls. The gate rejects both a surviving use
+// and a reintroduced definition — deleting dead code only sticks if
+// nothing can quietly grow it back.
 func TestAPIFreeze(t *testing.T) {
 	const names = `BorrowMemory|BorrowMemoryScoped|BorrowSwap|AttachAccelerator|AttachNIC|AttachMemoryDirect|AttachSwapDirect|` +
 		`RequestMemory|RequestMemoryScoped|RequestMemoryOpts|RequestDevice|RequestDeviceOpts|MemReqOpts|DevReqOpts|FreeMemory|FreeDevice|` +
-		`WithPolicy|WithExclusive|RunChurn|RunTenancy|ChurnConfig|TenancyConfig`
+		`WithPolicy|WithExclusive|RunChurn|RunTenancy|ChurnConfig|TenancyConfig|` +
+		`Fig3|Fig5|Fig6|Fig6Of|Fig14|Fig15|Fig15Of|Fig16a|Fig16b|Fig17|Fig18|Validation|` +
+		`AblationMSHR|AblationMSHROf|AblationReadahead|AblationWindow|AblationGranularity|` +
+		`ServingSmoke|ChurnSmoke|ScaleSmoke|MigrateSmoke|Call|AwaitAll|Yield|TryPop|TryAcquire|CycleTime`
 	deprecated := regexp.MustCompile(`\.(` + names + `)[({]`)
 	redefined := regexp.MustCompile(`^(func (\([^)]*\) )?|type )(` + names + `)\b`)
-	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments"} {
+	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments",
+		"internal/sim", "internal/transport", "bench_test.go"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -139,7 +150,7 @@ func TestAPIFreeze(t *testing.T) {
 			}
 			for i, line := range strings.Split(string(data), "\n") {
 				if m := deprecated.FindString(line); m != "" {
-					t.Errorf("%s:%d: uses deleted entry point %q — use core.Plane's Acquire, monitor.Alloc/Free or serving.Run instead", path, i+1, strings.TrimRight(strings.TrimPrefix(m, "."), "({"))
+					t.Errorf("%s:%d: uses deleted name %q — see TestAPIFreeze's doc for what replaces it", path, i+1, strings.TrimRight(strings.TrimPrefix(m, "."), "({"))
 				}
 				if redefined.MatchString(line) {
 					t.Errorf("%s:%d: reintroduces a deleted entry point: %s", path, i+1, strings.TrimSpace(line))

@@ -19,9 +19,9 @@ import (
 
 // Config shapes a cluster. Zero values select the paper's prototype
 // configuration (Table 1): eight 1 GB nodes on a 2x2x2 mesh. The MN
-// always runs on node 0.
+// always runs on node 0, and every cluster runs on its own copy of the
+// prototype's timing parameters (sim.Default(), Cluster.P).
 type Config struct {
-	Params       *sim.Params      // nil: sim.Default()
 	Topology     *fabric.Topology // nil: Mesh3D(2,2,2)
 	NodeMemBytes uint64           // 0: 1 GiB
 	Seed         uint64           // 0: 1
@@ -71,11 +71,8 @@ type Cluster struct {
 
 // NewCluster builds the rack.
 func NewCluster(cfg Config) *Cluster {
-	p := cfg.Params
-	if p == nil {
-		d := sim.Default()
-		p = &d
-	}
+	d := sim.Default()
+	p := &d
 	topo := fabric.Mesh3D(2, 2, 2)
 	if cfg.Topology != nil {
 		topo = *cfg.Topology

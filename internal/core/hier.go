@@ -13,10 +13,10 @@ import (
 // HierConfig shapes a multi-rack fabric: racks of 3D-mesh nodes joined
 // by an (optionally oversubscribed) spine, with one sub-MN per rack and
 // a root MN on the first spine switch — the rack-scale assembly the
-// sharded monitor plane (internal/monitor/shard.go) runs on.
+// sharded monitor plane (internal/monitor/shard.go) runs on. The fabric
+// runs on its own copy of sim.Default(), with LinkPorts raised to fit
+// the spine radix (HierCluster.P).
 type HierConfig struct {
-	Params *sim.Params // nil: sim.Default() (LinkPorts raised to fit the spine radix)
-
 	// Racks of RackX×RackY×RackZ mesh nodes (both required).
 	Racks               int
 	RackX, RackY, RackZ int
@@ -98,16 +98,8 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 	}
 	h := fabric.RackSpine(cfg.Racks, cfg.RackX, cfg.RackY, cfg.RackZ, spines, uplinks)
 
-	var p *sim.Params
-	if cfg.Params == nil {
-		d := sim.Default()
-		p = &d
-	} else {
-		// Copy: the spine-radix adjustment below must not leak into other
-		// clusters built from the caller's Params.
-		cp := *cfg.Params
-		p = &cp
-	}
+	d := sim.Default()
+	p := &d
 	// Spine switches routinely exceed the prototype's radix-7 embedded
 	// switch; model higher-radix spine silicon rather than refusing the
 	// topology.

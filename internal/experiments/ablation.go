@@ -102,14 +102,6 @@ func ablationMSHRSpec(mshrs []int) harness.Spec {
 // String renders the ablation's table.
 func (r *AblationMSHRResult) String() string { return r.Table.String() }
 
-// AblationMSHR sweeps the full MSHR matrix.
-func AblationMSHR() *AblationMSHRResult { return AblationMSHROf(ablationMSHRs...) }
-
-// AblationMSHROf sweeps a subset of MSHR counts (the short-mode matrix).
-func AblationMSHROf(mshrs ...int) *AblationMSHRResult {
-	return runSpec("ablation-mshr", ablationMSHRSpec(mshrs)).(*AblationMSHRResult)
-}
-
 // AblationReadaheadResult sweeps the swap readahead window for a
 // streaming workload over the remote-swap device.
 type AblationReadaheadResult struct {
@@ -180,11 +172,6 @@ func ablationReadaheadSpec() harness.Spec {
 
 // String renders the ablation's table.
 func (r *AblationReadaheadResult) String() string { return r.Table.String() }
-
-// AblationReadahead measures grep over RDMA swap with varying readahead.
-func AblationReadahead() *AblationReadaheadResult {
-	return runSpec("ablation-readahead", ablationReadaheadSpec()).(*AblationReadaheadResult)
-}
 
 // AblationWindowResult sweeps the QPair credit window under both credit
 // paths: how much window the collaborative design saves.
@@ -265,11 +252,6 @@ func ablationWindowSpec() harness.Spec {
 // String renders the ablation's table.
 func (r *AblationWindowResult) String() string { return r.Table.String() }
 
-// AblationWindow measures a 64 B stream at several window sizes.
-func AblationWindow() *AblationWindowResult {
-	return runSpec("ablation-window", ablationWindowSpec()).(*AblationWindowResult)
-}
-
 // AblationGranularityResult finds the CRMA/RDMA crossover by transfer
 // size — the data behind the adaptive library's Advise threshold.
 type AblationGranularityResult struct {
@@ -344,9 +326,3 @@ func ablationGranularitySpec() harness.Spec {
 
 // String renders the ablation's table.
 func (r *AblationGranularityResult) String() string { return r.Table.String() }
-
-// AblationGranularity measures a single remote transfer of each size
-// over both data channels.
-func AblationGranularity() *AblationGranularityResult {
-	return runSpec("ablation-granularity", ablationGranularitySpec()).(*AblationGranularityResult)
-}

@@ -7,7 +7,7 @@ func TestAblationMSHRHelpsStreaming(t *testing.T) {
 	if testing.Short() {
 		points = ablationMSHRsShort
 	}
-	r := AblationMSHROf(points...)
+	r := runSpec("ablation-mshr", ablationMSHRSpec(points)).(*AblationMSHRResult)
 	// More MSHRs monotonically (weakly) help the contiguous sweep, and
 	// going from a blocking core (1) to even modest MLP is a real win.
 	for i := 1; i < len(r.MSHRs); i++ {
@@ -22,7 +22,7 @@ func TestAblationMSHRHelpsStreaming(t *testing.T) {
 }
 
 func TestAblationReadaheadHelpsStreaming(t *testing.T) {
-	r := AblationReadahead()
+	r := runSpec("ablation-readahead", ablationReadaheadSpec()).(*AblationReadaheadResult)
 	first, last := r.Times[0], r.Times[len(r.Times)-1]
 	if last >= first {
 		t.Fatalf("readahead does not help streaming: %v", r.Times)
@@ -31,7 +31,7 @@ func TestAblationReadaheadHelpsStreaming(t *testing.T) {
 }
 
 func TestAblationWindowNarrowsCreditGap(t *testing.T) {
-	r := AblationWindow()
+	r := runSpec("ablation-window", ablationWindowSpec()).(*AblationWindowResult)
 	// The collaborative path always wins, but a big enough window covers
 	// the credit latency, narrowing the relative gain.
 	firstGain := (r.CRMAMBps[0] - r.QPairMBps[0]) / r.QPairMBps[0]
@@ -50,7 +50,7 @@ func TestAblationWindowNarrowsCreditGap(t *testing.T) {
 }
 
 func TestAblationGranularityCrossover(t *testing.T) {
-	r := AblationGranularity()
+	r := runSpec("ablation-granularity", ablationGranularitySpec()).(*AblationGranularityResult)
 	// CRMA wins tiny transfers; RDMA wins big ones; the crossover sits
 	// in between (the Advise threshold's justification).
 	if r.RDMA[0] <= r.CRMA[0] {

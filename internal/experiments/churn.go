@@ -160,6 +160,3 @@ func foldChurn(c cell, shards []harness.Values, t *Table) (ChurnCellResult, erro
 		r.P50.String(), r.P99.String(), r.P999.String())
 	return r, nil
 }
-
-// ChurnSmoke runs the single-cell CI subset.
-func ChurnSmoke() *ChurnResult { return runRegistered("churn-smoke").(*ChurnResult) }

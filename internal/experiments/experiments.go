@@ -117,20 +117,12 @@ func trialDur(r *harness.Result, trial string) sim.Dur {
 }
 
 // runSpec executes a spec on the default worker pool and returns its
-// assembled artifact; experiment entry points wrap it with a type
-// assertion. Trial failures are programming errors here (the specs ship
-// with the package), so they panic rather than burden every caller.
+// assembled artifact; ServingPressure and the package's tests wrap it
+// with a type assertion. Trial failures are programming errors here
+// (the specs ship with the package), so they panic rather than burden
+// every caller.
 func runSpec(id string, spec harness.Spec) harness.Artifact {
 	art, _, err := harness.Run(id, spec, harness.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return art
-}
-
-// runRegistered is runSpec on the spec registered under id.
-func runRegistered(id string) harness.Artifact {
-	art, _, err := harness.RunID(id, harness.Options{})
 	if err != nil {
 		panic(err)
 	}

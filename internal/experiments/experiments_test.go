@@ -13,7 +13,7 @@ import (
 // quantitative comparison.
 
 func TestFig3CommodityOrdering(t *testing.T) {
-	r := Fig3()
+	r := runSpec("fig3", fig3Spec()).(*Fig3Result)
 	// Paper: Ethernet 42 > IB 19 > PCIe-RDMA 12; PCIe LD/ST 191 worst.
 	byName := map[string]float64{}
 	for i, c := range r.Configs {
@@ -38,7 +38,7 @@ func TestFig3CommodityOrdering(t *testing.T) {
 }
 
 func TestFig5ConfigOrdering(t *testing.T) {
-	r := Fig5()
+	r := runSpec("fig5", fig5Spec()).(*Fig5Result)
 	idx := func(name string) int {
 		for i, c := range r.Configs {
 			if c == name {
@@ -93,7 +93,7 @@ func TestFig6RouterOverhead(t *testing.T) {
 	if testing.Short() {
 		configs = fig6ConfigsShort
 	}
-	r := Fig6Of(configs...)
+	r := runSpec("fig6", fig6Spec(configs)).(*Fig6Result)
 	idx := map[string]int{}
 	for i, c := range r.Configs {
 		idx[c] = i
@@ -127,7 +127,7 @@ func TestFig15ModalityCrossover(t *testing.T) {
 	if testing.Short() {
 		workloads = fig15WorkloadsShort
 	}
-	r := Fig15Of(workloads...)
+	r := runSpec("fig15", fig15Spec(workloads)).(*Fig15Result)
 	byName := map[string]int{}
 	for i, w := range r.Workloads {
 		byName[w] = i
@@ -154,7 +154,7 @@ func TestFig15ModalityCrossover(t *testing.T) {
 }
 
 func TestFig16aNearLinearScaling(t *testing.T) {
-	r := Fig16a()
+	r := runSpec("fig16a", fig16aSpec()).(*Fig16aResult)
 	for i, k := range r.Remotes {
 		ideal := float64(k + 1)
 		if r.Large[i] < 0.85*ideal {
@@ -178,7 +178,7 @@ func TestFig16aNearLinearScaling(t *testing.T) {
 }
 
 func TestFig16bUtilizationByPacketSize(t *testing.T) {
-	r := Fig16b()
+	r := runSpec("fig16b", fig16bSpec()).(*Fig16bResult)
 	// 256B packets approach linear scaling (~85% with 3RN); 4B packets
 	// utilize the bond poorly (~40%).
 	last := len(r.Remotes) - 1
@@ -197,7 +197,7 @@ func TestFig16bUtilizationByPacketSize(t *testing.T) {
 }
 
 func TestFig17EachChannelWinsItsPattern(t *testing.T) {
-	r := Fig17()
+	r := runSpec("fig17", fig17Spec()).(*Fig17Result)
 	// Pattern 0: in-mem DB random -> CRMA wins.
 	if r.CRMA[0] != 100 || r.RDMA[0] >= 50 || r.QPair[0] >= 50 {
 		t.Fatalf("random: crma=%v rdma=%v qpair=%v", r.CRMA[0], r.RDMA[0], r.QPair[0])
@@ -214,7 +214,7 @@ func TestFig17EachChannelWinsItsPattern(t *testing.T) {
 }
 
 func TestFig18ImprovementDeclinesWithSize(t *testing.T) {
-	r := Fig18()
+	r := runSpec("fig18", fig18Spec()).(*Fig18Result)
 	// Paper: 28-51%, larger for small packets.
 	for i, imp := range r.Improvement {
 		if imp <= 10 || imp >= 90 {
@@ -230,7 +230,7 @@ func TestFig18ImprovementDeclinesWithSize(t *testing.T) {
 }
 
 func TestValidationPrototypeSlowerThanXeon(t *testing.T) {
-	r := Validation()
+	r := runSpec("validation", validationSpec()).(*ValidationResult)
 	for i, ratio := range r.Ratios {
 		// The paper measures ~16x on its workloads; our simpler core
 		// model lands lower but every workload must be several times

@@ -29,8 +29,7 @@ type Fig14Result struct {
 // fig14Run measures one point of the sweep: steps memory increments,
 // remote selects borrowed (CRMA) or local storage arenas.
 func fig14Run(steps int, remote bool, seed uint64) (sim.Dur, float64) {
-	p := sim.Default()
-	c := core.NewCluster(core.Config{Params: &p, StartAgents: true, Seed: seed,
+	c := core.NewCluster(core.Config{StartAgents: true, Seed: seed,
 		HeartbeatInterval: 30 * sim.Second})
 	defer c.Close()
 	c.RunFor(1 * sim.Second) // populate the RRT
@@ -156,10 +155,6 @@ func assembleFig14(r *harness.Result) (harness.Artifact, error) {
 // String renders the figure's table.
 func (r *Fig14Result) String() string { return r.Table.String() }
 
-// Fig14 sweeps cache memory from one to fig14Steps steps for both the
-// local and remote configurations, and measures the donor-side impact.
-func Fig14() *Fig14Result { return runSpec("fig14", fig14Spec()).(*Fig14Result) }
-
 // fig14Donor measures a donor's own Connected Components job with or
 // without a recipient hammering borrowed memory (§7.1 reports the
 // serving impact is negligible because the sharing traffic is
@@ -168,9 +163,8 @@ func Fig14() *Fig14Result { return runSpec("fig14", fig14Spec()).(*Fig14Result) 
 // (and lifecycle event stream) as every brokered lease.
 func fig14Donor(withTraffic bool, seed uint64) sim.Dur {
 	run := func(withTraffic bool) sim.Dur {
-		p := sim.Default()
 		topo := fabric.Pair()
-		c := core.NewCluster(core.Config{Params: &p, Topology: &topo,
+		c := core.NewCluster(core.Config{Topology: &topo,
 			NodeMemBytes: 4 << 30, Seed: seed})
 		defer c.Close()
 		local, donor := c.Node(0), c.Node(1)

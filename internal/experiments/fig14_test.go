@@ -8,7 +8,7 @@ func TestFig14MemorySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig14 sweep is slow")
 	}
-	r := Fig14()
+	r := runSpec("fig14", fig14Spec()).(*Fig14Result)
 	n := len(r.Sizes)
 	if n < 3 {
 		t.Fatalf("sweep too short: %d points", n)

@@ -230,13 +230,3 @@ func fig15Workload2(r *harness.Result, name string, mode fig15Mode) sim.Dur {
 
 // String renders the figure's table.
 func (r *Fig15Result) String() string { return r.Table.String() }
-
-// Fig15 runs all four workloads under all four modes, reporting
-// performance (1/time) normalized to the local-swap baseline.
-func Fig15() *Fig15Result { return Fig15Of(fig15Workloads...) }
-
-// Fig15Of runs the study over a subset of the workloads (the reduced
-// short-mode matrix keeps the random/contiguous crossover cells).
-func Fig15Of(workloads ...string) *Fig15Result {
-	return runSpec("fig15", fig15Spec(workloads)).(*Fig15Result)
-}

@@ -105,9 +105,6 @@ func assembleFig16a(r *harness.Result) (harness.Artifact, error) {
 // String renders the figure's table.
 func (r *Fig16aResult) String() string { return r.Table.String() }
 
-// Fig16a sweeps LA+1RA..LA+3RA for both dataset classes.
-func Fig16a() *Fig16aResult { return runSpec("fig16a", fig16aSpec()).(*Fig16aResult) }
-
 // Fig16bResult reproduces Fig. 16b: iperf throughput with a local NIC
 // plus 1-3 remote NICs, normalized to the local NIC alone, for tiny
 // (4 B) and normal (256 B) packets.
@@ -190,6 +187,3 @@ func assembleFig16b(r *harness.Result) (harness.Artifact, error) {
 
 // String renders the figure's table.
 func (r *Fig16bResult) String() string { return r.Table.String() }
-
-// Fig16b sweeps LN+1RN..LN+3RN for both packet sizes.
-func Fig16b() *Fig16bResult { return runSpec("fig16b", fig16bSpec()).(*Fig16bResult) }

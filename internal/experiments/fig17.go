@@ -239,7 +239,3 @@ func assembleFig17(r *harness.Result) (harness.Artifact, error) {
 
 // String renders the figure's table.
 func (r *Fig17Result) String() string { return r.Table.String() }
-
-// Fig17 runs the full matrix and normalizes each pattern to its best
-// channel (=100).
-func Fig17() *Fig17Result { return runSpec("fig17", fig17Spec()).(*Fig17Result) }

@@ -99,6 +99,3 @@ func assembleFig18(r *harness.Result) (harness.Artifact, error) {
 
 // String renders the figure's table.
 func (r *Fig18Result) String() string { return r.Table.String() }
-
-// Fig18 sweeps payload sizes 4..128 B.
-func Fig18() *Fig18Result { return runSpec("fig18", fig18Spec()).(*Fig18Result) }

@@ -136,6 +136,3 @@ func assembleFig3(r *harness.Result) (harness.Artifact, error) {
 
 // String renders the figure's table.
 func (r *Fig3Result) String() string { return r.Table.String() }
-
-// Fig3 runs all five configurations and normalizes to all-local.
-func Fig3() *Fig3Result { return runSpec("fig3", fig3Spec()).(*Fig3Result) }

@@ -259,10 +259,6 @@ func assembleFig5(r *harness.Result) (harness.Artifact, error) {
 // String renders the figure's table.
 func (r *Fig5Result) String() string { return r.Table.String() }
 
-// Fig5 runs the five configurations for both workloads, normalized to
-// all-local execution.
-func Fig5() *Fig5Result { return runSpec("fig5", fig5Spec()).(*Fig5Result) }
-
 // Fig6Result reproduces Fig. 6: the added overhead of a one-level
 // external router between the two nodes, per configuration.
 type Fig6Result struct {
@@ -328,12 +324,3 @@ func assembleFig6(r *harness.Result, configs []string) (harness.Artifact, error)
 
 // String renders the figure's table.
 func (r *Fig6Result) String() string { return r.Table.String() }
-
-// Fig6 measures each configuration with and without the router.
-func Fig6() *Fig6Result { return Fig6Of(fig5Configs...) }
-
-// Fig6Of runs the router study over a subset of the configurations (the
-// reduced short-mode matrix keeps the cells the paper's finding needs).
-func Fig6Of(configs ...string) *Fig6Result {
-	return runSpec("fig6", fig6Spec(configs)).(*Fig6Result)
-}

@@ -145,11 +145,6 @@ func assembleValidation(r *harness.Result) (harness.Artifact, error) {
 // String renders the validation table.
 func (r *ValidationResult) String() string { return r.Table.String() }
 
-// Validation compares the prototype and Xeon parameter sets.
-func Validation() *ValidationResult {
-	return runSpec("validation", validationSpec()).(*ValidationResult)
-}
-
 // table1Spec and costSpec wrap the two purely tabular artifacts: no
 // measurements, so no trials — assembly renders directly.
 func table1Spec() harness.Spec {

@@ -77,6 +77,3 @@ func migrateSmokeSpec() harness.Spec {
 		},
 	}
 }
-
-// MigrateSmoke runs the paired acceptance cells.
-func MigrateSmoke() *MigrateResult { return runRegistered("migrate-smoke").(*MigrateResult) }

@@ -10,7 +10,7 @@ func TestMigrateFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full migrate-smoke cells are the acceptance run; skipped under -short")
 	}
-	r := MigrateSmoke()
+	r := runSpec("migrate-smoke", migrateSmokeSpec()).(*MigrateResult)
 	base, hot := r.Serving.Cell("tier/distance/n8/u0.90"), r.Serving.Cell("tier/telemetry/n8/u0.90")
 	if base == nil || hot == nil {
 		t.Fatal("serving comparison cells missing")

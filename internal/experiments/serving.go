@@ -147,9 +147,6 @@ func foldServing(c cell, shards []harness.Values, t *Table) (ServingCellResult, 
 	return r, nil
 }
 
-// ServingSmoke runs the single-cell CI subset.
-func ServingSmoke() *ServingResult { return runRegistered("serving-smoke").(*ServingResult) }
-
 // ServingPressure runs the single pressured cache-tier cell — three
 // co-located tenants leasing and hammering remote memory while the
 // tier serves at 0.9 utilization (the benchmark entry point).

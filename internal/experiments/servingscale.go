@@ -60,6 +60,3 @@ func scaleSmokeCells() []cell {
 	c.Shards = 1
 	return []cell{c}
 }
-
-// ScaleSmoke runs the single-cell CI subset.
-func ScaleSmoke() *ServingResult { return runRegistered("scale-smoke").(*ServingResult) }

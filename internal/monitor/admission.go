@@ -75,7 +75,7 @@ func (m *Monitor) admit(p *sim.Proc, from fabric.NodeID, res Resource, amount ui
 			dec = tenancy.Reject
 		}
 	}
-	if dec == tenancy.Reject && class > tenancy.Preemptible && cfg.Preempt {
+	if dec == tenancy.Reject && class > tenancy.Preemptible {
 		if m.preempt(p, from, res, amount, class) {
 			dec, g = m.decide(res, amount, class)
 		}

@@ -62,16 +62,7 @@ type pathRelief struct {
 // with RunFor or step-until-done, not Run. Without telemetry-enabled
 // agents the loop never sees a hot path and does nothing.
 func (m *Monitor) StartMigration() {
-	if m.migrationOn {
-		return
-	}
-	m.migrationOn = true
-	m.EP.Eng.Go("mn-migrate", func(p *sim.Proc) {
-		for {
-			p.Sleep(migrateEvery)
-			m.migrateScan(p)
-		}
-	})
+	startLoop(m.EP.Eng, "mn-migrate", &m.migrationOn, migrateEvery, m.migrateScan)
 }
 
 // migrateScan finds the lease whose recipient→donor path has the

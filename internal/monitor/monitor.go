@@ -121,11 +121,11 @@ type Monitor struct {
 	Policy Policy
 
 	// Admission is the tenancy admission controller's policy
-	// (admission.go): per-class thresholds plus the preemption switch,
-	// consulted before every tagged grant. nil (the
-	// default) disables admission entirely — every pre-tenancy workload
-	// runs byte-identically. On a sub-MN the controller gates against
-	// the rack's own pressure.
+	// (admission.go): per-class thresholds, consulted before every
+	// tagged grant, with preemption on. nil (the default) disables
+	// admission entirely — every pre-tenancy workload runs
+	// byte-identically. On a sub-MN the controller gates against the
+	// rack's own pressure.
 	Admission *tenancy.Config
 
 	// HeartbeatTimeout marks a node dead when its reports stop.
@@ -135,26 +135,18 @@ type Monitor struct {
 	// StartRecovery); it defaults to half the heartbeat timeout.
 	SweepInterval sim.Dur
 
-	// GrantTimeout bounds the MN's calls into agents (hot-remove at grant
-	// and failover time, hot-return, relocate): a donor that dies while
-	// servicing a request must not wedge the Monitor Node forever. It
-	// must comfortably exceed one hot-plug operation plus a round trip.
-	GrantTimeout sim.Dur
-
-	// Sharded-plane wiring (see shard.go). A Monitor with HasUpstream set
-	// is a sub-MN: it owns one rack's leases and heartbeats, escalates
-	// requests its rack cannot serve to the root MN at Upstream, and
-	// reports rack-level state there.
-	Upstream    fabric.NodeID
-	HasUpstream bool
-	Rack        int
+	// Sharded-plane wiring, set by StartRackBeat (see shard.go). A
+	// Monitor with hasUpstream set is a sub-MN: it owns its rack's leases
+	// and heartbeats, escalates requests the rack cannot serve to the
+	// root MN at upstream, and reports rack-level state there.
+	upstream    fabric.NodeID
+	hasUpstream bool
+	rack        int
 	// delegated maps this sub-MN's recipient-facing alloc ids onto root
 	// delegation ids (plus the owning recipient, so frees enforce the
 	// same ownership check as local rows) for leases backed by another
 	// rack.
 	delegated map[int]delegatedLease
-	// rackBeatOn gates the rack-level report loop.
-	rackBeatOn bool
 
 	// recovery loop state.
 	recoveryOn bool
@@ -186,6 +178,12 @@ type Monitor struct {
 	OnLease func(LeaseEvent)
 }
 
+// grantTimeout bounds an MN's call into an agent or a sub-MN (hot-remove
+// at grant and failover time, hot-return, relocate): a peer that dies
+// while servicing a request must not wedge the MN forever. It
+// comfortably exceeds one hot-plug operation plus a round trip.
+func grantTimeout(p *sim.Params) sim.Dur { return 10*p.HotplugOp + sim.Millisecond }
+
 // New starts a Monitor on the given endpoint.
 func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 	m := &Monitor{
@@ -195,7 +193,6 @@ func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 		rat:              make(map[int]*Allocation),
 		tst:              make(map[[2]fabric.NodeID]*LinkStatus),
 		HeartbeatTimeout: 3 * sim.Second,
-		GrantTimeout:     10*ep.P.HotplugOp + sim.Millisecond,
 		delegated:        make(map[int]delegatedLease),
 		spares:           make(map[fabric.NodeID][]spareRegion),
 		sparePending:     make(map[fabric.NodeID]int),
@@ -520,7 +517,7 @@ func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 			return r.granted(a.ID, a.Donor, a.DonorBase, size), wire
 		}
 	}
-	if m.HasUpstream && r.Scope != ScopeLocalRack {
+	if m.hasUpstream && r.Scope != ScopeLocalRack {
 		if resp := m.escalate(p, from, r, size); resp != nil {
 			return resp, wire
 		}
@@ -593,7 +590,7 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, r *AllocReq, amoun
 // (recovery) under recover.*.
 func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, reg *regionReq, recovery bool) (uint64, bool) {
 	inc := m.incarnationOf(cand.Node)
-	raw, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, reg, m.GrantTimeout)
+	raw, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, reg, grantTimeout(m.EP.P))
 	if !ok {
 		// The donor died mid-handshake (its agent never answered);
 		// without the timeout this request would wedge the MN forever.
@@ -635,8 +632,8 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 		// Lost to the spine, the free parks: a dropped free must not leak
 		// the delegation and its donor-rack backing.
 		if !m.out.send(p, letter{
-			to: m.Upstream, kind: kindRackFree, size: 32, req: &FreeReq{AllocID: ref.deleg},
-			timeout: 3 * m.GrantTimeout, retried: "free.upstream_retried",
+			to: m.upstream, kind: kindRackFree, size: 32, req: &FreeReq{AllocID: ref.deleg},
+			timeout: 3 * grantTimeout(m.EP.P), retried: "free.upstream_retried",
 		}) {
 			m.Stats.Add("free.upstream_lost", 1)
 		}
@@ -671,6 +668,6 @@ func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
 func (m *Monitor) giveBack(donor fabric.NodeID, ret *regionReq) letter {
 	return letter{
 		to: donor, kind: kindHotReturn, size: 64, req: ret,
-		timeout: m.GrantTimeout, retried: "recover.orphan_returns",
+		timeout: grantTimeout(m.EP.P), retried: "recover.orphan_returns",
 	}
 }

@@ -95,8 +95,7 @@ func TestMemoryAllocationFlow(t *testing.T) {
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
-			&AllocReq{Size: size, WindowBase: win}).(*AllocResp)
+		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
 	})
 	c.eng.RunFor(5 * sim.Second)
 
@@ -136,8 +135,7 @@ func TestAllocationRetryOnStaleRRT(t *testing.T) {
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
-			&AllocReq{Size: size, WindowBase: win}).(*AllocResp)
+		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
 	})
 	c.eng.RunFor(10 * sim.Second)
 
@@ -158,8 +156,7 @@ func TestAllocationFailsWhenNothingFits(t *testing.T) {
 	recipient := c.nodes[1]
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
-		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
-			&AllocReq{Size: 1 << 30, WindowBase: 1 << 30}).(*AllocResp)
+		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: 1 << 30, WindowBase: 1 << 30}, 0)
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || resp.OK {
@@ -177,8 +174,7 @@ func TestFreeMemoryReturnsToDonor(t *testing.T) {
 	const size = 128 << 20
 	recipient.Run("alloc-free", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp := recipient.EP.Call(p, 0, kindAlloc, 64,
-			&AllocReq{Size: size, WindowBase: win}).(*AllocResp)
+		resp, _ := Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
 		if !resp.OK {
 			t.Errorf("alloc failed: %s", resp.Err)
 			return
@@ -187,7 +183,7 @@ func TestFreeMemoryReturnsToDonor(t *testing.T) {
 		if donor.MemMgr.Removed() != size {
 			t.Errorf("donation not recorded")
 		}
-		recipient.EP.Call(p, 0, kindFree, 16, &FreeReq{AllocID: resp.AllocID})
+		Free(p, recipient.EP, 0, resp.AllocID)
 		if donor.MemMgr.Removed() != 0 {
 			t.Errorf("donor still shows %d removed after free", donor.MemMgr.Removed())
 		}
@@ -209,10 +205,10 @@ func TestDeviceAllocation(t *testing.T) {
 	var acc1, acc2, acc3 *AllocResp
 	var nic *AllocResp
 	requester.Run("devs", func(p *sim.Proc) {
-		acc1 = requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
-		acc2 = requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
-		acc3 = requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
-		nic = requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevNIC}).(*AllocResp)
+		acc1, _ = Alloc(p, requester.EP, 0, AllocReq{Res: DevAccelerator}, 0)
+		acc2, _ = Alloc(p, requester.EP, 0, AllocReq{Res: DevAccelerator}, 0)
+		acc3, _ = Alloc(p, requester.EP, 0, AllocReq{Res: DevAccelerator}, 0)
+		nic, _ = Alloc(p, requester.EP, 0, AllocReq{Res: DevNIC}, 0)
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if !acc1.OK || acc1.Donor != 2 || !acc2.OK || acc2.Donor != 2 {
@@ -226,8 +222,8 @@ func TestDeviceAllocation(t *testing.T) {
 	}
 	// Free one accelerator; it becomes grantable again.
 	requester.Run("refree", func(p *sim.Proc) {
-		requester.EP.Call(p, 0, kindFree, 16, &FreeReq{AllocID: acc1.AllocID})
-		again := requester.EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
+		Free(p, requester.EP, 0, acc1.AllocID)
+		again, _ := Alloc(p, requester.EP, 0, AllocReq{Res: DevAccelerator}, 0)
 		if !again.OK {
 			t.Error("freed accelerator not re-grantable")
 		}
@@ -248,7 +244,7 @@ func TestRegisteredIsACopy(t *testing.T) {
 	}
 	var resp *AllocResp
 	c.nodes[0].Run("grant", func(p *sim.Proc) {
-		resp = c.nodes[0].EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
+		resp, _ = Alloc(p, c.nodes[0].EP, 0, AllocReq{Res: DevAccelerator}, 0)
 	})
 	for _, d := range []sim.Dur{sim.Millisecond, sim.Second} {
 		c.eng.RunFor(d)
@@ -463,8 +459,7 @@ func TestNodeDeathDetectedByMissedHeartbeats(t *testing.T) {
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(1 << 20)
-		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
-			&AllocReq{Size: 1 << 20, WindowBase: win}).(*AllocResp)
+		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: 1 << 20, WindowBase: win}, 0)
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || !resp.OK {

@@ -68,7 +68,7 @@ func init() {
 	// historical positions so existing sweeps are unchanged.
 	RegisterPolicy("distance", func() Policy { return DistanceFirst{} })
 	RegisterPolicy("most-idle", func() Policy { return MostIdle{} })
-	RegisterPolicy("traffic-aware", func() Policy { return TrafficAware{PenaltyHops: 2} })
+	RegisterPolicy("traffic-aware", func() Policy { return TrafficAware{} })
 	RegisterPolicy("spread", func() Policy { return Spread{} })
 	RegisterPolicy("coolest-path", func() Policy { return CoolestPath{} })
 }
@@ -117,53 +117,41 @@ func (MostIdle) Choose(_ *View, _ fabric.NodeID, cands []*Registration) {
 
 // TrafficAware prefers near donors but skips past donors whose paths
 // already carry traffic. With telemetry it scores the measured windowed
-// utilization of the requester→donor path (UtilPenaltyHops extra hops
+// utilization of the requester→donor path (trafficUtilHops extra hops
 // for a fully busy path) plus the path's lease commitments — grants
-// whose traffic is not yet visible in the sampling window (one extra
-// hop each). Without telemetry it falls back to the pre-telemetry
-// proxy, the donor's live-allocation count. The donor-count proxy and
+// whose traffic is not yet visible in the sampling window
+// (trafficCommitHops each). Without telemetry it falls back to the
+// pre-telemetry proxy, the donor's live-allocation count
+// (trafficLoadHops per allocation). The donor-count proxy and
 // the measured term are exclusive: the count exists only to guess at
 // traffic when the runtime is blind, so once paths report real
 // utilization it would just double-count (and, worse, push placements
 // onto far donors whose leases are idle) — the commitment term carries
 // the only signal it held, now per-path instead of per-donor.
-type TrafficAware struct {
-	// PenaltyHops is how many extra hops one live allocation is worth
-	// in the telemetry-off fallback.
-	PenaltyHops int
-	// UtilPenaltyHops is how many extra hops a 100%-utilized path is
-	// worth when telemetry is available; 0 selects the default of 8.
-	UtilPenaltyHops float64
-	// CommitPenaltyHops is how many extra hops each lease already
-	// committed to the path's busiest link is worth when telemetry is
-	// available; 0 selects the default of 1.
-	CommitPenaltyHops float64
-}
+type TrafficAware struct{}
+
+// TrafficAware's weights, in extra hops: one live allocation on the
+// donor when the MN is blind; a 100%-utilized path, and each lease
+// already committed to the path's busiest link, when telemetry is
+// available.
+const (
+	trafficLoadHops   = 2
+	trafficUtilHops   = 8.0
+	trafficCommitHops = 1.0
+)
 
 // Name identifies the policy.
 func (TrafficAware) Name() string { return "traffic-aware" }
 
 // Choose implements Policy.
-func (t TrafficAware) Choose(v *View, requester fabric.NodeID, cands []*Registration) {
-	penalty := t.PenaltyHops
-	if penalty == 0 {
-		penalty = 1
-	}
-	utilPenalty := t.UtilPenaltyHops
-	if utilPenalty == 0 {
-		utilPenalty = 8
-	}
-	commitPenalty := t.CommitPenaltyHops
-	if commitPenalty == 0 {
-		commitPenalty = 1
-	}
+func (TrafficAware) Choose(v *View, requester fabric.NodeID, cands []*Registration) {
 	score := func(r *Registration) float64 {
 		s := float64(v.HopCount(requester, r.Node))
 		if v.HasTelemetry {
 			u, _ := v.PathUtil(requester, r.Node) // unknown reads as idle
-			s += utilPenalty*u + commitPenalty*float64(v.PathCommits(requester, r.Node))
+			s += trafficUtilHops*u + trafficCommitHops*float64(v.PathCommits(requester, r.Node))
 		} else {
-			s += float64(penalty * v.Load[r.Node])
+			s += float64(trafficLoadHops * v.Load[r.Node])
 		}
 		return s
 	}

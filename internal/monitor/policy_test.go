@@ -25,8 +25,7 @@ func TestMostIdlePolicyPicksLargestDonor(t *testing.T) {
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(1 << 20)
-		resp = recipient.EP.Call(p, 0, kindAlloc, 64,
-			&AllocReq{Size: 1 << 20, WindowBase: win}).(*AllocResp)
+		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: 1 << 20, WindowBase: win}, 0)
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || !resp.OK {
@@ -41,15 +40,14 @@ func TestMostIdlePolicyPicksLargestDonor(t *testing.T) {
 
 func TestTrafficAwarePolicySpreadsDonors(t *testing.T) {
 	c := newCluster(t, 1<<30)
-	c.mn.Policy = TrafficAware{PenaltyHops: 10} // strong spreading
+	c.mn.Policy = TrafficAware{}
 	c.eng.RunFor(1 * sim.Second)
 	recipient := c.nodes[7]
 	donors := make(map[fabric.NodeID]int)
 	recipient.Run("allocs", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			win := recipient.NextHotplugWindow(64 << 20)
-			resp := recipient.EP.Call(p, 0, kindAlloc, 64,
-				&AllocReq{Size: 64 << 20, WindowBase: win}).(*AllocResp)
+			resp, _ := Alloc(p, recipient.EP, 0, AllocReq{Size: 64 << 20, WindowBase: win}, 0)
 			if !resp.OK {
 				t.Errorf("alloc %d failed: %s", i, resp.Err)
 				return
@@ -71,8 +69,7 @@ func TestDistanceFirstReusesNearestDonor(t *testing.T) {
 	recipient.Run("allocs", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			win := recipient.NextHotplugWindow(64 << 20)
-			resp := recipient.EP.Call(p, 0, kindAlloc, 64,
-				&AllocReq{Size: 64 << 20, WindowBase: win}).(*AllocResp)
+			resp, _ := Alloc(p, recipient.EP, 0, AllocReq{Size: 64 << 20, WindowBase: win}, 0)
 			if !resp.OK {
 				t.Errorf("alloc %d failed: %s", i, resp.Err)
 				return

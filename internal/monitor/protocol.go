@@ -234,20 +234,16 @@ type FreeReq struct {
 // reports ok=false (an unreachable or wedged MN must not park the
 // requester forever); otherwise it waits indefinitely.
 func Alloc(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, req AllocReq, timeout sim.Dur) (*AllocResp, bool) {
-	size := pick(req.Res, 64, 16)
-	if timeout > 0 {
-		raw, ok := ep.CallTimeout(p, mn, kindAlloc, size, &req, timeout)
-		if !ok {
-			return nil, false
-		}
-		return raw.(*AllocResp), true
+	raw, ok := ep.CallTimeout(p, mn, kindAlloc, pick(req.Res, 64, 16), &req, timeout)
+	if !ok {
+		return nil, false
 	}
-	return ep.Call(p, mn, kindAlloc, size, &req).(*AllocResp), true
+	return raw.(*AllocResp), true
 }
 
 // Free releases an allocation of any resource by id.
 func Free(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
-	ep.Call(p, mn, kindFree, 16, &FreeReq{AllocID: allocID})
+	ep.CallTimeout(p, mn, kindFree, 16, &FreeReq{AllocID: allocID}, 0)
 }
 
 // regionReq names one region to a donor's agent: the recipient window

@@ -32,27 +32,39 @@ import (
 // that drive the engine with Run (rather than RunFor / step-until-done)
 // must StopRecovery first.
 func (m *Monitor) StartRecovery() {
-	if m.recoveryOn {
-		return
-	}
-	m.recoveryOn = true
-	interval := m.SweepInterval
-	if interval <= 0 {
-		interval = m.HeartbeatTimeout / 2
-		if interval <= 0 {
-			interval = sim.Second
-		}
-	}
-	m.EP.Eng.Go("mn-recovery", func(p *sim.Proc) {
-		for m.recoveryOn {
-			p.Sleep(interval)
-			m.sweep(p)
-		}
-	})
+	startLoop(m.EP.Eng, "mn-recovery", &m.recoveryOn, sweepEvery(m.SweepInterval, m.HeartbeatTimeout), m.sweep)
 }
 
 // StopRecovery ends the recovery loop after the current sweep.
 func (m *Monitor) StopRecovery() { m.recoveryOn = false }
+
+// startLoop sets *on and starts the proc name, which sleeps every and
+// then runs pass for as long as *on holds: the shape of every recovery
+// sweep and of the migration scan. It starts nothing while *on holds.
+func startLoop(eng *sim.Engine, name string, on *bool, every sim.Dur, pass func(*sim.Proc)) {
+	if *on {
+		return
+	}
+	*on = true
+	eng.Go(name, func(p *sim.Proc) {
+		for *on {
+			p.Sleep(every)
+			pass(p)
+		}
+	})
+}
+
+// sweepEvery is a recovery loop's period: set when positive, else half
+// the death timeout, else one second.
+func sweepEvery(set, deathTimeout sim.Dur) sim.Dur {
+	switch {
+	case set > 0:
+		return set
+	case deathTimeout/2 > 0:
+		return deathTimeout / 2
+	}
+	return sim.Second
+}
 
 // sweep runs one detection pass. Iteration is in node-id order so runs
 // are deterministic regardless of map layout. The id list reuses the
@@ -107,11 +119,11 @@ func (m *Monitor) reachable(id fabric.NodeID) bool {
 // the root MN so delegated leases the node held as a recipient are
 // reclaimed across the delegation boundary. No-op on flat clusters.
 func (m *Monitor) notifyNodeDown(p *sim.Proc, id fabric.NodeID) {
-	if !m.HasUpstream {
+	if !m.hasUpstream {
 		return
 	}
-	if _, ok := m.EP.CallTimeout(p, m.Upstream, kindNodeDown, 32,
-		&nodeDownReq{Rack: m.Rack, Node: id}, m.GrantTimeout); !ok {
+	if _, ok := m.EP.CallTimeout(p, m.upstream, kindNodeDown, 32,
+		&nodeDownReq{Rack: m.rack, Node: id}, grantTimeout(m.EP.P)); !ok {
 		m.Stats.Add("recover.nodedown_lost", 1)
 	}
 }
@@ -222,7 +234,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 				OldDonor: old.Donor, NewDonor: cand.Node, NewDonorBase: base,
 			}
 			recipientInc := m.incarnationOf(a.Recipient)
-			raw, ok := m.EP.CallTimeout(p, a.Recipient, kindRelocate, 64, rel, m.GrantTimeout)
+			raw, ok := m.EP.CallTimeout(p, a.Recipient, kindRelocate, 64, rel, grantTimeout(m.EP.P))
 			switch {
 			case !ok && how.alive:
 				// Delivery unknown, but the old placement still works: take
@@ -307,7 +319,7 @@ func (m *Monitor) releaseOld(p *sim.Proc, a *Allocation, inc int64, how replacem
 func (m *Monitor) relocate(recipient fabric.NodeID, rel *relocateReq) letter {
 	return letter{
 		to: recipient, kind: kindRelocate, size: 64, req: rel,
-		timeout: m.GrantTimeout, retried: "recover.relocate_retried",
+		timeout: grantTimeout(m.EP.P), retried: "recover.relocate_retried",
 		stale: func() bool {
 			a, live := m.rat[rel.AllocID]
 			return !live || a.Donor != rel.NewDonor || a.DonorBase != rel.NewDonorBase
@@ -338,7 +350,7 @@ func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) 
 	if a.Kind == Memory && !m.out.send(p, letter{
 		to: a.Recipient, kind: kindRevoke, size: 32,
 		req:     &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size},
-		timeout: m.GrantTimeout, retried: "recover.revoke_retried",
+		timeout: grantTimeout(m.EP.P), retried: "recover.revoke_retried",
 	}) {
 		m.Stats.Add(either(how.alive, "preempt.revoke_lost", "recover.revoke_lost"), 1)
 	}
@@ -353,11 +365,11 @@ func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) 
 // keeping the root's delegation table truthful. No-op for non-delegated
 // rows and on flat clusters.
 func (m *Monitor) notifyDelegateMoved(p *sim.Proc, a *Allocation, gone bool) {
-	if a.Deleg == 0 || !m.HasUpstream {
+	if a.Deleg == 0 || !m.hasUpstream {
 		return
 	}
 	mv := &delegateMovedReq{DelegID: a.Deleg, Donor: a.Donor, DonorBase: a.DonorBase, Gone: gone}
-	if _, ok := m.EP.CallTimeout(p, m.Upstream, kindDelegateMoved, 32, mv, m.GrantTimeout); !ok {
+	if _, ok := m.EP.CallTimeout(p, m.upstream, kindDelegateMoved, 32, mv, grantTimeout(m.EP.P)); !ok {
 		m.Stats.Add("recover.delegatemoved_lost", 1)
 	}
 }

@@ -148,7 +148,7 @@ func TestReplaceOutcomes(t *testing.T) {
 			r.eng.RunFor(1 * sim.Second)
 			var resp *AllocResp
 			r.nodes[4].Run("alloc", func(p *sim.Proc) {
-				resp = r.nodes[4].EP.Call(p, 0, kindAlloc, 16, &AllocReq{Res: DevAccelerator}).(*AllocResp)
+				resp, _ = Alloc(p, r.nodes[4].EP, 0, AllocReq{Res: DevAccelerator}, 0)
 			})
 			r.eng.RunFor(1 * sim.Second)
 			if !resp.OK || resp.Donor != 5 {

@@ -97,10 +97,6 @@ type Root struct {
 	// SweepInterval is the root recovery loop's scan period; it defaults
 	// to half the rackbeat timeout.
 	SweepInterval sim.Dur
-	// GrantTimeout bounds one RPC into a sub-MN or an agent. A delegate
-	// call wraps a whole donor walk on the sub, so delegation calls use a
-	// small multiple of it.
-	GrantTimeout sim.Dur
 
 	racks       map[int]*RackStatus
 	dels        map[int]*Delegation
@@ -134,7 +130,6 @@ func NewRoot(ep *transport.Endpoint) *Root {
 	rt := &Root{
 		EP:              ep,
 		RackBeatTimeout: 3 * sim.Second,
-		GrantTimeout:    10*ep.P.HotplugOp + sim.Millisecond,
 		racks:           make(map[int]*RackStatus),
 		dels:            make(map[int]*Delegation),
 		nextDelegID:     1,
@@ -268,8 +263,8 @@ func (rt *Root) donorRacks(exclude int, res Resource, amount uint64) []*RackStat
 }
 
 // delegateTimeout bounds one delegate call: the sub's donor walk can
-// itself burn a few GrantTimeouts on dying candidates.
-func (rt *Root) delegateTimeout() sim.Dur { return 3 * rt.GrantTimeout }
+// itself burn a few grant timeouts on dying candidates.
+func (rt *Root) delegateTimeout() sim.Dur { return 3 * grantTimeout(rt.EP.P) }
 
 // rootBorrowCandidates caps how many racks one borrow election may try.
 // The cap keeps the root's worst case (rootBorrowCandidates delegate
@@ -479,23 +474,7 @@ func (rt *Root) onDelegateMoved(from fabric.NodeID, req any) (any, int) {
 // Like Monitor.StartRecovery, the loop keeps the event queue alive
 // forever; drive such engines with RunFor or step-until-done.
 func (rt *Root) StartRecovery() {
-	if rt.sweepOn {
-		return
-	}
-	rt.sweepOn = true
-	interval := rt.SweepInterval
-	if interval <= 0 {
-		interval = rt.RackBeatTimeout / 2
-		if interval <= 0 {
-			interval = sim.Second
-		}
-	}
-	rt.EP.Eng.Go("root-mn-recovery", func(p *sim.Proc) {
-		for rt.sweepOn {
-			p.Sleep(interval)
-			rt.sweep(p)
-		}
-	})
+	startLoop(rt.EP.Eng, "root-mn-recovery", &rt.sweepOn, sweepEvery(rt.SweepInterval, rt.RackBeatTimeout), rt.sweep)
 }
 
 // StopRecovery ends the root loop after the current sweep.
@@ -569,7 +548,7 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 			if d.Kind == Memory && !rt.out.send(p, letter{
 				to: d.Recipient, kind: kindRevoke, size: 32,
 				req:     &revokeReq{AllocID: d.SubAllocID, RecipientBase: d.RecipientBase, Size: d.Size},
-				timeout: rt.GrantTimeout, retried: "root.revoke_retried",
+				timeout: grantTimeout(rt.EP.P), retried: "root.revoke_retried",
 			}) {
 				rt.Stats.Add("root.revoke_lost", 1)
 			}
@@ -587,7 +566,7 @@ func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
 func (rt *Root) deliverRelocate(p *sim.Proc, d *Delegation, rel *relocateReq) {
 	if !rt.out.send(p, letter{
 		to: d.Recipient, kind: kindRelocate, size: 64, req: rel,
-		timeout: rt.GrantTimeout, retried: "root.relocate_retried",
+		timeout: grantTimeout(rt.EP.P), retried: "root.relocate_retried",
 		stale: func() bool {
 			cur, live := rt.dels[d.ID]
 			return !live || cur.Donor != rel.NewDonor || cur.SubAllocID != rel.AllocID
@@ -610,13 +589,13 @@ func (rt *Root) deliverRelocate(p *sim.Proc, d *Delegation, rel *relocateReq) {
 // it begins reporting rack-level state (aggregate idle bytes, live node
 // count) to the root MN at root, and enables escalation of requests its
 // rack cannot serve. The first beat is staggered past every agent's
-// first heartbeat so the initial report carries real idle figures.
+// first heartbeat so the initial report carries real idle figures. A
+// second call does nothing.
 func (m *Monitor) StartRackBeat(root fabric.NodeID, rack int, interval sim.Dur) {
-	m.Upstream, m.HasUpstream, m.Rack = root, true, rack
-	if m.rackBeatOn {
+	if m.hasUpstream {
 		return
 	}
-	m.rackBeatOn = true
+	m.upstream, m.hasUpstream, m.rack = root, true, rack
 	if interval <= 0 {
 		interval = sim.Second
 	}
@@ -659,7 +638,7 @@ func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 			}
 		}
 	}
-	b := &rackBeat{Rack: m.Rack, Sub: m.EP.ID, IdleBytes: idle, Live: live, Devices: devs}
+	b := &rackBeat{Rack: m.rack, Sub: m.EP.ID, IdleBytes: idle, Live: live, Devices: devs}
 	for _, s := range m.tst {
 		if s.HasUtil {
 			b.HasUtil = true
@@ -668,7 +647,7 @@ func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 			}
 		}
 	}
-	if _, ok := m.EP.CallTimeout(p, m.Upstream, kindRackBeat, 64, b, interval); !ok {
+	if _, ok := m.EP.CallTimeout(p, m.upstream, kindRackBeat, 64, b, interval); !ok {
 		m.Stats.Add("rackbeats.lost", 1)
 	}
 	m.Stats.Add("rackbeats", 1)
@@ -676,9 +655,9 @@ func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 
 // borrowTimeout bounds one escalation round trip. It must exceed the
 // root's bounded worst case — rootBorrowCandidates delegate calls of
-// 3×GrantTimeout each — so that when escalate gives up, the root's
+// 3×grantTimeout each — so that when escalate gives up, the root's
 // election has provably finished and a cancellation is authoritative.
-func (m *Monitor) borrowTimeout() sim.Dur { return 8 * m.GrantTimeout }
+func (m *Monitor) borrowTimeout() sim.Dur { return 8 * grantTimeout(m.EP.P) }
 
 // escalate forwards a request the rack cannot serve to the root MN and,
 // on success, records the recipient-facing alloc-id → delegation-id
@@ -696,9 +675,9 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 		m.nextAllocID++
 		key = uint64(id)
 	}
-	req := &rackBorrowReq{Rack: m.Rack, Recipient: from, AllocReq: *r}
+	req := &rackBorrowReq{Rack: m.rack, Recipient: from, AllocReq: *r}
 	req.Size, req.WindowBase = size, key
-	raw, ok := m.EP.CallTimeout(p, m.Upstream, kindRackBorrow, 64, req, m.borrowTimeout())
+	raw, ok := m.EP.CallTimeout(p, m.upstream, kindRackBorrow, 64, req, m.borrowTimeout())
 	if !ok {
 		// The response is lost (or the root outran our patience, which
 		// the rootBorrowCandidates bound rules out): the borrow may have
@@ -708,9 +687,9 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 		// leak a delegation forever.
 		m.Stats.Add("alloc.upstream_timeouts", 1)
 		if !m.out.send(p, letter{
-			to: m.Upstream, kind: kindBorrowCancel, size: 32,
+			to: m.upstream, kind: kindBorrowCancel, size: 32,
 			req:     &borrowCancelReq{Recipient: from, RecipientBase: key, Res: r.Res},
-			timeout: m.GrantTimeout, retried: "alloc.cancel_retried",
+			timeout: grantTimeout(m.EP.P), retried: "alloc.cancel_retried",
 		}) {
 			m.Stats.Add("alloc.cancel_lost", 1)
 		}
@@ -770,7 +749,7 @@ func (m *Monitor) admitDelegate(p *sim.Proc, r *delegateReq) bool {
 	if dec, _ := m.decide(r.Res, r.Size, r.Class); dec == tenancy.Admit {
 		return true
 	}
-	if r.Class > tenancy.Preemptible && m.Admission.Preempt && m.preempt(p, r.Recipient, r.Res, r.Size, r.Class) {
+	if r.Class > tenancy.Preemptible && m.preempt(p, r.Recipient, r.Res, r.Size, r.Class) {
 		dec, _ := m.decide(r.Res, r.Size, r.Class)
 		return dec == tenancy.Admit
 	}

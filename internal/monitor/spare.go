@@ -122,7 +122,7 @@ func (m *Monitor) carveSpare(donor fabric.NodeID) {
 	m.EP.Eng.Go("mn-spare", func(p *sim.Proc) {
 		defer func() { m.sparePending[donor]-- }()
 		raw, ok := m.EP.CallTimeout(p, donor, kindSpareCarve, 32,
-			&regionReq{Size: m.spareSize}, m.GrantTimeout)
+			&regionReq{Size: m.spareSize}, grantTimeout(m.EP.P))
 		if !ok {
 			// Outcome unknown (donor died mid-carve). Unlike a grant there
 			// is no recipient key to cancel by; if the donor comes back
@@ -160,7 +160,7 @@ func (m *Monitor) replacementBacking(p *sim.Proc, cand *Registration, a *Allocat
 	if sp, found := m.takeSpare(cand.Node, a.Size); found {
 		att := a.region(sp.base)
 		inc := m.incarnationOf(cand.Node)
-		raw, delivered := m.EP.CallTimeout(p, cand.Node, kindSpareAttach, 64, att, m.GrantTimeout)
+		raw, delivered := m.EP.CallTimeout(p, cand.Node, kindSpareAttach, 64, att, grantTimeout(m.EP.P))
 		switch {
 		case !delivered:
 			// The donor died mid-attach and the export may or may not have

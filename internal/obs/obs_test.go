@@ -281,7 +281,6 @@ func TestCollectorPreemptedEvent(t *testing.T) {
 			tenancy.Standard:    {ReserveFrac: 0.75, MaxWait: sim.Millisecond, SLOMult: 8},
 			tenancy.Latency:     {ReserveFrac: 1.0, SLOMult: 4},
 		},
-		Preempt: true,
 	}
 	cl := core.NewCluster(core.Config{
 		Topology: &topo, NodeMemBytes: 32 << 20,

@@ -385,10 +385,9 @@ func runTier(cfg Config) (*Result, error) {
 	if cfg.Tenants < 0 {
 		return nil, fmt.Errorf("serving: Tenants must be non-negative, got %d", cfg.Tenants)
 	}
-	p := sim.Default()
 	// The baseline runs with agents effectively silent (one beat during
 	// warm-up populates the RRT); the telemetry plane needs live beats.
-	ccfg := core.Config{Params: &p, Topology: &topo, StartAgents: true,
+	ccfg := core.Config{Topology: &topo, StartAgents: true,
 		Seed: tierClusterSeed, HeartbeatInterval: 30 * sim.Second}
 	if cfg.Migrate {
 		ccfg.Migrate = true

@@ -56,16 +56,3 @@ func TestXeonIsFasterAcrossTheBoard(t *testing.T) {
 		t.Error("Xeon-class SSD should be faster than SD storage")
 	}
 }
-
-func TestCycleTime(t *testing.T) {
-	p := Default()
-	ct := p.CycleTime()
-	if ct < 1490 || ct > 1510 {
-		// 1/0.667 GHz ≈ 1.499 ns — stored in ns so rounds to 1 or 2?
-		// CycleTime returns Dur(1/0.667) = Dur(1.499...) truncated to 1ns.
-		// Accept the truncation: the assertion documents the behavior.
-		if ct != 1*Nanosecond {
-			t.Fatalf("CycleTime = %v", ct)
-		}
-	}
-}

@@ -130,7 +130,3 @@ func (p *Proc) Sleep(d Dur) {
 	p.unparkAfter(d)
 	p.park()
 }
-
-// Yield lets every other event and process scheduled at the current
-// instant run before this process continues.
-func (p *Proc) Yield() { p.Sleep(0) }

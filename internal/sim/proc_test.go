@@ -92,7 +92,7 @@ func TestProcYieldOrdersWithEvents(t *testing.T) {
 	e.Go("p", func(p *Proc) {
 		trace = append(trace, "p1")
 		e.Schedule(0, func() { trace = append(trace, "ev") })
-		p.Yield()
+		p.Sleep(0)
 		trace = append(trace, "p2")
 	})
 	e.Run()

@@ -72,15 +72,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomly permutes the first n elements using swap, mirroring
-// math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fork derives an independent generator from this one, for handing a
 // private stream to a subcomponent without coupling their sequences.
 func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }

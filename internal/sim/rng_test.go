@@ -126,18 +126,3 @@ func TestZipfUniformDegenerate(t *testing.T) {
 		}
 	}
 }
-
-func TestRNGShuffle(t *testing.T) {
-	r := NewRNG(17)
-	s := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	seen := make([]bool, len(s))
-	for _, v := range s {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("shuffle lost element %d: %v", i, s)
-		}
-	}
-}

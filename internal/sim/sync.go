@@ -79,13 +79,6 @@ func (p *Proc) Await(c *Completion) {
 	p.park()
 }
 
-// AwaitAll blocks p until every completion in cs is done.
-func (p *Proc) AwaitAll(cs ...*Completion) {
-	for _, c := range cs {
-		p.Await(c)
-	}
-}
-
 // Group counts outstanding work, like sync.WaitGroup but for simulated
 // processes. Construct with NewGroup.
 type Group struct {
@@ -211,17 +204,6 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	return v
 }
 
-// TryPop removes the head item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := popHead(&q.items)
-	wakeOne(&q.pushers)
-	return v, true
-}
-
 // Semaphore is a counted resource with FIFO queuing, used to model
 // exclusive or limited hardware resources (DMA engines, accelerator
 // slots, outstanding-request limits).
@@ -248,20 +230,8 @@ func (s *Semaphore) Acquire(p *Proc) {
 	s.n--
 }
 
-// TryAcquire takes a permit without blocking and reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.n == 0 {
-		return false
-	}
-	s.n--
-	return true
-}
-
 // Release returns one permit and wakes a waiter if any.
 func (s *Semaphore) Release() {
 	s.n++
 	wakeOne(&s.waiters)
 }
-
-// Available reports the free permit count.
-func (s *Semaphore) Available() int { return s.n }

@@ -55,7 +55,6 @@ func orderPolicy() *tenancy.Config {
 			tenancy.Standard:    {ReserveFrac: 0.75, MaxWait: sim.Millisecond, SLOMult: 8},
 			tenancy.Latency:     {ReserveFrac: 1.0, SLOMult: 4},
 		},
-		Preempt: true,
 	}
 }
 

@@ -108,16 +108,14 @@ type Limits struct {
 	SLOMult float64
 }
 
-// Config is the admission controller's policy: per-class limits plus
-// the preemption switch. A nil *Config on the monitor plane disables
-// admission entirely.
+// Config is the admission controller's policy: per-class limits. A
+// Standard or Latency request that would otherwise be rejected revokes
+// Preemptible-class leases instead. A nil *Config on the monitor plane
+// disables admission entirely.
 type Config struct {
 	// PerClass is indexed by Class. The ClassNone entry is ignored —
 	// untagged requests bypass admission.
 	PerClass [NumClasses]Limits
-	// Preempt allows Standard/Latency requests that would otherwise be
-	// rejected to revoke Preemptible-class leases instead.
-	Preempt bool
 }
 
 // PollInterval is how often a queued request re-evaluates pressure
@@ -136,7 +134,6 @@ func Default() *Config {
 			Standard:    {ReserveFrac: 0.85, MaxWait: 2 * sim.Millisecond, DegradeFrac: 0.5, SLOMult: 8},
 			Latency:     {ReserveFrac: 1.0, SLOMult: 4},
 		},
-		Preempt: true,
 	}
 }
 

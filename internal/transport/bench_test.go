@@ -48,7 +48,7 @@ func BenchmarkCall(b *testing.B) {
 	r := newLineRig(b)
 	r.ep[1].HandleCall("echo", func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
 	a := r.ep[0]
-	benchOps(b, r, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) })
+	benchOps(b, r, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, 0) })
 }
 
 // BenchmarkCallInline measures one blocking RPC served by an inline
@@ -57,5 +57,5 @@ func BenchmarkCallInline(b *testing.B) {
 	r := newLineRig(b)
 	r.ep[1].HandleInline("echo", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
 	a := r.ep[0]
-	benchOps(b, r, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) })
+	benchOps(b, r, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, 0) })
 }

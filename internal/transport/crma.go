@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fabric"
@@ -42,7 +43,6 @@ type crmaPosted struct {
 // RAMTEntry is one row of the Remote Address Mapping Table (Fig. 8):
 // local window base/size mapped onto a remote node's physical region.
 type RAMTEntry struct {
-	Valid      bool
 	LocalBase  uint64
 	Size       uint64
 	Node       fabric.NodeID
@@ -58,16 +58,14 @@ type RAMTEntry struct {
 
 // contains reports whether addr falls inside the entry's local window.
 func (e *RAMTEntry) contains(addr uint64) bool {
-	return e.Valid && addr >= e.LocalBase && addr < e.LocalBase+e.Size
+	return addr >= e.LocalBase && addr < e.LocalBase+e.Size
 }
 
 // CRMAStats counts CRMA channel activity.
 type CRMAStats struct {
 	Fills        int64
 	Writes       int64
-	Posted       int64
 	Served       int64 // requests serviced for remote nodes (donor role)
-	Unexported   int64 // requests dropped at the donor for lack of an export (rebooted donor)
 	Replayed     int64 // in-flight accesses re-issued after a window retarget
 	DeadAccesses int64 // accesses to a revoked (dead) window, completed with poison
 }
@@ -155,11 +153,11 @@ func (c *CRMA) Map(localBase, size uint64, donor fabric.NodeID, remoteBase uint6
 		return nil, fmt.Errorf("crma: zero-size mapping")
 	}
 	for _, e := range c.ramt {
-		if e.Valid && localBase < e.LocalBase+e.Size && e.LocalBase < localBase+size {
+		if localBase < e.LocalBase+e.Size && e.LocalBase < localBase+size {
 			return nil, fmt.Errorf("crma: window [%#x,%#x) overlaps existing entry", localBase, localBase+size)
 		}
 	}
-	e := &RAMTEntry{Valid: true, LocalBase: localBase, Size: size, Node: donor, RemoteBase: remoteBase}
+	e := &RAMTEntry{LocalBase: localBase, Size: size, Node: donor, RemoteBase: remoteBase}
 	c.ramt = append(c.ramt, e)
 	return e, nil
 }
@@ -167,13 +165,21 @@ func (c *CRMA) Map(localBase, size uint64, donor fabric.NodeID, remoteBase uint6
 // Export installs the donor-side mapping that accepts requests from a
 // recipient for local region [localBase, localBase+size).
 func (c *CRMA) Export(recipient fabric.NodeID, recipientBase, size, localBase uint64) *RAMTEntry {
-	e := &RAMTEntry{Valid: true, LocalBase: recipientBase, Size: size, Node: recipient, RemoteBase: localBase}
+	e := &RAMTEntry{LocalBase: recipientBase, Size: size, Node: recipient, RemoteBase: localBase}
 	c.exports = append(c.exports, e)
 	return e
 }
 
-// Unmap invalidates a requester-side entry after cleanup (stop-sharing).
-func (c *CRMA) Unmap(e *RAMTEntry) { e.Valid = false }
+// Unmap removes an entry Map or Export installed from the table that
+// holds it (stop-sharing). The other entries keep their order, so every
+// first-match lookup finds the entry it found before.
+func (c *CRMA) Unmap(e *RAMTEntry) {
+	if i := slices.Index(c.ramt, e); i >= 0 {
+		c.ramt = slices.Delete(c.ramt, i, i+1)
+	} else if i := slices.Index(c.exports, e); i >= 0 {
+		c.exports = slices.Delete(c.exports, i, i+1)
+	}
+}
 
 // Reset wipes the channel's soft state — every mapping, every export,
 // every pending access — modeling the node rebooting: the RAMT is
@@ -242,7 +248,7 @@ func (c *CRMA) ReplayWindow(base, size uint64) int {
 // process stays parked on a donor that will never answer.
 func (c *CRMA) KillWindow(base, size uint64) {
 	for _, e := range c.ramt {
-		if e.Valid && e.LocalBase == base && e.Size == size {
+		if e.LocalBase == base && e.Size == size {
 			e.Dead = true
 		}
 	}
@@ -322,7 +328,6 @@ func (c *CRMA) Write(p *sim.Proc, addr uint64, size int) {
 // other channels — exactly the semantics the collaboration design needs
 // for credit updates.
 func (c *CRMA) PostWrite(dst fabric.NodeID, addr uint64, size int, note any) {
-	c.Stats.Posted++
 	m := crmaPosted{addr: addr, size: size, note: note}
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic, func() {
 		send(&c.posts, c.ep, dst, "crma.post", 16+size, m)
@@ -347,7 +352,6 @@ func (c *CRMA) handleReq(pkt *fabric.Packet, m *crmaReq) {
 		// A rebooted donor forgot its exports: drop the request (the
 		// requester's lease will be re-placed by the Monitor Node and the
 		// access replayed) instead of crashing the simulation.
-		c.Stats.Unexported++
 		return
 	}
 	c.Stats.Served++

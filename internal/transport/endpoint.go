@@ -62,7 +62,6 @@ type Endpoint struct {
 	calls     map[string]callHandler
 	pending   map[uint64]*rpcCall
 	nextID    uint64
-	rpcKinds  map[string]string // call kind -> "rpc."+kind, built once per kind
 	callRecs  freeList[rpcCall]
 	serveRecs freeList[rpcService]
 	reqWires  wireList[rpcReq]
@@ -269,7 +268,6 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		handlers: make(map[string]Handler),
 		calls:    make(map[string]callHandler),
 		pending:  make(map[uint64]*rpcCall),
-		rpcKinds: make(map[string]string),
 	}
 	ep.callRecs.fresh = func() *rpcCall {
 		c := &rpcCall{ep: ep, done: sim.NewCompletion(eng)}
@@ -309,21 +307,14 @@ func (ep *Endpoint) SendRaw(dst fabric.NodeID, kind string, size int, payload an
 	ep.Net.Send(&fabric.Packet{Src: ep.ID, Dst: dst, Kind: kind, Size: size, Payload: payload})
 }
 
-// Call performs a blocking RPC to kind on dst: request of reqSize bytes,
-// response produced by the remote CallHandler. It is the control-plane
-// primitive used by the resource-management runtime; data-plane traffic
-// uses the three channels directly.
-func (ep *Endpoint) Call(p *sim.Proc, dst fabric.NodeID, kind string, reqSize int, body any) any {
-	resp, _ := ep.CallTimeout(p, dst, kind, reqSize, body, 0)
-	return resp
-}
-
-// CallTimeout is Call with a deadline: if no response arrives within
-// timeout (of virtual time), it returns (nil, false) and a late response
-// is silently dropped. A timeout of zero waits forever. This is what
-// lets the resource-management runtime survive peers that crash while
-// servicing a request — a plain Call to a dead node parks its caller
-// permanently.
+// CallTimeout performs a blocking RPC to kind on dst: a request of
+// reqSize bytes, answered by the handler registered for kind there. It
+// is the control-plane primitive of the resource-management runtime;
+// data-plane traffic uses the three channels directly. If no response
+// arrives within timeout (of virtual time), it returns (nil, false) and
+// a late response is silently dropped; this is what lets the runtime
+// survive peers that crash while servicing a request. A timeout of zero
+// waits forever, which parks the caller for good if dst is dead.
 func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur) (any, bool) {
 	call := ep.call(dst, kind, reqSize, body, timeout, nil)
 	p.Await(call.done)
@@ -349,23 +340,11 @@ func (ep *Endpoint) call(dst fabric.NodeID, kind string, reqSize int, body any, 
 	c.done.Rearm()
 	c.timedOut, c.then = false, then
 	ep.pending[c.id] = c
-	send(&ep.reqWires, ep, dst, ep.rpcKind(kind), reqSize, rpcReq{id: c.id, kind: kind, body: body})
+	send(&ep.reqWires, ep, dst, "rpc.req", reqSize, rpcReq{id: c.id, kind: kind, body: body})
 	if timeout > 0 {
 		c.watchdog = ep.Eng.ScheduleCancelable(timeout, c.onTimeout)
 	}
 	return c
-}
-
-// rpcKind returns the packet kind, and service proc name, of a call
-// kind: "rpc."+kind, built the first time the kind is seen rather than
-// on every call.
-func (ep *Endpoint) rpcKind(kind string) string {
-	k, ok := ep.rpcKinds[kind]
-	if !ok {
-		k = "rpc." + kind
-		ep.rpcKinds[kind] = k
-	}
-	return k
 }
 
 // deliver demultiplexes an arriving packet to its channel or handler,
@@ -415,9 +394,9 @@ func (ep *Endpoint) handleResp(m *rpcResp) {
 	}
 }
 
-// handleRPC services a call and replies: in a process of its own, or,
-// for an inline handler, in an event scheduled exactly where that
-// process's first resume would have been.
+// handleRPC services a call and replies: in a process of its own, named
+// by the call's kind, or, for an inline handler, in an event scheduled
+// exactly where that process's first resume would have been.
 func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 	h, ok := ep.calls[req.kind]
 	if !ok {
@@ -429,7 +408,7 @@ func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 		ep.Eng.Schedule(0, s.runInline)
 		return
 	}
-	ep.Eng.Spawn(ep.rpcKind(req.kind), s.run)
+	ep.Eng.Spawn(req.kind, s.run)
 }
 
 // deliverQP routes an arriving QPair message to its local queue pair.

@@ -61,7 +61,7 @@ func TestRAMTTranslationProperty(t *testing.T) {
 	prop := func(baseSeed, off uint64, szPow uint8) bool {
 		size := uint64(1) << (12 + szPow%16) // 4 KiB .. 128 MiB
 		localBase := (baseSeed % (1 << 40)) &^ 0xFFF
-		e := &RAMTEntry{Valid: true, LocalBase: localBase, Size: size,
+		e := &RAMTEntry{LocalBase: localBase, Size: size,
 			Node: 1, RemoteBase: 0x4000_0000}
 		if !e.contains(localBase + off%size) {
 			return false
@@ -104,7 +104,9 @@ func TestCRMAFillCompletionProperty(t *testing.T) {
 				size := 64 * (1 + rng.Intn(4))
 				cs = append(cs, a.CRMA.FillAsync(addr, size))
 			}
-			pr.AwaitAll(cs...)
+			for _, c := range cs {
+				pr.Await(c)
+			}
 			for _, c := range cs {
 				if !c.Done() {
 					ok = false

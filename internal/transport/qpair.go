@@ -57,8 +57,6 @@ func (c QPairConfig) creditBatch() int { return max(1, c.Window/4) }
 type QPairStats struct {
 	Sent        int64
 	Received    int64
-	BytesSent   int64
-	BytesRecv   int64
 	OutOfOrder  int64
 	CreditStall sim.Dur // total time the sender spent blocked on credits
 	CreditsSent int64
@@ -140,7 +138,6 @@ func (q *QPair) sendHW(p *sim.Proc, size int, data any) {
 		q.Stats.CreditStall += q.ep.Eng.Now().Sub(t0)
 	}
 	q.Stats.Sent++
-	q.Stats.BytesSent += int64(size)
 	m := &qpMsg{dstQID: q.dst, seq: q.sendSeq, size: size, data: data, sent: q.ep.Eng.Now()}
 	q.sendSeq++
 	q.ep.Eng.Schedule(q.ep.P.QPairDoor, func() {
@@ -172,7 +169,6 @@ func (q *QPair) arrive(pkt *fabric.Packet, m *qpMsg) {
 func (q *QPair) release(from fabric.NodeID, m *qpMsg) {
 	q.expectSeq++
 	q.Stats.Received++
-	q.Stats.BytesRecv += int64(m.size)
 	lat := q.ep.Eng.Now().Sub(m.sent)
 	q.recvQ.TryPush(&Message{From: from, Size: m.size, Data: m.data, Latency: lat})
 }

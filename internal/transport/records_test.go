@@ -397,9 +397,9 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 		{"crma-write", 1, func(p *sim.Proc) { a.CRMA.Write(p, winBase, 64) }},
 		{"rdma-read", 1, func(p *sim.Proc) { a.RDMA.Read(p, 1, oldBase, bulk) }},
 		{"rdma-write", 1, func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, bulk) }},
-		{"call", 0, func(p *sim.Proc) { a.Call(p, 1, "echo", 8, nil) }},
+		{"call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, 0) }},
 		{"call-timeout", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, sim.Millisecond) }},
-		{"inline-call", 0, func(p *sim.Proc) { a.Call(p, 1, "echo-inline", 8, nil) }},
+		{"inline-call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo-inline", 8, nil, 0) }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -452,7 +452,7 @@ func TestHeldWiresAreNotReused(t *testing.T) {
 				a.CRMA.Fill(p, winBase, 64)
 				a.CRMA.Write(p, winBase, 64)
 				a.RDMA.Read(p, 1, oldBase, 2*r.p.RDMAChunk)
-				a.Call(p, 1, "echo", 8, nil)
+				a.CallTimeout(p, 1, "echo", 8, nil, 0)
 			}
 		})
 		r.eng.Run()
@@ -501,7 +501,7 @@ func serviceSlotLog(t *testing.T, register func(ep *Endpoint, h InlineHandler)) 
 		})
 	})
 	r.eng.Go("caller", func(p *sim.Proc) {
-		if resp := r.ep[0].Call(p, 1, "probe", 8, "ping"); resp != "ping" {
+		if resp, _ := r.ep[0].CallTimeout(p, 1, "probe", 8, "ping", 0); resp != "ping" {
 			t.Errorf("call answered %v, want ping", resp)
 		}
 		note("reply")

@@ -123,6 +123,44 @@ func TestCRMALookupTranslateUnmap(t *testing.T) {
 	}
 }
 
+// TestCRMAUnmapEmptiesTables checks that Unmap deletes an entry from the
+// table that holds it, the recipient's RAMT or the donor's export list,
+// so lookups scan only the windows a node still holds. Windows go in
+// scrambled order, and between unmaps every live window must still
+// resolve to its own entry on both sides.
+func TestCRMAUnmapEmptiesTables(t *testing.T) {
+	r := newRig(t)
+	const n, size = 8, uint64(0x1000)
+	base := func(i int) uint64 { return 0x1_0000_0000 + uint64(i)*size }
+	maps, exports := make([]*RAMTEntry, n), make([]*RAMTEntry, n)
+	for i := range n {
+		e, err := r.a.CRMA.Map(base(i), size, 1, uint64(i)*size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps[i], exports[i] = e, r.b.CRMA.Export(0, base(i), size, uint64(i)*size)
+	}
+	for _, i := range []int{3, 0, 7, 1, 6, 2, 5, 4} {
+		r.a.CRMA.Unmap(maps[i])
+		r.b.CRMA.Unmap(exports[i])
+		maps[i], exports[i] = nil, nil
+		for j := range n {
+			got, ok := r.a.CRMA.Lookup(base(j))
+			if maps[j] == nil && ok || maps[j] != nil && got != maps[j] {
+				t.Fatalf("after unmapping window %d, RAMT lookup of window %d = %v, %v", i, j, got, ok)
+			}
+			got, ok = r.b.CRMA.lookupExport(0, base(j))
+			if exports[j] == nil && ok || exports[j] != nil && got != exports[j] {
+				t.Fatalf("after unmapping window %d, export lookup of window %d = %v, %v", i, j, got, ok)
+			}
+		}
+	}
+	if len(r.a.CRMA.ramt) != 0 || len(r.b.CRMA.exports) != 0 {
+		t.Fatalf("tables keep %d RAMT entries and %d exports after every window was unmapped",
+			len(r.a.CRMA.ramt), len(r.b.CRMA.exports))
+	}
+}
+
 func TestCRMAUnmappedAccessPanics(t *testing.T) {
 	r := newRig(t)
 	defer func() {
@@ -339,7 +377,7 @@ func TestEndpointRPC(t *testing.T) {
 	})
 	var resp any
 	r.eng.Go("caller", func(p *sim.Proc) {
-		resp = r.a.Call(p, 1, "echo", 64, "hi")
+		resp, _ = r.a.CallTimeout(p, 1, "echo", 64, "hi", 0)
 	})
 	r.eng.Run()
 	if resp != "hi!" {
