@@ -33,7 +33,8 @@
 //	             [-pace 0] [-heartbeat 15s] [-snapshot 100ms]
 //
 // A scenario that fails (a bad flag value, a lost request) shuts the
-// HTTP server down cleanly and exits 1; SIGTERM or SIGINT exits 0.
+// HTTP server down cleanly and exits 1; a non-positive -heartbeat
+// exits 1 before listening; SIGTERM or SIGINT exits 0.
 package main
 
 import (
@@ -69,6 +70,11 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "SSE keepalive period on /events")
 	snapshot := flag.Duration("snapshot", 100*time.Millisecond, "minimum wall-clock interval between /state snapshots")
 	flag.Parse()
+	if *heartbeat <= 0 {
+		// time.NewTicker panics on a non-positive period, which would drop
+		// every /events client mid-stream.
+		log.Fatalf("venice-serve: -heartbeat %v: the SSE keepalive period must be positive", *heartbeat)
+	}
 
 	s := newServer(*heartbeat)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -123,7 +123,15 @@ func TestBaselineCommandsMatchCI(t *testing.T) {
 // Proc.Yield, Queue.TryPop, Semaphore.TryAcquire and Params.CycleTime
 // (Await each completion; Sleep(0)). RNG.Shuffle and
 // Semaphore.Available are gone as well but not listed: their names
-// would match unrelated calls. The gate rejects both a surviving use
+// would match unrelated calls. Mechanisms only tests reached are gone
+// too: core's MN-less lease kinds DirectMemory and DirectSwap with
+// their WithDonor option (every lease comes from a grant; an experiment
+// that bypasses the MN wires its CRMA window itself, as fig14's
+// donor-impact hammer does), and chaos's MTTF/MTTR fault streams
+// NodeFault, LinkFault and BeatFault with the heartbeat-loss ops BeatOff
+// and BeatOn (a fault plan is a list of actions). A constant used as a
+// value is neither a call nor a literal, so these names fail the gate
+// wherever they appear as a word. The gate rejects both a surviving use
 // and a reintroduced definition — deleting dead code only sticks if
 // nothing can quietly grow it back.
 func TestAPIFreeze(t *testing.T) {
@@ -135,8 +143,9 @@ func TestAPIFreeze(t *testing.T) {
 		`ServingSmoke|ChurnSmoke|ScaleSmoke|MigrateSmoke|Call|AwaitAll|Yield|TryPop|TryAcquire|CycleTime`
 	deprecated := regexp.MustCompile(`\.(` + names + `)[({]`)
 	redefined := regexp.MustCompile(`^(func (\([^)]*\) )?|type )(` + names + `)\b`)
+	named := regexp.MustCompile(`\b(DirectMemory|DirectSwap|WithDonor|NodeFault|LinkFault|BeatFault|BeatOff|BeatOn)\b`)
 	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments",
-		"internal/sim", "internal/transport", "bench_test.go"} {
+		"internal/sim", "internal/transport", "internal/chaos", "bench_test.go"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -154,6 +163,9 @@ func TestAPIFreeze(t *testing.T) {
 				}
 				if redefined.MatchString(line) {
 					t.Errorf("%s:%d: reintroduces a deleted entry point: %s", path, i+1, strings.TrimSpace(line))
+				}
+				if m := named.FindString(line); m != "" {
+					t.Errorf("%s:%d: names deleted %q — see TestAPIFreeze's doc for what replaces it", path, i+1, m)
 				}
 			}
 			return nil

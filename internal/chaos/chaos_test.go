@@ -1,116 +1,12 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
-
-// TestCompileDeterministic: the same schedule compiles to the identical
-// action list every time — the property that keeps churn trials
-// byte-identical under harness parallelism.
-func TestCompileDeterministic(t *testing.T) {
-	s := Schedule{
-		Seed:    42,
-		Horizon: 100 * sim.Millisecond,
-		Nodes:   []NodeFault{{Node: 2, MTTF: 10 * sim.Millisecond, MTTR: 2 * sim.Millisecond}},
-		Links:   []LinkFault{{A: 0, B: 1, MTTF: 7 * sim.Millisecond, MTTR: 1 * sim.Millisecond}},
-		Beats:   []BeatFault{{Node: 3, MTTF: 20 * sim.Millisecond, MTTR: 5 * sim.Millisecond}},
-	}
-	a, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 {
-		t.Fatal("schedule compiled to nothing")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("action %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// A different seed moves the instants.
-	s.Seed = 43
-	c, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced the identical schedule")
-	}
-}
-
-// TestCompilePrefixStable: adding a fault stream must not disturb the
-// instants of the streams declared before it.
-func TestCompilePrefixStable(t *testing.T) {
-	base := Schedule{
-		Seed:    7,
-		Horizon: 50 * sim.Millisecond,
-		Nodes:   []NodeFault{{Node: 1, MTTF: 5 * sim.Millisecond, MTTR: 1 * sim.Millisecond}},
-	}
-	a, err := base.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown := base
-	grown.Nodes = append(grown.Nodes, NodeFault{Node: 2, MTTF: 5 * sim.Millisecond, MTTR: 1 * sim.Millisecond})
-	b, err := grown.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("prefix action %d moved after growing the schedule: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestCompileBounds: Count and Horizon both bound recurring streams, and
-// an unbounded stream with no horizon is rejected.
-func TestCompileBounds(t *testing.T) {
-	s := Schedule{
-		Seed:  1,
-		Nodes: []NodeFault{{Node: 0, MTTF: sim.Millisecond, MTTR: sim.Millisecond, Count: 3}},
-	}
-	acts, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acts) != 6 {
-		t.Fatalf("3 cycles should give 6 actions, got %d", len(acts))
-	}
-	s.Nodes[0].Count = 0
-	if _, err := s.Compile(); err == nil {
-		t.Fatal("unbounded stream with no horizon must be rejected")
-	}
-	s.Horizon = 10 * sim.Millisecond
-	acts, err = s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range acts {
-		if a.Op == NodeDown && a.At > s.Horizon {
-			t.Fatalf("fault injected at %v, past horizon %v", a.At, s.Horizon)
-		}
-	}
-}
 
 // TestRollingShape: rolling churn alternates nodes, one outage at a
 // time.
@@ -176,5 +72,35 @@ func TestInstallDrivesFabric(t *testing.T) {
 	}
 	if in.Trace[0].At != sim.Time(0).Add(1*sim.Millisecond) {
 		t.Fatalf("first action applied at %v, want 1ms", in.Trace[0].At)
+	}
+}
+
+// TestInstallRejectsUnknownOp: a plan holding an op no injector knows
+// is refused whole, before any of it is scheduled, rather than
+// accepted and left to panic when the engine reaches the action.
+func TestInstallRejectsUnknownOp(t *testing.T) {
+	eng := sim.New()
+	defer eng.Close()
+	p := sim.Default()
+	net := fabric.NewNetwork(eng, &p, fabric.Mesh3D(2, 2, 1), sim.NewRNG(1))
+	in := New(eng, net, nil)
+	n, err := in.Install(Schedule{
+		Actions: []Action{
+			{At: 1 * sim.Millisecond, Op: NodeDown, Node: 2},
+			{At: 2 * sim.Millisecond, Op: "node-flap", Node: 3},
+		},
+	})
+	if err == nil || n != 0 {
+		t.Fatalf("install: n=%d err=%v, want 0 and an error", n, err)
+	}
+	if !strings.Contains(err.Error(), `"node-flap"`) {
+		t.Errorf("error %q does not name the unknown op", err)
+	}
+	if got := eng.Pending(); got != 0 {
+		t.Fatalf("%d events scheduled by a rejected plan, want 0", got)
+	}
+	eng.RunFor(3 * sim.Millisecond)
+	if net.NodeDown(2) || len(in.Trace) != 0 {
+		t.Fatalf("a rejected plan acted: node 2 down=%v, trace %v", net.NodeDown(2), in.Trace)
 	}
 }

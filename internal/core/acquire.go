@@ -42,7 +42,7 @@ func (c *plane) Observe(fn Observer) (cancel func()) { return c.hub.observe(fn) 
 // Acquire obtains one resource through the recipient's Monitor Node —
 // on a rack-scale plane its rack sub-MN, escalated across the spine by
 // the root MN when the rack cannot (or, under ScopeRemoteRack, must
-// not) serve it — or directly, for the Direct kinds. See Plane.
+// not) serve it. See Plane.
 func (c *plane) Acquire(p *sim.Proc, req Request) (Lease, error) {
 	// Mint the lease's trace id before the first attempt, so a failed
 	// acquire and the grant it finally becomes share one span chain.
@@ -101,18 +101,15 @@ func (c *plane) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
 	if err := r.validate(c.hier); err != nil {
 		return nil, err
 	}
-	l := lease{kind: r.Kind, recipient: r.On, allocID: -1, trace: r.tags.Trace, plane: c}
-	if !r.Kind.direct() {
-		mn, err := c.broker(r.On)
-		if err != nil {
-			return nil, err
-		}
-		l.mn = mn
+	mn, err := c.broker(r.On)
+	if err != nil {
+		return nil, err
 	}
+	l := lease{kind: r.Kind, recipient: r.On, mn: mn, trace: r.tags.Trace, plane: c}
 	switch r.Kind {
-	case Memory, DirectMemory:
+	case Memory:
 		return acquireMemory(p, r, l)
-	case Swap, DirectSwap:
+	case Swap:
 		return acquireSwap(p, r, l)
 	case Accel:
 		return acquireAccel(p, r, l)
@@ -156,7 +153,7 @@ type lease struct {
 	// lease's granted bytes and recipient-side window base (swap has no
 	// window), one unit and no window for a device.
 	size, window uint64
-	allocID      int           // -1 for direct (MN-less) attachments
+	allocID      int           // the grant's row in its MN's RAT
 	mn           fabric.NodeID // the MN (or sub-MN) that brokered the lease
 	trace        uint64
 	plane        *plane
@@ -176,37 +173,17 @@ func (l *lease) Kind() Kind { return l.kind }
 // events to stay aimed.
 func (l *lease) Donor() fabric.NodeID { return l.donor }
 
-// back obtains the donor region a memory or swap lease rests on:
-// granted by the broker, or for the direct kinds hot-removed straight
-// from the request's donor, whose side is driven directly rather than
-// via its agent (the controlled configuration of the §4.2 latency
-// studies). It stamps the donor, size and alloc id on the record and
+// back obtains from the broker the donor region a memory or swap lease
+// rests on. It stamps the donor, size and alloc id on the record and
 // returns the region's donor-local base; win is the grant's
 // recipient-side window.
 func (l *lease) back(p *sim.Proc, r Request, win uint64) (uint64, error) {
-	if !r.Kind.direct() {
-		resp, err := grantVia(p, r, l.mn, monitor.Memory, win)
-		if err != nil {
-			return 0, err
-		}
-		l.donor, l.size, l.allocID = resp.Donor, resp.Granted, resp.AllocID
-		return resp.DonorBase, nil
-	}
-	base, err := r.donor.MemMgr.HotRemove(p, r.Size)
+	resp, err := grantVia(p, r, l.mn, monitor.Memory, win)
 	if err != nil {
-		// A drained donor is the direct-path analogue of "no donor with
-		// enough idle bytes": transient, so WithRetry engages.
-		what := "attach"
-		if r.Kind == DirectSwap {
-			what = "swap attach"
-		}
-		return 0, fmt.Errorf("core: direct %s: %w: %w", what, err, ErrUnavailable)
+		return 0, err
 	}
-	if r.Kind == DirectMemory {
-		r.donor.EP.CRMA.Export(r.On.ID, win, r.Size, base)
-	}
-	l.donor, l.size = r.donor.ID, r.Size
-	return base, nil
+	l.donor, l.size, l.allocID = resp.Donor, resp.Granted, resp.AllocID
+	return resp.DonorBase, nil
 }
 
 // event stamps an event of type t with the lease's fields.
@@ -215,22 +192,15 @@ func (l *lease) event(p *sim.Proc, t EventType) Event {
 		Recipient: l.recipient.ID, Donor: l.donor, Size: l.size, Window: l.window}
 }
 
-// granted announces the grant of r. Only brokered grants carry the
-// request's tenant: direct attachments never cross admission.
+// granted announces the grant of r, with the request's tenant.
 func (l *lease) granted(p *sim.Proc, r Request) {
 	ev := l.event(p, LeaseGranted)
-	if l.allocID >= 0 {
-		ev.Tenant, ev.Class = r.tags.Tenant, r.tags.Class
-	}
+	ev.Tenant, ev.Class = r.tags.Tenant, r.tags.Class
 	l.plane.hub.emit(ev)
 }
 
-// free returns a brokered lease's allocation row to its MN.
-func (l *lease) free(p *sim.Proc) {
-	if l.allocID >= 0 {
-		monitor.Free(p, l.recipient.EP, l.mn, l.allocID)
-	}
-}
+// free returns the lease's allocation row to its MN.
+func (l *lease) free(p *sim.Proc) { monitor.Free(p, l.recipient.EP, l.mn, l.allocID) }
 
 // released announces a voluntary release.
 func (l *lease) released(p *sim.Proc) { l.plane.hub.emit(l.event(p, LeaseReleased)) }

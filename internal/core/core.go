@@ -25,8 +25,8 @@ type Config struct {
 	Topology     *fabric.Topology // nil: Mesh3D(2,2,2)
 	NodeMemBytes uint64           // 0: 1 GiB
 	Seed         uint64           // 0: 1
-	// StartAgents launches heartbeat daemons on every node (required for
-	// MN-brokered sharing; controlled experiments may skip them).
+	// StartAgents launches heartbeat daemons on every node. Without them
+	// the MN learns of no donor, so the cluster can grant nothing.
 	StartAgents bool
 	// HeartbeatInterval overrides the agents' default period when >0.
 	HeartbeatInterval sim.Dur

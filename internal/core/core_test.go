@@ -21,15 +21,6 @@ func acquireMem(p *sim.Proc, c Plane, n *node.Node, size uint64, opts ...Option)
 	return l.(*MemoryLease), nil
 }
 
-// attachDirect wires a donor-named CRMA attachment, MN not involved.
-func attachDirect(p *sim.Proc, c Plane, n, donor *node.Node, size uint64) (*MemoryLease, error) {
-	l, err := c.Acquire(p, NewRequest(DirectMemory, n, size, WithDonor(donor)))
-	if err != nil {
-		return nil, err
-	}
-	return l.(*MemoryLease), nil
-}
-
 func defaultCluster(t *testing.T) *Cluster {
 	t.Helper()
 	c := NewCluster(Config{StartAgents: true})
@@ -107,32 +98,6 @@ func TestLeaseReleaseReturnsMemory(t *testing.T) {
 	c.RunFor(60 * sim.Second)
 	if n := len(c.MN.Allocations()); n != 0 {
 		t.Fatalf("RAT rows after release = %d", n)
-	}
-}
-
-func TestAttachMemoryDirectSkipsMN(t *testing.T) {
-	c := NewCluster(Config{}) // no agents needed
-	defer c.Close()
-	recipient, donor := c.Node(0), c.Node(1)
-	var fills int64
-	recipient.Run("direct", func(p *sim.Proc) {
-		lease, err := attachDirect(p, c, recipient, donor, 256<<20)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 16; i++ {
-			recipient.Mem.Read(p, lease.WindowBase+uint64(i)*4096, 64)
-		}
-		recipient.Mem.Flush(p)
-		fills = recipient.EP.CRMA.Stats.Fills
-	})
-	c.Run()
-	if fills != 16 {
-		t.Fatalf("fills = %d, want 16", fills)
-	}
-	if got := c.MN.Stats.Get("alloc.memory"); got != 0 {
-		t.Fatalf("MN involved in direct attach: %d", got)
 	}
 }
 
@@ -242,19 +207,18 @@ func TestAttachNICViaMN(t *testing.T) {
 }
 
 func TestAdaptiveLibraryPicksChannels(t *testing.T) {
-	c := NewCluster(Config{})
-	defer c.Close()
-	recipient, donor := c.Node(0), c.Node(1)
-	// The donor-side queue is unbounded and flow control is off, so no
-	// sink process is needed for sends to complete.
-	qa, _ := transport.ConnectQPair(recipient.EP, donor.EP, transport.QPairConfig{})
+	c := defaultCluster(t)
+	recipient := c.Node(7)
 	var usedCRMA, usedRDMA, usedQP transport.Channel
 	recipient.Run("adaptive", func(p *sim.Proc) {
-		lease, err := attachDirect(p, c, recipient, donor, 128<<20)
+		lease, err := acquireMem(p, c, recipient, 128<<20)
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		// The donor-side queue is unbounded and flow control is off, so no
+		// sink process is needed for sends to complete.
+		qa, _ := transport.ConnectQPair(recipient.EP, c.Nodes[lease.Donor()].EP, transport.QPairConfig{})
 		ad := NewAdaptive(recipient, lease, qa)
 		usedCRMA = ad.Get(p, 0, 64, transport.PatternRandom)
 		usedRDMA = ad.Get(p, 4096, 1<<20, transport.PatternContiguous)

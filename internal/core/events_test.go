@@ -55,7 +55,7 @@ func TestLeaseEventStream(t *testing.T) {
 	advertiseFarm(t, flat.Node(2), flat.Agents[2])
 	flat.RunFor(10 * sim.Millisecond)
 	flat.Observe(record)
-	app, direct := flat.Node(7), flat.Node(5)
+	app := flat.Node(7)
 	client := accel.NewClient(app)
 	runOn(t, flat.Eng, app, func(p *sim.Proc) {
 		for _, req := range []Request{
@@ -63,8 +63,6 @@ func TestLeaseEventStream(t *testing.T) {
 			NewRequest(Swap, app, 32<<20),
 			NewRequest(Accel, app, 0, WithClient(client)),
 			NewRequest(NIC, app, 0),
-			NewRequest(DirectMemory, app, 16<<20, WithDonor(direct)),
-			NewRequest(DirectSwap, app, 16<<20, WithDonor(direct)),
 			NewRequest(Memory, app, 8<<20, WithTenant(42, tenancy.Standard)),
 		} {
 			cycle(t, p, flat, req)
@@ -134,13 +132,9 @@ func TestLeaseEventStream(t *testing.T) {
 		`released accelerator at=22077005 trace=3 recipient=7 donor=2 old=0 size=1 window=0x0 tenant=0 class=none err=""`,
 		`granted nic at=22085789 trace=4 recipient=7 donor=2 old=0 size=1 window=0x0 tenant=0 class=none err=""`,
 		`released nic at=22094456 trace=4 recipient=7 donor=2 old=0 size=1 window=0x0 tenant=0 class=none err=""`,
-		`granted direct-memory at=26094456 trace=5 recipient=7 donor=5 old=0 size=16777216 window=0x46000000 tenant=0 class=none err=""`,
-		`released direct-memory at=28094456 trace=5 recipient=7 donor=5 old=0 size=16777216 window=0x46000000 tenant=0 class=none err=""`,
-		`granted direct-swap at=30094456 trace=6 recipient=7 donor=5 old=0 size=16777216 window=0x0 tenant=0 class=none err=""`,
-		`released direct-swap at=30094456 trace=6 recipient=7 donor=5 old=0 size=16777216 window=0x0 tenant=0 class=none err=""`,
-		`granted memory at=34109634 trace=7 recipient=7 donor=3 old=0 size=8388608 window=0x47000000 tenant=42 class=standard err=""`,
-		`released memory at=38124233 trace=7 recipient=7 donor=3 old=0 size=8388608 window=0x47000000 tenant=0 class=none err=""`,
-		`acquire-failed memory at=38124233 trace=8 recipient=7 donor=0 old=0 size=0 window=0x0 tenant=0 class=none err="invalid request: zero-size memory request"`,
+		`granted memory at=26109634 trace=5 recipient=7 donor=3 old=0 size=8388608 window=0x46000000 tenant=42 class=standard err=""`,
+		`released memory at=30124233 trace=5 recipient=7 donor=3 old=0 size=8388608 window=0x46000000 tenant=0 class=none err=""`,
+		`acquire-failed memory at=30124233 trace=6 recipient=7 donor=0 old=0 size=0 window=0x0 tenant=0 class=none err="invalid request: zero-size memory request"`,
 		`granted memory at=34012173 trace=1 recipient=1 donor=5 old=0 size=67108864 window=0x40000000 tenant=0 class=none err=""`,
 		`released memory at=38023858 trace=1 recipient=1 donor=5 old=0 size=67108864 window=0x40000000 tenant=0 class=none err=""`,
 		`granted swap at=40036031 trace=2 recipient=1 donor=5 old=0 size=33554432 window=0x0 tenant=0 class=none err=""`,

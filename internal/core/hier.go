@@ -199,16 +199,6 @@ func (c *HierCluster) rackMN(on *node.Node) (fabric.NodeID, error) {
 // Node returns node i.
 func (c *HierCluster) Node(i int) *node.Node { return c.Nodes[i] }
 
-// RackOf reports the rack of a node (panics for spine switches — they
-// host no workloads).
-func (c *HierCluster) RackOf(n *node.Node) int {
-	r, ok := c.Hier.RackOf(n.ID)
-	if !ok {
-		panic(fmt.Sprintf("core: node %v is a spine switch, not a rack member", n.ID))
-	}
-	return r
-}
-
 // RunFor advances virtual time by d.
 func (c *HierCluster) RunFor(d sim.Dur) { c.Eng.RunFor(d) }
 

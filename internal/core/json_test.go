@@ -15,7 +15,7 @@ import (
 // trip field-for-field. External consumers (venice-serve's /events and
 // /trace endpoints) depend on these names staying fixed.
 func TestEventJSONRoundTrip(t *testing.T) {
-	kinds := []Kind{Memory, Swap, Accel, NIC, DirectMemory, DirectSwap}
+	kinds := []Kind{Memory, Swap, Accel, NIC}
 	for _, k := range kinds {
 		b, err := json.Marshal(k)
 		if err != nil {
@@ -95,8 +95,6 @@ func TestEventTypeStringsStable(t *testing.T) {
 		Swap.String():               "swap",
 		Accel.String():              "accelerator",
 		NIC.String():                "nic",
-		DirectMemory.String():       "direct-memory",
-		DirectSwap.String():         "direct-swap",
 	}
 	for got, exp := range want {
 		if got != exp {

@@ -11,8 +11,7 @@ import (
 // MemoryLease is a live remote-memory borrow: a hot-plugged window on
 // the recipient backed by a donor region over the CRMA channel. Accesses
 // to the window are ordinary loads and stores — no special API (§5.2.1).
-// It satisfies Lease; acquire one with Kind Memory (MN-brokered) or
-// DirectMemory (explicit donor, no MN).
+// It satisfies Lease; acquire one with Kind Memory.
 type MemoryLease struct {
 	lease
 	WindowBase uint64
@@ -29,9 +28,8 @@ type MemoryLease struct {
 // Window reports the hot-plugged recipient-side window.
 func (l *MemoryLease) Window() (base, size uint64) { return l.WindowBase, l.Size }
 
-// acquireMemory runs the Fig. 2 flow for Memory and DirectMemory: pick
-// the hot-plug window, back it with a donor region (see lease.back),
-// and mount the region over CRMA.
+// acquireMemory runs the Fig. 2 flow: pick the hot-plug window, back it
+// with a donor region (see lease.back), and mount the region over CRMA.
 func acquireMemory(p *sim.Proc, r Request, l lease) (Lease, error) {
 	l.window = r.On.NextHotplugWindow(r.Size)
 	base, err := l.back(p, r, l.window)
@@ -42,7 +40,7 @@ func acquireMemory(p *sim.Proc, r Request, l lease) (Lease, error) {
 	// sized for the full request, so the smaller region has room to spare.
 	ml, err := mountCRMA(p, l, base)
 	if err != nil {
-		// A brokered grant committed MN-side (RAT row live, donor region
+		// The grant committed MN-side (RAT row live, donor region
 		// hot-removed); a recipient-side mount failure must hand it back
 		// or the donor's memory leaks untracked.
 		l.free(p)
@@ -73,8 +71,7 @@ func mountCRMA(p *sim.Proc, l lease, donorBase uint64) (*MemoryLease, error) {
 }
 
 // Release tears the lease down: invalidate the mapping, drop the region,
-// flush stale cache lines, and (for MN-brokered leases) return the
-// memory to the donor.
+// flush stale cache lines, and return the memory to the donor.
 func (l *MemoryLease) Release(p *sim.Proc) {
 	n := l.recipient
 	n.Mem.AS.Remove(l.region)

@@ -17,10 +17,9 @@ import (
 
 // This file is the unified resource-plane surface: one typed Acquire
 // entry point over every resource the paper shares — remote memory
-// (CRMA), swap (RDMA block device), accelerators, NICs, and the MN-less
-// direct attachments of the §4.2 latency studies — implemented by both
-// the flat Cluster and the rack-scale HierCluster, so scenario code is
-// written once and runs on either plane.
+// (CRMA), swap (RDMA block device), accelerators and NICs — implemented
+// by both the flat Cluster and the rack-scale HierCluster, so scenario
+// code is written once and runs on either plane.
 
 // Kind selects the resource class of a Request.
 type Kind int
@@ -38,13 +37,6 @@ const (
 	Accel
 	// NIC is an MN-brokered remote NIC attachment (§5.2.3).
 	NIC
-	// DirectMemory wires a memory borrow between two specific nodes
-	// without the Monitor Node — the controlled configuration of the
-	// §4.2 latency studies. The request must carry WithDonor.
-	DirectMemory
-	// DirectSwap is the MN-less form of Swap. The request must carry
-	// WithDonor.
-	DirectSwap
 )
 
 // String names the kind.
@@ -59,7 +51,6 @@ func (k Kind) String() string {
 // single source the JSON codec round-trips through.
 var kindNames = map[Kind]string{
 	Memory: "memory", Swap: "swap", Accel: "accelerator", NIC: "nic",
-	DirectMemory: "direct-memory", DirectSwap: "direct-swap",
 }
 
 // MarshalJSON serializes the kind as its String name, so wire consumers
@@ -87,15 +78,6 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	}
 	return fmt.Errorf("core: unknown kind %q", name)
 }
-
-// memoryKind reports whether k leases bytes (as opposed to a device
-// unit).
-func (k Kind) memoryKind() bool {
-	return k == Memory || k == Swap || k == DirectMemory || k == DirectSwap
-}
-
-// direct reports whether k bypasses the Monitor Node.
-func (k Kind) direct() bool { return k == DirectMemory || k == DirectSwap }
 
 // RetryPolicy shapes WithRetry: how many times an Acquire is attempted
 // and how long to back off between attempts. Only transient failures
@@ -125,10 +107,8 @@ type Request struct {
 
 	// Option-carried fields (see With*).
 	scope     monitor.AllocScope
-	hasScope  bool
 	device    int
 	hasDevice bool
-	donor     *node.Node
 	client    *accel.Client
 	timeout   sim.Dur
 	retry     RetryPolicy
@@ -163,7 +143,7 @@ func (r Request) With(opts ...Option) Request {
 // kinds alike. Flat planes have no racks, so any explicit scope other
 // than ScopeAny is a validation error there.
 func WithScope(scope monitor.AllocScope) Option {
-	return func(r *Request) { r.scope, r.hasScope = scope, true }
+	return func(r *Request) { r.scope = scope }
 }
 
 // WithDevice selects the donor-side device id — the accelerator mailbox
@@ -183,12 +163,6 @@ func WithTimeout(d sim.Dur) Option {
 // timeout) on the given schedule.
 func WithRetry(policy RetryPolicy) Option {
 	return func(r *Request) { r.retry = policy }
-}
-
-// WithDonor names the donor node of a DirectMemory/DirectSwap request
-// (direct attachments bypass the MN's donor election).
-func WithDonor(donor *node.Node) Option {
-	return func(r *Request) { r.donor = donor }
 }
 
 // WithClient supplies the accelerator library client an Accel request
@@ -246,16 +220,16 @@ func (r *Request) validate(hier bool) error {
 	if r.On == nil {
 		return fmt.Errorf("%w: no recipient node", ErrBadRequest)
 	}
-	switch {
-	case r.Kind.memoryKind():
+	switch r.Kind {
+	case Memory, Swap:
 		if r.Size == 0 {
 			return fmt.Errorf("%w: zero-size %s request", ErrBadRequest, r.Kind)
 		}
-	case r.Kind == Accel:
+	case Accel:
 		if r.client == nil {
 			return fmt.Errorf("%w: accelerator request needs WithClient", ErrBadRequest)
 		}
-	case r.Kind == NIC:
+	case NIC:
 		// Nothing kind-specific beyond the shared option checks below.
 	default:
 		return fmt.Errorf("%w: unknown kind %s", ErrBadRequest, r.Kind)
@@ -270,44 +244,18 @@ func (r *Request) validate(hier bool) error {
 			return fmt.Errorf("%w: accelerator client on a %s request", ErrBadRequest, r.Kind)
 		}
 	}
-	if r.Kind.direct() {
-		if r.donor == nil {
-			return fmt.Errorf("%w: %s request needs WithDonor", ErrBadRequest, r.Kind)
-		}
-		if r.donor == r.On {
-			return fmt.Errorf("%w: %s donor and recipient are the same node", ErrBadRequest, r.Kind)
-		}
-		if r.timeout > 0 {
-			return fmt.Errorf("%w: WithTimeout on a %s request (direct attaches make no monitor round trip)", ErrBadRequest, r.Kind)
-		}
-	} else if r.donor != nil {
-		return fmt.Errorf("%w: WithDonor on a %s request (the MN elects donors)", ErrBadRequest, r.Kind)
-	}
-	if r.hasScope {
-		// Placement scopes steer the MN's donor election — the memory walk
-		// and the device walk both consult them; direct attachments have
-		// no election to steer.
-		if r.Kind.direct() {
-			return fmt.Errorf("%w: placement scope on a %s request", ErrBadRequest, r.Kind)
-		}
-		if !hier && r.scope != monitor.ScopeAny {
-			return fmt.Errorf("%w: placement scope on a flat plane (no racks)", ErrBadRequest)
-		}
+	// Placement scopes steer the MN's donor election — the memory walk
+	// and the device walk both consult them.
+	if !hier && r.scope != monitor.ScopeAny {
+		return fmt.Errorf("%w: placement scope on a flat plane (no racks)", ErrBadRequest)
 	}
 	if r.tags.Latency && r.Kind != Memory && r.Kind != Swap {
 		// The traffic class steers the MN's migration loop, which only
 		// manages memory rows.
 		return fmt.Errorf("%w: latency-sensitive class on a %s request", ErrBadRequest, r.Kind)
 	}
-	if r.tags.Class != tenancy.ClassNone {
-		// Tenancy classes gate the MN's admission controller; direct
-		// attachments never cross the MN.
-		if r.Kind.direct() {
-			return fmt.Errorf("%w: tenant class on a %s request", ErrBadRequest, r.Kind)
-		}
-		if r.tags.Class >= tenancy.NumClasses {
-			return fmt.Errorf("%w: unknown tenant class %d", ErrBadRequest, uint8(r.tags.Class))
-		}
+	if r.tags.Class >= tenancy.NumClasses {
+		return fmt.Errorf("%w: unknown tenant class %d", ErrBadRequest, uint8(r.tags.Class))
 	}
 	return nil
 }
@@ -318,8 +266,8 @@ func (r *Request) validate(hier bool) error {
 // surfaces (a memory window's base, a swap device, an accelerator
 // handle, a VNIC).
 type Lease interface {
-	// Release returns the resource to its donor (and, for MN-brokered
-	// leases, clears the allocation row).
+	// Release returns the resource to its donor and clears its
+	// allocation row.
 	Release(p *sim.Proc)
 	// Kind reports the resource class this lease was acquired as.
 	Kind() Kind
@@ -440,14 +388,12 @@ type Event struct {
 	Type EventType `json:"type"`
 	// Kind is the resource class. Events forwarded from monitor
 	// recovery (revoked, failed-over) cannot tell Memory from Swap —
-	// the MN accounts both as memory rows — and report Memory for both;
-	// DirectMemory/DirectSwap likewise surface their own recovery only
-	// through core (direct leases are invisible to the MN).
+	// the MN accounts both as memory rows — and report Memory for both.
 	Kind Kind     `json:"kind"`
 	At   sim.Time `json:"at_ns"`
 	// Trace is the lease's trace id, minted when its Acquire started and
 	// carried by every later transition of the same lease (through the
-	// MN's allocation row for brokered leases), so one lease's
+	// MN's allocation row), so one lease's
 	// acquire→grant→migrate→failover→release history is a queryable span
 	// chain. 0 only for events predating the id (never on this surface).
 	Trace uint64 `json:"trace"`
@@ -521,8 +467,8 @@ func (h *eventHub) emit(ev Event) {
 // forwardRecovery is every MN's recovery-event sink: it carries the
 // MN's revocations, failovers, migrations and preemptions onto the
 // plane's stream. Grants and frees the plane emits itself, at the
-// Acquire/Release call sites, where the true kind (memory vs swap,
-// direct or not) is still known.
+// Acquire/Release call sites, where the true kind (memory vs swap) is
+// still known.
 func (h *eventHub) forwardRecovery(ev monitor.LeaseEvent) {
 	var t EventType
 	switch ev.Type {

@@ -16,7 +16,6 @@ import (
 func TestRequestValidation(t *testing.T) {
 	c := defaultCluster(t)
 	on := c.Node(7)
-	donor := c.Node(3)
 	client := accel.NewClient(on)
 
 	cases := []struct {
@@ -29,20 +28,13 @@ func TestRequestValidation(t *testing.T) {
 		{"nil recipient", NewRequest(Memory, nil, 4096), "no recipient"},
 		{"zero size memory", NewRequest(Memory, on, 0), "zero-size"},
 		{"zero size swap", NewRequest(Swap, on, 0), "zero-size"},
-		{"zero size direct", NewRequest(DirectMemory, on, 0, WithDonor(donor)), "zero-size"},
 		{"scope on flat plane", NewRequest(Memory, on, 4096, WithScope(monitor.ScopeLocalRack)), "flat plane"},
 		{"device id on memory", NewRequest(Memory, on, 4096, WithDevice(1)), "device id"},
 		{"device id on nic", NewRequest(NIC, on, 0, WithDevice(1)), "device id"},
 		{"client on memory", NewRequest(Memory, on, 4096, WithClient(client)), "client"},
 		{"accel without client", NewRequest(Accel, on, 0), "WithClient"},
 		{"client on nic", NewRequest(NIC, on, 0, WithClient(client)), "client"},
-		{"direct without donor", NewRequest(DirectMemory, on, 4096), "WithDonor"},
-		{"direct swap without donor", NewRequest(DirectSwap, on, 4096), "WithDonor"},
-		{"direct self-donation", NewRequest(DirectMemory, on, 4096, WithDonor(on)), "same node"},
-		{"donor on brokered", NewRequest(Memory, on, 4096, WithDonor(donor)), "WithDonor"},
-		{"scope on direct", NewRequest(DirectMemory, on, 4096, WithDonor(donor), WithScope(monitor.ScopeLocalRack)), "direct"},
 		{"scope on accel", NewRequest(Accel, on, 0, WithClient(client), WithScope(monitor.ScopeRemoteRack)), "scope"},
-		{"timeout on direct", NewRequest(DirectMemory, on, 4096, WithDonor(donor), WithTimeout(sim.Millisecond)), "WithTimeout"},
 	}
 	var failures int
 	c.Observe(func(ev Event) {
@@ -80,29 +72,6 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if failures != len(cases) {
 		t.Fatalf("observer saw %d acquire-failed events, want %d", failures, len(cases))
-	}
-}
-
-// TestDirectAttachDrainedDonorIsUnavailable: a direct attach against a
-// donor with no idle memory fails with the transient class — the same
-// ErrUnavailable the brokered donor walk reports — so WithRetry and
-// errors.Is checks behave identically on both paths.
-func TestDirectAttachDrainedDonorIsUnavailable(t *testing.T) {
-	c := NewCluster(Config{})
-	defer c.Close()
-	recipient, donor := c.Node(0), c.Node(1)
-	if err := donor.MemMgr.Reserve(donor.MemMgr.Idle()); err != nil {
-		t.Fatal(err)
-	}
-	done := recipient.Run("drained", func(p *sim.Proc) {
-		_, err := c.Acquire(p, NewRequest(DirectMemory, recipient, 64<<20, WithDonor(donor)))
-		if !errors.Is(err, ErrUnavailable) {
-			t.Errorf("drained direct attach: err = %v, want ErrUnavailable", err)
-		}
-	})
-	c.Run()
-	if !done.Done() {
-		t.Fatal("drained direct attach wedged")
 	}
 }
 

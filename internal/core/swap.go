@@ -10,8 +10,7 @@ import (
 // SwapLease is remote memory used as swap space (§5.2.1): a donor region
 // reached through the high-performance virtual block device over the
 // RDMA channel. The recipient mounts it under a Paged backend. It
-// satisfies Lease; acquire one with Kind Swap (MN-brokered) or
-// DirectSwap (explicit donor, no MN).
+// satisfies Lease; acquire one with Kind Swap.
 type SwapLease struct {
 	lease
 	DonorBase uint64
@@ -25,16 +24,12 @@ func (l *SwapLease) Window() (base, size uint64) { return 0, l.Size }
 
 // acquireSwap backs a swap lease with a donor region (see lease.back)
 // and wraps the region in the remote-swap block device. Nothing is
-// mapped at a brokered lease's hot-plug window, but reserving one gives
-// the grant its recipient-unique key: the donor's agent files exports
-// by (recipient, window), so two swap leases from one donor must not
-// share one. A direct lease exports nothing and takes no window.
+// mapped at the lease's hot-plug window, but reserving one gives the
+// grant its recipient-unique key: the donor's agent files exports by
+// (recipient, window), so two swap leases from one donor must not share
+// one.
 func acquireSwap(p *sim.Proc, r Request, l lease) (Lease, error) {
-	var win uint64
-	if !r.Kind.direct() {
-		win = r.On.NextHotplugWindow(r.Size)
-	}
-	base, err := l.back(p, r, win)
+	base, err := l.back(p, r, r.On.NextHotplugWindow(r.Size))
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +51,7 @@ func (l *SwapLease) Mount(base, regionSize uint64, residentPages int) (*memsys.P
 	return paged, nil
 }
 
-// Release returns the donor memory (for MN-brokered leases).
+// Release returns the donor memory.
 func (l *SwapLease) Release(p *sim.Proc) {
 	l.free(p)
 	l.released(p)

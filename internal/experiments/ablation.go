@@ -9,9 +9,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// Ablations sweep the design choices DESIGN.md calls out: how much each
-// mechanism contributes to the headline results. They are exploratory
-// (the paper does not report them) but use only the paper's machinery.
+// Ablations sweep four design choices behind the headline results (the
+// MSHR count, swap readahead, the QPair credit window and the transfer
+// granularity) to show how much each contributes; EXPERIMENTS.md,
+// "Ablations", records the findings. They are exploratory (the paper
+// does not report them) but use only the paper's machinery.
 
 // Seeds for the four ablations' rig streams, unchanged from the
 // sequential code.

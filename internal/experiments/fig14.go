@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/harness"
+	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -158,43 +158,47 @@ func (r *Fig14Result) String() string { return r.Table.String() }
 // fig14Donor measures a donor's own Connected Components job with or
 // without a recipient hammering borrowed memory (§7.1 reports the
 // serving impact is negligible because the sharing traffic is
-// insignificant). The hammer attaches through the plane's DirectMemory
-// kind — the MN-less §4.2 configuration, on the same Acquire surface
-// (and lifecycle event stream) as every brokered lease.
+// insignificant). The hammer wires its window without the Monitor Node,
+// the controlled configuration of the §4.2 latency studies: the donor
+// hot-removes the region and exports it, and the recipient maps it and
+// hot-plugs it.
 func fig14Donor(withTraffic bool, seed uint64) sim.Dur {
-	run := func(withTraffic bool) sim.Dur {
-		topo := fabric.Pair()
-		c := core.NewCluster(core.Config{Topology: &topo,
-			NodeMemBytes: 4 << 30, Seed: seed})
-		defer c.Close()
-		local, donor := c.Node(0), c.Node(1)
-		// Donor runs CC on its own memory.
-		g := workloads.GenUniform(sim.NewRNG(5), 20000, 8)
-		g.Place(workloads.NewArena(0, 8<<20), workloads.NewArena(8<<20, 32<<20),
-			workloads.NewArena(48<<20, 8<<20))
-		var ccTime sim.Dur
-		ccDone := donor.Run("cc", func(pr *sim.Proc) {
-			t0 := pr.Now()
-			workloads.ConnectedComponents(pr, donor.Mem, g)
-			ccTime = pr.Now().Sub(t0)
+	p := sim.Default()
+	rig := newPair(&p, seed)
+	defer rig.close()
+	local, donor := rig.Local, rig.Donor
+	// Donor runs CC on its own memory.
+	g := workloads.GenUniform(sim.NewRNG(5), 20000, 8)
+	g.Place(workloads.NewArena(0, 8<<20), workloads.NewArena(8<<20, 32<<20),
+		workloads.NewArena(48<<20, 8<<20))
+	var ccTime sim.Dur
+	ccDone := donor.Run("cc", func(pr *sim.Proc) {
+		t0 := pr.Now()
+		workloads.ConnectedComponents(pr, donor.Mem, g)
+		ccTime = pr.Now().Sub(t0)
+	})
+	if withTraffic {
+		// The recipient hammers borrowed donor memory meanwhile.
+		local.Run("hammer", func(pr *sim.Proc) {
+			const size = 64 << 20
+			win := local.NextHotplugWindow(size)
+			base, err := donor.MemMgr.HotRemove(pr, size)
+			if err != nil {
+				panic(err)
+			}
+			donor.EP.CRMA.Export(local.ID, win, size, base)
+			if _, err := local.EP.CRMA.Map(win, size, donor.ID, base); err != nil {
+				panic(err)
+			}
+			mustAdd(rig, &memsys.Region{Base: win, Size: size,
+				Backend: &memsys.CRMARemote{CRMA: local.EP.CRMA, Donor: donor.ID}})
+			pr.Sleep(p.HotplugOp) // the recipient's hot-plug (Fig. 10 step 2)
+			rng := sim.NewRNG(6)
+			for !ccDone.Done() {
+				local.Mem.Read(pr, win+uint64(rng.Intn(size))&^63, 64)
+			}
 		})
-		if withTraffic {
-			// The recipient hammers borrowed donor memory meanwhile.
-			local.Run("hammer", func(pr *sim.Proc) {
-				lease, err := c.Acquire(pr, core.NewRequest(core.DirectMemory, local, 64<<20,
-					core.WithDonor(donor)))
-				if err != nil {
-					panic(err)
-				}
-				win, _ := lease.Window()
-				rng := sim.NewRNG(6)
-				for !ccDone.Done() {
-					local.Mem.Read(pr, win+uint64(rng.Intn(64<<20))&^63, 64)
-				}
-			})
-		}
-		c.Run()
-		return ccTime
 	}
-	return run(withTraffic)
+	rig.Eng.Run()
+	return ccTime
 }

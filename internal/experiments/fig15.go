@@ -83,7 +83,8 @@ func fig15Workload(name string, mode fig15Mode, seed uint64) sim.Dur {
 	p := sim.Default()
 	// The prototype's Linux swap path on the 667 MHz A9 is far heavier
 	// than the x86 default used elsewhere; calibrated against the
-	// paper's Fig. 15 RDMA-vs-local-swap gap (§6 of DESIGN.md).
+	// paper's Fig. 15 RDMA-vs-local-swap gap (EXPERIMENTS.md, "Fig. 15",
+	// records where it lands).
 	p.PageFaultSW = 400 * sim.Microsecond
 	rig := newPair(&p, seed)
 	defer rig.close()

@@ -90,9 +90,6 @@ func (n *Network) links(fn func(*Link)) {
 	}
 }
 
-// Nodes reports the number of nodes.
-func (n *Network) Nodes() int { return n.Topo.N }
-
 // SetDelivery registers the local-port handler for node id.
 func (n *Network) SetDelivery(id NodeID, fn DeliverFunc) { n.switches[id].local = fn }
 

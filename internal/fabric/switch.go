@@ -60,9 +60,6 @@ func newSwitch(eng *sim.Engine, p *sim.Params, id NodeID, next []int32) *Switch 
 	return s
 }
 
-// ID reports the switch's node id.
-func (s *Switch) ID() NodeID { return s.id }
-
 // Degree reports the number of external ports in use.
 func (s *Switch) Degree() int { return s.deg }
 

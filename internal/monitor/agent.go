@@ -157,9 +157,6 @@ func (a *Agent) Restart() {
 	a.Stats.Add("reboots", 1)
 }
 
-// Incarnation reports the agent's reboot count.
-func (a *Agent) Incarnation() int64 { return a.incarnation }
-
 // Mute suppresses (or restores) heartbeats without touching node state —
 // the pure heartbeat-loss fault. A muted agent still services donor
 // requests; the MN may falsely declare it dead and re-place its leases,

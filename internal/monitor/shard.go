@@ -477,9 +477,6 @@ func (rt *Root) StartRecovery() {
 	startLoop(rt.EP.Eng, "root-mn-recovery", &rt.sweepOn, sweepEvery(rt.SweepInterval, rt.RackBeatTimeout), rt.sweep)
 }
 
-// StopRecovery ends the root loop after the current sweep.
-func (rt *Root) StopRecovery() { rt.sweepOn = false }
-
 // sweep runs one rack-level detection pass, in rack order.
 func (rt *Root) sweep(p *sim.Proc) {
 	racks := make([]int, 0, len(rt.racks))

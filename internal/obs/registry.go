@@ -57,16 +57,6 @@ type Gauge struct {
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value reports the current value.
 func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
 

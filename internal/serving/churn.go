@@ -39,7 +39,6 @@ const (
 // and fault rate).
 const (
 	churnClusterSeed = 2121
-	churnChaosSeed   = 2122
 	churnCalSeed     = 2123
 
 	churnLeaseBytes = uint64(8 << 20)
@@ -81,7 +80,7 @@ func runChurn(cfg Config) (*Result, error) {
 		// every lease it carried, so no failover in the burst goes cold.
 		setup = func(cl *core.Cluster) { cl.MN.EnableSparePool(churnLeaseBytes, churnLeases) }
 	}
-	rig, err := newChurnRig(cfg, churnClusterSeed, churnChaosSeed, setup)
+	rig, err := newChurnRig(cfg, churnClusterSeed, setup)
 	if err != nil {
 		return nil, err
 	}
@@ -161,19 +160,18 @@ func runChurn(cfg Config) (*Result, error) {
 // fast control plane, and a rolling crash schedule over the donors that
 // start installs once calibration is done.
 type churnRig struct {
-	cl        *core.Cluster
-	app       *node.Node
-	inj       *chaos.Injector
-	donors    []fabric.NodeID
-	period    sim.Dur
-	chaosSeed uint64
+	cl     *core.Cluster
+	app    *node.Node
+	inj    *chaos.Injector
+	donors []fabric.NodeID
+	period sim.Dur
 }
 
 // newChurnRig builds the rig on a cfg.Nodes-node mesh (0 means 8)
-// under cfg's policy and fault rate, with the scenario's cluster and
-// chaos seeds; setup, when set, runs before the 10 ms RRT warm-up,
-// while the MN's donor table is still empty.
-func newChurnRig(cfg Config, clusterSeed, chaosSeed uint64, setup func(*core.Cluster)) (*churnRig, error) {
+// under cfg's policy and fault rate, with the scenario's cluster seed;
+// setup, when set, runs before the 10 ms RRT warm-up, while the MN's
+// donor table is still empty.
+func newChurnRig(cfg Config, clusterSeed uint64, setup func(*core.Cluster)) (*churnRig, error) {
 	pol, ok := monitor.PolicyByName(cfg.Policy)
 	if !ok {
 		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
@@ -189,7 +187,7 @@ func newChurnRig(cfg Config, clusterSeed, chaosSeed uint64, setup func(*core.Clu
 	if err != nil {
 		return nil, err
 	}
-	r := &churnRig{chaosSeed: chaosSeed}
+	r := &churnRig{}
 	switch cfg.Fault {
 	case "", FaultNone:
 	case FaultSlow:
@@ -240,8 +238,8 @@ func newChurnRig(cfg Config, clusterSeed, chaosSeed uint64, setup func(*core.Clu
 // start installs the rolling crash schedule, scheduling enough cycles
 // to cover the expected measured window of requests at rps. Chaos
 // starts only after calibration, so calibration is identical across the
-// fault axis; its instants derive from the rig's fixed seed, so every
-// shard of a cell sees the same fault history.
+// fault axis; its instants are fixed by the fault rate and the donor
+// order, so every shard of a cell sees the same fault history.
 func (r *churnRig) start(requests int, rps float64) error {
 	if r.period == 0 {
 		return nil
@@ -249,7 +247,6 @@ func (r *churnRig) start(requests int, rps float64) error {
 	windowNS := float64(requests) / rps * 1e9
 	cycles := int(windowNS/float64(r.period)) + 2
 	n, err := r.inj.Install(chaos.Schedule{
-		Seed:    r.chaosSeed,
 		Actions: chaos.Rolling(r.donors, r.period, churnOutage, cycles),
 	})
 	if err != nil || n == 0 {

@@ -32,7 +32,6 @@ import (
 // fault rate).
 const (
 	inferClusterSeed = 2131
-	inferChaosSeed   = 2132
 	inferHierSeed    = 2134
 
 	// The leased farm: each donor hosts inferAccelsPerDonor accelerators
@@ -76,7 +75,7 @@ func runInference(cfg Config) (*Result, error) {
 	}
 	res := &Result{}
 	if cfg.Racks <= 0 {
-		rig, err := newChurnRig(cfg, inferClusterSeed, inferChaosSeed, func(cl *core.Cluster) {
+		rig, err := newChurnRig(cfg, inferClusterSeed, func(cl *core.Cluster) {
 			for i := 2; i < len(cl.Nodes); i++ {
 				farms = append(farms, inferFarm(cl.Eng, cl.P, cl.Node(i), cl.Agents[i]))
 			}

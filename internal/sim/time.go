@@ -33,9 +33,6 @@ func (t Time) Add(d Dur) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) Dur { return Dur(t - u) }
 
-// Seconds reports t as a floating-point number of seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // Seconds reports d as a floating-point number of seconds.
 func (d Dur) Seconds() float64 { return float64(d) / float64(Second) }
 

@@ -7,11 +7,7 @@
 // hierarchy and the Venice channels.
 package workloads
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Arena hands out simulated addresses inside a region, bump-pointer
 // style. Data values live in ordinary Go memory; the arena only decides
@@ -45,9 +41,6 @@ func (a *Arena) Alloc(n, align uint64) uint64 {
 // Remaining reports unallocated bytes.
 func (a *Arena) Remaining() uint64 { return a.end - a.next }
 
-// Base reports the arena's first address.
-func (a *Arena) Base() uint64 { return a.base }
-
 // Used reports allocated bytes.
 func (a *Arena) Used() uint64 { return a.next - a.base }
 
@@ -58,7 +51,8 @@ func (a *Arena) Used() uint64 { return a.next - a.base }
 // Spark-class frameworks, so per-element costs are hundreds of
 // instructions. They are calibrated so all-local execution matches the
 // per-operation costs implied by the paper's normalized results on the
-// 667 MHz Cortex-A9 (see DESIGN.md §6).
+// 667 MHz Cortex-A9 (EXPERIMENTS.md, "Fig. 5" and "Fig. 15", records
+// where those results land).
 const (
 	opsPerBTreeProbe  = 150 // search step + BDB buffer/lock management
 	opsPerRecordTouch = 250 // record (de)serialization + API layers
@@ -67,6 +61,3 @@ const (
 	opsPerGrepByte    = 8   // Hadoop-grep-class per-byte scan cost
 	opsPerQuery       = 400 // request parse + dispatch in a server loop
 )
-
-// dur is a tiny helper for readability in workload code.
-func dur(d sim.Dur) sim.Dur { return d }

@@ -57,15 +57,6 @@ func (r *RedisCache) CapacityEntries() int {
 // Len reports the current entry count.
 func (r *RedisCache) Len() int { return r.lru.Len() }
 
-// MissRatio reports misses / (hits + misses).
-func (r *RedisCache) MissRatio() float64 {
-	total := r.Hits + r.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Misses) / float64(total)
-}
-
 // allocSlot finds storage for one value, evicting LRU entries if full.
 func (r *RedisCache) allocSlot(p *sim.Proc) uint64 {
 	if n := len(r.free); n > 0 {
