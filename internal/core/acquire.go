@@ -21,8 +21,8 @@ var (
 // retry schedule, batching, every grant path and the event stream run
 // here once.
 type plane struct {
-	// hub fans lease-lifecycle events out to Observe subscribers; every
-	// MN of the shape feeds it its recovery events.
+	// hub fans lease-lifecycle events out to Observe subscribers; a
+	// flat cluster's MN feeds it its recovery events.
 	hub eventHub
 	// nodes indexes the shape's nodes by id (device leases reach their
 	// donors through it).
@@ -35,8 +35,8 @@ type plane struct {
 }
 
 // Observe registers a lease-lifecycle observer and returns its cancel.
-// On a rack-scale plane the stream aggregates every sub-MN's and the
-// root's recovery events. See Plane.
+// A rack-scale plane recovers nothing, so its stream carries only the
+// plane's own grants, releases and failed acquires. See Plane.
 func (c *plane) Observe(fn Observer) (cancel func()) { return c.hub.observe(fn) }
 
 // Acquire obtains one resource through the recipient's Monitor Node —

@@ -133,9 +133,7 @@ func hierDeviceSeq(t *testing.T) (local, cross []fabric.NodeID, cl *HierCluster)
 		Racks: 2, RackX: 2, RackY: 2, RackZ: 2,
 		Seed:              7,
 		HeartbeatInterval: 100 * sim.Microsecond,
-		HeartbeatTimeout:  500 * sim.Microsecond,
 		RackBeatInterval:  200 * sim.Microsecond,
-		RackBeatTimeout:   sim.Millisecond,
 	})
 	t.Cleanup(cl.Close)
 	for i := 2; i <= 6; i++ {
@@ -362,7 +360,7 @@ func TestAcquireAllMixedRollback(t *testing.T) {
 // path — the donor rack's RAT row clears, the unit is re-grantable, and
 // nothing leaks in the root's delegation table.
 func TestAcquireAllRollbackReleasesDelegated(t *testing.T) {
-	cl := NewHierCluster(hierTestConfig(false))
+	cl := NewHierCluster(hierTestConfig())
 	defer cl.Close()
 	// One accelerator in rack 1, nothing anywhere else — and no NIC
 	// advertised on any rack, so the batch's last request must fail.

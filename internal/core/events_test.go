@@ -72,7 +72,7 @@ func TestLeaseEventStream(t *testing.T) {
 		}
 	})
 
-	cfg := hierTestConfig(false)
+	cfg := hierTestConfig()
 	cfg.Racks = 2
 	hier := NewHierCluster(cfg)
 	t.Cleanup(hier.Close)

@@ -7,15 +7,16 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/node"
 	"repro/internal/sim"
-	"repro/internal/tenancy"
 )
 
 // HierConfig shapes a multi-rack fabric: racks of 3D-mesh nodes joined
 // by an (optionally oversubscribed) spine, with one sub-MN per rack and
 // a root MN on the first spine switch — the rack-scale assembly the
-// sharded monitor plane (internal/monitor/shard.go) runs on. The fabric
-// runs on its own copy of sim.Default(), with LinkPorts raised to fit
-// the spine radix (HierCluster.P).
+// sharded monitor plane (internal/monitor/shard.go) runs on. Every rack
+// node has 1 GiB of memory. The fabric runs on its own copy of
+// sim.Default(), with LinkPorts raised to fit the spine radix
+// (HierCluster.P). Like the paper's prototype, the plane runs no
+// recovery, migration or admission: those are the flat Cluster's.
 type HierConfig struct {
 	// Racks of RackX×RackY×RackZ mesh nodes (both required).
 	Racks               int
@@ -30,32 +31,14 @@ type HierConfig struct {
 	// Params.LinkGbps).
 	SpineGbps float64
 
-	NodeMemBytes uint64 // 0: 1 GiB per rack node
-	Seed         uint64 // 0: 1
+	Seed uint64 // 0: 1
 
 	// HeartbeatInterval is the agent beat period (agents report to their
 	// rack's sub-MN); RackBeatInterval the sub-MN → root rack report
-	// period (0 defaults: 500 ms and 1 s).
+	// period (0 defaults: 500 ms and 1 s). A node or rack counts as live
+	// for three of its periods after its last beat.
 	HeartbeatInterval sim.Dur
 	RackBeatInterval  sim.Dur
-	// HeartbeatTimeout / RackBeatTimeout override the respective death
-	// thresholds when >0.
-	HeartbeatTimeout sim.Dur
-	RackBeatTimeout  sim.Dur
-	// SweepInterval overrides every recovery loop's scan period when >0.
-	SweepInterval sim.Dur
-
-	// StartRecovery launches the failure-detection loops: each sub-MN's
-	// rack-local sweep plus the root's rack-level sweep. The loops keep
-	// the event queue alive; drive such clusters with RunFor or
-	// step-until-done.
-	StartRecovery bool
-
-	// Admission installs the tenancy admission policy on every rack's
-	// sub-MN (each gates against its own rack's pressure; delegated
-	// cross-rack grants get the donor rack's restricted admit/decline
-	// check). nil disables admission — the pre-tenancy grant path.
-	Admission *tenancy.Config
 }
 
 // HierCluster is a running multi-rack Venice fabric.
@@ -106,10 +89,6 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 	if deg := h.MaxDegree(); deg > p.LinkPorts {
 		p.LinkPorts = deg
 	}
-	mem := cfg.NodeMemBytes
-	if mem == 0 {
-		mem = 1 << 30
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -117,13 +96,6 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 	hbInterval := cfg.HeartbeatInterval
 	if hbInterval == 0 {
 		hbInterval = 500 * sim.Millisecond
-	}
-	// Tie the death threshold to the beat period (as RackBeatTimeout is
-	// below): a cluster beating every 30 s must not inherit the
-	// Monitor's absolute 3 s default and read its whole fleet as dead.
-	hbTimeout := cfg.HeartbeatTimeout
-	if hbTimeout == 0 {
-		hbTimeout = 3 * hbInterval
 	}
 	rbInterval := cfg.RackBeatInterval
 	if rbInterval == 0 {
@@ -139,31 +111,21 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 		}
 	}
 	for i := 0; i < h.N; i++ {
-		c.Nodes = append(c.Nodes, node.New(eng, p, net, fabric.NodeID(i), mem))
+		c.Nodes = append(c.Nodes, node.New(eng, p, net, fabric.NodeID(i), 1<<30))
 	}
 	c.Agents = make([]*monitor.Agent, h.N)
 	c.plane = plane{nodes: c.Nodes, hier: true, broker: c.rackMN}
 
+	// Tie the liveness windows to the beat periods: a cluster beating
+	// every 30 s must not inherit the Monitor's absolute 3 s default and
+	// read its whole fleet as dead.
 	c.Root = monitor.NewRoot(c.Nodes[h.SpineID(0)].EP)
-	c.Root.OnLease = c.hub.forwardRecovery
-	if cfg.RackBeatTimeout > 0 {
-		c.Root.RackBeatTimeout = cfg.RackBeatTimeout
-	} else {
-		c.Root.RackBeatTimeout = 3 * rbInterval
-	}
-	if cfg.SweepInterval > 0 {
-		c.Root.SweepInterval = cfg.SweepInterval
-	}
+	c.Root.RackBeatTimeout = 3 * rbInterval
 
 	for r := 0; r < cfg.Racks; r++ {
 		subNode := c.SubNode(r)
 		sub := monitor.New(c.Nodes[subNode].EP, h.Topology)
-		sub.OnLease = c.hub.forwardRecovery
-		sub.Admission = cfg.Admission
-		sub.HeartbeatTimeout = hbTimeout
-		if cfg.SweepInterval > 0 {
-			sub.SweepInterval = cfg.SweepInterval
-		}
+		sub.HeartbeatTimeout = 3 * hbInterval
 		c.Subs = append(c.Subs, sub)
 		for _, id := range h.RackNodes(r) {
 			n := c.Nodes[id]
@@ -173,12 +135,6 @@ func NewHierCluster(cfg HierConfig) *HierCluster {
 			a.Start(subNode)
 		}
 		sub.StartRackBeat(c.Root.Node(), r, rbInterval)
-	}
-	if cfg.StartRecovery {
-		for _, sub := range c.Subs {
-			sub.StartRecovery()
-		}
-		c.Root.StartRecovery()
 	}
 	return c
 }

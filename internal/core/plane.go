@@ -464,7 +464,7 @@ func (h *eventHub) emit(ev Event) {
 	}
 }
 
-// forwardRecovery is every MN's recovery-event sink: it carries the
+// forwardRecovery is the flat MN's recovery-event sink: it carries the
 // MN's revocations, failovers, migrations and preemptions onto the
 // plane's stream. Grants and frees the plane emits itself, at the
 // Acquire/Release call sites, where the true kind (memory vs swap) is

@@ -265,7 +265,7 @@ func TestObserverSeesFailover(t *testing.T) {
 // recipient's rack sub-MN, which the old per-cluster entry points never
 // offered.
 func TestHierAcquireDevice(t *testing.T) {
-	cl := NewHierCluster(hierTestConfig(false))
+	cl := NewHierCluster(hierTestConfig())
 	defer cl.Close()
 	donor := cl.Node(3) // rack 0
 	dev := accel.New(cl.Eng, cl.P, accel.FFT{MBps: 200})

@@ -187,30 +187,6 @@ type AblationWindowResult struct {
 // ablationWindows is the credit-window sweep.
 var ablationWindows = []int{4, 8, 16, 32, 64}
 
-// ablationWindowRun measures a 64 B stream at one window size under one
-// credit path.
-func ablationWindowRun(window int, viaCRMA bool, seed uint64) float64 {
-	p := sim.Default()
-	rig := newPair(&p, seed)
-	defer rig.close()
-	cfg := transport.QPairConfig{Window: window, CreditViaCRMA: viaCRMA}
-	qa, qb := transport.ConnectQPair(rig.Local.EP, rig.Donor.EP, cfg)
-	const count = 2000
-	var done sim.Time
-	rig.Eng.Go("sink", func(pr *sim.Proc) {
-		for i := 0; i < count; i++ {
-			qb.RecvHW(pr)
-		}
-		done = pr.Now()
-	})
-	rig.run("stream", func(pr *sim.Proc) {
-		for i := 0; i < count; i++ {
-			qa.SendHW(pr, 64, nil)
-		}
-	})
-	return float64(count) * 64 / 1e6 / sim.Dur(done).Seconds()
-}
-
 // ablationWindowSpec decomposes the sweep into one trial per window ×
 // credit path.
 func ablationWindowSpec() harness.Spec {
@@ -223,7 +199,8 @@ func ablationWindowSpec() harness.Spec {
 			trials = append(trials, harness.Trial{
 				ID: fmt.Sprintf("win%d/%s", w, path.name), Seed: ablationSeedWindow,
 				Run: func(seed uint64) (harness.Values, error) {
-					return harness.Values{"mbps": ablationWindowRun(w, path.viaCRMA, seed)}, nil
+					cfg := transport.QPairConfig{Window: w, CreditViaCRMA: path.viaCRMA}
+					return harness.Values{"mbps": qpairStream(cfg, 64, 2000, seed)}, nil
 				},
 			})
 		}
@@ -277,10 +254,7 @@ func ablationGranularitySpec() harness.Spec {
 			rig := newPair(&p, seed)
 			defer rig.close()
 			win := rig.Local.NextHotplugWindow(1 << 20)
-			if _, err := rig.Local.EP.CRMA.Map(win, 1<<20, 1, 0x1000_0000); err != nil {
-				return nil, err
-			}
-			rig.Donor.EP.CRMA.Export(0, win, 1<<20, 0x1000_0000)
+			mapWindow(rig, win, 1<<20, 0x1000_0000)
 			v := harness.Values{}
 			rig.run("sweep", func(pr *sim.Proc) {
 				for _, size := range ablationGranularitySizes {

@@ -52,12 +52,7 @@ func fig15Region(rig *pairRig, mode fig15Mode, size uint64) uint64 {
 		localPart &^= uint64(rig.P.PageBytes - 1)
 		mustAdd(rig, &memsys.Region{Base: base, Size: localPart,
 			Backend: &memsys.LocalDRAM{P: rig.P}})
-		if _, err := rig.Local.EP.CRMA.Map(base+localPart, size-localPart, 1, 0x1000_0000); err != nil {
-			panic(err)
-		}
-		rig.Donor.EP.CRMA.Export(0, base+localPart, size-localPart, 0x1000_0000)
-		mustAdd(rig, &memsys.Region{Base: base + localPart, Size: size - localPart,
-			Backend: &memsys.CRMARemote{CRMA: rig.Local.EP.CRMA, Donor: 1}})
+		mountCRMA(rig, base+localPart, size-localPart)
 	}
 	return base
 }

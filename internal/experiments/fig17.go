@@ -148,10 +148,7 @@ func fig17Iperf(channel transport.Channel, seed uint64) sim.Dur {
 	case transport.ChanCRMA:
 		rig.run("iperf-crma", func(pr *sim.Proc) {
 			win := rig.Local.NextHotplugWindow(1 << 20)
-			if _, err := rig.Local.EP.CRMA.Map(win, 1<<20, 1, 0x2000_0000); err != nil {
-				panic(err)
-			}
-			rig.Donor.EP.CRMA.Export(0, win, 1<<20, 0x2000_0000)
+			mapWindow(rig, win, 1<<20, 0x2000_0000)
 			rep := workloads.IperfCRMA(pr, rig.Local.EP.CRMA, win, p.CacheLine, msgSize, count)
 			elapsed = rep.Elapsed
 		})

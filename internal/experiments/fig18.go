@@ -18,18 +18,16 @@ type Fig18Result struct {
 	Table       Table
 }
 
-// fig18Run measures a flow-controlled QPair stream's effective
-// throughput with the chosen credit-return path. Sender and receiver
-// run at driver speed (the stream is hardware-paced, as in the SDP
-// scenario the paper describes); only the credit-return mechanism
-// differs between the two runs.
-func fig18Run(size int, viaCRMA bool, seed uint64) float64 {
+// qpairStream measures a flow-controlled QPair stream's effective
+// throughput in MB/s: count payloads of size bytes under cfg's credit
+// window and credit-return path. Sender and receiver run at driver
+// speed (the stream is hardware-paced, as in the SDP scenario the paper
+// describes), so only the credit mechanism differs between runs.
+func qpairStream(cfg transport.QPairConfig, size, count int, seed uint64) float64 {
 	p := sim.Default()
 	rig := newPair(&p, seed)
 	defer rig.close()
-	cfg := transport.QPairConfig{Window: 16, CreditViaCRMA: viaCRMA}
 	qa, qb := transport.ConnectQPair(rig.Local.EP, rig.Donor.EP, cfg)
-	const count = 3000
 	var done sim.Time
 	rig.Eng.Go("sink", func(pr *sim.Proc) {
 		for i := 0; i < count; i++ {
@@ -43,7 +41,7 @@ func fig18Run(size int, viaCRMA bool, seed uint64) float64 {
 		}
 	})
 	if done == 0 {
-		panic("fig18: stream never drained")
+		panic("experiments: QPair stream never drained")
 	}
 	return float64(count) * float64(size) / 1e6 / sim.Dur(done).Seconds()
 }
@@ -65,7 +63,8 @@ func fig18Spec() harness.Spec {
 			trials = append(trials, harness.Trial{
 				ID: fmt.Sprintf("%dB/%s", s, path.name), Seed: fig18Seed,
 				Run: func(seed uint64) (harness.Values, error) {
-					return harness.Values{"mbps": fig18Run(s, path.viaCRMA, seed)}, nil
+					cfg := transport.QPairConfig{Window: 16, CreditViaCRMA: path.viaCRMA}
+					return harness.Values{"mbps": qpairStream(cfg, s, 3000, seed)}, nil
 				},
 			})
 		}

@@ -63,16 +63,29 @@ func fig5Rig(o fig5Opts, seed uint64) *pairRig {
 	return rig
 }
 
-// mountWindow maps a CRMA window of size bytes to the donor and returns
-// its base.
-func mountWindow(rig *pairRig, size uint64) uint64 {
-	win := rig.Local.NextHotplugWindow(size)
-	if _, err := rig.Local.EP.CRMA.Map(win, size, 1, 0x1000_0000); err != nil {
+// mapWindow maps the requester's CRMA window [win, win+size) onto the
+// donor's memory at donorBase: the requester's RAMT entry and the
+// donor's export, wired by hand with no MN in the loop.
+func mapWindow(rig *pairRig, win, size, donorBase uint64) {
+	if _, err := rig.Local.EP.CRMA.Map(win, size, 1, donorBase); err != nil {
 		panic(err)
 	}
-	rig.Donor.EP.CRMA.Export(0, win, size, 0x1000_0000)
+	rig.Donor.EP.CRMA.Export(0, win, size, donorBase)
+}
+
+// mountCRMA maps [win, win+size) onto the donor at 0x1000_0000 and adds
+// it to the requester's hierarchy as a CRMA-backed region.
+func mountCRMA(rig *pairRig, win, size uint64) {
+	mapWindow(rig, win, size, 0x1000_0000)
 	mustAdd(rig, &memsys.Region{Base: win, Size: size,
 		Backend: &memsys.CRMARemote{CRMA: rig.Local.EP.CRMA, Donor: 1}})
+}
+
+// mountWindow mounts a fresh CRMA window of size bytes and returns its
+// base.
+func mountWindow(rig *pairRig, size uint64) uint64 {
+	win := rig.Local.NextHotplugWindow(size)
+	mountCRMA(rig, win, size)
 	return win
 }
 

@@ -21,9 +21,9 @@ import (
 // Every handler here runs in its own transport proc, so the queue wait
 // may sleep without wedging the MN: other requests (and the frees and
 // preemptions that relieve pressure) keep being serviced meanwhile.
-// On a sub-MN the gate sees only its rack's pressure — each rack
-// admits against its own pool, mirroring how the sharded plane splits
-// every other table.
+// The gate runs on a flat MN only: a sub-MN admits every request, since
+// preempting a delegated row would leave the root's delegation table
+// stale (see StartRackBeat).
 
 // pressure reports the pool's current free amount and capacity of res:
 // free sums the live RRT rows, capacity adds back the amount leased out

@@ -8,8 +8,9 @@ import (
 // Recovery events. Every involuntary change to an allocation's
 // existence or backing — a revocation, a donor failover, a migration,
 // a preemption — is handed to the MN's OnLease sink, so the plane
-// above (core.Plane, which sets the sink of every MN it runs) surfaces
-// recovery on its one event stream instead of polling the RAT. Grants
+// above (core.Plane, which sets the flat MN's sink) surfaces recovery on
+// its one event stream instead of polling the RAT. A sub-MN and the root
+// MN move and revoke nothing, so they announce nothing. Grants
 // and frees have no event here: the plane announces those itself,
 // where the requested resource kind (memory vs swap) is still known.
 
@@ -22,7 +23,7 @@ const (
 	// to back the window.
 	LeaseRevoked LeaseEventType = iota
 	// LeaseFailedOver fires when recovery re-placed a lease onto a new
-	// donor (rack-local failover, or a root-MN re-delegation).
+	// donor.
 	LeaseFailedOver
 	// LeaseMigrated fires when the telemetry-driven migration loop moved
 	// a live lease to a donor behind a cooler path (the old donor stays
@@ -53,9 +54,7 @@ func (t LeaseEventType) String() string {
 
 // LeaseEvent is one recovery transition. Alloc is a copy of the
 // allocation row as of the event (for failed-over events it carries the
-// NEW donor; OldDonor names the one being replaced). Root-MN events
-// carry the delegation row's Allocation, so ID is the delegation id
-// there.
+// NEW donor; OldDonor names the one being replaced).
 type LeaseEvent struct {
 	Type     LeaseEventType
 	At       sim.Time
@@ -68,13 +67,5 @@ type LeaseEvent struct {
 func (m *Monitor) emitLease(t LeaseEventType, a *Allocation, oldDonor fabric.NodeID) {
 	if m.OnLease != nil {
 		m.OnLease(LeaseEvent{Type: t, At: m.EP.Eng.Now(), Alloc: *a, OldDonor: oldDonor})
-	}
-}
-
-// emitDelegation hands one recovery transition of a delegation row to
-// the root's sink: the recipient-facing Allocation the row stands for.
-func (rt *Root) emitDelegation(t LeaseEventType, d *Delegation, oldDonor fabric.NodeID) {
-	if rt.OnLease != nil {
-		rt.OnLease(LeaseEvent{Type: t, At: rt.EP.Eng.Now(), Alloc: d.Allocation, OldDonor: oldDonor})
 	}
 }

@@ -60,8 +60,10 @@ type pathRelief struct {
 // StartMigration launches the MN's hot-lease scan, every 500 µs. The
 // loop keeps the event queue non-empty forever, so drive the engine
 // with RunFor or step-until-done, not Run. Without telemetry-enabled
-// agents the loop never sees a hot path and does nothing.
+// agents the loop never sees a hot path and does nothing. It panics on
+// a sub-MN (see StartRackBeat).
 func (m *Monitor) StartMigration() {
+	m.flatOnly("migration")
 	startLoop(m.EP.Eng, "mn-migrate", &m.migrationOn, migrateEvery, m.migrateScan)
 }
 

@@ -124,8 +124,8 @@ type Monitor struct {
 	// (admission.go): per-class thresholds, consulted before every
 	// tagged grant, with preemption on. nil (the default) disables
 	// admission entirely — every pre-tenancy workload runs
-	// byte-identically. On a sub-MN the controller gates against the
-	// rack's own pressure.
+	// byte-identically. A sub-MN admits without it (StartRackBeat
+	// refuses an MN that has one).
 	Admission *tenancy.Config
 
 	// HeartbeatTimeout marks a node dead when its reports stop.
@@ -518,7 +518,7 @@ func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 		}
 	}
 	if m.hasUpstream && r.Scope != ScopeLocalRack {
-		if resp := m.escalate(p, from, r, size); resp != nil {
+		if resp := m.escalate(p, from, r); resp != nil {
 			return resp, wire
 		}
 	}

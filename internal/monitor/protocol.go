@@ -6,17 +6,17 @@
 // that heartbeats availability and services hot-remove requests.
 //
 // The runtime extends the paper's prototype in two directions. First,
-// recovery (recovery.go): heartbeat-incarnation failure detection, MN
-// sweep loops, and lease failover with recipient-side in-flight replay.
-// Second, scale (shard.go): on multi-rack fabrics the plane shards into
-// one sub-MN per rack plus a root MN that sees only rack-granularity
-// state — sub-MNs escalate requests their rack cannot serve, the root
-// elects donor racks and delegates grants, and recovery composes across
-// the delegation boundary (including re-delegating a whole rack's
-// donated leases when its sub-MN dies). Every MN holds one outbox
-// (outbox.go) for the control messages that must land eventually — the
-// hot-return a falsely dead donor is owed among them — parking a lost
-// one and redelivering it on a later pass.
+// recovery (recovery.go): heartbeat-incarnation failure detection, the
+// MN's sweep loop, and lease failover with recipient-side in-flight
+// replay. Second, scale (shard.go): on multi-rack fabrics the plane
+// shards into one sub-MN per rack plus a root MN that sees only
+// rack-granularity state — sub-MNs escalate requests their rack cannot
+// serve, and the root elects donor racks and delegates grants. Like the
+// prototype, the sharded plane leaves failure aside: recovery,
+// migration and admission run on a flat MN only. Every MN holds one
+// outbox (outbox.go) for the control messages that must land eventually
+// — the hot-return a falsely dead donor is owed among them — parking a
+// lost one and redelivering it on a later pass.
 package monitor
 
 import (
@@ -45,8 +45,6 @@ const (
 	kindRackBorrow     = "root.borrow"
 	kindRackFree       = "root.free"
 	kindBorrowCancel   = "root.borrowcancel"
-	kindNodeDown       = "root.nodedown"
-	kindDelegateMoved  = "root.delegatemoved"
 	kindDelegate       = "sub.delegate"
 	kindDelegateFree   = "sub.delegatefree"
 	kindDelegateCancel = "sub.delegatecancel"
@@ -352,7 +350,7 @@ type rackBeat struct {
 // cannot (or, under ScopeRemoteRack, must not) back the recipient's
 // request, so the root elects a donor rack by its free amount of Res
 // and delegates the grant. The request rides whole, with Size set to
-// the admitted amount (1 unit for a device) and WindowBase to the
+// its amount (1 unit for a device) and WindowBase to the
 // borrow's recipient-unique key: the window for memory and, for a
 // device (which has no window), the sub's pre-minted recipient-facing
 // alloc id, so cancellations stay key-resolvable.
@@ -375,30 +373,10 @@ type borrowCancelReq struct {
 	Res Resource
 }
 
-// nodeDownReq is a sub-MN's notice to the root that its sweep declared
-// a rack node dead. The root reclaims delegated leases that node held
-// as a recipient — the cross-rack half of the recovery contract (the
-// donor-side half stays with the donor rack's own sweep, which owns the
-// RAT row).
-type nodeDownReq struct {
-	Rack int
-	Node fabric.NodeID
-}
-
-// delegateMovedReq is a donor-rack sub-MN's notice that its recovery
-// sweep changed (or revoked) a delegated lease's backing, keeping the
-// root's delegation table truthful across the delegation boundary.
-type delegateMovedReq struct {
-	DelegID   int
-	Donor     fabric.NodeID
-	DonorBase uint64
-	Gone      bool // the sub revoked the lease outright
-}
-
 // delegateReq is the root MN's grant request to a donor rack's sub-MN:
 // perform the normal donor walk for a recipient outside the rack, on
-// the request a borrow forwarded (or the one a re-delegated row was
-// granted under). The sub answers with an AllocResp naming its RAT row.
+// the request a borrow forwarded. The sub answers with an AllocResp
+// naming its RAT row.
 type delegateReq struct {
 	DelegID   int
 	Recipient fabric.NodeID

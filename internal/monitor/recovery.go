@@ -30,8 +30,9 @@ import (
 // StartRecovery launches the MN's failure-detection and lease-failover
 // loop. The loop keeps the event queue non-empty forever, so programs
 // that drive the engine with Run (rather than RunFor / step-until-done)
-// must StopRecovery first.
+// must StopRecovery first. It panics on a sub-MN (see StartRackBeat).
 func (m *Monitor) StartRecovery() {
+	m.flatOnly("recovery")
 	startLoop(m.EP.Eng, "mn-recovery", &m.recoveryOn, sweepEvery(m.SweepInterval, m.HeartbeatTimeout), m.sweep)
 }
 
@@ -85,12 +86,10 @@ func (m *Monitor) sweep(p *sim.Proc) {
 			r.needsRecovery = false
 			m.Stats.Add("recover.reboot_recoveries", 1)
 			m.recoverNode(p, id, true)
-			m.notifyNodeDown(p, id)
 		case !r.Dead && r.Beats > 0 && !m.NodeAlive(id):
 			r.Dead = true
 			m.Stats.Add("recover.deaths", 1)
 			m.recoverNode(p, id, false)
-			m.notifyNodeDown(p, id)
 		}
 	}
 	m.sweepIDs = ids
@@ -103,29 +102,14 @@ func (m *Monitor) sweep(p *sim.Proc) {
 }
 
 // reachable reports whether a parked letter to id is worth attempting.
-// Rack-local nodes are gated on their heartbeat freshness; anyone else
-// never appears in the RRT — a delegated lease's recipient in another
-// rack, whose liveness its own rack's sub-MN owns, or the root MN — so
-// delivery is simply attempted, and an undeliverable letter just stays
-// parked for the next pass.
+// Rack-local nodes are gated on their heartbeat freshness; the one
+// addressee outside the RRT, a sub-MN's root MN, is simply attempted,
+// and an undeliverable letter just stays parked for the next pass.
 func (m *Monitor) reachable(id fabric.NodeID) bool {
 	if _, local := m.rrt[id]; !local {
 		return true
 	}
 	return m.NodeAlive(id)
-}
-
-// notifyNodeDown reports a locally-detected node death (or reboot) to
-// the root MN so delegated leases the node held as a recipient are
-// reclaimed across the delegation boundary. No-op on flat clusters.
-func (m *Monitor) notifyNodeDown(p *sim.Proc, id fabric.NodeID) {
-	if !m.hasUpstream {
-		return
-	}
-	if _, ok := m.EP.CallTimeout(p, m.upstream, kindNodeDown, 32,
-		&nodeDownReq{Rack: m.rack, Node: id}, grantTimeout(m.EP.P)); !ok {
-		m.Stats.Add("recover.nodedown_lost", 1)
-	}
 }
 
 // sortedKeys returns a map's int keys ascending (deterministic sweeps).
@@ -277,7 +261,6 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 			m.Stats.Add(either(how.alive, "migrate.ns", "recover.ns"), int64(m.EP.Eng.Now().Sub(t0)))
 		}
 		m.emitLease(either(how.alive, LeaseMigrated, LeaseFailedOver), a, old.Donor)
-		m.notifyDelegateMoved(p, a, false)
 		return true
 	}
 	switch _, live := m.rat[a.ID]; {
@@ -342,8 +325,7 @@ func (m *Monitor) relocate(recipient fabric.NodeID, rel *relocateReq) letter {
 // By the row-ownership rule it deletes the row and releases the backing
 // (releaseOld), then revokes a memory window so parked accesses unwedge
 // and later ones fail fast (parked in the outbox when lost; device
-// clients follow the event stream instead). Last it announces the event
-// and tells the root.
+// clients follow the event stream instead). Last it announces the event.
 func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) {
 	m.dropRow(a)
 	m.releaseOld(p, a, inc, how)
@@ -357,21 +339,6 @@ func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) 
 	m.Stats.Add(either(how.alive, pick(a.Kind, "preempt.memory", "preempt.device"),
 		pick(a.Kind, "recover.revoked", "recover.devices_dropped")), 1)
 	m.emitLease(either(how.alive, LeasePreempted, LeaseRevoked), a, a.Donor)
-	m.notifyDelegateMoved(p, a, true)
-}
-
-// notifyDelegateMoved tells the root MN that delegated row a's backing
-// changed (new donor after a rack-local failover) or is gone (revoked),
-// keeping the root's delegation table truthful. No-op for non-delegated
-// rows and on flat clusters.
-func (m *Monitor) notifyDelegateMoved(p *sim.Proc, a *Allocation, gone bool) {
-	if a.Deleg == 0 || !m.hasUpstream {
-		return
-	}
-	mv := &delegateMovedReq{DelegID: a.Deleg, Donor: a.Donor, DonorBase: a.DonorBase, Gone: gone}
-	if _, ok := m.EP.CallTimeout(p, m.upstream, kindDelegateMoved, 32, mv, grantTimeout(m.EP.P)); !ok {
-		m.Stats.Add("recover.delegatemoved_lost", 1)
-	}
 }
 
 // undoReplacement returns a replacement region the walk will not commit

@@ -6,39 +6,25 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
-	"repro/internal/tenancy"
 	"repro/internal/transport"
 )
 
 // This file is the sharded monitor plane that scales the §5.3 runtime
 // past one rack. The paper's prototype runs a single Monitor Node for
 // its 8-node mesh; a multi-rack fabric (fabric.RackSpine) instead runs
-// one sub-MN per rack — an ordinary Monitor owning its rack's leases,
-// heartbeats, and recovery sweep — plus a root MN that sees only
-// rack-granularity state. Sub-MNs report aggregate idle memory and
-// liveness on a slow "rackbeat"; when a rack is memory-starved (or a
-// request carries ScopeRemoteRack), its sub-MN escalates to the root,
-// which elects a donor rack and delegates the grant to that rack's
-// sub-MN. Recovery composes across the delegation boundary:
+// one sub-MN per rack — an ordinary Monitor owning its rack's leases
+// and heartbeats — plus a root MN that sees only rack-granularity
+// state. Sub-MNs report aggregate idle memory and liveness on a slow
+// "rackbeat"; when a rack is memory-starved (or a request carries
+// ScopeRemoteRack), its sub-MN escalates to the root, which elects a
+// donor rack and delegates the grant to that rack's sub-MN.
 //
-//   - donor died         -> donor rack's own sweep re-places the lease
-//     (rack-local)          locally and relocates the remote recipient
-//     (replace); the root learns via delegateMoved.
-//   - recipient died     -> the recipient rack's sweep notifies the root
-//     (cross-rack)          (nodeDown), which reclaims the delegated
-//     region through the donor rack's sub-MN.
-//   - sub-MN died        -> the root's own sweep notices the missed
-//     (control plane)       rackbeats and re-delegates every lease the
-//     dead rack was donating: a fresh grant in a surviving
-//     rack, then the same relocate+replay path the
-//     recipients' agents already implement (PR 3), so
-//     in-flight accesses complete instead of being lost.
-//
-// The root parks what it cannot deliver in its own outbox (outbox.go),
-// as a sub-MN does: delegate-frees, cancellations, relocates and
-// revokes. A rack falsely declared dead gets its tombstones, the
-// delegate-frees for rows whose leases moved while it was gone, on the
-// root's next pass after it beats again.
+// Like the paper's prototype, the sharded plane leaves failure aside: a
+// sub-MN runs no recovery sweep, migration scan or admission gate
+// (StartRackBeat refuses an MN that does), so a delegated row never
+// moves under the root. What the plane does survive is a lost control
+// message: each MN parks an undelivered free or cancellation in its
+// outbox (outbox.go) and redelivers it on a later rackbeat.
 
 // RackStatus is one row of the root MN's rack registry — the
 // rack-granularity analogue of a Registration.
@@ -49,7 +35,6 @@ type RackStatus struct {
 	Live      int
 	LastBeat  sim.Time
 	Beats     int64
-	Dead      bool
 	// MaxUtil/HasUtil carry the rack's aggregated telemetry: the hottest
 	// windowed link utilization any of its agents reported (absent until
 	// telemetry-enabled agents beat).
@@ -70,13 +55,13 @@ func (rs *RackStatus) debit(res Resource, amount uint64) {
 // Delegation is one row of the root MN's delegation table: a lease
 // whose donor and recipient live in different racks. The donor rack's
 // sub-MN holds the authoritative RAT row (SubAllocID); the root holds
-// the rack-level indirection needed to free, reclaim, and re-delegate.
+// the rack-level indirection needed to free it.
 //
 // The embedded Allocation is the recipient-facing lease the delegation
-// stands for, tags and all, as the root's recovery events announce it:
-// ID and Deleg are the delegation id, Donor and DonorBase the current
-// backing. A device delegation has Size 1 (one unit) and carries the
-// recipient sub-MN's pre-minted alloc id in RecipientBase.
+// stands for, tags and all: ID and Deleg are the delegation id, Donor
+// and DonorBase the backing. A device delegation has Size 1 (one unit)
+// and carries the recipient sub-MN's pre-minted alloc id in
+// RecipientBase.
 type Delegation struct {
 	Allocation
 	DonorRack     int
@@ -91,21 +76,17 @@ type Delegation struct {
 type Root struct {
 	EP *transport.Endpoint
 
-	// RackBeatTimeout declares a sub-MN (and with it the rack's control
-	// plane) dead when its rackbeats stop.
+	// RackBeatTimeout is how long a rack counts as live after its last
+	// rackbeat: a silent rack is elected for no borrow, and a free owed
+	// to it waits for its next beat.
 	RackBeatTimeout sim.Dur
-	// SweepInterval is the root recovery loop's scan period; it defaults
-	// to half the rackbeat timeout.
-	SweepInterval sim.Dur
 
 	racks       map[int]*RackStatus
 	dels        map[int]*Delegation
 	nextDelegID int
-	sweepOn     bool
 
-	// out parks the root's undelivered letters: delegate-frees (among
-	// them the tombstones a rack falsely declared dead comes back to),
-	// delegate cancellations, and re-delegation relocates and revokes.
+	// out parks the root's undelivered letters: delegate-frees and
+	// delegate cancellations.
 	out outbox
 	// cancelled records borrow cancellations that arrived while their
 	// election was still in flight (possible if a sub's patience is
@@ -114,14 +95,9 @@ type Root struct {
 	// canceller will never free.
 	cancelled map[windowKey]bool
 
-	// Stats counts root activity (borrows, delegations, re-delegations,
-	// reclaims).
+	// Stats counts root activity (borrows, delegations, frees,
+	// cancellations).
 	Stats sim.Scoreboard
-
-	// OnLease, when set, receives the root's recovery transitions of
-	// cross-rack delegations (re-delegations and reclaims; events.go),
-	// under the same rules as Monitor.OnLease.
-	OnLease func(LeaseEvent)
 }
 
 // NewRoot starts a root MN on the given endpoint (typically a spine
@@ -141,8 +117,6 @@ func NewRoot(ep *transport.Endpoint) *Root {
 	ep.HandleInline(kindRackBeat, rt.onRackBeat)
 	ep.HandleCall(kindRackBorrow, rt.onRackBorrow)
 	ep.HandleCall(kindRackFree, rt.onRackFree)
-	ep.HandleCall(kindNodeDown, rt.onNodeDown)
-	ep.HandleInline(kindDelegateMoved, rt.onDelegateMoved)
 	ep.HandleCall(kindBorrowCancel, rt.onBorrowCancel)
 	return rt
 }
@@ -165,7 +139,7 @@ func (rt *Root) RackAlive(rack int) bool {
 	if !ok {
 		return false
 	}
-	return !rs.Dead && rs.Beats > 0 && rt.EP.Eng.Now().Sub(rs.LastBeat) <= rt.RackBeatTimeout
+	return rs.Beats > 0 && rt.EP.Eng.Now().Sub(rs.LastBeat) <= rt.RackBeatTimeout
 }
 
 // Delegations returns the live delegation rows, ordered by id.
@@ -182,27 +156,16 @@ func (rt *Root) Delegations() []Delegation {
 	return out
 }
 
-// onRackBeat folds a sub-MN's rack-level report into the registry.
-// Without recovery the root runs no loop of its own, so a rackbeat
-// spawns the redelivery pass when letters are parked; with recovery on
-// the sweep owns redelivery, so a redelivered letter never races a
-// re-delegation.
+// onRackBeat folds a sub-MN's rack-level report into the registry. The
+// root runs no loop of its own, so a rackbeat spawns the redelivery pass
+// when letters are parked: a free or cancel owed to a rack that was
+// silent goes out once it beats again.
 func (rt *Root) onRackBeat(_ fabric.NodeID, req any) (any, int) {
 	b := req.(*rackBeat)
 	rs, ok := rt.racks[b.Rack]
 	if !ok {
 		rs = &RackStatus{Rack: b.Rack}
 		rt.racks[b.Rack] = rs
-	}
-	if rs.Dead {
-		// The rack's control plane reappeared. Anything it was donating
-		// was re-delegated (or revoked) while it was gone; if the death
-		// was a false positive the sub still holds those RAT rows and
-		// their regions, which the parked tombstones reconcile now that
-		// the rack is reachable. A genuinely rebooted sub answers them as
-		// stale no-ops.
-		rs.Dead = false
-		rt.Stats.Add("root.rack_reappeared", 1)
 	}
 	rs.Sub = b.Sub
 	rs.IdleBytes = b.IdleBytes
@@ -212,7 +175,7 @@ func (rt *Root) onRackBeat(_ fabric.NodeID, req any) (any, int) {
 	rs.LastBeat = rt.EP.Eng.Now()
 	rs.Beats++
 	rt.Stats.Add("root.rackbeats", 1)
-	if !rt.sweepOn && len(rt.out.parked) > 0 {
+	if len(rt.out.parked) > 0 {
 		rt.EP.Eng.Go("root-outbox", rt.out.redeliver)
 	}
 	return &ack{}, 8
@@ -275,29 +238,20 @@ const rootBorrowCandidates = 2
 
 // delegateTo asks one rack's sub-MN to back delegation d with req,
 // keeping the registry's free account of the resource: a declining or
-// unreachable rack is marked drained of it. On success d names its new
-// backing. Shared by the borrow election and rack-death re-delegation
-// so decline/timeout handling cannot drift between them.
+// unreachable rack is marked drained of it. On success d names its
+// backing.
 func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, d *Delegation, req AllocReq) bool {
 	dr := &delegateReq{DelegID: d.ID, Recipient: d.Recipient, AllocReq: req}
 	raw, ok := rt.EP.CallTimeout(p, rs.Sub, kindDelegate, 64, dr, rt.delegateTimeout())
 	if !ok {
 		// The sub may have granted and lost the response; park a
 		// key-resolved cancellation so the orphaned row (and region)
-		// cannot leak, and so the next candidate's row under the same
-		// delegation id never coexists with this one. A later
-		// re-delegation can legitimately land the delegation back in this
-		// rack; the cancel is then aimed at the live backing and goes
-		// stale.
+		// cannot leak. An election tries each rack once, so the
+		// delegation's live backing, if any, is never in this rack.
 		rt.Stats.Add("root.delegate_timeouts", 1)
-		id, rack := d.ID, rs.Rack
 		rt.out.park(letter{
-			to: rs.Sub, kind: kindDelegateCancel, size: 32, req: &FreeReq{AllocID: id},
+			to: rs.Sub, kind: kindDelegateCancel, size: 32, req: &FreeReq{AllocID: d.ID},
 			timeout: rt.delegateTimeout(), retried: "root.delegates_cancelled",
-			stale: func() bool {
-				cur, live := rt.dels[id]
-				return live && cur.DonorRack == rack
-			},
 		}, 0)
 		rs.debit(req.Res, rs.free(req.Res))
 		return false
@@ -404,180 +358,16 @@ func (rt *Root) onRackFree(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 // is lost: the region stays carved out only until the rack's sub-MN is
 // back.
 func (rt *Root) freeBacking(p *sim.Proc, d *Delegation) {
-	l := rt.delegateFree(d.DonorRack, d.SubAllocID)
+	l := letter{
+		to: rt.racks[d.DonorRack].Sub, kind: kindDelegateFree, size: 32, req: &FreeReq{AllocID: d.SubAllocID},
+		timeout: rt.delegateTimeout(), retried: "root.delegate_frees_retried",
+	}
 	if !rt.RackAlive(d.DonorRack) {
 		rt.out.park(l, 0)
 	} else if rt.out.send(p, l) {
 		return
 	}
 	rt.Stats.Add("root.free_lost", 1)
-}
-
-// delegateFree is the letter asking rack's sub-MN to tear down its RAT
-// row id: a delegation's backing on free, or a tombstone for a row whose
-// lease moved elsewhere while the rack was presumed dead.
-func (rt *Root) delegateFree(rack, id int) letter {
-	return letter{
-		to: rt.racks[rack].Sub, kind: kindDelegateFree, size: 32, req: &FreeReq{AllocID: id},
-		timeout: rt.delegateTimeout(), retried: "root.tombstones_flushed",
-	}
-}
-
-// onNodeDown services a sub-MN's death notice: delegated leases the dead
-// node held as a recipient are reclaimed to their donor racks (the
-// cross-rack mirror of reclaimLease).
-func (rt *Root) onNodeDown(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
-	n := req.(*nodeDownReq)
-	for _, id := range sortedKeys(rt.dels) {
-		// Re-check liveness on every iteration: freeBacking blocks, and a
-		// concurrent handler (an in-flight free, a delegateMoved) can
-		// delete a later id meanwhile.
-		d, ok := rt.dels[id]
-		if !ok || d.Recipient != n.Node {
-			continue
-		}
-		delete(rt.dels, id)
-		rt.freeBacking(p, d)
-		rt.Stats.Add("root.reclaimed", 1)
-		rt.emitDelegation(LeaseRevoked, d, d.Donor)
-	}
-	return &ack{}, 8
-}
-
-// onDelegateMoved keeps the delegation table truthful when a donor
-// rack's own recovery sweep re-placed (or revoked) a delegated lease.
-func (rt *Root) onDelegateMoved(from fabric.NodeID, req any) (any, int) {
-	mv := req.(*delegateMovedReq)
-	d, ok := rt.dels[mv.DelegID]
-	if !ok {
-		return &ack{}, 8
-	}
-	// Only the current donor rack's sub-MN speaks for the delegation: a
-	// stale row elsewhere (a lost delegate response awaiting its parked
-	// cancellation, or a reappeared rack awaiting tombstones) must not
-	// overwrite the re-delegated truth.
-	if rs, ok := rt.racks[d.DonorRack]; !ok || rs.Sub != from {
-		rt.Stats.Add("root.delegate_moved_stale", 1)
-		return &ack{}, 8
-	}
-	if mv.Gone {
-		delete(rt.dels, mv.DelegID)
-		rt.Stats.Add("root.delegate_revoked", 1)
-		return &ack{}, 8
-	}
-	d.Donor, d.DonorBase, d.At = mv.Donor, mv.DonorBase, rt.EP.Eng.Now()
-	rt.Stats.Add("root.delegate_moved", 1)
-	return &ack{}, 8
-}
-
-// StartRecovery launches the root's rack-level failure-detection loop.
-// Like Monitor.StartRecovery, the loop keeps the event queue alive
-// forever; drive such engines with RunFor or step-until-done.
-func (rt *Root) StartRecovery() {
-	startLoop(rt.EP.Eng, "root-mn-recovery", &rt.sweepOn, sweepEvery(rt.SweepInterval, rt.RackBeatTimeout), rt.sweep)
-}
-
-// sweep runs one rack-level detection pass, in rack order.
-func (rt *Root) sweep(p *sim.Proc) {
-	racks := make([]int, 0, len(rt.racks))
-	for r := range rt.racks {
-		racks = append(racks, r)
-	}
-	sort.Ints(racks)
-	for _, r := range racks {
-		rs := rt.racks[r]
-		if !rs.Dead && rs.Beats > 0 && rt.EP.Eng.Now().Sub(rs.LastBeat) > rt.RackBeatTimeout {
-			rs.Dead = true
-			rt.Stats.Add("root.rack_deaths", 1)
-			rt.redelegateRack(p, r)
-		}
-	}
-	rt.out.redeliver(p)
-}
-
-// redelegateRack moves every lease the dead rack was donating onto a
-// surviving rack: a fresh delegated grant there, then the recipients'
-// agents retarget their windows and replay what was in flight — the
-// same relocate machinery rack-local failover uses, driven one level
-// up. Leases the dead rack's nodes hold as recipients are left to that
-// rack's own sub-MN (it owns those rows and may just be partitioned).
-func (rt *Root) redelegateRack(p *sim.Proc, dead int) {
-	for _, id := range sortedKeys(rt.dels) {
-		d, ok := rt.dels[id]
-		if !ok || d.DonorRack != dead {
-			continue
-		}
-		// Whatever happens next, the dead rack's backing region stays
-		// carved out of its donor; park a tombstone so a reappearing
-		// (falsely-dead) sub-MN drops the stale row and hot-returns the
-		// region instead of diverging from the re-delegated truth.
-		rt.out.park(rt.delegateFree(dead, d.SubAllocID), 0)
-		oldDonor := d.Donor
-		moved := false
-		// Resend the request the row was granted under: its admitted
-		// amount, its key and its tags.
-		req := AllocReq{Res: d.Kind, Size: d.Size, WindowBase: d.RecipientBase, Tags: d.Tags}
-		for _, rs := range rt.donorRacks(dead, d.Kind, d.Size) {
-			if !rt.delegateTo(p, rs, d, req) {
-				continue
-			}
-			if d.Kind == Memory {
-				// Device leases carry no hot-plugged window: recipients
-				// learn the new donor from the lease-lifecycle event and
-				// replay in flight work themselves, so only memory leases
-				// need the agent-level relocate.
-				rel := &relocateReq{
-					AllocID: d.SubAllocID, RecipientBase: d.RecipientBase, Size: d.Size,
-					OldDonor: oldDonor, NewDonor: d.Donor, NewDonorBase: d.DonorBase,
-				}
-				rt.deliverRelocate(p, d, rel)
-			}
-			rt.Stats.Add("root.redelegated", 1)
-			rt.emitDelegation(LeaseFailedOver, d, oldDonor)
-			moved = true
-			break
-		}
-		if !moved {
-			// No surviving rack can back the window: revoke so the
-			// recipient's parked accesses fail fast instead of waiting on
-			// a region that no longer exists.
-			delete(rt.dels, d.ID)
-			if d.Kind == Memory && !rt.out.send(p, letter{
-				to: d.Recipient, kind: kindRevoke, size: 32,
-				req:     &revokeReq{AllocID: d.SubAllocID, RecipientBase: d.RecipientBase, Size: d.Size},
-				timeout: grantTimeout(rt.EP.P), retried: "root.revoke_retried",
-			}) {
-				rt.Stats.Add("root.revoke_lost", 1)
-			}
-			rt.Stats.Add("root.revoked", 1)
-			rt.emitDelegation(LeaseRevoked, d, oldDonor)
-		}
-	}
-}
-
-// deliverRelocate sends a re-delegation's relocate notice to the
-// recipient's agent. A lost one parks until it lands or goes stale: the
-// delegation is gone or has moved on from the row rel names. When the
-// window raced a concurrent free, the agent refuses it, and the root
-// drops the delegation and takes the replacement backing down.
-func (rt *Root) deliverRelocate(p *sim.Proc, d *Delegation, rel *relocateReq) {
-	if !rt.out.send(p, letter{
-		to: d.Recipient, kind: kindRelocate, size: 64, req: rel,
-		timeout: grantTimeout(rt.EP.P), retried: "root.relocate_retried",
-		stale: func() bool {
-			cur, live := rt.dels[d.ID]
-			return !live || cur.Donor != rel.NewDonor || cur.SubAllocID != rel.AllocID
-		},
-		answer: func(p *sim.Proc, resp any) {
-			if !resp.(*relocateResp).OK {
-				delete(rt.dels, d.ID)
-				rt.freeBacking(p, d)
-				rt.Stats.Add("root.raced_free", 1)
-			}
-		},
-	}) {
-		rt.Stats.Add("root.relocate_lost", 1)
-	}
 }
 
 // --- sub-MN side -----------------------------------------------------
@@ -588,9 +378,18 @@ func (rt *Root) deliverRelocate(p *sim.Proc, d *Delegation, rel *relocateReq) {
 // rack cannot serve. The first beat is staggered past every agent's
 // first heartbeat so the initial report carries real idle figures. A
 // second call does nothing.
+//
+// A sub-MN never moves or revokes a row on its own: the root's
+// delegation table would go stale behind a re-placed, migrated or
+// preempted delegated row. So StartRackBeat panics on an MN whose
+// recovery or migration loop runs or whose Admission is set, and
+// StartRecovery and StartMigration panic on a sub-MN.
 func (m *Monitor) StartRackBeat(root fabric.NodeID, rack int, interval sim.Dur) {
-	if m.hasUpstream {
+	switch {
+	case m.hasUpstream:
 		return
+	case m.recoveryOn, m.migrationOn, m.Admission != nil:
+		panic("monitor: a sub-MN runs no recovery, migration or admission")
 	}
 	m.upstream, m.hasUpstream, m.rack = root, true, rack
 	if interval <= 0 {
@@ -600,17 +399,20 @@ func (m *Monitor) StartRackBeat(root fabric.NodeID, rack int, interval sim.Dur) 
 		p.Sleep(sim.Dur(m.Topo.N+2+rack) * sim.Millisecond)
 		for {
 			m.sendRackBeat(p, interval)
-			// Without recovery the beat loop is the one loop a sub-MN
-			// runs, so it redelivers parked letters and a lost free or
-			// cancel still cannot leak a delegation forever. With recovery
-			// on the sweep owns redelivery, so a redelivered relocate never
-			// races a failover of the same row.
-			if !m.recoveryOn {
-				m.out.redeliver(p)
-			}
+			// The beat loop is the one loop a sub-MN runs, so it
+			// redelivers parked letters: a lost free or cancel cannot leak
+			// a delegation forever.
+			m.out.redeliver(p)
 			p.Sleep(interval)
 		}
 	})
+}
+
+// flatOnly panics on a sub-MN, which runs no loop of the kind named.
+func (m *Monitor) flatOnly(loop string) {
+	if m.hasUpstream {
+		panic("monitor: a sub-MN runs no " + loop)
+	}
 }
 
 // sendRackBeat sends one rack-level report to the root MN, aggregating
@@ -658,14 +460,12 @@ func (m *Monitor) borrowTimeout() sim.Dur { return 8 * grantTimeout(m.EP.P) }
 
 // escalate forwards a request the rack cannot serve to the root MN and,
 // on success, records the recipient-facing alloc-id → delegation-id
-// mapping so the lease frees through the same Free call path. size is
-// the admitted amount — r's unless the local admission gate degraded
-// the grant before the rack turned out to be starved.
+// mapping so the lease frees through the same Free call path.
 //
 // The borrow's cancellation key is memory's window. A device has no
 // window, so the sub mints the recipient-facing alloc id up front and
 // rides it in WindowBase as the key; memory mints its id on success.
-func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size uint64) *AllocResp {
+func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq) *AllocResp {
 	id, key := -1, r.WindowBase
 	if r.Res != Memory {
 		id = m.nextAllocID
@@ -673,7 +473,7 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 		key = uint64(id)
 	}
 	req := &rackBorrowReq{Rack: m.rack, Recipient: from, AllocReq: *r}
-	req.Size, req.WindowBase = size, key
+	req.Size, req.WindowBase = r.amount(), key
 	raw, ok := m.EP.CallTimeout(p, m.upstream, kindRackBorrow, 64, req, m.borrowTimeout())
 	if !ok {
 		// The response is lost (or the root outran our patience, which
@@ -703,7 +503,7 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq, size ui
 	}
 	m.delegated[id] = delegatedLease{deleg: resp.AllocID, recipient: from}
 	m.Stats.Add("alloc.delegated", 1)
-	return r.granted(id, resp.Donor, resp.DonorBase, size)
+	return &AllocResp{OK: true, AllocID: id, Donor: resp.Donor, DonorBase: resp.DonorBase}
 }
 
 // delegatedLease is a sub-MN's record of one lease another rack backs
@@ -714,21 +514,10 @@ type delegatedLease struct {
 }
 
 // onDelegate services the root MN's cross-rack grant request: the
-// normal donor walk, for a recipient outside this rack.
-//
-// The donor rack applies a restricted admission check for class-tagged
-// delegations: admit or decline, with a preemption attempt for classes
-// above Preemptible — never queue (a queue wait here would race the
-// root's delegateTimeout and the requesting sub's borrowTimeout) and
-// never degrade (the recipient's window was escalated at a committed
-// size). A decline is an ordinary "no rack donor" to the root, which
-// tries the next candidate rack.
+// normal donor walk, for a recipient outside this rack. A rack with no
+// donor declines, and the root tries the next candidate rack.
 func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*delegateReq)
-	if m.Admission != nil && r.Class != tenancy.ClassNone && !m.admitDelegate(p, r) {
-		m.Stats.Add("admit.delegate_declined", 1)
-		return &AllocResp{OK: false, Err: "admission: donor rack over budget"}, 64
-	}
 	a, ok := m.grant(p, r.Recipient, &r.AllocReq, r.Size, r.DelegID)
 	if !ok {
 		m.Stats.Add("delegate.declined", 1)
@@ -736,21 +525,6 @@ func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	}
 	m.Stats.Add("delegate.granted", 1)
 	return &AllocResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}, 64
-}
-
-// admitDelegate is the donor-rack admission check for one delegated
-// grant: Decide against this rack's pressure, with queue and degrade
-// verdicts collapsed to a single preemption attempt (classes above
-// Preemptible) and otherwise a decline.
-func (m *Monitor) admitDelegate(p *sim.Proc, r *delegateReq) bool {
-	if dec, _ := m.decide(r.Res, r.Size, r.Class); dec == tenancy.Admit {
-		return true
-	}
-	if r.Class > tenancy.Preemptible && m.preempt(p, r.Recipient, r.Res, r.Size, r.Class) {
-		dec, _ := m.decide(r.Res, r.Size, r.Class)
-		return dec == tenancy.Admit
-	}
-	return false
 }
 
 // onDelegateFree services the root MN's teardown of a delegated lease

@@ -12,25 +12,22 @@ import (
 	"repro/internal/tenancy"
 )
 
-// Admission-ordering contract, exercised end to end on both monitor
-// planes and for both memory and device leases: under a saturated pool
-// the MN must treat the classes in strict lattice order — Preemptible
-// is rejected outright, Standard queues and then preempts its way in,
-// Latency preempts immediately without ever queueing — and a queued
-// request whose caller set a shorter WithTimeout surfaces ErrTimeout
-// instead of hanging.
+// Admission-ordering contract, exercised end to end on the flat monitor
+// plane (the one that admits) for both memory and device leases: under
+// a saturated pool the MN must treat the classes in strict lattice
+// order — Preemptible is rejected outright, Standard queues and then
+// preempts its way in, Latency preempts immediately without ever
+// queueing — and a queued request whose caller set a shorter
+// WithTimeout surfaces ErrTimeout instead of hanging.
 
-// orderRig abstracts the plane under test: a flat cluster's MN or a
-// hier cluster's rack-0 sub-MN.
+// orderRig is the pool under test: a flat cluster's MN leasing memory
+// or NICs.
 type orderRig struct {
 	name  string
 	plane core.Plane
 	app   *node.Node
 	stats *sim.Scoreboard
 	eng   *sim.Engine
-	// opts are appended to every request (the hier rig pins
-	// ScopeLocalRack so escalation cannot sidestep the rack's admission).
-	opts []core.Option
 	// units is the pool size in leases; preemptibleUnits how many the
 	// Preemptible budget admits.
 	units, preemptibleUnits int
@@ -109,63 +106,14 @@ func newFlatRig(t *testing.T, nics int) *orderRig {
 	}
 }
 
-func hierRig(t *testing.T) *orderRig {
-	t.Helper()
-	return newHierRig(t, 0)
-}
-
-// hierNICRig is the hier rig leasing NICs: rack 0's two donors
-// advertise four each, the memory case's eight-lease pool. Standard's
-// budget (0.75 of 8 units) needs three evictions from the full pool,
-// Latency's one.
-func hierNICRig(t *testing.T) *orderRig {
-	t.Helper()
-	rig := newHierRig(t, 4)
-	rig.name, rig.kind, rig.size, rig.preemptKey = "hier-nic", core.NIC, 0, "preempt.device"
-	rig.stdPreempts, rig.latPreempts = 3, 1
-	return rig
-}
-
-// newHierRig builds the hier rig with nics NICs advertised on each of
-// rack 0's donors (none for the memory case).
-func newHierRig(t *testing.T, nics int) *orderRig {
-	t.Helper()
-	cl := core.NewHierCluster(core.HierConfig{
-		Racks: 2, RackX: 2, RackY: 2, RackZ: 1,
-		NodeMemBytes:      orderNodeMem,
-		HeartbeatInterval: 100 * sim.Microsecond,
-		Admission:         orderPolicy(),
-	})
-	sub := cl.SubNode(0)
-	app := cl.Nodes[cl.Hier.RackNodes(0)[1]]
-	for _, id := range []fabric.NodeID{sub, app.ID} {
-		if err := cl.Nodes[id].MemMgr.Reserve(cl.Nodes[id].MemMgr.Idle()); err != nil {
-			t.Fatalf("reserving node %v: %v", id, err)
-		}
-	}
-	if nics > 0 {
-		for _, id := range cl.Hier.RackNodes(0)[2:] {
-			cl.Agents[id].Devices[monitor.DevNIC] = nics
-		}
-	}
-	cl.RunFor(10 * sim.Millisecond)
-	return &orderRig{
-		name: "hier", plane: cl, app: app, stats: &cl.Subs[0].Stats,
-		eng:   cl.Eng,
-		opts:  []core.Option{core.WithScope(monitor.ScopeLocalRack)},
-		units: 8, preemptibleUnits: 4, close: cl.Close,
-		kind: core.Memory, size: orderLease, preemptKey: "preempt.memory",
-	}
-}
-
 func TestAdmissionClassOrdering(t *testing.T) {
-	rigs := []func(*testing.T) *orderRig{flatRig, hierRig, flatNICRig, hierNICRig}
+	rigs := []func(*testing.T) *orderRig{flatRig, flatNICRig}
 	for _, mk := range rigs {
 		rig := mk(t)
 		t.Run(rig.name, func(t *testing.T) {
 			defer rig.close()
 			acquire := func(p *sim.Proc, opts ...core.Option) (core.Lease, error) {
-				req := core.NewRequest(rig.kind, rig.app, rig.size, rig.opts...)
+				req := core.NewRequest(rig.kind, rig.app, rig.size)
 				return rig.plane.Acquire(p, req.With(opts...))
 			}
 			done := rig.app.Run("admission-order", func(p *sim.Proc) {
