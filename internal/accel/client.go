@@ -50,7 +50,8 @@ func NewClient(n *node.Node) *Client {
 		// back; its arrival finishes the chunk. The donor is read at fire
 		// time so a retargeted handle reads from its current donor.
 		ck.started = true
-		rd := n.EP.RDMA.ReadAsync(ck.h.Donor, ck.addr, ck.size)
+		rd := sim.NewCompletion(n.Eng)
+		n.EP.RDMA.ReadAsync(ck.h.Donor, ck.addr, ck.size, rd)
 		rd.Then(ck.done)
 	})
 	return c
@@ -107,7 +108,7 @@ func (h *RemoteHandle) Retarget(newDonor fabric.NodeID) {
 		ck.started = false
 		h.Replays++
 		start := &accelStartMsg{Mailbox: h.Mailbox, Exec: ck.exec, Bytes: ck.size, Tag: tag}
-		ep.RDMA.WriteAsyncNote(newDonor, ck.addr, ck.size, start)
+		ep.RDMA.WriteAsyncNote(newDonor, ck.addr, ck.size, start, nil)
 	}
 }
 
@@ -153,7 +154,7 @@ func (h *RemoteHandle) Run(p *sim.Proc, exec string, n int) {
 		// Stage 1+2: ship the input chunk with the start request as its
 		// immediate; the donor launches the accelerator on arrival.
 		start := &accelStartMsg{Mailbox: h.Mailbox, Exec: exec, Bytes: sz, Tag: tag}
-		ep.RDMA.WriteAsyncNote(h.Donor, addr, sz, start)
+		ep.RDMA.WriteAsyncNote(h.Donor, addr, sz, start, nil)
 	}
 	g.Wait(p)
 }

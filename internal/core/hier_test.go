@@ -108,6 +108,34 @@ func TestHierBorrowScopes(t *testing.T) {
 	}
 }
 
+// TestSubMNSkipsAdmission: a sub-MN never runs the admission gate, even
+// when its Admission field is set after the cluster started its
+// rackbeat: the gate's preemption could revoke a delegated row without
+// telling the root. Rack 0's sub-MN gets a policy that admits nothing,
+// and a Preemptible-tagged rack-local acquire is still granted.
+func TestSubMNSkipsAdmission(t *testing.T) {
+	cl := NewHierCluster(hierTestConfig())
+	defer cl.Close()
+	sub := cl.Subs[0]
+	sub.Admission = &tenancy.Config{}
+	cl.RunFor(25 * sim.Millisecond)
+
+	recipient := cl.Node(2) // rack 0, not the sub-MN node
+	done := recipient.Run("borrower", func(p *sim.Proc) {
+		l, err := acquireMem(p, cl, recipient, 4<<20, WithScope(monitor.ScopeLocalRack),
+			WithTenant(1, tenancy.Preemptible))
+		if err != nil {
+			t.Errorf("rack-local preemptible acquire: %v", err)
+			return
+		}
+		l.Release(p)
+	})
+	stepUntil(t, cl, done)
+	if got := sub.Stats.Get("admit.rejected"); got != 0 {
+		t.Fatalf("rack 0's sub-MN counted %d admission rejections, want 0", got)
+	}
+}
+
 // TestHierStarvedRackEscalates: with ScopeAny, a rack whose donors are
 // all drained escalates to the root instead of failing — the
 // memory-starved path of the tentpole.

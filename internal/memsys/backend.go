@@ -10,7 +10,9 @@ import (
 
 // AccessCtx carries the executing process and a flush hook into backend
 // accesses. Backends that block (remote fills, page faults) must call
-// Flush first so lazily-accumulated local time is charged in order.
+// Flush first so lazily-accumulated local time is charged in order. The
+// hierarchy recycles its contexts, so one is valid only during the
+// backend call it is passed to.
 type AccessCtx struct {
 	Proc  *sim.Proc
 	Flush func()
@@ -31,8 +33,11 @@ type Backend interface {
 // issued concurrently. The hierarchy exploits it for multi-line
 // accesses: all missing lines of one Read/Write are requested together
 // and awaited once, modeling the MSHRs a streaming core relies on.
+// AccessAsync issues one fill and completes done when it lands. done
+// is the hierarchy's, one of its MSHR completions, passed incomplete;
+// the backend only completes it.
 type AsyncBackend interface {
-	AccessAsync(ctx *AccessCtx, addr uint64, size int) *sim.Completion
+	AccessAsync(ctx *AccessCtx, addr uint64, size int, done *sim.Completion)
 }
 
 // LocalDRAM is plain node-local memory.
@@ -76,13 +81,14 @@ func (c *CRMARemote) Access(ctx *AccessCtx, addr uint64, size int, _ bool) sim.D
 // AccessAsync implements AsyncBackend: the hierarchy overlaps fills for
 // the lines of one multi-line access (hardware MSHR-style memory-level
 // parallelism), which is what lets CRMA stream contiguous data.
-func (c *CRMARemote) AccessAsync(_ *AccessCtx, addr uint64, size int) *sim.Completion {
-	return c.CRMA.FillAsync(addr, size)
+func (c *CRMARemote) AccessAsync(_ *AccessCtx, addr uint64, size int, done *sim.Completion) {
+	c.CRMA.FillAsync(addr, size, done)
 }
 
-// Writeback posts the dirty line to the donor off the critical path.
+// Writeback posts the dirty line to the donor off the critical path:
+// nobody waits for its acknowledgement.
 func (c *CRMARemote) Writeback(_ *AccessCtx, addr uint64, size int) sim.Dur {
-	c.CRMA.WriteAsync(addr, size)
+	c.CRMA.WriteAsync(addr, size, nil)
 	return 0
 }
 

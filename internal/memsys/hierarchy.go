@@ -30,6 +30,13 @@ type Hierarchy struct {
 	lazyMax  sim.Dur
 	lineMask uint64
 
+	// Free lists of the completions that track in-flight misses and of
+	// access contexts, each context's Flush bound once. They are free
+	// lists rather than one set per hierarchy because the hierarchy is
+	// shared by every process of its node, whose accesses overlap.
+	mshrFree []*sim.Completion
+	ctxFree  []*AccessCtx
+
 	Stats HierarchyStats
 }
 
@@ -93,11 +100,12 @@ func (h *Hierarchy) access(p *sim.Proc, addr uint64, size int, write bool) {
 		panic(fmt.Sprintf("memsys: non-positive access size %d", size))
 	}
 	h.Stats.Bytes += int64(size)
-	ctx := &AccessCtx{Proc: p, Flush: func() { h.Flush(p) }}
+	ctx := h.context(p)
 	if r, ok := h.AS.Lookup(addr); ok && r.Uncached {
 		// PIO window: no cache allocation, one backend access for the
 		// whole operation.
 		h.lazy += r.Backend.Access(ctx, addr, size, write)
+		h.putContext(ctx)
 		h.maybeFlush(p)
 		return
 	}
@@ -123,7 +131,7 @@ func (h *Hierarchy) access(p *sim.Proc, addr uint64, size int, write bool) {
 		if issued-awaited == mshrs {
 			// MSHRs full: the core stalls on the oldest miss.
 			h.Flush(p)
-			p.Await(mshr[awaited%mshrs])
+			h.await(p, mshr[awaited%mshrs])
 			awaited++
 		}
 		if c := h.accessLine(ctx, la, write, multi); c != nil {
@@ -137,15 +145,55 @@ func (h *Hierarchy) access(p *sim.Proc, addr uint64, size int, write bool) {
 	if awaited < issued {
 		h.Flush(p)
 		for ; awaited < issued; awaited++ {
-			p.Await(mshr[awaited%mshrs])
+			h.await(p, mshr[awaited%mshrs])
 		}
 	}
+	h.putContext(ctx)
 	h.maybeFlush(p)
+}
+
+// context takes an access context for p off the free list.
+func (h *Hierarchy) context(p *sim.Proc) *AccessCtx {
+	n := len(h.ctxFree)
+	if n == 0 {
+		ctx := &AccessCtx{Proc: p}
+		ctx.Flush = func() { h.Flush(ctx.Proc) }
+		return ctx
+	}
+	ctx := h.ctxFree[n-1]
+	h.ctxFree = h.ctxFree[:n-1]
+	ctx.Proc = p
+	return ctx
+}
+
+// putContext puts an access's context back on the free list.
+func (h *Hierarchy) putContext(ctx *AccessCtx) {
+	ctx.Proc = nil
+	h.ctxFree = append(h.ctxFree, ctx)
+}
+
+// mshr takes an incomplete completion for one miss off the free list.
+func (h *Hierarchy) mshr() *sim.Completion {
+	n := len(h.mshrFree)
+	if n == 0 {
+		return sim.NewCompletion(h.Eng)
+	}
+	c := h.mshrFree[n-1]
+	h.mshrFree = h.mshrFree[:n-1]
+	c.Rearm()
+	return c
+}
+
+// await blocks p until miss c lands, then puts c back on the free list.
+func (h *Hierarchy) await(p *sim.Proc, c *sim.Completion) {
+	p.Await(c)
+	h.mshrFree = append(h.mshrFree, c)
 }
 
 // accessLine performs the cache lookup and backend traffic for one line.
 // When overlap is true and the backend supports it, the miss is issued
-// asynchronously and its completion returned for the caller to await.
+// asynchronously into a completion off the free list, returned for the
+// caller to await (await puts it back).
 func (h *Hierarchy) accessLine(ctx *AccessCtx, lineAddr uint64, write, overlap bool) *sim.Completion {
 	hit, victim, victimDirty := h.Cache.Access(lineAddr, write)
 	h.lazy += h.P.CacheHit
@@ -161,7 +209,9 @@ func (h *Hierarchy) accessLine(ctx *AccessCtx, lineAddr uint64, write, overlap b
 	}
 	if overlap {
 		if ab, ok := r.Backend.(AsyncBackend); ok {
-			return ab.AccessAsync(ctx, lineAddr, h.P.CacheLine)
+			done := h.mshr()
+			ab.AccessAsync(ctx, lineAddr, h.P.CacheLine, done)
+			return done
 		}
 	}
 	h.lazy += r.Backend.Access(ctx, lineAddr, h.P.CacheLine, write)

@@ -54,10 +54,11 @@ func (r *remoteReadRig) read(p *sim.Proc) {
 }
 
 // TestRemoteReadSteadyStateAllocs gates a warm 2 KiB read that misses
-// all 32 lines: one allocation per fill (its Completion; both packets
-// go back to their senders' lists) plus the access context and its
-// flush closure. Each run reads from a fresh proc, whose own Go
-// completion is not counted.
+// all 32 lines: it allocates nothing. Each fill completes one of the
+// hierarchy's recycled MSHR completions, both its packets go back to
+// their senders' lists, and the access context comes off the
+// hierarchy's free list with its flush closure bound. Each run reads
+// from a fresh proc, whose own Go completion is not counted.
 func TestRemoteReadSteadyStateAllocs(t *testing.T) {
 	r := newRemoteReadRig(t)
 	read := r.read
@@ -74,8 +75,8 @@ func TestRemoteReadSteadyStateAllocs(t *testing.T) {
 	if n := r.crma.Stats.Fills - fills; n != 32*(runs+1) {
 		t.Fatalf("%d fills over %d reads, want 32 each", n, runs+1)
 	}
-	if got > 32+2 {
-		t.Fatalf("steady-state 2 KiB remote read allocates %.2f/op, want <= %d", got, 32+2)
+	if got > 0 {
+		t.Fatalf("steady-state 2 KiB remote read allocates %.2f/op, want 0", got)
 	}
 }
 

@@ -124,8 +124,10 @@ type Monitor struct {
 	// (admission.go): per-class thresholds, consulted before every
 	// tagged grant, with preemption on. nil (the default) disables
 	// admission entirely — every pre-tenancy workload runs
-	// byte-identically. A sub-MN admits without it (StartRackBeat
-	// refuses an MN that has one).
+	// byte-identically. Only a flat MN consults it: a sub-MN admits
+	// without it, even if the field is set after StartRackBeat (which
+	// refuses an MN that has one), since its preemption could revoke a
+	// delegated row behind the root's back.
 	Admission *tenancy.Config
 
 	// HeartbeatTimeout marks a node dead when its reports stop.
@@ -489,19 +491,20 @@ func (m *Monitor) donorCandidates(requester fabric.NodeID) []*Registration {
 }
 
 // onAlloc services a request for an amount of one resource: admission
-// for class-tagged requests, the local donor walk first (unless the
-// scope hint forbids it), then — on a sub-MN — escalation to the root
-// MN when the rack is starved or the request asked for a remote rack
-// outright. The reply's wire size is the resource's.
+// for class-tagged requests on a flat MN, the local donor walk first
+// (unless the scope hint forbids it), then — on a sub-MN — escalation
+// to the root MN when the rack is starved or the request asked for a
+// remote rack outright. The reply's wire size is the resource's.
 func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	r := req.(*AllocReq)
 	wire := pick(r.Res, 64, 32)
 	// Tagged requests pass the admission controller first: it may admit
 	// the full amount, shrink it (degraded grant), hold the request for a
 	// bounded wait, preempt Preemptible leases for a higher class, or
-	// reject outright. Untagged requests (Class zero) bypass it.
+	// reject outright. Untagged requests (Class zero) bypass it, and so
+	// does every request to a sub-MN.
 	size := r.amount()
-	if m.Admission != nil && r.Class != tenancy.ClassNone {
+	if m.Admission != nil && !m.hasUpstream && r.Class != tenancy.ClassNone {
 		g, rejected := m.admit(p, from, r.Res, size, r.Class)
 		if rejected {
 			m.Stats.Add("admit.rejected", 1)

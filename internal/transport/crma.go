@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -78,8 +77,7 @@ type CRMA struct {
 	ep       *Endpoint
 	ramt     []*RAMTEntry // requester-side windows
 	exports  []*RAMTEntry // donor-side reverse mappings (remote node's window -> local)
-	pending  map[uint64]*crmaAccess
-	nextID   uint64
+	pending  pendingTable[crmaAccess]
 	accesses freeList[crmaAccess]
 	replies  freeList[crmaReply]
 	reqs     wireList[crmaReq]
@@ -92,13 +90,17 @@ type CRMA struct {
 // crmaAccess is one outstanding fill or store at the requester. It keeps
 // its request so the access can be re-issued against a new donor if the
 // window is retargeted while it is in flight, and its RAMT entry, whose
-// donor it reads when the request leaves. Its life ends in its
+// donor it reads when the request leaves. done is the completion the
+// access fires: the caller's under FillAsync and WriteAsync (nil when
+// nobody waits), or own, which the record keeps for its whole life and
+// Fill and Write re-arm for each access. Its life ends in its
 // completion event.
 type crmaAccess struct {
 	c      *CRMA
 	e      *RAMTEntry
 	req    crmaReq
 	done   *sim.Completion
+	own    *sim.Completion
 	onSend func()
 	onDone func()
 }
@@ -110,7 +112,9 @@ func (a *crmaAccess) send() { send(&a.c.reqs, a.c.ep, a.e.Node, "crma.req", a.re
 // complete hands the data to the core, after the CRMA logic has
 // de-packetized the response.
 func (a *crmaAccess) complete() {
-	a.done.Complete()
+	if a.done != nil {
+		a.done.Complete()
+	}
 	a.e, a.done = nil, nil
 	a.c.accesses.put(a)
 }
@@ -131,9 +135,9 @@ func (r *crmaReply) send() {
 }
 
 func newCRMA(ep *Endpoint) *CRMA {
-	c := &CRMA{ep: ep, pending: make(map[uint64]*crmaAccess)}
+	c := &CRMA{ep: ep}
 	c.accesses.fresh = func() *crmaAccess {
-		a := &crmaAccess{c: c}
+		a := &crmaAccess{c: c, own: sim.NewCompletion(ep.Eng)}
 		a.onSend, a.onDone = a.send, a.complete
 		return a
 	}
@@ -184,24 +188,26 @@ func (c *CRMA) Unmap(e *RAMTEntry) {
 // Reset wipes the channel's soft state — every mapping, every export,
 // every pending access — modeling the node rebooting: the RAMT is
 // hardware state that does not survive power loss. Completions of wiped
-// pending accesses never fire (their waiters died with the node).
+// pending accesses never fire (their waiters died with the node), and
+// no late answer to one completes anything: ids are never reused.
 func (c *CRMA) Reset() {
 	c.ramt = nil
 	c.exports = nil
-	c.pending = make(map[uint64]*crmaAccess)
+	c.pending.reset()
 }
 
 // pendingInWindow collects the ids of in-flight accesses whose address
-// falls inside [base, base+size), ascending — the deterministic order
-// both recovery paths (replay and kill) walk them in.
+// falls inside [base, base+size), ascending, which is issue order — the
+// deterministic order both recovery paths (replay and kill) walk them
+// in.
 func (c *CRMA) pendingInWindow(base, size uint64) []uint64 {
-	ids := make([]uint64, 0, len(c.pending))
-	for id, a := range c.pending {
+	ids := make([]uint64, 0, c.pending.len())
+	for id, a := range c.pending.all() {
 		if a.req.addr >= base && a.req.addr < base+size {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -227,7 +233,7 @@ func (c *CRMA) ReplayWindow(base, size uint64) int {
 	ids := c.pendingInWindow(base, size)
 	replayed := 0
 	for _, id := range ids {
-		req := c.pending[id].req
+		req := c.pending.get(id).req
 		e, ok := c.Lookup(req.addr)
 		if !ok || e.Dead {
 			continue
@@ -253,10 +259,11 @@ func (c *CRMA) KillWindow(base, size uint64) {
 		}
 	}
 	for _, id := range c.pendingInWindow(base, size) {
-		a := c.pending[id]
-		delete(c.pending, id)
+		a := c.pending.remove(id)
 		c.Stats.DeadAccesses++
-		a.done.Complete()
+		if a.done != nil {
+			a.done.Complete()
+		}
 	}
 }
 
@@ -272,19 +279,43 @@ func (c *CRMA) Lookup(addr uint64) (*RAMTEntry, bool) {
 }
 
 // FillAsync issues a remote read of size bytes at addr (which must be
-// covered by a mapping) and returns a completion that fires when the data
-// arrives. This is the hardware path a cache miss takes.
-func (c *CRMA) FillAsync(addr uint64, size int) *sim.Completion {
-	return c.accessAsync(addr, size, false)
+// covered by a mapping) and completes done when the data arrives. This
+// is the hardware path a cache miss takes. done belongs to the caller,
+// who passes it incomplete and leaves it alone until it fires; nil
+// means nobody waits.
+func (c *CRMA) FillAsync(addr uint64, size int, done *sim.Completion) {
+	c.access(addr, size, false, done)
 }
 
-// WriteAsync issues a remote store (e.g. a dirty writeback) and returns
-// its acknowledgement completion.
-func (c *CRMA) WriteAsync(addr uint64, size int) *sim.Completion {
-	return c.accessAsync(addr, size, true)
+// WriteAsync issues a remote store (e.g. a dirty writeback) and
+// completes done, as FillAsync does, when the donor acknowledges it; a
+// posted writeback passes nil.
+func (c *CRMA) WriteAsync(addr uint64, size int, done *sim.Completion) {
+	c.access(addr, size, true, done)
 }
 
-func (c *CRMA) accessAsync(addr uint64, size int, write bool) *sim.Completion {
+// Fill blocks the calling process until a remote read completes.
+func (c *CRMA) Fill(p *sim.Proc, addr uint64, size int) { c.await(p, addr, size, false) }
+
+// Write blocks the calling process until a remote store is acknowledged.
+func (c *CRMA) Write(p *sim.Proc, addr uint64, size int) { c.await(p, addr, size, true) }
+
+// await is the blocking access: p waits on the completion the access's
+// record owns. The record goes back to the free list, completion and
+// all, in the event that completes it, before p resumes; that is safe
+// because a waiter never touches its completion after it resumes.
+func (c *CRMA) await(p *sim.Proc, addr uint64, size int, write bool) {
+	if a := c.access(addr, size, write, nil); a != nil {
+		a.own.Rearm()
+		a.done = a.own
+		p.Await(a.own)
+	}
+}
+
+// access issues one fill or store that completes done, and returns its
+// record. An access to a dead window completes done at once and returns
+// nil.
+func (c *CRMA) access(addr uint64, size int, write bool, done *sim.Completion) *crmaAccess {
 	e, ok := c.Lookup(addr)
 	if !ok {
 		panic(fmt.Sprintf("crma: node %v: access to unmapped address %#x", c.ep.ID, addr))
@@ -293,9 +324,10 @@ func (c *CRMA) accessAsync(addr uint64, size int, write bool) *sim.Completion {
 		// Revoked window: complete instantly with poison rather than trap,
 		// and count the failure for the caller's accounting.
 		c.Stats.DeadAccesses++
-		done := sim.NewCompletion(c.ep.Eng)
-		done.Complete()
-		return done
+		if done != nil {
+			done.Complete()
+		}
+		return nil
 	}
 	if write {
 		c.Stats.Writes++
@@ -303,23 +335,11 @@ func (c *CRMA) accessAsync(addr uint64, size int, write bool) *sim.Completion {
 		c.Stats.Fills++
 	}
 	a := c.accesses.get()
-	a.e, a.req = e, crmaReq{id: c.nextID, addr: addr, size: size, write: write}
-	a.done = sim.NewCompletion(c.ep.Eng)
-	c.pending[c.nextID] = a
-	c.nextID++
+	a.e, a.done = e, done
+	a.req = crmaReq{id: c.pending.add(a), addr: addr, size: size, write: write}
 	// Capture + packetize in the CRMA logic, then inject.
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic, a.onSend)
-	return a.done
-}
-
-// Fill blocks the calling process until a remote read completes.
-func (c *CRMA) Fill(p *sim.Proc, addr uint64, size int) {
-	p.Await(c.FillAsync(addr, size))
-}
-
-// Write blocks the calling process until a remote store is acknowledged.
-func (c *CRMA) Write(p *sim.Proc, addr uint64, size int) {
-	p.Await(c.WriteAsync(addr, size))
+	return a
 }
 
 // PostWrite sends a fire-and-forget remote store with an attached note.
@@ -365,13 +385,13 @@ func (c *CRMA) handleReq(pkt *fabric.Packet, m *crmaReq) {
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic+svc, r.onSend)
 }
 
-// handleResp completes the requester-side pending access.
+// handleResp completes the requester-side pending access; an answer to
+// one that is no longer pending is dropped.
 func (c *CRMA) handleResp(m *crmaResp) {
-	a, ok := c.pending[m.id]
-	if !ok {
+	a := c.pending.remove(m.id)
+	if a == nil {
 		return
 	}
-	delete(c.pending, m.id)
 	// De-packetize in the CRMA logic before handing data to the core.
 	c.ep.Eng.Schedule(c.ep.P.CRMALogic, a.onDone)
 }

@@ -60,8 +60,7 @@ type Endpoint struct {
 	qpairs    map[int]*QPair
 	handlers  map[string]Handler
 	calls     map[string]callHandler
-	pending   map[uint64]*rpcCall
-	nextID    uint64
+	pending   pendingTable[rpcCall]
 	callRecs  freeList[rpcCall]
 	serveRecs freeList[rpcService]
 	reqWires  wireList[rpcReq]
@@ -153,7 +152,7 @@ func send[M any](l *wireList[M], ep *Endpoint, dst fabric.NodeID, kind string, s
 // CallTimeout returns, or when CallFunc's continuation is called. The
 // record keeps its Completion for its whole life, re-armed at the start
 // of each call: by the time a record goes back, its watchdog is revoked
-// and its pending entry deleted, so nothing can complete it again.
+// and its pending slot emptied, so nothing can complete it again.
 type rpcCall struct {
 	ep        *Endpoint
 	id        uint64
@@ -204,7 +203,7 @@ func (c *rpcCall) finish() {
 func (c *rpcCall) end() (any, bool) {
 	ep := c.ep
 	ep.Eng.Cancel(c.watchdog)
-	delete(ep.pending, c.id)
+	ep.pending.remove(c.id)
 	resp, ok := c.resp, !c.timedOut
 	c.resp, c.watchdog, c.then = nil, sim.Handle{}, nil
 	ep.callRecs.put(c)
@@ -267,7 +266,6 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		qpairs:   make(map[int]*QPair),
 		handlers: make(map[string]Handler),
 		calls:    make(map[string]callHandler),
-		pending:  make(map[uint64]*rpcCall),
 	}
 	ep.callRecs.fresh = func() *rpcCall {
 		c := &rpcCall{ep: ep, done: sim.NewCompletion(eng)}
@@ -335,11 +333,9 @@ func (ep *Endpoint) CallFunc(dst fabric.NodeID, kind string, reqSize int, body a
 // CallTimeout and CallFunc share.
 func (ep *Endpoint) call(dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur, then func(any, bool)) *rpcCall {
 	c := ep.callRecs.get()
-	c.id = ep.nextID
-	ep.nextID++
+	c.id = ep.pending.add(c)
 	c.done.Rearm()
 	c.timedOut, c.then = false, then
-	ep.pending[c.id] = c
 	send(&ep.reqWires, ep, dst, "rpc.req", reqSize, rpcReq{id: c.id, kind: kind, body: body})
 	if timeout > 0 {
 		c.watchdog = ep.Eng.ScheduleCancelable(timeout, c.onTimeout)
@@ -388,7 +384,7 @@ func (ep *Endpoint) deliver(pkt *fabric.Packet) {
 // handleResp completes the call a response answers; a response whose
 // caller vanished or timed out is dropped.
 func (ep *Endpoint) handleResp(m *rpcResp) {
-	if call, ok := ep.pending[m.id]; ok {
+	if call := ep.pending.get(m.id); call != nil {
 		call.resp = m.body
 		call.wake()
 	}

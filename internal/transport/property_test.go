@@ -102,7 +102,9 @@ func TestCRMAFillCompletionProperty(t *testing.T) {
 			for i := 0; i < n; i++ {
 				addr := 0x1_0000_0000 + uint64(rng.Intn(1<<20-256))
 				size := 64 * (1 + rng.Intn(4))
-				cs = append(cs, a.CRMA.FillAsync(addr, size))
+				c := sim.NewCompletion(eng)
+				a.CRMA.FillAsync(addr, size, c)
+				cs = append(cs, c)
 			}
 			for _, c := range cs {
 				pr.Await(c)

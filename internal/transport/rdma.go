@@ -46,8 +46,7 @@ type RDMAStats struct {
 // packetization and raise a completion interrupt at the end.
 type RDMA struct {
 	ep       *Endpoint
-	pending  map[uint64]*rdmaOp
-	nextID   uint64
+	pending  pendingTable[rdmaOp]
 	observer func(from fabric.NodeID, addr uint64, note any)
 	ops      freeList[rdmaOp]
 	sends    freeList[rdmaSend]
@@ -64,7 +63,10 @@ func (r *RDMA) ObserveImmediate(fn func(from fabric.NodeID, addr uint64, note an
 }
 
 // rdmaOp is one outstanding DMA at its requester: a read waiting for its
-// chunks, or a write streaming its chunks and waiting for the ack. Its
+// chunks, or a write streaming its chunks and waiting for the ack. done
+// is the completion the op fires: the caller's under ReadAsync and
+// WriteAsyncNote (nil when nobody waits), or own, which the record
+// keeps for its whole life and Read and Write re-arm for each op. Its
 // life ends in its completion event.
 type rdmaOp struct {
 	r        *RDMA
@@ -72,6 +74,7 @@ type rdmaOp struct {
 	req      rdmaReq
 	note     any // a write's immediate note
 	done     *sim.Completion
+	own      *sim.Completion
 	received int
 	total    int
 	onStart  func()
@@ -99,7 +102,9 @@ func (op *rdmaOp) start() {
 // complete raises the completion once the interrupt and its bottom half
 // have run.
 func (op *rdmaOp) complete() {
-	op.done.Complete()
+	if op.done != nil {
+		op.done.Complete()
+	}
 	op.done, op.note = nil, nil
 	op.r.ops.put(op)
 }
@@ -131,9 +136,9 @@ func (s *rdmaSend) send() {
 }
 
 func newRDMA(ep *Endpoint) *RDMA {
-	r := &RDMA{ep: ep, pending: make(map[uint64]*rdmaOp)}
+	r := &RDMA{ep: ep}
 	r.ops.fresh = func() *rdmaOp {
-		op := &rdmaOp{r: r}
+		op := &rdmaOp{r: r, own: sim.NewCompletion(ep.Eng)}
 		op.onStart, op.onDone = op.start, op.complete
 		return op
 	}
@@ -161,59 +166,64 @@ func (r *RDMA) chunk(m *rdmaReq, i int) rdmaChunk {
 		size: min(r.ep.P.RDMAChunk, m.size-off), addr: m.addr + uint64(off)}
 }
 
-// post starts a DMA of size bytes at donor-local address addr: software
-// descriptor setup, then the op sends its request (a read) or streams its
-// chunks (a write). A read completes after its last chunk arrives, a
-// write after the donor acks its last chunk.
-func (r *RDMA) post(donor fabric.NodeID, addr uint64, size int, write bool, note any) *sim.Completion {
+// post starts a DMA of size bytes at donor-local address addr that
+// completes done, and returns its op: software descriptor setup, then
+// the op sends its request (a read) or streams its chunks (a write). A
+// read completes after its last chunk arrives, a write after the donor
+// acks its last chunk.
+func (r *RDMA) post(donor fabric.NodeID, addr uint64, size int, write bool, note any, done *sim.Completion) *rdmaOp {
 	if size <= 0 {
 		panic(fmt.Sprintf("rdma: non-positive transfer size %d", size))
 	}
 	op := r.ops.get()
-	op.to, op.note = donor, note
-	op.req = rdmaReq{id: r.nextID, addr: addr, size: size, write: write, chunks: r.chunksFor(size)}
-	op.done, op.received, op.total = sim.NewCompletion(r.ep.Eng), 0, op.req.chunks
+	op.to, op.note, op.done = donor, note, done
+	op.req = rdmaReq{id: r.pending.add(op), addr: addr, size: size, write: write, chunks: r.chunksFor(size)}
+	op.received, op.total = 0, op.req.chunks
 	if write {
 		r.Stats.Writes++
 		op.total = 1
 	} else {
 		r.Stats.Reads++
 	}
-	r.nextID++
-	r.pending[op.req.id] = op
 	r.ep.Eng.Schedule(r.ep.P.RDMADescSW, op.onStart)
-	return op.done
+	return op
+}
+
+// await blocks p on the completion op's record owns, as CRMA's blocking
+// accesses do.
+func (r *RDMA) await(p *sim.Proc, op *rdmaOp) {
+	op.own.Rearm()
+	op.done = op.own
+	p.Await(op.own)
 }
 
 // ReadAsync starts a DMA that copies size bytes from donor-local address
-// remoteAddr into this node's memory, returning the completion that
-// fires after the final chunk and the completion interrupt.
-func (r *RDMA) ReadAsync(donor fabric.NodeID, remoteAddr uint64, size int) *sim.Completion {
-	return r.post(donor, remoteAddr, size, false, nil)
+// remoteAddr into this node's memory, and completes done after the
+// final chunk and the completion interrupt. done belongs to the caller,
+// who passes it incomplete and leaves it alone until it fires; nil
+// means nobody waits.
+func (r *RDMA) ReadAsync(donor fabric.NodeID, remoteAddr uint64, size int, done *sim.Completion) {
+	r.post(donor, remoteAddr, size, false, nil, done)
 }
 
 // Read blocks the calling process until the DMA read completes.
 func (r *RDMA) Read(p *sim.Proc, donor fabric.NodeID, remoteAddr uint64, size int) {
-	p.Await(r.ReadAsync(donor, remoteAddr, size))
+	r.await(p, r.post(donor, remoteAddr, size, false, nil, nil))
 }
 
-// WriteAsync starts a DMA that pushes size bytes from this node into
-// donor-local address remoteAddr.
-func (r *RDMA) WriteAsync(donor fabric.NodeID, remoteAddr uint64, size int) *sim.Completion {
-	return r.WriteAsyncNote(donor, remoteAddr, size, nil)
-}
-
-// WriteAsyncNote is WriteAsync with an immediate note attached to the
+// WriteAsyncNote starts a DMA that pushes size bytes from this node into
+// donor-local address remoteAddr, with an immediate note attached to the
 // final chunk: when that chunk lands, the receiver's immediate observer
 // sees the note — no extra control packet, and FIFO delivery guarantees
-// the data precedes the notification.
-func (r *RDMA) WriteAsyncNote(donor fabric.NodeID, remoteAddr uint64, size int, note any) *sim.Completion {
-	return r.post(donor, remoteAddr, size, true, note)
+// the data precedes the notification. It completes done, as ReadAsync
+// does, once the donor acks the final chunk.
+func (r *RDMA) WriteAsyncNote(donor fabric.NodeID, remoteAddr uint64, size int, note any, done *sim.Completion) {
+	r.post(donor, remoteAddr, size, true, note, done)
 }
 
 // Write blocks the calling process until the DMA write is acknowledged.
 func (r *RDMA) Write(p *sim.Proc, donor fabric.NodeID, remoteAddr uint64, size int) {
-	p.Await(r.WriteAsync(donor, remoteAddr, size))
+	r.await(p, r.post(donor, remoteAddr, size, true, nil, nil))
 }
 
 // handleReq runs at the donor: stream the requested region back as
@@ -235,14 +245,15 @@ func (r *RDMA) handleReq(pkt *fabric.Packet, m *rdmaReq) {
 func (r *RDMA) handleChunk(pkt *fabric.Packet, m *rdmaChunk) {
 	r.Stats.BytesIn += int64(m.size)
 	if m.resp {
-		// Requester side: a read's chunk or a write's ack.
-		op, ok := r.pending[m.id]
-		if !ok {
+		// Requester side: a read's chunk or a write's ack; one for an op
+		// that is no longer pending is dropped.
+		op := r.pending.get(m.id)
+		if op == nil {
 			return
 		}
 		op.received++
 		if op.received == op.total {
-			delete(r.pending, m.id)
+			r.pending.remove(m.id)
 			// Completion interrupt + driver bottom half.
 			r.ep.Eng.Schedule(r.ep.P.RDMADoneIRQ, op.onDone)
 		}

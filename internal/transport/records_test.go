@@ -373,13 +373,14 @@ func TestTransportRecordReuse(t *testing.T) {
 }
 
 // TestTransportSteadyStateAllocs is the transport path's pooling gate:
-// once the engine, the fabric and the channels' free lists are warm, a
-// CRMA access or an RDMA transfer allocates only the Completion it hands
-// out, whatever its chunk count, since every packet goes back to its
-// sender's list when it is delivered. A call keeps its own Completion in
-// its record and a blocking one is served in a detached proc, so a call
-// allocates nothing, served inline or not. Each run drives one operation
-// from a fresh proc, whose own Go completion is not counted.
+// once the engine, the fabric and the channels' free lists are warm, no
+// operation allocates. Every packet goes back to its sender's list when
+// it is delivered, and every operation's pending slot is a reused one.
+// A blocking CRMA access, RDMA transfer (of any chunk count) or call
+// awaits the Completion its record keeps, and a blocking call is served
+// in a detached proc or inline; an async fill completes the caller's
+// own Completion, built once. Each run drives one operation from a
+// fresh proc, whose own Go completion is not counted.
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	r := newLineRig(t)
 	r.mapWindow(t)
@@ -388,15 +389,21 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 	a := r.ep[0]
 	const k = 4
 	bulk := k * r.p.RDMAChunk
+	mine := sim.NewCompletion(r.eng)
 	rows := []struct {
 		name string
 		want float64
 		op   func(p *sim.Proc)
 	}{
-		{"crma-fill", 1, func(p *sim.Proc) { a.CRMA.Fill(p, winBase, 64) }},
-		{"crma-write", 1, func(p *sim.Proc) { a.CRMA.Write(p, winBase, 64) }},
-		{"rdma-read", 1, func(p *sim.Proc) { a.RDMA.Read(p, 1, oldBase, bulk) }},
-		{"rdma-write", 1, func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, bulk) }},
+		{"crma-fill", 0, func(p *sim.Proc) { a.CRMA.Fill(p, winBase, 64) }},
+		{"crma-write", 0, func(p *sim.Proc) { a.CRMA.Write(p, winBase, 64) }},
+		{"crma-fill-async", 0, func(p *sim.Proc) {
+			mine.Rearm()
+			a.CRMA.FillAsync(winBase, 64, mine)
+			p.Await(mine)
+		}},
+		{"rdma-read", 0, func(p *sim.Proc) { a.RDMA.Read(p, 1, oldBase, bulk) }},
+		{"rdma-write", 0, func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, bulk) }},
 		{"call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, 0) }},
 		{"call-timeout", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, sim.Millisecond) }},
 		{"inline-call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo-inline", 8, nil, 0) }},
@@ -623,7 +630,7 @@ func callSlotLog(t *testing.T, tc callSlotCase, byFunc bool, wakeAt sim.Time) ([
 		r.eng.Go("caller", func(p *sim.Proc) { done(r.ep[0].CallTimeout(p, 1, "probe", 8, "ping", tc.timeout)) })
 	}
 	r.eng.Run()
-	if n := len(r.ep[0].pending); n != 0 {
+	if n := r.ep[0].pending.len(); n != 0 {
 		t.Fatalf("%d calls still pending", n)
 	}
 	return log, r.eng.Fired(), woke

@@ -168,7 +168,7 @@ func TestCRMAUnmappedAccessPanics(t *testing.T) {
 			t.Fatal("unmapped access did not panic")
 		}
 	}()
-	r.a.CRMA.FillAsync(0xDEAD_0000, 64)
+	r.a.CRMA.FillAsync(0xDEAD_0000, 64, nil)
 }
 
 func TestRDMAReadStreamsChunks(t *testing.T) {

@@ -72,10 +72,10 @@ func IperfCRMA(p *sim.Proc, crma *transport.CRMA, window uint64, lineSize, size,
 	for i := 0; i < count; i++ {
 		addr := window + uint64(i%64)*uint64(lines*lineSize)
 		for l := 0; l < lines-1; l++ {
-			crma.WriteAsync(addr+uint64(l*lineSize), lineSize)
+			crma.WriteAsync(addr+uint64(l*lineSize), lineSize, nil)
 		}
 		// The final line carries the flag: blocking, to order the message.
-		p.Await(crma.WriteAsync(addr+uint64((lines-1)*lineSize), lineSize))
+		crma.Write(p, addr+uint64((lines-1)*lineSize), lineSize)
 	}
 	return IperfReport{Packets: count, Bytes: int64(size) * int64(count), Elapsed: p.Now().Sub(start)}
 }
