@@ -72,8 +72,8 @@ func main() {
 			spec, _ := harness.Lookup(id)
 			fmt.Printf("%-21s %s (%d trials)\n", id, spec.Title, len(spec.Trials))
 		}
-		// The sharing policies the sweeps' policy axes enumerate — the
-		// same registry the MN resolves request overrides against.
+		// The sharing policies the sweeps' policy axes enumerate: the
+		// MN's policies table, which Monitor.Policy is set from by name.
 		fmt.Printf("\nsharing policies: %s\n", strings.Join(monitor.PolicyNames(), ", "))
 		return
 	}

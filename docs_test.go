@@ -129,23 +129,31 @@ func TestBaselineCommandsMatchCI(t *testing.T) {
 // that bypasses the MN wires its CRMA window itself, as fig14's
 // donor-impact hammer does), and chaos's MTTF/MTTR fault streams
 // NodeFault, LinkFault and BeatFault with the heartbeat-loss ops BeatOff
-// and BeatOn (a fault plan is a list of actions). A constant used as a
-// value is neither a call nor a literal, so these names fail the gate
-// wherever they appear as a word. The gate rejects both a surviving use
-// and a reintroduced definition — deleting dead code only sticks if
-// nothing can quietly grow it back.
+// and BeatOn (a fault plan is a list of actions). Placement is one
+// table: the types behind monitor's old Policy interface,
+// DistanceFirst, MostIdle, TrafficAware, Spread and CoolestPath, with
+// their Choose methods, and the self-registering RegisterPolicy are
+// gone (a policy is a row of the policies table, resolved by
+// PolicyByName), as are the View's test-only PathLinks and LinkUtil and
+// the sharded plane's rack telemetry MaxUtil, which nothing switched
+// on. A constant or type used as a value is neither a call nor a
+// literal, so those names fail the gate wherever they appear as a word.
+// The gate rejects both a surviving use and a reintroduced definition —
+// deleting dead code only sticks if nothing can quietly grow it back.
 func TestAPIFreeze(t *testing.T) {
 	const names = `BorrowMemory|BorrowMemoryScoped|BorrowSwap|AttachAccelerator|AttachNIC|AttachMemoryDirect|AttachSwapDirect|` +
 		`RequestMemory|RequestMemoryScoped|RequestMemoryOpts|RequestDevice|RequestDeviceOpts|MemReqOpts|DevReqOpts|FreeMemory|FreeDevice|` +
 		`WithPolicy|WithExclusive|RunChurn|RunTenancy|ChurnConfig|TenancyConfig|` +
 		`Fig3|Fig5|Fig6|Fig6Of|Fig14|Fig15|Fig15Of|Fig16a|Fig16b|Fig17|Fig18|Validation|` +
 		`AblationMSHR|AblationMSHROf|AblationReadahead|AblationWindow|AblationGranularity|` +
-		`ServingSmoke|ChurnSmoke|ScaleSmoke|MigrateSmoke|Call|AwaitAll|Yield|TryPop|TryAcquire|CycleTime`
+		`ServingSmoke|ChurnSmoke|ScaleSmoke|MigrateSmoke|Call|AwaitAll|Yield|TryPop|TryAcquire|CycleTime|` +
+		`Choose|Spread|PathLinks|LinkUtil`
 	deprecated := regexp.MustCompile(`\.(` + names + `)[({]`)
 	redefined := regexp.MustCompile(`^(func (\([^)]*\) )?|type )(` + names + `)\b`)
-	named := regexp.MustCompile(`\b(DirectMemory|DirectSwap|WithDonor|NodeFault|LinkFault|BeatFault|BeatOff|BeatOn)\b`)
+	named := regexp.MustCompile(`\b(DirectMemory|DirectSwap|WithDonor|NodeFault|LinkFault|BeatFault|BeatOff|BeatOn|` +
+		`RegisterPolicy|DistanceFirst|MostIdle|TrafficAware|CoolestPath|MaxUtil)\b`)
 	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments",
-		"internal/sim", "internal/transport", "internal/chaos", "bench_test.go"} {
+		"internal/sim", "internal/transport", "internal/chaos", "internal/obs", "bench_test.go"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err

@@ -43,8 +43,9 @@ func churnCellsFull() []cell {
 			cells = append(cells, churnCellOf("distance", "distance", nodes, fault, churnRequests, 2))
 		}
 	}
-	// The policy axis enumerates the registry ("distance" already swept
-	// above), so new policies join the hardest point automatically.
+	// The policy axis enumerates the MN's policies table ("distance"
+	// already swept above), so new policies join the hardest point
+	// automatically.
 	for _, pol := range monitor.PolicyNames() {
 		if pol == "distance" {
 			continue

@@ -41,12 +41,10 @@ func fig15Region(rig *pairRig, mode fig15Mode, size uint64) uint64 {
 		mustAdd(rig, &memsys.Region{Base: base, Size: size,
 			Backend: &memsys.LocalDRAM{P: rig.P}})
 	case modeLocalSwap:
-		paged := memsys.NewPaged(rig.P, resident, &memsys.LocalDisk{P: rig.P})
+		paged := memsys.NewPaged(rig.P, resident, memsys.LocalDisk(rig.P))
 		mustAdd(rig, &memsys.Region{Base: base, Size: size, Backend: paged})
 	case modeRDMASwap:
-		dev := &memsys.RemoteSwap{P: rig.P, RDMA: rig.Local.EP.RDMA, Donor: 1, Base: 0x1000_0000}
-		paged := memsys.NewPaged(rig.P, resident, dev)
-		mustAdd(rig, &memsys.Region{Base: base, Size: size, Backend: paged})
+		mountSwap(rig, base, size, resident)
 	case modeCRMA:
 		localPart := uint64(float64(size) * fig15LocalFrac)
 		localPart &^= uint64(rig.P.PageBytes - 1)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/harness"
-	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workloads"
@@ -46,9 +45,7 @@ func fig17DB(channel transport.Channel, seed uint64) sim.Dur {
 		// through the page-granular remote-swap device.
 		rig.run("db-rdma", func(pr *sim.Proc) {
 			base := rig.Local.NextHotplugWindow(recBytes + (8 << 20))
-			dev := &memsys.RemoteSwap{P: &p, RDMA: rig.Local.EP.RDMA, Donor: 1, Base: 0x1000_0000}
-			paged := memsys.NewPaged(&p, int(recBytes/8)/p.PageBytes+4, dev)
-			mustAdd(rig, &memsys.Region{Base: base, Size: recBytes + (8 << 20), Backend: paged})
+			mountSwap(rig, base, recBytes+(8<<20), int(recBytes/8)/p.PageBytes+4)
 			kv := workloads.BuildBTree(pr, rig.Local.Mem,
 				workloads.NewArena(0, 64<<20), workloads.NewArena(base, recBytes+(8<<20)),
 				keys, bdbRecordSize, bdbFanout)
@@ -102,9 +99,7 @@ func fig17CC(channel transport.Channel, seed uint64) sim.Dur {
 	case transport.ChanRDMA:
 		rig.run("cc-rdma", func(pr *sim.Proc) {
 			base := rig.Local.NextHotplugWindow(edgeBytes)
-			dev := &memsys.RemoteSwap{P: &p, RDMA: rig.Local.EP.RDMA, Donor: 1, Base: 0x1000_0000}
-			paged := memsys.NewPaged(&p, int(edgeBytes/4)/p.PageBytes+4, dev)
-			mustAdd(rig, &memsys.Region{Base: base, Size: edgeBytes, Backend: paged})
+			mountSwap(rig, base, edgeBytes, int(edgeBytes/4)/p.PageBytes+4)
 			g.Place(workloads.NewArena(0, 8<<20), workloads.NewArena(base, edgeBytes),
 				workloads.NewArena(16<<20, 8<<20))
 			t0 := pr.Now()

@@ -81,6 +81,14 @@ func mountCRMA(rig *pairRig, win, size uint64) {
 		Backend: &memsys.CRMARemote{CRMA: rig.Local.EP.CRMA, Donor: 1}})
 }
 
+// mountSwap mounts a paged region of size bytes at base whose pages
+// beyond the resident set swap to the donor's memory over the RDMA
+// channel (the remote-swap block device, §5.2.1).
+func mountSwap(rig *pairRig, base, size uint64, resident int) {
+	dev := &memsys.RemoteSwap{P: rig.P, RDMA: rig.Local.EP.RDMA, Donor: 1, Base: 0x1000_0000}
+	mustAdd(rig, &memsys.Region{Base: base, Size: size, Backend: memsys.NewPaged(rig.P, resident, dev)})
+}
+
 // mountWindow mounts a fresh CRMA window of size bytes and returns its
 // base.
 func mountWindow(rig *pairRig, size uint64) uint64 {

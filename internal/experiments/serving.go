@@ -51,7 +51,7 @@ func servingCellsFull() []cell {
 			cells = append(cells, kvCell(nodes, util))
 		}
 	}
-	// The policy axis enumerates the registry, so a newly registered
+	// The policy axis enumerates the MN's policies table, so a new
 	// policy joins the sweep without touching this file.
 	for _, pol := range monitor.PolicyNames() {
 		for _, util := range []float64{0.6, 0.9} {

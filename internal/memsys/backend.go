@@ -47,11 +47,7 @@ type LocalDRAM struct {
 
 // Access charges one DRAM access, plus burst time for multi-line sizes.
 func (d *LocalDRAM) Access(_ *AccessCtx, _ uint64, size int, _ bool) sim.Dur {
-	bursts := (size + 63) / 64
-	if bursts < 1 {
-		bursts = 1
-	}
-	return d.P.DRAMLat + sim.Dur(bursts-1)*(d.P.DRAMLat/4)
+	return d.P.DRAMAccess(size)
 }
 
 // Writeback drains through the memory controller's write buffer.

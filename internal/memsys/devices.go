@@ -7,34 +7,11 @@ import (
 )
 
 // LocalDisk is node-local storage (the prototype swaps to SD-class
-// flash). Each page op pays seek/command latency plus transfer time.
-type LocalDisk struct {
-	P *sim.Params
+// flash): each page op pays the device's seek/command latency plus
+// transfer time at its bandwidth, both from p.
+func LocalDisk(p *sim.Params) *FixedLatencyDevice {
+	return &FixedLatencyDevice{DevName: "localdisk", P: p, Latency: p.LocalDiskLat, MBps: p.LocalDiskMBps}
 }
-
-// pageTime is the per-page transfer cost at the device's bandwidth.
-func (d *LocalDisk) pageTime() sim.Dur {
-	secs := float64(d.P.PageBytes) / (d.P.LocalDiskMBps * 1e6)
-	return sim.DurFromSeconds(secs)
-}
-
-// ReadPage blocks for one page read.
-func (d *LocalDisk) ReadPage(p *sim.Proc, _ uint64) {
-	p.Sleep(d.P.LocalDiskLat + d.pageTime())
-}
-
-// ReadPages amortizes the seek/command latency over a sequential batch.
-func (d *LocalDisk) ReadPages(p *sim.Proc, _ uint64, n int) {
-	p.Sleep(d.P.LocalDiskLat + sim.Dur(n)*d.pageTime())
-}
-
-// WritePage blocks for one page write.
-func (d *LocalDisk) WritePage(p *sim.Proc, _ uint64) {
-	p.Sleep(d.P.LocalDiskLat + d.pageTime())
-}
-
-// Name identifies the device.
-func (d *LocalDisk) Name() string { return "localdisk" }
 
 // RemoteSwap is the paper's high-performance virtual block device backed
 // by donor memory over the RDMA channel (§5.2.1). The driver uses double
@@ -73,15 +50,14 @@ func (d *RemoteSwap) WritePage(p *sim.Proc, page uint64) {
 func (d *RemoteSwap) Name() string { return "remoteswap:" + d.Donor.String() }
 
 // FixedLatencyDevice is a generic block device defined by a one-way
-// request latency and a bandwidth, used to model commodity-interconnect
-// swap targets (Fig. 3) without simulating their full stacks.
+// request latency and a bandwidth, used to model local storage and the
+// commodity-interconnect swap targets (Fig. 3) without simulating
+// their full stacks.
 type FixedLatencyDevice struct {
-	DevName   string
-	P         *sim.Params
-	Latency   sim.Dur // full software+protocol round trip, excluding data
-	MBps      float64 // sustained data bandwidth
-	ReadOnly  sim.Dur // extra read-side cost
-	WriteOnly sim.Dur // extra write-side cost
+	DevName string
+	P       *sim.Params
+	Latency sim.Dur // full software+protocol round trip, excluding data
+	MBps    float64 // sustained data bandwidth
 }
 
 func (d *FixedLatencyDevice) pageTime() sim.Dur {
@@ -91,17 +67,17 @@ func (d *FixedLatencyDevice) pageTime() sim.Dur {
 
 // ReadPage blocks for one page read.
 func (d *FixedLatencyDevice) ReadPage(p *sim.Proc, _ uint64) {
-	p.Sleep(d.Latency + d.ReadOnly + d.pageTime())
+	p.Sleep(d.Latency + d.pageTime())
 }
 
 // ReadPages amortizes the protocol round trip over a sequential batch.
 func (d *FixedLatencyDevice) ReadPages(p *sim.Proc, _ uint64, n int) {
-	p.Sleep(d.Latency + d.ReadOnly + sim.Dur(n)*d.pageTime())
+	p.Sleep(d.Latency + sim.Dur(n)*d.pageTime())
 }
 
 // WritePage blocks for one page write.
 func (d *FixedLatencyDevice) WritePage(p *sim.Proc, _ uint64) {
-	p.Sleep(d.Latency + d.WriteOnly + d.pageTime())
+	p.Sleep(d.Latency + d.pageTime())
 }
 
 // Name identifies the device.

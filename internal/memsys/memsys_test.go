@@ -152,7 +152,7 @@ func TestPagedResidencyAndFaults(t *testing.T) {
 	defer eng.Close()
 	p := sim.Default()
 	p.ReadaheadPages = 1 // exact fault counts below
-	disk := &LocalDisk{P: &p}
+	disk := LocalDisk(&p)
 	paged := NewPaged(&p, 4, disk) // 4-page resident set
 	h := NewHierarchy(eng, &p)
 	if err := h.AS.Add(&Region{Base: 0, Size: 1 << 30, Backend: paged}); err != nil {
@@ -187,7 +187,7 @@ func TestPagedDirtyEvictionWritesBack(t *testing.T) {
 	eng := sim.New()
 	defer eng.Close()
 	p := sim.Default()
-	disk := &LocalDisk{P: &p}
+	disk := LocalDisk(&p)
 	paged := NewPaged(&p, 2, disk)
 	h := NewHierarchy(eng, &p)
 	if err := h.AS.Add(&Region{Base: 0, Size: 1 << 30, Backend: paged}); err != nil {
@@ -212,7 +212,7 @@ func TestPagedFaultCostDominatedByDevice(t *testing.T) {
 	defer eng.Close()
 	p := sim.Default()
 	p.ReadaheadPages = 1
-	paged := NewPaged(&p, 2, &LocalDisk{P: &p})
+	paged := NewPaged(&p, 2, LocalDisk(&p))
 	h := NewHierarchy(eng, &p)
 	if err := h.AS.Add(&Region{Base: 0, Size: 1 << 30, Backend: paged}); err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestReadaheadAmortizesSequentialFaults(t *testing.T) {
 		defer eng.Close()
 		p := sim.Default()
 		p.ReadaheadPages = readahead
-		paged := NewPaged(&p, 64, &LocalDisk{P: &p})
+		paged := NewPaged(&p, 64, LocalDisk(&p))
 		h := NewHierarchy(eng, &p)
 		if err := h.AS.Add(&Region{Base: 0, Size: 1 << 30, Backend: paged}); err != nil {
 			t.Fatal(err)
@@ -310,7 +310,7 @@ func TestReadaheadAmortizesSequentialFaults(t *testing.T) {
 	eng := sim.New()
 	defer eng.Close()
 	p := sim.Default()
-	paged := NewPaged(&p, 8, &LocalDisk{P: &p})
+	paged := NewPaged(&p, 8, LocalDisk(&p))
 	h := NewHierarchy(eng, &p)
 	if err := h.AS.Add(&Region{Base: 0, Size: 1 << 30, Backend: paged}); err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func pagedBudgetProp(t *testing.T) func(uint64, uint8, uint8) bool {
 		defer eng.Close()
 		p := sim.Default()
 		p.ReadaheadPages = 1
-		paged := NewPaged(&p, resident, &LocalDisk{P: &p})
+		paged := NewPaged(&p, resident, LocalDisk(&p))
 		h := NewHierarchy(eng, &p)
 		if err := h.AS.Add(&Region{Base: 0, Size: 1 << 30, Backend: paged}); err != nil {
 			return false
@@ -100,7 +100,7 @@ func TestPagedAccountingProperty(t *testing.T) {
 		p := sim.Default()
 		p.ReadaheadPages = int(readahead%8) + 1
 		p.CacheBytes = 4 << 10 // tiny cache so accesses reach the pager
-		paged := NewPaged(&p, 8, &LocalDisk{P: &p})
+		paged := NewPaged(&p, 8, LocalDisk(&p))
 		h := NewHierarchy(eng, &p)
 		if err := h.AS.Add(&Region{Base: 0, Size: 1 << 30, Backend: paged}); err != nil {
 			return false

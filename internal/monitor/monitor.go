@@ -116,9 +116,9 @@ type Monitor struct {
 
 	nextAllocID int
 
-	// Policy orders donor candidates; nil means the prototype's
-	// distance-first policy.
-	Policy Policy
+	// Policy orders donor candidates (see PolicyByName); nil means the
+	// prototype's distance-first policy.
+	Policy *Policy
 
 	// Admission is the tenancy admission controller's policy
 	// (admission.go): per-class thresholds, consulted before every
@@ -482,11 +482,7 @@ func (m *Monitor) donorCandidates(requester fabric.NodeID) []*Registration {
 		}
 		cands = append(cands, r)
 	}
-	pol := m.Policy
-	if pol == nil {
-		pol = DistanceFirst{}
-	}
-	pol.Choose(m.view(), requester, cands)
+	m.Policy.order(m.view(), requester, cands)
 	return cands
 }
 

@@ -1,213 +1,130 @@
 package monitor
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/fabric"
 )
 
-// Policy orders donor candidates for an allocation request. The paper's
-// prototype considers only distance (§5.3) but names distance, topology,
-// and traffic as the factors an intelligent runtime must weigh (§8);
-// the additional policies explore that design space. Choose receives
-// the telemetry View (donor load, windowed per-path utilization) so
-// policies can weigh live traffic, not just static shape.
-type Policy interface {
-	Name() string
-	// Choose sorts candidates in place, best donor first, using the
-	// telemetry snapshot v.
-	Choose(v *View, requester fabric.NodeID, cands []*Registration)
+// Policy orders donor candidates for an allocation request: a row of
+// the policies table, obtained from PolicyByName. The paper's prototype
+// considers only distance (§5.3) but names distance, topology, and
+// traffic as the factors an intelligent runtime must weigh (§8); the
+// other rows explore that design space, comparing candidates under the
+// telemetry View (donor load, windowed per-path utilization).
+type Policy struct {
+	name string
+	// cmp orders a before b (negative) or after it (positive) for a
+	// request from requester; 0 leaves the pair to tieBreak.
+	cmp func(v *View, requester fabric.NodeID, a, b *Registration) int
 }
 
-// policyRegistry is the single source of truth for selectable policies:
-// each policy self-registers in an init func, and PolicyByName /
-// PolicyNames / venice-bench -list all read from it.
-var policyRegistry = struct {
-	names []string
-	mk    map[string]func() Policy
-}{mk: make(map[string]func() Policy)}
-
-// RegisterPolicy adds a named policy constructor to the registry.
-// Registration order defines sweep order; duplicate names panic.
-func RegisterPolicy(name string, mk func() Policy) {
-	if name == "" {
-		panic("monitor: RegisterPolicy with empty name")
-	}
-	if _, dup := policyRegistry.mk[name]; dup {
-		panic(fmt.Sprintf("monitor: policy %q registered twice", name))
-	}
-	policyRegistry.names = append(policyRegistry.names, name)
-	policyRegistry.mk[name] = mk
+// policies lists the selectable policies in sweep order, the order
+// PolicyNames, the serving sweeps and venice-bench -list read. The
+// first row is the prototype's and the default. Adding a policy is one
+// row.
+var policies = [...]Policy{
+	// The prototype's policy: the nearest donor wins.
+	{"distance", byDistance},
+	// Ignores distance: the donor with the most spare memory wins, a
+	// capacity-balancing policy that tieBreak alone orders.
+	{"most-idle", func(*View, fabric.NodeID, *Registration, *Registration) int { return 0 }},
+	// Prefers near donors but skips past those whose paths already
+	// carry traffic (see trafficScore).
+	{"traffic-aware", func(v *View, req fabric.NodeID, a, b *Registration) int {
+		return cmp.Compare(trafficScore(v, req, a), trafficScore(v, req, b))
+	}},
+	// Ignores distance and balances live leases per donor, the
+	// blast-radius-minimizing policy: a donor crash takes out as few
+	// leases as possible.
+	{"spread", func(v *View, _ fabric.NodeID, a, b *Registration) int {
+		return cmp.Compare(v.Load[a.Node], v.Load[b.Node])
+	}},
+	// Places purely by windowed path utilization: the donor whose path
+	// has the coolest bottleneck link wins, distance breaking ties.
+	// Without telemetry every path reads idle and the order degrades to
+	// distance-first.
+	{"coolest-path", func(v *View, req fabric.NodeID, a, b *Registration) int {
+		return cmp.Or(cmp.Compare(pathUtil(v, req, a), pathUtil(v, req, b)), byDistance(v, req, a, b))
+	}},
 }
 
-// PolicyByName resolves a policy by its registered name — the form the
-// serving scenario sweeps and command-line surfaces set Monitor.Policy
-// by. The empty string selects the prototype default (distance-first).
-func PolicyByName(name string) (Policy, bool) {
-	if name == "" {
-		name = "distance"
-	}
-	mk, ok := policyRegistry.mk[name]
-	if !ok {
+// PolicyByName resolves a policy by its name — the form the serving
+// scenario sweeps and command-line surfaces set Monitor.Policy by. The
+// empty string selects the first row, the prototype default.
+func PolicyByName(name string) (*Policy, bool) {
+	i := slices.IndexFunc(policies[:], func(p Policy) bool { return p.name == name || name == "" })
+	if i < 0 {
 		return nil, false
 	}
-	return mk(), true
+	return &policies[i], true
 }
 
-// PolicyNames lists the selectable policy names in registration (sweep)
-// order.
+// PolicyNames lists the selectable policy names in sweep order.
 func PolicyNames() []string {
-	out := make([]string, len(policyRegistry.names))
-	copy(out, policyRegistry.names)
-	return out
-}
-
-func init() {
-	// Registration order is sweep order; the original three keep their
-	// historical positions so existing sweeps are unchanged.
-	RegisterPolicy("distance", func() Policy { return DistanceFirst{} })
-	RegisterPolicy("most-idle", func() Policy { return MostIdle{} })
-	RegisterPolicy("traffic-aware", func() Policy { return TrafficAware{} })
-	RegisterPolicy("spread", func() Policy { return Spread{} })
-	RegisterPolicy("coolest-path", func() Policy { return CoolestPath{} })
-}
-
-// tieBreak is the shared final ordering every policy falls back to:
-// more idle memory first, then node id for determinism.
-func tieBreak(a, b *Registration) bool {
-	if a.IdleBytes != b.IdleBytes {
-		return a.IdleBytes > b.IdleBytes
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.name
 	}
-	return a.Node < b.Node
+	return names
 }
 
-// DistanceFirst is the prototype's policy: nearest donor wins, idle
-// memory breaks ties, node id keeps it deterministic.
-type DistanceFirst struct{}
-
-// Name identifies the policy.
-func (DistanceFirst) Name() string { return "distance" }
-
-// Choose implements Policy.
-func (DistanceFirst) Choose(v *View, requester fabric.NodeID, cands []*Registration) {
-	sort.Slice(cands, func(i, j int) bool {
-		di := v.HopCount(requester, cands[i].Node)
-		dj := v.HopCount(requester, cands[j].Node)
-		if di != dj {
-			return di < dj
-		}
-		return tieBreak(cands[i], cands[j])
+// order sorts cands in place, best donor first: p's comparison, then
+// tieBreak; a nil p is distance-first. Each row with tieBreak is a
+// strict total order (node ids are unique), so the result depends
+// neither on the sort algorithm nor on the order cands arrive in.
+func (p *Policy) order(v *View, requester fabric.NodeID, cands []*Registration) {
+	if p == nil {
+		p = &policies[0]
+	}
+	slices.SortFunc(cands, func(a, b *Registration) int {
+		return cmp.Or(p.cmp(v, requester, a, b), tieBreak(a, b))
 	})
 }
 
-// MostIdle ignores distance and picks the donor with the most spare
-// memory — a capacity-balancing policy.
-type MostIdle struct{}
-
-// Name identifies the policy.
-func (MostIdle) Name() string { return "most-idle" }
-
-// Choose implements Policy.
-func (MostIdle) Choose(_ *View, _ fabric.NodeID, cands []*Registration) {
-	sort.Slice(cands, func(i, j int) bool {
-		return tieBreak(cands[i], cands[j])
-	})
+// tieBreak is the final ordering every policy falls back to: more idle
+// memory first, then node id for determinism.
+func tieBreak(a, b *Registration) int {
+	return cmp.Or(cmp.Compare(b.IdleBytes, a.IdleBytes), cmp.Compare(a.Node, b.Node))
 }
 
-// TrafficAware prefers near donors but skips past donors whose paths
-// already carry traffic. With telemetry it scores the measured windowed
-// utilization of the requester→donor path (trafficUtilHops extra hops
-// for a fully busy path) plus the path's lease commitments — grants
-// whose traffic is not yet visible in the sampling window
-// (trafficCommitHops each). Without telemetry it falls back to the
-// pre-telemetry proxy, the donor's live-allocation count
-// (trafficLoadHops per allocation). The donor-count proxy and
-// the measured term are exclusive: the count exists only to guess at
+// byDistance orders the nearer donor first.
+func byDistance(v *View, requester fabric.NodeID, a, b *Registration) int {
+	return cmp.Compare(v.HopCount(requester, a.Node), v.HopCount(requester, b.Node))
+}
+
+// pathUtil is the windowed bottleneck utilization of requester's path
+// to r; an unknown path reads as idle.
+func pathUtil(v *View, requester fabric.NodeID, r *Registration) float64 {
+	u, _ := v.PathUtil(requester, r.Node)
+	return u
+}
+
+// trafficScore is traffic-aware's cost, in hops, of placing requester's
+// lease on r: the path length plus a traffic term in extra hops. With
+// telemetry the term is the path's measured windowed utilization
+// (trafficUtilHops for a fully busy path) plus the leases committed to
+// its most committed link, grants whose traffic is not yet visible in
+// the sampling window (trafficCommitHops each). Blind, it is the
+// pre-telemetry proxy, the donor's live allocations (trafficLoadHops
+// each). The two are exclusive: the count exists only to guess at
 // traffic when the runtime is blind, so once paths report real
 // utilization it would just double-count (and, worse, push placements
-// onto far donors whose leases are idle) — the commitment term carries
-// the only signal it held, now per-path instead of per-donor.
-type TrafficAware struct{}
+// onto far donors whose leases are idle); the commitment term carries
+// the only signal it held, per path instead of per donor.
+func trafficScore(v *View, requester fabric.NodeID, r *Registration) float64 {
+	s := float64(v.HopCount(requester, r.Node))
+	if v.HasTelemetry {
+		s += trafficUtilHops*pathUtil(v, requester, r) + trafficCommitHops*float64(v.PathCommits(requester, r.Node))
+	} else {
+		s += float64(trafficLoadHops * v.Load[r.Node])
+	}
+	return s
+}
 
-// TrafficAware's weights, in extra hops: one live allocation on the
-// donor when the MN is blind; a 100%-utilized path, and each lease
-// already committed to the path's busiest link, when telemetry is
-// available.
 const (
 	trafficLoadHops   = 2
 	trafficUtilHops   = 8.0
 	trafficCommitHops = 1.0
 )
-
-// Name identifies the policy.
-func (TrafficAware) Name() string { return "traffic-aware" }
-
-// Choose implements Policy.
-func (TrafficAware) Choose(v *View, requester fabric.NodeID, cands []*Registration) {
-	score := func(r *Registration) float64 {
-		s := float64(v.HopCount(requester, r.Node))
-		if v.HasTelemetry {
-			u, _ := v.PathUtil(requester, r.Node) // unknown reads as idle
-			s += trafficUtilHops*u + trafficCommitHops*float64(v.PathCommits(requester, r.Node))
-		} else {
-			s += float64(trafficLoadHops * v.Load[r.Node])
-		}
-		return s
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		si, sj := score(cands[i]), score(cands[j])
-		if si != sj {
-			return si < sj
-		}
-		return tieBreak(cands[i], cands[j])
-	})
-}
-
-// Spread ignores distance and balances the number of live leases per
-// donor — the blast-radius-minimizing policy: a donor crash takes out
-// as few leases as possible.
-type Spread struct{}
-
-// Name identifies the policy.
-func (Spread) Name() string { return "spread" }
-
-// Choose implements Policy.
-func (Spread) Choose(v *View, _ fabric.NodeID, cands []*Registration) {
-	sort.Slice(cands, func(i, j int) bool {
-		li, lj := v.Load[cands[i].Node], v.Load[cands[j].Node]
-		if li != lj {
-			return li < lj
-		}
-		return tieBreak(cands[i], cands[j])
-	})
-}
-
-// CoolestPath places purely by windowed path utilization: the donor
-// whose requester→donor path has the coolest bottleneck link wins,
-// distance breaking ties. Without telemetry every path scores unknown
-// and the ordering degrades to distance-first.
-type CoolestPath struct{}
-
-// Name identifies the policy.
-func (CoolestPath) Name() string { return "coolest-path" }
-
-// Choose implements Policy.
-func (CoolestPath) Choose(v *View, requester fabric.NodeID, cands []*Registration) {
-	util := func(r *Registration) float64 {
-		u, _ := v.PathUtil(requester, r.Node) // unknown reads as idle
-		return u
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		ui, uj := util(cands[i]), util(cands[j])
-		if ui != uj {
-			return ui < uj
-		}
-		di := v.HopCount(requester, cands[i].Node)
-		dj := v.HopCount(requester, cands[j].Node)
-		if di != dj {
-			return di < dj
-		}
-		return tieBreak(cands[i], cands[j])
-	})
-}

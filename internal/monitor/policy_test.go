@@ -9,7 +9,7 @@ import (
 
 func TestMostIdlePolicyPicksLargestDonor(t *testing.T) {
 	c := newCluster(t, 1<<30)
-	c.mn.Policy = MostIdle{}
+	c.mn.Policy = policyNamed(t, "most-idle")
 	c.eng.RunFor(1 * sim.Second)
 	// Consume memory everywhere except node 2 (far from requester 7).
 	for i := 1; i < 8; i++ {
@@ -40,7 +40,7 @@ func TestMostIdlePolicyPicksLargestDonor(t *testing.T) {
 
 func TestTrafficAwarePolicySpreadsDonors(t *testing.T) {
 	c := newCluster(t, 1<<30)
-	c.mn.Policy = TrafficAware{}
+	c.mn.Policy = policyNamed(t, "traffic-aware")
 	c.eng.RunFor(1 * sim.Second)
 	recipient := c.nodes[7]
 	donors := make(map[fabric.NodeID]int)
@@ -90,18 +90,19 @@ func TestDistanceFirstReusesNearestDonor(t *testing.T) {
 	}
 }
 
-func TestPolicyNames(t *testing.T) {
-	var df DistanceFirst
-	var mi MostIdle
-	var ta TrafficAware
-	if df.Name() != "distance" || mi.Name() != "most-idle" || ta.Name() != "traffic-aware" {
-		t.Fatal("policy names wrong")
+// policyNamed resolves a row of the policies table by name.
+func policyNamed(t *testing.T, name string) *Policy {
+	t.Helper()
+	pol, ok := PolicyByName(name)
+	if !ok {
+		t.Fatalf("no policy named %q", name)
 	}
+	return pol
 }
 
-// TestPolicyRegistryEnumerates pins the registry as the single source of
-// truth: the sweep order every scenario and venice-bench -list read, and
-// name resolution including the prototype default.
+// TestPolicyRegistryEnumerates pins the policies table as the single
+// source of truth: the sweep order every scenario and venice-bench
+// -list read, and name resolution including the prototype default.
 func TestPolicyRegistryEnumerates(t *testing.T) {
 	want := []string{"distance", "most-idle", "traffic-aware", "spread", "coolest-path"}
 	got := PolicyNames()
@@ -113,40 +114,22 @@ func TestPolicyRegistryEnumerates(t *testing.T) {
 			t.Fatalf("PolicyNames = %v, want %v (sweep order is frozen)", got, want)
 		}
 		pol, ok := PolicyByName(want[i])
-		if !ok || pol.Name() != want[i] {
+		if !ok || pol != &policies[i] || pol.name != want[i] {
 			t.Fatalf("PolicyByName(%q) = %v,%v", want[i], pol, ok)
 		}
 	}
 	// The empty string selects the prototype default.
-	if pol, ok := PolicyByName(""); !ok || pol.Name() != "distance" {
+	if pol, ok := PolicyByName(""); !ok || pol.name != "distance" {
 		t.Fatalf("PolicyByName(\"\") = %v,%v; want distance", pol, ok)
 	}
 	if _, ok := PolicyByName("bogus"); ok {
 		t.Fatal("unknown policy name resolved")
 	}
-	// Callers mutating the returned slice must not corrupt the registry.
+	// Callers mutating the returned slice must not corrupt the table.
 	got[0] = "clobbered"
 	if PolicyNames()[0] != "distance" {
-		t.Fatal("PolicyNames exposes the registry's own slice")
+		t.Fatal("PolicyNames exposes the table's own names")
 	}
-}
-
-func TestRegisterPolicyGuards(t *testing.T) {
-	mustPanic := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", what)
-			}
-		}()
-		fn()
-	}
-	mustPanic("duplicate registration", func() {
-		RegisterPolicy("distance", func() Policy { return DistanceFirst{} })
-	})
-	mustPanic("empty name", func() {
-		RegisterPolicy("", func() Policy { return DistanceFirst{} })
-	})
 }
 
 // TestTrafficAwareTelemetryVsBlindBranches: the same candidates order
@@ -165,7 +148,8 @@ func TestTrafficAwareTelemetryVsBlindBranches(t *testing.T) {
 	blind := synthView(nil)
 	blind.Load = load
 	cs := cands()
-	(TrafficAware{}).Choose(blind, 0, cs)
+	trafficAware := policyNamed(t, "traffic-aware")
+	trafficAware.order(blind, 0, cs)
 	if cs[0].Node != 1 {
 		t.Fatalf("blind branch chose %v; want 1 (fewest live allocations)", cs[0].Node)
 	}
@@ -174,7 +158,7 @@ func TestTrafficAwareTelemetryVsBlindBranches(t *testing.T) {
 	hot := synthView(map[[2]fabric.NodeID]float64{{0, 1}: 0.9})
 	hot.Load = load
 	cs = cands()
-	(TrafficAware{}).Choose(hot, 0, cs)
+	trafficAware.order(hot, 0, cs)
 	if cs[0].Node != 2 {
 		t.Fatalf("telemetry branch chose %v; want 2 (cool path beats busy donor count)", cs[0].Node)
 	}
@@ -191,7 +175,7 @@ func TestTrafficAwareCommitTermBreaksTies(t *testing.T) {
 		{Node: 1, IdleBytes: 1 << 30},
 		{Node: 2, IdleBytes: 1 << 30},
 	}
-	(TrafficAware{}).Choose(v, 0, cs)
+	policyNamed(t, "traffic-aware").order(v, 0, cs)
 	if cs[0].Node != 2 {
 		t.Fatalf("chose %v; want 2 (no committed leases on its path)", cs[0].Node)
 	}
@@ -209,16 +193,17 @@ func TestCoolestPathDegradesToDistance(t *testing.T) {
 			{Node: 6, IdleBytes: 1 << 30}, // 2 hops from 0
 		}
 	}
+	coolestPath := policyNamed(t, "coolest-path")
 	blind := synthView(nil)
 	cs := cands()
-	(CoolestPath{}).Choose(blind, 0, cs)
+	coolestPath.order(blind, 0, cs)
 	if cs[0].Node != 1 {
 		t.Fatalf("blind coolest-path chose %v; want nearest donor 1", cs[0].Node)
 	}
 	hot := synthView(map[[2]fabric.NodeID]float64{{0, 1}: 0.8})
 	hot.Load = map[fabric.NodeID]int{}
 	cs = cands()
-	(CoolestPath{}).Choose(hot, 0, cs)
+	coolestPath.order(hot, 0, cs)
 	if cs[0].Node != 6 {
 		t.Fatalf("hot coolest-path chose %v; want 6 behind the cool path", cs[0].Node)
 	}

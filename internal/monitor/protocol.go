@@ -338,12 +338,6 @@ type rackBeat struct {
 	// the same way IdleBytes steers memory borrows. nil when the rack
 	// advertises no devices, keeping device-free planes byte-identical.
 	Devices map[Resource]int
-	// MaxUtil aggregates the rack's telemetry one level up: the hottest
-	// windowed link utilization any rack agent reported. HasUtil is false
-	// until telemetry-enabled agents report, so the zero value keeps the
-	// telemetry-off protocol byte-identical.
-	MaxUtil float64
-	HasUtil bool
 }
 
 // rackBorrowReq is a sub-MN's escalation to the root MN: its rack

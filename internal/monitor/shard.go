@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fabric"
@@ -35,11 +37,6 @@ type RackStatus struct {
 	Live      int
 	LastBeat  sim.Time
 	Beats     int64
-	// MaxUtil/HasUtil carry the rack's aggregated telemetry: the hottest
-	// windowed link utilization any of its agents reported (absent until
-	// telemetry-enabled agents beat).
-	MaxUtil float64
-	HasUtil bool
 	// Devices is the rack's aggregate free device units per kind, as of
 	// the last rackbeat (nil when the rack advertises none).
 	Devices map[Resource]int
@@ -171,7 +168,6 @@ func (rt *Root) onRackBeat(_ fabric.NodeID, req any) (any, int) {
 	rs.IdleBytes = b.IdleBytes
 	rs.Live = b.Live
 	rs.Devices = b.Devices
-	rs.MaxUtil, rs.HasUtil = b.MaxUtil, b.HasUtil
 	rs.LastBeat = rt.EP.Eng.Now()
 	rs.Beats++
 	rt.Stats.Add("root.rackbeats", 1)
@@ -194,11 +190,8 @@ func (rt *Root) reachable(id fabric.NodeID) bool {
 }
 
 // donorRacks orders candidate donor racks for amount of res, requested
-// from exclude: live racks with that much free. With rack telemetry the
-// coolest rack wins first (a saturated rack fabric makes a poor donor
-// no matter how much idles behind it); without it — including every
-// telemetry-off configuration, byte-identically — the rack with the
-// most free wins. Rack id breaks ties, keeping elections deterministic.
+// from exclude: live racks with that much free, the rack with the most
+// free first. Rack id breaks ties, keeping elections deterministic.
 func (rt *Root) donorRacks(exclude int, res Resource, amount uint64) []*RackStatus {
 	var cands []*RackStatus
 	for _, rs := range rt.racks {
@@ -207,20 +200,11 @@ func (rt *Root) donorRacks(exclude int, res Resource, amount uint64) []*RackStat
 		}
 		cands = append(cands, rs)
 	}
-	util := func(rs *RackStatus) float64 {
-		if rs.HasUtil {
-			return rs.MaxUtil
+	slices.SortFunc(cands, func(a, b *RackStatus) int {
+		if c := cmp.Compare(b.free(res), a.free(res)); c != 0 {
+			return c
 		}
-		return 0
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if ui, uj := util(cands[i]), util(cands[j]); ui != uj {
-			return ui < uj
-		}
-		if fi, fj := cands[i].free(res), cands[j].free(res); fi != fj {
-			return fi > fj
-		}
-		return cands[i].Rack < cands[j].Rack
+		return cmp.Compare(a.Rack, b.Rack)
 	})
 	return cands
 }
@@ -415,9 +399,9 @@ func (m *Monitor) flatOnly(loop string) {
 	}
 }
 
-// sendRackBeat sends one rack-level report to the root MN, aggregating
-// the rack's telemetry (hottest reported link window) one level up so
-// the root scales with racks, not links.
+// sendRackBeat sends one rack-level report to the root MN: the rack's
+// live idle bytes, live nodes and free device units, so the root scales
+// with racks, not nodes.
 func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 	var idle uint64
 	live := 0
@@ -438,14 +422,6 @@ func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 		}
 	}
 	b := &rackBeat{Rack: m.rack, Sub: m.EP.ID, IdleBytes: idle, Live: live, Devices: devs}
-	for _, s := range m.tst {
-		if s.HasUtil {
-			b.HasUtil = true
-			if s.Util > b.MaxUtil {
-				b.MaxUtil = s.Util
-			}
-		}
-	}
 	if _, ok := m.EP.CallTimeout(p, m.upstream, kindRackBeat, 64, b, interval); !ok {
 		m.Stats.Add("rackbeats.lost", 1)
 	}

@@ -4,7 +4,6 @@ import (
 	"iter"
 
 	"repro/internal/fabric"
-	"repro/internal/sim"
 )
 
 // View is the telemetry snapshot a placement decision sees: the
@@ -16,7 +15,6 @@ import (
 // scan.
 type View struct {
 	Topo fabric.Topology
-	Now  sim.Time
 
 	// Load counts live allocations per donor — the congestion proxy the
 	// pre-telemetry traffic-aware policy used, still the only signal
@@ -36,7 +34,6 @@ type View struct {
 func (m *Monitor) view() *View {
 	v := &View{
 		Topo: m.Topo,
-		Now:  m.EP.Eng.Now(),
 		Load: make(map[fabric.NodeID]int, len(m.rrt)),
 	}
 	for _, a := range m.rat {
@@ -73,13 +70,6 @@ func (m *Monitor) View() *View { return m.view() }
 // HopCount reports the shortest-path hop count between a and b.
 func (v *View) HopCount(a, b fabric.NodeID) int { return v.Topo.HopCount(a, b) }
 
-// LinkUtil reports the last windowed utilization heartbeated for the
-// link a<->b; ok is false when no agent has sampled it.
-func (v *View) LinkUtil(a, b fabric.NodeID) (float64, bool) {
-	u, ok := v.linkUtil[linkKey(a, b)]
-	return u, ok
-}
-
 // path yields the links (as unordered pairs) on the deterministic
 // shortest path from a to b, in hop order, walking the topology's
 // next-hop table; it yields nothing when a == b or no route exists.
@@ -113,16 +103,6 @@ func (v *View) PathUtil(a, b fabric.NodeID) (float64, bool) {
 		}
 	}
 	return max, known
-}
-
-// PathLinks lists the links (as unordered pairs) on the deterministic
-// shortest path from a to b, in hop order; nil when no route exists.
-func (v *View) PathLinks(a, b fabric.NodeID) [][2]fabric.NodeID {
-	var links [][2]fabric.NodeID
-	for l := range v.path(a, b) {
-		links = append(links, l)
-	}
-	return links
 }
 
 // PathBottleneck reports the hottest sampled link on the a→b path —

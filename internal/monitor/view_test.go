@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -22,9 +23,14 @@ func synthView(util map[[2]fabric.NodeID]float64) *View {
 	return v
 }
 
+// pathLinks collects the links of the View's a→b route, in hop order.
+func pathLinks(v *View, a, b fabric.NodeID) [][2]fabric.NodeID {
+	return slices.Collect(v.path(a, b))
+}
+
 func TestViewPathLinksWalksDeterministicRoute(t *testing.T) {
 	v := synthView(nil)
-	links := v.PathLinks(0, 7)
+	links := pathLinks(v, 0, 7)
 	if len(links) != 3 {
 		t.Fatalf("0->7 path has %d links, want 3 (opposite mesh corners)", len(links))
 	}
@@ -40,26 +46,28 @@ func TestViewPathLinksWalksDeterministicRoute(t *testing.T) {
 			t.Fatalf("links %v and %v do not chain", prev, cur)
 		}
 	}
-	if v.PathLinks(3, 3) != nil {
-		t.Fatal("self path should have no links")
+	if self := pathLinks(v, 3, 3); len(self) != 0 {
+		t.Fatalf("self path has links %v", self)
 	}
 	// Two walks return the same route — the determinism policies rely on.
-	again := v.PathLinks(0, 7)
-	for i := range links {
-		if links[i] != again[i] {
-			t.Fatalf("route changed between walks: %v vs %v", links, again)
-		}
+	if again := pathLinks(v, 0, 7); !slices.Equal(links, again) {
+		t.Fatalf("route changed between walks: %v vs %v", links, again)
 	}
 }
 
+// TestViewLinkUtilNormalizesDirection: a link's sample is keyed by the
+// unordered pair, so a one-hop path reads it from either end.
 func TestViewLinkUtilNormalizesDirection(t *testing.T) {
 	v := synthView(map[[2]fabric.NodeID]float64{{1, 0}: 0.4})
 	for _, q := range [][2]fabric.NodeID{{0, 1}, {1, 0}} {
-		if u, ok := v.LinkUtil(q[0], q[1]); !ok || u != 0.4 {
-			t.Fatalf("LinkUtil(%v,%v) = %v,%v; want 0.4,true", q[0], q[1], u, ok)
+		if u, ok := v.PathUtil(q[0], q[1]); !ok || u != 0.4 {
+			t.Fatalf("PathUtil(%v,%v) = %v,%v; want 0.4,true", q[0], q[1], u, ok)
+		}
+		if got := pathLinks(v, q[0], q[1]); len(got) != 1 || got[0] != linkKey(1, 0) {
+			t.Fatalf("path %v->%v = %v, want the one link %v", q[0], q[1], got, linkKey(1, 0))
 		}
 	}
-	if _, ok := v.LinkUtil(6, 7); ok {
+	if _, ok := v.PathUtil(6, 7); ok {
 		t.Fatal("unsampled link reported a utilization")
 	}
 }
@@ -69,7 +77,7 @@ func TestViewPathUtilReportsBottleneck(t *testing.T) {
 	if _, ok := blind.PathUtil(0, 7); ok {
 		t.Fatal("PathUtil known without telemetry")
 	}
-	links := blind.PathLinks(0, 7)
+	links := pathLinks(blind, 0, 7)
 	v := synthView(map[[2]fabric.NodeID]float64{
 		links[0]: 0.2,
 		links[1]: 0.6,
@@ -92,7 +100,7 @@ func TestViewPathBottleneckAndCrosses(t *testing.T) {
 	if _, _, ok := blind.PathBottleneck(0, 7); ok {
 		t.Fatal("bottleneck known without telemetry")
 	}
-	links := blind.PathLinks(0, 7)
+	links := pathLinks(blind, 0, 7)
 	v := synthView(map[[2]fabric.NodeID]float64{
 		links[0]: 0.3,
 		links[2]: 0.9,
@@ -114,7 +122,7 @@ func TestViewPathBottleneckAndCrosses(t *testing.T) {
 
 func TestViewPathCommitsTracksBusiestLink(t *testing.T) {
 	v := synthView(nil)
-	links := v.PathLinks(0, 7)
+	links := pathLinks(v, 0, 7)
 	v.commits = map[[2]fabric.NodeID]int{links[0]: 2, links[1]: 1}
 	if got := v.PathCommits(0, 7); got != 2 {
 		t.Fatalf("PathCommits(0,7) = %d, want 2", got)
@@ -142,7 +150,7 @@ func TestTelemetryHeartbeatsReachView(t *testing.T) {
 	if !v.HasTelemetry {
 		t.Fatal("telemetry-enabled heartbeats never reached the View")
 	}
-	if _, ok := v.LinkUtil(0, 1); !ok {
+	if _, ok := v.PathUtil(0, 1); !ok {
 		t.Fatal("adjacent link 0-1 never sampled despite telemetry beats")
 	}
 	resp := allocFrom(t, c, 7, 64<<20)

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +76,46 @@ func TestRegistryIdempotent(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "", nil)
+}
+
+// TestRegistryScrapeRacesRegistration: a /metrics scrape runs on an
+// HTTP goroutine while the simulation goroutine registers new series (a
+// scoreboard key seen for the first time, a new event label set).
+// WriteProm must not read a family's series maps while another
+// goroutine inserts into them; under the race detector this fails if
+// it does, and without it the runtime can abort the process.
+func TestRegistryScrapeRacesRegistration(t *testing.T) {
+	var r Registry
+	const n = 500
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			l := map[string]string{"key": strconv.Itoa(i)}
+			r.Counter("venice_events_total", "Events.", l).Inc()
+			r.Gauge("venice_mn_stats", "Scoreboard.", l).Set(float64(i))
+			r.Histogram("venice_lat_ns", "Latency.", l).Observe(int64(i))
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if err := r.WriteProm(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{`venice_events_total{key="499"} 1`, `venice_mn_stats{key="499"} 499`, `venice_lat_ns_count{key="499"} 1`} {
+		if !strings.Contains(b.String(), series+"\n") {
+			t.Errorf("final scrape lacks %s", series)
+		}
+	}
 }
 
 // TestHistogramBridge verifies the bridge preserves the exact-merge

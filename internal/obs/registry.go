@@ -14,6 +14,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -207,12 +208,17 @@ func (r *Registry) Histogram(name, help string, labels map[string]string) *Histo
 // WriteProm writes every registered metric in Prometheus text
 // exposition format (version 0.0.4), families sorted by name and
 // series sorted by label set, so output is deterministic for a given
-// registry state.
+// registry state. It copies each family's series under the lock, since
+// the simulation goroutine registers new ones while a scrape runs, and
+// formats the copies outside it, so a slow scraper never holds the
+// lock registration needs.
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fam))
+	fams := make([]family, 0, len(r.fam))
 	for _, f := range r.fam {
-		fams = append(fams, f)
+		c := *f
+		c.counters, c.gauges, c.hists = maps.Clone(f.counters), maps.Clone(f.gauges), maps.Clone(f.hists)
+		fams = append(fams, c)
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })

@@ -42,57 +42,49 @@ const (
 	MMPP ArrivalKind = "mmpp"
 )
 
-// ArrivalSpec shapes an arrival process. The absolute rate is supplied
+// ArrivalSpec names an arrival process. The absolute rate is supplied
 // at sampler construction (it is derived from the calibrated service
-// capacity), so the spec carries only the process shape.
+// capacity), and an MMPP's shape is a fixed preset, so the spec carries
+// only the process kind.
 type ArrivalSpec struct {
 	Kind ArrivalKind
-	// BurstFactor is the bursty state's rate as a multiple of the mean
-	// rate (MMPP only; default 3).
-	BurstFactor float64
-	// BurstFrac is the long-run fraction of time spent in the bursty
-	// state (MMPP only; default 0.2). The quiet state's rate is derived
-	// so the process mean equals the configured rate.
-	BurstFrac float64
-	// BurstDwell is the mean dwell time of the bursty state (MMPP only;
-	// default 200 µs).
-	BurstDwell sim.Dur
+	// flash selects the flash-crowd MMPP shape in place of the default
+	// one; only the tenancy scenario sets it.
+	flash bool
 }
 
-// flashCrowd is the flash-crowd arrival preset: a two-state MMPP whose
-// bursty state runs at 8× the mean rate for ~10% of the time with
-// 500 µs mean dwells — long, hard spikes against a correspondingly
-// quieter baseline (quiet-state rate ≈ 0.22× mean), the
-// diurnal-peak/viral-event shape the tenancy scenario stresses
-// admission control with.
-func flashCrowd() ArrivalSpec {
-	return ArrivalSpec{
-		Kind:        MMPP,
-		BurstFactor: 8,
-		BurstFrac:   0.1,
-		BurstDwell:  500 * sim.Microsecond,
-	}
+// mmppShape is a two-state MMPP preset: the bursty state's rate as a
+// multiple of the mean rate, the long-run fraction of time spent in the
+// bursty state, and that state's mean dwell time. The quiet state's
+// rate and dwell are derived so the process mean equals the configured
+// rate and the burst fraction comes out right.
+type mmppShape struct {
+	factor float64
+	frac   float64
+	dwell  sim.Dur
 }
 
-func (s ArrivalSpec) burstFactor() float64 {
-	if s.BurstFactor > 0 {
-		return s.BurstFactor
-	}
-	return 3
-}
+var (
+	// defaultMMPP bursts at 3× the mean rate for 20% of the time, with
+	// 200 µs mean dwells.
+	defaultMMPP = mmppShape{factor: 3, frac: 0.2, dwell: 200 * sim.Microsecond}
+	// flashCrowdMMPP is the flash-crowd shape: the bursty state runs at
+	// 8× the mean rate for ~10% of the time with 500 µs mean dwells —
+	// long, hard spikes against a correspondingly quieter baseline
+	// (quiet-state rate ≈ 0.22× mean), the diurnal-peak/viral-event
+	// shape the tenancy scenario stresses admission control with.
+	flashCrowdMMPP = mmppShape{factor: 8, frac: 0.1, dwell: 500 * sim.Microsecond}
+)
 
-func (s ArrivalSpec) burstFrac() float64 {
-	if s.BurstFrac > 0 {
-		return s.BurstFrac
-	}
-	return 0.2
-}
+// flashCrowd is the tenancy scenario's arrival process.
+func flashCrowd() ArrivalSpec { return ArrivalSpec{Kind: MMPP, flash: true} }
 
-func (s ArrivalSpec) burstDwell() sim.Dur {
-	if s.BurstDwell > 0 {
-		return s.BurstDwell
+// shape reports the spec's MMPP preset.
+func (s ArrivalSpec) shape() mmppShape {
+	if s.flash {
+		return flashCrowdMMPP
 	}
-	return 200 * sim.Microsecond
+	return defaultMMPP
 }
 
 // String names the process for tables and trial ids.
@@ -103,34 +95,20 @@ func (s ArrivalSpec) String() string {
 	return string(Poisson)
 }
 
-// validate rejects parameterizations that have no consistent MMPP
-// interpretation, so bad configs surface as errors from Run instead of
-// panicking inside the simulation (or silently degenerating).
+// validate rejects an unknown arrival kind, so a bad config surfaces
+// as an error from Run instead of silently running Poisson.
 func (s ArrivalSpec) validate() error {
 	switch s.Kind {
-	case "", Poisson:
+	case "", Poisson, MMPP:
 		return nil
-	case MMPP:
-	default:
-		return fmt.Errorf("serving: unknown arrival kind %q", s.Kind)
 	}
-	f, k := s.burstFrac(), s.burstFactor()
-	if f >= 1 {
-		return fmt.Errorf("serving: MMPP burst fraction %v must be in (0, 1)", f)
-	}
-	if k <= 1 {
-		return fmt.Errorf("serving: MMPP burst factor %v must exceed 1", k)
-	}
-	if f*k >= 1 {
-		return fmt.Errorf("serving: MMPP burst factor %v × fraction %v >= 1 leaves no quiet-state rate", k, f)
-	}
-	return nil
+	return fmt.Errorf("serving: unknown arrival kind %q", s.Kind)
 }
 
 // sampler draws successive inter-arrival times. All randomness comes
 // from the supplied RNG, so a seed fully determines the stream.
 type sampler struct {
-	spec      ArrivalSpec
+	shape     mmppShape
 	rng       *sim.RNG
 	rateQuiet float64 // arrivals per ns
 	rateBurst float64
@@ -145,19 +123,16 @@ func newSampler(spec ArrivalSpec, meanRPS float64, rng *sim.RNG) *sampler {
 		panic(fmt.Sprintf("serving: non-positive arrival rate %v", meanRPS))
 	}
 	perNS := meanRPS / 1e9
-	s := &sampler{spec: spec, rng: rng}
+	s := &sampler{shape: spec.shape(), rng: rng}
 	if spec.Kind != MMPP {
 		s.rateQuiet, s.rateBurst = perNS, perNS
 		s.stateLeft = sim.Dur(math.MaxInt64)
 		return s
 	}
-	f, k := spec.burstFrac(), spec.burstFactor()
-	// mean = f*burst + (1-f)*quiet, with burst = k*mean.
-	quiet := perNS * (1 - f*k) / (1 - f)
-	if quiet <= 0 {
-		panic(fmt.Sprintf("serving: MMPP burst factor %v × frac %v leaves no quiet-state rate", k, f))
-	}
-	s.rateQuiet, s.rateBurst = quiet, perNS*k
+	f, k := s.shape.frac, s.shape.factor
+	// mean = f*burst + (1-f)*quiet, with burst = k*mean; every preset
+	// keeps f*k below 1, so the quiet rate is positive.
+	s.rateQuiet, s.rateBurst = perNS*(1-f*k)/(1-f), perNS*k
 	s.stateLeft = s.expDur(1 / float64(s.quietDwell()))
 	return s
 }
@@ -165,8 +140,8 @@ func newSampler(spec ArrivalSpec, meanRPS float64, rng *sim.RNG) *sampler {
 // quietDwell derives the quiet state's mean dwell from the bursty
 // state's so the long-run burst fraction comes out right.
 func (s *sampler) quietDwell() sim.Dur {
-	f := s.spec.burstFrac()
-	return sim.Dur(float64(s.spec.burstDwell()) * (1 - f) / f)
+	f := s.shape.frac
+	return sim.Dur(float64(s.shape.dwell) * (1 - f) / f)
 }
 
 // expDur samples an exponential duration with the given rate (per ns).
@@ -206,7 +181,7 @@ func (s *sampler) Next() sim.Dur {
 		elapsed += s.stateLeft
 		s.inBurst = !s.inBurst
 		if s.inBurst {
-			s.stateLeft = s.expDur(1 / float64(s.spec.burstDwell()))
+			s.stateLeft = s.expDur(1 / float64(s.shape.dwell))
 		} else {
 			s.stateLeft = s.expDur(1 / float64(s.quietDwell()))
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/monitor"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -172,9 +171,9 @@ type churnRig struct {
 // setup, when set, runs before the 10 ms RRT warm-up, while the MN's
 // donor table is still empty.
 func newChurnRig(cfg Config, clusterSeed uint64, setup func(*core.Cluster)) (*churnRig, error) {
-	pol, ok := monitor.PolicyByName(cfg.Policy)
-	if !ok {
-		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
+	pol, err := policyOf(cfg)
+	if err != nil {
+		return nil, err
 	}
 	nodes := cfg.Nodes
 	if nodes == 0 {

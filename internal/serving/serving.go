@@ -359,6 +359,15 @@ func runKV(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// policyOf resolves cfg.Policy to the MN's placement policy.
+func policyOf(cfg Config) (*monitor.Policy, error) {
+	pol, ok := monitor.PolicyByName(cfg.Policy)
+	if !ok {
+		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
+	}
+	return pol, nil
+}
+
 // runTier serves the cache tier of Fig. 13 under open-loop load: the
 // app server on node 0 answers queries from a Redis-like cache whose
 // storage is partly remote memory leased through the Monitor Node,
@@ -367,9 +376,9 @@ func runKV(cfg Config) (*Result, error) {
 // decides which links the cache's fill traffic shares with the
 // tenants' — the mechanism that moves the tail.
 func runTier(cfg Config) (*Result, error) {
-	pol, ok := monitor.PolicyByName(cfg.Policy)
-	if !ok {
-		return nil, fmt.Errorf("serving: unknown sharing policy %q (known: %v)", cfg.Policy, monitor.PolicyNames())
+	pol, err := policyOf(cfg)
+	if err != nil {
+		return nil, err
 	}
 	nodes := cfg.Nodes
 	if nodes == 0 {

@@ -157,12 +157,6 @@ func TestServingConfigErrors(t *testing.T) {
 		{Workload: Tier, Nodes: 8, Util: 0.5, Requests: 10, Policy: "bogus"},
 		{Workload: KV, Nodes: 2, Util: 0.5, Requests: 10,
 			Arrivals: ArrivalSpec{Kind: "weibull"}},
-		{Workload: KV, Nodes: 2, Util: 0.5, Requests: 10,
-			Arrivals: ArrivalSpec{Kind: MMPP, BurstFactor: 5}}, // 5 × 0.2 leaves no quiet rate
-		{Workload: KV, Nodes: 2, Util: 0.5, Requests: 10,
-			Arrivals: ArrivalSpec{Kind: MMPP, BurstFrac: 1.5}},
-		{Workload: KV, Nodes: 2, Util: 0.5, Requests: 10,
-			Arrivals: ArrivalSpec{Kind: MMPP, BurstFactor: 0.5}},
 		{Workload: KV, Nodes: 2, Util: math.NaN(), Requests: 10},         // panicked in the generator
 		{Workload: KV, Nodes: 2, Util: math.Inf(1), Requests: 10},        // ran with OfferedRPS +Inf
 		{Workload: Tier, Nodes: 8, Util: 0.5, Requests: 10, Tenants: -1}, // panicked in borrowWindows

@@ -184,6 +184,15 @@ func (p *Params) SerializeAt(size int, gbps float64) Dur {
 	return Dur(ns + 0.5)
 }
 
+// DRAMAccess reports the memory time to serve an access of size bytes,
+// load or store alike: one DRAM access, plus a quarter of one per 64 B
+// burst beyond the first. A node's local DRAM and the donor side of a
+// remote access both pay it.
+func (p *Params) DRAMAccess(size int) Dur {
+	bursts := max((size+63)/64, 1)
+	return p.DRAMLat + Dur(bursts-1)*(p.DRAMLat/4)
+}
+
 // HopLatency reports the fixed one-way latency of a direct point-to-point
 // hop, excluding serialization: PHY out, flight, PHY in, plus one switch
 // traversal at the receiver. With the default parameters this is 1.4 µs,

@@ -375,7 +375,10 @@ func (c *CRMA) handleReq(pkt *fabric.Packet, m *crmaReq) {
 		return
 	}
 	c.Stats.Served++
-	svc := memService(c.ep.P, m.size)
+	// The donor serves from DRAM, not its caches: the paper's
+	// single-subscriber model gives the region to exactly one owner, and
+	// the donor's own accesses to it have been hot-removed.
+	svc := c.ep.P.DRAMAccess(m.size)
 	r := c.replies.get()
 	r.to, r.resp = pkt.Src, crmaResp{id: m.id}
 	r.size = m.size // read response carries data

@@ -13,17 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// memService is the donor-side memory time to serve a remote access of
-// size bytes, load or store alike: one DRAM access, plus a quarter of
-// one per 64 B burst beyond the first. Remote requests do not touch the
-// donor's caches: the paper's single-subscriber model gives the region
-// to exactly one owner, and the donor's own accesses to it have been
-// hot-removed.
-func memService(p *sim.Params, size int) sim.Dur {
-	bursts := max((size+63)/64, 1)
-	return p.DRAMLat + sim.Dur(bursts-1)*(p.DRAMLat/4)
-}
-
 // Handler processes an incoming raw packet addressed to a registered kind.
 type Handler func(pkt *fabric.Packet)
 

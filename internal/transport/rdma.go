@@ -235,7 +235,7 @@ func (r *RDMA) handleReq(pkt *fabric.Packet, m *rdmaReq) {
 		s := r.sends.get()
 		s.to, s.c = pkt.Src, r.chunk(m, i)
 		s.c.resp = true
-		elapsed += memService(r.ep.P, s.c.size)
+		elapsed += r.ep.P.DRAMAccess(s.c.size)
 		r.Stats.BytesOut += int64(s.c.size)
 		r.ep.Eng.At(r.ep.Eng.Now().Add(elapsed), s.onSend)
 	}
@@ -261,7 +261,7 @@ func (r *RDMA) handleChunk(pkt *fabric.Packet, m *rdmaChunk) {
 	}
 	// Donor side of a write: absorb into memory; ack the last chunk and
 	// deliver any immediate note once the data is in memory.
-	svc := memService(r.ep.P, m.size)
+	svc := r.ep.P.DRAMAccess(m.size)
 	if m.last {
 		s := r.sends.get()
 		s.to, s.c = pkt.Src, *m

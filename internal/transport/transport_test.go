@@ -429,8 +429,8 @@ func TestChannelAndPatternStrings(t *testing.T) {
 
 func TestMemServiceScalesWithSize(t *testing.T) {
 	p := sim.Default()
-	small := memService(&p, 64)
-	big := memService(&p, 4096)
+	small := p.DRAMAccess(64)
+	big := p.DRAMAccess(4096)
 	if small != p.DRAMLat {
 		t.Fatalf("64B service %v, want one DRAM access %v", small, p.DRAMLat)
 	}
