@@ -136,8 +136,13 @@ func TestBaselineCommandsMatchCI(t *testing.T) {
 // gone (a policy is a row of the policies table, resolved by
 // PolicyByName), as are the View's test-only PathLinks and LinkUtil and
 // the sharded plane's rack telemetry MaxUtil, which nothing switched
-// on. A constant or type used as a value is neither a call nor a
-// literal, so those names fail the gate wherever they appear as a word.
+// on. The device path's raw packets are gone: transport's SendRaw and
+// Endpoint.Handle (a one-way notice is Endpoint.Notify, and QPair
+// messages ride their channel's own wires; Handle is not listed, since
+// its name would match sim.Handle), and accel's Service.Submit, whose
+// one caller now fills a pooled task. A constant or type used as a
+// value is neither a call nor a literal, so those names fail the gate
+// wherever they appear as a word.
 // The gate rejects both a surviving use and a reintroduced definition —
 // deleting dead code only sticks if nothing can quietly grow it back.
 func TestAPIFreeze(t *testing.T) {
@@ -147,13 +152,13 @@ func TestAPIFreeze(t *testing.T) {
 		`Fig3|Fig5|Fig6|Fig6Of|Fig14|Fig15|Fig15Of|Fig16a|Fig16b|Fig17|Fig18|Validation|` +
 		`AblationMSHR|AblationMSHROf|AblationReadahead|AblationWindow|AblationGranularity|` +
 		`ServingSmoke|ChurnSmoke|ScaleSmoke|MigrateSmoke|Call|AwaitAll|Yield|TryPop|TryAcquire|CycleTime|` +
-		`Choose|Spread|PathLinks|LinkUtil`
+		`Choose|Spread|PathLinks|LinkUtil|SendRaw|Submit`
 	deprecated := regexp.MustCompile(`\.(` + names + `)[({]`)
 	redefined := regexp.MustCompile(`^(func (\([^)]*\) )?|type )(` + names + `)\b`)
 	named := regexp.MustCompile(`\b(DirectMemory|DirectSwap|WithDonor|NodeFault|LinkFault|BeatFault|BeatOff|BeatOn|` +
 		`RegisterPolicy|DistanceFirst|MostIdle|TrafficAware|CoolestPath|MaxUtil)\b`)
 	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments",
-		"internal/sim", "internal/transport", "internal/chaos", "internal/obs", "bench_test.go"} {
+		"internal/sim", "internal/transport", "internal/chaos", "internal/obs", "internal/accel", "internal/vnic", "bench_test.go"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err

@@ -8,10 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-func pairNodes(t *testing.T) (*sim.Engine, sim.Params, *node.Node, *node.Node) {
-	t.Helper()
+func pairNodes(tb testing.TB) (*sim.Engine, sim.Params, *node.Node, *node.Node) {
+	tb.Helper()
 	eng := sim.New()
-	t.Cleanup(eng.Close)
+	tb.Cleanup(eng.Close)
 	p := sim.Default()
 	net := fabric.NewNetwork(eng, &p, fabric.Pair(), sim.NewRNG(1))
 	a := node.New(eng, &p, net, 0, 1<<30)

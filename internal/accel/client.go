@@ -2,7 +2,7 @@ package accel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/node"
@@ -15,47 +15,69 @@ import (
 // chunks so transfer overlaps compute.
 type Client struct {
 	Node    *node.Node
-	pending map[uint64]*pendingChunk
 	nextTag uint64
+	calls   []*call // idle call records
 }
 
-// pendingChunk is one in-flight pipeline chunk, kept until its result
-// lands back in local memory. Recording the launch parameters (not just
-// a completion closure) is what makes failover possible: Retarget
-// replays every outstanding chunk of a handle against a new donor.
-type pendingChunk struct {
-	h    *RemoteHandle
-	exec string
+// call is one Run in flight: its chunks and the completion its proc
+// awaits. A call record is pooled by its client and re-armed for each
+// Run, so concurrent Runs on one handle each wait on their own. Its life
+// ends when Run returns.
+type call struct {
+	h      *RemoteHandle
+	chunks []*chunk // the first n are this Run's, in tag order
+	n      int
+	left   int // chunks whose results are not back yet
+	done   *sim.Completion
+}
+
+// chunk is one in-flight pipeline chunk, kept until its result lands
+// back in local memory. Recording the launch parameters (not just a
+// completion) is what makes failover possible: Retarget replays every
+// outstanding chunk of a handle against a new donor.
+//
+// A chunk record is reused by its call record for a later Run's chunk,
+// under a new tag, only if it was never retargeted: then it had one
+// start note, one completion flag and one read-back, all done before
+// the chunk finished. A retarget may leave the old donor holding its
+// note, setting its flag or answering its read-back after the chunk
+// finished, so a retargeted record is left to the GC.
+type chunk struct {
+	call *call
 	addr uint64
-	size int
-	// started marks the result read-back as issued; a duplicate done
-	// signal for the same chunk (possible when a retarget races the old
-	// donor's last completions) is then ignored.
-	started bool
-	// done finishes the chunk exactly once (idempotent), however many
-	// read-backs ultimately complete for it.
-	done func()
+	// note is the start request the chunk's input carries, its size
+	// among it; the donor reads it when the input lands.
+	note startNote
+	// started marks the result read-back as issued; a duplicate flag for
+	// the same chunk (possible when a retarget races the old donor's
+	// last completions) is then ignored.
+	started    bool
+	finished   bool
+	retargeted bool
+	// rd is the completion the chunk's first read-back completes, kept
+	// for the record's whole life and re-armed for it; rdUsed marks it
+	// taken. A retargeted chunk's later read-backs each complete a fresh
+	// completion, since rd may still be pending.
+	rd     *sim.Completion
+	rdUsed bool
+	onRead func()
+}
+
+// startNote rings a mailbox from a remote recipient: the note that rides
+// the RDMA write-with-immediate carrying a chunk's input, with Fig. 11's
+// request (which executable), the input size, and the recipient's
+// completion flag for the chunk, which the donor sets with tag when the
+// task drains.
+type startNote struct {
+	mailbox int
+	exec    string
+	bytes   int
+	tag     uint64
+	flag    func(from fabric.NodeID, tag uint64)
 }
 
 // NewClient attaches the accelerator library to a node.
-func NewClient(n *node.Node) *Client {
-	c := &Client{Node: n, pending: make(map[uint64]*pendingChunk)}
-	n.EP.Handle("accel.done", func(pkt *fabric.Packet) {
-		m := pkt.Payload.(*accelDoneMsg)
-		ck, ok := c.pending[m.Tag]
-		if !ok || ck.started {
-			return
-		}
-		// Stage 3: the donor signalled completion — read the result chunk
-		// back; its arrival finishes the chunk. The donor is read at fire
-		// time so a retargeted handle reads from its current donor.
-		ck.started = true
-		rd := sim.NewCompletion(n.Eng)
-		n.EP.RDMA.ReadAsync(ck.h.Donor, ck.addr, ck.size, rd)
-		rd.Then(ck.done)
-	})
-	return c
-}
+func NewClient(n *node.Node) *Client { return &Client{Node: n} }
 
 // RemoteHandle drives one remote accelerator mailbox.
 type RemoteHandle struct {
@@ -64,6 +86,10 @@ type RemoteHandle struct {
 	Mailbox int
 	// BufBase is the donor-side pinned staging buffer for this handle.
 	BufBase uint64
+
+	// live holds the handle's Runs with chunks outstanding, in the order
+	// they issued them, which is tag order.
+	live []*call
 
 	// Tasks and Bytes count work shipped through this handle.
 	Tasks int64
@@ -91,24 +117,19 @@ func (c *Client) Attach(donor fabric.NodeID, mb int) *RemoteHandle {
 // without the caller noticing beyond the extra transfer time. Runs
 // without a process — it is called from lease-event observers — relying
 // on the async RDMA surface only. Reads still in flight against the old
-// donor stay harmless: chunk completion is idempotent.
+// donor stay harmless: a chunk finishes once.
 func (h *RemoteHandle) Retarget(newDonor fabric.NodeID) {
 	h.Donor = newDonor
-	var tags []uint64
-	for tag, ck := range h.c.pending {
-		if ck.h == h {
-			tags = append(tags, tag)
-		}
-	}
-	// Map order is nondeterministic; the wire must not be.
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
 	ep := h.c.Node.EP
-	for _, tag := range tags {
-		ck := h.c.pending[tag]
-		ck.started = false
-		h.Replays++
-		start := &accelStartMsg{Mailbox: h.Mailbox, Exec: ck.exec, Bytes: ck.size, Tag: tag}
-		ep.RDMA.WriteAsyncNote(newDonor, ck.addr, ck.size, start, nil)
+	for _, cr := range h.live {
+		for _, ck := range cr.chunks[:cr.n] {
+			if ck.finished {
+				continue
+			}
+			ck.started, ck.retargeted = false, true
+			h.Replays++
+			ep.RDMA.WriteAsyncNote(newDonor, ck.addr, ck.note.bytes, &ck.note, nil)
+		}
 	}
 }
 
@@ -122,39 +143,121 @@ func (h *RemoteHandle) Run(p *sim.Proc, exec string, n int) {
 	}
 	h.Tasks++
 	h.Bytes += int64(n)
-	eng := h.c.Node.Eng
 	ep := h.c.Node.EP
 	par := h.c.Node.P
-	chunk := par.AccelChunkBytes
-	g := sim.NewGroup(eng)
+	size := par.AccelChunkBytes
+	cr := h.c.take(h)
 	// The doorbell (a store into the exclusively-mapped mailbox) is paid
 	// once per task; per-chunk starts ride the data as RDMA immediates,
 	// so FIFO delivery launches each chunk the moment its input lands.
 	p.Sleep(par.AccelDoorbell)
-	for off := 0; off < n; off += chunk {
-		sz := chunk
-		if off+sz > n {
-			sz = n - off
-		}
-		g.Add(1)
-		tag := h.c.nextTag
+	h.live = append(h.live, cr)
+	for off := 0; off < n; off += size {
+		ck := cr.next()
+		ck.addr = h.BufBase + uint64(off)
+		ck.note.mailbox, ck.note.exec, ck.note.bytes, ck.note.tag = h.Mailbox, exec, min(size, n-off), h.c.nextTag
 		h.c.nextTag++
-		addr := h.BufBase + uint64(off)
-		ck := &pendingChunk{h: h, exec: exec, addr: addr, size: sz}
-		finished := false
-		ck.done = func() {
-			if finished {
-				return
-			}
-			finished = true
-			delete(h.c.pending, tag)
-			g.Done()
-		}
-		h.c.pending[tag] = ck
 		// Stage 1+2: ship the input chunk with the start request as its
 		// immediate; the donor launches the accelerator on arrival.
-		start := &accelStartMsg{Mailbox: h.Mailbox, Exec: exec, Bytes: sz, Tag: tag}
-		ep.RDMA.WriteAsyncNote(h.Donor, addr, sz, start, nil)
+		ep.RDMA.WriteAsyncNote(h.Donor, ck.addr, ck.note.bytes, &ck.note, nil)
 	}
-	g.Wait(p)
+	p.Await(cr.done)
+	h.c.recycle(cr)
+}
+
+// take returns an idle call record for a Run on h, re-armed.
+func (c *Client) take(h *RemoteHandle) *call {
+	cr := pop(&c.calls)
+	if cr == nil {
+		cr = &call{done: sim.NewCompletion(c.Node.Eng)}
+	}
+	cr.h = h
+	cr.done.Rearm()
+	return cr
+}
+
+// recycle puts a finished call record back, keeping the chunk records
+// that can carry another chunk.
+func (c *Client) recycle(cr *call) {
+	for i, ck := range cr.chunks[:cr.n] {
+		if ck.retargeted {
+			cr.chunks[i] = nil
+		}
+	}
+	cr.h, cr.n = nil, 0
+	c.calls = append(c.calls, cr)
+}
+
+// next returns the call's next chunk record, reset for a new chunk: a
+// kept one, or a fresh one with its handlers bound.
+func (cr *call) next() *chunk {
+	if cr.n == len(cr.chunks) {
+		cr.chunks = append(cr.chunks, nil)
+	}
+	ck := cr.chunks[cr.n]
+	if ck == nil {
+		ck = &chunk{call: cr, rd: sim.NewCompletion(cr.h.c.Node.Eng)}
+		ck.note.flag, ck.onRead = ck.signal, ck.finish
+		cr.chunks[cr.n] = ck
+	}
+	ck.started, ck.finished, ck.rdUsed = false, false, false
+	cr.n++
+	cr.left++
+	return ck
+}
+
+// signal is the chunk's completion flag: the donor sets it with the
+// chunk's tag when the chunk's task drains, and the chunk's result is
+// read back. The donor is read at this moment, so a retargeted handle
+// reads from its current donor. A flag set for another tag (the record
+// carries a later chunk now), for a finished chunk or for one whose
+// read-back is already issued is ignored.
+func (ck *chunk) signal(_ fabric.NodeID, tag uint64) {
+	if tag != ck.note.tag || ck.finished || ck.started {
+		return
+	}
+	// Stage 3: read the result chunk back; its arrival finishes the
+	// chunk.
+	ck.started = true
+	h := ck.call.h
+	rd := ck.rd
+	if ck.rdUsed {
+		rd = sim.NewCompletion(h.c.Node.Eng)
+	} else {
+		rd.Rearm()
+		ck.rdUsed = true
+	}
+	h.c.Node.EP.RDMA.ReadAsync(h.Donor, ck.addr, ck.note.bytes, rd)
+	rd.Then(ck.onRead)
+}
+
+// finish ends the chunk when the first of its read-backs lands, and
+// wakes its Run when it was the last one out; later read-backs of a
+// retargeted chunk find it finished.
+func (ck *chunk) finish() {
+	if ck.finished {
+		return
+	}
+	ck.finished = true
+	cr := ck.call
+	if cr.left--; cr.left > 0 {
+		return
+	}
+	h := cr.h
+	i := slices.Index(h.live, cr)
+	h.live = slices.Delete(h.live, i, i+1)
+	cr.done.Complete()
+}
+
+// pop takes the last record off a free list, or returns nil when the
+// list is empty.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	r := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return r
 }

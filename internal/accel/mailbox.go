@@ -11,11 +11,17 @@ import (
 // Task is one mailbox entry: Fig. 11's request buffer (which executable
 // to run), input buffer descriptor, return buffer descriptor, and the
 // start/completion flags — here condensed to what the timing model
-// needs.
+// needs. A Service pools its tasks: a task's life runs from the start
+// note that fills it to the event that sets its completion flag.
 type Task struct {
 	Exec  string
 	Bytes int
-	done  *sim.Completion
+
+	s      *Service
+	from   fabric.NodeID
+	tag    uint64
+	flag   func(from fabric.NodeID, tag uint64) // the recipient's completion flag
+	onDone func()
 }
 
 // Mailbox is the pinned-buffer message interface in front of one
@@ -34,20 +40,11 @@ type Service struct {
 	// exclusive holds the mailbox ids driven through the direct path
 	// (SetExclusive).
 	exclusive map[int]bool
-}
+	tasks     []*Task // idle task records
 
-// accelStartMsg rings a mailbox from a remote recipient: the note that
-// rides the RDMA write-with-immediate carrying the task's input.
-type accelStartMsg struct {
-	Mailbox int
-	Exec    string
-	Bytes   int
-	Tag     uint64
-}
-
-// accelDoneMsg reports completion back to the recipient.
-type accelDoneMsg struct {
-	Tag uint64
+	// BadStarts counts start notes that named a mailbox this donor does
+	// not host; each was dropped.
+	BadStarts int64
 }
 
 // Serve installs accelerators on a donor node and starts one kernel
@@ -61,7 +58,7 @@ func Serve(n *node.Node, accels ...*Accelerator) *Service {
 		s.runKernelThread(mb)
 	}
 	n.EP.RDMA.ObserveImmediate(func(from fabric.NodeID, _ uint64, note any) {
-		m, ok := note.(*accelStartMsg)
+		m, ok := note.(*startNote)
 		if !ok {
 			return
 		}
@@ -91,7 +88,7 @@ func (s *Service) runKernelThread(mb *Mailbox) {
 				p.Sleep(s.Node.P.AccelMailboxOp)
 			}
 			mb.Accel.Exec(p, task.Bytes)
-			task.done.Complete()
+			s.Node.Eng.Schedule(0, task.onDone)
 		}
 	})
 }
@@ -110,22 +107,28 @@ func (s *Service) SetExclusive(id int) {
 	s.exclusive[id] = true
 }
 
-// Submit enqueues a task locally (used by both the local path and the
-// message handler) and returns its completion.
-func (s *Service) Submit(mbID int, exec string, bytes int) *sim.Completion {
-	mb := s.boxes[mbID]
-	t := &Task{Exec: exec, Bytes: bytes, done: sim.NewCompletion(s.Node.Eng)}
-	mb.queue.TryPush(t)
-	return t.done
+// start enqueues a remotely-requested task on the mailbox its note
+// names. A note naming a mailbox this donor does not host is counted
+// and dropped: its chunk never completes here.
+func (s *Service) start(from fabric.NodeID, m *startNote) {
+	if m.mailbox < 0 || m.mailbox >= len(s.boxes) {
+		s.BadStarts++
+		return
+	}
+	t := pop(&s.tasks)
+	if t == nil {
+		t = &Task{s: s}
+		t.onDone = t.done
+	}
+	t.Exec, t.Bytes, t.from, t.tag, t.flag = m.exec, m.bytes, from, m.tag, m.flag
+	s.boxes[m.mailbox].queue.TryPush(t)
 }
 
-// start enqueues a remotely-requested task and replies with a completion
-// message when it drains.
-func (s *Service) start(from fabric.NodeID, m *accelStartMsg) {
-	done := s.Submit(m.Mailbox, m.Exec, m.Bytes)
-	tag := m.Tag
-	done.Then(func() {
-		// Completion flag write back to the recipient (small message).
-		s.Node.EP.SendRaw(from, "accel.done", 8, &accelDoneMsg{Tag: tag})
-	})
+// done sets the recipient's completion flag (a small message back) and
+// puts the task back.
+func (t *Task) done() {
+	s, from, flag, tag := t.s, t.from, t.flag, t.tag
+	t.Exec, t.flag = "", nil
+	s.tasks = append(s.tasks, t)
+	s.Node.EP.Notify(from, "accel.done", 8, flag, tag)
 }

@@ -181,6 +181,39 @@ func TestAttachAcceleratorViaMN(t *testing.T) {
 	}
 }
 
+// TestAttachAbsentMailbox: a lease on a mailbox its donor does not host
+// is granted (the MN counts devices, not mailboxes), but the donor drops
+// the start note instead of panicking, and the task never runs.
+func TestAttachAbsentMailbox(t *testing.T) {
+	c := defaultCluster(t)
+	donor := c.Node(3)
+	dev := accel.New(c.Eng, c.P, accel.FFT{MBps: 200})
+	svc := accel.Serve(donor, dev)
+	defer svc.Shutdown()
+	c.Agents[3].Devices[monitor.DevAccelerator] = 1
+	c.RunFor(1 * sim.Second) // advertise
+
+	recipient := c.Node(0)
+	client := accel.NewClient(recipient)
+	ran := false
+	recipient.Run("offload", func(p *sim.Proc) {
+		l, err := c.Acquire(p, NewRequest(Accel, recipient, 1, WithClient(client), WithDevice(5)))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		l.(*AccelLease).Handle.Run(p, "fft", 1<<20)
+		ran = true
+	})
+	c.RunFor(10 * sim.Second)
+	if svc.BadStarts != 1 {
+		t.Fatalf("donor dropped %d start notes, want 1", svc.BadStarts)
+	}
+	if ran || dev.Stats.Tasks != 0 {
+		t.Fatalf("a task for an absent mailbox completed (ran %v, device tasks %d)", ran, dev.Stats.Tasks)
+	}
+}
+
 func TestAttachNICViaMN(t *testing.T) {
 	c := defaultCluster(t)
 	c.Agents[2].Devices[monitor.DevNIC] = 1

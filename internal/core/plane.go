@@ -229,6 +229,9 @@ func (r *Request) validate(hier bool) error {
 		if r.client == nil {
 			return fmt.Errorf("%w: accelerator request needs WithClient", ErrBadRequest)
 		}
+		if r.device < 0 {
+			return fmt.Errorf("%w: negative device id %d", ErrBadRequest, r.device)
+		}
 	case NIC:
 		// Nothing kind-specific beyond the shared option checks below.
 	default:

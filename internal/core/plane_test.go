@@ -33,6 +33,7 @@ func TestRequestValidation(t *testing.T) {
 		{"device id on nic", NewRequest(NIC, on, 0, WithDevice(1)), "device id"},
 		{"client on memory", NewRequest(Memory, on, 4096, WithClient(client)), "client"},
 		{"accel without client", NewRequest(Accel, on, 0), "WithClient"},
+		{"negative mailbox", NewRequest(Accel, on, 0, WithClient(client), WithDevice(-1)), "negative device id"},
 		{"client on nic", NewRequest(NIC, on, 0, WithClient(client)), "client"},
 		{"scope on accel", NewRequest(Accel, on, 0, WithClient(client), WithScope(monitor.ScopeRemoteRack)), "scope"},
 	}

@@ -61,9 +61,9 @@ type Agent struct {
 	// parked so a failover can attach it without the hot-plug latency.
 	spares map[uint64]uint64
 
-	// report is the heartbeat the next beat refills and sends, with its
-	// probe slice sized to the node's neighbors; nil until the first
-	// beat and after a beat whose wait timed out (see beat).
+	// report is the heartbeat the last beat sent, with its probe slice
+	// sized to the node's neighbors; the next beat refills it once the
+	// MN has folded it (see beat). nil until the first beat.
 	report *Heartbeat
 
 	// The beat chain's cached handlers.
@@ -164,16 +164,18 @@ func (a *Agent) Restart() {
 func (a *Agent) Mute(muted bool) { a.muted = muted }
 
 // beat sends one heartbeat: idle memory, device counts, link probes.
-// It refills the report the last beat sent, once that beat was acked:
-// the ack means the MN's handler has run, which copies what it keeps,
-// and the fabric delivers a packet at most once, so nothing reads the
-// report again.
+// It refills the report the last beat sent once the MN has folded it:
+// the fold copies what the MN keeps, and the fabric delivers a packet at
+// most once, so nothing reads the report again. An acked beat was
+// folded before its ack left; a beat whose wait timed out may still be
+// in flight, or lost, and then the next beat takes a fresh report.
 func (a *Agent) beat() {
 	hb := a.report
-	if hb == nil {
+	if hb == nil || !hb.folded {
 		hb = &Heartbeat{Node: a.EP.ID, Links: make([]LinkProbe, 0, len(a.Net.Topo.NeighborsOf(a.EP.ID)))}
 		a.report = hb
 	}
+	hb.folded = false
 	hb.IdleBytes = a.MemMgr.Idle()
 	hb.Devices = a.devices()
 	hb.Links = a.probeLinks(hb.Links[:0])
@@ -184,12 +186,9 @@ func (a *Agent) beat() {
 }
 
 // acked is a beat's continuation, once its ack lands or its wait times
-// out, and it schedules the next tick. A beat that timed out may still
-// be in flight toward the MN, so its report is left to it, and the next
-// beat takes a fresh one.
+// out, and it schedules the next tick.
 func (a *Agent) acked(_ any, ok bool) {
 	if !ok {
-		a.report = nil
 		a.Stats.Add("beats.lost", 1)
 	}
 	a.Stats.Add("beats", 1)

@@ -119,6 +119,8 @@ type Monitor struct {
 	// Policy orders donor candidates (see PolicyByName); nil means the
 	// prototype's distance-first policy.
 	Policy *Policy
+	// walk is the View the donor walks share (see donorCandidates).
+	walk View
 
 	// Admission is the tenancy admission controller's policy
 	// (admission.go): per-class thresholds, consulted before every
@@ -367,6 +369,7 @@ func (m *Monitor) onHeartbeat(_ fabric.NodeID, req any) (any, int) {
 			s.HasUtil = true
 		}
 	}
+	hb.folded = true
 	m.Stats.Add("heartbeats", 1)
 	return &ack{}, 8
 }
@@ -473,16 +476,24 @@ func (m *Monitor) AuditDevices() error {
 
 // donorCandidates collects live donors and orders them with the MN's
 // configured policy, else the prototype default (distance only, §5.3).
-// The policy sees the current telemetry View.
+// A policy that reads loads or telemetry sees the current View; the
+// walk gets its own candidate slice, since a grant blocks in its
+// handshakes while other walks run.
 func (m *Monitor) donorCandidates(requester fabric.NodeID) []*Registration {
-	var cands []*Registration
+	cands := make([]*Registration, 0, len(m.rrt))
 	for _, r := range m.rrt {
 		if r.Node == requester || !m.NodeAlive(r.Node) {
 			continue
 		}
 		cands = append(cands, r)
 	}
-	m.Policy.order(m.view(), requester, cands)
+	v := &m.walk
+	if p := m.Policy; p != nil && p.view {
+		m.fill(v)
+	} else {
+		*v = View{Topo: m.Topo}
+	}
+	m.Policy.order(v, requester, cands)
 	return cands
 }
 

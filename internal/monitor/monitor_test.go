@@ -359,28 +359,56 @@ func agentSlotLog(t *testing.T, run func(eng *sim.Engine, a *Agent)) {
 // proc, copies the device counts into its own row, re-debits the units
 // on loan from a count and finds each link's TST row in the row's cache,
 // and an agent whose Devices has not changed resends the same snapshot.
+//
+// In the "late" row only node 1 beats, over a link slowed so that each
+// beat outlasts its wait but lands before the next beat leaves: every
+// beat times out, the MN folds its report, and the next beat refills
+// that report instead of taking a fresh one.
 func TestHeartbeatSteadyStateAllocs(t *testing.T) {
-	c := newCluster(t, 1<<30)
-	c.agents[2].Devices[DevAccelerator] = 2
-	c.agents[4].Devices[DevNIC] = 1
-	for _, a := range c.agents {
-		a.Interval = 100 * sim.Microsecond
-	}
-	c.eng.RunFor(20 * sim.Millisecond)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	beats := c.mn.Stats.Get("heartbeats")
-	runtime.ReadMemStats(&before)
-	c.eng.RunFor(20 * sim.Millisecond)
-	runtime.ReadMemStats(&after)
-	beats = c.mn.Stats.Get("heartbeats") - beats
-	if beats < 1000 {
-		t.Fatalf("only %d beats in the window", beats)
-	}
-	// Mallocs counts the whole process, so allow one stray allocation
-	// elsewhere per hundred beats; a warm beat itself makes none.
-	if got := float64(after.Mallocs-before.Mallocs) / float64(beats); got > 0.01 {
-		t.Fatalf("steady-state beat allocates %.3f objects, want 0", got)
+	for _, row := range []struct {
+		name     string
+		late     bool
+		window   sim.Dur
+		minBeats int64
+	}{{"acked", false, 20 * sim.Millisecond, 1000}, {"late", true, 200 * sim.Millisecond, 900}} {
+		t.Run(row.name, func(t *testing.T) {
+			c := newCluster(t, 1<<30)
+			c.agents[2].Devices[DevAccelerator] = 2
+			c.agents[4].Devices[DevNIC] = 1
+			for _, a := range c.agents {
+				a.Interval = 100 * sim.Microsecond
+			}
+			if row.late {
+				for i, a := range c.agents {
+					if i != 1 {
+						a.Stop()
+					}
+				}
+				// A beat takes about 150 µs to serialize: it times out after
+				// 100 µs, and the next leaves 200 µs after it.
+				c.net.Link(1, 0).SetGbps(0.0055)
+			}
+			c.eng.RunFor(20 * sim.Millisecond)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			beats, lost := c.mn.Stats.Get("heartbeats"), c.agents[1].Stats.Get("beats.lost")
+			runtime.ReadMemStats(&before)
+			c.eng.RunFor(row.window)
+			runtime.ReadMemStats(&after)
+			beats = c.mn.Stats.Get("heartbeats") - beats
+			lost = c.agents[1].Stats.Get("beats.lost") - lost
+			if beats < row.minBeats {
+				t.Fatalf("only %d beats in the window", beats)
+			}
+			if row.late && lost < beats-1 {
+				t.Fatalf("test premise broken: %d of %d folded beats timed out", lost, beats)
+			}
+			// Mallocs counts the whole process, so allow one stray allocation
+			// elsewhere per hundred beats; a warm beat itself makes none.
+			if got := float64(after.Mallocs-before.Mallocs) / float64(beats); got > 0.01 {
+				t.Fatalf("steady-state beat allocates %.3f objects, want 0", got)
+			}
+		})
 	}
 }
 
@@ -440,6 +468,41 @@ func BenchmarkHeartbeat(b *testing.B) {
 	b.ResetTimer()
 	for c.mn.Stats.Get("heartbeats") < want {
 		c.eng.RunFor(10 * sim.Microsecond)
+	}
+}
+
+// BenchmarkGrant measures one warm distance-first memory grant and its
+// free on the 8-node mesh, as RPCs to the MN from node 7: the donor
+// walk, the donor agent's hot-remove and export, the RAT row, and the
+// free's hot-return. Heartbeats run alongside at their default period.
+func BenchmarkGrant(b *testing.B) {
+	c := newCluster(b, 1<<30)
+	c.eng.RunFor(sim.Second)
+	recipient := c.nodes[7]
+	const size = 1 << 20
+	win := recipient.NextHotplugWindow(size)
+	failed := false
+	grants := func(n int) {
+		done := recipient.Run("grants", func(p *sim.Proc) {
+			for range n {
+				resp, ok := Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
+				if !ok || !resp.OK {
+					failed = true
+					return
+				}
+				Free(p, recipient.EP, 0, resp.AllocID)
+			}
+		})
+		for !done.Done() {
+			c.eng.RunFor(sim.Millisecond)
+		}
+	}
+	grants(100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	grants(b.N)
+	if failed {
+		b.Fatal("a grant failed")
 	}
 }
 

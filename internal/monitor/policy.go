@@ -15,6 +15,10 @@ import (
 // telemetry View (donor load, windowed per-path utilization).
 type Policy struct {
 	name string
+	// view marks a row whose comparison reads the View's donor loads or
+	// link telemetry: a donor walk fills those only for such a row, and
+	// any other row sees just the topology.
+	view bool
 	// cmp orders a before b (negative) or after it (positive) for a
 	// request from requester; 0 leaves the pair to tieBreak.
 	cmp func(v *View, requester fabric.NodeID, a, b *Registration) int
@@ -26,26 +30,26 @@ type Policy struct {
 // row.
 var policies = [...]Policy{
 	// The prototype's policy: the nearest donor wins.
-	{"distance", byDistance},
+	{"distance", false, byDistance},
 	// Ignores distance: the donor with the most spare memory wins, a
 	// capacity-balancing policy that tieBreak alone orders.
-	{"most-idle", func(*View, fabric.NodeID, *Registration, *Registration) int { return 0 }},
+	{"most-idle", false, func(*View, fabric.NodeID, *Registration, *Registration) int { return 0 }},
 	// Prefers near donors but skips past those whose paths already
 	// carry traffic (see trafficScore).
-	{"traffic-aware", func(v *View, req fabric.NodeID, a, b *Registration) int {
+	{"traffic-aware", true, func(v *View, req fabric.NodeID, a, b *Registration) int {
 		return cmp.Compare(trafficScore(v, req, a), trafficScore(v, req, b))
 	}},
 	// Ignores distance and balances live leases per donor, the
 	// blast-radius-minimizing policy: a donor crash takes out as few
 	// leases as possible.
-	{"spread", func(v *View, _ fabric.NodeID, a, b *Registration) int {
+	{"spread", true, func(v *View, _ fabric.NodeID, a, b *Registration) int {
 		return cmp.Compare(v.Load[a.Node], v.Load[b.Node])
 	}},
 	// Places purely by windowed path utilization: the donor whose path
 	// has the coolest bottleneck link wins, distance breaking ties.
 	// Without telemetry every path reads idle and the order degrades to
 	// distance-first.
-	{"coolest-path", func(v *View, req fabric.NodeID, a, b *Registration) int {
+	{"coolest-path", true, func(v *View, req fabric.NodeID, a, b *Registration) int {
 		return cmp.Or(cmp.Compare(pathUtil(v, req, a), pathUtil(v, req, b)), byDistance(v, req, a, b))
 	}},
 }

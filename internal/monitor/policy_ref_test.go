@@ -173,3 +173,35 @@ func TestPolicyOrderMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestPolicyViewMarkIsExact: a donor walk fills the View's loads and
+// telemetry only for a row marked as reading them. An unmarked row must
+// order every candidate set under the bare topology exactly as under a
+// full View, and a marked one must differ for some set, or its mark
+// fills maps for nothing.
+func TestPolicyViewMarkIsExact(t *testing.T) {
+	topo := fabric.Mesh3D(4, 2, 2)
+	for i := range policies {
+		p := &policies[i]
+		differs := false
+		for seed := uint64(1); seed <= 1000 && !differs; seed++ {
+			rng := sim.NewRNG(seed)
+			v := randomView(rng, topo, seed%2 == 0)
+			requester := fabric.NodeID(rng.Intn(topo.N))
+			cands := randomCands(rng, topo.N, requester)
+			full, bare := slices.Clone(cands), slices.Clone(cands)
+			p.order(v, requester, full)
+			p.order(&View{Topo: topo}, requester, bare)
+			if !slices.Equal(full, bare) {
+				if !p.view {
+					t.Fatalf("%s is not marked as reading the View, but seed %d orders %v with it and %v without",
+						p.name, seed, nodesOf(full), nodesOf(bare))
+				}
+				differs = true
+			}
+		}
+		if p.view && !differs {
+			t.Errorf("%s is marked as reading the View, but no candidate set orders differently without it", p.name)
+		}
+	}
+}

@@ -137,6 +137,10 @@ type Heartbeat struct {
 	// memory (and with it every donation it was serving) is gone, even if
 	// the outage was shorter than the heartbeat timeout.
 	Incarnation int64
+
+	// folded marks a report the MN has folded into its tables: it reads
+	// it no more, and the agent may refill it.
+	folded bool
 }
 
 // AllocScope is a placement hint on memory requests — the NUMA-style

@@ -10,9 +10,11 @@ import (
 // topology, each donor's live-allocation load, and — when agents are
 // heartbeating windowed link samples — the recent utilization of every
 // reported link. Policies receive a View instead of reaching into the
-// Monitor so the placement inputs are explicit and testable; the MN
-// builds one per donor walk, and the migration loop builds one per
-// scan.
+// Monitor so the placement inputs are explicit and testable. The donor
+// walks share one View the MN keeps, which each walk refills when its
+// policy reads more than the topology and reads only while it sorts;
+// the migration loop builds its own per scan, since it reads its View
+// across blocking calls.
 type View struct {
 	Topo fabric.Topology
 
@@ -30,12 +32,22 @@ type View struct {
 	commits  map[[2]fabric.NodeID]int
 }
 
-// view assembles the current telemetry snapshot from the RRT/RAT/TST.
+// view assembles a fresh telemetry snapshot from the RRT/RAT/TST.
 func (m *Monitor) view() *View {
-	v := &View{
-		Topo: m.Topo,
-		Load: make(map[fabric.NodeID]int, len(m.rrt)),
+	v := &View{}
+	m.fill(v)
+	return v
+}
+
+// fill makes v the current telemetry snapshot, reusing its maps.
+func (m *Monitor) fill(v *View) {
+	v.Topo, v.HasTelemetry = m.Topo, false
+	if v.Load == nil {
+		v.Load = make(map[fabric.NodeID]int, len(m.rrt))
 	}
+	clear(v.Load)
+	clear(v.linkUtil)
+	clear(v.commits)
 	for _, a := range m.rat {
 		v.Load[a.Donor]++
 	}
@@ -60,7 +72,6 @@ func (m *Monitor) view() *View {
 		v.HasTelemetry = true
 		v.linkUtil[key] = s.Util
 	}
-	return v
 }
 
 // View exposes the MN's current telemetry snapshot (tests and external

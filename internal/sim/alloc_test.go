@@ -75,10 +75,10 @@ func TestProcSpawnSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestQueueSteadyStateAllocs gates the queue's slices: a popper parks
+// TestQueueSteadyStateAllocs gates the queue's buffers: a popper parks
 // on an empty queue, an event's TryPush wakes it, and it pops and parks
-// again. Once warm, the cycle appends into the slots the last cycle
-// vacated, in both the item and the waiter slice, and allocates nothing.
+// again. Once warm, the cycle reuses the slots the last cycle vacated,
+// in both the item and the waiter ring, and allocates nothing.
 func TestQueueSteadyStateAllocs(t *testing.T) {
 	e := New()
 	defer e.Close()
@@ -98,5 +98,72 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10_000, cycle); allocs != 0 {
 		t.Fatalf("steady-state push/pop cycle allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestQueueDeepSteadyStateAllocs: a queue whose depth swings between 1
+// and 8, with two poppers taking turns, allocates nothing once its rings
+// have held their peak length, however far the head has moved round.
+func TestQueueDeepSteadyStateAllocs(t *testing.T) {
+	e := New()
+	defer e.Close()
+	q := NewQueue[int](e)
+	for range 2 {
+		e.Go("popper", func(p *Proc) {
+			for {
+				q.Pop(p)
+				p.Sleep(3)
+			}
+		})
+	}
+	burst := func() {
+		for i := range 8 {
+			q.TryPush(i)
+		}
+	}
+	cycle := func() {
+		e.Schedule(10, burst)
+		e.Run()
+	}
+	for i := 0; i < 1_000; i++ {
+		cycle()
+	}
+	if q.MaxDepth() < 7 {
+		t.Fatalf("queue peaked at %d items, want the burst to queue", q.MaxDepth())
+	}
+	if allocs := testing.AllocsPerRun(10_000, cycle); allocs != 0 {
+		t.Fatalf("steady-state burst cycle allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestFIFOMatchesSlice drives a fifo and a plain slice with the same
+// random pushes and pops, across growths and wrap-arounds, and compares
+// every pop and length.
+func TestFIFOMatchesSlice(t *testing.T) {
+	rng := NewRNG(7)
+	var f fifo[int]
+	var ref []int
+	for i := 0; i < 100_000; i++ {
+		if len(ref) == 0 || rng.Intn(5) < 3 {
+			f.push(i)
+			ref = append(ref, i)
+		} else {
+			got, want := f.pop(), ref[0]
+			ref = ref[1:]
+			if got != want {
+				t.Fatalf("step %d: popped %d, want %d", i, got, want)
+			}
+		}
+		if f.n != len(ref) {
+			t.Fatalf("step %d: fifo holds %d, want %d", i, f.n, len(ref))
+		}
+		if len(ref) > 200 {
+			for len(ref) > 0 {
+				if got := f.pop(); got != ref[0] {
+					t.Fatalf("draining at step %d: popped %d, want %d", i, got, ref[0])
+				}
+				ref = ref[1:]
+			}
+		}
 	}
 }

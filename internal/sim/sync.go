@@ -8,7 +8,9 @@ package sim
 //
 // The first waiter is kept inline: most completions have exactly one
 // (the proc that issued the operation), and awaiting them then
-// allocates nothing.
+// allocates nothing. Complete empties the later waiters and the Then
+// callbacks in place, so a re-armed completion keeps their arrays and
+// registering on it again allocates nothing.
 type Completion struct {
 	eng     *Engine
 	done    bool
@@ -48,11 +50,13 @@ func (c *Completion) Complete() {
 	for _, w := range c.waiters {
 		w.unparkAfter(0)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 	for _, fn := range c.thens {
 		c.eng.Schedule(0, fn)
 	}
-	c.thens = nil
+	clear(c.thens)
+	c.thens = c.thens[:0]
 }
 
 // Then registers fn to run (as an engine event) when the completion
@@ -116,10 +120,10 @@ func (g *Group) Wait(p *Proc) {
 // bounded), used to model hardware queues, mailboxes, and sockets.
 type Queue[T any] struct {
 	eng      *Engine
-	items    []T
+	items    fifo[T]
 	cap      int // 0 means unbounded
-	poppers  []*Proc
-	pushers  []*Proc
+	poppers  fifo[*Proc]
+	pushers  fifo[*Proc]
 	maxDepth int
 }
 
@@ -136,70 +140,81 @@ func NewBoundedQueue[T any](e *Engine, capacity int) *Queue[T] {
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.n }
 
 // MaxDepth reports the high-water mark of the queue length.
 func (q *Queue[T]) MaxDepth() int { return q.maxDepth }
 
-// popHead removes and returns the head of a nonempty FIFO slice. It
-// zeroes the vacated slot, so the array pins nothing, and rewinds a
-// drained slice to length zero in place, so a steady stream of one push
-// per pop keeps appending into the same slot instead of walking off the
-// end of its array and reallocating.
-func popHead[T any](s *[]T) T {
-	v := (*s)[0]
-	var zero T
-	(*s)[0] = zero
-	if len(*s) == 1 {
-		*s = (*s)[:0]
-	} else {
-		*s = (*s)[1:]
+// fifo is a first-in first-out list in a ring buffer that doubles when
+// full, so once it has held its peak length, pushes and pops allocate
+// nothing, at any depth. Its length is a power of two.
+type fifo[T any] struct {
+	buf  []T
+	head int // index of the oldest element
+	n    int
+}
+
+// push appends v at the tail.
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		buf := make([]T, max(4, 2*len(f.buf)))
+		copy(buf, f.buf[f.head:])
+		copy(buf[len(f.buf)-f.head:], f.buf[:f.head])
+		f.buf, f.head = buf, 0
 	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+// pop removes and returns the head of a nonempty fifo, zeroing its slot
+// so the buffer pins nothing.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
 	return v
 }
 
 // wakeOne unparks the first waiter in the given list, if any.
-func wakeOne(list *[]*Proc) {
-	if len(*list) == 0 {
+func wakeOne(list *fifo[*Proc]) {
+	if list.n == 0 {
 		return
 	}
-	popHead(list).unparkAfter(0)
+	list.pop().unparkAfter(0)
 }
 
 // Push appends v, blocking p while a bounded queue is full.
 func (q *Queue[T]) Push(p *Proc, v T) {
-	for q.cap > 0 && len(q.items) >= q.cap {
-		q.pushers = append(q.pushers, p)
+	for q.cap > 0 && q.items.n >= q.cap {
+		q.pushers.push(p)
 		p.park()
 	}
-	q.items = append(q.items, v)
-	if len(q.items) > q.maxDepth {
-		q.maxDepth = len(q.items)
-	}
+	q.items.push(v)
+	q.maxDepth = max(q.maxDepth, q.items.n)
 	wakeOne(&q.poppers)
 }
 
 // TryPush appends v without blocking and reports whether it fit. It may
 // be called from engine context (event callbacks), not only processes.
 func (q *Queue[T]) TryPush(v T) bool {
-	if q.cap > 0 && len(q.items) >= q.cap {
+	if q.cap > 0 && q.items.n >= q.cap {
 		return false
 	}
-	q.items = append(q.items, v)
-	if len(q.items) > q.maxDepth {
-		q.maxDepth = len(q.items)
-	}
+	q.items.push(v)
+	q.maxDepth = max(q.maxDepth, q.items.n)
 	wakeOne(&q.poppers)
 	return true
 }
 
 // Pop removes and returns the head item, blocking p while empty.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
-		q.poppers = append(q.poppers, p)
+	for q.items.n == 0 {
+		q.poppers.push(p)
 		p.park()
 	}
-	v := popHead(&q.items)
+	v := q.items.pop()
 	wakeOne(&q.pushers)
 	return v
 }
@@ -210,7 +225,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 type Semaphore struct {
 	eng     *Engine
 	n       int
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
@@ -224,7 +239,7 @@ func NewSemaphore(e *Engine, n int) *Semaphore {
 // Acquire takes one permit, blocking p until one is free.
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.n == 0 {
-		s.waiters = append(s.waiters, p)
+		s.waiters.push(p)
 		p.park()
 	}
 	s.n--

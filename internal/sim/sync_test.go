@@ -81,8 +81,8 @@ func TestQueueTryOps(t *testing.T) {
 	if q.TryPush("y") {
 		t.Fatal("TryPush over capacity succeeded")
 	}
-	if q.Len() != 1 || q.items[0] != "x" {
-		t.Fatalf("queue holds %q, want [x]", q.items)
+	if q.Len() != 1 || q.items.buf[q.items.head] != "x" {
+		t.Fatalf("queue holds %q, want [x]", q.items.buf)
 	}
 }
 

@@ -13,9 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Handler processes an incoming raw packet addressed to a registered kind.
-type Handler func(pkt *fabric.Packet)
-
 // CallHandler services an RPC registered with HandleCall. It runs inside
 // a simulated process of its own, started where the request arrives, so
 // it may block (sleep, touch memory, send nested calls). It returns the
@@ -47,13 +44,16 @@ type Endpoint struct {
 	RDMA *RDMA
 
 	qpairs    map[int]*QPair
-	handlers  map[string]Handler
 	calls     map[string]callHandler
 	pending   pendingTable[rpcCall]
 	callRecs  freeList[rpcCall]
 	serveRecs freeList[rpcService]
 	reqWires  wireList[rpcReq]
 	respWires wireList[rpcResp]
+	notes     wireList[notice]
+	qpSends   freeList[qpSend]
+	qpMsgs    wireList[qpMsg]
+	qpCredits wireList[qpCredit]
 }
 
 // freeList recycles one kind of per-operation record. fresh builds a
@@ -248,13 +248,12 @@ type rpcResp struct {
 // NewEndpoint attaches a transport endpoint to node id on the network.
 func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.NodeID) *Endpoint {
 	ep := &Endpoint{
-		Eng:      eng,
-		P:        p,
-		Net:      net,
-		ID:       id,
-		qpairs:   make(map[int]*QPair),
-		handlers: make(map[string]Handler),
-		calls:    make(map[string]callHandler),
+		Eng:    eng,
+		P:      p,
+		Net:    net,
+		ID:     id,
+		qpairs: make(map[int]*QPair),
+		calls:  make(map[string]callHandler),
 	}
 	ep.callRecs.fresh = func() *rpcCall {
 		c := &rpcCall{ep: ep, done: sim.NewCompletion(eng)}
@@ -266,14 +265,16 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		s.run, s.runInline = s.serve, s.serveInline
 		return s
 	}
+	ep.qpSends.fresh = func() *qpSend {
+		s := &qpSend{}
+		s.onRing = s.ring
+		return s
+	}
 	ep.CRMA = newCRMA(ep)
 	ep.RDMA = newRDMA(ep)
 	net.SetDelivery(id, ep.deliver)
 	return ep
 }
-
-// Handle registers a raw packet handler for a packet kind.
-func (ep *Endpoint) Handle(kind string, h Handler) { ep.handlers[kind] = h }
 
 // HandleCall registers an RPC service for a call kind, served in a proc
 // of its own. Registering a kind again replaces its handler, of either
@@ -289,9 +290,22 @@ func (ep *Endpoint) HandleInline(kind string, h InlineHandler) {
 	ep.calls[kind] = callHandler{inline: h}
 }
 
-// SendRaw injects an arbitrary packet from this endpoint.
-func (ep *Endpoint) SendRaw(dst fabric.NodeID, kind string, size int, payload any) {
-	ep.Net.Send(&fabric.Packet{Src: ep.ID, Dst: dst, Kind: kind, Size: size, Payload: payload})
+// notice is a one-way notice on the wire: its delivery calls set(from,
+// arg) at the receiver.
+type notice struct {
+	set func(from fabric.NodeID, arg uint64)
+	arg uint64
+}
+
+// Notify sends a one-way notice of size bytes to dst at once: the event
+// that delivers it at dst calls set with the sender and arg. set belongs
+// to the receiver, and a sender learns it from the request the notice
+// answers, as an accelerator mailbox's start request names where the
+// recipient's completion flag is. The notice rides a recycled wire, so
+// a warm one allocates nothing when set is a value its owner keeps,
+// such as a method value bound once.
+func (ep *Endpoint) Notify(dst fabric.NodeID, kind string, size int, set func(from fabric.NodeID, arg uint64), arg uint64) {
+	send(&ep.notes, ep, dst, kind, size, notice{set: set, arg: arg})
 }
 
 // CallTimeout performs a blocking RPC to kind on dst: a request of
@@ -357,16 +371,17 @@ func (ep *Endpoint) deliver(pkt *fabric.Packet) {
 	case *wire[rpcResp]:
 		ep.handleResp(&w.msg)
 		w.release()
-	case *qpMsg:
-		ep.deliverQP(pkt, w)
-	case *qpCredit:
-		ep.creditQP(w)
+	case *wire[notice]:
+		w.msg.set(pkt.Src, w.msg.arg)
+		w.release()
+	case *wire[qpMsg]:
+		ep.deliverQP(pkt, &w.msg)
+		w.release()
+	case *wire[qpCredit]:
+		ep.creditQP(&w.msg)
+		w.release()
 	default:
-		h, ok := ep.handlers[pkt.Kind]
-		if !ok {
-			panic(fmt.Sprintf("transport: node %v: no handler for %v", ep.ID, pkt))
-		}
-		h(pkt)
+		panic(fmt.Sprintf("transport: node %v: no handler for %v", ep.ID, pkt))
 	}
 }
 
@@ -413,5 +428,6 @@ func (ep *Endpoint) creditQP(m *qpCredit) {
 	if !ok {
 		return // pair torn down; stale credit
 	}
-	ep.Eng.Schedule(ep.P.QPairDoor, func() { qp.addCredits(m.credits) })
+	n := m.credits
+	ep.Eng.Schedule(ep.P.QPairDoor, func() { qp.addCredits(n) })
 }

@@ -74,11 +74,11 @@ type QPair struct {
 	cfg  QPairConfig
 
 	credits *sim.Semaphore // nil when flow control is disabled
-	recvQ   *sim.Queue[*Message]
+	recvQ   *sim.Queue[Message]
 
 	sendSeq   uint64
 	expectSeq uint64
-	reorder   map[uint64]*qpMsg
+	reorder   map[uint64]qpMsg // copies: a message's wire goes back once it is delivered
 
 	consumed int // messages consumed since the last credit return
 
@@ -97,11 +97,11 @@ func ConnectQPair(a, b *Endpoint, cfg QPairConfig) (*QPair, *QPair) {
 	if a.Eng != b.Eng {
 		panic("transport: qpair endpoints on different engines")
 	}
-	qa := &QPair{ep: a, id: int(nextQPID.Add(1)), peer: b.ID, cfg: cfg, reorder: make(map[uint64]*qpMsg)}
-	qb := &QPair{ep: b, id: int(nextQPID.Add(1)), peer: a.ID, cfg: cfg, reorder: make(map[uint64]*qpMsg)}
+	qa := &QPair{ep: a, id: int(nextQPID.Add(1)), peer: b.ID, cfg: cfg, reorder: make(map[uint64]qpMsg)}
+	qb := &QPair{ep: b, id: int(nextQPID.Add(1)), peer: a.ID, cfg: cfg, reorder: make(map[uint64]qpMsg)}
 	qa.dst, qb.dst = qb.id, qa.id
-	qa.recvQ = sim.NewQueue[*Message](a.Eng)
-	qb.recvQ = sim.NewQueue[*Message](b.Eng)
+	qa.recvQ = sim.NewQueue[Message](a.Eng)
+	qb.recvQ = sim.NewQueue[Message](b.Eng)
 	if cfg.Window > 0 {
 		qa.credits = sim.NewSemaphore(a.Eng, cfg.Window)
 		qb.credits = sim.NewSemaphore(b.Eng, cfg.Window)
@@ -138,20 +138,37 @@ func (q *QPair) sendHW(p *sim.Proc, size int, data any) {
 		q.Stats.CreditStall += q.ep.Eng.Now().Sub(t0)
 	}
 	q.Stats.Sent++
-	m := &qpMsg{dstQID: q.dst, seq: q.sendSeq, size: size, data: data, sent: q.ep.Eng.Now()}
+	s := q.ep.qpSends.get()
+	s.q = q
+	s.m = qpMsg{dstQID: q.dst, seq: q.sendSeq, size: size, data: data, sent: q.ep.Eng.Now()}
 	q.sendSeq++
-	q.ep.Eng.Schedule(q.ep.P.QPairDoor, func() {
-		q.ep.SendRaw(q.peer, "qpair.msg", size, m)
-	})
+	q.ep.Eng.Schedule(q.ep.P.QPairDoor, s.onRing)
+}
+
+// qpSend is one message waiting out the doorbell at its sender. Its life
+// ends when the doorbell rings and the message leaves in a wire.
+type qpSend struct {
+	q      *QPair
+	m      qpMsg
+	onRing func()
+}
+
+// ring sends the message once the doorbell has rung.
+func (s *qpSend) ring() {
+	q, m := s.q, s.m
+	s.q, s.m = nil, qpMsg{}
+	q.ep.qpSends.put(s)
+	send(&q.ep.qpMsgs, q.ep, q.peer, "qpair.msg", m.size, m)
 }
 
 // arrive accepts a message from the fabric, reordering as needed: with
 // inter-channel collaboration packets may arrive out of order, which is
-// why QPair messages carry sequence numbers (§5.1.3).
+// why QPair messages carry sequence numbers (§5.1.3). m is valid only
+// during the call, so a message parked for reordering is copied.
 func (q *QPair) arrive(pkt *fabric.Packet, m *qpMsg) {
 	if m.seq != q.expectSeq {
 		q.Stats.OutOfOrder++
-		q.reorder[m.seq] = m
+		q.reorder[m.seq] = *m
 		return
 	}
 	q.release(pkt.Src, m)
@@ -161,7 +178,7 @@ func (q *QPair) arrive(pkt *fabric.Packet, m *qpMsg) {
 			break
 		}
 		delete(q.reorder, q.expectSeq)
-		q.release(pkt.Src, next)
+		q.release(pkt.Src, &next)
 	}
 }
 
@@ -170,12 +187,12 @@ func (q *QPair) release(from fabric.NodeID, m *qpMsg) {
 	q.expectSeq++
 	q.Stats.Received++
 	lat := q.ep.Eng.Now().Sub(m.sent)
-	q.recvQ.TryPush(&Message{From: from, Size: m.size, Data: m.data, Latency: lat})
+	q.recvQ.TryPush(Message{From: from, Size: m.size, Data: m.data, Latency: lat})
 }
 
 // Recv blocks until a message is available, charges the software receive
 // path, and handles credit returns.
-func (q *QPair) Recv(p *sim.Proc) *Message {
+func (q *QPair) Recv(p *sim.Proc) Message {
 	msg := q.recvQ.Pop(p)
 	p.Sleep(q.ep.P.QPairSWRecv)
 	q.afterConsume(p)
@@ -186,7 +203,7 @@ func (q *QPair) Recv(p *sim.Proc) *Message {
 // that are themselves drivers or hardware state machines (VNIC
 // back-ends, flow-controlled stream sinks) whose costs are modeled by
 // their own layers. Credit returns still apply.
-func (q *QPair) RecvHW(p *sim.Proc) *Message {
+func (q *QPair) RecvHW(p *sim.Proc) Message {
 	msg := q.recvQ.Pop(p)
 	q.afterConsume(p)
 	return msg
@@ -205,11 +222,11 @@ func (q *QPair) afterConsume(p *sim.Proc) {
 	n := q.consumed
 	q.consumed = 0
 	q.Stats.CreditsSent++
-	cr := &qpCredit{dstQID: q.dst, credits: n}
+	cr := qpCredit{dstQID: q.dst, credits: n}
 	if q.cfg.CreditViaCRMA {
 		// Collaborative path: a posted CRMA store into a dedicated,
 		// overwriteable credit region — no software on either side.
-		q.ep.CRMA.PostWrite(q.peer, creditRegionBase+uint64(q.id), 4, cr)
+		q.ep.CRMA.PostWrite(q.peer, creditRegionBase+uint64(q.id), 4, &cr)
 		return
 	}
 	// Traditional path: a QPair control message — a lighter software
@@ -217,7 +234,7 @@ func (q *QPair) afterConsume(p *sim.Proc) {
 	// full traversal of the channel's latency.
 	p.Sleep(q.ep.P.QPairCreditSW)
 	q.ep.Eng.Schedule(q.ep.P.QPairDoor, func() {
-		q.ep.SendRaw(q.peer, "qpair.credit", 8, cr)
+		send(&q.ep.qpCredits, q.ep, q.peer, "qpair.credit", 8, cr)
 	})
 }
 

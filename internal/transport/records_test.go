@@ -390,6 +390,8 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 	const k = 4
 	bulk := k * r.p.RDMAChunk
 	mine := sim.NewCompletion(r.eng)
+	set := func(fabric.NodeID, uint64) { mine.Complete() }
+	qa, qb := ConnectQPair(a, r.ep[1], QPairConfig{})
 	rows := []struct {
 		name string
 		want float64
@@ -407,6 +409,15 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 		{"call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, 0) }},
 		{"call-timeout", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, sim.Millisecond) }},
 		{"inline-call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo-inline", 8, nil, 0) }},
+		{"notify", 0, func(p *sim.Proc) {
+			mine.Rearm()
+			a.Notify(1, "notice", 8, set, 7)
+			p.Await(mine)
+		}},
+		{"qpair", 0, func(p *sim.Proc) {
+			qa.SendHW(p, 64, nil)
+			qb.RecvHW(p)
+		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -421,6 +432,38 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("steady-state %s allocates %.2f/op, want <= %.0f", row.name, got, row.want)
 			}
 		})
+	}
+}
+
+// TestReorderedQPairMessageOutlivesItsWire: a QPair message that
+// arrives ahead of its turn is parked in the reorder buffer, and its
+// wire goes back on its list as soon as the delivery returns. The next
+// message on that list reuses the wire; the parked message must still
+// carry its own payload when its turn comes.
+func TestReorderedQPairMessageOutlivesItsWire(t *testing.T) {
+	r := newRig(t)
+	qa, qb := ConnectQPair(r.a, r.b, QPairConfig{})
+	deliver := func(seq uint64, data string) *wire[qpMsg] {
+		w := r.a.qpMsgs.get()
+		w.pkt = fabric.Packet{Src: 0, Dst: 1, Kind: "qpair.msg", Size: 1, Payload: w}
+		w.msg = qpMsg{dstQID: qb.id, seq: seq, size: 1, data: data}
+		r.b.deliver(&w.pkt)
+		return w
+	}
+	parked := deliver(1, "b")
+	if reused := deliver(7, "overwrite"); reused != parked {
+		t.Fatal("test premise broken: the second delivery did not reuse the parked message's wire")
+	}
+	var got []any
+	r.eng.Go("recv", func(p *sim.Proc) {
+		qa.SendHW(p, 1, "a")
+		for range 2 {
+			got = append(got, qb.RecvHW(p).Data)
+		}
+	})
+	r.eng.Run()
+	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("received %v, want [a b]", got)
 	}
 }
 
@@ -454,19 +497,27 @@ func TestHeldWiresAreNotReused(t *testing.T) {
 		}
 		r.ep[1].HandleCall("echo", func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
 		a := r.ep[0]
+		qa, qb := ConnectQPair(a, r.ep[1], QPairConfig{})
+		noticed := sim.NewCompletion(r.eng)
 		r.eng.Go("ops", func(p *sim.Proc) {
 			for i := 0; i < 2; i++ {
 				a.CRMA.Fill(p, winBase, 64)
 				a.CRMA.Write(p, winBase, 64)
 				a.RDMA.Read(p, 1, oldBase, 2*r.p.RDMAChunk)
 				a.CallTimeout(p, 1, "echo", 8, nil, 0)
+				qa.SendHW(p, 64, nil)
+				qb.RecvHW(p)
+				noticed.Rearm()
+				a.Notify(1, "notice", 8, func(fabric.NodeID, uint64) { noticed.Complete() }, 0)
+				p.Await(noticed)
 			}
 		})
 		r.eng.Run()
 		free := 0
 		for _, ep := range r.ep {
 			free += len(ep.CRMA.reqs.free) + len(ep.CRMA.resps.free) + len(ep.CRMA.posts.free) +
-				len(ep.RDMA.reqs.free) + len(ep.RDMA.chunks.free) + len(ep.reqWires.free) + len(ep.respWires.free)
+				len(ep.RDMA.reqs.free) + len(ep.RDMA.chunks.free) + len(ep.reqWires.free) + len(ep.respWires.free) +
+				len(ep.notes.free) + len(ep.qpMsgs.free) + len(ep.qpCredits.free)
 		}
 		if held && free != 0 {
 			t.Fatalf("%d wires went back on their lists while their packets were held", free)
@@ -479,7 +530,7 @@ func TestHeldWiresAreNotReused(t *testing.T) {
 
 // serviceSlotLog drives one call from node 0 to a "probe" handler on
 // node 1, which register installs. The handler records its instant,
-// sends a raw notice to node 2, schedules a same-instant event and
+// sends a notice to node 2, schedules a same-instant event and
 // spawns a proc. An event queued at time 0 for the request's arrival
 // instant chains three more events at that instant, so events queued
 // before and after the arrival surround the handler. The log holds each
@@ -489,10 +540,10 @@ func serviceSlotLog(t *testing.T, register func(ep *Endpoint, h InlineHandler)) 
 	r := newLineRig(t)
 	var log []string
 	note := func(what string) { log = append(log, fmt.Sprintf("%d %s", r.eng.Now(), what)) }
-	r.ep[2].Handle("notice", func(*fabric.Packet) { note("notice") })
+	notice := func(fabric.NodeID, uint64) { note("notice") }
 	register(r.ep[1], func(from fabric.NodeID, req any) (any, int) {
 		note("handler")
-		r.ep[1].SendRaw(2, "notice", 16, nil)
+		r.ep[1].Notify(2, "notice", 16, notice, 0)
 		r.eng.Schedule(0, func() { note("handler-event") })
 		r.eng.Go("spawned", func(*sim.Proc) { note("spawned") })
 		return req, 8

@@ -245,7 +245,7 @@ func TestRDMABeatsCRMAForBulk(t *testing.T) {
 func TestQPairSendRecv(t *testing.T) {
 	r := newRig(t)
 	qa, qb := ConnectQPair(r.a, r.b, QPairConfig{})
-	var got *Message
+	var got Message
 	r.eng.Go("server", func(p *sim.Proc) {
 		got = qb.Recv(p)
 	})
@@ -253,7 +253,7 @@ func TestQPairSendRecv(t *testing.T) {
 		qa.Send(p, 256, "hello")
 	})
 	r.eng.Run()
-	if got == nil || got.Data.(string) != "hello" || got.From != 0 || got.Size != 256 {
+	if got.Data != "hello" || got.From != 0 || got.Size != 256 {
 		t.Fatalf("got %+v", got)
 	}
 	if qa.Stats.Sent != 1 || qb.Stats.Received != 1 {
@@ -385,14 +385,28 @@ func TestEndpointRPC(t *testing.T) {
 	}
 }
 
-func TestEndpointRawHandler(t *testing.T) {
+// TestEndpointNotify: a notice runs the receiver's function with its
+// sender and argument, in the event that delivers it, which is when a
+// raw packet of the same size would arrive.
+func TestEndpointNotify(t *testing.T) {
 	r := newRig(t)
-	var seen *fabric.Packet
-	r.b.Handle("custom.kind", func(pkt *fabric.Packet) { seen = pkt })
-	r.eng.Schedule(0, func() { r.a.SendRaw(1, "custom.kind", 128, "payload") })
+	var from fabric.NodeID = -1
+	var arg uint64
+	var at sim.Time
+	set := func(f fabric.NodeID, a uint64) { from, arg, at = f, a, r.eng.Now() }
+	r.eng.Schedule(0, func() { r.a.Notify(1, "custom.kind", 128, set, 42) })
 	r.eng.Run()
-	if seen == nil || seen.Payload.(string) != "payload" {
-		t.Fatal("raw handler not invoked")
+	if from != 0 || arg != 42 {
+		t.Fatalf("notice set from %v with %d, want from n0 with 42", from, arg)
+	}
+
+	raw := newRig(t)
+	var arrived sim.Time
+	raw.net.SetDelivery(1, func(*fabric.Packet) { arrived = raw.eng.Now() })
+	raw.net.Send(&fabric.Packet{Src: 0, Dst: 1, Kind: "custom.kind", Size: 128})
+	raw.eng.Run()
+	if at != arrived {
+		t.Fatalf("notice delivered at %v, a raw 128-byte packet at %v", at, arrived)
 	}
 }
 

@@ -85,17 +85,15 @@ func (s *LocalSlave) Drained() sim.Time { return s.NIC.Drained() }
 // Name identifies the slave.
 func (s *LocalSlave) Name() string { return "local:" + s.NIC.Name() }
 
-// frame is a VNIC payload on the QPair.
-type frame struct {
-	size  int
-	close bool
-}
+// closeFrame is the payload that stops a back-end loop. A data frame
+// needs none: its size is the QPair message's.
+type closeFrame struct{}
 
 // VNIC is the recipient-side front-end driver of a remote NIC.
 type VNIC struct {
 	P  *sim.Params
 	qp *transport.QPair
-	be *Backend
+	be Backend
 
 	PktsTx  int64
 	BytesTx int64
@@ -108,7 +106,7 @@ func (v *VNIC) Send(p *sim.Proc, size int) {
 	p.Sleep(v.P.VNICFrontPerPkt)
 	v.PktsTx++
 	v.BytesTx += int64(size)
-	v.qp.SendHW(p, size, &frame{size: size})
+	v.qp.SendHW(p, size, nil)
 }
 
 // Drained reports when the donor NIC drains (conservatively: the
@@ -120,7 +118,7 @@ func (v *VNIC) Name() string { return "vnic->" + v.qp.Peer().String() }
 
 // Close stops the donor's back-end loop.
 func (v *VNIC) Close(p *sim.Proc) {
-	v.qp.SendHW(p, 0, &frame{close: true})
+	v.qp.SendHW(p, 0, closeFrame{})
 }
 
 // Backend is the donor-side half: back-end driver + software bridge +
@@ -137,18 +135,17 @@ type Backend struct {
 // QPair, back-end driver loop, bridge, and the donor's real NIC.
 func AttachRemote(recipient, donor *node.Node, donorNIC *NIC) *VNIC {
 	front, back := transport.ConnectQPair(recipient.EP, donor.EP, transport.QPairConfig{})
-	be := &Backend{Node: donor, NIC: donorNIC, qp: back}
-	v := &VNIC{P: recipient.P, qp: front, be: be}
+	v := &VNIC{P: recipient.P, qp: front, be: Backend{Node: donor, NIC: donorNIC, qp: back}}
+	be := &v.be
 	donor.Eng.Go(fmt.Sprintf("vnic-backend@%v", donor.ID), func(p *sim.Proc) {
 		for {
 			m := back.Recv(p) // QPair software receive cost applies here
-			f := m.Data.(*frame)
-			if f.close {
+			if _, stop := m.Data.(closeFrame); stop {
 				return
 			}
 			be.PktsRx++
 			p.Sleep(donor.P.VNICBackPerPkt + donor.P.BridgePerPkt)
-			donorNIC.Enqueue(f.size)
+			donorNIC.Enqueue(m.Size)
 		}
 	})
 	return v
