@@ -32,6 +32,8 @@ type plane struct {
 	hier bool
 	// broker names the MN that brokers a grant for a recipient.
 	broker func(on *node.Node) (fabric.NodeID, error)
+	// calls recycles the records grant calls carry (see grantVia).
+	calls []*monitor.AllocCall
 }
 
 // Observe registers a lease-lifecycle observer and returns its cancel.
@@ -121,26 +123,53 @@ func (c *plane) acquireOnce(p *sim.Proc, r Request) (Lease, error) {
 // grantVia sends r's grant request for res to mn (a flat MN or the
 // recipient's rack sub-MN; on a flat plane validate pins r.scope to
 // ScopeAny) and maps the outcome onto the plane's errors: a timeout is
-// ErrTimeout, an admission rejection ErrAdmissionRejected, and any other
-// decline ErrUnavailable. window is a memory grant's recipient-unique
-// key. On success resp.Granted holds the size the grant backs: r.Size,
-// or less when admission degraded a memory grant.
-func grantVia(p *sim.Proc, r Request, mn fabric.NodeID, res monitor.Resource, window uint64) (*monitor.AllocResp, error) {
-	resp, ok := monitor.Alloc(p, r.On.EP, mn, monitor.AllocReq{
-		Res: res, Size: r.Size, WindowBase: window, Scope: r.scope, Tags: r.tags,
-	}, r.timeout)
-	switch {
-	case !ok:
-		return nil, fmt.Errorf("core: acquire %s: %w", r.Kind, ErrTimeout)
-	case resp.Rejected:
-		return nil, fmt.Errorf("core: acquire %s: %s: %w", r.Kind, resp.Err, ErrAdmissionRejected)
-	case !resp.OK:
-		return nil, fmt.Errorf("core: acquire %s: %s: %w", r.Kind, resp.Err, ErrUnavailable)
+// ErrTimeout, a decline is what declined says. window is a memory
+// grant's recipient-unique key. On success the answer's Granted holds
+// the size the grant backs: r.Size, or less when admission degraded a
+// memory grant.
+//
+// The call carries a record from the plane's list (see
+// monitor.AllocCall). It goes back once the answer is read; a record
+// whose call timed out is left to the GC, since the MN may still answer
+// into it.
+func (c *plane) grantVia(p *sim.Proc, r Request, mn fabric.NodeID, res monitor.Resource, window uint64) (monitor.AllocResp, error) {
+	var call *monitor.AllocCall
+	if n := len(c.calls); n > 0 {
+		call, c.calls = c.calls[n-1], c.calls[:n-1]
+	} else {
+		call = new(monitor.AllocCall)
 	}
+	call.Req = monitor.AllocReq{Res: res, Size: r.Size, WindowBase: window, Scope: r.scope, Tags: r.tags}
+	if !monitor.Alloc(p, r.On.EP, mn, call, r.timeout) {
+		return monitor.AllocResp{}, fmt.Errorf("core: acquire %s: %w", r.Kind, ErrTimeout)
+	}
+	resp := call.Resp
+	c.calls = append(c.calls, call)
 	if resp.Granted == 0 {
 		resp.Granted = r.Size
 	}
+	if !resp.OK {
+		return resp, declined(r, res, resp.Granted, resp.Rejected)
+	}
 	return resp, nil
+}
+
+// declined is the error of r's grant call for res, which the MN turned
+// down after looking for amount of it: an admission rejection is
+// ErrAdmissionRejected, any other decline ErrUnavailable. The MN's
+// answer carries no text, so this formats the reason once.
+func declined(r Request, res monitor.Resource, amount uint64, rejected bool) error {
+	switch {
+	case rejected && res == monitor.Memory:
+		return fmt.Errorf("core: acquire %s: admission: %s class over budget for %d bytes: %w",
+			r.Kind, r.tags.Class, amount, ErrAdmissionRejected)
+	case rejected:
+		return fmt.Errorf("core: acquire %s: admission: %s class over budget for a %s: %w",
+			r.Kind, r.tags.Class, res, ErrAdmissionRejected)
+	case res == monitor.Memory:
+		return fmt.Errorf("core: acquire %s: no donor with %d idle bytes: %w", r.Kind, amount, ErrUnavailable)
+	}
+	return fmt.Errorf("core: acquire %s: no %s available: %w", r.Kind, res, ErrUnavailable)
 }
 
 // lease is the record every concrete lease embeds: the fields its
@@ -153,10 +182,12 @@ type lease struct {
 	// lease's granted bytes and recipient-side window base (swap has no
 	// window), one unit and no window for a device.
 	size, window uint64
-	allocID      int           // the grant's row in its MN's RAT
-	mn           fabric.NodeID // the MN (or sub-MN) that brokered the lease
-	trace        uint64
-	plane        *plane
+	// row names the grant's row in its MN's RAT, in the record the
+	// release's free call carries.
+	row   monitor.FreeReq
+	mn    fabric.NodeID // the MN (or sub-MN) that brokered the lease
+	trace uint64
+	plane *plane
 }
 
 // Trace reports the lease's trace id (see Lease.Trace).
@@ -178,11 +209,11 @@ func (l *lease) Donor() fabric.NodeID { return l.donor }
 // returns the region's donor-local base; win is the grant's
 // recipient-side window.
 func (l *lease) back(p *sim.Proc, r Request, win uint64) (uint64, error) {
-	resp, err := grantVia(p, r, l.mn, monitor.Memory, win)
+	resp, err := l.plane.grantVia(p, r, l.mn, monitor.Memory, win)
 	if err != nil {
 		return 0, err
 	}
-	l.donor, l.size, l.allocID = resp.Donor, resp.Granted, resp.AllocID
+	l.donor, l.size, l.row.AllocID = resp.Donor, resp.Granted, resp.AllocID
 	return resp.DonorBase, nil
 }
 
@@ -199,8 +230,9 @@ func (l *lease) granted(p *sim.Proc, r Request) {
 	l.plane.hub.emit(ev)
 }
 
-// free returns the lease's allocation row to its MN.
-func (l *lease) free(p *sim.Proc) { monitor.Free(p, l.recipient.EP, l.mn, l.allocID) }
+// free returns the lease's allocation row to its MN. Its call carries
+// the lease's own record, so l must be a lease handle's.
+func (l *lease) free(p *sim.Proc) { monitor.Free(p, l.recipient.EP, l.mn, &l.row) }
 
 // released announces a voluntary release.
 func (l *lease) released(p *sim.Proc) { l.plane.hub.emit(l.event(p, LeaseReleased)) }

@@ -35,11 +35,11 @@ func (l *device) Revoked() bool { return l.revoked }
 // grant asks the broker for one unit of res and stamps the grant on the
 // record (device events report size 1 and no window).
 func (l *device) grant(p *sim.Proc, r Request, res monitor.Resource) error {
-	resp, err := grantVia(p, r, l.mn, res, 0)
+	resp, err := l.plane.grantVia(p, r, l.mn, res, 0)
 	if err != nil {
 		return err
 	}
-	l.donor, l.allocID, l.size = resp.Donor, resp.AllocID, 1
+	l.donor, l.row.AllocID, l.size = resp.Donor, resp.AllocID, 1
 	return nil
 }
 

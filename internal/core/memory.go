@@ -12,6 +12,11 @@ import (
 // the recipient backed by a donor region over the CRMA channel. Accesses
 // to the window are ordinary loads and stores — no special API (§5.2.1).
 // It satisfies Lease; acquire one with Kind Memory.
+//
+// The handle is the lease's one allocation: it holds the window's
+// region, its CRMA backend and its RAMT entry by value. An access in
+// flight keeps a pointer to the entry past Release, which is safe since
+// no handle is ever reused.
 type MemoryLease struct {
 	lease
 	WindowBase uint64
@@ -21,8 +26,9 @@ type MemoryLease struct {
 	DonorBase uint64
 	Size      uint64
 
-	region *memsys.Region
-	entry  *transport.RAMTEntry
+	region  memsys.Region
+	backend memsys.CRMARemote
+	entry   transport.RAMTEntry
 }
 
 // Window reports the hot-plugged recipient-side window.
@@ -36,47 +42,46 @@ func acquireMemory(p *sim.Proc, r Request, l lease) (Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A degraded grant mounts at the same base: the hot-plug window was
-	// sized for the full request, so the smaller region has room to spare.
-	ml, err := mountCRMA(p, l, base)
-	if err != nil {
+	ml := &MemoryLease{lease: l, WindowBase: l.window, DonorBase: base, Size: l.size}
+	if err := ml.mount(p); err != nil {
 		// The grant committed MN-side (RAT row live, donor region
 		// hot-removed); a recipient-side mount failure must hand it back
 		// or the donor's memory leaks untracked.
-		l.free(p)
+		ml.free(p)
 		return nil, err
 	}
 	ml.granted(p, r)
 	return ml, nil
 }
 
-// mountCRMA installs the recipient-side mapping of the record's window
-// onto the donor region at donorBase and hot-plugs the window.
-func mountCRMA(p *sim.Proc, l lease, donorBase uint64) (*MemoryLease, error) {
+// mount installs the recipient-side mapping of the lease's window onto
+// its donor region and hot-plugs the window. A degraded grant mounts at
+// the same base: the hot-plug window was sized for the full request, so
+// the smaller region has room to spare.
+func (l *MemoryLease) mount(p *sim.Proc) error {
 	n := l.recipient
-	entry, err := n.EP.CRMA.Map(l.window, l.size, l.donor, donorBase)
-	if err != nil {
-		return nil, fmt.Errorf("core: mapping borrowed window: %w", err)
+	l.entry = transport.RAMTEntry{LocalBase: l.WindowBase, Size: l.Size, Node: l.donor, RemoteBase: l.DonorBase}
+	if err := n.EP.CRMA.MapEntry(&l.entry); err != nil {
+		return fmt.Errorf("core: mapping borrowed window: %w", err)
 	}
-	region := &memsys.Region{Base: l.window, Size: l.size,
-		Backend: &memsys.CRMARemote{CRMA: n.EP.CRMA, Donor: l.donor}}
-	if err := n.Mem.AS.Add(region); err != nil {
-		n.EP.CRMA.Unmap(entry)
-		return nil, fmt.Errorf("core: hot-plugging borrowed window: %w", err)
+	l.backend = memsys.CRMARemote{CRMA: n.EP.CRMA, Donor: l.donor}
+	l.region = memsys.Region{Base: l.WindowBase, Size: l.Size, Backend: &l.backend}
+	if err := n.Mem.AS.Add(&l.region); err != nil {
+		n.EP.CRMA.Unmap(&l.entry)
+		return fmt.Errorf("core: hot-plugging borrowed window: %w", err)
 	}
 	// Hot-plug cost on the recipient (Fig. 10 step 2).
 	p.Sleep(n.P.HotplugOp)
-	return &MemoryLease{lease: l, WindowBase: l.window, DonorBase: donorBase, Size: l.size,
-		region: region, entry: entry}, nil
+	return nil
 }
 
 // Release tears the lease down: invalidate the mapping, drop the region,
 // flush stale cache lines, and return the memory to the donor.
 func (l *MemoryLease) Release(p *sim.Proc) {
 	n := l.recipient
-	n.Mem.AS.Remove(l.region)
+	n.Mem.AS.Remove(&l.region)
 	n.Mem.Cache.InvalidateAll()
-	n.EP.CRMA.Unmap(l.entry)
+	n.EP.CRMA.Unmap(&l.entry)
 	l.free(p)
 	p.Sleep(n.P.HotplugOp)
 	l.released(p)

@@ -120,8 +120,27 @@ type Request struct {
 	tags monitor.Tags
 }
 
-// Option refines a Request.
-type Option func(*Request)
+// Option refines a Request: a value carrying the fields one With*
+// option sets, which With copies onto the request. Options allocate
+// nothing, and neither does a request built from them.
+type Option struct {
+	sets optField
+	// v holds the option's value in the field of a Request it sets.
+	v Request
+}
+
+// optField names the Request field (or fields) an Option sets.
+type optField uint8
+
+const (
+	optScope optField = iota + 1
+	optDevice
+	optTimeout
+	optRetry
+	optClient
+	optTenant
+	optLatency
+)
 
 // NewRequest builds a Request for kind on behalf of node on, applying
 // opts.
@@ -130,10 +149,25 @@ func NewRequest(kind Kind, on *node.Node, size uint64, opts ...Option) Request {
 	return r.With(opts...)
 }
 
-// With returns a copy of the request with opts applied.
+// With returns a copy of the request with opts applied, in order.
 func (r Request) With(opts ...Option) Request {
 	for _, o := range opts {
-		o(&r)
+		switch o.sets {
+		case optScope:
+			r.scope = o.v.scope
+		case optDevice:
+			r.device, r.hasDevice = o.v.device, true
+		case optTimeout:
+			r.timeout = o.v.timeout
+		case optRetry:
+			r.retry = o.v.retry
+		case optClient:
+			r.client = o.v.client
+		case optTenant:
+			r.tags.Tenant, r.tags.Class = o.v.tags.Tenant, o.v.tags.Class
+		case optLatency:
+			r.tags.Latency = true
+		}
 	}
 	return r
 }
@@ -143,32 +177,32 @@ func (r Request) With(opts ...Option) Request {
 // kinds alike. Flat planes have no racks, so any explicit scope other
 // than ScopeAny is a validation error there.
 func WithScope(scope monitor.AllocScope) Option {
-	return func(r *Request) { r.scope = scope }
+	return Option{sets: optScope, v: Request{scope: scope}}
 }
 
 // WithDevice selects the donor-side device id — the accelerator mailbox
 // to attach (Accel only; the default is mailbox 0).
 func WithDevice(id int) Option {
-	return func(r *Request) { r.device, r.hasDevice = id, true }
+	return Option{sets: optDevice, v: Request{device: id}}
 }
 
 // WithTimeout bounds the Monitor Node round trip: an unreachable or
 // wedged MN fails the acquire after d of virtual time instead of
 // parking the requester forever. The zero default waits indefinitely.
 func WithTimeout(d sim.Dur) Option {
-	return func(r *Request) { r.timeout = d }
+	return Option{sets: optTimeout, v: Request{timeout: d}}
 }
 
 // WithRetry re-attempts transient acquisition failures (no donor, MN
 // timeout) on the given schedule.
 func WithRetry(policy RetryPolicy) Option {
-	return func(r *Request) { r.retry = policy }
+	return Option{sets: optRetry, v: Request{retry: policy}}
 }
 
 // WithClient supplies the accelerator library client an Accel request
 // attaches through.
 func WithClient(c *accel.Client) Option {
-	return func(r *Request) { r.client = c }
+	return Option{sets: optClient, v: Request{client: c}}
 }
 
 // WithTenant tags an MN-brokered request with the owning tenant's
@@ -180,7 +214,7 @@ func WithClient(c *accel.Client) Option {
 // requests (the zero tenancy.ClassNone) bypass admission entirely, so
 // pre-tenancy scenarios are byte-identical.
 func WithTenant(id uint64, class tenancy.Class) Option {
-	return func(r *Request) { r.tags.Tenant, r.tags.Class = id, class }
+	return Option{sets: optTenant, v: Request{tags: monitor.Tags{Tenant: id, Class: class}}}
 }
 
 // WithLatencySensitive marks a memory or swap lease's traffic
@@ -189,9 +223,7 @@ func WithTenant(id uint64, class tenancy.Class) Option {
 // links, and never retargets the lease itself — a retarget-and-replay
 // pause is exactly what the class forbids. Placement is unchanged; the
 // class only steers migration.
-func WithLatencySensitive() Option {
-	return func(r *Request) { r.tags.Latency = true }
-}
+func WithLatencySensitive() Option { return Option{sets: optLatency} }
 
 // Acquire failure classes, surfaced with errors.Is through whatever
 // context the error carries.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/tenancy"
 )
 
 // TestRequestValidation is the table-driven contract of Acquire's input
@@ -296,5 +297,36 @@ func TestHierAcquireDevice(t *testing.T) {
 	}
 	if n := len(cl.Subs[0].Allocations()); n != 0 {
 		t.Fatalf("rack-0 RAT rows after release = %d, want 0", n)
+	}
+}
+
+// TestDeclineTexts pins the error text of each way the MN declines a
+// grant. The MN's answer carries no text, so core formats it from the
+// request and the answer; the text reaches the event stream
+// (LeaseAcquireFailed.Err) and must not change.
+func TestDeclineTexts(t *testing.T) {
+	mem := NewRequest(Memory, nil, 8<<20, WithTenant(3, tenancy.Standard))
+	swap := NewRequest(Swap, nil, 64<<20)
+	acc := NewRequest(Accel, nil, 0, WithTenant(3, tenancy.Preemptible))
+	nic := NewRequest(NIC, nil, 0)
+	for _, tc := range []struct {
+		r        Request
+		res      monitor.Resource
+		amount   uint64
+		rejected bool
+		want     string
+		class    error
+	}{
+		{mem, monitor.Memory, 8 << 20, true, "core: acquire memory: admission: standard class over budget for 8388608 bytes: admission rejected", ErrAdmissionRejected},
+		{acc, monitor.DevAccelerator, 0, true, "core: acquire accelerator: admission: preemptible class over budget for a accelerator: admission rejected", ErrAdmissionRejected},
+		{mem, monitor.Memory, 8 << 20, false, "core: acquire memory: no donor with 8388608 idle bytes: resource unavailable", ErrUnavailable},
+		{mem, monitor.Memory, 4 << 20, false, "core: acquire memory: no donor with 4194304 idle bytes: resource unavailable", ErrUnavailable},
+		{swap, monitor.Memory, 64 << 20, false, "core: acquire swap: no donor with 67108864 idle bytes: resource unavailable", ErrUnavailable},
+		{nic, monitor.DevNIC, 0, false, "core: acquire nic: no nic available: resource unavailable", ErrUnavailable},
+	} {
+		err := declined(tc.r, tc.res, tc.amount, tc.rejected)
+		if err.Error() != tc.want || !errors.Is(err, tc.class) {
+			t.Errorf("declined %s (%s, rejected %v) = %q, want %q wrapping %v", tc.r.Kind, tc.res, tc.rejected, err, tc.want, tc.class)
+		}
 	}
 }

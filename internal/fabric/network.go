@@ -93,6 +93,17 @@ func (n *Network) links(fn func(*Link)) {
 // SetDelivery registers the local-port handler for node id.
 func (n *Network) SetDelivery(id NodeID, fn DeliverFunc) { n.switches[id].local = fn }
 
+// SetDrop registers the sink for every packet a crashed node's switch
+// drops (see SetNodeDown): injections, transit traffic and local
+// deliveries alike, each once. A link may still hold a dropped packet
+// for replay (Packet.Held). The transport layer installs one sink, to
+// take back what the packets carry; nil drops packets silently.
+func (n *Network) SetDrop(fn DeliverFunc) {
+	for _, s := range n.switches {
+		s.drop = fn
+	}
+}
+
 // Send injects a packet into the fabric at its source node.
 func (n *Network) Send(pkt *Packet) {
 	if int(pkt.Src) >= len(n.switches) || pkt.Src < 0 {

@@ -24,6 +24,9 @@ type Switch struct {
 	port  []*Link // port[nb] is the outgoing link toward neighbor nb
 	deg   int     // external ports in use
 	local DeliverFunc
+	// drop receives every packet the switch drops while down (see
+	// Network.SetDrop); nil drops them silently.
+	drop DeliverFunc
 
 	// transit holds the packets traversing the switch, in receive
 	// order. Every traversal takes the same lat, so traversals finish in
@@ -89,6 +92,7 @@ func (s *Switch) Inject(pkt *Packet) {
 		panic(fmt.Sprintf("fabric: inject at %v of packet from %v", s.id, pkt.Src))
 	}
 	if s.down {
+		s.discard(pkt)
 		return
 	}
 	if s.injectExtra > 0 {
@@ -111,6 +115,7 @@ func (s *Switch) traverse() { s.route(s.transit.pop()) }
 // route forwards a packet toward its destination or delivers it locally.
 func (s *Switch) route(pkt *Packet) {
 	if s.down {
+		s.discard(pkt)
 		return
 	}
 	if pkt.Dst == s.id {
@@ -133,6 +138,7 @@ func (s *Switch) deliver(pkt *Packet) {
 	// The node can crash between route() and a deliverExtra-delayed
 	// delivery; power-cut semantics mean the packet dies with it.
 	if s.down {
+		s.discard(pkt)
 		return
 	}
 	if s.local == nil {
@@ -140,6 +146,13 @@ func (s *Switch) deliver(pkt *Packet) {
 	}
 	s.delivered++
 	s.local(pkt)
+}
+
+// discard hands a packet the crashed switch drops to the drop sink.
+func (s *Switch) discard(pkt *Packet) {
+	if s.drop != nil {
+		s.drop(pkt)
+	}
 }
 
 // Router is an external one-level switch module inserted between two

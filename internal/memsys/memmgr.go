@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -70,29 +71,63 @@ func (m *MemManager) Release(size uint64) {
 // donated, blocking the process for the hot-plug operation, and returns
 // the donor-local physical base of the removed region.
 func (m *MemManager) HotRemove(p *sim.Proc, size uint64) (uint64, error) {
-	if size == 0 || size%uint64(m.P.PageBytes) != 0 {
+	base, fault := m.hotRemove(p, size)
+	switch fault {
+	case removeUnaligned:
 		return 0, fmt.Errorf("memsys: hot-remove size %d not page-aligned", size)
+	case removeOverIdle:
+		return 0, fmt.Errorf("memsys: hot-remove %d exceeds idle %d", size, m.Idle())
+	case removeExhausted:
+		return 0, fmt.Errorf("memsys: hot-remove %d: address space exhausted (top %#x)", size, m.nextTop)
+	}
+	return base, nil
+}
+
+// TryHotRemove is HotRemove for a caller that needs only whether the
+// hot-remove succeeded: a decline formats nothing, so it allocates
+// nothing. A donor's agent declines this way.
+func (m *MemManager) TryHotRemove(p *sim.Proc, size uint64) (uint64, bool) {
+	base, fault := m.hotRemove(p, size)
+	return base, fault == removeOK
+}
+
+// removeFault is why a hot-remove declined.
+type removeFault uint8
+
+const (
+	removeOK removeFault = iota
+	removeUnaligned
+	removeOverIdle
+	removeExhausted
+)
+
+// hotRemove runs a hot-remove and reports its fault, checked in the
+// order HotRemove's messages name them: alignment and idle bytes before
+// the hot-plug sleep, address space after it.
+func (m *MemManager) hotRemove(p *sim.Proc, size uint64) (uint64, removeFault) {
+	if size == 0 || size%uint64(m.P.PageBytes) != 0 {
+		return 0, removeUnaligned
 	}
 	if size > m.Idle() {
-		return 0, fmt.Errorf("memsys: hot-remove %d exceeds idle %d", size, m.Idle())
+		return 0, removeOverIdle
 	}
 	p.Sleep(m.P.HotplugOp)
 	// Reuse an exact-fit hole left by an earlier return before carving
 	// fresh address space from the top.
 	for i, h := range m.holes {
 		if h.size == size {
-			m.holes = append(m.holes[:i:i], m.holes[i+1:]...)
+			m.holes = slices.Delete(m.holes, i, i+1)
 			m.removed = append(m.removed, h)
-			return h.base, nil
+			return h.base, removeOK
 		}
 	}
 	if m.nextTop < size {
-		return 0, fmt.Errorf("memsys: hot-remove %d: address space exhausted (top %#x)", size, m.nextTop)
+		return 0, removeExhausted
 	}
 	m.nextTop -= size
 	base := m.nextTop
 	m.removed = append(m.removed, removedRegion{base: base, size: size})
-	return base, nil
+	return base, removeOK
 }
 
 // Reboot resets the manager to a fresh-boot state: hot-removed regions
@@ -117,7 +152,7 @@ func (m *MemManager) HotAddReturn(p *sim.Proc, base, size uint64) error {
 	// reshuffled the slice while this one was blocked on the hot-plug.
 	for i, r := range m.removed {
 		if r.base == base && r.size == size {
-			m.removed = append(m.removed[:i:i], m.removed[i+1:]...)
+			m.removed = slices.Delete(m.removed, i, i+1)
 			if base == m.nextTop {
 				// Freed regions at the top merge back directly, then absorb
 				// any holes that became adjacent.
@@ -150,7 +185,7 @@ func (m *MemManager) absorbHoles() {
 		for i, h := range m.holes {
 			if h.base == m.nextTop {
 				m.nextTop += h.size
-				m.holes = append(m.holes[:i:i], m.holes[i+1:]...)
+				m.holes = slices.Delete(m.holes, i, i+1)
 				merged = true
 				break
 			}

@@ -239,31 +239,35 @@ func (a *Agent) probeLinks(probes []LinkProbe) []LinkProbe {
 }
 
 // onHotRemove services the MN's donation request: hot-remove the region
-// from the local OS and export it over CRMA for the recipient.
+// from the local OS and export it over CRMA for the recipient. The
+// answer goes back in the request's record.
 func (a *Agent) onHotRemove(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*regionReq)
-	resp := a.carve(p, r.Size, "hotremove.declined")
-	if resp.OK {
-		a.export(r, resp.Base)
+	if a.carve(p, r, "hotremove.declined") {
+		a.export(r, r.Base)
 		a.Stats.Add("hotremove.ok", 1)
 	}
-	return resp, 32
+	return r, 32
 }
 
-// carve hot-removes size bytes from the local OS and answers with the
-// region's base. It declines, bumping the caller's declined counter,
-// when idle memory is short or the hot-remove fails.
-func (a *Agent) carve(p *sim.Proc, size uint64, declined string) *regionResp {
-	if a.MemMgr.Idle() < size {
+// carve hot-removes r.Size bytes from the local OS and answers in r:
+// OK, and the region's Base. It declines, leaving OK false and bumping
+// the caller's declined counter, when idle memory is short or the
+// hot-remove fails; a decline allocates nothing. The answer is written
+// after the hot-plug sleep, and the MN leaves a record whose call timed
+// out meanwhile to the GC, so the record is still this call's then.
+func (a *Agent) carve(p *sim.Proc, r *regionReq, declined string) bool {
+	if a.MemMgr.Idle() < r.Size {
 		a.Stats.Add(declined, 1)
-		return &regionResp{OK: false, Err: "insufficient idle memory"}
+		return false
 	}
-	base, err := a.MemMgr.HotRemove(p, size)
-	if err != nil {
+	base, ok := a.MemMgr.TryHotRemove(p, r.Size)
+	if !ok {
 		a.Stats.Add(declined, 1)
-		return &regionResp{OK: false, Err: err.Error()}
+		return false
 	}
-	return &regionResp{OK: true, Base: base}
+	r.Base, r.OK = base, true
+	return true
 }
 
 // export installs the CRMA export of the region at base to r's window,
@@ -308,12 +312,11 @@ func (a *Agent) onRevoke(_ fabric.NodeID, req any) (any, int) {
 // hot-plug latency.
 func (a *Agent) onSpareCarve(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*regionReq)
-	resp := a.carve(p, r.Size, "spare.declined")
-	if resp.OK {
-		a.spares[resp.Base] = r.Size
+	if a.carve(p, r, "spare.declined") {
+		a.spares[r.Base] = r.Size
 		a.Stats.Add("spare.carved", 1)
 	}
-	return resp, 32
+	return r, 32
 }
 
 // onSpareAttach exports a parked spare region to a recipient — the
@@ -326,12 +329,14 @@ func (a *Agent) onSpareAttach(_ fabric.NodeID, req any) (any, int) {
 		// this is a duplicate attach): refuse so the MN falls back to an
 		// ordinary hot-remove instead of handing out memory we don't hold.
 		a.Stats.Add("spare.attach_stale", 1)
-		return &regionResp{OK: false, Err: "no such spare region"}, 16
+		r.OK = false
+		return r, 16
 	}
 	delete(a.spares, r.Base)
 	a.export(r, r.Base)
 	a.Stats.Add("spare.attached", 1)
-	return &regionResp{OK: true}, 16
+	r.OK = true
+	return r, 16
 }
 
 // onHotReturn tears down a donation: invalidate the export and hot-add

@@ -89,6 +89,11 @@ type Allocation struct {
 	Deleg int
 
 	Tags
+
+	// held counts the re-placement walks holding the row across their
+	// blocking calls (see replace). A free hands a row back to the MN's
+	// list only when no walk holds it.
+	held int
 }
 
 // LinkStatus is one row of the Topology Status Table. Util carries the
@@ -115,6 +120,16 @@ type Monitor struct {
 	tst map[[2]fabric.NodeID]*LinkStatus
 
 	nextAllocID int
+
+	// The MN's record lists. rows recycles RAT rows: a free hands its
+	// row back unless a re-placement walk holds it. regions recycles the
+	// records the MN's region calls to donor agents carry (see
+	// regionReq). cands recycles donor walks' candidate slices: walks
+	// interleave while a grant blocks in its handshakes, so each takes
+	// one of its own.
+	rows    freeList[Allocation]
+	regions freeList[regionReq]
+	cands   [][]*Registration
 
 	// Policy orders donor candidates (see PolicyByName); nil means the
 	// prototype's distance-first policy.
@@ -476,11 +491,18 @@ func (m *Monitor) AuditDevices() error {
 
 // donorCandidates collects live donors and orders them with the MN's
 // configured policy, else the prototype default (distance only, §5.3).
-// A policy that reads loads or telemetry sees the current View; the
-// walk gets its own candidate slice, since a grant blocks in its
-// handshakes while other walks run.
+// A policy that reads loads or telemetry sees the current View. The
+// walk gets a candidate slice of its own, from the MN's list, since a
+// grant blocks in its handshakes while other walks run; it hands the
+// slice back with doneCandidates.
 func (m *Monitor) donorCandidates(requester fabric.NodeID) []*Registration {
-	cands := make([]*Registration, 0, len(m.rrt))
+	var cands []*Registration
+	if n := len(m.cands); n > 0 {
+		cands = m.cands[n-1]
+		m.cands = m.cands[:n-1]
+	} else {
+		cands = make([]*Registration, 0, len(m.rrt))
+	}
 	for _, r := range m.rrt {
 		if r.Node == requester || !m.NodeAlive(r.Node) {
 			continue
@@ -497,13 +519,38 @@ func (m *Monitor) donorCandidates(requester fabric.NodeID) []*Registration {
 	return cands
 }
 
+// doneCandidates hands a walk's candidate slice back to the MN's list.
+func (m *Monitor) doneCandidates(cands []*Registration) {
+	clear(cands)
+	m.cands = append(m.cands, cands[:0])
+}
+
+// freeList recycles one kind of MN record. When a record may go back
+// is the owner's rule: see regionReq and Allocation.held.
+type freeList[T any] struct{ free []*T }
+
+func (l *freeList[T]) get() *T {
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	r := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return r
+}
+
+func (l *freeList[T]) put(r *T) { l.free = append(l.free, r) }
+
 // onAlloc services a request for an amount of one resource: admission
 // for class-tagged requests on a flat MN, the local donor walk first
 // (unless the scope hint forbids it), then — on a sub-MN — escalation
 // to the root MN when the rack is starved or the request asked for a
-// remote rack outright. The reply's wire size is the resource's.
+// remote rack outright. The answer goes into the caller's record (see
+// AllocCall), and its wire size is the resource's.
 func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
-	r := req.(*AllocReq)
+	c := req.(*AllocCall)
+	r := &c.Req
 	wire := pick(r.Res, 64, 32)
 	// Tagged requests pass the admission controller first: it may admit
 	// the full amount, shrink it (degraded grant), hold the request for a
@@ -515,31 +562,32 @@ func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 		g, rejected := m.admit(p, from, r.Res, size, r.Class)
 		if rejected {
 			m.Stats.Add("admit.rejected", 1)
-			return &AllocResp{OK: false, Rejected: true, Err: fmt.Sprintf(pick(r.Res,
-				"admission: %[1]s class over budget for %[2]d bytes",
-				"admission: %[1]s class over budget for a %[3]s"), r.Class, size, r.Res)}, wire
+			c.Resp = AllocResp{Rejected: true}
+			return c, wire
 		}
 		size = g
 	}
 	if r.Scope != ScopeRemoteRack {
 		if a, ok := m.grant(p, from, r, size, 0); ok {
 			m.Stats.Add(r.Res.allocKey(), 1)
-			return r.granted(a.ID, a.Donor, a.DonorBase, size), wire
+			c.Resp = r.answer(AllocResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}, size)
+			return c, wire
 		}
 	}
 	if m.hasUpstream && r.Scope != ScopeLocalRack {
-		if resp := m.escalate(p, from, r); resp != nil {
-			return resp, wire
+		if resp, ok := m.escalate(p, from, r); ok {
+			c.Resp = resp
+			return c, wire
 		}
 	}
 	m.Stats.Add("alloc.failures", 1)
-	return &AllocResp{OK: false, Err: fmt.Sprintf(pick(r.Res,
-		"no donor with %[1]d idle bytes", "no %[2]s available"), size, r.Res)}, wire
+	c.Resp = r.answer(AllocResp{}, size)
+	return c, wire
 }
 
-// granted is the success answer to r, flagging a degraded size.
-func (r *AllocReq) granted(id int, donor fabric.NodeID, donorBase, size uint64) *AllocResp {
-	resp := &AllocResp{OK: true, AllocID: id, Donor: donor, DonorBase: donorBase}
+// answer completes resp, r's answer for size, flagging a size admission
+// degraded.
+func (r *AllocReq) answer(resp AllocResp, size uint64) AllocResp {
 	if size != r.amount() {
 		resp.Granted = size
 	}
@@ -555,7 +603,9 @@ func (r *AllocReq) granted(id int, donor fabric.NodeID, donorBase, size uint64) 
 // row with a root delegation id when the grant backs a cross-rack
 // lease.
 func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, r *AllocReq, amount uint64, deleg int) (*Allocation, bool) {
-	for _, cand := range m.donorCandidates(recipient) {
+	cands := m.donorCandidates(recipient)
+	defer m.doneCandidates(cands)
+	for _, cand := range cands {
 		if cand.free(r.Res) < amount {
 			continue
 		}
@@ -568,20 +618,19 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, r *AllocReq, amoun
 		}
 		var donorBase, window uint64
 		if r.Res == Memory {
-			reg := &regionReq{Recipient: recipient, RecipientBase: r.WindowBase, Size: amount}
-			base, ok := m.hotRemove(p, cand, reg, false)
+			base, ok := m.hotRemove(p, cand, recipient, r.WindowBase, amount, false)
 			if !ok {
 				continue
 			}
 			donorBase, window = base, r.WindowBase
 		}
-		id := m.nextAllocID
-		m.nextAllocID++
-		a := &Allocation{
-			ID: id, Kind: r.Res, Donor: cand.Node, Recipient: recipient,
+		a := m.rows.get()
+		*a = Allocation{
+			ID: m.nextAllocID, Kind: r.Res, Donor: cand.Node, Recipient: recipient,
 			DonorBase: donorBase, RecipientBase: window,
 			Size: amount, At: m.EP.Eng.Now(), Deleg: deleg, Tags: r.Tags,
 		}
+		m.nextAllocID++
 		m.addRow(a)
 		cand.debit(r.Res, amount)
 		if r.Res == Memory {
@@ -593,28 +642,32 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, r *AllocReq, amoun
 }
 
 // hotRemove is memory's donor handshake: ask cand's agent to hot-remove
-// the region reg names and export it to reg's window. RRT records can
-// be stale, so a donor that declines is marked drained and the walk
-// retries the next candidate (handshake-and-retry, §5.3). The grant
-// walk counts its timeouts and retries under alloc.*, re-placement
-// (recovery) under recover.*.
-func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, reg *regionReq, recovery bool) (uint64, bool) {
+// size bytes and export them to recipient's window at window. RRT
+// records can be stale, so a donor that declines is marked drained and
+// the walk retries the next candidate (handshake-and-retry, §5.3). The
+// grant walk counts its timeouts and retries under alloc.*,
+// re-placement (recovery) under recover.*.
+func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.NodeID, window, size uint64, recovery bool) (uint64, bool) {
 	inc := m.incarnationOf(cand.Node)
-	raw, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, reg, grantTimeout(m.EP.P))
-	if !ok {
+	reg := m.regions.get()
+	*reg = regionReq{Recipient: recipient, RecipientBase: window, Size: size}
+	if _, ok := m.EP.CallTimeout(p, cand.Node, kindHotRemove, 64, reg, grantTimeout(m.EP.P)); !ok {
 		// The donor died mid-handshake (its agent never answered);
 		// without the timeout this request would wedge the MN forever.
+		// The agent may still be sleeping in the hot-plug with reg, so
+		// reg is left to the GC.
 		m.lostRegion(cand, reg, inc, either(recovery, "recover.grant_timeouts", "alloc.grant_timeouts"))
 		return 0, false
 	}
-	resp := raw.(*regionResp)
-	if !resp.OK {
+	base, ok := reg.Base, reg.OK
+	m.regions.put(reg)
+	if !ok {
 		// Stale RRT record; mark what we learned and retry.
 		m.Stats.Add(either(recovery, "recover.retries", "alloc.retries"), 1)
 		cand.IdleBytes = 0
 		return 0, false
 	}
-	return resp.Base, true
+	return base, true
 }
 
 // lostRegion handles a hot-remove or spare attach to cand whose answer
@@ -631,7 +684,8 @@ func (m *Monitor) lostRegion(cand *Registration, reg *regionReq, inc int64, coun
 // onFree tears an allocation down by its row's resource, handing the
 // backing back to its donor — or, for a lease delegated from another
 // rack, forwarding the release up to the root MN, which owns the
-// donor-rack indirection.
+// donor-rack indirection. The row goes back on the MN's list once its
+// backing is released, unless a re-placement walk holds it.
 func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	f := req.(*FreeReq)
 	if ref, ok := m.delegated[f.AllocID]; ok {
@@ -657,6 +711,9 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	m.dropRow(a)
 	m.releaseBacking(p, a)
 	m.Stats.Add(pick(a.Kind, "free.memory", "free.device"), 1)
+	if a.held == 0 {
+		m.rows.put(a)
+	}
 	return &ack{}, 8
 }
 
@@ -666,12 +723,24 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 // unreachable, to settle if it reappears un-rebooted), a device unit is
 // a table credit.
 func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
-	if a.Kind == Memory && !m.out.send(p, m.giveBack(a.Donor, a.region(a.DonorBase))) {
+	if a.Kind == Memory && !m.sendBack(p, a.Donor, a, a.DonorBase) {
 		m.Stats.Add("free.donor_unreachable", 1)
 	}
 	if r, ok := m.rrt[a.Donor]; ok {
 		r.credit(a.Kind, a.Size)
 	}
+}
+
+// sendBack hot-returns the region at base backing a's window to donor
+// through the outbox, and reports whether the letter was delivered. Its
+// record goes back on the MN's list then; a parked letter keeps it.
+func (m *Monitor) sendBack(p *sim.Proc, donor fabric.NodeID, a *Allocation, base uint64) bool {
+	ret := m.region(a, base)
+	if !m.out.send(p, m.giveBack(donor, ret)) {
+		return false
+	}
+	m.regions.put(ret)
+	return true
 }
 
 // giveBack is the letter handing the region ret names back to donor.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/node"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // cluster is an 8-node 3D mesh with agents on every node and the MN on
@@ -22,6 +23,16 @@ type cluster struct {
 	nodes  []*node.Node
 	agents []*Agent
 	mn     *Monitor
+}
+
+// alloc runs one grant call from ep to the MN on node 0, in a record of
+// its own, and returns the MN's answer; nil when none came.
+func alloc(p *sim.Proc, ep *transport.Endpoint, req AllocReq) (*AllocResp, bool) {
+	c := &AllocCall{Req: req}
+	if !Alloc(p, ep, 0, c, 0) {
+		return nil, false
+	}
+	return &c.Resp, true
 }
 
 func newCluster(tb testing.TB, dram uint64) *cluster {
@@ -95,7 +106,7 @@ func TestMemoryAllocationFlow(t *testing.T) {
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
+		resp, _ = alloc(p, recipient.EP, AllocReq{Size: size, WindowBase: win})
 	})
 	c.eng.RunFor(5 * sim.Second)
 
@@ -135,7 +146,7 @@ func TestAllocationRetryOnStaleRRT(t *testing.T) {
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
+		resp, _ = alloc(p, recipient.EP, AllocReq{Size: size, WindowBase: win})
 	})
 	c.eng.RunFor(10 * sim.Second)
 
@@ -156,14 +167,14 @@ func TestAllocationFailsWhenNothingFits(t *testing.T) {
 	recipient := c.nodes[1]
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
-		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: 1 << 30, WindowBase: 1 << 30}, 0)
+		resp, _ = alloc(p, recipient.EP, AllocReq{Size: 1 << 30, WindowBase: 1 << 30})
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || resp.OK {
 		t.Fatalf("oversized allocation should fail, got %+v", resp)
 	}
-	if resp.Err == "" {
-		t.Fatal("failure carries no error text")
+	if resp.Rejected || resp.Granted != 0 {
+		t.Fatalf("a no-donor decline of an undegraded request is %+v, want neither rejected nor degraded", resp)
 	}
 }
 
@@ -174,16 +185,16 @@ func TestFreeMemoryReturnsToDonor(t *testing.T) {
 	const size = 128 << 20
 	recipient.Run("alloc-free", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp, _ := Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
+		resp, _ := alloc(p, recipient.EP, AllocReq{Size: size, WindowBase: win})
 		if !resp.OK {
-			t.Errorf("alloc failed: %s", resp.Err)
+			t.Errorf("alloc failed: %+v", resp)
 			return
 		}
 		donor := c.nodes[resp.Donor]
 		if donor.MemMgr.Removed() != size {
 			t.Errorf("donation not recorded")
 		}
-		Free(p, recipient.EP, 0, resp.AllocID)
+		Free(p, recipient.EP, 0, &FreeReq{AllocID: resp.AllocID})
 		if donor.MemMgr.Removed() != 0 {
 			t.Errorf("donor still shows %d removed after free", donor.MemMgr.Removed())
 		}
@@ -205,10 +216,10 @@ func TestDeviceAllocation(t *testing.T) {
 	var acc1, acc2, acc3 *AllocResp
 	var nic *AllocResp
 	requester.Run("devs", func(p *sim.Proc) {
-		acc1, _ = Alloc(p, requester.EP, 0, AllocReq{Res: DevAccelerator}, 0)
-		acc2, _ = Alloc(p, requester.EP, 0, AllocReq{Res: DevAccelerator}, 0)
-		acc3, _ = Alloc(p, requester.EP, 0, AllocReq{Res: DevAccelerator}, 0)
-		nic, _ = Alloc(p, requester.EP, 0, AllocReq{Res: DevNIC}, 0)
+		acc1, _ = alloc(p, requester.EP, AllocReq{Res: DevAccelerator})
+		acc2, _ = alloc(p, requester.EP, AllocReq{Res: DevAccelerator})
+		acc3, _ = alloc(p, requester.EP, AllocReq{Res: DevAccelerator})
+		nic, _ = alloc(p, requester.EP, AllocReq{Res: DevNIC})
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if !acc1.OK || acc1.Donor != 2 || !acc2.OK || acc2.Donor != 2 {
@@ -222,8 +233,8 @@ func TestDeviceAllocation(t *testing.T) {
 	}
 	// Free one accelerator; it becomes grantable again.
 	requester.Run("refree", func(p *sim.Proc) {
-		Free(p, requester.EP, 0, acc1.AllocID)
-		again, _ := Alloc(p, requester.EP, 0, AllocReq{Res: DevAccelerator}, 0)
+		Free(p, requester.EP, 0, &FreeReq{AllocID: acc1.AllocID})
+		again, _ := alloc(p, requester.EP, AllocReq{Res: DevAccelerator})
 		if !again.OK {
 			t.Error("freed accelerator not re-grantable")
 		}
@@ -244,7 +255,7 @@ func TestRegisteredIsACopy(t *testing.T) {
 	}
 	var resp *AllocResp
 	c.nodes[0].Run("grant", func(p *sim.Proc) {
-		resp, _ = Alloc(p, c.nodes[0].EP, 0, AllocReq{Res: DevAccelerator}, 0)
+		resp, _ = alloc(p, c.nodes[0].EP, AllocReq{Res: DevAccelerator})
 	})
 	for _, d := range []sim.Dur{sim.Millisecond, sim.Second} {
 		c.eng.RunFor(d)
@@ -475,6 +486,8 @@ func BenchmarkHeartbeat(b *testing.B) {
 // free on the 8-node mesh, as RPCs to the MN from node 7: the donor
 // walk, the donor agent's hot-remove and export, the RAT row, and the
 // free's hot-return. Heartbeats run alongside at their default period.
+// The caller keeps one grant record and one free record, so a warm
+// grant and free allocate nothing.
 func BenchmarkGrant(b *testing.B) {
 	c := newCluster(b, 1<<30)
 	c.eng.RunFor(sim.Second)
@@ -482,15 +495,18 @@ func BenchmarkGrant(b *testing.B) {
 	const size = 1 << 20
 	win := recipient.NextHotplugWindow(size)
 	failed := false
+	var call AllocCall
+	var free FreeReq
 	grants := func(n int) {
 		done := recipient.Run("grants", func(p *sim.Proc) {
 			for range n {
-				resp, ok := Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
-				if !ok || !resp.OK {
+				call.Req = AllocReq{Size: size, WindowBase: win}
+				if !Alloc(p, recipient.EP, 0, &call, 0) || !call.Resp.OK {
 					failed = true
 					return
 				}
-				Free(p, recipient.EP, 0, resp.AllocID)
+				free.AllocID = call.Resp.AllocID
+				Free(p, recipient.EP, 0, &free)
 			}
 		})
 		for !done.Done() {
@@ -522,7 +538,7 @@ func TestNodeDeathDetectedByMissedHeartbeats(t *testing.T) {
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(1 << 20)
-		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: 1 << 20, WindowBase: win}, 0)
+		resp, _ = alloc(p, recipient.EP, AllocReq{Size: 1 << 20, WindowBase: win})
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || !resp.OK {

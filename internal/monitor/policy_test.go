@@ -25,7 +25,7 @@ func TestMostIdlePolicyPicksLargestDonor(t *testing.T) {
 	var resp *AllocResp
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(1 << 20)
-		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: 1 << 20, WindowBase: win}, 0)
+		resp, _ = alloc(p, recipient.EP, AllocReq{Size: 1 << 20, WindowBase: win})
 	})
 	c.eng.RunFor(5 * sim.Second)
 	if resp == nil || !resp.OK {
@@ -47,9 +47,9 @@ func TestTrafficAwarePolicySpreadsDonors(t *testing.T) {
 	recipient.Run("allocs", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			win := recipient.NextHotplugWindow(64 << 20)
-			resp, _ := Alloc(p, recipient.EP, 0, AllocReq{Size: 64 << 20, WindowBase: win}, 0)
+			resp, _ := alloc(p, recipient.EP, AllocReq{Size: 64 << 20, WindowBase: win})
 			if !resp.OK {
-				t.Errorf("alloc %d failed: %s", i, resp.Err)
+				t.Errorf("alloc %d failed: %+v", i, resp)
 				return
 			}
 			donors[resp.Donor]++
@@ -69,9 +69,9 @@ func TestDistanceFirstReusesNearestDonor(t *testing.T) {
 	recipient.Run("allocs", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			win := recipient.NextHotplugWindow(64 << 20)
-			resp, _ := Alloc(p, recipient.EP, 0, AllocReq{Size: 64 << 20, WindowBase: win}, 0)
+			resp, _ := alloc(p, recipient.EP, AllocReq{Size: 64 << 20, WindowBase: win})
 			if !resp.OK {
-				t.Errorf("alloc %d failed: %s", i, resp.Err)
+				t.Errorf("alloc %d failed: %+v", i, resp)
 				return
 			}
 			donors[resp.Donor]++

@@ -81,9 +81,7 @@ func (r Resource) String() string {
 func (r Resource) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
 // pick returns mem for memory and dev for every device class — the
-// per-resource scoreboard keys, wire sizes and decline texts, spelled
-// once. A decline text picks between two formats over the same
-// arguments, each naming the ones it uses by index.
+// per-resource scoreboard keys and wire sizes, spelled once.
 func pick[T any](r Resource, mem, dev T) T {
 	if r == Memory {
 		return mem
@@ -203,15 +201,17 @@ func (r *AllocReq) amount() uint64 { return pick(r.Res, r.Size, 1) }
 
 // AllocResp answers an AllocReq, and every hop that forwards one: a
 // root MN's answer names the delegation id in AllocID, a donor-rack
-// sub-MN's its own RAT row id.
+// sub-MN's its own RAT row id. A decline carries no text: the recipient
+// formats its error from its request and what the answer names.
 type AllocResp struct {
 	OK        bool
-	Err       string
 	AllocID   int
 	Donor     fabric.NodeID
 	DonorBase uint64
 	// Granted is the degraded grant size when the admission controller
-	// shrank the window (tenancy.Degrade); 0 means "as requested".
+	// shrank the window (tenancy.Degrade); 0 means "as requested". A
+	// declined request that admission degraded names the degraded size,
+	// which no donor could back.
 	Granted uint64
 	// Rejected marks an admission-controller rejection: the pool has
 	// capacity policy says this class may not take. Unlike an ordinary
@@ -228,24 +228,35 @@ type FreeReq struct {
 	AllocID int
 }
 
-// Alloc is the client-side grant call (step 2 of Fig. 2 for memory).
-// The wire sizes are per resource: a memory request and its answer
-// carry a window and a donor base (64 B each way), a device request
-// names only its class (16 B) and its answer only the donor (32 B).
-// With timeout > 0 the request aborts after that much virtual time and
-// reports ok=false (an unreachable or wedged MN must not park the
-// requester forever); otherwise it waits indefinitely.
-func Alloc(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, req AllocReq, timeout sim.Dur) (*AllocResp, bool) {
-	raw, ok := ep.CallTimeout(p, mn, kindAlloc, pick(req.Res, 64, 16), &req, timeout)
-	if !ok {
-		return nil, false
-	}
-	return raw.(*AllocResp), true
+// AllocCall is one grant call's record, owned by its caller: the caller
+// fills Req, and the MN's handler reads the request through the record
+// and writes its answer into Resp, so the call boxes nothing either
+// way. The record is the caller's again once Alloc has returned true.
+// After a timeout the MN may still hold it, and write its answer into
+// it later, so the caller must not reuse it.
+type AllocCall struct {
+	Req  AllocReq
+	Resp AllocResp
 }
 
-// Free releases an allocation of any resource by id.
-func Free(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
-	ep.CallTimeout(p, mn, kindFree, 16, &FreeReq{AllocID: allocID}, 0)
+// Alloc is the client-side grant call (step 2 of Fig. 2 for memory): it
+// sends c.Req to the MN and reports whether the answer, now in c.Resp,
+// came. The wire sizes are per resource: a memory request and its
+// answer carry a window and a donor base (64 B each way), a device
+// request names only its class (16 B) and its answer only the donor
+// (32 B). With timeout > 0 the call aborts after that much virtual time
+// and reports false (an unreachable or wedged MN must not park the
+// requester forever); otherwise it waits indefinitely.
+func Alloc(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, c *AllocCall, timeout sim.Dur) bool {
+	_, ok := ep.CallTimeout(p, mn, kindAlloc, pick(c.Req.Res, 64, 16), c, timeout)
+	return ok
+}
+
+// Free releases an allocation of any resource by the id f names. It
+// waits for the MN's answer, so f is the caller's again when Free
+// returns.
+func Free(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, f *FreeReq) {
+	ep.CallTimeout(p, mn, kindFree, 16, f, 0)
 }
 
 // regionReq names one region to a donor's agent: the recipient window
@@ -261,11 +272,24 @@ func Free(p *sim.Proc, ep *transport.Endpoint, mn fabric.NodeID, allocID int) {
 //     bookkeeping: the cancellation the MN sends when a hot-remove's or
 //     attach's answer was lost and it cannot know whether (or where)
 //     the donor exported the region.
+//
+// The agent answers a hot-remove, spare carve or spare attach in the
+// record itself: OK, and the Base a hot-remove or carve picked. A
+// declined attach means the agent no longer holds the parked region
+// (e.g. it rebooted since the carve), and the MN falls back to an
+// ordinary hot-remove.
+//
+// The MN takes its records from one list (Monitor.regions). A record
+// goes back there in the event its answer is read in, or in which the
+// hot-return letter carrying it is delivered; one whose call timed out,
+// or that a parked letter holds, is left to the GC, since the agent may
+// still read or write it.
 type regionReq struct {
 	Recipient     fabric.NodeID
 	RecipientBase uint64
 	Base          uint64
 	Size          uint64
+	OK            bool
 }
 
 // key is the window the region is exported to.
@@ -273,20 +297,12 @@ func (r *regionReq) key() windowKey {
 	return windowKey{recipient: r.Recipient, base: r.RecipientBase}
 }
 
-// regionResp is a donor agent's answer to a hot-remove, spare carve or
-// spare attach. Base names the region a carve hot-removed. A declined
-// attach means the agent no longer holds the parked region (e.g. it
-// rebooted since the carve), and the MN falls back to an ordinary
-// hot-remove.
-type regionResp struct {
-	OK   bool
-	Err  string
-	Base uint64
-}
-
-// region names the region at base that backs a's window.
-func (a *Allocation) region(base uint64) *regionReq {
-	return &regionReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase, Base: base, Size: a.Size}
+// region names, in a record from the MN's list, the region at base that
+// backs a's window.
+func (m *Monitor) region(a *Allocation, base uint64) *regionReq {
+	r := m.regions.get()
+	*r = regionReq{Recipient: a.Recipient, RecipientBase: a.RecipientBase, Base: base, Size: a.Size}
+	return r
 }
 
 // windowKey identifies one grant by its recipient-unique window (or, for

@@ -190,12 +190,19 @@ type replacement struct {
 // Every blocking step can race a free, and one rule keeps the backing
 // accounted for: the path that deletes a RAT row releases its backing,
 // old and new. A free that wins has released the old backing, so the
-// walk only returns the backing it acquired.
+// walk only returns the backing it acquired. A row the walk holds is
+// left to the GC by such a free (see Allocation.held).
 func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 	t0 := m.EP.Eng.Now()
 	old := *a
 	oldInc := m.incarnationOf(old.Donor)
-	for _, cand := range m.donorCandidates(a.Recipient) {
+	// The walk reads a after its blocking calls, so a free meanwhile must
+	// not hand the row back for reuse.
+	a.held++
+	defer func() { a.held-- }()
+	cands := m.donorCandidates(a.Recipient)
+	defer m.doneCandidates(cands)
+	for _, cand := range cands {
 		if cand.Node == old.Donor || !m.NodeAlive(cand.Node) || how.accept != nil && !how.accept(cand) {
 			continue
 		}
@@ -289,7 +296,7 @@ func (m *Monitor) releaseOld(p *sim.Proc, a *Allocation, inc int64, how replacem
 	case how.alive:
 		m.releaseBacking(p, a)
 	case a.Kind == Memory && !how.rebooted:
-		m.out.park(m.giveBack(a.Donor, a.region(a.DonorBase)), inc)
+		m.out.park(m.giveBack(a.Donor, m.region(a, a.DonorBase)), inc)
 	}
 }
 
@@ -346,6 +353,6 @@ func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) 
 // at commit, so it has nothing to undo.
 func (m *Monitor) undoReplacement(p *sim.Proc, cand *Registration, a *Allocation, base uint64) {
 	if a.Kind == Memory {
-		m.out.send(p, m.giveBack(cand.Node, a.region(base)))
+		m.sendBack(p, cand.Node, a, base)
 	}
 }

@@ -15,7 +15,7 @@ func allocFrom(t *testing.T, c *cluster, node int, size uint64) *AllocResp {
 	recipient := c.nodes[node]
 	recipient.Run("alloc", func(p *sim.Proc) {
 		win := recipient.NextHotplugWindow(size)
-		resp, _ = Alloc(p, recipient.EP, 0, AllocReq{Size: size, WindowBase: win}, 0)
+		resp, _ = alloc(p, recipient.EP, AllocReq{Size: size, WindowBase: win})
 		if resp.OK {
 			if _, err := recipient.EP.CRMA.Map(win, size, resp.Donor, resp.DonorBase); err != nil {
 				t.Errorf("mapping window: %v", err)

@@ -148,7 +148,7 @@ func TestReplaceOutcomes(t *testing.T) {
 			r.eng.RunFor(1 * sim.Second)
 			var resp *AllocResp
 			r.nodes[4].Run("alloc", func(p *sim.Proc) {
-				resp, _ = Alloc(p, r.nodes[4].EP, 0, AllocReq{Res: DevAccelerator}, 0)
+				resp, _ = alloc(p, r.nodes[4].EP, AllocReq{Res: DevAccelerator})
 			})
 			r.eng.RunFor(1 * sim.Second)
 			if !resp.OK || resp.Donor != 5 {
@@ -219,7 +219,7 @@ func TestReplaceOutcomes(t *testing.T) {
 			if got := r.agents[4].Stats.Get("relocate.stale"); got != 1 {
 				t.Fatalf("test premise broken: %d stale relocates, want 1", got)
 			}
-			r.nodes[4].Run("free", func(p *sim.Proc) { Free(p, r.nodes[4].EP, 0, a.ID) })
+			r.nodes[4].Run("free", func(p *sim.Proc) { Free(p, r.nodes[4].EP, 0, &FreeReq{AllocID: a.ID}) })
 			r.agents[5].Mute(false)
 			r.eng.RunFor(5 * sim.Second)
 			if _, ok := r.mn.Allocation(a.ID); ok {
@@ -236,7 +236,7 @@ func TestReplaceOutcomes(t *testing.T) {
 				if e, ok := rec.EP.CRMA.Lookup(a.RecipientBase); ok {
 					rec.EP.CRMA.Unmap(e)
 				}
-				Free(p, rec.EP, 0, a.ID)
+				Free(p, rec.EP, 0, &FreeReq{AllocID: a.ID})
 				return rec.onRelocate(from, req)
 			})
 			var mnIdle, agentIdle uint64

@@ -281,7 +281,7 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			delete(rt.cancelled, key)
 			rt.freeBacking(p, d)
 			rt.Stats.Add("root.borrows_cancelled", 1)
-			return &AllocResp{OK: false, Err: "borrow cancelled by requester"}, 64
+			return &AllocResp{}, 64
 		}
 		rt.dels[id] = d
 		rt.Stats.Add("root.delegated", 1)
@@ -289,8 +289,7 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	}
 	delete(rt.cancelled, key) // a failed election has nothing to cancel
 	rt.Stats.Add("root.borrow_failures", 1)
-	return &AllocResp{OK: false, Err: fmt.Sprintf(pick(r.Res,
-		"no rack with %[1]d idle bytes", "no rack with a free %[2]s"), r.Size, r.Res)}, 64
+	return &AllocResp{}, 64
 }
 
 // onBorrowCancel services a sub-MN whose escalation timed out: if the
@@ -441,7 +440,7 @@ func (m *Monitor) borrowTimeout() sim.Dur { return 8 * grantTimeout(m.EP.P) }
 // The borrow's cancellation key is memory's window. A device has no
 // window, so the sub mints the recipient-facing alloc id up front and
 // rides it in WindowBase as the key; memory mints its id on success.
-func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq) *AllocResp {
+func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq) (AllocResp, bool) {
 	id, key := -1, r.WindowBase
 	if r.Res != Memory {
 		id = m.nextAllocID
@@ -466,12 +465,12 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq) *AllocR
 		}) {
 			m.Stats.Add("alloc.cancel_lost", 1)
 		}
-		return nil
+		return AllocResp{}, false
 	}
 	resp := raw.(*AllocResp)
 	if !resp.OK {
 		m.Stats.Add("alloc.upstream_declines", 1)
-		return nil
+		return AllocResp{}, false
 	}
 	if id < 0 {
 		id = m.nextAllocID
@@ -479,7 +478,7 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq) *AllocR
 	}
 	m.delegated[id] = delegatedLease{deleg: resp.AllocID, recipient: from}
 	m.Stats.Add("alloc.delegated", 1)
-	return &AllocResp{OK: true, AllocID: id, Donor: resp.Donor, DonorBase: resp.DonorBase}
+	return AllocResp{OK: true, AllocID: id, Donor: resp.Donor, DonorBase: resp.DonorBase}, true
 }
 
 // delegatedLease is a sub-MN's record of one lease another rack backs
@@ -497,7 +496,7 @@ func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	a, ok := m.grant(p, r.Recipient, &r.AllocReq, r.Size, r.DelegID)
 	if !ok {
 		m.Stats.Add("delegate.declined", 1)
-		return &AllocResp{OK: false, Err: "no rack donor"}, 64
+		return &AllocResp{}, 64
 	}
 	m.Stats.Add("delegate.granted", 1)
 	return &AllocResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}, 64

@@ -121,9 +121,8 @@ func (m *Monitor) carveSpare(donor fabric.NodeID) {
 	inc := m.incarnationOf(donor)
 	m.EP.Eng.Go("mn-spare", func(p *sim.Proc) {
 		defer func() { m.sparePending[donor]-- }()
-		raw, ok := m.EP.CallTimeout(p, donor, kindSpareCarve, 32,
-			&regionReq{Size: m.spareSize}, grantTimeout(m.EP.P))
-		if !ok {
+		carve := &regionReq{Size: m.spareSize}
+		if _, ok := m.EP.CallTimeout(p, donor, kindSpareCarve, 32, carve, grantTimeout(m.EP.P)); !ok {
 			// Outcome unknown (donor died mid-carve). Unlike a grant there
 			// is no recipient key to cancel by; if the donor comes back
 			// un-rebooted its parked region is unreachable garbage until
@@ -132,8 +131,7 @@ func (m *Monitor) carveSpare(donor fabric.NodeID) {
 			m.Stats.Add("spare.carve_lost", 1)
 			return
 		}
-		resp := raw.(*regionResp)
-		if !resp.OK {
+		if !carve.OK {
 			m.Stats.Add("spare.carve_declined", 1)
 			return
 		}
@@ -143,7 +141,7 @@ func (m *Monitor) carveSpare(donor fabric.NodeID) {
 			m.Stats.Add("spare.carve_obsolete", 1)
 			return
 		}
-		m.spares[donor] = append(m.spares[donor], spareRegion{base: resp.Base, size: m.spareSize, inc: inc})
+		m.spares[donor] = append(m.spares[donor], spareRegion{base: carve.Base, size: m.spareSize, inc: inc})
 		m.Stats.Add("spare.carved", 1)
 	})
 }
@@ -158,30 +156,30 @@ func (m *Monitor) replacementBacking(p *sim.Proc, cand *Registration, a *Allocat
 		return 0, false, cand.free(a.Kind) >= a.Size
 	}
 	if sp, found := m.takeSpare(cand.Node, a.Size); found {
-		att := a.region(sp.base)
+		att := m.region(a, sp.base)
 		inc := m.incarnationOf(cand.Node)
-		raw, delivered := m.EP.CallTimeout(p, cand.Node, kindSpareAttach, 64, att, grantTimeout(m.EP.P))
-		switch {
-		case !delivered:
+		if _, ok := m.EP.CallTimeout(p, cand.Node, kindSpareAttach, 64, att, grantTimeout(m.EP.P)); !ok {
 			// The donor died mid-attach and the export may or may not have
 			// been installed, same as a lost hot-remove ACK.
 			m.lostRegion(cand, att, inc, "recover.grant_timeouts")
 			return 0, false, false
-		case raw.(*regionResp).OK:
+		}
+		attached := att.OK
+		m.regions.put(att)
+		if attached {
 			m.Stats.Add("recover.spare_attached", 1)
 			m.topUpSpares() // replace the consumed spare asynchronously
 			return sp.base, true, true
-		default:
-			// The agent no longer holds the region (rebooted since the
-			// carve, faster than our bookkeeping noticed): fall through to
-			// an ordinary hot-remove on the same candidate.
-			m.Stats.Add("recover.spare_stale", 1)
 		}
+		// The agent no longer holds the region (rebooted since the carve,
+		// faster than our bookkeeping noticed): fall through to an
+		// ordinary hot-remove on the same candidate.
+		m.Stats.Add("recover.spare_stale", 1)
 	} else if cand.IdleBytes < a.Size {
 		// A dry idle account can back the lease only from a spare, whose
 		// bytes were debited when it was carved.
 		return 0, false, false
 	}
-	base, ok = m.hotRemove(p, cand, a.region(0), true)
+	base, ok = m.hotRemove(p, cand, a.Recipient, a.RecipientBase, a.Size, true)
 	return base, false, ok
 }

@@ -217,3 +217,78 @@ func TestAdmissionClassOrdering(t *testing.T) {
 		})
 	}
 }
+
+// TestTimedOutQueuedAcquireKeepsItsRecord: an acquire whose WithTimeout
+// runs out while the MN holds its request in the admission queue leaves
+// its grant call's record with the MN, which reads the request again
+// when the wait ends and writes its late answer into the record. So the
+// plane must not hand that record to the next acquire. Here the next
+// acquire queues behind it and is still waiting when the first one's
+// wait ends: each must be granted the window it asked for, so no two
+// RAT rows may name one window, and the second lease must be the row
+// its own answer named.
+func TestTimedOutQueuedAcquireKeepsItsRecord(t *testing.T) {
+	rig := flatRig(t)
+	defer rig.close()
+	mn := rig.plane.(*core.Cluster).MN
+	acquire := func(p *sim.Proc, opts ...core.Option) (core.Lease, error) {
+		return rig.plane.Acquire(p, core.NewRequest(rig.kind, rig.app, rig.size, opts...))
+	}
+	var second core.Lease
+	done := rig.app.Run("timed-out-queue", func(p *sim.Proc) {
+		// Saturate the Preemptible budget, then fill the rest of the pool.
+		for i := 0; ; i++ {
+			if _, err := acquire(p, core.WithTenant(uint64(100+i), tenancy.Preemptible)); err != nil {
+				break
+			}
+		}
+		for {
+			if _, err := acquire(p); err != nil {
+				break
+			}
+		}
+		q0 := rig.stats.Get("admit.queued")
+		if _, err := acquire(p, core.WithTenant(4, tenancy.Standard), core.WithTimeout(200*sim.Microsecond)); !errors.Is(err, core.ErrTimeout) {
+			t.Errorf("queued request with short timeout: got %v, want ErrTimeout", err)
+			return
+		}
+		var err error
+		if second, err = acquire(p, core.WithTenant(5, tenancy.Standard)); err != nil {
+			t.Errorf("second Standard request: %v", err)
+			return
+		}
+		if got := rig.stats.Get("admit.queued") - q0; got != 2 {
+			t.Errorf("test premise broken: %d requests queued, want both", got)
+		}
+	})
+	for !done.Done() && rig.eng.Step() {
+	}
+	if !done.Done() || second == nil {
+		t.Fatal("scenario did not finish")
+	}
+	rig.eng.RunFor(100 * sim.Millisecond) // let the first request's late grant land
+	rows := mn.Allocations()
+	windows := make(map[uint64]int)
+	late := 0
+	for _, a := range rows {
+		if windows[a.RecipientBase]++; windows[a.RecipientBase] > 1 {
+			t.Fatalf("two RAT rows name window %#x: %+v", a.RecipientBase, rows)
+		}
+		if a.Tenant == 4 {
+			late++
+		}
+	}
+	if late != 1 {
+		t.Fatalf("test premise broken: %d rows hold the timed-out request's late grant, want 1", late)
+	}
+	base, _ := second.Window()
+	for _, a := range rows {
+		if a.RecipientBase == base {
+			if a.Donor != second.Donor() || a.Tenant != 5 {
+				t.Fatalf("the second lease (donor %v) is backed by row %+v", second.Donor(), a)
+			}
+			return
+		}
+	}
+	t.Fatalf("no RAT row backs the second lease's window %#x", base)
+}

@@ -74,15 +74,18 @@ type CRMAStats struct {
 // packetized, and serviced by the donor with no software on the critical
 // path.
 type CRMA struct {
-	ep       *Endpoint
-	ramt     []*RAMTEntry // requester-side windows
-	exports  []*RAMTEntry // donor-side reverse mappings (remote node's window -> local)
-	pending  pendingTable[crmaAccess]
-	accesses freeList[crmaAccess]
-	replies  freeList[crmaReply]
-	reqs     wireList[crmaReq]
-	resps    wireList[crmaResp]
-	posts    wireList[crmaPosted]
+	ep      *Endpoint
+	ramt    []*RAMTEntry // requester-side windows
+	exports []*RAMTEntry // donor-side reverse mappings (remote node's window -> local)
+	// unexported holds export entries Unmap took out of exports, for
+	// Export to reuse.
+	unexported []*RAMTEntry
+	pending    pendingTable[crmaAccess]
+	accesses   freeList[crmaAccess]
+	replies    freeList[crmaReply]
+	reqs       wireList[crmaReq]
+	resps      wireList[crmaResp]
+	posts      wireList[crmaPosted]
 
 	Stats CRMAStats
 }
@@ -153,35 +156,59 @@ func newCRMA(ep *Endpoint) *CRMA {
 // [localBase, localBase+size) resolves to donor's [remoteBase, ...).
 // The matching donor-side entry must be installed with Export.
 func (c *CRMA) Map(localBase, size uint64, donor fabric.NodeID, remoteBase uint64) (*RAMTEntry, error) {
-	if size == 0 {
-		return nil, fmt.Errorf("crma: zero-size mapping")
-	}
-	for _, e := range c.ramt {
-		if localBase < e.LocalBase+e.Size && e.LocalBase < localBase+size {
-			return nil, fmt.Errorf("crma: window [%#x,%#x) overlaps existing entry", localBase, localBase+size)
-		}
-	}
 	e := &RAMTEntry{LocalBase: localBase, Size: size, Node: donor, RemoteBase: remoteBase}
-	c.ramt = append(c.ramt, e)
+	if err := c.MapEntry(e); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
+// MapEntry is Map for an entry the caller owns, such as one a lease
+// holds by value: the table keeps e itself until Unmap, and an access
+// in flight keeps it after that, so the caller must neither free nor
+// reuse it.
+func (c *CRMA) MapEntry(e *RAMTEntry) error {
+	if e.Size == 0 {
+		return fmt.Errorf("crma: zero-size mapping")
+	}
+	for _, o := range c.ramt {
+		if e.LocalBase < o.LocalBase+o.Size && o.LocalBase < e.LocalBase+e.Size {
+			return fmt.Errorf("crma: window [%#x,%#x) overlaps existing entry", e.LocalBase, e.LocalBase+e.Size)
+		}
+	}
+	c.ramt = append(c.ramt, e)
+	return nil
+}
+
 // Export installs the donor-side mapping that accepts requests from a
-// recipient for local region [localBase, localBase+size).
+// recipient for local region [localBase, localBase+size). The entry
+// comes from the channel's list of unexported entries: the donor reads
+// an export only while it checks a request against it, so Unmap hands
+// it back and a later Export reuses it.
 func (c *CRMA) Export(recipient fabric.NodeID, recipientBase, size, localBase uint64) *RAMTEntry {
-	e := &RAMTEntry{LocalBase: recipientBase, Size: size, Node: recipient, RemoteBase: localBase}
+	var e *RAMTEntry
+	if n := len(c.unexported); n > 0 {
+		e = c.unexported[n-1]
+		c.unexported = c.unexported[:n-1]
+	} else {
+		e = new(RAMTEntry)
+	}
+	*e = RAMTEntry{LocalBase: recipientBase, Size: size, Node: recipient, RemoteBase: localBase}
 	c.exports = append(c.exports, e)
 	return e
 }
 
 // Unmap removes an entry Map or Export installed from the table that
-// holds it (stop-sharing). The other entries keep their order, so every
-// first-match lookup finds the entry it found before.
+// holds it (stop-sharing); an export goes back on the list Export takes
+// from, so its caller must not use it again. The other entries keep
+// their order, so every first-match lookup finds the entry it found
+// before.
 func (c *CRMA) Unmap(e *RAMTEntry) {
 	if i := slices.Index(c.ramt, e); i >= 0 {
 		c.ramt = slices.Delete(c.ramt, i, i+1)
 	} else if i := slices.Index(c.exports, e); i >= 0 {
 		c.exports = slices.Delete(c.exports, i, i+1)
+		c.unexported = append(c.unexported, e)
 	}
 }
 

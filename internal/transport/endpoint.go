@@ -106,10 +106,10 @@ func (l *wireList[M]) get() *wire[M] {
 	return w
 }
 
-// release puts a delivered wire back on its list, unless a link holds
-// its packet (fabric.Packet.Held): that link may still transmit the
-// packet again, so it is left to the GC. Releasing a wire that is
-// already on its list panics.
+// release puts a delivered or dropped wire back on its list, unless a
+// link holds its packet (fabric.Packet.Held): that link may still
+// transmit the packet again, so it is left to the GC. Releasing a wire
+// that is already on its list panics.
 func (w *wire[M]) release() {
 	if w.pkt.Held() {
 		return
@@ -273,7 +273,17 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 	ep.CRMA = newCRMA(ep)
 	ep.RDMA = newRDMA(ep)
 	net.SetDelivery(id, ep.deliver)
+	net.SetDrop(dropped)
 	return ep
+}
+
+// dropped is the network's drop sink: a packet a crashed node's switch
+// dropped never reaches deliver, so its wire goes back on its list
+// here, unless a link holds the packet for replay (see wire.release).
+func dropped(pkt *fabric.Packet) {
+	if w, ok := pkt.Payload.(interface{ release() }); ok {
+		w.release()
+	}
 }
 
 // HandleCall registers an RPC service for a call kind, served in a proc

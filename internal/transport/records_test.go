@@ -686,3 +686,95 @@ func callSlotLog(t *testing.T, tc callSlotCase, byFunc bool, wakeAt sim.Time) ([
 	}
 	return log, r.eng.Fired(), woke
 }
+
+// onList reports whether the wire is on its list.
+func (w *wire[M]) onList() bool { return w.idle }
+
+// TestDroppedWiresGoBack: while a node is down its switch drops every
+// packet it touches, and the drop sink each endpoint installs hands an
+// unheld dropped packet's wire back to its list. First a call into a
+// crashed node: its request wire must be back on the caller's list once
+// the call times out. Then the line's middle node crashes while fills,
+// RDMA transfers and timed calls run to both donors, and restarts: its
+// switch drops its own sends, the traffic it forwards to the far donor
+// and its own deliveries (its interface sits off-chip, so a delivery
+// waits out an I/O-bus crossing a crash can cut short). Every dropped
+// wire must be back on its list once the engine drains, and a wire put
+// back twice panics.
+func TestDroppedWiresGoBack(t *testing.T) {
+	r := newLineRig(t)
+	r.ep[1].HandleInline("echo", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
+	net := r.ep[0].Net
+	net.SetNodeDown(1, true)
+	r.eng.Go("call", func(p *sim.Proc) {
+		if _, ok := r.ep[0].CallTimeout(p, 1, "echo", 8, nil, 10*sim.Microsecond); ok {
+			t.Error("a call into a crashed node was answered")
+		}
+	})
+	r.eng.Run()
+	if got := len(r.ep[0].reqWires.free); got != 1 {
+		t.Fatalf("%d request wires back on the caller's list after the drop, want 1", got)
+	}
+
+	r = newLineRig(t)
+	r.mapWindow(t)
+	const win2 = winBase + winSize
+	if _, err := r.ep[0].CRMA.Map(win2, winSize, 2, newBase); err != nil {
+		t.Fatal(err)
+	}
+	r.ep[2].CRMA.Export(0, win2, winSize, newBase)
+	for _, ep := range r.ep[1:] {
+		ep.HandleCall("echo", func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+			p.Sleep(5 * sim.Microsecond)
+			return req, 64
+		})
+	}
+	net = r.ep[0].Net
+	net.Switch(1).SetOffChip(true)
+	type drop struct {
+		w        interface{ onList() bool }
+		src, dst fabric.NodeID
+	}
+	var drops []drop
+	net.SetDrop(func(pkt *fabric.Packet) {
+		drops = append(drops, drop{pkt.Payload.(interface{ onList() bool }), pkt.Src, pkt.Dst})
+		dropped(pkt)
+	})
+	const crash, restart, stop = sim.Time(20 * sim.Microsecond), sim.Time(300 * sim.Microsecond), sim.Time(600 * sim.Microsecond)
+	r.eng.At(crash, func() { net.SetNodeDown(1, true) })
+	r.eng.At(restart, func() { net.SetNodeDown(1, false) })
+	a := r.ep[0]
+	ops := []func(p *sim.Proc){
+		func(p *sim.Proc) { a.CRMA.Fill(p, winBase, 64) },
+		func(p *sim.Proc) { a.CRMA.Fill(p, win2, 64) },
+		func(p *sim.Proc) { a.RDMA.Read(p, 2, newBase, 2*r.p.RDMAChunk) },
+		func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, 2*r.p.RDMAChunk) },
+		func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 16, nil, 20*sim.Microsecond) },
+		func(p *sim.Proc) { a.CallTimeout(p, 2, "echo", 16, nil, 20*sim.Microsecond) },
+	}
+	for _, op := range ops {
+		r.eng.Go("ops", func(p *sim.Proc) {
+			for p.Now() < stop {
+				op(p)
+			}
+		})
+	}
+	r.eng.Run()
+	var own, transit, local int
+	for _, d := range drops {
+		switch {
+		case d.src == 1:
+			own++
+		case d.dst == 1:
+			local++
+		default:
+			transit++
+		}
+		if !d.w.onList() {
+			t.Fatalf("a wire node 1 dropped (%v->%v) is not back on its list", d.src, d.dst)
+		}
+	}
+	if own == 0 || transit == 0 || local == 0 {
+		t.Fatalf("test premise broken: node 1 dropped %d of its own packets, %d in transit and %d of its deliveries; want some of each", own, transit, local)
+	}
+}
