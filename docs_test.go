@@ -140,7 +140,10 @@ func TestBaselineCommandsMatchCI(t *testing.T) {
 // Endpoint.Handle (a one-way notice is Endpoint.Notify, and QPair
 // messages ride their channel's own wires; Handle is not listed, since
 // its name would match sim.Handle), and accel's Service.Submit, whose
-// one caller now fills a pooled task. A constant or type used as a
+// one caller now fills a pooled task. sim's string-keyed Scoreboard is
+// gone: the monitor plane's counters are declared once, in
+// monitor.Counters, which obs.Collector.MirrorScoreboard mirrors (the
+// word gate does not match that name). A constant or type used as a
 // value is neither a call nor a literal, so those names fail the gate
 // wherever they appear as a word.
 // The gate rejects both a surviving use and a reintroduced definition —
@@ -156,7 +159,7 @@ func TestAPIFreeze(t *testing.T) {
 	deprecated := regexp.MustCompile(`\.(` + names + `)[({]`)
 	redefined := regexp.MustCompile(`^(func (\([^)]*\) )?|type )(` + names + `)\b`)
 	named := regexp.MustCompile(`\b(DirectMemory|DirectSwap|WithDonor|NodeFault|LinkFault|BeatFault|BeatOff|BeatOn|` +
-		`RegisterPolicy|DistanceFirst|MostIdle|TrafficAware|CoolestPath|MaxUtil)\b`)
+		`RegisterPolicy|DistanceFirst|MostIdle|TrafficAware|CoolestPath|MaxUtil|Scoreboard)\b`)
 	for _, dir := range []string{"examples", "cmd", "internal/core", "internal/monitor", "internal/serving", "internal/experiments",
 		"internal/sim", "internal/transport", "internal/chaos", "internal/obs", "internal/accel", "internal/vnic", "bench_test.go"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {

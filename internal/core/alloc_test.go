@@ -36,7 +36,9 @@ func leaseLoop(tb testing.TB, c *Cluster, n int, op func(p *sim.Proc) error) {
 // RAMT entry. A request built from options makes none, and neither does
 // an attempt's MN call: its record comes from the plane's list, the
 // donor walk's candidate slice, region records and RAT row from the
-// MN's, and the donor's export entry from its CRMA channel's.
+// MN's, and the donor's export entry from its CRMA channel's. A call
+// made with a timeout makes none either: its revoked watchdog event
+// goes back to the engine's pool at once.
 func TestLeaseSteadyStateAllocs(t *testing.T) {
 	c := NewCluster(Config{StartAgents: true})
 	defer c.Close()
@@ -60,6 +62,16 @@ func TestLeaseSteadyStateAllocs(t *testing.T) {
 		}},
 		{"mn-call", 0, func(p *sim.Proc) error {
 			r := NewRequest(Memory, app, size, WithTenant(7, tenancy.Standard))
+			resp, err := c.grantVia(p, r, c.MN.Node(), monitor.Memory, app.NextHotplugWindow(size))
+			if err != nil {
+				return err
+			}
+			free.AllocID = resp.AllocID
+			monitor.Free(p, app.EP, c.MN.Node(), &free)
+			return nil
+		}},
+		{"mn-call-timeout", 0, func(p *sim.Proc) error {
+			r := NewRequest(Memory, app, size, WithTenant(7, tenancy.Standard), WithTimeout(sim.Second))
 			resp, err := c.grantVia(p, r, c.MN.Node(), monitor.Memory, app.NextHotplugWindow(size))
 			if err != nil {
 				return err

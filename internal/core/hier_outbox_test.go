@@ -55,7 +55,7 @@ func borrowRemote(t *testing.T, cl *HierCluster) *MemoryLease {
 }
 
 // wantStat fails t unless sb counts want under key.
-func wantStat(t *testing.T, who string, sb *sim.Scoreboard, key string, want int64) {
+func wantStat(t *testing.T, who string, sb *monitor.Counters, key string, want int64) {
 	t.Helper()
 	if got := sb.Get(key); got != want {
 		t.Fatalf("%s %s = %d, want %d", who, key, got, want)

@@ -85,8 +85,8 @@ func engineMixTrial(seed uint64) (harness.Values, error) {
 		eng.Schedule(engineDelay(rng), fn)
 	}
 
-	// Watchdogs: half are canceled while still queued (tombstones the
-	// wheel must skip), the rest fire and fold a distinct marker.
+	// Watchdogs: half are canceled while still queued (events the wheel
+	// must unlink), the rest fire and fold a distinct marker.
 	var survived int
 	handles := make([]sim.Handle, 0, 2048)
 	for i := 0; i < 2048; i++ {

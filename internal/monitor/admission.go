@@ -59,7 +59,7 @@ func (m *Monitor) admit(p *sim.Proc, from fabric.NodeID, res Resource, amount ui
 	cfg := m.Admission
 	dec, g := m.decide(res, amount, class)
 	if dec == tenancy.Queue {
-		m.Stats.Add("admit.queued", 1)
+		m.Stats.add(statAdmitQueued, 1)
 		var waited sim.Dur
 		maxWait := cfg.PerClass[class].MaxWait
 		for dec == tenancy.Queue && waited < maxWait {
@@ -68,7 +68,7 @@ func (m *Monitor) admit(p *sim.Proc, from fabric.NodeID, res Resource, amount ui
 			dec, g = m.decide(res, amount, class)
 		}
 		if dec == tenancy.Admit || dec == tenancy.Degrade {
-			m.Stats.Add("admit.queue_admits", 1)
+			m.Stats.add(statAdmitQueueAdmits, 1)
 		} else {
 			// The wait is over and pressure never relented; from here the
 			// request is treated exactly like an immediate rejection.
@@ -84,7 +84,7 @@ func (m *Monitor) admit(p *sim.Proc, from fabric.NodeID, res Resource, amount ui
 	case tenancy.Admit:
 		return amount, false
 	case tenancy.Degrade:
-		m.Stats.Add("admit.degraded", 1)
+		m.Stats.add(statAdmitDegraded, 1)
 		return g, false
 	}
 	return 0, true
@@ -113,7 +113,7 @@ func (m *Monitor) preempt(p *sim.Proc, from fabric.NodeID, res Resource, amount 
 		victim := m.pickVictim(from, res, amount)
 		if victim == nil {
 			if !preempted {
-				m.Stats.Add("preempt.exhausted", 1)
+				m.Stats.add(statPreemptExhausted, 1)
 			}
 			return preempted
 		}

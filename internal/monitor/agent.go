@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"maps"
-
 	"repro/internal/fabric"
 	"repro/internal/memsys"
 	"repro/internal/sim"
@@ -19,11 +17,9 @@ type Agent struct {
 	Net    *fabric.Network
 
 	// Devices advertises shareable device units (accelerators, NICs).
-	Devices map[Resource]int
-	// devSnap is the copy of Devices the last beat carried. A sent
-	// snapshot is never mutated, so the MN reads the counts as of its
-	// send; beats share it until Devices changes.
-	devSnap map[Resource]int
+	// Each beat carries a copy, so the MN reads the counts as of its
+	// send.
+	Devices Units
 
 	// Interval is the heartbeat period.
 	Interval sim.Dur
@@ -71,7 +67,7 @@ type Agent struct {
 	onAck  func(resp any, ok bool)
 
 	// Stats counts agent activity.
-	Stats sim.Scoreboard
+	Stats Counters
 }
 
 // linkMarks is one neighbor's pair of directional telemetry samples.
@@ -85,7 +81,6 @@ func NewAgent(ep *transport.Endpoint, mm *memsys.MemManager, net *fabric.Network
 		EP:       ep,
 		MemMgr:   mm,
 		Net:      net,
-		Devices:  make(map[Resource]int),
 		Interval: 500 * sim.Millisecond,
 		exports:  make(map[windowKey]*transport.RAMTEntry),
 		marks:    make(map[fabric.NodeID]*linkMarks),
@@ -154,7 +149,7 @@ func (a *Agent) Restart() {
 	a.EP.CRMA.Reset()
 	a.MemMgr.Reboot()
 	a.crashed = false
-	a.Stats.Add("reboots", 1)
+	a.Stats.add(statReboots, 1)
 }
 
 // Mute suppresses (or restores) heartbeats without touching node state —
@@ -177,7 +172,7 @@ func (a *Agent) beat() {
 	}
 	hb.folded = false
 	hb.IdleBytes = a.MemMgr.Idle()
-	hb.Devices = a.devices()
+	hb.Devices = a.Devices
 	hb.Links = a.probeLinks(hb.Links[:0])
 	hb.Incarnation = a.incarnation
 	// Bounded wait: a beat whose ack is lost (down link on the MN path,
@@ -189,19 +184,10 @@ func (a *Agent) beat() {
 // out, and it schedules the next tick.
 func (a *Agent) acked(_ any, ok bool) {
 	if !ok {
-		a.Stats.Add("beats.lost", 1)
+		a.Stats.add(statBeatsLost, 1)
 	}
-	a.Stats.Add("beats", 1)
+	a.Stats.add(statBeats, 1)
 	a.EP.Eng.Schedule(a.Interval, a.onTick)
-}
-
-// devices returns the device counts a beat carries: devSnap, rebuilt
-// first if Devices has changed since the last beat.
-func (a *Agent) devices() map[Resource]int {
-	if !maps.Equal(a.devSnap, a.Devices) {
-		a.devSnap = maps.Clone(a.Devices)
-	}
-	return a.devSnap
 }
 
 // probeLinks tests this node's fabric ports (the daemon "tests and
@@ -243,9 +229,9 @@ func (a *Agent) probeLinks(probes []LinkProbe) []LinkProbe {
 // answer goes back in the request's record.
 func (a *Agent) onHotRemove(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*regionReq)
-	if a.carve(p, r, "hotremove.declined") {
+	if a.carve(p, r, statHotRemoveDeclined) {
 		a.export(r, r.Base)
-		a.Stats.Add("hotremove.ok", 1)
+		a.Stats.add(statHotRemoveOK, 1)
 	}
 	return r, 32
 }
@@ -256,14 +242,14 @@ func (a *Agent) onHotRemove(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 // hot-remove fails; a decline allocates nothing. The answer is written
 // after the hot-plug sleep, and the MN leaves a record whose call timed
 // out meanwhile to the GC, so the record is still this call's then.
-func (a *Agent) carve(p *sim.Proc, r *regionReq, declined string) bool {
+func (a *Agent) carve(p *sim.Proc, r *regionReq, declined counter) bool {
 	if a.MemMgr.Idle() < r.Size {
-		a.Stats.Add(declined, 1)
+		a.Stats.add(declined, 1)
 		return false
 	}
 	base, ok := a.MemMgr.TryHotRemove(p, r.Size)
 	if !ok {
-		a.Stats.Add(declined, 1)
+		a.Stats.add(declined, 1)
 		return false
 	}
 	r.Base, r.OK = base, true
@@ -287,13 +273,13 @@ func (a *Agent) onRelocate(_ fabric.NodeID, req any) (any, int) {
 	if !ok || e.LocalBase != r.RecipientBase || e.Size != r.Size {
 		// The window is gone (released concurrently with the failover);
 		// nothing to retarget. The MN's RAT row will clear on free.
-		a.Stats.Add("relocate.stale", 1)
+		a.Stats.add(statRelocateStale, 1)
 		return &relocateResp{OK: false}, 16
 	}
 	a.EP.CRMA.Retarget(e, r.NewDonor, r.NewDonorBase)
 	replayed := a.EP.CRMA.ReplayWindow(r.RecipientBase, r.Size)
-	a.Stats.Add("relocate.ok", 1)
-	a.Stats.Add("relocate.replayed", int64(replayed))
+	a.Stats.add(statRelocateOK, 1)
+	a.Stats.add(statRelocateReplayed, int64(replayed))
 	return &relocateResp{OK: true}, 16
 }
 
@@ -302,7 +288,7 @@ func (a *Agent) onRelocate(_ fabric.NodeID, req any) (any, int) {
 func (a *Agent) onRevoke(_ fabric.NodeID, req any) (any, int) {
 	r := req.(*revokeReq)
 	a.EP.CRMA.KillWindow(r.RecipientBase, r.Size)
-	a.Stats.Add("revoked", 1)
+	a.Stats.add(statRevoked, 1)
 	return &ack{}, 8
 }
 
@@ -312,9 +298,9 @@ func (a *Agent) onRevoke(_ fabric.NodeID, req any) (any, int) {
 // hot-plug latency.
 func (a *Agent) onSpareCarve(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*regionReq)
-	if a.carve(p, r, "spare.declined") {
+	if a.carve(p, r, statSpareDeclined) {
 		a.spares[r.Base] = r.Size
-		a.Stats.Add("spare.carved", 1)
+		a.Stats.add(statSpareCarved, 1)
 	}
 	return r, 32
 }
@@ -328,13 +314,13 @@ func (a *Agent) onSpareAttach(_ fabric.NodeID, req any) (any, int) {
 		// The MN's pool entry is stale (we rebooted since the carve, or
 		// this is a duplicate attach): refuse so the MN falls back to an
 		// ordinary hot-remove instead of handing out memory we don't hold.
-		a.Stats.Add("spare.attach_stale", 1)
+		a.Stats.add(statSpareAttachStale, 1)
 		r.OK = false
 		return r, 16
 	}
 	delete(a.spares, r.Base)
 	a.export(r, r.Base)
-	a.Stats.Add("spare.attached", 1)
+	a.Stats.add(statSpareAttached, 1)
 	r.OK = true
 	return r, 16
 }
@@ -351,7 +337,7 @@ func (a *Agent) onHotReturn(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 		// hot-remove this agent never performed): refuse rather than
 		// guess — scanning by recipient could unexport a live sibling
 		// lease.
-		a.Stats.Add("hotreturn.stale", 1)
+		a.Stats.add(statHotReturnStale, 1)
 		return &ack{}, 8
 	}
 	base, size := r.Base, r.Size
@@ -359,14 +345,14 @@ func (a *Agent) onHotReturn(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 		// Cancellation form: the MN never saw our hot-remove ACK, so it
 		// cannot name the region; our export entry can.
 		base, size = e.RemoteBase, e.Size
-		a.Stats.Add("hotreturn.cancelled", 1)
+		a.Stats.add(statHotReturnCancelled, 1)
 	}
 	a.EP.CRMA.Unmap(e)
 	delete(a.exports, key)
 	if err := a.MemMgr.HotAddReturn(p, base, size); err != nil {
-		a.Stats.Add("hotreturn.failed", 1)
+		a.Stats.add(statHotReturnFailed, 1)
 		return &ack{}, 8
 	}
-	a.Stats.Add("hotreturn.ok", 1)
+	a.Stats.add(statHotReturnOK, 1)
 	return &ack{}, 8
 }

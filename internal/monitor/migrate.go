@@ -102,10 +102,10 @@ func (m *Monitor) migrateScan(p *sim.Proc) {
 	}
 	switch {
 	case hotLat != nil:
-		m.Stats.Add("migrate.hot_detected", 1)
+		m.Stats.add(statMigrateHotDetected, 1)
 		m.relieveLatencyPath(p, v, hotLat, latUtil, ids)
 	case hotBulk != nil:
-		m.Stats.Add("migrate.hot_detected", 1)
+		m.Stats.add(statMigrateHotDetected, 1)
 		m.migrateLease(p, v, hotBulk, bulkUtil, nil)
 	}
 }
@@ -118,7 +118,7 @@ func (m *Monitor) migrateScan(p *sim.Proc) {
 func (m *Monitor) relieveLatencyPath(p *sim.Proc, v *View, hot *Allocation, hotUtil float64, ids []int) {
 	link, _, ok := v.PathBottleneck(hot.Recipient, hot.Donor)
 	if !ok {
-		m.Stats.Add("migrate.no_candidate", 1)
+		m.Stats.add(statMigrateNoCandidate, 1)
 		return
 	}
 	var victim *Allocation
@@ -138,7 +138,7 @@ func (m *Monitor) relieveLatencyPath(p *sim.Proc, v *View, hot *Allocation, hotU
 	}
 	if victim == nil {
 		// Only latency leases cross the link; there is nothing movable.
-		m.Stats.Add("migrate.no_candidate", 1)
+		m.Stats.add(statMigrateNoCandidate, 1)
 		return
 	}
 	relief := &pathRelief{

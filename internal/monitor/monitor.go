@@ -16,9 +16,12 @@ import (
 type Registration struct {
 	Node      fabric.NodeID
 	IdleBytes uint64
-	Devices   map[Resource]int
-	LastBeat  sim.Time
-	Beats     int64
+	// Devices is the row's free units of each device class: its node's
+	// last heartbeat's counts less the units on loan, as grants, frees
+	// and re-placements have moved them since.
+	Devices  Units
+	LastBeat sim.Time
+	Beats    int64
 
 	// Incarnation is the node's reboot count as of its last heartbeat.
 	Incarnation int64
@@ -30,43 +33,56 @@ type Registration struct {
 	// beating. The sweep consumes the flag.
 	needsRecovery bool
 
+	// advertised is the device counts the node's last heartbeat carried:
+	// the classes the row lists (see DeviceCounts).
+	advertised Units
 	// leased counts the node's device units on loan, by class: its live
 	// RAT rows of each device class, kept by the RAT helpers (addRow,
-	// dropRow, moveRow). A class with no row has no entry.
-	leased map[Resource]int
+	// dropRow, moveRow).
+	leased Units
 	// links caches the TST rows of the node's last beat's probes, in
 	// probe order (see linkRow).
 	links []*LinkStatus
 }
 
+// DeviceCounts reports the row's free units of each device class its
+// node's last heartbeat advertised, by class (a count the units on loan
+// took to 0 included), or nil when it advertised none: the device
+// counts observability surfaces render.
+func (r *Registration) DeviceCounts() map[Resource]int { return r.Devices.listed(&r.advertised) }
+
 // free reports how much of res the row can still grant: its idle bytes,
 // or its free units of one device class.
-func (r *Registration) free(res Resource) uint64 { return freeOf(res, r.IdleBytes, r.Devices) }
+func (r *Registration) free(res Resource) uint64 { return freeOf(res, r.IdleBytes, &r.Devices) }
 
 // debit takes amount of res off the row's free account; credit gives it
 // back.
 func (r *Registration) debit(res Resource, amount uint64) {
-	moveFree(res, &r.IdleBytes, r.Devices, -int64(amount))
+	moveFree(res, &r.IdleBytes, &r.Devices, -int64(amount))
 }
 func (r *Registration) credit(res Resource, amount uint64) {
-	moveFree(res, &r.IdleBytes, r.Devices, int64(amount))
+	moveFree(res, &r.IdleBytes, &r.Devices, int64(amount))
 }
 
 // freeOf and moveFree read and move one resource in an (idle bytes,
 // device units) account, the shape RRT rows and rack registry rows
-// share. Negative device counts read as none free.
-func freeOf(res Resource, idle uint64, devs map[Resource]int) uint64 {
-	if res == Memory {
+// share. Negative device counts read as none free, and a resource the
+// MN does not broker has none.
+func freeOf(res Resource, idle uint64, devs *Units) uint64 {
+	switch {
+	case res == Memory:
 		return idle
+	case res.device():
+		return uint64(max(devs[res], 0))
 	}
-	return uint64(max(devs[res], 0))
+	return 0
 }
 
-func moveFree(res Resource, idle *uint64, devs map[Resource]int, delta int64) {
+func moveFree(res Resource, idle *uint64, devs *Units, delta int64) {
 	switch {
 	case res == Memory:
 		*idle += uint64(delta)
-	case devs != nil:
+	case res.device():
 		devs[res] += int(delta)
 	}
 }
@@ -189,7 +205,7 @@ type Monitor struct {
 
 	// Stats counts runtime activity, including allocation retries caused
 	// by stale RRT records (§5.3's handshake-and-retry).
-	Stats sim.Scoreboard
+	Stats Counters
 
 	// OnLease, when set, receives the MN's recovery transitions
 	// (events.go). It runs synchronously on the engine goroutine, must
@@ -229,14 +245,14 @@ func New(ep *transport.Endpoint, topo fabric.Topology) *Monitor {
 // Node reports the MN's node id.
 func (m *Monitor) Node() fabric.NodeID { return m.EP.ID }
 
-// Registered reports a copy of a node's RRT row. Its device map is
-// copied too, so the caller may hold the row across MN activity.
+// Registered reports a copy of a node's RRT row. Its device counts are
+// values, so the caller may hold the row across MN activity.
 func (m *Monitor) Registered(id fabric.NodeID) (Registration, bool) {
 	r, ok := m.rrt[id]
 	if !ok {
 		return Registration{}, false
 	}
-	return r.snapshot(), true
+	return *r, true
 }
 
 // Registrations returns copies of the live RRT rows, as Registered
@@ -250,17 +266,9 @@ func (m *Monitor) Registrations() []Registration {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]Registration, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, m.rrt[id].snapshot())
+		out = append(out, *m.rrt[id])
 	}
 	return out
-}
-
-// snapshot copies the row and its device map, which the MN updates in
-// place on every heartbeat and grant.
-func (r *Registration) snapshot() Registration {
-	c := *r
-	c.Devices = maps.Clone(r.Devices)
-	return c
 }
 
 // Links returns the TST rows, ordered by link key — the fabric-health
@@ -340,7 +348,7 @@ func (m *Monitor) onHeartbeat(_ fabric.NodeID, req any) (any, int) {
 	hb := req.(*Heartbeat)
 	r, ok := m.rrt[hb.Node]
 	if !ok {
-		r = &Registration{Node: hb.Node, Incarnation: hb.Incarnation, Devices: make(map[Resource]int)}
+		r = &Registration{Node: hb.Node, Incarnation: hb.Incarnation}
 		m.rrt[hb.Node] = r
 	}
 	if hb.Incarnation > r.Incarnation {
@@ -349,25 +357,20 @@ func (m *Monitor) onHeartbeat(_ fabric.NodeID, req any) (any, int) {
 		// any hot-returns we owed its previous life.
 		r.Incarnation = hb.Incarnation
 		r.needsRecovery = true
-		m.Stats.Add("recover.reboots_seen", 1)
+		m.Stats.add(statRecoverRebootsSeen, 1)
 	}
 	if r.Dead {
 		r.Dead = false
-		m.Stats.Add("recover.reappeared", 1)
+		m.Stats.add(statRecoverReappeared, 1)
 	}
 	r.IdleBytes = hb.IdleBytes
-	// The row owns its device map: the report's is the agent's snapshot,
-	// shared with its later beats, so the counts are copied, not adopted.
-	clear(r.Devices)
-	maps.Copy(r.Devices, hb.Devices)
-	if len(hb.Devices) > 0 {
+	r.Devices, r.advertised = hb.Devices, hb.Devices
+	if hb.Devices != (Units{}) {
 		// Agents advertise installed device counts, not free ones (they
 		// don't know which units the MN has leased out). Re-debit the units
 		// on loan so a heartbeat cannot resurrect one — the device analogue
 		// of IdleBytes, which agents do track.
-		for res, n := range r.leased {
-			r.Devices[res] -= n
-		}
+		r.Devices.sub(&r.leased)
 	}
 	now := m.EP.Eng.Now()
 	r.LastBeat = now
@@ -385,7 +388,7 @@ func (m *Monitor) onHeartbeat(_ fabric.NodeID, req any) (any, int) {
 		}
 	}
 	hb.folded = true
-	m.Stats.Add("heartbeats", 1)
+	m.Stats.add(statHeartbeats, 1)
 	return &ack{}, 8
 }
 
@@ -449,15 +452,8 @@ func (m *Monitor) countLeased(a *Allocation, delta int) {
 	if a.Kind == Memory {
 		return
 	}
-	r, ok := m.rrt[a.Donor]
-	if !ok {
-		return
-	}
-	if r.leased == nil {
-		r.leased = make(map[Resource]int)
-	}
-	if r.leased[a.Kind] += delta; r.leased[a.Kind] == 0 {
-		delete(r.leased, a.Kind)
+	if r, ok := m.rrt[a.Donor]; ok {
+		r.leased[a.Kind] += delta
 	}
 }
 
@@ -467,18 +463,17 @@ func (m *Monitor) countLeased(a *Allocation, delta int) {
 // class. It names the first donor, in id order, whose count differs,
 // and returns nil when none does.
 func (m *Monitor) AuditDevices() error {
-	rows := make(map[fabric.NodeID]map[Resource]int)
+	rows := make(map[fabric.NodeID]Units)
 	for _, a := range m.rat {
 		if a.Kind == Memory {
 			continue
 		}
-		if rows[a.Donor] == nil {
-			rows[a.Donor] = make(map[Resource]int)
-		}
-		rows[a.Donor][a.Kind]++
+		u := rows[a.Donor]
+		u[a.Kind]++
+		rows[a.Donor] = u
 	}
 	for _, id := range slices.Sorted(maps.Keys(m.rrt)) {
-		if leased := m.rrt[id].leased; !maps.Equal(leased, rows[id]) {
+		if leased := m.rrt[id].leased; leased != rows[id] {
 			return fmt.Errorf("monitor: node %v counts %v device units on loan, its RAT rows %v", id, leased, rows[id])
 		}
 		delete(rows, id)
@@ -561,7 +556,7 @@ func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	if m.Admission != nil && !m.hasUpstream && r.Class != tenancy.ClassNone {
 		g, rejected := m.admit(p, from, r.Res, size, r.Class)
 		if rejected {
-			m.Stats.Add("admit.rejected", 1)
+			m.Stats.add(statAdmitRejected, 1)
 			c.Resp = AllocResp{Rejected: true}
 			return c, wire
 		}
@@ -569,7 +564,7 @@ func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	}
 	if r.Scope != ScopeRemoteRack {
 		if a, ok := m.grant(p, from, r, size, 0); ok {
-			m.Stats.Add(r.Res.allocKey(), 1)
+			m.Stats.add(r.Res.allocStat(), 1)
 			c.Resp = r.answer(AllocResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}, size)
 			return c, wire
 		}
@@ -580,7 +575,7 @@ func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 			return c, wire
 		}
 	}
-	m.Stats.Add("alloc.failures", 1)
+	m.Stats.add(statAllocFailures, 1)
 	c.Resp = r.answer(AllocResp{}, size)
 	return c, wire
 }
@@ -613,7 +608,7 @@ func (m *Monitor) grant(p *sim.Proc, recipient fabric.NodeID, r *AllocReq, amoun
 		// drawn before any blocking call, and a donor that died while an
 		// earlier candidate was being tried would get a doomed lease.
 		if !m.NodeAlive(cand.Node) {
-			m.Stats.Add("alloc.dead_skips", 1)
+			m.Stats.add(statAllocDeadSkips, 1)
 			continue
 		}
 		var donorBase, window uint64
@@ -656,14 +651,14 @@ func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.No
 		// without the timeout this request would wedge the MN forever.
 		// The agent may still be sleeping in the hot-plug with reg, so
 		// reg is left to the GC.
-		m.lostRegion(cand, reg, inc, either(recovery, "recover.grant_timeouts", "alloc.grant_timeouts"))
+		m.lostRegion(cand, reg, inc, either(recovery, statRecoverGrantTimeouts, statAllocGrantTimeouts))
 		return 0, false
 	}
 	base, ok := reg.Base, reg.OK
 	m.regions.put(reg)
 	if !ok {
 		// Stale RRT record; mark what we learned and retry.
-		m.Stats.Add(either(recovery, "recover.retries", "alloc.retries"), 1)
+		m.Stats.add(either(recovery, statRecoverRetries, statAllocRetries), 1)
 		cand.IdleBytes = 0
 		return 0, false
 	}
@@ -675,8 +670,8 @@ func (m *Monitor) hotRemove(p *sim.Proc, cand *Registration, recipient fabric.No
 // the answer was lost, so park a cancellation (a hot-return naming only
 // reg's window, which the agent resolves itself) for when the donor is
 // reachable again, and mark it drained.
-func (m *Monitor) lostRegion(cand *Registration, reg *regionReq, inc int64, counter string) {
-	m.Stats.Add(counter, 1)
+func (m *Monitor) lostRegion(cand *Registration, reg *regionReq, inc int64, lost counter) {
+	m.Stats.add(lost, 1)
 	m.out.park(m.giveBack(cand.Node, &regionReq{Recipient: reg.Recipient, RecipientBase: reg.RecipientBase}), inc)
 	cand.IdleBytes = 0
 }
@@ -697,11 +692,11 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 		// the delegation and its donor-rack backing.
 		if !m.out.send(p, letter{
 			to: m.upstream, kind: kindRackFree, size: 32, req: &FreeReq{AllocID: ref.deleg},
-			timeout: 3 * grantTimeout(m.EP.P), retried: "free.upstream_retried",
+			timeout: 3 * grantTimeout(m.EP.P), retried: statFreeUpstreamRetried,
 		}) {
-			m.Stats.Add("free.upstream_lost", 1)
+			m.Stats.add(statFreeUpstreamLost, 1)
 		}
-		m.Stats.Add("free.delegated", 1)
+		m.Stats.add(statFreeDelegated, 1)
 		return &ack{}, 8
 	}
 	a, ok := m.rat[f.AllocID]
@@ -710,7 +705,7 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	}
 	m.dropRow(a)
 	m.releaseBacking(p, a)
-	m.Stats.Add(pick(a.Kind, "free.memory", "free.device"), 1)
+	m.Stats.add(pick(a.Kind, statFreeMemory, statFreeDevice), 1)
 	if a.held == 0 {
 		m.rows.put(a)
 	}
@@ -724,7 +719,7 @@ func (m *Monitor) onFree(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 // a table credit.
 func (m *Monitor) releaseBacking(p *sim.Proc, a *Allocation) {
 	if a.Kind == Memory && !m.sendBack(p, a.Donor, a, a.DonorBase) {
-		m.Stats.Add("free.donor_unreachable", 1)
+		m.Stats.add(statFreeDonorUnreachable, 1)
 	}
 	if r, ok := m.rrt[a.Donor]; ok {
 		r.credit(a.Kind, a.Size)
@@ -747,6 +742,6 @@ func (m *Monitor) sendBack(p *sim.Proc, donor fabric.NodeID, a *Allocation, base
 func (m *Monitor) giveBack(donor fabric.NodeID, ret *regionReq) letter {
 	return letter{
 		to: donor, kind: kindHotReturn, size: 64, req: ret,
-		timeout: grantTimeout(m.EP.P), retried: "recover.orphan_returns",
+		timeout: grantTimeout(m.EP.P), retried: statRecoverOrphanReturns,
 	}
 }

@@ -243,8 +243,9 @@ func TestDeviceAllocation(t *testing.T) {
 }
 
 // TestRegisteredIsACopy checks that a row Registered hands out keeps
-// the counts it was read with: the MN updates its own row's device map
-// in place, on grants and on every heartbeat, never the caller's copy.
+// the counts it was read with: the MN updates its own row's device
+// counts in place, on grants and on every heartbeat, never the caller's
+// copy.
 func TestRegisteredIsACopy(t *testing.T) {
 	c := newCluster(t, 1<<30)
 	c.agents[2].Devices[DevAccelerator] = 2
@@ -367,9 +368,9 @@ func agentSlotLog(t *testing.T, run func(eng *sim.Engine, a *Agent)) {
 // gate. Once warm, an acked beat allocates nothing: the agent's beat
 // loop is an event chain that refills one report and its probe slice,
 // its call keeps its record and packets, the MN serves it without a
-// proc, copies the device counts into its own row, re-debits the units
-// on loan from a count and finds each link's TST row in the row's cache,
-// and an agent whose Devices has not changed resends the same snapshot.
+// proc, sets its row to the report's device counts less the units on
+// loan (array arithmetic) and finds each link's TST row in the row's
+// cache, and the report carries the agent's Devices by value.
 //
 // In the "late" row only node 1 beats, over a link slowed so that each
 // beat outlasts its wait but lands before the next beat leaves: every

@@ -19,8 +19,8 @@ import (
 // by value, so a delivery that lands allocates nothing.
 type letter struct {
 	to      fabric.NodeID
-	kind    string // RPC kind
-	size    int    // request wire size
+	kind    transport.Kind
+	size    int // request wire size
 	req     any
 	timeout sim.Dur
 	// inc is the addressee's incarnation when the letter was written: a
@@ -32,14 +32,37 @@ type letter struct {
 	// answer, when set, consumes the addressee's response.
 	answer func(p *sim.Proc, resp any)
 	// retried is the counter a redelivery bumps.
-	retried string
+	retried counter
+}
+
+// obsolete is the counter a letter of kind k bumps when it is dropped,
+// its addressee having rebooted or the letter gone stale: the kind's
+// name with ".obsolete".
+func obsolete(k transport.Kind) counter {
+	switch k {
+	case kindHotReturn:
+		return statHotReturnObsolete
+	case kindRelocate:
+		return statRelocateObsolete
+	case kindRevoke:
+		return statRevokeObsolete
+	case kindRackFree:
+		return statRackFreeObsolete
+	case kindBorrowCancel:
+		return statBorrowCancelObsolete
+	case kindDelegateFree:
+		return statDelegateFreeObsolete
+	case kindDelegateCancel:
+		return statDelegateCancelObsolete
+	}
+	panic("monitor: no letter has kind " + k.String())
 }
 
 // outbox holds one MN's parked letters. incarnation and reachable are
 // the MN's view of an addressee; passing is set while a pass runs.
 type outbox struct {
 	ep          *transport.Endpoint
-	stats       *sim.Scoreboard
+	stats       *Counters
 	incarnation func(fabric.NodeID) int64
 	reachable   func(fabric.NodeID) bool
 	parked      []letter
@@ -70,7 +93,7 @@ func (o *outbox) send(p *sim.Proc, l letter) bool {
 // redelivery, or drops it at once if the addressee has rebooted since.
 func (o *outbox) park(l letter, inc int64) {
 	if o.incarnation(l.to) != inc {
-		o.stats.Add(l.kind+".obsolete", 1)
+		o.stats.add(obsolete(l.kind), 1)
 		return
 	}
 	l.inc = inc
@@ -94,11 +117,11 @@ func (o *outbox) redeliver(p *sim.Proc) {
 	for _, l := range pass {
 		switch {
 		case o.incarnation(l.to) != l.inc || l.stale != nil && l.stale():
-			o.stats.Add(l.kind+".obsolete", 1)
+			o.stats.add(obsolete(l.kind), 1)
 		case !o.reachable(l.to) || slices.Contains(lost, l.to):
 			kept = append(kept, l)
 		case o.deliver(p, &l):
-			o.stats.Add(l.retried, 1)
+			o.stats.add(l.retried, 1)
 		default:
 			lost = append(lost, l.to)
 			kept = append(kept, l)

@@ -27,27 +27,27 @@ import (
 )
 
 // RPC kinds exchanged between agents and the Monitor Node.
-const (
-	kindHeartbeat = "mn.heartbeat"
-	kindAlloc     = "mn.alloc"
-	kindFree      = "mn.free"
+var (
+	kindHeartbeat = transport.NewKind("mn.heartbeat")
+	kindAlloc     = transport.NewKind("mn.alloc")
+	kindFree      = transport.NewKind("mn.free")
 
-	kindHotRemove   = "agent.hotremove"
-	kindHotReturn   = "agent.hotreturn"
-	kindRelocate    = "agent.relocate"
-	kindRevoke      = "agent.revoke"
-	kindSpareCarve  = "agent.sparecarve"
-	kindSpareAttach = "agent.spareattach"
+	kindHotRemove   = transport.NewKind("agent.hotremove")
+	kindHotReturn   = transport.NewKind("agent.hotreturn")
+	kindRelocate    = transport.NewKind("agent.relocate")
+	kindRevoke      = transport.NewKind("agent.revoke")
+	kindSpareCarve  = transport.NewKind("agent.sparecarve")
+	kindSpareAttach = transport.NewKind("agent.spareattach")
 
 	// Sharded-plane RPCs (see shard.go): sub-MN <-> root MN, and the
 	// root's delegation calls into donor-rack sub-MNs.
-	kindRackBeat       = "root.rackbeat"
-	kindRackBorrow     = "root.borrow"
-	kindRackFree       = "root.free"
-	kindBorrowCancel   = "root.borrowcancel"
-	kindDelegate       = "sub.delegate"
-	kindDelegateFree   = "sub.delegatefree"
-	kindDelegateCancel = "sub.delegatecancel"
+	kindRackBeat       = transport.NewKind("root.rackbeat")
+	kindRackBorrow     = transport.NewKind("root.borrow")
+	kindRackFree       = transport.NewKind("root.free")
+	kindBorrowCancel   = transport.NewKind("root.borrowcancel")
+	kindDelegate       = transport.NewKind("sub.delegate")
+	kindDelegateFree   = transport.NewKind("sub.delegatefree")
+	kindDelegateCancel = transport.NewKind("sub.delegatecancel")
 )
 
 // Resource is one dimension of the MN's allocation vector: memory,
@@ -60,7 +60,42 @@ const (
 	Memory Resource = iota
 	DevAccelerator
 	DevNIC
+
+	numResources // the length of Units
 )
+
+// device reports whether r is a device class the MN brokers.
+func (r Resource) device() bool { return r > Memory && r < numResources }
+
+// Units counts device units by class, indexed by Resource: what an
+// agent advertises, what its heartbeat carries, and what an RRT or rack
+// registry row has free or on loan. Memory's entry is unused. Units is
+// a value, so a report carries the counts as of its send.
+type Units [numResources]int
+
+// sub takes v's counts off u's.
+func (u *Units) sub(v *Units) {
+	for i := range u {
+		u[i] -= v[i]
+	}
+}
+
+// listed returns u's count of each class advertised names with a
+// nonzero count, by class, or nil when it names none: the device counts
+// a registry row lists.
+func (u *Units) listed(advertised *Units) map[Resource]int {
+	var m map[Resource]int
+	for res, n := range advertised {
+		if n == 0 {
+			continue
+		}
+		if m == nil {
+			m = make(map[Resource]int)
+		}
+		m[Resource(res)] = u[res]
+	}
+	return m
+}
 
 // String names the resource.
 func (r Resource) String() string {
@@ -81,7 +116,7 @@ func (r Resource) String() string {
 func (r Resource) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
 // pick returns mem for memory and dev for every device class — the
-// per-resource scoreboard keys and wire sizes, spelled once.
+// per-resource counters and wire sizes, spelled once.
 func pick[T any](r Resource, mem, dev T) T {
 	if r == Memory {
 		return mem
@@ -98,17 +133,17 @@ func either[T any](c bool, yes, no T) T {
 	return no
 }
 
-// allocKey is the scoreboard key counting r's local grants.
-func (r Resource) allocKey() string {
+// allocStat is the counter of r's local grants.
+func (r Resource) allocStat() counter {
 	switch r {
 	case Memory:
-		return "alloc.memory"
+		return statAllocMemory
 	case DevAccelerator:
-		return "alloc.accelerator"
+		return statAllocAccelerator
 	case DevNIC:
-		return "alloc.nic"
+		return statAllocNIC
 	default:
-		return "alloc.unknown"
+		return statAllocUnknown
 	}
 }
 
@@ -117,9 +152,11 @@ func (r Resource) allocKey() string {
 // utilization (the busier direction) since the previous heartbeat;
 // HasUtil distinguishes a genuinely idle window from telemetry-off.
 type LinkProbe struct {
-	Peer    fabric.NodeID
+	Peer fabric.NodeID
+	Util float64
+	// The flags come last so a probe packs into 24 bytes, which keeps a
+	// fresh report's probe slice a size class below its Devices array.
 	Up      bool
-	Util    float64
 	HasUtil bool
 }
 
@@ -127,7 +164,7 @@ type LinkProbe struct {
 type Heartbeat struct {
 	Node      fabric.NodeID
 	IdleBytes uint64
-	Devices   map[Resource]int
+	Devices   Units
 	Links     []LinkProbe
 	// Incarnation counts the node's reboots. The MN compares it against
 	// the RRT's recorded value to tell a crash-and-reboot apart from a
@@ -354,10 +391,9 @@ type rackBeat struct {
 	IdleBytes uint64 // sum of the rack's live RRT idle bytes
 	Live      int    // live nodes in the rack
 	// Devices aggregates the rack's free device units per kind (live RRT
-	// rows only), so the root can elect donor racks for device borrows
-	// the same way IdleBytes steers memory borrows. nil when the rack
-	// advertises no devices, keeping device-free planes byte-identical.
-	Devices map[Resource]int
+	// rows with some free only), so the root can elect donor racks for
+	// device borrows the same way IdleBytes steers memory borrows.
+	Devices Units
 }
 
 // rackBorrowReq is a sub-MN's escalation to the root MN: its rack

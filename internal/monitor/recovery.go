@@ -84,11 +84,11 @@ func (m *Monitor) sweep(p *sim.Proc) {
 		case r.needsRecovery:
 			// Fast path: the node told us it rebooted.
 			r.needsRecovery = false
-			m.Stats.Add("recover.reboot_recoveries", 1)
+			m.Stats.add(statRecoverRebootRecoveries, 1)
 			m.recoverNode(p, id, true)
 		case !r.Dead && r.Beats > 0 && !m.NodeAlive(id):
 			r.Dead = true
-			m.Stats.Add("recover.deaths", 1)
+			m.Stats.add(statRecoverDeaths, 1)
 			m.recoverNode(p, id, false)
 		}
 	}
@@ -160,7 +160,7 @@ func (m *Monitor) reclaimLease(p *sim.Proc, a *Allocation) {
 	m.dropRow(a)
 	m.emitLease(LeaseRevoked, a, a.Donor)
 	m.releaseBacking(p, a)
-	m.Stats.Add(pick(a.Kind, "recover.reclaimed", "recover.devices_reclaimed"), 1)
+	m.Stats.add(pick(a.Kind, statRecoverReclaimed, statRecoverDevicesReclaimed), 1)
 }
 
 // replacement is what a re-placement walk cannot derive from the row it
@@ -216,7 +216,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 			// deleted the row meanwhile: the new region goes straight back,
 			// or it leaks untracked on the new donor.
 			m.undoReplacement(p, cand, a, base)
-			m.Stats.Add(either(how.alive, "migrate.raced_free", "recover.raced_free"), 1)
+			m.Stats.add(either(how.alive, statMigrateRacedFree, statRecoverRacedFree), 1)
 			return false
 		}
 		if a.Kind == Memory {
@@ -235,7 +235,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 				// contract as a revoke. That narrow race beats a double
 				// commit.)
 				m.undoReplacement(p, cand, a, base)
-				m.Stats.Add("migrate.aborted", 1)
+				m.Stats.add(statMigrateAborted, 1)
 				return false
 			case !ok:
 				// Lost: the recipient may be mid-crash, or a link flap ate the
@@ -244,7 +244,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 				// supersedes it, or the recipient's own death reclaims the
 				// row.
 				m.out.park(m.relocate(a.Recipient, rel), recipientInc)
-				m.Stats.Add("recover.relocate_lost", 1)
+				m.Stats.add(statRecoverRelocateLost, 1)
 			case !raw.(*relocateResp).OK:
 				// The window was released while the relocate was in flight.
 				// Unless the free has already deleted the row, this path
@@ -254,7 +254,7 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 					m.releaseOld(p, &old, oldInc, how)
 				}
 				m.undoReplacement(p, cand, a, base)
-				m.Stats.Add(either(how.alive, "migrate.raced_free", "recover.raced_free"), 1)
+				m.Stats.add(either(how.alive, statMigrateRacedFree, statRecoverRacedFree), 1)
 				return false
 			}
 		}
@@ -263,19 +263,19 @@ func (m *Monitor) replace(p *sim.Proc, a *Allocation, how replacement) bool {
 			cand.debit(a.Kind, a.Size)
 		}
 		m.releaseOld(p, &old, oldInc, how)
-		m.Stats.Add(either(how.alive, "migrate.moved", pick(a.Kind, "recover.replaced", "recover.devices_replaced")), 1)
+		m.Stats.add(either(how.alive, statMigrateMoved, pick(a.Kind, statRecoverReplaced, statRecoverDevicesReplaced)), 1)
 		if a.Kind == Memory {
-			m.Stats.Add(either(how.alive, "migrate.ns", "recover.ns"), int64(m.EP.Eng.Now().Sub(t0)))
+			m.Stats.add(either(how.alive, statMigrateNS, statRecoverNS), int64(m.EP.Eng.Now().Sub(t0)))
 		}
 		m.emitLease(either(how.alive, LeaseMigrated, LeaseFailedOver), a, old.Donor)
 		return true
 	}
 	switch _, live := m.rat[a.ID]; {
 	case how.alive:
-		m.Stats.Add("migrate.no_candidate", 1)
+		m.Stats.add(statMigrateNoCandidate, 1)
 	case !live:
 		// The walk blocked and a free deleted the row meanwhile.
-		m.Stats.Add("recover.raced_free", 1)
+		m.Stats.add(statRecoverRacedFree, 1)
 	default:
 		// No survivor can back the lease: evict it, so the recipient does
 		// not park forever on a region that no longer exists.
@@ -309,7 +309,7 @@ func (m *Monitor) releaseOld(p *sim.Proc, a *Allocation, inc int64, how replacem
 func (m *Monitor) relocate(recipient fabric.NodeID, rel *relocateReq) letter {
 	return letter{
 		to: recipient, kind: kindRelocate, size: 64, req: rel,
-		timeout: grantTimeout(m.EP.P), retried: "recover.relocate_retried",
+		timeout: grantTimeout(m.EP.P), retried: statRecoverRelocateRetried,
 		stale: func() bool {
 			a, live := m.rat[rel.AllocID]
 			return !live || a.Donor != rel.NewDonor || a.DonorBase != rel.NewDonorBase
@@ -322,7 +322,7 @@ func (m *Monitor) relocate(recipient fabric.NodeID, rel *relocateReq) letter {
 				m.dropRow(a)
 				m.releaseBacking(p, a)
 			}
-			m.Stats.Add("recover.raced_free", 1)
+			m.Stats.add(statRecoverRacedFree, 1)
 		},
 	}
 }
@@ -339,12 +339,12 @@ func (m *Monitor) evict(p *sim.Proc, a *Allocation, inc int64, how replacement) 
 	if a.Kind == Memory && !m.out.send(p, letter{
 		to: a.Recipient, kind: kindRevoke, size: 32,
 		req:     &revokeReq{AllocID: a.ID, RecipientBase: a.RecipientBase, Size: a.Size},
-		timeout: grantTimeout(m.EP.P), retried: "recover.revoke_retried",
+		timeout: grantTimeout(m.EP.P), retried: statRecoverRevokeRetried,
 	}) {
-		m.Stats.Add(either(how.alive, "preempt.revoke_lost", "recover.revoke_lost"), 1)
+		m.Stats.add(either(how.alive, statPreemptRevokeLost, statRecoverRevokeLost), 1)
 	}
-	m.Stats.Add(either(how.alive, pick(a.Kind, "preempt.memory", "preempt.device"),
-		pick(a.Kind, "recover.revoked", "recover.devices_dropped")), 1)
+	m.Stats.add(either(how.alive, pick(a.Kind, statPreemptMemory, statPreemptDevice),
+		pick(a.Kind, statRecoverRevoked, statRecoverDevicesDropped)), 1)
 	m.emitLease(either(how.alive, LeasePreempted, LeaseRevoked), a, a.Donor)
 }
 

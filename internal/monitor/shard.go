@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -38,15 +39,33 @@ type RackStatus struct {
 	LastBeat  sim.Time
 	Beats     int64
 	// Devices is the rack's aggregate free device units per kind, as of
-	// the last rackbeat (nil when the rack advertises none).
-	Devices map[Resource]int
+	// the last rackbeat, less what the root has delegated since.
+	Devices Units
+	// advertised is the last rackbeat's aggregate: the classes the row
+	// lists (see DeviceCounts).
+	advertised Units
+}
+
+// DeviceCounts reports the rack's free units of each device class its
+// last rackbeat aggregated, by class (a count delegations took to 0
+// included), or nil when it aggregated none.
+func (rs *RackStatus) DeviceCounts() map[Resource]int { return rs.Devices.listed(&rs.advertised) }
+
+// MarshalJSON renders the row with its device counts as DeviceCounts
+// lists them: null for a rack with none.
+func (rs RackStatus) MarshalJSON() ([]byte, error) {
+	type row RackStatus // the same fields, without this method
+	return json.Marshal(struct {
+		row
+		Devices map[Resource]int
+	}{row(rs), rs.DeviceCounts()})
 }
 
 // free reports the rack's free amount of res as of its last rackbeat,
 // less what the root has delegated since; debit takes amount off it.
-func (rs *RackStatus) free(res Resource) uint64 { return freeOf(res, rs.IdleBytes, rs.Devices) }
+func (rs *RackStatus) free(res Resource) uint64 { return freeOf(res, rs.IdleBytes, &rs.Devices) }
 func (rs *RackStatus) debit(res Resource, amount uint64) {
-	moveFree(res, &rs.IdleBytes, rs.Devices, -int64(amount))
+	moveFree(res, &rs.IdleBytes, &rs.Devices, -int64(amount))
 }
 
 // Delegation is one row of the root MN's delegation table: a lease
@@ -94,7 +113,7 @@ type Root struct {
 
 	// Stats counts root activity (borrows, delegations, frees,
 	// cancellations).
-	Stats sim.Scoreboard
+	Stats Counters
 }
 
 // NewRoot starts a root MN on the given endpoint (typically a spine
@@ -167,10 +186,10 @@ func (rt *Root) onRackBeat(_ fabric.NodeID, req any) (any, int) {
 	rs.Sub = b.Sub
 	rs.IdleBytes = b.IdleBytes
 	rs.Live = b.Live
-	rs.Devices = b.Devices
+	rs.Devices, rs.advertised = b.Devices, b.Devices
 	rs.LastBeat = rt.EP.Eng.Now()
 	rs.Beats++
-	rt.Stats.Add("root.rackbeats", 1)
+	rt.Stats.add(statRootRackbeats, 1)
 	if len(rt.out.parked) > 0 {
 		rt.EP.Eng.Go("root-outbox", rt.out.redeliver)
 	}
@@ -232,17 +251,17 @@ func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, d *Delegation, req Alloc
 		// key-resolved cancellation so the orphaned row (and region)
 		// cannot leak. An election tries each rack once, so the
 		// delegation's live backing, if any, is never in this rack.
-		rt.Stats.Add("root.delegate_timeouts", 1)
+		rt.Stats.add(statRootDelegateTimeouts, 1)
 		rt.out.park(letter{
 			to: rs.Sub, kind: kindDelegateCancel, size: 32, req: &FreeReq{AllocID: d.ID},
-			timeout: rt.delegateTimeout(), retried: "root.delegates_cancelled",
+			timeout: rt.delegateTimeout(), retried: statRootDelegatesCancelled,
 		}, 0)
 		rs.debit(req.Res, rs.free(req.Res))
 		return false
 	}
 	resp := raw.(*AllocResp)
 	if !resp.OK {
-		rt.Stats.Add("root.delegate_declines", 1)
+		rt.Stats.add(statRootDelegateDeclines, 1)
 		rs.debit(req.Res, rs.free(req.Res))
 		return false
 	}
@@ -258,7 +277,7 @@ func (rt *Root) delegateTo(p *sim.Proc, rs *RackStatus, d *Delegation, req Alloc
 // the next candidate tried, up to the rootBorrowCandidates bound.
 func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*rackBorrowReq)
-	rt.Stats.Add("root.borrows", 1)
+	rt.Stats.add(statRootBorrows, 1)
 	key := windowKey{recipient: r.Recipient, base: r.WindowBase}
 	id := rt.nextDelegID
 	rt.nextDelegID++
@@ -280,15 +299,15 @@ func (rt *Root) onRackBorrow(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			// it instead of recording it.
 			delete(rt.cancelled, key)
 			rt.freeBacking(p, d)
-			rt.Stats.Add("root.borrows_cancelled", 1)
+			rt.Stats.add(statRootBorrowsCancelled, 1)
 			return &AllocResp{}, 64
 		}
 		rt.dels[id] = d
-		rt.Stats.Add("root.delegated", 1)
+		rt.Stats.add(statRootDelegated, 1)
 		return &AllocResp{OK: true, AllocID: id, Donor: d.Donor, DonorBase: d.DonorBase}, 64
 	}
 	delete(rt.cancelled, key) // a failed election has nothing to cancel
-	rt.Stats.Add("root.borrow_failures", 1)
+	rt.Stats.add(statRootBorrowFailures, 1)
 	return &AllocResp{}, 64
 }
 
@@ -309,7 +328,7 @@ func (rt *Root) onBorrowCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, int)
 		}
 		delete(rt.dels, id)
 		rt.freeBacking(p, d)
-		rt.Stats.Add("root.borrows_cancelled", 1)
+		rt.Stats.add(statRootBorrowsCancelled, 1)
 		matched = true
 	}
 	if !matched {
@@ -331,7 +350,7 @@ func (rt *Root) onRackFree(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	}
 	delete(rt.dels, f.AllocID)
 	rt.freeBacking(p, d)
-	rt.Stats.Add("root.freed", 1)
+	rt.Stats.add(statRootFreed, 1)
 	return &ack{}, 8
 }
 
@@ -343,14 +362,14 @@ func (rt *Root) onRackFree(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 func (rt *Root) freeBacking(p *sim.Proc, d *Delegation) {
 	l := letter{
 		to: rt.racks[d.DonorRack].Sub, kind: kindDelegateFree, size: 32, req: &FreeReq{AllocID: d.SubAllocID},
-		timeout: rt.delegateTimeout(), retried: "root.delegate_frees_retried",
+		timeout: rt.delegateTimeout(), retried: statRootDelegateFreesRetried,
 	}
 	if !rt.RackAlive(d.DonorRack) {
 		rt.out.park(l, 0)
 	} else if rt.out.send(p, l) {
 		return
 	}
-	rt.Stats.Add("root.free_lost", 1)
+	rt.Stats.add(statRootFreeLost, 1)
 }
 
 // --- sub-MN side -----------------------------------------------------
@@ -404,27 +423,21 @@ func (m *Monitor) flatOnly(loop string) {
 func (m *Monitor) sendRackBeat(p *sim.Proc, interval sim.Dur) {
 	var idle uint64
 	live := 0
-	var devs map[Resource]int
+	var devs Units
 	for _, r := range m.rrt {
 		if !r.Dead && m.NodeAlive(r.Node) {
 			idle += r.IdleBytes
 			live++
 			for k, v := range r.Devices {
-				if v <= 0 {
-					continue
-				}
-				if devs == nil {
-					devs = make(map[Resource]int)
-				}
-				devs[k] += v
+				devs[k] += max(v, 0)
 			}
 		}
 	}
 	b := &rackBeat{Rack: m.rack, Sub: m.EP.ID, IdleBytes: idle, Live: live, Devices: devs}
 	if _, ok := m.EP.CallTimeout(p, m.upstream, kindRackBeat, 64, b, interval); !ok {
-		m.Stats.Add("rackbeats.lost", 1)
+		m.Stats.add(statRackbeatsLost, 1)
 	}
-	m.Stats.Add("rackbeats", 1)
+	m.Stats.add(statRackbeats, 1)
 }
 
 // borrowTimeout bounds one escalation round trip. It must exceed the
@@ -457,19 +470,19 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq) (AllocR
 		// it. Send a cancellation; the root tears down any matching
 		// delegation. An undeliverable cancel parks — a flap must not
 		// leak a delegation forever.
-		m.Stats.Add("alloc.upstream_timeouts", 1)
+		m.Stats.add(statAllocUpstreamTimeouts, 1)
 		if !m.out.send(p, letter{
 			to: m.upstream, kind: kindBorrowCancel, size: 32,
 			req:     &borrowCancelReq{Recipient: from, RecipientBase: key, Res: r.Res},
-			timeout: grantTimeout(m.EP.P), retried: "alloc.cancel_retried",
+			timeout: grantTimeout(m.EP.P), retried: statAllocCancelRetried,
 		}) {
-			m.Stats.Add("alloc.cancel_lost", 1)
+			m.Stats.add(statAllocCancelLost, 1)
 		}
 		return AllocResp{}, false
 	}
 	resp := raw.(*AllocResp)
 	if !resp.OK {
-		m.Stats.Add("alloc.upstream_declines", 1)
+		m.Stats.add(statAllocUpstreamDeclines, 1)
 		return AllocResp{}, false
 	}
 	if id < 0 {
@@ -477,7 +490,7 @@ func (m *Monitor) escalate(p *sim.Proc, from fabric.NodeID, r *AllocReq) (AllocR
 		m.nextAllocID++
 	}
 	m.delegated[id] = delegatedLease{deleg: resp.AllocID, recipient: from}
-	m.Stats.Add("alloc.delegated", 1)
+	m.Stats.add(statAllocDelegated, 1)
 	return AllocResp{OK: true, AllocID: id, Donor: resp.Donor, DonorBase: resp.DonorBase}, true
 }
 
@@ -495,10 +508,10 @@ func (m *Monitor) onDelegate(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 	r := req.(*delegateReq)
 	a, ok := m.grant(p, r.Recipient, &r.AllocReq, r.Size, r.DelegID)
 	if !ok {
-		m.Stats.Add("delegate.declined", 1)
+		m.Stats.add(statDelegateDeclined, 1)
 		return &AllocResp{}, 64
 	}
-	m.Stats.Add("delegate.granted", 1)
+	m.Stats.add(statDelegateGranted, 1)
 	return &AllocResp{OK: true, AllocID: a.ID, Donor: a.Donor, DonorBase: a.DonorBase}, 64
 }
 
@@ -512,7 +525,7 @@ func (m *Monitor) onDelegateFree(p *sim.Proc, _ fabric.NodeID, req any) (any, in
 	}
 	m.dropRow(a)
 	m.releaseBacking(p, a)
-	m.Stats.Add("free.delegate_backed", 1)
+	m.Stats.add(statFreeDelegateBacked, 1)
 	return &ack{}, 8
 }
 
@@ -529,7 +542,7 @@ func (m *Monitor) onDelegateCancel(p *sim.Proc, _ fabric.NodeID, req any) (any, 
 		}
 		m.dropRow(a)
 		m.releaseBacking(p, a)
-		m.Stats.Add("free.delegate_cancelled", 1)
+		m.Stats.add(statFreeDelegateCancelled, 1)
 	}
 	return &ack{}, 8
 }

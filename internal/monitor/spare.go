@@ -76,7 +76,7 @@ func (m *Monitor) pruneSpares() {
 			if alive && sp.inc == cur {
 				kept = append(kept, sp)
 			} else {
-				m.Stats.Add("spare.pruned", 1)
+				m.Stats.add(statSparePruned, 1)
 			}
 		}
 		if len(kept) == 0 {
@@ -128,21 +128,21 @@ func (m *Monitor) carveSpare(donor fabric.NodeID) {
 			// un-rebooted its parked region is unreachable garbage until
 			// the next reboot. Accept the leak bound (perDonor regions) and
 			// let the heartbeat's idle refresh re-sync the account.
-			m.Stats.Add("spare.carve_lost", 1)
+			m.Stats.add(statSpareCarveLost, 1)
 			return
 		}
 		if !carve.OK {
-			m.Stats.Add("spare.carve_declined", 1)
+			m.Stats.add(statSpareCarveDeclined, 1)
 			return
 		}
 		if m.incarnationOf(donor) != inc {
 			// The donor rebooted while the carve was in flight: the region
 			// is gone (reboot wipes parked spares with everything else).
-			m.Stats.Add("spare.carve_obsolete", 1)
+			m.Stats.add(statSpareCarveObsolete, 1)
 			return
 		}
 		m.spares[donor] = append(m.spares[donor], spareRegion{base: carve.Base, size: m.spareSize, inc: inc})
-		m.Stats.Add("spare.carved", 1)
+		m.Stats.add(statSpareCarved, 1)
 	})
 }
 
@@ -161,20 +161,20 @@ func (m *Monitor) replacementBacking(p *sim.Proc, cand *Registration, a *Allocat
 		if _, ok := m.EP.CallTimeout(p, cand.Node, kindSpareAttach, 64, att, grantTimeout(m.EP.P)); !ok {
 			// The donor died mid-attach and the export may or may not have
 			// been installed, same as a lost hot-remove ACK.
-			m.lostRegion(cand, att, inc, "recover.grant_timeouts")
+			m.lostRegion(cand, att, inc, statRecoverGrantTimeouts)
 			return 0, false, false
 		}
 		attached := att.OK
 		m.regions.put(att)
 		if attached {
-			m.Stats.Add("recover.spare_attached", 1)
+			m.Stats.add(statRecoverSpareAttached, 1)
 			m.topUpSpares() // replace the consumed spare asynchronously
 			return sp.base, true, true
 		}
 		// The agent no longer holds the region (rebooted since the carve,
 		// faster than our bookkeeping noticed): fall through to an
 		// ordinary hot-remove on the same candidate.
-		m.Stats.Add("recover.spare_stale", 1)
+		m.Stats.add(statRecoverSpareStale, 1)
 	} else if cand.IdleBytes < a.Size {
 		// A dry idle account can back the lease only from a spare, whose
 		// bytes were debited when it was carved.

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/monitor"
 	"repro/internal/tenancy"
 )
 
@@ -56,12 +56,12 @@ func (c *Collector) OnEvent(ev core.Event) {
 	}
 }
 
-// MirrorScoreboard copies a sim.Scoreboard's counters into the
+// MirrorScoreboard copies a monitor-plane counter set into the
 // registry as gauges named metric{key="..."} — gauges, not counters,
-// because a scoreboard snapshot is a level read, and re-mirroring
+// because a snapshot of the set is a level read, and re-mirroring
 // must overwrite rather than accumulate. Call it from the snapshot
 // hook (sim goroutine) whenever fresh values are wanted.
-func (c *Collector) MirrorScoreboard(metric, help string, sb *sim.Scoreboard) {
+func (c *Collector) MirrorScoreboard(metric, help string, sb *monitor.Counters) {
 	if c.Reg == nil || sb == nil {
 		return
 	}

@@ -93,7 +93,7 @@ func TestRegistryScrapeRacesRegistration(t *testing.T) {
 		for i := 0; i < n; i++ {
 			l := map[string]string{"key": strconv.Itoa(i)}
 			r.Counter("venice_events_total", "Events.", l).Inc()
-			r.Gauge("venice_mn_stats", "Scoreboard.", l).Set(float64(i))
+			r.Gauge("venice_mn_stats", "MN counters.", l).Set(float64(i))
 			r.Histogram("venice_lat_ns", "Latency.", l).Observe(int64(i))
 		}
 	}()

@@ -11,7 +11,7 @@ import (
 // State is one JSON-marshallable snapshot of a live cluster's control
 // plane: the registry (donors), the allocation tables (leases), the
 // root MN's delegation table, rack health, link telemetry, and the
-// MN scoreboards. Snapshots are built ON the simulation goroutine
+// MNs' counters. Snapshots are built ON the simulation goroutine
 // (SnapshotFlat/SnapshotHier read monitor state that only that
 // goroutine may touch) and handed to readers through a StateCell.
 type State struct {
@@ -89,9 +89,9 @@ func fillMonitor(st *State, m *monitor.Monitor) {
 			Node: int(reg.Node), IdleBytes: reg.IdleBytes,
 			LastBeat: reg.LastBeat, Beats: reg.Beats, Dead: reg.Dead,
 		}
-		if len(reg.Devices) > 0 {
-			d.Devices = make(map[string]int, len(reg.Devices))
-			for k, n := range reg.Devices {
+		if devs := reg.DeviceCounts(); len(devs) > 0 {
+			d.Devices = make(map[string]int, len(devs))
+			for k, n := range devs {
 				d.Devices[k.String()] = n
 			}
 		}
@@ -111,8 +111,8 @@ func fillMonitor(st *State, m *monitor.Monitor) {
 	}
 }
 
-// scoreboardMap copies a scoreboard into a plain map.
-func scoreboardMap(sb *sim.Scoreboard) map[string]int64 {
+// scoreboardMap copies a counter set into a plain map.
+func scoreboardMap(sb *monitor.Counters) map[string]int64 {
 	out := make(map[string]int64)
 	for _, k := range sb.Keys() {
 		out[k] = sb.Get(k)

@@ -73,8 +73,8 @@ func TestEngineCancelPreservesOrderAndClock(t *testing.T) {
 	e.Schedule(30, func() { got = append(got, 3) })
 	e.Schedule(20, func() { got = append(got, 2) })
 	e.Cancel(h)
-	// A canceled tombstone at t=20 sits ahead of the live t=20 event;
-	// RunUntil(20) must fire the live ones and stop exactly at 20.
+	// The canceled event at t=20 was scheduled ahead of the live t=20
+	// event; RunUntil(20) must fire the live ones and stop exactly at 20.
 	e.RunUntil(20)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("got = %v, want [1 2]", got)
@@ -89,14 +89,14 @@ func TestEngineCancelPreservesOrderAndClock(t *testing.T) {
 }
 
 // TestEngineCancelThenEarlierSchedule pins the empty-wheel re-anchor:
-// after trailing tombstones drag the wheel clock past the engine clock,
-// a new earlier event must still fire first.
+// after an event beyond the horizon is canceled and the wheel drains, a
+// new earlier event must still fire first.
 func TestEngineCancelThenEarlierSchedule(t *testing.T) {
 	e := New()
 	e.Schedule(10, func() {})
 	h := e.ScheduleCancelable(2<<horizonBits, func() {}) // beyond the horizon, via spill
 	e.Cancel(h)
-	e.Run() // drains the live event and the tombstone
+	e.Run() // fires the live event; the canceled one left at Cancel
 	if e.Now() != 10 {
 		t.Fatalf("Now = %v, want 10", e.Now())
 	}
@@ -136,5 +136,28 @@ func TestEngineCancelManyInterleaved(t *testing.T) {
 	}
 	if uint64(fired) != e.Fired() {
 		t.Fatalf("Fired() = %d, want %d", e.Fired(), fired)
+	}
+}
+
+// TestEngineCancelFreesEventAtOnce checks that Cancel takes a revoked
+// event out of the queue at once, from any wheel level or the spill
+// list: the pool hands its struct to the very next event scheduled, and
+// a loop of armed-and-revoked watchdogs allocates nothing.
+func TestEngineCancelFreesEventAtOnce(t *testing.T) {
+	e := New()
+	noop := func() {}
+	for _, d := range []Dur{100, 1 << 20, 1 << 30, 2 << horizonBits} {
+		h := e.ScheduleCancelable(d, noop)
+		if !e.Cancel(h) || e.q.len() != 0 {
+			t.Fatalf("delay %v: the wheel holds %d events after the only one was canceled", d, e.q.len())
+		}
+		if h2 := e.ScheduleCancelable(d, noop); h2.ev != h.ev {
+			t.Fatalf("delay %v: the next event did not reuse the canceled one's struct", d)
+		} else {
+			e.Cancel(h2)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { e.Cancel(e.ScheduleCancelable(Second, noop)) }); allocs != 0 {
+		t.Fatalf("an armed-and-revoked watchdog allocates %.3f objects, want 0", allocs)
 	}
 }

@@ -152,47 +152,41 @@ func (e *Engine) AtSlot(s Slot, fn func()) {
 }
 
 // Cancel revokes a cancelable event that has not fired yet, reporting
-// whether it did anything. The event is tombstoned in place — the wheel
-// discards it when its slot drains — so Cancel is O(1) and never
-// disturbs the firing order of live events. Canceling an event that
-// already fired, was already canceled, or a zero Handle returns false.
+// whether it did anything. The event leaves the queue at once, unlinked
+// from its wheel bucket (or the spill list), and goes back to the pool,
+// so a revoked watchdog costs nothing later; the firing order of live
+// events is undisturbed. Canceling an event that already fired, was
+// already canceled, or a zero Handle returns false.
 func (e *Engine) Cancel(h Handle) bool {
 	ev := h.ev
-	// A fired or recycled event has lost its cancelable flag (the pool
-	// clears it) or carries another seq; a canceled one is tombstoned.
-	if ev == nil || !ev.cancelable || ev.canceled || ev.seq != h.seq {
+	// A fired, canceled or recycled event has lost its cancelable flag
+	// (the pool clears it) or carries another seq.
+	if ev == nil || !ev.cancelable || ev.seq != h.seq {
 		return false
 	}
-	ev.canceled = true
-	ev.fn = nil
+	e.q.remove(ev)
+	e.pool.put(ev)
 	e.pending--
 	return true
 }
 
-// step fires the earliest live event, discarding canceled tombstones in
-// passing, and reports whether one ran. With bounded true only events
-// with at <= bound fire.
+// step fires the earliest event and reports whether one ran. With
+// bounded true only events with at <= bound fire.
 func (e *Engine) step(bound Time, bounded bool) bool {
-	for {
-		ev := e.q.pop(bound, bounded)
-		if ev == nil {
-			// Every event up to the stop has fired, so every slot up
-			// to now has passed.
-			e.cur = math.MaxUint64
-			return false
-		}
-		if ev.canceled {
-			e.pool.put(ev)
-			continue
-		}
-		e.now, e.cur = ev.at, ev.seq
-		e.pending--
-		e.fired++
-		fn := ev.fn
-		e.pool.put(ev) // recycle before dispatch: fn may schedule into this slot
-		fn()
-		return true
+	ev := e.q.pop(bound, bounded)
+	if ev == nil {
+		// Every event up to the stop has fired, so every slot up to now
+		// has passed.
+		e.cur = math.MaxUint64
+		return false
 	}
+	e.now, e.cur = ev.at, ev.seq
+	e.pending--
+	e.fired++
+	fn := ev.fn
+	e.pool.put(ev) // recycle before dispatch: fn may schedule into this slot
+	fn()
+	return true
 }
 
 // Step executes the earliest pending event and reports whether one ran.

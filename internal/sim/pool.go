@@ -8,19 +8,22 @@ package sim
 // through an eventPool free list, so steady-state scheduling allocates
 // nothing and the scheduler's working set stays cache-resident.
 type event struct {
-	at         Time
-	seq        uint64
-	fn         func()
-	next       *event // next in the event's wheel bucket or on the free list
-	canceled   bool   // tombstoned by Engine.Cancel; discarded at dispatch
-	cancelable bool   // scheduled by AtCancelable: a Handle naming it may cancel it
+	at   Time
+	seq  uint64
+	fn   func()
+	next *event // next in the event's wheel bucket or on the free list
+	// prev is the event ahead of this one in its wheel bucket. Only
+	// Engine.Cancel reads it, and never for a bucket's head, whose prev
+	// may be stale.
+	prev       *event
+	cancelable bool // scheduled by AtCancelable: a Handle naming it may cancel it
 }
 
 // eventPool is a LIFO free list of event structs, linked through
 // event.next. The engine returns every popped event here after
-// dispatch, so after warm-up the pool is the only source of event
-// storage: get allocates only while the population of in-flight events
-// is still growing.
+// dispatch, and every canceled one at once, so after warm-up the pool
+// is the only source of event storage: get allocates only while the
+// population of in-flight events is still growing.
 type eventPool struct {
 	free *event
 }
@@ -39,8 +42,7 @@ func (p *eventPool) get() *event {
 // put recycles ev, dropping its callback so the pool never pins a dead
 // closure (and whatever simulation state it captured) in memory.
 func (p *eventPool) put(ev *event) {
-	ev.fn = nil
-	ev.canceled = false
+	ev.fn, ev.prev = nil, nil
 	ev.cancelable = false
 	ev.next, p.free = p.free, ev
 }

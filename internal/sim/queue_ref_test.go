@@ -88,11 +88,16 @@ type orderCheck struct {
 	cur uint64
 	// reserved holds the slots reserved and not yet inserted.
 	reserved []Slot
+	// queued lists the wheel's events not yet popped or canceled, and
+	// index holds each one's place in it, so a cancel can pick any.
+	queued []*event
+	index  map[*event]int
 	// seen records which regimes held an event at some point: each
 	// level's occupancy bitmap, then the spill list. ahead records
 	// where an insert at a reserved slot landed ahead of an event
-	// already queued at its instant.
-	seen, ahead [wheelLevels + 1]bool
+	// already queued at its instant, and canceled where a cancel
+	// unlinked an event.
+	seen, ahead, canceled [wheelLevels + 1]bool
 }
 
 // opSize is the bytes one operation takes from a stream: a control byte
@@ -102,13 +107,14 @@ const opSize = 9
 // run interprets ops, opSize bytes per operation (a short last one reads
 // its missing bytes as zero), then inserts every reserved slot that has
 // not passed and drains both queues. The control byte's low three bits
-// pick the operation: three of eight push; one pushes at the instant of
-// a reserved slot; one reserves a slot; one inserts an event at a
-// reserved slot, as Engine.AtSlot does, or drops the slot if it has
-// passed; one pops up to a bound; one pops unbounded. Its high bits
-// pick the regime of the push's or reservation's delay or of the
-// bound's distance from the clock, and the argument picks the value
-// within it, or which reserved slot the operation takes.
+// pick the operation: two of eight push; one cancels a queued event, as
+// Engine.Cancel does; one pushes at the instant of a reserved slot; one
+// reserves a slot; one inserts an event at a reserved slot, as
+// Engine.AtSlot does, or drops the slot if it has passed; one pops up
+// to a bound; one pops unbounded. Its high bits pick the regime of the
+// push's or reservation's delay or of the bound's distance from the
+// clock, and the argument picks the value within it, or which queued
+// event or reserved slot the operation takes.
 func (c *orderCheck) run(ops []byte) {
 	for len(ops) > 0 {
 		var op [opSize]byte
@@ -116,6 +122,10 @@ func (c *orderCheck) run(ops []byte) {
 		arg := binary.LittleEndian.Uint64(op[1:])
 		d := regimeDelay(int(op[0]>>3)%regimes, arg)
 		switch op[0] & 7 {
+		case 2:
+			if n := uint64(len(c.queued)); n > 0 {
+				c.cancel(c.queued[arg%n])
+			}
 		case 3:
 			if n := uint64(len(c.reserved)); n > 0 && c.reserved[arg%n].at >= c.now {
 				c.push(c.reserved[arg%n].at)
@@ -149,9 +159,42 @@ func (c *orderCheck) run(ops []byte) {
 }
 
 func (c *orderCheck) push(at Time) {
-	c.w.push(&event{at: at, seq: c.seq}, c.now)
+	ev := &event{at: at, seq: c.seq}
+	c.w.push(ev, c.now)
+	c.track(ev)
 	c.h.push(&event{at: at, seq: c.seq})
 	c.seq++
+}
+
+// track lists a wheel event as queued; untrack takes it off the list.
+func (c *orderCheck) track(ev *event) {
+	if c.index == nil {
+		c.index = make(map[*event]int)
+	}
+	c.index[ev] = len(c.queued)
+	c.queued = append(c.queued, ev)
+}
+
+func (c *orderCheck) untrack(ev *event) {
+	i, last := c.index[ev], c.queued[len(c.queued)-1]
+	c.queued[i], c.index[last] = last, i
+	c.queued = c.queued[:len(c.queued)-1]
+	delete(c.index, ev)
+}
+
+// cancel removes a queued event from both queues, noting the regime the
+// wheel unlinked it from.
+func (c *orderCheck) cancel(ev *event) {
+	c.canceled[c.w.levelOf(ev.at)] = true
+	c.w.remove(ev)
+	c.untrack(ev)
+	for i, he := range c.h.h {
+		if he.seq == ev.seq {
+			heap.Remove(&c.h.h, i)
+			return
+		}
+	}
+	c.t.Fatalf("canceled event (%d,%d) is not in the reference heap", ev.at, ev.seq)
 }
 
 // insert takes reserved slot i off the list and, unless it has passed,
@@ -166,6 +209,7 @@ func (c *orderCheck) insert(i int) {
 	}
 	ev := &event{at: s.at, seq: s.seq}
 	c.w.insert(ev, c.now)
+	c.track(ev)
 	c.h.push(&event{at: s.at, seq: s.seq})
 	l := c.w.levelOf(s.at)
 	next := ev.next
@@ -200,6 +244,7 @@ func (c *orderCheck) pop(bound Time, bounded bool) bool {
 	case we.at < c.now:
 		c.t.Fatalf("time rewound: popped %d after %d", we.at, c.now)
 	}
+	c.untrack(we)
 	c.now, c.cur = we.at, we.seq
 	return true
 }
@@ -214,13 +259,13 @@ func (c *orderCheck) observe() {
 }
 
 // TestWheelMatchesHeapOrder runs 16k random operations through the
-// timing wheel and the reference heap, interleaving pushes, reserved
-// slots and inserts at them with bounded and unbounded pops the way a
-// simulation does, then drains both. Every pop must agree on (at, seq).
-// Every wheel level and the spill list must have held events, and in
-// each of them an insert must have landed ahead of an event already
-// queued at its instant, so a geometry change cannot leave a regime
-// untested.
+// timing wheel and the reference heap, interleaving pushes, cancels,
+// reserved slots and inserts at them with bounded and unbounded pops
+// the way a simulation does, then drains both. Every pop must agree on
+// (at, seq). Every wheel level and the spill list must have held
+// events, and in each of them an insert must have landed ahead of an
+// event already queued at its instant and a cancel must have unlinked
+// one, so a geometry change cannot leave a regime untested.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	rng := NewRNG(1234)
 	ops := make([]byte, 16_000*opSize)
@@ -245,11 +290,20 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 	if !c.ahead[wheelLevels] {
 		t.Error("no insert at a reserved slot landed ahead of a queued same-instant event in the spill list")
 	}
+	for l, canceled := range c.canceled[:wheelLevels] {
+		if !canceled {
+			t.Errorf("no cancel unlinked an event from wheel level %d", l)
+		}
+	}
+	if !c.canceled[wheelLevels] {
+		t.Error("no cancel unlinked an event from the spill list")
+	}
 }
 
 // FuzzWheelOrder runs a fuzzer-chosen operation stream (see
 // orderCheck.run) through the wheel and the reference heap. The seed
-// corpus under testdata/fuzz/FuzzWheelOrder covers every regime.
+// corpus under testdata/fuzz/FuzzWheelOrder covers every regime, for
+// pushes, inserts at reserved slots and cancels alike.
 func FuzzWheelOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		(&orderCheck{t: t}).run(ops)

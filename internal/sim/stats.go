@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 func log2(v uint64) int {
@@ -209,32 +208,4 @@ func RestoreLatencyHist(sum, min, max int64, buckets []LatencyBucket) *LatencyHi
 func (h *LatencyHist) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g p50=%d p90=%d p99=%d p999=%d max=%d",
 		h.n, h.Mean(), h.Quantile(50), h.Quantile(90), h.Quantile(99), h.Quantile(99.9), h.Max())
-}
-
-// Scoreboard is a string-keyed set of counters used by components to
-// export ad-hoc metrics without new fields. The zero value is ready to
-// use.
-type Scoreboard struct {
-	m map[string]int64
-}
-
-// Add increments key by n.
-func (s *Scoreboard) Add(key string, n int64) {
-	if s.m == nil {
-		s.m = make(map[string]int64)
-	}
-	s.m[key] += n
-}
-
-// Get reports the value for key (0 when absent).
-func (s *Scoreboard) Get(key string) int64 { return s.m[key] }
-
-// Keys reports all keys in sorted order.
-func (s *Scoreboard) Keys() []string {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

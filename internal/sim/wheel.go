@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -90,8 +92,7 @@ func (w *wheel) push(ev *event, now Time) {
 		// Empty wheel: every window is stale, so re-anchor the clock at
 		// the engine's. Anchoring at now (not ev.at) keeps later pushes
 		// that land earlier than this event — but never earlier than
-		// now — inside valid windows, and it repairs the clock after
-		// trailing canceled events dragged it past now.
+		// now — inside valid windows.
 		w.vnow = now
 	}
 	w.n++
@@ -112,7 +113,7 @@ func (w *wheel) insert(ev *event, now Time) {
 			var prev *event
 			for next := b.head; next != nil; prev, next = next, next.next {
 				if next.at == ev.at && next.seq > ev.seq {
-					ev.next = next
+					ev.next, ev.prev, next.prev = next, prev, ev
 					if prev == nil {
 						b.head = ev
 					} else {
@@ -150,7 +151,7 @@ func (w *wheel) place(ev *event) {
 		if diff>>uint((l+1)*wheelBits) == 0 {
 			slot := digit(l, ev.at)
 			b := &w.level[l][slot]
-			ev.next = nil
+			ev.next, ev.prev = nil, b.tail
 			if b.tail == nil {
 				b.head = ev
 				w.occ[l][slot>>6] |= 1 << uint(slot&63)
@@ -163,6 +164,44 @@ func (w *wheel) place(ev *event) {
 		}
 	}
 	w.spillInsert(ev)
+}
+
+// remove unlinks a queued event: from its bucket, found as insert finds
+// it (an event at level l sits in the slot of its level-l digit, since
+// the clock never passes it uncascaded), or from the spill list. A
+// bucket's events are linked both ways through next and prev, except
+// that the head's prev may be stale, so the head is recognized by
+// position instead.
+func (w *wheel) remove(ev *event) {
+	w.n--
+	l := w.levelOf(ev.at)
+	if l == wheelLevels {
+		i, _ := slices.BinarySearchFunc(w.spill, ev, func(s, ev *event) int {
+			if c := cmp.Compare(s.at, ev.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(s.seq, ev.seq)
+		})
+		w.spill = slices.Delete(w.spill, i, i+1)
+		return
+	}
+	slot := digit(l, ev.at)
+	b := &w.level[l][slot]
+	if b.head == ev {
+		b.head = ev.next
+	} else {
+		ev.prev.next = ev.next
+	}
+	if b.tail == ev {
+		if b.head == nil {
+			b.tail = nil
+			w.vacate(l, slot)
+		} else {
+			b.tail = ev.prev
+		}
+	} else {
+		ev.next.prev = ev.prev
+	}
 }
 
 // vacate clears the occupancy bits of level l's slot once it is empty.

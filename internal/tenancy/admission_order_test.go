@@ -26,7 +26,7 @@ type orderRig struct {
 	name  string
 	plane core.Plane
 	app   *node.Node
-	stats *sim.Scoreboard
+	stats *monitor.Counters
 	eng   *sim.Engine
 	// units is the pool size in leases; preemptibleUnits how many the
 	// Preemptible budget admits.

@@ -46,16 +46,16 @@ func BenchmarkRDMARead(b *testing.B) {
 // BenchmarkCall measures one blocking RPC whose service replies at once.
 func BenchmarkCall(b *testing.B) {
 	r := newLineRig(b)
-	r.ep[1].HandleCall("echo", func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
+	r.ep[1].HandleCall(kindEcho, func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
 	a := r.ep[0]
-	benchOps(b, r, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, 0) })
+	benchOps(b, r, func(p *sim.Proc) { a.CallTimeout(p, 1, kindEcho, 8, nil, 0) })
 }
 
 // BenchmarkCallInline measures one blocking RPC served by an inline
 // handler, without a service proc.
 func BenchmarkCallInline(b *testing.B) {
 	r := newLineRig(b)
-	r.ep[1].HandleInline("echo", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
+	r.ep[1].HandleInline(kindEcho, func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
 	a := r.ep[0]
-	benchOps(b, r, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, 0) })
+	benchOps(b, r, func(p *sim.Proc) { a.CallTimeout(p, 1, kindEcho, 8, nil, 0) })
 }

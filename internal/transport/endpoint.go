@@ -8,10 +8,64 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
+
+// Kind names one RPC call kind. A kind is declared once, with NewKind,
+// which resolves its name to a small index: an endpoint keeps its
+// handlers in a slice by that index, so serving a call hashes nothing.
+// A Kind is one pointer, so a request's wire stays small. The zero Kind
+// names no call.
+type Kind struct{ decl *kindDecl }
+
+// kindDecl is one declared kind: its name and its handler index.
+type kindDecl struct {
+	name string
+	idx  int
+}
+
+// kinds holds every declared kind, by name.
+var kinds struct {
+	sync.Mutex
+	byName map[string]*kindDecl
+}
+
+// NewKind declares the call kind named name. Declaring a name again
+// returns the same kind. Declare each kind once, in a package-level
+// variable, and register and call it by that variable.
+func NewKind(name string) Kind {
+	kinds.Lock()
+	defer kinds.Unlock()
+	if kinds.byName == nil {
+		kinds.byName = make(map[string]*kindDecl)
+	}
+	d, ok := kinds.byName[name]
+	if !ok {
+		d = &kindDecl{name: name, idx: len(kinds.byName) + 1}
+		kinds.byName[name] = d
+	}
+	return Kind{d}
+}
+
+// String returns the kind's name, which names its service procs.
+func (k Kind) String() string {
+	if k.decl == nil {
+		return ""
+	}
+	return k.decl.name
+}
+
+// index is the kind's slot in an endpoint's handler table; the zero
+// Kind's is 0, which no declared kind takes.
+func (k Kind) index() int {
+	if k.decl == nil {
+		return 0
+	}
+	return k.decl.idx
+}
 
 // CallHandler services an RPC registered with HandleCall. It runs inside
 // a simulated process of its own, started where the request arrives, so
@@ -44,7 +98,7 @@ type Endpoint struct {
 	RDMA *RDMA
 
 	qpairs    map[int]*QPair
-	calls     map[string]callHandler
+	calls     []callHandler // by Kind index
 	pending   pendingTable[rpcCall]
 	callRecs  freeList[rpcCall]
 	serveRecs freeList[rpcService]
@@ -236,7 +290,7 @@ func (s *rpcService) reply(resp any, size int) {
 // used by the runtime layers (monitor, accelerator, NIC drivers).
 type rpcReq struct {
 	id   uint64
-	kind string
+	kind Kind
 	body any
 }
 
@@ -253,7 +307,6 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 		Net:    net,
 		ID:     id,
 		qpairs: make(map[int]*QPair),
-		calls:  make(map[string]callHandler),
 	}
 	ep.callRecs.fresh = func() *rpcCall {
 		c := &rpcCall{ep: ep, done: sim.NewCompletion(eng)}
@@ -289,15 +342,24 @@ func dropped(pkt *fabric.Packet) {
 // HandleCall registers an RPC service for a call kind, served in a proc
 // of its own. Registering a kind again replaces its handler, of either
 // type.
-func (ep *Endpoint) HandleCall(kind string, h CallHandler) { ep.calls[kind] = callHandler{call: h} }
+func (ep *Endpoint) HandleCall(kind Kind, h CallHandler) { ep.handle(kind, callHandler{call: h}) }
 
 // HandleInline registers an RPC service that cannot block for a call
 // kind. It is served without a proc, in the event a CallHandler's proc
 // would have started in, so every event it and its reply schedule keeps
 // its place in the firing order. Registering a kind again replaces its
 // handler, of either type.
-func (ep *Endpoint) HandleInline(kind string, h InlineHandler) {
-	ep.calls[kind] = callHandler{inline: h}
+func (ep *Endpoint) HandleInline(kind Kind, h InlineHandler) {
+	ep.handle(kind, callHandler{inline: h})
+}
+
+// handle files h as kind's handler, growing the table to reach it.
+func (ep *Endpoint) handle(kind Kind, h callHandler) {
+	i := kind.index()
+	if n := i + 1; n > len(ep.calls) {
+		ep.calls = append(ep.calls, make([]callHandler, n-len(ep.calls))...)
+	}
+	ep.calls[i] = h
 }
 
 // notice is a one-way notice on the wire: its delivery calls set(from,
@@ -326,7 +388,7 @@ func (ep *Endpoint) Notify(dst fabric.NodeID, kind string, size int, set func(fr
 // a late response is silently dropped; this is what lets the runtime
 // survive peers that crash while servicing a request. A timeout of zero
 // waits forever, which parks the caller for good if dst is dead.
-func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur) (any, bool) {
+func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind Kind, reqSize int, body any, timeout sim.Dur) (any, bool) {
 	call := ep.call(dst, kind, reqSize, body, timeout, nil)
 	p.Await(call.done)
 	return call.end()
@@ -338,13 +400,13 @@ func (ep *Endpoint) CallTimeout(p *sim.Proc, dst fabric.NodeID, kind string, req
 // have resumed, so every event keeps its (time, seq). done must not
 // block. A warm call allocates nothing when done is a value the caller
 // keeps, such as a method value bound once.
-func (ep *Endpoint) CallFunc(dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur, done func(resp any, ok bool)) {
+func (ep *Endpoint) CallFunc(dst fabric.NodeID, kind Kind, reqSize int, body any, timeout sim.Dur, done func(resp any, ok bool)) {
 	ep.call(dst, kind, reqSize, body, timeout, done)
 }
 
 // call sends a call's request and arms its watchdog: the start that
 // CallTimeout and CallFunc share.
-func (ep *Endpoint) call(dst fabric.NodeID, kind string, reqSize int, body any, timeout sim.Dur, then func(any, bool)) *rpcCall {
+func (ep *Endpoint) call(dst fabric.NodeID, kind Kind, reqSize int, body any, timeout sim.Dur, then func(any, bool)) *rpcCall {
 	c := ep.callRecs.get()
 	c.id = ep.pending.add(c)
 	c.done.Rearm()
@@ -408,8 +470,11 @@ func (ep *Endpoint) handleResp(m *rpcResp) {
 // by the call's kind, or, for an inline handler, in an event scheduled
 // exactly where that process's first resume would have been.
 func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
-	h, ok := ep.calls[req.kind]
-	if !ok {
+	var h callHandler
+	if i := req.kind.index(); i < len(ep.calls) {
+		h = ep.calls[i]
+	}
+	if h.call == nil && h.inline == nil {
 		panic(fmt.Sprintf("transport: node %v: no call handler %q", ep.ID, req.kind))
 	}
 	s := ep.serveRecs.get()
@@ -418,7 +483,7 @@ func (ep *Endpoint) handleRPC(pkt *fabric.Packet, req *rpcReq) {
 		ep.Eng.Schedule(0, s.runInline)
 		return
 	}
-	ep.Eng.Spawn(req.kind, s.run)
+	ep.Eng.Spawn(req.kind.String(), s.run)
 }
 
 // deliverQP routes an arriving QPair message to its local queue pair.

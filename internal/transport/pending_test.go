@@ -229,7 +229,7 @@ func TestStaleAnswerSkipsReusedSlot(t *testing.T) {
 	})
 	t.Run("rpc-reply-after-watchdog", func(t *testing.T) {
 		r := newLineRig(t)
-		r.ep[1].HandleCall("echo", func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+		r.ep[1].HandleCall(kindEcho, func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			p.Sleep(10 * sim.Microsecond)
 			return req, 8
 		})
@@ -244,12 +244,12 @@ func TestStaleAnswerSkipsReusedSlot(t *testing.T) {
 		})
 		r.eng.Go("caller", func(p *sim.Proc) {
 			r.eng.Schedule(0, func() { s.stale = onlyID(&a.pending) })
-			if _, ok := a.CallTimeout(p, 1, "echo", 8, "first", 5*sim.Microsecond); ok {
+			if _, ok := a.CallTimeout(p, 1, kindEcho, 8, "first", 5*sim.Microsecond); ok {
 				t.Error("first call answered; want a timeout")
 			}
 			got = append(got, p.Now())
 			r.eng.Schedule(0, func() { s.fresh = onlyID(&a.pending) })
-			if resp, ok := a.CallTimeout(p, 1, "echo", 8, "second", sim.Millisecond); !ok || resp != "second" {
+			if resp, ok := a.CallTimeout(p, 1, kindEcho, 8, "second", sim.Millisecond); !ok || resp != "second" {
 				t.Errorf("second call = (%v, %v), want (second, true)", resp, ok)
 			}
 			got = append(got, p.Now())

@@ -79,11 +79,11 @@ func (r *lineRig) lossyRun(tb testing.TB, ops []byte) []sim.Time {
 	}
 	r.ep[2].CRMA.Export(0, win2, winSize, newBase)
 	for i, ep := range r.ep[1:] {
-		ep.HandleCall("echo", func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+		ep.HandleCall(kindEcho, func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			p.Sleep(sim.Dur(i+1) * sim.Microsecond)
 			return req, 64
 		})
-		ep.HandleInline("echo-inline", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
+		ep.HandleInline(kindEchoInline, func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
 	}
 	a := r.ep[0]
 	var procs [4][]byte
@@ -100,7 +100,7 @@ func (r *lineRig) lossyRun(tb testing.TB, ops []byte) []sim.Time {
 				donor := fabric.NodeID(1 + op&1)
 				base := winBase + uint64(donor-1)*winSize
 				chunks := 1 + int(op>>4)
-				kind := "echo"
+				kind := kindEcho
 				switch op >> 1 & 7 {
 				case 0:
 					a.CRMA.Fill(p, base+64*uint64(op>>4), 64)
@@ -113,7 +113,7 @@ func (r *lineRig) lossyRun(tb testing.TB, ops []byte) []sim.Time {
 				case 4:
 					a.RDMA.Write(p, donor, newBase, chunks*r.p.RDMAChunk)
 				case 7:
-					kind = "echo-inline"
+					kind = kindEchoInline
 					fallthrough
 				default:
 					if resp, ok := a.CallTimeout(p, donor, kind, 16, op, sim.Millisecond); ok && resp != op {
@@ -262,18 +262,18 @@ func TestTransportRecordReuse(t *testing.T) {
 			// response is dropped, and the second call returns its own.
 			name: "late-rpc-response",
 			run: func(t *testing.T, r *lineRig) []sim.Time {
-				r.ep[1].HandleCall("echo", func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+				r.ep[1].HandleCall(kindEcho, func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 					p.Sleep(10 * sim.Microsecond)
 					return req, 8
 				})
 				a := r.ep[0]
 				var got []sim.Time
 				r.eng.Go("caller", func(p *sim.Proc) {
-					if resp, ok := a.CallTimeout(p, 1, "echo", 8, "first", 5*sim.Microsecond); ok || resp != nil {
+					if resp, ok := a.CallTimeout(p, 1, kindEcho, 8, "first", 5*sim.Microsecond); ok || resp != nil {
 						t.Errorf("first call = (%v, %v), want a timeout", resp, ok)
 					}
 					got = append(got, p.Now())
-					if resp, ok := a.CallTimeout(p, 1, "echo", 8, "second", sim.Millisecond); !ok || resp != "second" {
+					if resp, ok := a.CallTimeout(p, 1, kindEcho, 8, "second", sim.Millisecond); !ok || resp != "second" {
 						t.Errorf("second call = (%v, %v), want (second, true)", resp, ok)
 					}
 					got = append(got, p.Now())
@@ -384,8 +384,8 @@ func TestTransportRecordReuse(t *testing.T) {
 func TestTransportSteadyStateAllocs(t *testing.T) {
 	r := newLineRig(t)
 	r.mapWindow(t)
-	r.ep[1].HandleCall("echo", func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
-	r.ep[1].HandleInline("echo-inline", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
+	r.ep[1].HandleCall(kindEcho, func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
+	r.ep[1].HandleInline(kindEchoInline, func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
 	a := r.ep[0]
 	const k = 4
 	bulk := k * r.p.RDMAChunk
@@ -406,9 +406,9 @@ func TestTransportSteadyStateAllocs(t *testing.T) {
 		}},
 		{"rdma-read", 0, func(p *sim.Proc) { a.RDMA.Read(p, 1, oldBase, bulk) }},
 		{"rdma-write", 0, func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, bulk) }},
-		{"call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, 0) }},
-		{"call-timeout", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 8, nil, sim.Millisecond) }},
-		{"inline-call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, "echo-inline", 8, nil, 0) }},
+		{"call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, kindEcho, 8, nil, 0) }},
+		{"call-timeout", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, kindEcho, 8, nil, sim.Millisecond) }},
+		{"inline-call", 0, func(p *sim.Proc) { a.CallTimeout(p, 1, kindEchoInline, 8, nil, 0) }},
 		{"notify", 0, func(p *sim.Proc) {
 			mine.Rearm()
 			a.Notify(1, "notice", 8, set, 7)
@@ -495,7 +495,7 @@ func TestHeldWiresAreNotReused(t *testing.T) {
 		if held {
 			r.p.ReplayTO = 0
 		}
-		r.ep[1].HandleCall("echo", func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
+		r.ep[1].HandleCall(kindEcho, func(_ *sim.Proc, _ fabric.NodeID, req any) (any, int) { return req, 8 })
 		a := r.ep[0]
 		qa, qb := ConnectQPair(a, r.ep[1], QPairConfig{})
 		noticed := sim.NewCompletion(r.eng)
@@ -504,7 +504,7 @@ func TestHeldWiresAreNotReused(t *testing.T) {
 				a.CRMA.Fill(p, winBase, 64)
 				a.CRMA.Write(p, winBase, 64)
 				a.RDMA.Read(p, 1, oldBase, 2*r.p.RDMAChunk)
-				a.CallTimeout(p, 1, "echo", 8, nil, 0)
+				a.CallTimeout(p, 1, kindEcho, 8, nil, 0)
 				qa.SendHW(p, 64, nil)
 				qb.RecvHW(p)
 				noticed.Rearm()
@@ -559,7 +559,7 @@ func serviceSlotLog(t *testing.T, register func(ep *Endpoint, h InlineHandler)) 
 		})
 	})
 	r.eng.Go("caller", func(p *sim.Proc) {
-		if resp, _ := r.ep[0].CallTimeout(p, 1, "probe", 8, "ping", 0); resp != "ping" {
+		if resp, _ := r.ep[0].CallTimeout(p, 1, kindProbe, 8, "ping", 0); resp != "ping" {
 			t.Errorf("call answered %v, want ping", resp)
 		}
 		note("reply")
@@ -587,9 +587,9 @@ func TestInlineHandlerKeepsServiceSlot(t *testing.T) {
 		register func(ep *Endpoint, h InlineHandler)
 	}{
 		{"proc", func(ep *Endpoint, h InlineHandler) {
-			ep.HandleCall("probe", func(_ *sim.Proc, from fabric.NodeID, req any) (any, int) { return h(from, req) })
+			ep.HandleCall(kindProbe, func(_ *sim.Proc, from fabric.NodeID, req any) (any, int) { return h(from, req) })
 		}},
-		{"inline", func(ep *Endpoint, h InlineHandler) { ep.HandleInline("probe", h) }},
+		{"inline", func(ep *Endpoint, h InlineHandler) { ep.HandleInline(kindProbe, h) }},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if got := serviceSlotLog(t, row.register); !slices.Equal(got, want) {
@@ -608,13 +608,13 @@ func TestInlineHandlerKeepsServiceSlot(t *testing.T) {
 func TestCallFuncKeepsResumeSlot(t *testing.T) {
 	echo := func(_ fabric.NodeID, req any) (any, int) { return req, 8 }
 	for _, tc := range []callSlotCase{
-		{"reply-wins", sim.Millisecond, func(r *lineRig, _ func(string)) { r.ep[1].HandleInline("probe", echo) }, "ping true"},
+		{"reply-wins", sim.Millisecond, func(r *lineRig, _ func(string)) { r.ep[1].HandleInline(kindProbe, echo) }, "ping true"},
 		{"timeout-wins", 5 * sim.Microsecond, func(r *lineRig, _ func(string)) {
-			r.ep[1].HandleInline("probe", echo)
+			r.ep[1].HandleInline(kindProbe, echo)
 			r.ep[0].Net.SetLinkDown(0, 1, true)
 		}, "<nil> false"},
 		{"late-reply", 5 * sim.Microsecond, func(r *lineRig, note func(string)) {
-			r.ep[1].HandleCall("probe", func(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+			r.ep[1].HandleCall(kindProbe, func(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 				p.Sleep(10 * sim.Microsecond)
 				note("replied")
 				return echo(from, req)
@@ -676,9 +676,9 @@ func callSlotLog(t *testing.T, tc callSlotCase, byFunc bool, wakeAt sim.Time) ([
 		})
 	}
 	if byFunc {
-		r.eng.Schedule(0, func() { r.ep[0].CallFunc(1, "probe", 8, "ping", tc.timeout, done) })
+		r.eng.Schedule(0, func() { r.ep[0].CallFunc(1, kindProbe, 8, "ping", tc.timeout, done) })
 	} else {
-		r.eng.Go("caller", func(p *sim.Proc) { done(r.ep[0].CallTimeout(p, 1, "probe", 8, "ping", tc.timeout)) })
+		r.eng.Go("caller", func(p *sim.Proc) { done(r.ep[0].CallTimeout(p, 1, kindProbe, 8, "ping", tc.timeout)) })
 	}
 	r.eng.Run()
 	if n := r.ep[0].pending.len(); n != 0 {
@@ -703,11 +703,11 @@ func (w *wire[M]) onList() bool { return w.idle }
 // back twice panics.
 func TestDroppedWiresGoBack(t *testing.T) {
 	r := newLineRig(t)
-	r.ep[1].HandleInline("echo", func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
+	r.ep[1].HandleInline(kindEcho, func(_ fabric.NodeID, req any) (any, int) { return req, 8 })
 	net := r.ep[0].Net
 	net.SetNodeDown(1, true)
 	r.eng.Go("call", func(p *sim.Proc) {
-		if _, ok := r.ep[0].CallTimeout(p, 1, "echo", 8, nil, 10*sim.Microsecond); ok {
+		if _, ok := r.ep[0].CallTimeout(p, 1, kindEcho, 8, nil, 10*sim.Microsecond); ok {
 			t.Error("a call into a crashed node was answered")
 		}
 	})
@@ -724,7 +724,7 @@ func TestDroppedWiresGoBack(t *testing.T) {
 	}
 	r.ep[2].CRMA.Export(0, win2, winSize, newBase)
 	for _, ep := range r.ep[1:] {
-		ep.HandleCall("echo", func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
+		ep.HandleCall(kindEcho, func(p *sim.Proc, _ fabric.NodeID, req any) (any, int) {
 			p.Sleep(5 * sim.Microsecond)
 			return req, 64
 		})
@@ -749,8 +749,8 @@ func TestDroppedWiresGoBack(t *testing.T) {
 		func(p *sim.Proc) { a.CRMA.Fill(p, win2, 64) },
 		func(p *sim.Proc) { a.RDMA.Read(p, 2, newBase, 2*r.p.RDMAChunk) },
 		func(p *sim.Proc) { a.RDMA.Write(p, 1, oldBase, 2*r.p.RDMAChunk) },
-		func(p *sim.Proc) { a.CallTimeout(p, 1, "echo", 16, nil, 20*sim.Microsecond) },
-		func(p *sim.Proc) { a.CallTimeout(p, 2, "echo", 16, nil, 20*sim.Microsecond) },
+		func(p *sim.Proc) { a.CallTimeout(p, 1, kindEcho, 16, nil, 20*sim.Microsecond) },
+		func(p *sim.Proc) { a.CallTimeout(p, 2, kindEcho, 16, nil, 20*sim.Microsecond) },
 	}
 	for _, op := range ops {
 		r.eng.Go("ops", func(p *sim.Proc) {

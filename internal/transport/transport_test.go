@@ -1,10 +1,18 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+)
+
+// The call kinds the tests serve.
+var (
+	kindEcho       = NewKind("echo")
+	kindEchoInline = NewKind("echo-inline")
+	kindProbe      = NewKind("probe")
 )
 
 // rig is a two-node test fixture: node 0 and node 1 directly connected.
@@ -371,17 +379,50 @@ func TestQPairReorderBuffer(t *testing.T) {
 
 func TestEndpointRPC(t *testing.T) {
 	r := newRig(t)
-	r.b.HandleCall("echo", func(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+	r.b.HandleCall(kindEcho, func(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 		p.Sleep(5 * sim.Microsecond) // service time
 		return req.(string) + "!", 64
 	})
 	var resp any
 	r.eng.Go("caller", func(p *sim.Proc) {
-		resp, _ = r.a.CallTimeout(p, 1, "echo", 64, "hi", 0)
+		resp, _ = r.a.CallTimeout(p, 1, kindEcho, 64, "hi", 0)
 	})
 	r.eng.Run()
 	if resp != "hi!" {
 		t.Fatalf("resp = %v", resp)
+	}
+}
+
+// TestCallKinds pins how kinds resolve: declaring a name again returns
+// the same kind, registering a kind again replaces its handler of either
+// type, and a call of a kind the receiver never registered panics with
+// the kind's name, whether or not its handler table reaches the kind.
+func TestCallKinds(t *testing.T) {
+	if NewKind("echo") != kindEcho || kindEcho == kindProbe || kindEcho.String() != "echo" {
+		t.Fatal("a name does not resolve to one kind")
+	}
+	r := newRig(t)
+	r.b.HandleCall(kindEcho, func(*sim.Proc, fabric.NodeID, any) (any, int) { return "proc", 8 })
+	r.b.HandleInline(kindEcho, func(fabric.NodeID, any) (any, int) { return "inline", 8 })
+	r.b.HandleInline(kindProbe, func(fabric.NodeID, any) (any, int) { return "probe", 8 })
+	var resp any
+	r.eng.Go("caller", func(p *sim.Proc) { resp, _ = r.a.CallTimeout(p, 1, kindEcho, 8, nil, 0) })
+	r.eng.Run()
+	if resp != "inline" {
+		t.Fatalf("re-registered kind answered %v, want the inline handler's", resp)
+	}
+	// kindEchoInline falls inside node 1's table, the new kind past it.
+	for _, k := range []Kind{kindEchoInline, NewKind("transport.test.unregistered")} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("transport: node %v: no call handler %q", r.b.ID, k.String())
+				if got := recover(); got != want {
+					t.Errorf("call of %v panicked with %v, want %q", k, got, want)
+				}
+			}()
+			r.eng.Go("caller", func(p *sim.Proc) { r.a.CallTimeout(p, 1, k, 8, nil, sim.Millisecond) })
+			r.eng.Run()
+		}()
 	}
 }
 
