@@ -13,9 +13,28 @@ import (
 // Flush first so lazily-accumulated local time is charged in order. The
 // hierarchy recycles its contexts, so one is valid only during the
 // backend call it is passed to.
+//
+// The context also holds the state of its access's MSHR loop (see
+// Hierarchy.advance), so the loop can run on in events while the
+// process is parked.
 type AccessCtx struct {
 	Proc  *sim.Proc
 	Flush func()
+
+	la      uint64 // the next line to access
+	lines   int    // lines not yet accessed, la's included
+	write   bool
+	multi   bool // the access spans more than one line
+	issued  int  // misses issued into the ring
+	awaited int  // misses awaited, oldest first
+	target  int  // the loop waits until awaited reaches it
+	// mshr is the ring of misses in flight, slot issued%len(mshr) next.
+	mshr []*sim.Completion
+	// sync is the backend of a missed line the process must serve itself
+	// with Access, at syncAt; nil when there is none.
+	sync   Backend
+	syncAt uint64
+	step   func() // runs the loop on in an event: bound once per context
 }
 
 // Backend services post-cache traffic for one address region. Access is
@@ -23,6 +42,10 @@ type AccessCtx struct {
 // page dirty tracking); Writeback receives evicted dirty lines. Returned
 // durations are charged lazily by the hierarchy; backends that block the
 // process directly return 0.
+//
+// Access runs in the process and may block it. Writeback must not block:
+// it returns a duration or posts the line and returns at once, because
+// the hierarchy may call it from an event while the process is parked.
 type Backend interface {
 	Access(ctx *AccessCtx, addr uint64, size int, write bool) sim.Dur
 	Writeback(ctx *AccessCtx, addr uint64, size int) sim.Dur
@@ -35,7 +58,8 @@ type Backend interface {
 // and awaited once, modeling the MSHRs a streaming core relies on.
 // AccessAsync issues one fill and completes done when it lands. done
 // is the hierarchy's, one of its MSHR completions, passed incomplete;
-// the backend only completes it.
+// the backend only completes it. Like Writeback, AccessAsync must not
+// block: the hierarchy may call it from an event.
 type AsyncBackend interface {
 	AccessAsync(ctx *AccessCtx, addr uint64, size int, done *sim.Completion)
 }

@@ -93,8 +93,16 @@ func (h *Hierarchy) Write(p *sim.Proc, addr uint64, size int) {
 }
 
 // access walks the lines covered by [addr, addr+size). Misses to
-// async-capable backends within one access are issued concurrently and
-// awaited together (memory-level parallelism).
+// async-capable backends within one access are issued concurrently, up
+// to MSHRs at a time, and awaited oldest first (memory-level
+// parallelism).
+//
+// The MSHR loop (advance) starts in the process. Where the core stalls,
+// it schedules its own step in the slot the process's wakeup used to
+// take, and the process parks; the steps run the loop on in events and
+// resume the process once, in the event where the loop ends or reaches
+// a miss the process must serve itself. An access that never stalls
+// never parks.
 func (h *Hierarchy) access(p *sim.Proc, addr uint64, size int, write bool) {
 	if size <= 0 {
 		panic(fmt.Sprintf("memsys: non-positive access size %d", size))
@@ -109,47 +117,79 @@ func (h *Hierarchy) access(p *sim.Proc, addr uint64, size int, write bool) {
 		h.maybeFlush(p)
 		return
 	}
-	line := uint64(h.P.CacheLine)
 	first := addr & h.lineMask
 	last := (addr + uint64(size) - 1) & h.lineMask
-	multi := first != last
-	mshrs := h.P.MSHRs
-	if mshrs < 1 {
-		mshrs = 1
+	ctx.la, ctx.lines = first, int((last-first)/uint64(h.P.CacheLine))+1
+	ctx.write, ctx.multi = write, first != last
+	ctx.issued, ctx.awaited, ctx.target = 0, 0, 0
+	mshrs := max(h.P.MSHRs, 1)
+	if cap(ctx.mshr) < mshrs {
+		ctx.mshr = make([]*sim.Completion, mshrs)
 	}
-	// The MSHRs: a ring of in-flight misses, awaited oldest first. Its
-	// slots live on this stack for every MSHR count up to 16; the
-	// hierarchy is shared by every process of its node, so it cannot
-	// hold them.
-	var slots [16]*sim.Completion
-	mshr := slots[:]
-	if mshrs > len(slots) {
-		mshr = make([]*sim.Completion, mshrs)
-	}
-	issued, awaited := 0, 0
-	for la := first; ; la += line {
-		if issued-awaited == mshrs {
-			// MSHRs full: the core stalls on the oldest miss.
-			h.Flush(p)
-			h.await(p, mshr[awaited%mshrs])
-			awaited++
+	ctx.mshr = ctx.mshr[:mshrs]
+	for {
+		if h.advance(ctx) {
+			// A step resumes p where the loop ends or hands it a line.
+			p.Park()
 		}
-		if c := h.accessLine(ctx, la, write, multi); c != nil {
-			mshr[issued%mshrs] = c
-			issued++
-		}
-		if la == last {
+		b := ctx.sync
+		if b == nil {
 			break
 		}
-	}
-	if awaited < issued {
-		h.Flush(p)
-		for ; awaited < issued; awaited++ {
-			h.await(p, mshr[awaited%mshrs])
-		}
+		ctx.sync = nil
+		h.lazy += b.Access(ctx, ctx.syncAt, h.P.CacheLine, write)
 	}
 	h.putContext(ctx)
 	h.maybeFlush(p)
+}
+
+// advance runs ctx's MSHR loop on from where it stands. It accesses the
+// lines in order, issuing async misses into the ring. Where the core
+// stalls — the MSHRs are full, or every line is done and misses are
+// still in flight — it charges the lazy local time, as Flush does, then
+// awaits the oldest miss, or in the drain every miss. It returns true
+// once it has scheduled ctx.step for a wait: after the lazy time, or on
+// the oldest miss's completion, where the process's wakeup from Sleep
+// or Await fired. It returns false when the access is done, or when the
+// line it just looked up is a miss the process must serve itself
+// (ctx.sync).
+func (h *Hierarchy) advance(ctx *AccessCtx) bool {
+	for {
+		for ctx.awaited < ctx.target {
+			c := ctx.mshr[ctx.awaited%len(ctx.mshr)]
+			if !c.Done() {
+				c.Then(ctx.step)
+				return true
+			}
+			h.mshrFree = append(h.mshrFree, c)
+			ctx.awaited++
+		}
+		switch {
+		case ctx.lines == 0:
+			if ctx.awaited == ctx.issued {
+				return false
+			}
+			// The drain: the core stalls until every miss lands.
+			ctx.target = ctx.issued
+		case ctx.issued-ctx.awaited == len(ctx.mshr):
+			// MSHRs full: the core stalls on the oldest miss.
+			ctx.target = ctx.awaited + 1
+		default:
+			la := ctx.la
+			ctx.la += uint64(h.P.CacheLine)
+			ctx.lines--
+			if b := h.accessLine(ctx, la); b != nil {
+				ctx.sync, ctx.syncAt = b, la
+				return false
+			}
+			continue
+		}
+		if d := h.lazy; d > 0 {
+			h.lazy = 0
+			h.Eng.Schedule(d, ctx.step)
+			return true
+		}
+	}
 }
 
 // context takes an access context for p off the free list.
@@ -158,6 +198,11 @@ func (h *Hierarchy) context(p *sim.Proc) *AccessCtx {
 	if n == 0 {
 		ctx := &AccessCtx{Proc: p}
 		ctx.Flush = func() { h.Flush(ctx.Proc) }
+		ctx.step = func() {
+			if !h.advance(ctx) {
+				ctx.Proc.Resume()
+			}
+		}
 		return ctx
 	}
 	ctx := h.ctxFree[n-1]
@@ -184,18 +229,14 @@ func (h *Hierarchy) mshr() *sim.Completion {
 	return c
 }
 
-// await blocks p until miss c lands, then puts c back on the free list.
-func (h *Hierarchy) await(p *sim.Proc, c *sim.Completion) {
-	p.Await(c)
-	h.mshrFree = append(h.mshrFree, c)
-}
-
-// accessLine performs the cache lookup and backend traffic for one line.
-// When overlap is true and the backend supports it, the miss is issued
-// asynchronously into a completion off the free list, returned for the
-// caller to await (await puts it back).
-func (h *Hierarchy) accessLine(ctx *AccessCtx, lineAddr uint64, write, overlap bool) *sim.Completion {
-	hit, victim, victimDirty := h.Cache.Access(lineAddr, write)
+// accessLine performs the cache lookup for one line of ctx's access.
+// A miss to an async-capable backend in a multi-line access is issued
+// into a completion off the free list, in the ring's next slot (advance
+// puts it back once awaited). accessLine returns the backend of any
+// other miss, which the process serves itself with Access, and nil
+// otherwise.
+func (h *Hierarchy) accessLine(ctx *AccessCtx, lineAddr uint64) Backend {
+	hit, victim, victimDirty := h.Cache.Access(lineAddr, ctx.write)
 	h.lazy += h.P.CacheHit
 	if hit {
 		return nil
@@ -207,15 +248,16 @@ func (h *Hierarchy) accessLine(ctx *AccessCtx, lineAddr uint64, write, overlap b
 	if !ok {
 		panic(fmt.Sprintf("memsys: access to unmapped address %#x", lineAddr))
 	}
-	if overlap {
+	if ctx.multi {
 		if ab, ok := r.Backend.(AsyncBackend); ok {
 			done := h.mshr()
 			ab.AccessAsync(ctx, lineAddr, h.P.CacheLine, done)
-			return done
+			ctx.mshr[ctx.issued%len(ctx.mshr)] = done
+			ctx.issued++
+			return nil
 		}
 	}
-	h.lazy += r.Backend.Access(ctx, lineAddr, h.P.CacheLine, write)
-	return nil
+	return r.Backend
 }
 
 // writeback pushes an evicted dirty line to its backend.

@@ -14,7 +14,7 @@ const remoteReadBytes = 2 << 10
 
 // remoteReadRig is a hierarchy whose only region is a 64 MiB CRMA
 // window onto the other node of a Pair. next walks the window 2 KiB at
-// a time, so every read misses all of its lines in the 256 KiB cache.
+// a time, so every access misses all of its lines in the 256 KiB cache.
 type remoteReadRig struct {
 	eng  *sim.Engine
 	h    *Hierarchy
@@ -22,11 +22,16 @@ type remoteReadRig struct {
 	off  uint64
 }
 
-func newRemoteReadRig(tb testing.TB) *remoteReadRig {
+// newRemoteReadRig builds the rig with mshrs MSHRs, or the default
+// count when mshrs is 0.
+func newRemoteReadRig(tb testing.TB, mshrs int) *remoteReadRig {
 	tb.Helper()
 	eng := sim.New()
 	tb.Cleanup(eng.Close)
 	p := sim.Default()
+	if mshrs > 0 {
+		p.MSHRs = mshrs
+	}
 	net := fabric.NewNetwork(eng, &p, fabric.Pair(), sim.NewRNG(1))
 	a := transport.NewEndpoint(eng, &p, net, 0)
 	b := transport.NewEndpoint(eng, &p, net, 1)
@@ -43,59 +48,98 @@ func newRemoteReadRig(tb testing.TB) *remoteReadRig {
 	return &remoteReadRig{eng: eng, h: h, crma: a.CRMA, off: winBase}
 }
 
-// read performs the next 2 KiB read and charges its local time.
-func (r *remoteReadRig) read(p *sim.Proc) {
-	r.h.Read(p, r.off, remoteReadBytes)
-	r.h.Flush(p)
+// next performs the next 2 KiB read, or write, and charges its local
+// time.
+func (r *remoteReadRig) next(p *sim.Proc, write bool) {
+	off := r.off
 	r.off += remoteReadBytes
 	if r.off == 0x1_0000_0000+64<<20 {
 		r.off = 0x1_0000_0000
 	}
+	if write {
+		r.h.Write(p, off, remoteReadBytes)
+	} else {
+		r.h.Read(p, off, remoteReadBytes)
+	}
+	r.h.Flush(p)
 }
 
-// TestRemoteReadSteadyStateAllocs gates a warm 2 KiB read that misses
-// all 32 lines: it allocates nothing. Each fill completes one of the
-// hierarchy's recycled MSHR completions, both its packets go back to
-// their senders' lists, and the access context comes off the
-// hierarchy's free list with its flush closure bound. Each run reads
-// from a fresh proc, whose own Go completion is not counted.
+// remoteReadRows are the 2 KiB accesses the allocation gate and
+// BenchmarkRemoteRead run: perfbench spine-read's read with the default
+// MSHRs, the same with 16, a write whose 32 victims are dirty (each
+// writeback posted over CRMA), and two procs each reading at once
+// through one hierarchy.
+var remoteReadRows = []struct {
+	name  string
+	mshrs int
+	write bool
+	procs int
+}{
+	{"read", 0, false, 1},
+	{"mshr16", 16, false, 1},
+	{"dirty-write", 0, true, 1},
+	{"two-procs", 0, false, 2},
+}
+
+// TestRemoteReadSteadyStateAllocs gates a warm 2 KiB access that misses
+// all 32 lines: it allocates nothing, in every row. Each fill completes
+// one of the hierarchy's recycled MSHR completions, both its packets go
+// back to their senders' lists, and the access context comes off the
+// hierarchy's free list with its flush closure, its event-chain step
+// and its MSHR ring. Each run makes its accesses from fresh detached
+// procs.
 func TestRemoteReadSteadyStateAllocs(t *testing.T) {
-	r := newRemoteReadRig(t)
-	read := r.read
-	run := func() {
-		r.eng.Go("cpu", read)
-		r.eng.Run()
-	}
-	for i := 0; i < 3000; i++ {
-		run()
-	}
-	fills := r.crma.Stats.Fills
-	const runs = 200
-	got := testing.AllocsPerRun(runs, run) - 1
-	if n := r.crma.Stats.Fills - fills; n != 32*(runs+1) {
-		t.Fatalf("%d fills over %d reads, want 32 each", n, runs+1)
-	}
-	if got > 0 {
-		t.Fatalf("steady-state 2 KiB remote read allocates %.2f/op, want 0", got)
+	for _, row := range remoteReadRows {
+		t.Run(row.name, func(t *testing.T) {
+			r := newRemoteReadRig(t, row.mshrs)
+			access := func(p *sim.Proc) { r.next(p, row.write) }
+			run := func() {
+				for range row.procs {
+					r.eng.Spawn("cpu", access)
+				}
+				r.eng.Run()
+			}
+			for i := 0; i < 3000; i++ {
+				run()
+			}
+			fills, victims := r.crma.Stats.Fills, r.h.Cache.Stats.Writebacks
+			const runs = 200
+			got := testing.AllocsPerRun(runs, run)
+			if n, want := r.crma.Stats.Fills-fills, int64(32*row.procs*(runs+1)); n != want {
+				t.Fatalf("%d fills over %d runs, want %d", n, runs+1, want)
+			}
+			if n := r.h.Cache.Stats.Writebacks - victims; row.write && n != 32*(runs+1) {
+				t.Fatalf("%d dirty victims over %d writes, want 32 each", n, runs+1)
+			}
+			if got > 0 {
+				t.Fatalf("steady-state 2 KiB remote %s allocates %.2f/op, want 0", row.name, got)
+			}
+		})
 	}
 }
 
-// BenchmarkRemoteRead measures one 2 KiB read over a CRMA window that
-// misses every line, the request of perfbench's spine-read workload.
+// BenchmarkRemoteRead measures a 2 KiB access over a CRMA window that
+// misses every line, the request of perfbench's spine-read workload, in
+// each of remoteReadRows; in the two-procs row one op is both procs'
+// reads.
 func BenchmarkRemoteRead(b *testing.B) {
-	r := newRemoteReadRig(b)
-	r.eng.Go("warm", func(p *sim.Proc) {
-		for i := 0; i < 1000; i++ {
-			r.read(p)
-		}
-	})
-	r.eng.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	r.eng.Go("bench", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			r.read(p)
-		}
-	})
-	r.eng.Run()
+	for _, row := range remoteReadRows {
+		b.Run(row.name, func(b *testing.B) {
+			r := newRemoteReadRig(b, row.mshrs)
+			loop := func(n int) {
+				for range row.procs {
+					r.eng.Spawn("cpu", func(p *sim.Proc) {
+						for i := 0; i < n; i++ {
+							r.next(p, row.write)
+						}
+					})
+				}
+				r.eng.Run()
+			}
+			loop(1000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			loop(b.N)
+		})
+	}
 }

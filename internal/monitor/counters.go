@@ -59,6 +59,7 @@ const (
 	statAllocAccelerator
 	statAllocNIC
 	statAllocUnknown
+	statAllocMalformed
 	statAllocFailures
 	statAllocDeadSkips
 	statAllocGrantTimeouts
@@ -169,6 +170,7 @@ var counterNames = [numCounters]string{
 	statAllocAccelerator:     "alloc.accelerator",
 	statAllocNIC:             "alloc.nic",
 	statAllocUnknown:         "alloc.unknown",
+	statAllocMalformed:       "alloc.malformed",
 	statAllocFailures:        "alloc.failures",
 	statAllocDeadSkips:       "alloc.dead_skips",
 	statAllocGrantTimeouts:   "alloc.grant_timeouts",

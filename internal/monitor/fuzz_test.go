@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"encoding/binary"
+	"maps"
 	"testing"
 
 	"repro/internal/fabric"
@@ -51,17 +52,42 @@ func hostileReq(op []byte) AllocReq {
 // one, else the 32-bit id in op[3:7], so frees repeat and name unknown
 // ids. Each recipient sends its requests in order, so the two
 // interleave at the MN, then frees every id it was granted.
-// Every call must be answered and nothing may panic; at the end the RAT
-// must be empty and each donor's count of units on loan must match it.
+// Every call must be answered and nothing may panic; a memory request
+// of no bytes or of bytes that are not whole pages must leave every RRT
+// row's idle bytes as they were; at the end the RAT must be empty and
+// each donor's count of units on loan must match it.
 // The seed corpus under testdata/fuzz/FuzzAllocRequest covers every
-// resource, amount, scope and class regime, and unknown and repeated
-// frees; plain go test replays it.
+// resource, amount, scope and class regime, malformed memory requests
+// followed by a valid one, and unknown and repeated frees; plain go
+// test replays it.
 func FuzzAllocRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		c := newCluster(t, 64<<20)
 		c.agents[2].Devices[DevAccelerator] = 2
 		c.agents[6].Devices[DevNIC] = 1
 		c.mn.Admission = tenancy.Default()
+		c.nodes[0].EP.HandleCall(kindAlloc, func(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
+			r := &req.(*AllocCall).Req
+			if r.Res != Memory || r.Size != 0 && r.Size%uint64(c.p.PageBytes) == 0 {
+				return c.mn.onAlloc(p, from, req)
+			}
+			idle := func() map[fabric.NodeID]uint64 {
+				m := map[fabric.NodeID]uint64{}
+				for id, row := range c.mn.rrt {
+					m[id] = row.IdleBytes
+				}
+				return m
+			}
+			before, declined := idle(), c.mn.Stats.Get("alloc.malformed")
+			resp, n := c.mn.onAlloc(p, from, req)
+			if after := idle(); !maps.Equal(after, before) {
+				t.Errorf("node %v's malformed request for %d bytes moved the RRT's idle bytes from %v to %v", from, r.Size, before, after)
+			}
+			if got := c.mn.Stats.Get("alloc.malformed"); got != declined+1 {
+				t.Errorf("alloc.malformed went from %d to %d over a malformed request", declined, got)
+			}
+			return resp, n
+		})
 		c.eng.RunFor(10 * sim.Millisecond) // every agent has beaten
 		var script [2][][]byte
 		for n := 0; len(ops) > 0 && n < maxReqOps; n++ {

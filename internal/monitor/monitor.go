@@ -537,7 +537,9 @@ func (l *freeList[T]) get() *T {
 
 func (l *freeList[T]) put(r *T) { l.free = append(l.free, r) }
 
-// onAlloc services a request for an amount of one resource: admission
+// onAlloc services a request for an amount of one resource: a memory
+// request for no bytes or for bytes that are not whole pages is
+// declined at once; then admission
 // for class-tagged requests on a flat MN, the local donor walk first
 // (unless the scope hint forbids it), then — on a sub-MN — escalation
 // to the root MN when the rack is starved or the request asked for a
@@ -547,6 +549,15 @@ func (m *Monitor) onAlloc(p *sim.Proc, from fabric.NodeID, req any) (any, int) {
 	c := req.(*AllocCall)
 	r := &c.Req
 	wire := pick(r.Res, 64, 32)
+	// No donor hot-removes no bytes, or bytes that are not whole pages:
+	// each agent would decline, and the walk would take every donor's
+	// idle bytes for stale. Decline on arrival, before it can queue or
+	// preempt.
+	if r.Res == Memory && (r.Size == 0 || r.Size%uint64(m.EP.P.PageBytes) != 0) {
+		m.Stats.add(statAllocMalformed, 1)
+		c.Resp = AllocResp{}
+		return c, wire
+	}
 	// Tagged requests pass the admission controller first: it may admit
 	// the full amount, shrink it (degraded grant), hold the request for a
 	// bounded wait, preempt Preemptible leases for a higher class, or

@@ -44,6 +44,27 @@ func TestProcSleepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestProcParkResumeSteadyStateZeroAlloc gates Park and Resume: a proc
+// that parks with no wakeup and is resumed by a cached event callback,
+// the round trip of a memory access's event chain, must not allocate.
+func TestProcParkResumeSteadyStateZeroAlloc(t *testing.T) {
+	e := New()
+	defer e.Close()
+	e.Go("parker", func(p *Proc) {
+		resume := p.Resume
+		for {
+			e.Schedule(100, resume)
+			p.Park()
+		}
+	})
+	for i := 0; i < 10_000; i++ {
+		e.Step()
+	}
+	if allocs := testing.AllocsPerRun(20_000, func() { e.Step() }); allocs != 0 {
+		t.Fatalf("steady-state Park/Resume round trip allocates %.2f/op, want 0", allocs)
+	}
+}
+
 // TestProcSpawnSteadyStateAllocs gates the coroutine pool: once a
 // finished proc's coroutine waits idle, a start + one Sleep + finish
 // reuses it, its wakeup thunk and its Proc. Go's returned Completion is

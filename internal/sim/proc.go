@@ -1,6 +1,9 @@
 package sim
 
-import "iter"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: workload code that can block on virtual
 // time (Sleep), on completions, queues and semaphores, while the engine
@@ -20,6 +23,9 @@ type Proc struct {
 	name string
 	fn   func(p *Proc) // body of the current run; nil while idle
 	done *Completion   // completes when fn returns; nil if Spawn started it
+	// parked is set by Park and cleared by Resume: the process waits
+	// with no wakeup arranged, for an event to Resume it.
+	parked bool
 
 	// The coroutine: next switches into it, yield (called inside it)
 	// switches back, and stop unwinds it.
@@ -112,6 +118,29 @@ func (p *Proc) park() {
 	if !p.yield(struct{}{}) {
 		panic(procStopped{})
 	}
+}
+
+// Park parks the calling process without arranging any wakeup: only a
+// Resume from an event callback ends the wait (or Close, which unwinds
+// the process). A process parks this way when it hands its work to a
+// chain of events that resumes it in the event where its last wakeup
+// would have fired.
+func (p *Proc) Park() {
+	p.parked = true
+	p.park()
+}
+
+// Resume switches into p, which Park parked, and returns once p parks
+// again or finishes. It must be called from an event callback: p then
+// runs inside that event's dispatch exactly as if the event had been its
+// wakeup. Resume panics on a process that Park did not park: one that is
+// running, sleeping, awaiting, waiting in a queue, or finished.
+func (p *Proc) Resume() {
+	if !p.parked {
+		panic(fmt.Sprintf("sim: resuming process %q, which Park did not park", p.name))
+	}
+	p.parked = false
+	p.Eng.resume(p)
 }
 
 // unparkAfter schedules this process to resume d from now. The cached
