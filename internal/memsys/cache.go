@@ -29,11 +29,15 @@ type cacheLine struct {
 
 // Cache is a set-associative, write-back, write-allocate cache with LRU
 // replacement over 64-byte (configurable) lines.
+//
+// Its lines are built on the first Access: until then sets is nil, which
+// reads exactly as an all-invalid array does, so a node that never reads
+// through its cache (a donor serves remote lines from DRAM) holds none.
 type Cache struct {
 	lineBits uint
 	setMask  uint64
 	ways     int
-	sets     []cacheLine // sets*ways, flattened
+	sets     []cacheLine // sets*ways, flattened; nil until the first Access
 	valid    int         // lines with valid set
 	useClock uint64
 
@@ -59,7 +63,6 @@ func NewCache(p *sim.Params) *Cache {
 		lineBits: lineBits,
 		setMask:  uint64(nsets - 1),
 		ways:     p.CacheWays,
-		sets:     make([]cacheLine, nsets*p.CacheWays),
 	}
 }
 
@@ -67,12 +70,15 @@ func NewCache(p *sim.Params) *Cache {
 func (c *Cache) LineSize() int { return 1 << c.lineBits }
 
 // Sets reports the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) / c.ways }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Access looks up the line containing addr, allocating it on a miss.
 // It reports whether the access hit, and on a miss the evicted victim
 // line address and whether that victim was dirty (needing writeback).
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victimDirty bool) {
+	if c.sets == nil {
+		c.sets = make([]cacheLine, c.Sets()*c.ways)
+	}
 	c.useClock++
 	tag := addr >> c.lineBits
 	set := int(tag & c.setMask)
@@ -113,6 +119,9 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 // Contains reports whether the line holding addr is currently cached,
 // without touching LRU state (for tests and invariants).
 func (c *Cache) Contains(addr uint64) bool {
+	if c.sets == nil {
+		return false
+	}
 	tag := addr >> c.lineBits
 	set := int(tag & c.setMask)
 	base := set * c.ways
@@ -125,8 +134,9 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // InvalidateAll drops every line (e.g. after a region is unmapped).
-// Dirty lines are counted as writebacks. On a cache with no valid line
-// it returns at once: an invalid line's other fields are never read.
+// Dirty lines are counted as writebacks. On a cache with no valid line,
+// an untouched one included, it returns at once: an invalid line's other
+// fields are never read.
 func (c *Cache) InvalidateAll() {
 	if c.valid == 0 {
 		return

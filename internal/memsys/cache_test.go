@@ -119,6 +119,8 @@ func TestCacheInvalidateAll(t *testing.T) {
 		{"dirty line written back", []int64{-0x40, 0x80, 0}, []uint64{0x40, 0x80}, 1},
 		{"second call adds no writebacks", []int64{-0x40, 0x80, 0, 0}, []uint64{0x40, 0x80}, 1},
 		{"empty cache", []int64{0}, nil, 0},
+		{"untouched cache holds no line", nil, []uint64{0, 0x40, 0x80}, 0},
+		{"untouched cache invalidated twice", []int64{0, 0}, []uint64{0, 0x40}, 0},
 		{"line filled after an invalidation is dropped", []int64{-0x40, 0, -0xc0, 0}, []uint64{0x40, 0xc0}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,6 +145,28 @@ func TestCacheInvalidateAll(t *testing.T) {
 				t.Errorf("writebacks = %d, want %d", c.Stats.Writebacks, tc.writebacks)
 			}
 		})
+	}
+}
+
+// TestCacheLinesBuiltOnFirstAccess: a cache holds no line storage until
+// its first Access, yet reports its geometry from the start, and the
+// first Access builds every line.
+func TestCacheLinesBuiltOnFirstAccess(t *testing.T) {
+	p := smallCacheParams()
+	c := NewCache(&p)
+	if c.sets != nil {
+		t.Fatalf("a new cache holds %d lines, want none", len(c.sets))
+	}
+	c.InvalidateAll()
+	if c.Contains(0) || c.sets != nil {
+		t.Fatal("Contains or InvalidateAll built an untouched cache's lines")
+	}
+	if got, want := c.Sets(), 128/4; got != want {
+		t.Fatalf("Sets() = %d, want %d", got, want)
+	}
+	c.Access(0x40, false)
+	if got, want := len(c.sets), 128; got != want {
+		t.Fatalf("the first Access built %d lines, want %d", got, want)
 	}
 }
 

@@ -141,11 +141,12 @@ func (a *Agent) Crash() { a.crashed = true }
 // and the OS memory map reset (donations and leases do not survive a
 // power cycle), the incarnation counter ticks so the MN learns about the
 // reboot even if the outage was shorter than its heartbeat timeout, and
-// beating resumes.
+// beating resumes. Only the agent reads its export and spare maps, so
+// they are cleared in place.
 func (a *Agent) Restart() {
 	a.incarnation++
-	a.exports = make(map[windowKey]*transport.RAMTEntry)
-	a.spares = make(map[uint64]uint64) // parked spares die with the power cycle
+	clear(a.exports)
+	clear(a.spares) // parked spares die with the power cycle
 	a.EP.CRMA.Reset()
 	a.MemMgr.Reboot()
 	a.crashed = false
@@ -162,8 +163,9 @@ func (a *Agent) Mute(muted bool) { a.muted = muted }
 // It refills the report the last beat sent once the MN has folded it:
 // the fold copies what the MN keeps, and the fabric delivers a packet at
 // most once, so nothing reads the report again. An acked beat was
-// folded before its ack left; a beat whose wait timed out may still be
-// in flight, or lost, and then the next beat takes a fresh report.
+// folded before its ack left, and one a crashed switch dropped is marked
+// the same way (Heartbeat.Unread); a beat whose wait timed out may still
+// be in flight, and then the next beat takes a fresh report.
 func (a *Agent) beat() {
 	hb := a.report
 	if hb == nil || !hb.folded {

@@ -186,6 +186,7 @@ type Monitor struct {
 	// recovery loop state.
 	recoveryOn bool
 	sweepIDs   []fabric.NodeID // the sweep's id buffer, between passes
+	recoverIDs []int           // recoverNode's row-id buffer, between recoveries
 	// out parks the control messages whose delivery was lost (outbox.go):
 	// hot-returns owed to donors, among them the regions of donors
 	// falsely declared dead, relocates and revokes owed to recipients,

@@ -377,12 +377,20 @@ func agentSlotLog(t *testing.T, run func(eng *sim.Engine, a *Agent)) {
 // beat times out, the MN folds its report, and the next beat refills
 // that report instead of taking a fresh one.
 func TestHeartbeatSteadyStateAllocs(t *testing.T) {
+	// Each row measures one agent's beats: acked and late count the
+	// beats the MN folds, dropped counts node 7's lost beats, which the
+	// crashed first hop of its route to the MN drops.
 	for _, row := range []struct {
 		name     string
 		late     bool
+		dropped  bool
 		window   sim.Dur
 		minBeats int64
-	}{{"acked", false, 20 * sim.Millisecond, 1000}, {"late", true, 200 * sim.Millisecond, 900}} {
+	}{
+		{"acked", false, false, 20 * sim.Millisecond, 1000},
+		{"late", true, false, 200 * sim.Millisecond, 900},
+		{"dropped", false, true, 200 * sim.Millisecond, 900},
+	} {
 		t.Run(row.name, func(t *testing.T) {
 			c := newCluster(t, 1<<30)
 			c.agents[2].Devices[DevAccelerator] = 2
@@ -400,15 +408,25 @@ func TestHeartbeatSteadyStateAllocs(t *testing.T) {
 				// 100 µs, and the next leaves 200 µs after it.
 				c.net.Link(1, 0).SetGbps(0.0055)
 			}
+			lossy := c.agents[1]
+			if row.dropped {
+				lossy = c.agents[7]
+				hop := c.net.Topo.NextHop(7, 0)
+				c.agents[hop].Crash()
+				c.net.SetNodeDown(hop, true)
+			}
 			c.eng.RunFor(20 * sim.Millisecond)
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var before, after runtime.MemStats
-			beats, lost := c.mn.Stats.Get("heartbeats"), c.agents[1].Stats.Get("beats.lost")
+			beats, lost := c.mn.Stats.Get("heartbeats"), lossy.Stats.Get("beats.lost")
 			runtime.ReadMemStats(&before)
 			c.eng.RunFor(row.window)
 			runtime.ReadMemStats(&after)
 			beats = c.mn.Stats.Get("heartbeats") - beats
-			lost = c.agents[1].Stats.Get("beats.lost") - lost
+			lost = lossy.Stats.Get("beats.lost") - lost
+			if row.dropped {
+				beats = lost
+			}
 			if beats < row.minBeats {
 				t.Fatalf("only %d beats in the window", beats)
 			}

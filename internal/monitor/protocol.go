@@ -173,10 +173,16 @@ type Heartbeat struct {
 	// the outage was shorter than the heartbeat timeout.
 	Incarnation int64
 
-	// folded marks a report the MN has folded into its tables: it reads
-	// it no more, and the agent may refill it.
+	// folded marks a report the MN has folded into its tables, or one a
+	// crashed node's switch dropped (Unread): nobody reads it any more,
+	// and the agent may refill it.
 	folded bool
 }
+
+// Unread marks a report whose beat a crashed node's switch dropped as
+// done with, as the MN's fold does, so the next beat refills it. The
+// transport's drop sink calls it.
+func (hb *Heartbeat) Unread() { hb.folded = true }
 
 // AllocScope is a placement hint on memory requests — the NUMA-style
 // policy knob the hierarchical plane adds. The zero value preserves the

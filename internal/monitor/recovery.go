@@ -126,8 +126,13 @@ func sortedKeys[T any](mp map[int]*T) []int {
 // failed node. rebooted distinguishes a node that came back with fresh
 // memory (nothing to return to it later) from one presumed dead (a
 // false positive still owes hot-returns if it reappears).
+//
+// The row-id list reuses the last recovery's buffer, which a recovery
+// holds while it runs, as sweep holds its own: one that starts while
+// another is blocked takes a buffer of its own.
 func (m *Monitor) recoverNode(p *sim.Proc, id fabric.NodeID, rebooted bool) {
-	ids := make([]int, 0, len(m.rat))
+	ids := m.recoverIDs[:0]
+	m.recoverIDs = nil
 	for aid := range m.rat {
 		ids = append(ids, aid)
 	}
@@ -144,6 +149,7 @@ func (m *Monitor) recoverNode(p *sim.Proc, id fabric.NodeID, rebooted bool) {
 			m.replace(p, a, replacement{rebooted: rebooted})
 		}
 	}
+	m.recoverIDs = ids
 }
 
 // incarnationOf reads a node's current reboot count from the RRT.

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -253,5 +254,51 @@ func TestHeartbeatLossFalsePositive(t *testing.T) {
 	}
 	if c.mn.Stats.Get("recover.orphan_returns") == 0 {
 		t.Fatal("no orphan return recorded")
+	}
+}
+
+// TestCrashRebootSteadyStateAllocs gates a node's crash and reboot and
+// the two recoveries they set off: the sweep's recovery of its death
+// and the recovery of its reboot. Node 6 holds and donates nothing, so
+// neither recovery re-places a row, yet each walks the RAT, which holds
+// node 1's lease. Each recovery's row-id list comes from the buffer the
+// MN keeps, and the reboot clears the agent's export and spare maps in
+// place, so a warm cycle allocates nothing.
+func TestCrashRebootSteadyStateAllocs(t *testing.T) {
+	c := newCluster(t, 1<<30)
+	c.mn.StartRecovery()
+	defer c.mn.StopRecovery()
+	c.eng.RunFor(sim.Second)
+	if resp := allocFrom(t, c, 1, 128<<20); resp.Donor == 6 {
+		t.Fatal("test premise broken: node 6 donates the lease")
+	}
+	cycle := func() {
+		c.agents[6].Crash()
+		c.net.SetNodeDown(6, true)
+		c.eng.RunFor(5 * sim.Second) // timeout (3 s) + sweep
+		c.agents[6].Restart()
+		c.net.SetNodeDown(6, false)
+		c.eng.RunFor(3 * sim.Second) // a beat + sweep
+	}
+	cycle()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 200
+	deaths, reboots := c.mn.Stats.Get("recover.deaths"), c.mn.Stats.Get("recover.reboot_recoveries")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	deaths = c.mn.Stats.Get("recover.deaths") - deaths
+	reboots = c.mn.Stats.Get("recover.reboot_recoveries") - reboots
+	if deaths != n || reboots != n {
+		t.Fatalf("test premise broken: %d deaths and %d reboot recoveries in %d cycles", deaths, reboots, n)
+	}
+	// Mallocs counts the whole process, and the engine's spill list and
+	// the RPC wire lists still grow to new peaks a few times over the
+	// window, so allow one allocation elsewhere per ten cycles.
+	if got := float64(after.Mallocs-before.Mallocs) / n; got > 0.1 {
+		t.Fatalf("a warm crash and reboot allocates %.3f objects, want 0", got)
 	}
 }

@@ -333,7 +333,16 @@ func NewEndpoint(eng *sim.Engine, p *sim.Params, net *fabric.Network, id fabric.
 // dropped is the network's drop sink: a packet a crashed node's switch
 // dropped never reaches deliver, so its wire goes back on its list
 // here, unless a link holds the packet for replay (see wire.release).
+// A switch drops a packet at most once and never delivers it, so a
+// dropped request that no link holds is never read: if its body has an
+// Unread method, dropped calls it, once, and the caller may reuse the
+// body.
 func dropped(pkt *fabric.Packet) {
+	if w, ok := pkt.Payload.(*wire[rpcReq]); ok && !pkt.Held() {
+		if b, ok := w.msg.body.(interface{ Unread() }); ok {
+			b.Unread()
+		}
+	}
 	if w, ok := pkt.Payload.(interface{ release() }); ok {
 		w.release()
 	}
