@@ -189,7 +189,8 @@ func newServer(heartbeat time.Duration) *server {
 // observability hooks wired in: the collector feeds the registry,
 // trace store, and SSE broadcaster from the plane's event stream, and
 // the engine-step throttle publishes state snapshots (at most one per
-// snapEvery of wall clock) plus optional pacing.
+// snapEvery of wall clock) plus optional pacing. A last snapshot once
+// the run ends publishes the finished run's state.
 func (s *server) runChurn(ctx context.Context, cfg serving.Config, snapEvery, pace time.Duration) error {
 	traces := obs.NewTraceStore(0)
 	s.traces.Store(traces)
@@ -237,6 +238,7 @@ func (s *server) runChurn(ctx context.Context, cfg serving.Config, snapEvery, pa
 	if err != nil {
 		return err
 	}
+	snap()
 	s.reg.Counter("venice_scenario_runs_total", "", nil).Inc()
 	s.reg.Gauge("venice_last_goodput_rps", "Last run's goodput (completions within SLO per second).", nil).Set(res.GoodputRPS)
 	s.reg.Gauge("venice_last_recoveries", "Last run's completed lease re-placements.", nil).Set(float64(res.Recoveries))
@@ -327,7 +329,9 @@ func (s *server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 
 // handleEvents streams lease-lifecycle events as Server-Sent Events.
 // Each event is one `data:` frame carrying the core.Event JSON;
-// comment frames keep idle connections alive. A client that stops
+// comment frames keep idle connections alive. The handler subscribes
+// before it opens the stream, so a client that has seen the stream
+// open misses no event published after that. A client that stops
 // reading fills its fan-out buffer and is dropped by the broadcaster
 // (its channel closes and this handler returns) — publishing never
 // blocks on it.
@@ -337,14 +341,15 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	sub := s.bcast.Subscribe(256)
+	defer s.bcast.Unsubscribe(sub)
+
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	fmt.Fprint(w, ": venice-serve event stream\n\n")
 	fl.Flush()
 
-	sub := s.bcast.Subscribe(256)
-	defer s.bcast.Unsubscribe(sub)
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
 

@@ -32,8 +32,8 @@ func get(t *testing.T, url string) (int, string) {
 
 // TestServeChurnEndToEnd runs the churn scenario against a live
 // venice-serve handler set and drives every endpoint: an SSE client
-// must observe at least one failover event while the run is in flight,
-// a deliberately stalled consumer must be dropped without stalling the
+// must receive at least one failover event the run published, a
+// deliberately stalled consumer must be dropped without stalling the
 // simulation, and /metrics, /state, /trace, and /healthz must reflect
 // the finished run.
 func TestServeChurnEndToEnd(t *testing.T) {
@@ -62,6 +62,7 @@ func TestServeChurnEndToEnd(t *testing.T) {
 		err       error
 	}
 	sseCh := make(chan sseResult, 1)
+	failedOver := make(chan struct{}) // closed at the first failed-over frame
 	sseCtx, cancelSSE := context.WithCancel(context.Background())
 	defer cancelSSE()
 	req, _ := http.NewRequestWithContext(sseCtx, "GET", ts.URL+"/events", nil)
@@ -88,6 +89,9 @@ func TestServeChurnEndToEnd(t *testing.T) {
 				break
 			}
 			if ev.Type == core.LeaseFailedOver {
+				if res.failovers == 0 {
+					close(failedOver)
+				}
 				res.failovers++
 			}
 		}
@@ -115,7 +119,14 @@ func TestServeChurnEndToEnd(t *testing.T) {
 		t.Error("slow consumer's channel still open after drop")
 	}
 
-	// Close the SSE stream and check what the live client saw.
+	// Close the SSE stream and check what the live client saw. The run
+	// takes milliseconds, so frames it published near its end may still
+	// be on their way: hang up once a failed-over frame has arrived, or
+	// after 10 s.
+	select {
+	case <-failedOver:
+	case <-time.After(10 * time.Second):
+	}
 	cancelSSE()
 	select {
 	case res := <-sseCh:
@@ -228,6 +239,67 @@ func TestSSEHeartbeat(t *testing.T) {
 	}
 	if beats < 2 {
 		t.Fatalf("saw %d keepalives, want >= 2", beats)
+	}
+}
+
+// TestRunChurnPublishesFinalState checks that /state and /metrics show
+// the finished run's counters however the throttle's snapshots fell:
+// with a snapshot period longer than the run, the throttle publishes
+// only its first snapshot, before any recovery.
+func TestRunChurnPublishesFinalState(t *testing.T) {
+	s := newServer(time.Hour)
+	err := s.runChurn(context.Background(), serving.Config{
+		Workload: serving.Churn, Nodes: 8, Util: 0.7, Requests: 1500, Fault: serving.FaultFast, Seed: 1,
+	}, time.Hour, 0)
+	if err != nil {
+		t.Fatalf("runChurn: %v", err)
+	}
+	if st := s.cell.Get(); st == nil || st.Stats["recover.replaced"] == 0 {
+		t.Errorf("/state after the run lacks the run's recover.replaced count")
+	}
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	if _, metrics := get(t, ts.URL+"/metrics"); !strings.Contains(metrics, `venice_mn_stats{key="recover.replaced"}`) {
+		t.Errorf("/metrics after the run lacks venice_mn_stats{key=\"recover.replaced\"}")
+	}
+}
+
+// flushProbe is a ResponseWriter that records the broadcaster's
+// subscriber count at the stream's first flush, then ends the request.
+type flushProbe struct {
+	*httptest.ResponseRecorder
+	subs    func() int
+	cancel  context.CancelFunc
+	flushed bool
+	atOpen  int
+}
+
+func (p *flushProbe) Flush() {
+	if !p.flushed {
+		p.flushed, p.atOpen = true, p.subs()
+		p.cancel()
+	}
+	p.ResponseRecorder.Flush()
+}
+
+// TestSSESubscribesBeforeOpen checks that /events subscribes before it
+// flushes the stream's opening comment: a client that has seen the
+// stream open must not miss events published after that.
+func TestSSESubscribesBeforeOpen(t *testing.T) {
+	s := newServer(time.Hour)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest("GET", "/events", nil).WithContext(ctx)
+	p := &flushProbe{ResponseRecorder: httptest.NewRecorder(), subs: s.bcast.Subscribers, cancel: cancel}
+	s.handleEvents(p, req)
+	if !p.flushed {
+		t.Fatal("/events never flushed")
+	}
+	if p.atOpen != 1 {
+		t.Errorf("subscribers when the stream opened = %d, want 1", p.atOpen)
+	}
+	if n := s.bcast.Subscribers(); n != 0 {
+		t.Errorf("subscribers after the handler returned = %d, want 0", n)
 	}
 }
 

@@ -22,16 +22,15 @@ type Handle struct {
 // (pool.go), so steady-state scheduling — one Schedule plus one
 // dispatched event — performs no allocation.
 type Engine struct {
-	now     Time
-	seq     uint64
-	cur     uint64 // seq of the event dispatched last; MaxUint64 once the queue stops (see Passed)
-	pool    eventPool
-	pending int // queued events not yet fired or canceled
-	live    int // processes started and not yet finished
-	fired   uint64
-	procs   *Proc // every coroutine, parked or idle, linked by Proc.all
-	idle    *Proc // coroutines whose fn has returned, linked by Proc.idle
-	q       wheel // last: the fields above stay ahead of its bucket arrays
+	now   Time
+	seq   uint64
+	cur   uint64 // seq of the event dispatched last; MaxUint64 once the queue stops (see Passed)
+	pool  eventPool
+	live  int // processes started and not yet finished
+	fired uint64
+	procs *Proc // every coroutine, parked or idle, linked by Proc.all
+	idle  *Proc // coroutines whose fn has returned, linked by Proc.idle
+	q     wheel // last: the fields above stay ahead of its bucket arrays
 }
 
 // New returns a fresh engine with virtual time zero and an empty queue.
@@ -46,7 +45,7 @@ func (e *Engine) Now() Time { return e.now }
 // events are not counted: they are dead the moment Cancel returns. Nor
 // are reserved slots (see Reserve): they are not events until AtSlot
 // schedules them.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // Fired reports the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -64,7 +63,6 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 	ev := e.pool.get()
 	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
-	e.pending++
 	e.q.push(ev, e.now)
 	return ev
 }
@@ -147,8 +145,7 @@ func (e *Engine) AtSlot(s Slot, fn func()) {
 	}
 	ev := e.pool.get()
 	ev.at, ev.seq, ev.fn = s.at, s.seq, fn
-	e.pending++
-	e.q.insert(ev, e.now)
+	e.q.push(ev, e.now)
 }
 
 // Cancel revokes a cancelable event that has not fired yet, reporting
@@ -166,7 +163,6 @@ func (e *Engine) Cancel(h Handle) bool {
 	}
 	e.q.remove(ev)
 	e.pool.put(ev)
-	e.pending--
 	return true
 }
 
@@ -181,7 +177,6 @@ func (e *Engine) step(bound Time, bounded bool) bool {
 		return false
 	}
 	e.now, e.cur = ev.at, ev.seq
-	e.pending--
 	e.fired++
 	fn := ev.fn
 	e.pool.put(ev) // recycle before dispatch: fn may schedule into this slot

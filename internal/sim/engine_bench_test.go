@@ -8,10 +8,11 @@ import (
 // benchDelay draws one inter-event delay from the mix a serving-scale run
 // produces: mostly sub-10µs transport hops, a tail of millisecond-scale
 // protocol timers, and rare multi-second chaos/MTTF timers. With level 0
-// spanning 4096 ns, the hops land in levels 0 and 1, the timers in
-// levels 1 and 2, and the 5–10 s timers in level 2, or in the spill list
-// when they cross a 2^36 ns window. The mix stays fixed: CI's events/sec
-// gate compares it against the base commit.
+// spanning 262 µs in 64-ns slots, the hops land in level 0, where a hop
+// often goes ahead of later events already in its slot; the sub-ms
+// timers land in levels 0 and 1, the sweeps in level 1, and the 5–10 s
+// timers in level 2. None reaches the 73-min horizon. The mix stays
+// fixed: CI's events/sec gate compares it against the base commit.
 func benchDelay(rng *RNG) Dur {
 	switch x := rng.Intn(1000); {
 	case x < 900:

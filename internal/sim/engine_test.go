@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -235,5 +236,16 @@ func TestReservedSlotFiresInPlace(t *testing.T) {
 	e2.Run()
 	if !e2.Passed(late) || e2.Pending() != 0 {
 		t.Fatalf("after Run: late passed %v, pending %d", e2.Passed(late), e2.Pending())
+	}
+}
+
+// TestEngineFootprint holds an engine, its timing wheel included, to
+// 100 KiB. Every trial builds a fresh engine, and simulation campaigns
+// run many of them side by side, so the bucket arrays' size caps how
+// many fit. Three levels of 4096 one-pointer buckets take 96 KiB.
+func TestEngineFootprint(t *testing.T) {
+	const limit = 100 << 10
+	if size := unsafe.Sizeof(Engine{}); size > limit {
+		t.Fatalf("an Engine takes %d bytes, want at most %d", size, limit)
 	}
 }

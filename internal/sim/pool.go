@@ -11,10 +11,9 @@ type event struct {
 	at   Time
 	seq  uint64
 	fn   func()
-	next *event // next in the event's wheel bucket or on the free list
-	// prev is the event ahead of this one in its wheel bucket. Only
-	// Engine.Cancel reads it, and never for a bucket's head, whose prev
-	// may be stale.
+	next *event // next in the event's wheel bucket (its head, for the tail) or on the free list
+	// prev is the event ahead of this one in its wheel bucket (the
+	// bucket's tail, for its head).
 	prev       *event
 	cancelable bool // scheduled by AtCancelable: a Handle naming it may cancel it
 }

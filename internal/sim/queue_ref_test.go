@@ -47,26 +47,31 @@ func (q *heapQueue) pop(bound Time, bounded bool) *event {
 // horizonBits is log2 of the wheel's horizon: an event whose timestamp
 // leaves the clock's top-level window of 2^horizonBits ns waits in the
 // spill list.
-const horizonBits = wheelLevels * wheelBits
+const horizonBits = slotBits + wheelLevels*wheelBits
 
 // regimes counts the delay regimes the property tests draw from: a
-// same-instant tie, one per wheel level, and beyond the horizon.
-const regimes = wheelLevels + 2
+// same-instant tie, one per wheel level, beyond the horizon, and within
+// one level-0 slot.
+const regimes = wheelLevels + 3
 
 // regimeDelay maps regime r and a raw draw x to a delay, deriving every
 // range from the wheel's geometry. Regime 0 is a same-instant tie, where
 // FIFO order must hold. Regime r in [1, wheelLevels] draws below
-// 2^(r·wheelBits) ns, so it lands in level r−1, or one level higher when
-// it crosses that level's window. The last regime lies beyond the
-// horizon, in the spill list.
+// 2^(slotBits + r·wheelBits) ns, so it lands in level r−1, or one level
+// higher when it crosses that level's window. Regime wheelLevels+1 lies
+// beyond the horizon, in the spill list. The last regime draws below one
+// level-0 slot (2^slotBits ns), so a push often lands in a bucket that
+// already holds a later event and must go ahead of it.
 func regimeDelay(r int, x uint64) Dur {
 	switch {
 	case r == 0:
 		return 0
 	case r <= wheelLevels:
-		return Dur(x & (1<<(r*wheelBits) - 1))
-	default:
+		return Dur(x & (1<<levelShift(r) - 1))
+	case r == wheelLevels+1:
 		return Dur(1<<horizonBits + x&(1<<(horizonBits+2)-1))
+	default:
+		return Dur(x & (1<<slotBits - 1))
 	}
 }
 
@@ -93,11 +98,12 @@ type orderCheck struct {
 	queued []*event
 	index  map[*event]int
 	// seen records which regimes held an event at some point: each
-	// level's occupancy bitmap, then the spill list. ahead records
-	// where an insert at a reserved slot landed ahead of an event
-	// already queued at its instant, and canceled where a cancel
-	// unlinked an event.
-	seen, ahead, canceled [wheelLevels + 1]bool
+	// level's occupancy bitmap, then the spill list. pushedAhead records
+	// where a push landed ahead of a later event already queued in its
+	// bucket or the spill list, ahead where an insert at a reserved slot
+	// landed ahead of an event already queued at its instant, and
+	// canceled where a cancel unlinked an event.
+	seen, pushedAhead, ahead, canceled [wheelLevels + 1]bool
 }
 
 // opSize is the bytes one operation takes from a stream: a control byte
@@ -164,6 +170,28 @@ func (c *orderCheck) push(at Time) {
 	c.track(ev)
 	c.h.push(&event{at: at, seq: c.seq})
 	c.seq++
+	if l, next := c.placed(ev); next != nil {
+		c.pushedAhead[l] = true
+	}
+}
+
+// placed reports the regime the wheel placed a queued event in, and the
+// event queued right behind it there: in its bucket, or in the spill
+// list. It reports a nil event for the last one.
+func (c *orderCheck) placed(ev *event) (int, *event) {
+	l := c.w.levelOf(ev.at)
+	if l < wheelLevels {
+		if c.w.level[l][digit(l, ev.at)].tail == ev {
+			return l, nil
+		}
+		return l, ev.next
+	}
+	for j, sp := range c.w.spill {
+		if sp == ev && j+1 < len(c.w.spill) {
+			return l, c.w.spill[j+1]
+		}
+	}
+	return l, nil
 }
 
 // track lists a wheel event as queued; untrack takes it off the list.
@@ -198,8 +226,9 @@ func (c *orderCheck) cancel(ev *event) {
 }
 
 // insert takes reserved slot i off the list and, unless it has passed,
-// inserts an event there in both queues, noting whether the wheel put
-// it ahead of an event already queued at the same instant.
+// pushes an event there in both queues, as Engine.AtSlot does, noting
+// whether the wheel put it ahead of an event already queued at the same
+// instant.
 func (c *orderCheck) insert(i int) {
 	s := c.reserved[i]
 	c.reserved[i] = c.reserved[len(c.reserved)-1]
@@ -208,20 +237,10 @@ func (c *orderCheck) insert(i int) {
 		return // passed: the engine would have acted on it already
 	}
 	ev := &event{at: s.at, seq: s.seq}
-	c.w.insert(ev, c.now)
+	c.w.push(ev, c.now)
 	c.track(ev)
 	c.h.push(&event{at: s.at, seq: s.seq})
-	l := c.w.levelOf(s.at)
-	next := ev.next
-	if l == wheelLevels {
-		next = nil
-		for j, sp := range c.w.spill {
-			if sp == ev && j+1 < len(c.w.spill) {
-				next = c.w.spill[j+1]
-			}
-		}
-	}
-	if next != nil && next.at == s.at {
+	if l, next := c.placed(ev); next != nil && next.at == s.at {
 		c.ahead[l] = true
 	}
 }
@@ -263,9 +282,10 @@ func (c *orderCheck) observe() {
 // reserved slots and inserts at them with bounded and unbounded pops
 // the way a simulation does, then drains both. Every pop must agree on
 // (at, seq). Every wheel level and the spill list must have held
-// events, and in each of them an insert must have landed ahead of an
-// event already queued at its instant and a cancel must have unlinked
-// one, so a geometry change cannot leave a regime untested.
+// events, and in each of them a push must have landed ahead of a later
+// event already queued in its bucket, an insert ahead of an event
+// already queued at its instant, and a cancel must have unlinked one,
+// so a geometry change cannot leave a regime untested.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	rng := NewRNG(1234)
 	ops := make([]byte, 16_000*opSize)
@@ -281,6 +301,14 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 	}
 	if !c.seen[wheelLevels] {
 		t.Error("the spill list never held an event")
+	}
+	for l, ahead := range c.pushedAhead[:wheelLevels] {
+		if !ahead {
+			t.Errorf("no push landed ahead of a later event queued in its bucket in wheel level %d", l)
+		}
+	}
+	if !c.pushedAhead[wheelLevels] {
+		t.Error("no push landed ahead of a later event in the spill list")
 	}
 	for l, ahead := range c.ahead[:wheelLevels] {
 		if !ahead {
@@ -303,7 +331,8 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 // FuzzWheelOrder runs a fuzzer-chosen operation stream (see
 // orderCheck.run) through the wheel and the reference heap. The seed
 // corpus under testdata/fuzz/FuzzWheelOrder covers every regime, for
-// pushes, inserts at reserved slots and cancels alike.
+// pushes, inserts at reserved slots and cancels alike, pushes reordered
+// within one slot, and cancels of a bucket's head, middle and tail.
 func FuzzWheelOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		(&orderCheck{t: t}).run(ops)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 	"sort"
@@ -9,30 +8,32 @@ import (
 
 // The hierarchical timing wheel: the engine's event queue.
 //
-// Virtual time is an int64 nanosecond count, split into 12-bit digits.
-// Level l of the wheel has 4096 slots of 4096^l ns each, so level 0
-// spans 4096 ns and the three levels together cover the 2^36 ns
-// (~68.7 s) of virtual time that shares the current top-level window
-// with the wheel's clock. Events scheduled beyond that horizon wait in
-// a (time, seq)-sorted spill list and are pulled into the wheel when
-// the clock reaches their window. A fabric hop's arrival, traversal and
-// credit return (when it is an event) are all scheduled less than level
-// 0's span ahead of the clock, so most events are placed once and never
-// cascade.
+// Virtual time is an int64 nanosecond count. Its low 6 bits (slotBits)
+// lie within one level-0 slot; the bits above them split into 12-bit
+// digits, one per level. Level l of the wheel has 4096 slots of
+// 64·4096^l ns each, so level 0 spans 262 µs, level 1 1.07 s, and the
+// three levels together cover the 2^42 ns (~73 min) of virtual time that
+// shares the current top-level window with the wheel's clock. Events
+// scheduled beyond that horizon wait in a (time, seq)-sorted spill list
+// and are pulled into the wheel when the clock reaches their window. A
+// fabric hop, and a heartbeat tick or a lease holder's poll 100 µs out,
+// are scheduled less than level 0's span ahead of the clock, so nearly
+// every event is placed once and never cascades.
 //
-// A level-0 slot spans exactly 1 ns, so within one rotation every event
-// in it carries the same timestamp; buckets are FIFO lists in which the
-// events of one instant sit in ascending seq order, and cascades
-// preserve relative order — which together make bucket order the
-// (at, seq) FIFO order the engine requires. A push keeps that order with
-// no comparison, because its seq is the largest yet issued: it is O(1)
-// (pick the level whose window contains the timestamp, append at the
-// bucket's tail). An event at a reserved slot (Engine.AtSlot) may carry
-// a lower seq than events already queued at its instant; insert walks
-// its bucket and puts it ahead of the first of them with a larger seq.
-// Extraction is O(1) amortized (each level's occupancy bitmap and its
-// summary word find the next non-empty slot; events in higher levels
-// cascade down as the clock reaches their window).
+// Each bucket is kept in (at, seq) order, so the head of level 0's first
+// occupied slot at or after the clock is the earliest pending event.
+// place keeps that order with one comparison in the common case: every
+// push carries the largest seq yet issued, so an event that does not
+// fire before its bucket's tail is appended there. Otherwise place walks
+// back from the tail to the first event the new one precedes and links
+// it in ahead of that one. An event at a reserved slot (Engine.AtSlot),
+// whose seq may be lower than that of events already queued at its
+// instant, is placed the same way. Cascades and spill drains re-place
+// events head to tail into buckets that are still empty, so each of
+// their placements appends. Extraction is O(1) amortized (each level's
+// occupancy bitmap and its summary word find the next non-empty slot;
+// events in higher levels cascade down as the clock reaches their
+// window).
 //
 // The wheel's clock (vnow) trails the engine's: it advances to each
 // popped event's timestamp, or to a slot boundary during a cascade —
@@ -40,31 +41,32 @@ import (
 // "in the past" relative to the wheel. When the wheel empties, the
 // clock simply restarts at the next pushed event's timestamp.
 const (
+	slotBits    = 6 // a level-0 slot spans 2^6 = 64 ns
 	wheelBits   = 12
 	wheelSlots  = 1 << wheelBits // 4096 slots per level
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 3               // horizon: 4096^3 ns ≈ 68.7 s
+	wheelLevels = 3               // horizon: 2^(6+3·12) ns ≈ 73 min
 	wheelWords  = wheelSlots / 64 // occupancy bitmap words per level
 )
 
-// bucket is one wheel slot: an intrusive FIFO list of events linked
-// through event.next.
-type bucket struct{ head, tail *event }
+// bucket is one wheel slot: an intrusive circular list of events in
+// (at, seq) order, linked both ways through event.next and event.prev.
+// It holds only the tail; the head is tail.next, and a lone event links
+// to itself.
+type bucket struct{ tail *event }
 
 // wheel is the engine's event queue. The engine keeps two invariants
 // for it:
 //
-//   - push and insert are only called with ev.at >= the timestamp of
-//     the most recently popped event (virtual time never rewinds), and
-//   - push gets seq values in ascending order; an event whose seq may
-//     be lower than a queued one's goes through insert. Seqs are
-//     unique, so (at, seq) is a strict total order and equal-timestamp
-//     events pop in seq order.
+//   - push is only called with ev.at >= the timestamp of the most
+//     recently popped event (virtual time never rewinds), and
+//   - seqs are unique, so (at, seq) is a strict total order and
+//     equal-timestamp events pop in seq order.
 //
 // The zero value is an empty wheel. The fields the hot path touches on
 // every operation come first, ahead of the bucket arrays. The tests in
 // queue_ref_test.go hold the wheel to the firing order of the
-// container/heap queue it replaced, for any push, insert and pop
+// container/heap queue it replaced, for any push, cancel and pop
 // sequence.
 type wheel struct {
 	vnow Time // trails the engine clock; see the invariant above
@@ -79,9 +81,17 @@ type wheel struct {
 
 func (w *wheel) len() int { return w.n }
 
+// before reports whether a fires before b.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// levelShift is the number of low time bits below level l's digit.
+func levelShift(l int) uint { return uint(slotBits + l*wheelBits) }
+
 // digit extracts the level-l slot index of t.
 func digit(l int, t Time) int {
-	return int(uint64(t)>>uint(l*wheelBits)) & wheelMask
+	return int(uint64(t)>>levelShift(l)) & wheelMask
 }
 
 // push inserts ev. It receives the engine clock alongside the event: an
@@ -99,108 +109,78 @@ func (w *wheel) push(ev *event, now Time) {
 	w.place(ev)
 }
 
-// insert is push for an event whose seq may be lower than that of
-// events already queued at its instant: one scheduled at a reserved
-// slot. It goes ahead of the first event at the same instant with a
-// larger seq, in a level's bucket as in the spill list, so each
-// bucket's same-instant events stay in seq order; cascades and spill
-// drains keep that order, and pops stay in (at, seq) order. The walk
-// visits at most the bucket's events; plain push stays a tail append.
-func (w *wheel) insert(ev *event, now Time) {
-	if w.n > 0 {
-		if l := w.levelOf(ev.at); l < wheelLevels {
-			b := &w.level[l][digit(l, ev.at)]
-			var prev *event
-			for next := b.head; next != nil; prev, next = next, next.next {
-				if next.at == ev.at && next.seq > ev.seq {
-					ev.next, ev.prev, next.prev = next, prev, ev
-					if prev == nil {
-						b.head = ev
-					} else {
-						prev.next = ev
-					}
-					w.n++
-					return
-				}
-			}
-		}
-	}
-	// Nothing later is queued at ev's instant: append it, or insert it
-	// in the sorted spill list.
-	w.push(ev, now)
-}
-
 // levelOf reports the lowest wheel level whose current window contains
 // t, or wheelLevels when t is beyond the horizon: the level place puts
 // an event at t in.
 func (w *wheel) levelOf(t Time) int {
 	diff := uint64(t) ^ uint64(w.vnow)
 	l := 0
-	for l < wheelLevels && diff>>uint((l+1)*wheelBits) != 0 {
+	for l < wheelLevels && diff>>levelShift(l+1) != 0 {
 		l++
 	}
 	return l
 }
 
-// place appends ev to the lowest wheel level whose current window
-// contains ev.at, or to the spill list when ev.at is beyond the
-// horizon. Shared by push, insert, cascade, and the spill drain.
+// place links ev into the lowest wheel level whose current window
+// contains ev.at, in (at, seq) order within its bucket, or into the
+// spill list when ev.at is beyond the horizon. Shared by push, cascade
+// and the spill drain.
 func (w *wheel) place(ev *event) {
-	diff := uint64(ev.at) ^ uint64(w.vnow)
-	for l := 0; l < wheelLevels; l++ {
-		if diff>>uint((l+1)*wheelBits) == 0 {
-			slot := digit(l, ev.at)
-			b := &w.level[l][slot]
-			ev.next, ev.prev = nil, b.tail
-			if b.tail == nil {
-				b.head = ev
-				w.occ[l][slot>>6] |= 1 << uint(slot&63)
-				w.sum[l] |= 1 << uint(slot>>6)
-			} else {
-				b.tail.next = ev
-			}
-			b.tail = ev
-			return
-		}
+	l := w.levelOf(ev.at)
+	if l == wheelLevels {
+		w.spillInsert(ev)
+		return
 	}
-	w.spillInsert(ev)
+	slot := digit(l, ev.at)
+	b := &w.level[l][slot]
+	tail := b.tail
+	if tail == nil {
+		ev.next, ev.prev = ev, ev
+		b.tail = ev
+		w.occ[l][slot>>6] |= 1 << uint(slot&63)
+		w.sum[l] |= 1 << uint(slot>>6)
+		return
+	}
+	if !ev.before(tail) {
+		ev.next, ev.prev = tail.next, tail
+		tail.next.prev = ev
+		tail.next = ev
+		b.tail = ev
+		return
+	}
+	// ev fires before the tail: link it in ahead of the first event it
+	// precedes, walking back from the tail.
+	at, head := tail, tail.next
+	for at != head && ev.before(at.prev) {
+		at = at.prev
+	}
+	ev.next, ev.prev = at, at.prev
+	at.prev.next = ev
+	at.prev = ev
 }
 
-// remove unlinks a queued event: from its bucket, found as insert finds
+// remove unlinks a queued event: from its bucket, found as place found
 // it (an event at level l sits in the slot of its level-l digit, since
-// the clock never passes it uncascaded), or from the spill list. A
-// bucket's events are linked both ways through next and prev, except
-// that the head's prev may be stale, so the head is recognized by
-// position instead.
+// the clock never passes it uncascaded), or from the spill list.
 func (w *wheel) remove(ev *event) {
 	w.n--
 	l := w.levelOf(ev.at)
 	if l == wheelLevels {
-		i, _ := slices.BinarySearchFunc(w.spill, ev, func(s, ev *event) int {
-			if c := cmp.Compare(s.at, ev.at); c != 0 {
-				return c
-			}
-			return cmp.Compare(s.seq, ev.seq)
-		})
+		i := sort.Search(len(w.spill), func(i int) bool { return !w.spill[i].before(ev) })
 		w.spill = slices.Delete(w.spill, i, i+1)
 		return
 	}
 	slot := digit(l, ev.at)
 	b := &w.level[l][slot]
-	if b.head == ev {
-		b.head = ev.next
-	} else {
-		ev.prev.next = ev.next
+	if ev.next == ev {
+		b.tail = nil
+		w.vacate(l, slot)
+		return
 	}
+	ev.prev.next = ev.next
+	ev.next.prev = ev.prev
 	if b.tail == ev {
-		if b.head == nil {
-			b.tail = nil
-			w.vacate(l, slot)
-		} else {
-			b.tail = ev.prev
-		}
-	} else {
-		ev.next.prev = ev.prev
+		b.tail = ev.prev
 	}
 }
 
@@ -225,17 +205,21 @@ func (w *wheel) pop(bound Time, bounded bool) *event {
 	}
 	for {
 		// The earliest pending event is always in level 0 once the
-		// lower window is current: take the first occupied slot at or
-		// after the clock's position.
+		// lower window is current: take the head of the first occupied
+		// slot at or after the clock's position.
 		if slot, ok := w.scan(0, digit(0, w.vnow)); ok {
 			b := &w.level[0][slot]
-			ev := b.head
+			tail := b.tail
+			ev := tail.next
 			if bounded && ev.at > bound {
 				return nil
 			}
-			if b.head = ev.next; b.head == nil {
+			if ev == tail {
 				b.tail = nil
 				w.vacate(0, slot)
+			} else {
+				tail.next = ev.next
+				ev.next.prev = tail
 			}
 			w.vnow = ev.at
 			w.n--
@@ -293,21 +277,23 @@ func (w *wheel) scanUp() (l, slot int, ok bool) {
 // slotStart reports the first instant covered by the given slot of
 // level l in the level's current rotation.
 func (w *wheel) slotStart(l, slot int) Time {
-	span := uint((l + 1) * wheelBits)
+	span := levelShift(l + 1)
 	base := uint64(w.vnow) >> span << span
-	return Time(base | uint64(slot)<<uint(l*wheelBits))
+	return Time(base | uint64(slot)<<levelShift(l))
 }
 
 // cascade redistributes one higher-level slot's events into lower
-// levels, head to tail. Re-placing happens strictly below l (the clock
-// has advanced into the slot's window) into buckets that are still
-// empty, and relative order of equal-timestamp events is preserved,
-// keeping every bucket in (at, seq) FIFO order.
+// levels, head to tail. It runs only once level 0 is empty and the
+// clock has advanced into the slot's window, so its events are
+// re-placed strictly below l into buckets that are still empty, and in
+// order: each placement appends.
 func (w *wheel) cascade(l, slot int) {
 	b := &w.level[l][slot]
-	ev := b.head
-	*b = bucket{}
+	tail := b.tail
+	b.tail = nil
 	w.vacate(l, slot)
+	ev := tail.next
+	tail.next = nil // cut the circle at the tail
 	for ev != nil {
 		next := ev.next
 		w.place(ev)
@@ -316,13 +302,12 @@ func (w *wheel) cascade(l, slot int) {
 }
 
 // spillInsert adds a beyond-horizon event, keeping spill (at, seq)
-// sorted. Timers more than a minute out are rare relative to hot-path
+// sorted. Timers more than an hour out are rare relative to hot-path
 // events, so the O(n) insert is cheaper in practice than another wheel
 // level's cascades.
 func (w *wheel) spillInsert(ev *event) {
 	i := sort.Search(len(w.spill), func(i int) bool {
-		s := w.spill[i]
-		return s.at > ev.at || (s.at == ev.at && s.seq > ev.seq)
+		return ev.before(w.spill[i])
 	})
 	w.spill = append(w.spill, nil)
 	copy(w.spill[i+1:], w.spill[i:])
@@ -332,10 +317,10 @@ func (w *wheel) spillInsert(ev *event) {
 // drainSpill moves every spill event sharing the clock's (fresh)
 // top-level window into the wheel. Called only when the wheel proper is
 // empty and the clock has jumped to the spill head, so at least the
-// head always moves. The sorted spill keeps equal-timestamp events in
-// seq order as they are placed.
+// head always moves. The sorted spill keeps the events in (at, seq)
+// order as they are placed, so each placement appends.
 func (w *wheel) drainSpill() {
-	const topShift = uint(wheelLevels * wheelBits)
+	const topShift = slotBits + wheelLevels*wheelBits
 	blk := uint64(w.vnow) >> topShift
 	i := 0
 	for i < len(w.spill) && uint64(w.spill[i].at)>>topShift == blk {
